@@ -76,14 +76,15 @@ func BenchmarkEngineHashJoin(b *testing.B) {
 		left.MustInsert(engine.Int(int64(i)), engine.Float(float64(i)))
 		right.MustInsert(engine.Int(int64(i%1000)), engine.Float(float64(i)))
 	}
+	q := engine.From(left).Join(right, "k", "k")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := engine.EquiJoin(left, right, "k", "k")
+		n, err := q.Count()
 		if err != nil {
 			b.Fatal(err)
 		}
-		if out.Len() != 10000 {
-			b.Fatalf("join rows = %d", out.Len())
+		if n != 10000 {
+			b.Fatalf("join rows = %d", n)
 		}
 	}
 }
@@ -95,13 +96,11 @@ func BenchmarkEngineGroupBy(b *testing.B) {
 	for i := 0; i < 20000; i++ {
 		t.MustInsert(engine.Int(int64(i%100)), engine.Float(float64(i)))
 	}
+	q := engine.From(t).GroupBy([]string{"g"}, engine.Aggregate{Fn: engine.AggSum, Col: "v", As: "s"})
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		out, err := engine.GroupBy(t, []string{"g"}, []engine.Aggregate{
-			{Fn: engine.AggSum, Col: "v", As: "s"},
-		})
-		if err != nil || out.Len() != 100 {
-			b.Fatalf("groups = %d err = %v", out.Len(), err)
+		if n, err := q.Count(); err != nil || n != 100 {
+			b.Fatalf("groups = %d err = %v", n, err)
 		}
 	}
 }

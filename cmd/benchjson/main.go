@@ -1,5 +1,5 @@
-// Command benchjson runs the engine operator micro-benchmarks (row vs
-// columnar, via internal/enginebench), the query-planner benchmarks
+// Command benchjson runs the engine operator micro-benchmarks (via
+// internal/enginebench), the query-planner benchmarks
 // (planner-off written join order vs planner-on cost-based order),
 // the out-of-core storage benchmarks (zone-map-pruned scans and
 // spill-to-disk joins/group-bys over 10⁷-row colstore segments), plus
@@ -32,19 +32,11 @@ type measurement struct {
 	Name        string  `json:"name"`
 	Op          string  `json:"op,omitempty"`
 	Rows        int     `json:"rows,omitempty"`
-	Variant     string  `json:"variant,omitempty"` // "row"/"col" for operators, "off"/"on" for planner
+	Variant     string  `json:"variant,omitempty"` // "off"/"on" for planner, "base"/"opt" for out-of-core
 	Iterations  int     `json:"iterations"`
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op"`
 	AllocsPerOp int64   `json:"allocs_per_op"`
-}
-
-// speedup pairs the row and columnar timings of one workload.
-type speedup struct {
-	Op          string  `json:"op"`
-	Rows        int     `json:"rows"`
-	Speedup     float64 `json:"speedup"`      // rowNs / colNs
-	AllocsRatio float64 `json:"allocs_ratio"` // rowAllocs / colAllocs
 }
 
 // plannerSpeedup pairs the planner-off and planner-on timings of one
@@ -70,7 +62,6 @@ type oocSpeedup struct {
 
 type report struct {
 	Benchmarks []measurement    `json:"benchmarks"`
-	Speedups   []speedup        `json:"speedups"`
 	Planner    []plannerSpeedup `json:"planner"`
 	OutOfCore  []oocSpeedup     `json:"out_of_core,omitempty"`
 	WhatIf     []deltaSpeedup   `json:"whatif,omitempty"`
@@ -141,16 +132,10 @@ func main() {
 
 func runCoreBenchmarks(rep *report, seed uint64, skipExperiments bool) {
 	for _, w := range enginebench.Workloads() {
-		mr := measure("BenchmarkEngine"+w.Op+"/rows="+fmt.Sprint(w.Rows)+"/row", w.Op, w.Rows, "row", w.Row)
-		mc := measure("BenchmarkEngine"+w.Op+"/rows="+fmt.Sprint(w.Rows)+"/col", w.Op, w.Rows, "col", w.Col)
-		rep.Benchmarks = append(rep.Benchmarks, mr, mc)
-		sp := speedup{Op: w.Op, Rows: w.Rows, Speedup: mr.NsPerOp / mc.NsPerOp}
-		if mc.AllocsPerOp > 0 {
-			sp.AllocsRatio = float64(mr.AllocsPerOp) / float64(mc.AllocsPerOp)
-		}
-		rep.Speedups = append(rep.Speedups, sp)
-		fmt.Fprintf(os.Stderr, "%-9s rows=%-7d %10.0f ns/op (row) %10.0f ns/op (col)  %.1fx\n",
-			w.Op, w.Rows, mr.NsPerOp, mc.NsPerOp, sp.Speedup)
+		m := measure("BenchmarkEngine"+w.Op+"/rows="+fmt.Sprint(w.Rows), w.Op, w.Rows, "", w.Run)
+		rep.Benchmarks = append(rep.Benchmarks, m)
+		fmt.Fprintf(os.Stderr, "%-9s rows=%-7d %10.0f ns/op  %.1f Mrows/s\n",
+			w.Op, w.Rows, m.NsPerOp, float64(w.Rows)*1e3/m.NsPerOp)
 	}
 
 	for _, w := range enginebench.PlannerWorkloads() {

@@ -79,7 +79,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Println("one realization of SBP_DATA:")
-	fmt.Println(engine.Limit(tbl, 5))
+	fmt.Println(engine.From(tbl).Limit(5).MustRun())
 
 	// 4. Monte Carlo with tuple bundles: the plan executes once, each
 	//    uncertain cell carries its 1000 instantiations.

@@ -302,7 +302,7 @@ func synthesizeTransform(src, dst *PortSpec) (Transform, string, error) {
 			if ds.Table == nil {
 				return ds, fmt.Errorf("%w: table dataset %q has nil payload", ErrPayload, ds.Name)
 			}
-			proj, err := engine.Project(ds.Table, cols...)
+			proj, err := engine.From(ds.Table).Select(cols...).Run()
 			if err != nil {
 				return ds, err
 			}

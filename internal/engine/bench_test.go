@@ -1,7 +1,6 @@
 package engine_test
 
-// Operator micro-benchmarks, row vs columnar, over the shared
-// enginebench workloads (external test package: enginebench imports
+// Operator micro-benchmarks over the shared enginebench workloads (external test package: enginebench imports
 // engine). Run with:
 //
 //	go test -run '^$' -bench BenchmarkEngine -benchmem ./internal/engine/
@@ -20,16 +19,10 @@ func benchOp(b *testing.B, op string) {
 		if w.Op != op {
 			continue
 		}
-		b.Run(fmt.Sprintf("rows=%d/row", w.Rows), func(b *testing.B) {
+		b.Run(fmt.Sprintf("rows=%d", w.Rows), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				w.Row()
-			}
-		})
-		b.Run(fmt.Sprintf("rows=%d/col", w.Rows), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				w.Col()
+				w.Run()
 			}
 		})
 	}

@@ -127,7 +127,7 @@ func TestEquiJoinLargeInt64Keys(t *testing.T) {
 	right.MustInsert(Int(two53+1), Float(1))
 	right.MustInsert(Int(two53+3), Float(2))
 
-	out, err := EquiJoin(left, right, "id", "rid")
+	out, err := From(left).Join(right, "id", "rid").Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,7 +147,7 @@ func TestGroupByLargeInt64Keys(t *testing.T) {
 	tbl.MustInsert(Int(two53), Float(1))
 	tbl.MustInsert(Int(two53+1), Float(2))
 	tbl.MustInsert(Int(two53), Float(3))
-	out, err := GroupBy(tbl, []string{"id"}, []Aggregate{{Fn: AggCount, Col: "x", As: "n"}})
+	out, err := From(tbl).GroupBy([]string{"id"}, Aggregate{Fn: AggCount, Col: "x", As: "n"}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +161,7 @@ func TestDistinctLargeInt64(t *testing.T) {
 	tbl.MustInsert(Int(two53))
 	tbl.MustInsert(Int(two53 + 1))
 	tbl.MustInsert(Int(two53))
-	if got := Distinct(tbl).Len(); got != 2 {
+	if got := From(tbl).Distinct().MustRun().Len(); got != 2 {
 		t.Fatalf("distinct kept %d rows, want 2", got)
 	}
 }

@@ -1,13 +1,11 @@
 package engine
 
-// Vectorized relational operators over ColumnBlocks. Every operator
-// here has a row-based counterpart in ops.go and must produce a
-// byte-identical table (same rows, same order, same Value payloads)
-// when its output is materialized — golden_test.go enforces this on
-// randomized inputs. Determinism rules match the row path: group-by
-// and distinct emit in first-appearance order, joins emit in probe
-// order with build-side insertion order within a key, and sorts are
-// stable.
+// Vectorized relational operators over ColumnBlocks — the engine's
+// only operator implementations. golden_test.go checks them against a
+// reference interpreter on randomized inputs. Determinism rules:
+// group-by and distinct emit in first-appearance order, joins emit in
+// probe order with build-side insertion order within a key, and sorts
+// are stable.
 
 import (
 	"fmt"
@@ -89,8 +87,7 @@ func (b *ColumnBlock) WhereEq(col string, v Value) (*ColumnBlock, error) {
 }
 
 // WhereFloat keeps rows for which pred holds on the numeric column
-// widened to float64; rows of non-numeric columns never qualify,
-// matching the row path.
+// widened to float64; rows of non-numeric columns never qualify.
 func (b *ColumnBlock) WhereFloat(col string, pred func(float64) bool) (*ColumnBlock, error) {
 	j, err := b.ColIndex(col)
 	if err != nil {
@@ -383,8 +380,8 @@ func equiJoinIdx(l, r *ColumnBlock, li, ri int, buildLeft bool, sc *Scratch) (li
 
 // EquiJoin computes the hash equi-join of b and r on leftCol =
 // rightCol. The hash table is built on the smaller input (ties build on
-// the right, matching the row path so emission order is identical) from
-// pre-encoded uint64 key codes; no per-row key strings are constructed.
+// the right) from pre-encoded uint64 key codes; no per-row key strings
+// are constructed.
 // Output columns are prefixed with the block names.
 func (b *ColumnBlock) EquiJoin(r *ColumnBlock, leftCol, rightCol string, sc *Scratch) (*ColumnBlock, error) {
 	return b.equiJoinBudget(r, leftCol, rightCol, sc, 0, "")
@@ -405,7 +402,7 @@ func (b *ColumnBlock) equiJoinBudget(r *ColumnBlock, leftCol, rightCol string, s
 	if err != nil {
 		return nil, fmt.Errorf("join right: %w", err)
 	}
-	// Build on the smaller side, exactly as the row path chooses it.
+	// Build on the smaller side; ties build on the right.
 	lidx, ridx := joinPairs(l, r, li, ri, l.Len() < r.Len(), sc, budget, dir)
 
 	out := &ColumnBlock{
@@ -499,39 +496,12 @@ func (b *ColumnBlock) groupIDs(keyIdx []int, sc *Scratch) (gids []int32, firstP 
 
 // GroupBy groups the block by the given key columns and computes the
 // requested aggregates per group in one pass over the column vectors,
-// emitting groups in first-appearance order (the same deterministic
-// order as the row path). With no key columns a single global group is
-// produced, even over empty input. The output is a row table: group-by
-// results are small, and the row form keeps the zero-Value semantics of
-// empty global MIN/MAX groups representable.
-func (b *ColumnBlock) GroupBy(keys []string, aggs []Aggregate, sc *Scratch) (*Table, error) {
+// emitting groups in first-appearance order. With no key columns a
+// single global group is produced, even over empty input (COUNT = 0,
+// SUM/AVG = 0, MIN/MAX the zero of the column's type). The output is a
+// dense block: keys then aggregates.
+func (b *ColumnBlock) GroupBy(keys []string, aggs []Aggregate, sc *Scratch) (*ColumnBlock, error) {
 	return b.groupByBudget(keys, aggs, sc, 0, "")
-}
-
-// groupCols resolves the key and aggregate column indexes (COUNT takes
-// no column; its index is -1).
-func (b *ColumnBlock) groupCols(keys []string, aggs []Aggregate) (keyIdx, aggIdx []int, err error) {
-	keyIdx = make([]int, len(keys))
-	for i, k := range keys {
-		j, err := b.ColIndex(k)
-		if err != nil {
-			return nil, nil, err
-		}
-		keyIdx[i] = j
-	}
-	aggIdx = make([]int, len(aggs))
-	for i, a := range aggs {
-		if a.Fn == AggCount {
-			aggIdx[i] = -1
-			continue
-		}
-		j, err := b.ColIndex(a.Col)
-		if err != nil {
-			return nil, nil, err
-		}
-		aggIdx[i] = j
-	}
-	return keyIdx, aggIdx, nil
 }
 
 // groupByBudget is GroupBy with a spill policy: when budget > 0 and the
@@ -539,97 +509,125 @@ func (b *ColumnBlock) groupCols(keys []string, aggs []Aggregate) (keyIdx, aggIdx
 // disk under dir and each partition aggregates separately (see
 // spill.go). Keyless group-bys never spill — one global group needs no
 // hash table.
-func (b *ColumnBlock) groupByBudget(keys []string, aggs []Aggregate, sc *Scratch, budget int64, dir string) (*Table, error) {
+func (b *ColumnBlock) groupByBudget(keys []string, aggs []Aggregate, sc *Scratch, budget int64, dir string) (*ColumnBlock, error) {
 	sc = sc.orNew()
-	keyIdx, aggIdx, err := b.groupCols(keys, aggs)
+	g, err := b.newGrouping(keys, aggs)
 	if err != nil {
 		return nil, err
 	}
-	if budget > 0 && len(keyIdx) > 0 && estHashBytes(b, keyIdx) > budget {
-		t, err := b.spillGroupBy(keys, aggs, keyIdx, aggIdx, sc, budget, dir)
+	if budget > 0 && len(g.keyIdx) > 0 && estHashBytes(b, g.keyIdx) > budget {
+		out, err := b.spillGroupBy(g, sc, budget, dir)
 		if err == nil {
-			return t, nil
+			return out, nil
 		}
 		spillFallbacks.Add(1)
 	}
-
-	n := b.Len()
-	var gids, firstP []int32
-	if len(keyIdx) == 0 {
-		gids = make([]int32, n)
-		if n > 0 {
-			firstP = []int32{int32(b.phys(0))}
-		}
-	} else {
-		gids, firstP = b.groupIDs(keyIdx, sc)
-	}
-	nGroups := len(firstP)
-	synthesized := false
-	if len(keys) == 0 && nGroups == 0 {
-		// SQL semantics: a global aggregate over empty input yields one
-		// group (COUNT(*) = 0, MIN/MAX the zero Value).
-		nGroups = 1
-		synthesized = true
-	}
-
-	rows := b.aggregateGroups(keyIdx, aggIdx, aggs, gids, firstP, nGroups, synthesized)
-	out, err := NewTable(b.Name+"_group", groupSchema(b, keys, keyIdx, aggs, aggIdx))
-	if err != nil {
-		return nil, err
-	}
-	out.Rows = rows
+	out, _ := b.groupByMem(g, sc)
 	return out, nil
 }
 
-// groupSchema builds the group-by output schema: keys then aggregates,
-// identical to the row path.
-func groupSchema(b *ColumnBlock, keys []string, keyIdx []int, aggs []Aggregate, aggIdx []int) Schema {
-	schema := make(Schema, 0, len(keys)+len(aggs))
+// grouping is a resolved group-by: key and aggregate column indexes
+// (-1 for COUNT) plus the output schema (keys then aggregates).
+type grouping struct {
+	aggs           []Aggregate
+	keyIdx, aggIdx []int
+	schema         Schema
+}
+
+func (b *ColumnBlock) newGrouping(keys []string, aggs []Aggregate) (*grouping, error) {
+	g := &grouping{aggs: aggs, keyIdx: make([]int, len(keys)), aggIdx: make([]int, len(aggs))}
 	for i, k := range keys {
-		schema = append(schema, Column{Name: k, Type: b.Schema[keyIdx[i]].Type})
+		j, err := b.ColIndex(k)
+		if err != nil {
+			return nil, err
+		}
+		g.keyIdx[i] = j
+		g.schema = append(g.schema, Column{Name: k, Type: b.Schema[j].Type})
 	}
 	for i, a := range aggs {
 		name := a.As
 		if name == "" {
 			name = a.Fn.String() + "_" + a.Col
 		}
-		typ := TypeFloat
-		if a.Fn == AggCount {
-			typ = TypeInt
-		} else if a.Fn == AggMin || a.Fn == AggMax {
-			typ = b.Schema[aggIdx[i]].Type
+		if a.Fn == AggCount { // COUNT takes no column
+			g.aggIdx[i] = -1
+			g.schema = append(g.schema, Column{Name: name, Type: TypeInt})
+			continue
 		}
-		schema = append(schema, Column{Name: name, Type: typ})
+		j, err := b.ColIndex(a.Col)
+		if err != nil {
+			return nil, err
+		}
+		g.aggIdx[i] = j
+		typ := TypeFloat
+		if a.Fn == AggMin || a.Fn == AggMax {
+			typ = b.Schema[j].Type
+		}
+		g.schema = append(g.schema, Column{Name: name, Type: typ})
 	}
-	return schema
+	if err := g.schema.Validate(); err != nil {
+		return nil, err
+	}
+	return g, nil
+}
+
+// groupByMem is the in-memory group-by. It also returns each logical
+// row's group id, which provenance execution ⊕-merges annotations by.
+func (b *ColumnBlock) groupByMem(g *grouping, sc *Scratch) (*ColumnBlock, []int32) {
+	n := b.Len()
+	var gids, firstP []int32
+	if len(g.keyIdx) == 0 {
+		gids = make([]int32, n)
+		if n > 0 {
+			firstP = []int32{int32(b.phys(0))}
+		}
+	} else {
+		gids, firstP = b.groupIDs(g.keyIdx, sc)
+	}
+	nGroups := len(firstP)
+	if len(g.keyIdx) == 0 && nGroups == 0 {
+		// SQL semantics: a global aggregate over empty input yields one
+		// group.
+		nGroups = 1
+	}
+	return b.aggregateGroups(g, gids, firstP, nGroups), gids
 }
 
 // aggregateGroups runs the accumulation passes and emits one output row
 // per group, in group-id order. gids/firstP come from groupIDs over the
-// same block (so per-group accumulation order is the block's logical
-// row order); synthesized emits the single keyless group over empty
-// input.
-func (b *ColumnBlock) aggregateGroups(keyIdx, aggIdx []int, aggs []Aggregate, gids, firstP []int32, nGroups int, synthesized bool) []Row {
+// same block, so per-group accumulation order is the block's logical
+// row order; nGroups exceeds len(firstP) only for the single keyless
+// group over empty input.
+func (b *ColumnBlock) aggregateGroups(g *grouping, gids, firstP []int32, nGroups int) *ColumnBlock {
 	n := b.Len()
+	out := &ColumnBlock{
+		Name:   b.Name + "_group",
+		Schema: g.schema.Clone(),
+		nrows:  nGroups,
+		cols:   make([]colvec, 0, len(g.schema)),
+	}
+	for _, j := range g.keyIdx {
+		out.cols = append(out.cols, gather(b.cols[j], b.Schema[j].Type, firstP))
+	}
 
 	// Group sizes, shared by COUNT and AVG across all aggregates.
 	counts := make([]int64, nGroups)
-	for _, g := range gids {
-		counts[g]++
+	for _, gid := range gids {
+		counts[gid]++
 	}
 
 	// One accumulation pass per aggregate, column-at-a-time. Per-group
-	// sums accumulate in row order, so float results are bit-identical
-	// to the row path's row-at-a-time accumulation.
-	states := make([][]colAggState, len(aggs))
-	for ai, a := range aggs {
+	// sums accumulate in logical row order, which fixes the float
+	// result bit for bit.
+	for ai, a := range g.aggs {
 		if a.Fn == AggCount {
+			out.cols = append(out.cols, colvec{ints: counts})
 			continue
 		}
 		sts := make([]colAggState, nGroups)
-		j := aggIdx[ai]
-		cv := b.cols[j]
-		switch b.Schema[j].Type {
+		j := g.aggIdx[ai]
+		cv, typ := b.cols[j], b.Schema[j].Type
+		switch typ {
 		case TypeInt:
 			for i := 0; i < n; i++ {
 				p, st := int32(b.phys(i)), &sts[gids[i]]
@@ -681,60 +679,34 @@ func (b *ColumnBlock) aggregateGroups(keyIdx, aggIdx []int, aggs []Aggregate, gi
 				st.seen = true
 			}
 		}
-		states[ai] = sts
-	}
-
-	out := make([]Row, 0, nGroups)
-	width := len(keyIdx) + len(aggs)
-	for g := 0; g < nGroups; g++ {
-		row := make(Row, 0, width)
-		if !synthesized {
-			for _, j := range keyIdx {
-				row = append(row, b.valuePhys(int(firstP[g]), j))
-			}
-		}
-		for ai, a := range aggs {
-			switch a.Fn {
-			case AggCount:
-				row = append(row, Int(counts[g]))
-			case AggSum:
-				row = append(row, Float(sumOf(states[ai], g)))
-			case AggAvg:
-				if counts[g] == 0 {
-					row = append(row, Float(0))
-				} else {
-					row = append(row, Float(sumOf(states[ai], g)/float64(counts[g])))
+		switch a.Fn {
+		case AggSum, AggAvg:
+			fs := make([]float64, nGroups)
+			for gid := range fs {
+				fs[gid] = sts[gid].sum
+				if a.Fn == AggAvg && counts[gid] > 0 {
+					fs[gid] /= float64(counts[gid])
 				}
-			case AggMin:
-				row = append(row, b.extremeValue(states[ai], g, aggIdx[ai], true))
-			case AggMax:
-				row = append(row, b.extremeValue(states[ai], g, aggIdx[ai], false))
 			}
+			out.cols = append(out.cols, colvec{floats: fs})
+		case AggMin, AggMax:
+			if n == 0 {
+				// The empty global group: no row to take the extreme
+				// from, so it is the zero of the column's type.
+				out.cols = append(out.cols, zeroColvec(typ, nGroups))
+				continue
+			}
+			at := make([]int32, nGroups)
+			for gid := range at {
+				at[gid] = sts[gid].maxP
+				if a.Fn == AggMin {
+					at[gid] = sts[gid].minP
+				}
+			}
+			out.cols = append(out.cols, gather(cv, typ, at))
 		}
-		out = append(out, row)
 	}
 	return out
-}
-
-func sumOf(sts []colAggState, g int) float64 {
-	if sts == nil {
-		return 0
-	}
-	return sts[g].sum
-}
-
-// extremeValue reconstructs a group's MIN or MAX Value from its tracked
-// physical row; an unseen state (empty global group) yields the zero
-// Value, matching the row path's zero aggState.
-func (b *ColumnBlock) extremeValue(sts []colAggState, g, j int, min bool) Value {
-	if sts == nil || !sts[g].seen {
-		return Value{}
-	}
-	p := sts[g].maxP
-	if min {
-		p = sts[g].minP
-	}
-	return b.valuePhys(int(p), j)
 }
 
 // --- distinct / order by ---
@@ -743,33 +715,20 @@ func (b *ColumnBlock) extremeValue(sts []colAggState, g, j int, min bool) Value 
 // The result is a new selection over the shared column vectors; nothing
 // is materialized.
 func (b *ColumnBlock) Distinct(sc *Scratch) *ColumnBlock {
-	sc = sc.orNew()
-	n := b.Len()
-	rowsScanned.Add(int64(n))
-	var sel []int32
-	allIdx := make([]int, len(b.Schema))
-	for j := range allIdx {
-		allIdx[j] = j
+	_, firstP := b.distinctGroups(len(b.Schema), sc.orNew())
+	return b.withSel(firstP)
+}
+
+// distinctGroups groups logical rows by their first ncols columns (all
+// but the hidden annotation column under provenance), returning
+// groupIDs' result: firstP is the distinct selection.
+func (b *ColumnBlock) distinctGroups(ncols int, sc *Scratch) (gids, firstP []int32) {
+	rowsScanned.Add(int64(b.Len()))
+	idx := make([]int, ncols)
+	for j := range idx {
+		idx[j] = j
 	}
-	if len(b.Schema) == 1 {
-		// Single-column fast paths share the group-id machinery.
-		_, firstP := b.groupIDs(allIdx, sc)
-		return b.withSel(firstP)
-	}
-	seen := make(map[string]bool, n)
-	buf := sc.keyBuf()
-	for i := 0; i < n; i++ {
-		buf = buf[:0]
-		for j := range b.Schema {
-			buf = b.appendKeyAt(buf, i, j)
-		}
-		if !seen[string(buf)] {
-			seen[string(buf)] = true
-			sel = append(sel, int32(b.phys(i)))
-		}
-	}
-	sc.putKey(buf)
-	return b.withSel(sel)
+	return b.groupIDs(idx, sc)
 }
 
 // OrderBy stably sorts the block by the named column. Only the

@@ -9,12 +9,10 @@ package engine
 // Carlo repetitions — applied across the tuples of a batch.
 //
 // Blocks convert at the boundary: FromTable decodes a row table into
-// vectors, ToTable materializes vectors back into rows, and Table keeps
-// its public row API so callers migrate incrementally. Conversion is
-// strict — every value's dynamic type must match its column's schema
-// type — and callers fall back to the row operators when it fails, so
-// the two paths always produce byte-identical tables (enforced by the
-// golden-equivalence suite in golden_test.go).
+// vectors and ToTable materializes vectors back into rows; Table keeps
+// its public row API. Conversion is strict — every value's dynamic type
+// must match its column's schema type, the rule Insert enforces — and a
+// table that breaks it is not executable (see decodeTable in query.go).
 
 import (
 	"errors"
@@ -23,7 +21,7 @@ import (
 
 // ErrMixedColumn reports a column whose values' dynamic types do not
 // all match the schema type, which the columnar layout cannot
-// represent (callers fall back to the row path).
+// represent. Queries over such a table fail with it.
 var ErrMixedColumn = errors.New("engine: column holds values not matching its schema type")
 
 // colvec is the typed storage for one column; exactly one field is
@@ -124,10 +122,9 @@ func decodeColumn(rows []Row, j int, typ Type, colName string) (colvec, error) {
 }
 
 // FromTable decodes a row table into a ColumnBlock. It fails with
-// ErrMixedColumn when any value's dynamic type differs from its
-// column's schema type (possible for hand-built tables or Extend
-// callbacks returning a mismatched Value); callers then stay on the
-// row path, keeping outputs byte-identical either way.
+// ErrMixedColumn, naming the column, row and dynamic type, when any
+// value's type differs from its column's schema type (possible only for
+// hand-assembled Rows; Insert rejects or widens such values).
 func FromTable(t *Table) (*ColumnBlock, error) {
 	return FromRowsPartial(t.Name, t.Schema, t.Rows, nil)
 }

@@ -83,10 +83,10 @@ func TestGroupByManyKeysStable(t *testing.T) {
 	tbl := salesTable(t)
 	first := ""
 	for run := 0; run < repeatRuns; run++ {
-		g, err := GroupBy(tbl, []string{"region", "cell"}, []Aggregate{
-			{Fn: AggCount, As: "n"},
-			{Fn: AggSum, Col: "amt", As: "total"},
-		})
+		g, err := From(tbl).GroupBy([]string{"region", "cell"},
+			Aggregate{Fn: AggCount, As: "n"},
+			Aggregate{Fn: AggSum, Col: "amt", As: "total"},
+		).Run()
 		if err != nil {
 			t.Fatalf("run %d: %v", run, err)
 		}

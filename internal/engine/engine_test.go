@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -117,18 +118,18 @@ func TestInsertIntWidensToFloat(t *testing.T) {
 
 func TestSelectProject(t *testing.T) {
 	p := peopleTable(t)
-	kids := Select(p, func(r Row) bool { return r[2].AsInt() <= 4 })
+	kids := From(p).Where(func(r Row) bool { return r[2].AsInt() <= 4 }).MustRun()
 	if kids.Len() != 2 {
 		t.Fatalf("kids = %d rows", kids.Len())
 	}
-	names, err := Project(kids, "name")
+	names, err := From(kids).Select("name").Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(names.Schema) != 1 || names.Rows[0][0].AsString() != "ann" {
 		t.Fatalf("project wrong: %v", names)
 	}
-	if _, err := Project(p, "nope"); !errors.Is(err, ErrNoColumn) {
+	if _, err := From(p).Select("nope").Run(); !errors.Is(err, ErrNoColumn) {
 		t.Fatalf("got %v, want ErrNoColumn", err)
 	}
 }
@@ -144,7 +145,7 @@ func TestEquiJoin(t *testing.T) {
 	orders.MustInsert(Int(5), Float(5))
 	orders.MustInsert(Int(99), Float(1)) // dangling
 
-	j, err := EquiJoin(p, orders, "pid", "pid")
+	j, err := From(p).Join(orders, "pid", "pid").Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,11 +174,11 @@ func TestEquiJoinBuildSideSymmetry(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		big.MustInsert(Int(int64(i % 2)))
 	}
-	j1, err := EquiJoin(small, big, "k", "k")
+	j1, err := From(small).Join(big, "k", "k").Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, err := EquiJoin(big, small, "k", "k")
+	j2, err := From(big).Join(small, "k", "k").Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,26 +191,15 @@ func TestEquiJoinBuildSideSymmetry(t *testing.T) {
 	}
 }
 
-func TestThetaJoin(t *testing.T) {
-	p := peopleTable(t)
-	j := ThetaJoin(p, p, func(l, r Row) bool {
-		return l[2].AsInt() < r[2].AsInt() // strictly younger
-	})
-	// 5 people with distinct ages: C(5,2) = 10 ordered young<old pairs.
-	if j.Len() != 10 {
-		t.Fatalf("theta join rows = %d, want 10", j.Len())
-	}
-}
-
 func TestGroupByAggregates(t *testing.T) {
 	p := peopleTable(t)
-	grouped, err := GroupBy(p, nil, []Aggregate{
-		{Fn: AggCount, As: "n"},
-		{Fn: AggSum, Col: "income", As: "total"},
-		{Fn: AggAvg, Col: "age", As: "avg_age"},
-		{Fn: AggMin, Col: "age", As: "min_age"},
-		{Fn: AggMax, Col: "income", As: "max_inc"},
-	})
+	grouped, err := From(p).GroupBy(nil,
+		Aggregate{Fn: AggCount, As: "n"},
+		Aggregate{Fn: AggSum, Col: "income", As: "total"},
+		Aggregate{Fn: AggAvg, Col: "age", As: "avg_age"},
+		Aggregate{Fn: AggMin, Col: "age", As: "min_age"},
+		Aggregate{Fn: AggMax, Col: "income", As: "max_inc"},
+	).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +232,7 @@ func TestGroupByKeys(t *testing.T) {
 	tbl.MustInsert(Str("east"), Float(10))
 	tbl.MustInsert(Str("west"), Float(20))
 	tbl.MustInsert(Str("east"), Float(30))
-	g, err := GroupBy(tbl, []string{"region"}, []Aggregate{{Fn: AggSum, Col: "amt", As: "total"}})
+	g, err := From(tbl).GroupBy([]string{"region"}, Aggregate{Fn: AggSum, Col: "amt", As: "total"}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -257,7 +247,7 @@ func TestGroupByKeys(t *testing.T) {
 
 func TestGroupByEmptyGlobal(t *testing.T) {
 	tbl := MustNewTable("empty", Schema{{Name: "x", Type: TypeInt}})
-	g, err := GroupBy(tbl, nil, []Aggregate{{Fn: AggCount, As: "n"}})
+	g, err := From(tbl).GroupBy(nil, Aggregate{Fn: AggCount, As: "n"}).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,48 +256,20 @@ func TestGroupByEmptyGlobal(t *testing.T) {
 	}
 }
 
-func TestUnionSchemaMismatch(t *testing.T) {
-	a := MustNewTable("a", Schema{{Name: "x", Type: TypeInt}})
-	b := MustNewTable("b", Schema{{Name: "x", Type: TypeFloat}})
-	if _, err := Union(a, b); !errors.Is(err, ErrSchema) {
-		t.Fatalf("got %v, want ErrSchema", err)
-	}
-}
-
-func TestUnionAndDistinct(t *testing.T) {
-	a := MustNewTable("a", Schema{{Name: "x", Type: TypeInt}})
-	a.MustInsert(Int(1))
-	a.MustInsert(Int(2))
-	b := MustNewTable("a", Schema{{Name: "x", Type: TypeInt}})
-	b.MustInsert(Int(2))
-	b.MustInsert(Int(3))
-	u, err := Union(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if u.Len() != 4 {
-		t.Fatalf("union rows = %d", u.Len())
-	}
-	d := Distinct(u)
-	if d.Len() != 3 {
-		t.Fatalf("distinct rows = %d", d.Len())
-	}
-}
-
 func TestOrderByAndLimit(t *testing.T) {
 	p := peopleTable(t)
-	sorted, err := OrderBy(p, "age", true)
+	sorted, err := From(p).OrderBy("age", true).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sorted.Rows[0][1].AsString() != "dee" {
 		t.Fatalf("oldest = %v", sorted.Rows[0])
 	}
-	top2 := Limit(sorted, 2)
+	top2 := From(sorted).Limit(2).MustRun()
 	if top2.Len() != 2 {
 		t.Fatalf("limit = %d", top2.Len())
 	}
-	if Limit(p, 100).Len() != 5 || Limit(p, -1).Len() != 0 {
+	if From(p).Limit(100).MustRun().Len() != 5 || From(p).Limit(-1).MustRun().Len() != 0 {
 		t.Fatal("limit edge cases")
 	}
 }
@@ -319,7 +281,7 @@ func TestOrderByStable(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		tbl.MustInsert(Int(int64(i%2)), Int(int64(i)))
 	}
-	sorted, err := OrderBy(tbl, "k", false)
+	sorted, err := From(tbl).OrderBy("k", false).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,24 +296,51 @@ func TestOrderByStable(t *testing.T) {
 
 func TestExtend(t *testing.T) {
 	p := peopleTable(t)
-	ext, err := Extend(p, "adult", TypeBool, func(r Row) Value {
+	ext := From(p).Extend("adult", TypeBool, func(r Row) Value {
 		return Bool(r[2].AsInt() >= 18)
 	})
+	adults, err := ext.Where(func(r Row) bool { return r[4].AsBool() }).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	adults := Select(ext, func(r Row) bool { return r[4].AsBool() })
 	if adults.Len() != 3 {
 		t.Fatalf("adults = %d", adults.Len())
 	}
-	if _, err := Extend(p, "age", TypeInt, func(Row) Value { return Int(0) }); !errors.Is(err, ErrDupeColumn) {
+	if _, err := From(p).Extend("age", TypeInt, func(Row) Value { return Int(0) }).Run(); !errors.Is(err, ErrDupeColumn) {
 		t.Fatalf("got %v, want ErrDupeColumn", err)
+	}
+}
+
+// TestExtendTypeCheck: the callback's results follow Insert's rule — an
+// Int widens into a TypeFloat column, anything else mismatched is
+// ErrTypeClash naming the column and row — so Extend can never build a
+// mixed column.
+func TestExtendTypeCheck(t *testing.T) {
+	p := peopleTable(t)
+	wide, err := From(p).
+		Extend("age2", TypeFloat, func(r Row) Value { return Int(r[2].AsInt() * 2) }).
+		OrderBy("age2", false).
+		Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v := wide.Rows[0][4]; v.Type() != TypeFloat || v.AsFloat() != 6 {
+		t.Fatalf("widened value = %v (%s), want FLOAT 6", v, v.Type())
+	}
+	_, err = From(p).Extend("n", TypeInt, func(r Row) Value {
+		if r[0].AsInt() == 3 {
+			return Str("three")
+		}
+		return Int(0)
+	}).Run()
+	if !errors.Is(err, ErrTypeClash) || !strings.Contains(err.Error(), `"n" row 2`) {
+		t.Fatalf("got %v, want ErrTypeClash naming column n, row 2", err)
 	}
 }
 
 func TestRename(t *testing.T) {
 	p := peopleTable(t)
-	r, err := Rename(p, "pid", "id")
+	r, err := From(p).Rename("pid", "id").Run()
 	if err != nil {
 		t.Fatal(err)
 	}

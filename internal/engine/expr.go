@@ -1,11 +1,8 @@
 package engine
 
 // Bridging between the engine's Value world and the plan package's
-// serializable expression values. Compilation mirrors the historical
-// WHERE compilers exactly — the same ColIndex resolution, the same
-// Equal/Less comparison semantics on the row and block paths — so a
-// query filtered through a plan.Expr is byte-identical to one filtered
-// through the old opaque closures.
+// serializable expression values, and compilation of plan.Expr filters
+// into block predicates.
 
 import (
 	"fmt"
@@ -50,96 +47,11 @@ type predFns interface {
 	colPredFns(ref int) (ffn func(float64) bool, sfn func(string) bool)
 }
 
-// compileExprRow compiles e into a row predicate over the schema, with
-// exactly the historical row-path semantics: comparisons use
-// Value.Equal/Less, BETWEEN is !v.Less(lo) && !hi.Less(v), float
-// predicates see only numeric values, string predicates only strings.
-func compileExprRow(e plan.Expr, schema Schema, fns predFns) (Predicate, error) {
-	switch t := e.(type) {
-	case plan.And:
-		l, err := compileExprRow(t.L, schema, fns)
-		if err != nil {
-			return nil, err
-		}
-		r, err := compileExprRow(t.R, schema, fns)
-		if err != nil {
-			return nil, err
-		}
-		return func(row Row) bool { return l(row) && r(row) }, nil
-	case plan.Or:
-		l, err := compileExprRow(t.L, schema, fns)
-		if err != nil {
-			return nil, err
-		}
-		r, err := compileExprRow(t.R, schema, fns)
-		if err != nil {
-			return nil, err
-		}
-		return func(row Row) bool { return l(row) || r(row) }, nil
-	case plan.Not:
-		inner, err := compileExprRow(t.E, schema, fns)
-		if err != nil {
-			return nil, err
-		}
-		return func(row Row) bool { return !inner(row) }, nil
-	case plan.Between:
-		idx, err := schema.ColIndex(t.Col)
-		if err != nil {
-			return nil, err
-		}
-		lo, hi := valOfLit(t.Lo), valOfLit(t.Hi)
-		return func(row Row) bool {
-			v := row[idx]
-			return !v.Less(lo) && !hi.Less(v)
-		}, nil
-	case plan.Cmp:
-		idx, err := schema.ColIndex(t.Col)
-		if err != nil {
-			return nil, err
-		}
-		val := valOfLit(t.Val)
-		switch t.Op {
-		case "=":
-			return func(row Row) bool { return row[idx].Equal(val) }, nil
-		case "<>", "!=":
-			return func(row Row) bool { return !row[idx].Equal(val) }, nil
-		case "<":
-			return func(row Row) bool { return row[idx].Less(val) }, nil
-		case "<=":
-			return func(row Row) bool { return !val.Less(row[idx]) }, nil
-		case ">":
-			return func(row Row) bool { return val.Less(row[idx]) }, nil
-		case ">=":
-			return func(row Row) bool { return !row[idx].Less(val) }, nil
-		}
-		return nil, fmt.Errorf("engine: unknown comparison %q", t.Op)
-	case plan.ColPred:
-		idx, err := schema.ColIndex(t.Col)
-		if err != nil {
-			return nil, err
-		}
-		ffn, sfn := fns.colPredFns(t.Ref)
-		switch t.Fn {
-		case "float":
-			if ffn == nil {
-				return nil, fmt.Errorf("engine: dangling float predicate ref %d", t.Ref)
-			}
-			return func(row Row) bool { return row[idx].IsNumeric() && ffn(row[idx].AsFloat()) }, nil
-		case "string":
-			if sfn == nil {
-				return nil, fmt.Errorf("engine: dangling string predicate ref %d", t.Ref)
-			}
-			return func(row Row) bool { return row[idx].Type() == TypeString && sfn(row[idx].AsString()) }, nil
-		}
-		return nil, fmt.Errorf("engine: unknown predicate domain %q", t.Fn)
-	}
-	return nil, fmt.Errorf("engine: unsupported expression %T", e)
-}
-
 // compileExprBlock compiles e into a logical-row predicate over the
-// block, mirroring compileExprRow leaf for leaf: values are read
-// through the block (allocation-free reconstruction) and compared with
-// the same Equal/Less semantics as the row path.
+// block. Values are read through the block (allocation-free
+// reconstruction) and compared with Value.Equal/Less; BETWEEN is
+// !v.Less(lo) && !hi.Less(v); float predicates see only numeric values,
+// string predicates only strings.
 func compileExprBlock(e plan.Expr, b *ColumnBlock, fns predFns) (func(i int) bool, error) {
 	switch t := e.(type) {
 	case plan.And:

@@ -99,13 +99,3 @@ func (v Value) AppendKey(dst []byte) []byte {
 	}
 	return append(dst, '?')
 }
-
-// appendRowKey appends the composite key of the row restricted to the
-// given column indexes. Concatenation of self-delimiting encodings is
-// injective, so composite keys collide iff every component key matches.
-func appendRowKey(dst []byte, r Row, idx []int) []byte {
-	for _, j := range idx {
-		dst = r[j].AppendKey(dst)
-	}
-	return dst
-}

@@ -363,8 +363,9 @@ func (q *Query) Explain() (*plan.Tree, error) {
 }
 
 // regionSpec lowers a region to the plan package's spec plus a
-// statistics catalog over the scans. Decoding here is silent — no
-// fallback metrics — because nothing is being executed.
+// statistics catalog over the scans. Decoding here bypasses decodeTable
+// — an undecodable scan just has no statistics — because nothing is
+// being executed, so no query is refused.
 func (q *Query) regionSpec(reg *region) (*plan.RegionSpec, plan.Catalog) {
 	ret := q.retainedCols(reg)
 	spec := &plan.RegionSpec{}

@@ -3,36 +3,28 @@ package engine
 // Engine-level observability. The query builder and SQL executor carry
 // no context.Context, so their metrics report into the process-wide
 // obs.Default() registry; modeldata.Run diffs that registry around a
-// run to attribute engine activity to it. The key signal is the
-// columnar→row fallback: before this existed, a table that failed the
-// strict columnar decode silently latched every query onto the row
-// path, and the only symptom was a quiet slowdown (the paper's central
-// complaint about opaque model-data pipelines). Now each latch
-// increments engine.colfallback and the first one per process logs the
-// triggering column and type.
+// run to attribute engine activity to it. engine.colfallback counts
+// queries refused because a table broke the executable-table rule (a
+// value whose dynamic type is not its column's schema type); the error
+// the query returns names the column, row and type. Healthy runs keep
+// it at 0.
 
-import (
-	"errors"
-	"log"
-	"sync"
-
-	"modeldata/internal/obs"
-)
+import "modeldata/internal/obs"
 
 // Metric names reported by the engine into obs.Default().
 const (
-	// MetricColFallback counts query paths latched from columnar to
-	// row execution by a failed strict decode.
+	// MetricColFallback counts queries refused with ErrMixedColumn at
+	// decodeTable (the name predates the removal of the row fallback).
 	MetricColFallback = "engine.colfallback"
-	// MetricColQueries counts query paths that ran columnar.
+	// MetricColQueries counts query executions whose source decoded.
 	MetricColQueries = "engine.colpath"
-	// MetricRowsScanned counts rows examined by scan operators
-	// (row-path Select and columnar Where* filters).
+	// MetricRowsScanned counts rows examined by scan operators (filters
+	// and distinct).
 	MetricRowsScanned = "engine.rows_scanned"
 
 	// MetricPlanPlanned counts queries whose join region executed from
 	// an optimized plan; MetricPlanDirect counts executions that
-	// replayed as written (planner off, no joins, or fallback).
+	// replayed as written (planner off, storage-backed, or no joins).
 	MetricPlanPlanned = "engine.plan.planned"
 	MetricPlanDirect  = "engine.plan.direct"
 	// MetricPlanReordered counts planned executions whose join order
@@ -86,37 +78,4 @@ var (
 	spillPartitions = obs.Default().Counter(MetricSpillPartitions)
 	spillBytes      = obs.Default().Counter(MetricSpillBytes)
 	spillFallbacks  = obs.Default().Counter(MetricSpillFallbacks)
-
-	fallbackLogOnce sync.Once
 )
-
-// fallbackClass names the reason class of a columnar-fallback error via
-// its sentinel chain, most-specific first, so the once-per-process log
-// line says *why* the row path latched without the reader having to
-// parse a wrapped message.
-func fallbackClass(err error) string {
-	switch {
-	case errors.Is(err, ErrMixedColumn):
-		return "mixed-column"
-	case errors.Is(err, ErrNotNumeric):
-		return "not-numeric"
-	case errors.Is(err, ErrNoColumn):
-		return "missing-column"
-	case errors.Is(err, ErrTypeClash):
-		return "type-clash"
-	default:
-		return "other"
-	}
-}
-
-// noteColFallback records one columnar→row fallback latch. The counter
-// fires every time; the log line — naming the column and dynamic type
-// that broke the decode — fires once per process so a fallback storm
-// cannot flood stderr.
-func noteColFallback(err error) {
-	colFallbacks.Add(1)
-	fallbackLogOnce.Do(func() {
-		log.Printf("engine: columnar decode failed (class=%s), latched to row path (further fallbacks counted in %s): %v",
-			fallbackClass(err), MetricColFallback, err)
-	})
-}

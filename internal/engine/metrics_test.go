@@ -1,15 +1,17 @@
 package engine
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
 	"modeldata/internal/obs"
 )
 
-// mixedTable returns a table whose float column carries a dynamically
-// typed int value, which the strict columnar decode rejects — the
-// canonical trigger of the columnar→row fallback latch.
+// mixedTable returns a hand-assembled table whose float column carries
+// a dynamically typed int value — the one way to break the
+// executable-table rule, since Insert would have widened it.
 func mixedTable() *Table {
 	return &Table{
 		Name: "mixed",
@@ -19,66 +21,79 @@ func mixedTable() *Table {
 		},
 		Rows: []Row{
 			{Int(1), Float(1.5)},
-			{Int(2), Int(7)}, // int in a float column: decode fails
+			{Int(2), Int(7)}, // int in a float column: not executable
 			{Int(3), Float(-2)},
 		},
 	}
 }
 
-// TestColFallbackCounterFires pins the observability contract of the
-// fallback latch: a query over a mixed-type table must still produce
-// correct results on the row path AND increment engine.colfallback —
-// before the counter existed the slowdown was completely silent.
-func TestColFallbackCounterFires(t *testing.T) {
-	before := obs.Default().Counter(MetricColFallback).Value()
-
-	res, err := From(mixedTable()).
-		WhereFloat("x", func(v float64) bool { return v > 0 }).
-		Select("id").
-		Run()
-	if err != nil {
-		t.Fatal(err)
+// requireRefused runs fn, which must fail with an ErrMixedColumn naming
+// the offending column, row and dynamic type, and must advance
+// engine.colfallback by exactly one.
+func requireRefused(t *testing.T, label string, fn func() error) {
+	t.Helper()
+	before := colFallbacks.Value()
+	err := fn()
+	if !errors.Is(err, ErrMixedColumn) {
+		t.Fatalf("%s: got %v, want ErrMixedColumn", label, err)
 	}
-	if res.Len() != 2 {
-		t.Fatalf("row-path result has %d rows, want 2", res.Len())
+	for _, part := range []string{`"mixed"`, `column "x" row 1 is INT`} {
+		if !strings.Contains(err.Error(), part) {
+			t.Fatalf("%s: error %q does not name %s", label, err, part)
+		}
 	}
-
-	after := obs.Default().Counter(MetricColFallback).Value()
-	if after <= before {
-		t.Fatalf("engine.colfallback did not advance: before=%d after=%d", before, after)
-	}
-
-	// The latch converts at most once per chain: a second operation on
-	// the same chain must not pay (or count) another decode attempt.
-	base := From(mixedTable()).WhereFloat("x", func(v float64) bool { return v > -10 })
-	mid := obs.Default().Counter(MetricColFallback).Value()
-	if _, err := base.Select("id").Distinct().Run(); err != nil {
-		t.Fatal(err)
-	}
-	grew := obs.Default().Counter(MetricColFallback).Value() - mid
-	if grew > 1 {
-		t.Fatalf("latched chain re-counted the fallback %d times, want at most 1", grew)
+	if grew := colFallbacks.Value() - before; grew != 1 {
+		t.Fatalf("%s: engine.colfallback advanced by %d, want 1", label, grew)
 	}
 }
 
-// TestColFallbackSQLCounterFires drives the same latch through the SQL
-// executor, whose fallback decision point is separate from the query
-// builder's.
+// requireShapesRefused pins the executable-table rule that replaced the
+// row fallback: a mixed table anywhere in a query — the source, the
+// right side of a join (which once fell back to rows with no counter at
+// all), a later scan of a planned region, a table scanned through the
+// Storage seam — refuses Run and Count loudly instead of running them
+// on a slow route, with the planner on and off.
+func requireShapesRefused(t *testing.T, provOn bool) {
+	clean := MustNewTable("clean", Schema{{Name: "id", Type: TypeInt}})
+	clean.MustInsert(Int(1))
+	clean.MustInsert(Int(2))
+	positive := func(v float64) bool { return v > 0 }
+	shapes := map[string]*Query{
+		"source":      From(mixedTable()).WhereFloat("x", positive).Select("id").Distinct(),
+		"join right":  From(clean).Join(mixedTable(), "id", "id"),
+		"second join": From(clean).Join(clean, "id", "id").Join(mixedTable(), "clean.id", "id"),
+		"after group": From(clean).GroupBy([]string{"id"}, Aggregate{Fn: AggCount, As: "n"}).Join(mixedTable(), "id", "id"),
+		"storage":     FromStorage(mixedTable()).WhereFloat("x", positive),
+	}
+	for name, q := range shapes {
+		for _, plannerOn := range []bool{true, false} {
+			q := q.WithPlanner(plannerOn)
+			if provOn {
+				q = q.WithProvenance()
+			}
+			label := fmt.Sprintf("%s planner=%v prov=%v", name, plannerOn, provOn)
+			requireRefused(t, label+" Run", func() error { _, err := q.Run(); return err })
+			requireRefused(t, label+" Count", func() error { _, err := q.Count(); return err })
+		}
+	}
+}
+
+func TestColFallbackCounterFires(t *testing.T) { requireShapesRefused(t, false) }
+
+// TestColFallbackSQLCounterFires drives the same refusal through the
+// SQL executor.
 func TestColFallbackSQLCounterFires(t *testing.T) {
 	db := NewDatabase()
 	db.Put(mixedTable())
-
-	before := obs.Default().Counter(MetricColFallback).Value()
-	res, err := db.Query("SELECT id FROM mixed")
-	if err != nil {
+	if _, err := db.Query("CREATE TABLE clean (id INT)"); err != nil {
 		t.Fatal(err)
 	}
-	if res.Len() != 3 {
-		t.Fatalf("result has %d rows, want 3", res.Len())
-	}
-	after := obs.Default().Counter(MetricColFallback).Value()
-	if after <= before {
-		t.Fatalf("engine.colfallback did not advance via SQL: before=%d after=%d", before, after)
+	for _, sql := range []string{
+		"SELECT id FROM mixed",
+		"SELECT COUNT(*) AS n FROM mixed WHERE x > 0",
+		"SELECT clean.id FROM clean JOIN mixed ON clean.id = mixed.id",
+	} {
+		requireRefused(t, sql, func() error { _, err := db.Query(sql); return err })
 	}
 }
 

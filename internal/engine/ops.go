@@ -1,5 +1,9 @@
 package engine
 
+// Types the query builder's operations are described with, plus the
+// paper's ABS-step-as-self-join. The relational operators themselves
+// are the ColumnBlock methods in colops.go.
+
 import (
 	"fmt"
 	"sort"
@@ -8,133 +12,6 @@ import (
 
 // Predicate decides whether a row qualifies.
 type Predicate func(Row) bool
-
-// Select returns a new table containing the rows of t that satisfy
-// pred. Rows are shared, not copied; treat query results as immutable.
-func Select(t *Table, pred Predicate) *Table {
-	rowsScanned.Add(int64(len(t.Rows)))
-	out := &Table{Name: t.Name, Schema: t.Schema.Clone()}
-	for _, r := range t.Rows {
-		if pred(r) {
-			out.Rows = append(out.Rows, r)
-		}
-	}
-	return out
-}
-
-// Project returns a new table with only the named columns, in order.
-func Project(t *Table, cols ...string) (*Table, error) {
-	idx := make([]int, len(cols))
-	schema := make(Schema, len(cols))
-	for i, c := range cols {
-		j, err := t.ColIndex(c)
-		if err != nil {
-			return nil, err
-		}
-		idx[i] = j
-		schema[i] = t.Schema[j]
-	}
-	out := &Table{Name: t.Name, Schema: schema}
-	out.Rows = make([]Row, len(t.Rows))
-	for ri, r := range t.Rows {
-		nr := make(Row, len(idx))
-		for i, j := range idx {
-			nr[i] = r[j]
-		}
-		out.Rows[ri] = nr
-	}
-	return out, nil
-}
-
-// Rename returns a shallow copy of t with column old renamed to new.
-func Rename(t *Table, oldName, newName string) (*Table, error) {
-	j, err := t.ColIndex(oldName)
-	if err != nil {
-		return nil, err
-	}
-	out := &Table{Name: t.Name, Schema: t.Schema.Clone(), Rows: t.Rows}
-	out.Schema[j].Name = newName
-	return out, nil
-}
-
-// prefixSchema returns t's schema with each column prefixed by the
-// table name ("table.col"), used to disambiguate join outputs.
-func prefixSchema(t *Table) Schema {
-	s := make(Schema, len(t.Schema))
-	for i, c := range t.Schema {
-		s[i] = Column{Name: t.Name + "." + c.Name, Type: c.Type}
-	}
-	return s
-}
-
-// EquiJoin computes the equijoin of l and r on l.leftCol = r.rightCol
-// using a hash join. Output columns are prefixed with their table names
-// to avoid collisions.
-func EquiJoin(l, r *Table, leftCol, rightCol string) (*Table, error) {
-	li, err := l.ColIndex(leftCol)
-	if err != nil {
-		return nil, fmt.Errorf("join left: %w", err)
-	}
-	ri, err := r.ColIndex(rightCol)
-	if err != nil {
-		return nil, fmt.Errorf("join right: %w", err)
-	}
-	// Build on the smaller side.
-	build, probe := r, l
-	bi, pi := ri, li
-	swapped := false
-	if len(l.Rows) < len(r.Rows) {
-		build, probe = l, r
-		bi, pi = li, ri
-		swapped = true
-	}
-	ht := make(map[string][]Row, len(build.Rows))
-	var keyBuf []byte // reused binary key buffer; interned only on new keys
-	for _, row := range build.Rows {
-		keyBuf = row[bi].AppendKey(keyBuf[:0])
-		ht[string(keyBuf)] = append(ht[string(keyBuf)], row)
-	}
-	out := &Table{
-		Name:   l.Name + "_" + r.Name,
-		Schema: append(prefixSchema(l), prefixSchema(r)...),
-	}
-	for _, prow := range probe.Rows {
-		keyBuf = prow[pi].AppendKey(keyBuf[:0])
-		for _, brow := range ht[string(keyBuf)] {
-			lrow, rrow := prow, brow
-			if swapped {
-				lrow, rrow = brow, prow
-			}
-			nr := make(Row, 0, len(lrow)+len(rrow))
-			nr = append(nr, lrow...)
-			nr = append(nr, rrow...)
-			out.Rows = append(out.Rows, nr)
-		}
-	}
-	return out, nil
-}
-
-// ThetaJoin computes the join of l and r keeping pairs that satisfy
-// pred, which receives the left and right rows. This is the general
-// (nested-loop) join used for ABS neighbor predicates that are not
-// equality conditions.
-func ThetaJoin(l, r *Table, pred func(left, right Row) bool) *Table {
-	out := &Table{
-		Name:   l.Name + "_" + r.Name,
-		Schema: append(prefixSchema(l), prefixSchema(r)...),
-	}
-	for _, lr := range l.Rows {
-		for _, rr := range r.Rows {
-			if pred(lr, rr) {
-				nr := make(Row, 0, len(lr)+len(rr))
-				nr = append(nr, lr...)
-				nr = append(nr, rr...)
-				out.Rows = append(out.Rows, nr)
-			}
-		}
-	}
-	return out
-}
 
 // PartitionedSelfJoin implements the ABS-step-as-self-join observation
 // of Wang et al. (§2.1): agents (rows) interact only with "nearby"
@@ -222,209 +99,4 @@ type Aggregate struct {
 	Fn  AggFunc
 	Col string
 	As  string
-}
-
-type aggState struct {
-	count    int64
-	sum      float64
-	min, max Value
-	seen     bool
-}
-
-// GroupBy groups t by the given key columns and computes the requested
-// aggregates per group. With no key columns, a single global group is
-// produced (even over an empty input, matching SQL semantics for
-// COUNT(*) = 0). Output schema is keys followed by aggregates.
-func GroupBy(t *Table, keys []string, aggs []Aggregate) (*Table, error) {
-	keyIdx := make([]int, len(keys))
-	for i, k := range keys {
-		j, err := t.ColIndex(k)
-		if err != nil {
-			return nil, err
-		}
-		keyIdx[i] = j
-	}
-	aggIdx := make([]int, len(aggs))
-	for i, a := range aggs {
-		if a.Fn == AggCount {
-			aggIdx[i] = -1
-			continue
-		}
-		j, err := t.ColIndex(a.Col)
-		if err != nil {
-			return nil, err
-		}
-		aggIdx[i] = j
-	}
-
-	type group struct {
-		keyVals Row
-		states  []aggState
-	}
-	groups := make(map[string]*group)
-	order := []string{} // deterministic order of first appearance
-	var keyBuf []byte   // reused binary key buffer; interned once per group
-	for _, r := range t.Rows {
-		keyBuf = appendRowKey(keyBuf[:0], r, keyIdx)
-		g, ok := groups[string(keyBuf)]
-		if !ok {
-			kv := make(Row, len(keyIdx))
-			for i, j := range keyIdx {
-				kv[i] = r[j]
-			}
-			g = &group{keyVals: kv, states: make([]aggState, len(aggs))}
-			k := string(keyBuf)
-			groups[k] = g
-			order = append(order, k)
-		}
-		for i := range aggs {
-			st := &g.states[i]
-			st.count++
-			if aggIdx[i] < 0 {
-				continue
-			}
-			v := r[aggIdx[i]]
-			if v.IsNumeric() {
-				st.sum += v.AsFloat()
-			}
-			if !st.seen || v.Less(st.min) {
-				st.min = v
-			}
-			if !st.seen || st.max.Less(v) {
-				st.max = v
-			}
-			st.seen = true
-		}
-	}
-	if len(keys) == 0 && len(groups) == 0 {
-		groups[""] = &group{states: make([]aggState, len(aggs))}
-		order = append(order, "")
-	}
-
-	schema := make(Schema, 0, len(keys)+len(aggs))
-	for i, k := range keys {
-		schema = append(schema, Column{Name: k, Type: t.Schema[keyIdx[i]].Type})
-	}
-	for i, a := range aggs {
-		name := a.As
-		if name == "" {
-			name = a.Fn.String() + "_" + a.Col
-		}
-		typ := TypeFloat
-		if a.Fn == AggCount {
-			typ = TypeInt
-		} else if a.Fn == AggMin || a.Fn == AggMax {
-			typ = t.Schema[aggIdx[i]].Type
-		}
-		schema = append(schema, Column{Name: name, Type: typ})
-	}
-	out, err := NewTable(t.Name+"_group", schema)
-	if err != nil {
-		return nil, err
-	}
-	for _, k := range order {
-		g := groups[k]
-		row := make(Row, 0, len(schema))
-		row = append(row, g.keyVals...)
-		for i, a := range aggs {
-			st := g.states[i]
-			switch a.Fn {
-			case AggCount:
-				row = append(row, Int(st.count))
-			case AggSum:
-				row = append(row, Float(st.sum))
-			case AggAvg:
-				if st.count == 0 {
-					row = append(row, Float(0))
-				} else {
-					row = append(row, Float(st.sum/float64(st.count)))
-				}
-			case AggMin:
-				row = append(row, st.min)
-			case AggMax:
-				row = append(row, st.max)
-			}
-		}
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
-}
-
-// Union appends the rows of b to those of a; the schemas must match.
-func Union(a, b *Table) (*Table, error) {
-	if !a.Schema.Equal(b.Schema) {
-		return nil, fmt.Errorf("%w: union of %q and %q", ErrSchema, a.Name, b.Name)
-	}
-	out := &Table{Name: a.Name, Schema: a.Schema.Clone()}
-	out.Rows = make([]Row, 0, len(a.Rows)+len(b.Rows))
-	out.Rows = append(out.Rows, a.Rows...)
-	out.Rows = append(out.Rows, b.Rows...)
-	return out, nil
-}
-
-// Distinct removes duplicate rows, preserving first-appearance order.
-func Distinct(t *Table) *Table {
-	seen := make(map[string]bool, len(t.Rows))
-	out := &Table{Name: t.Name, Schema: t.Schema.Clone()}
-	var keyBuf []byte // reused binary key buffer; interned once per distinct row
-	for _, r := range t.Rows {
-		keyBuf = keyBuf[:0]
-		for _, v := range r {
-			keyBuf = v.AppendKey(keyBuf)
-		}
-		if !seen[string(keyBuf)] {
-			seen[string(keyBuf)] = true
-			out.Rows = append(out.Rows, r)
-		}
-	}
-	return out
-}
-
-// OrderBy sorts the table by the named column, ascending or descending,
-// with a stable sort. It returns a new table.
-func OrderBy(t *Table, col string, desc bool) (*Table, error) {
-	j, err := t.ColIndex(col)
-	if err != nil {
-		return nil, err
-	}
-	out := &Table{Name: t.Name, Schema: t.Schema.Clone()}
-	out.Rows = make([]Row, len(t.Rows))
-	copy(out.Rows, t.Rows)
-	sort.SliceStable(out.Rows, func(a, b int) bool {
-		if desc {
-			return out.Rows[b][j].Less(out.Rows[a][j])
-		}
-		return out.Rows[a][j].Less(out.Rows[b][j])
-	})
-	return out, nil
-}
-
-// Limit returns at most n rows of t.
-func Limit(t *Table, n int) *Table {
-	out := &Table{Name: t.Name, Schema: t.Schema.Clone()}
-	if n > len(t.Rows) {
-		n = len(t.Rows)
-	}
-	if n < 0 {
-		n = 0
-	}
-	out.Rows = append(out.Rows, t.Rows[:n]...)
-	return out
-}
-
-// Extend appends a computed column to each row.
-func Extend(t *Table, name string, typ Type, f func(Row) Value) (*Table, error) {
-	schema := append(t.Schema.Clone(), Column{Name: name, Type: typ})
-	if err := schema.Validate(); err != nil {
-		return nil, err
-	}
-	out := &Table{Name: t.Name, Schema: schema}
-	out.Rows = make([]Row, len(t.Rows))
-	for i, r := range t.Rows {
-		nr := make(Row, 0, len(r)+1)
-		nr = append(nr, r...)
-		nr = append(nr, f(r))
-		out.Rows[i] = nr
-	}
-	return out, nil
 }

@@ -41,39 +41,31 @@ const failNever = int32(1) << 30
 // is far below it, and a saturated count only means "build right".
 const satCap = int64(1) << 62
 
-// planRegion plans and executes q's join region, leaving the region's
-// output in ch. It returns the number of leading ops consumed and
-// whether it handled them; (0, false) means the caller must replay
-// everything through the direct chain.
-func (q *Query) planRegion(ch *chain) (int, bool) {
+// planRegion plans and executes q's join region over ch's decoded
+// source, leaving the region's output in ch. It returns the number of
+// leading ops consumed; 0 means the query has no plannable region and
+// the caller must replay everything through the direct chain. The only
+// error is a scan that breaks the executable-table rule.
+func (q *Query) planRegion(ch *chain) (int, error) {
 	reg := q.lowerRegion()
 	if reg == nil {
-		return 0, false
+		return 0, nil
 	}
 	m := len(reg.joins)
 
-	// Decode every scan, deduplicating self-joins. Any failure falls
-	// back to the direct chain, which reproduces the historical mixed
-	// row/column execution for undecodable tables.
+	// Decode every scan, deduplicating self-joins.
 	blocks := make([]*ColumnBlock, len(reg.scans))
-	decoded := make(map[*Table]*ColumnBlock, len(reg.scans))
+	decoded := map[*Table]*ColumnBlock{q.src: ch.b}
 	for s, t := range reg.scans {
-		if b, ok := decoded[t]; ok {
-			blocks[s] = b
-			continue
-		}
-		b, err := FromTable(t)
-		if err != nil {
-			if s == 0 {
-				// The direct chain would hit this decode too; latch the
-				// fallback now so it is noted exactly once.
-				noteColFallback(err)
-				ch.noCol = true
+		b, ok := decoded[t]
+		if !ok {
+			var err error
+			if b, err = decodeTable(t); err != nil {
+				return 0, err
 			}
-			return 0, false
+			decoded[t] = b
 		}
 		blocks[s] = b
-		decoded[t] = b
 	}
 
 	// Pushed filters: failPos[s][i] is the earliest written position
@@ -91,7 +83,7 @@ func (q *Query) planRegion(ch *chain) (int, bool) {
 		b := blocks[f.scan]
 		pred, err := compileExprBlock(f.pred, b, q)
 		if err != nil {
-			return 0, false
+			return 0, nil
 		}
 		n := b.Len()
 		rowsScanned.Add(int64(n))
@@ -115,11 +107,11 @@ func (q *Query) planRegion(ch *chain) (int, bool) {
 	for p, jn := range reg.joins {
 		a, err := blocks[jn.leftScan].ColIndex(jn.leftCol)
 		if err != nil {
-			return 0, false
+			return 0, nil
 		}
 		bcol, err := blocks[p+1].ColIndex(jn.rightCol)
 		if err != nil {
-			return 0, false
+			return 0, nil
 		}
 		lj[p], rj[p] = a, bcol
 	}
@@ -149,7 +141,7 @@ func (q *Query) planRegion(ch *chain) (int, bool) {
 	// per scan when reordering (for the final restoring sort) or when
 	// recording provenance (region-exit annotations are built from the
 	// same row ids, so they survive any join order).
-	provOn := ch.prov != nil
+	provOn := ch.arena != nil
 	ret := q.retainedCols(reg)
 	scanBlks := make([]*ColumnBlock, len(blocks))
 	keepIdx := make([]map[string]int, len(blocks))
@@ -277,7 +269,7 @@ func (q *Query) planRegion(ch *chain) (int, bool) {
 		// leaves land in one identity space.
 		n := acc.Len()
 		ids := make([]int64, acc.nrows)
-		arena := ch.prov.arena
+		arena := ch.arena
 		for i := 0; i < n; i++ {
 			p := acc.phys(i)
 			set := prov.Empty
@@ -298,19 +290,18 @@ func (q *Query) planRegion(ch *chain) (int, bool) {
 	for _, p := range reg.post {
 		pred, err := compileExprBlock(p, acc, q)
 		if err != nil {
-			return 0, false
+			return 0, nil
 		}
 		acc = acc.whereFunc(pred)
 	}
 
-	colQueries.Add(1)
 	planPlanned.Add(1)
 	planPushdown.Add(int64(pushedBelow))
 	if reordered {
 		planReordered.Add(1)
 	}
-	ch.setBlock(acc)
-	return reg.end, true
+	ch.b = acc
+	return reg.end, nil
 }
 
 // chooseOrder runs (or recalls) the cost-based join-order choice.

@@ -217,36 +217,9 @@ func TestProvStorageBacked(t *testing.T) {
 	}
 }
 
-// TestProvRowPathFallback: a table that fails the strict columnar
-// decode (mixed dynamic types) still threads provenance through the
-// row operators.
-func TestProvRowPathFallback(t *testing.T) {
-	mixed := MustNewTable("mixed", Schema{
-		{Name: "k", Type: TypeInt},
-		{Name: "v", Type: TypeFloat},
-	})
-	mixed.Rows = append(mixed.Rows,
-		Row{Int(1), Float(1.5)},
-		Row{Int(2), Int(7)}, // dynamic Int in a Float column: decode fails
-		Row{Int(1), Float(2.5)},
-	)
-	res := From(mixed).
-		GroupBy([]string{"k"}, Aggregate{Fn: AggCount, As: "n"}).
-		WithProvenance().
-		MustRun()
-	if res.Len() != 2 {
-		t.Fatalf("got %d groups, want 2", res.Len())
-	}
-	want := [][]prov.Leaf{
-		{{Table: "mixed", Row: 0}, {Table: "mixed", Row: 2}},
-		{{Table: "mixed", Row: 1}},
-	}
-	for i, w := range want {
-		if got := leavesOf(t, res, i); !reflect.DeepEqual(got, w) {
-			t.Fatalf("group %d lineage = %v, want %v", i, got, w)
-		}
-	}
-}
+// TestProvRowPathFallback: the row half of provenance went with the row
+// route, so under WithProvenance too a mixed table is refused.
+func TestProvRowPathFallback(t *testing.T) { requireShapesRefused(t, true) }
 
 // TestProvOutputUnchangedRandomized: across a grid of pipeline shapes,
 // WithProvenance never changes the visible result.

@@ -6,10 +6,12 @@ package engine
 // user name can collide with it) holding, per row, an interned
 // prov.Set handle: the set of source-table rows that produced the row.
 // The invariant between operators is simple — the provenance column is
-// always the LAST column of the state — and each operator either
-// preserves it untouched (filters, rename, order-by, limit: they only
-// select or permute rows) or is wrapped here to combine annotations
-// (join ⊗, group-by/distinct ⊕) and restore the invariant.
+// always the LAST column of the state. It rides through the ordinary
+// operators in chain.apply: filters, rename, order-by and limit only
+// select or permute rows and carry it untouched; the steps here are
+// the places annotations are created (source and join-right leaves),
+// combined (join ⊗, group-by/distinct ⊕) and finally moved into the
+// result's lineage.
 //
 // The semiring is sets-of-input-rows under union for both ⊗ and ⊕
 // (internal/prov), so annotations are insensitive to the planner's
@@ -19,7 +21,7 @@ package engine
 // written-order execution.
 
 import (
-	"fmt"
+	"slices"
 
 	"modeldata/internal/prov"
 )
@@ -29,12 +31,6 @@ import (
 const provColName = "\x00prov"
 
 var provCol = Column{Name: provColName, Type: TypeInt}
-
-// provState is a chain's provenance context: the arena interning this
-// execution's annotation sets.
-type provState struct {
-	arena *prov.Arena
-}
 
 // WithProvenance makes the query record why-provenance: every result
 // row is annotated with the set of source-table rows that produced it,
@@ -52,362 +48,80 @@ func (q *Query) WithProvenance() *Query {
 	return &nq
 }
 
-// hasProvCol reports whether the schema's last column is the hidden
-// provenance column.
-func hasProvCol(s Schema) bool {
-	return len(s) > 0 && s[len(s)-1].Name == provColName
+// withProvName appends the hidden column's name to a projection list
+// under provenance.
+func (c *chain) withProvName(cols []string) []string {
+	if c.arena == nil {
+		return cols
+	}
+	return append(cols[:len(cols):len(cols)], provColName)
 }
 
-// annotateBlock appends the provenance column to a source block: row i
-// gets the singleton set {name:i}. Row indexes are logical, so the
-// leaf of a source row is its index in the source relation.
-func (ps *provState) annotateBlock(b *ColumnBlock) *ColumnBlock {
+// withProvCol appends the hidden column to a schema under provenance.
+func (c *chain) withProvCol(s Schema) Schema {
+	if c.arena == nil {
+		return s
+	}
+	return append(s, provCol)
+}
+
+// annotate appends the provenance column to a source block: row i gets
+// the singleton set {name:i}. Row indexes are logical, so the leaf of a
+// source row is its index in the source relation.
+func (c *chain) annotate(b *ColumnBlock) *ColumnBlock {
 	n := b.Len()
 	ids := make([]int64, b.nrows)
 	for i := 0; i < n; i++ {
-		ids[b.phys(i)] = int64(ps.arena.Leaf(b.Name, i))
+		ids[b.phys(i)] = int64(c.arena.Leaf(b.Name, i))
 	}
 	provAnnotated.Add(int64(n))
-	return &ColumnBlock{
-		Name:   b.Name,
-		Schema: append(b.Schema.Clone(), provCol),
-		nrows:  b.nrows,
-		sel:    b.sel,
-		cols:   append(append(make([]colvec, 0, len(b.cols)+1), b.cols...), colvec{ints: ids}),
-	}
+	nb := *b
+	nb.Schema = append(b.Schema.Clone(), provCol)
+	nb.cols = append(b.cols[:len(b.cols):len(b.cols)], colvec{ints: ids})
+	return &nb
 }
 
-// annotateTable is annotateBlock for the row path.
-func (ps *provState) annotateTable(t *Table) *Table {
-	out := &Table{Name: t.Name, Schema: append(t.Schema.Clone(), provCol)}
-	out.Rows = make([]Row, len(t.Rows))
-	for i, r := range t.Rows {
-		nr := make(Row, 0, len(r)+1)
-		nr = append(nr, r...)
-		nr = append(nr, Int(int64(ps.arena.Leaf(t.Name, i))))
-		out.Rows[i] = nr
+// joinAnnotations ⊗-combines the two provenance columns of a join of
+// annotated blocks into one last column: the left side's sits at lp
+// (just before the right side's columns), the right side's last. Join
+// output is dense, so the vectors combine position by position.
+func (c *chain) joinAnnotations(jb *ColumnBlock, lp int) *ColumnBlock {
+	rp := len(jb.cols) - 1
+	lints, rints := jb.cols[lp].ints, jb.cols[rp].ints
+	merged := make([]int64, jb.nrows)
+	for i := range merged {
+		merged[i] = int64(c.arena.Join(prov.Set(lints[i]), prov.Set(rints[i])))
 	}
-	provAnnotated.Add(int64(len(t.Rows)))
-	return out
+	nb := *jb
+	nb.cols = append(slices.Delete(slices.Clone(jb.cols[:rp]), lp, lp+1), colvec{ints: merged})
+	return &nb
 }
 
-// annotateSource appends source annotations to the chain's current
-// state (the scan the recorded operations will replay over).
-func (c *chain) annotateSource() {
-	if b := c.block(); b != nil {
-		c.setBlock(c.prov.annotateBlock(b))
-		return
+// unionByGroup ⊕-merges the state's annotations per group, in logical
+// row order: gids assigns each logical row of c.b its group.
+func (c *chain) unionByGroup(gids []int32, nGroups int) []int64 {
+	b := c.b
+	pvec := b.cols[len(b.cols)-1].ints
+	sets := make([]int64, nGroups) // prov.Empty is 0
+	for i, g := range gids {
+		sets[g] = int64(c.arena.Union(prov.Set(sets[g]), prov.Set(pvec[b.phys(i)])))
 	}
-	c.setTable(c.prov.annotateTable(c.t))
+	return sets
 }
 
-// stripProv detaches the hidden provenance column from a materialized
-// result, moving the per-row sets into the table's lineage so callers
-// see exactly the schema they asked for.
-func stripProv(arena *prov.Arena, t *Table) *Table {
-	if !hasProvCol(t.Schema) {
-		return t
+// result materializes the final state as rows, once. Under provenance
+// the hidden column moves into the table's lineage so callers see
+// exactly the schema they asked for.
+func (c *chain) result() *Table {
+	t := c.userTable()
+	if c.arena != nil {
+		b := c.b
+		pvec := b.cols[len(b.cols)-1].ints
+		sets := make([]prov.Set, b.Len())
+		for i := range sets {
+			sets[i] = prov.Set(pvec[b.phys(i)])
+		}
+		t.lineage = &tableLineage{arena: c.arena, sets: sets}
 	}
-	pi := len(t.Schema) - 1
-	sets := make([]prov.Set, len(t.Rows))
-	rows := make([]Row, len(t.Rows))
-	for i, r := range t.Rows {
-		sets[i] = prov.Set(r[pi].AsInt())
-		rows[i] = r[:pi:pi]
-	}
-	return &Table{
-		Name:    t.Name,
-		Schema:  t.Schema[:pi].Clone(),
-		Rows:    rows,
-		lineage: &tableLineage{arena: arena, sets: sets},
-	}
-}
-
-// applyProv executes the recorded operations that must combine or
-// re-anchor annotations. It reports handled=false for operations the
-// plain executor already keeps correct (filters, rename, order-by,
-// limit only select or permute rows, and the provenance column rides
-// along untouched).
-func (c *chain) applyProv(op *qop, q *Query) (handled bool, err error) {
-	switch op.kind {
-	case opWhereRow:
-		// The opaque predicate must see the user row shape, not the
-		// annotated one.
-		t := c.table()
-		pi := len(t.Schema) - 1
-		c.setTable(Select(t, func(r Row) bool { return op.pred(r[:pi]) }))
-		return true, nil
-
-	case opSelect:
-		// Project the user columns plus the hidden one.
-		cols := append(append(make([]string, 0, len(op.cols)+1), op.cols...), provColName)
-		if b := c.block(); b != nil {
-			nb, err := b.Project(cols...)
-			if err != nil {
-				return true, err
-			}
-			c.setBlock(nb)
-			return true, nil
-		}
-		t, err := Project(c.table(), cols...)
-		if err != nil {
-			return true, err
-		}
-		c.setTable(t)
-		return true, nil
-
-	case opJoin:
-		return true, c.provJoin(op)
-
-	case opGroupBy:
-		return true, c.provGroupBy(op)
-
-	case opDistinct:
-		return true, c.provDistinct()
-
-	case opExtend:
-		// Extend's callback must see user rows; compute over the
-		// stripped shape, then re-attach the annotation column last.
-		t := c.table()
-		pi := len(t.Schema) - 1
-		stripped := &Table{Name: t.Name, Schema: t.Schema[:pi].Clone(), Rows: make([]Row, len(t.Rows))}
-		for i, r := range t.Rows {
-			stripped.Rows[i] = r[:pi:pi]
-		}
-		et, err := Extend(stripped, op.extName, op.extType, op.extFn)
-		if err != nil {
-			return true, err
-		}
-		et.Schema = append(et.Schema, provCol)
-		for i, r := range et.Rows {
-			et.Rows[i] = append(r, t.Rows[i][pi])
-		}
-		c.setTable(et)
-		return true, nil
-	}
-	return false, nil
-}
-
-// provJoin runs an equi-join with both sides annotated and ⊗-combines
-// the two provenance columns of each output row into one. The right
-// table is annotated on entry (its rows become fresh leaves); row
-// counts are unchanged by the extra column, so the build-side choice —
-// and therefore emission order — matches an unannotated run exactly.
-func (c *chain) provJoin(op *qop) error {
-	if b := c.block(); b != nil {
-		if rb, err := FromTable(op.joinT); err == nil {
-			arb := c.prov.annotateBlock(rb)
-			jb, err := b.equiJoinBudget(arb, op.joinL, op.joinR, c.sc, c.budget, c.spillDir)
-			if err != nil {
-				return err
-			}
-			// Left annotations sit just before the right side's columns,
-			// right annotations last; both are dense after the join.
-			lp := len(b.Schema) - 1
-			rp := len(jb.Schema) - 1
-			merged := make([]int64, jb.nrows)
-			lints, rints := jb.cols[lp].ints, jb.cols[rp].ints
-			for i := range merged {
-				merged[i] = int64(c.prov.arena.Join(prov.Set(lints[i]), prov.Set(rints[i])))
-			}
-			out := &ColumnBlock{
-				Name:   op.name,
-				Schema: append(op.schema.Clone(), provCol),
-				nrows:  jb.nrows,
-				sel:    jb.sel,
-				cols:   make([]colvec, 0, len(op.schema)+1),
-			}
-			for j := range jb.Schema {
-				if j == lp || j == rp {
-					continue
-				}
-				out.cols = append(out.cols, jb.cols[j])
-			}
-			out.cols = append(out.cols, colvec{ints: merged})
-			c.setBlock(out)
-			return nil
-		}
-	}
-	t := c.table()
-	art := c.prov.annotateTable(op.joinT)
-	jt, err := EquiJoin(t, art, op.joinL, op.joinR)
-	if err != nil {
-		return err
-	}
-	lp := len(t.Schema) - 1
-	rp := len(jt.Schema) - 1
-	out := &Table{Name: op.name, Schema: append(op.schema.Clone(), provCol)}
-	out.Rows = make([]Row, len(jt.Rows))
-	for i, r := range jt.Rows {
-		m := c.prov.arena.Join(prov.Set(r[lp].AsInt()), prov.Set(r[rp].AsInt()))
-		nr := make(Row, 0, len(out.Schema))
-		nr = append(nr, r[:lp]...)
-		nr = append(nr, r[lp+1:rp]...)
-		nr = append(nr, Int(int64(m)))
-		out.Rows[i] = nr
-	}
-	c.setTable(out)
-	return nil
-}
-
-// provGroupBy aggregates with ⊕-combined group annotations: each output
-// group's set is the union of its input rows' sets, accumulated in
-// logical row order. The aggregate values come from the same
-// first-appearance grouping the plain operators use, so visible output
-// is identical to an unannotated run. Provenance group-bys never spill:
-// annotations live in the arena, which the on-disk partitions cannot
-// carry.
-func (c *chain) provGroupBy(op *qop) error {
-	if b := c.block(); b != nil {
-		keyIdx, aggIdx, err := b.groupCols(op.cols, op.aggs)
-		if err != nil {
-			return err
-		}
-		n := b.Len()
-		var gids, firstP []int32
-		if len(keyIdx) == 0 {
-			gids = make([]int32, n)
-			if n > 0 {
-				firstP = []int32{int32(b.phys(0))}
-			}
-		} else {
-			gids, firstP = b.groupIDs(keyIdx, c.sc)
-		}
-		nGroups := len(firstP)
-		synthesized := false
-		if len(op.cols) == 0 && nGroups == 0 {
-			nGroups = 1
-			synthesized = true
-		}
-		rows := b.aggregateGroups(keyIdx, aggIdx, op.aggs, gids, firstP, nGroups, synthesized)
-		gsets := make([]prov.Set, nGroups)
-		pvec := b.cols[len(b.Schema)-1].ints
-		for i := 0; i < n; i++ {
-			g := gids[i]
-			gsets[g] = c.prov.arena.Union(gsets[g], prov.Set(pvec[b.phys(i)]))
-		}
-		out, err := NewTable(op.name, append(op.schema.Clone(), provCol))
-		if err != nil {
-			return err
-		}
-		out.Rows = rows
-		for g := range out.Rows {
-			out.Rows[g] = append(out.Rows[g], Int(int64(gsets[g])))
-		}
-		c.setTable(out)
-		return nil
-	}
-
-	// Row path: group assignment replicates GroupBy's first-appearance
-	// keying over the user columns, so the plain aggregate rows and the
-	// per-group annotation merges line up index for index.
-	t := c.table()
-	pi := len(t.Schema) - 1
-	stripped := &Table{Name: t.Name, Schema: t.Schema[:pi].Clone(), Rows: make([]Row, len(t.Rows))}
-	for i, r := range t.Rows {
-		stripped.Rows[i] = r[:pi:pi]
-	}
-	gt, err := GroupBy(stripped, op.cols, op.aggs)
-	if err != nil {
-		return err
-	}
-	keyIdx := make([]int, len(op.cols))
-	for i, k := range op.cols {
-		j, err := stripped.ColIndex(k)
-		if err != nil {
-			return err
-		}
-		keyIdx[i] = j
-	}
-	gofKey := make(map[string]int, len(gt.Rows))
-	var gsets []prov.Set
-	var keyBuf []byte
-	for i, r := range stripped.Rows {
-		keyBuf = appendRowKey(keyBuf[:0], r, keyIdx)
-		g, ok := gofKey[string(keyBuf)]
-		if !ok {
-			g = len(gsets)
-			gofKey[string(keyBuf)] = g
-			gsets = append(gsets, prov.Empty)
-		}
-		gsets[g] = c.prov.arena.Union(gsets[g], prov.Set(t.Rows[i][pi].AsInt()))
-	}
-	if len(gsets) == 0 && len(gt.Rows) == 1 {
-		// Synthesized empty global group: no inputs, empty annotation.
-		gsets = append(gsets, prov.Empty)
-	}
-	if len(gsets) != len(gt.Rows) {
-		return fmt.Errorf("engine: provenance group count %d != aggregate group count %d", len(gsets), len(gt.Rows))
-	}
-	gt.Name = op.name
-	gt.Schema = append(gt.Schema, provCol)
-	for g := range gt.Rows {
-		gt.Rows[g] = append(gt.Rows[g], Int(int64(gsets[g])))
-	}
-	c.setTable(gt)
-	return nil
-}
-
-// provDistinct removes duplicates judged on the user columns only and
-// ⊕-merges each duplicate's annotation into the kept first row, so the
-// surviving row names every input that could have produced it.
-func (c *chain) provDistinct() error {
-	if b := c.block(); b != nil {
-		pi := len(b.Schema) - 1
-		userIdx := make([]int, pi)
-		for j := range userIdx {
-			userIdx[j] = j
-		}
-		var gids, firstP []int32
-		if pi == 0 {
-			// Degenerate: every row is the same (empty) user tuple.
-			n := b.Len()
-			gids = make([]int32, n)
-			if n > 0 {
-				firstP = []int32{int32(b.phys(0))}
-			}
-		} else {
-			gids, firstP = b.groupIDs(userIdx, c.sc)
-		}
-		gsets := make([]prov.Set, len(firstP))
-		pvec := b.cols[pi].ints
-		n := b.Len()
-		for i := 0; i < n; i++ {
-			g := gids[i]
-			gsets[g] = c.prov.arena.Union(gsets[g], prov.Set(pvec[b.phys(i)]))
-		}
-		merged := make([]int64, b.nrows)
-		for g, p := range firstP {
-			merged[p] = int64(gsets[g])
-		}
-		nb, err := b.withSel(firstP).WithColumn(pi, merged)
-		if err != nil {
-			return err
-		}
-		c.setBlock(nb)
-		return nil
-	}
-	t := c.table()
-	pi := len(t.Schema) - 1
-	seen := make(map[string]int, len(t.Rows))
-	out := &Table{Name: t.Name, Schema: t.Schema.Clone()}
-	var keyBuf []byte
-	for _, r := range t.Rows {
-		keyBuf = keyBuf[:0]
-		for _, v := range r[:pi] {
-			keyBuf = v.AppendKey(keyBuf)
-		}
-		s := prov.Set(r[pi].AsInt())
-		if k, ok := seen[string(keyBuf)]; ok {
-			kr := out.Rows[k]
-			kr[pi] = Int(int64(c.prov.arena.Union(prov.Set(kr[pi].AsInt()), s)))
-			continue
-		}
-		seen[string(keyBuf)] = len(out.Rows)
-		nr := make(Row, len(r))
-		copy(nr, r)
-		out.Rows = append(out.Rows, nr)
-	}
-	c.setTable(out)
-	return nil
+	return t
 }

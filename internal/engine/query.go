@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -35,11 +36,14 @@ import (
 // order and build sides by estimated cardinality, and executes the
 // optimized plan over the columnar operators; the rest of the query
 // replays as written. The planner never changes results: planner-on
-// output is byte-identical to planner-off output, which in turn is the
-// historical columnar-with-row-fallback execution (golden_test.go and
-// planner_test.go enforce both equalities). Explain returns the
+// output is byte-identical to planner-off output, which golden_test.go
+// in turn checks against a reference interpreter. Explain returns the
 // optimized plan without executing it. Each Run builds private
 // execution state, so queries and their branches may run concurrently.
+//
+// A table is executable iff every value has its column's schema type —
+// what Insert enforces. A hand-assembled Rows that breaks the rule
+// makes Run and Count return an error wrapping ErrMixedColumn.
 type Query struct {
 	src  *Table
 	ops  []*qop
@@ -54,10 +58,9 @@ type Query struct {
 	// ctx, when set by WithContext, flows into storage scans.
 	ctx context.Context
 
-	// budget and spillDir override the process-wide spill policy for
-	// this query: budget 0 inherits SpillDefaults, < 0 forces
-	// unlimited (never spill), > 0 is the hash-footprint budget in
-	// bytes. spillDir "" inherits.
+	// budget is the hash-footprint budget in bytes of this query's
+	// joins and group-bys (0 = never spill); spillDir is where spill
+	// files go ("" = the OS temp dir).
 	budget   int64
 	spillDir string
 
@@ -200,39 +203,22 @@ func (q *Query) WithContext(ctx context.Context) *Query {
 // WithMemoryBudget bounds the estimated hash-table footprint of this
 // query's joins and group-bys to budget bytes; operators over it
 // Grace-partition to disk (see spill.go) with byte-identical output.
-// budget <= 0 forces unlimited, overriding the process default set by
-// SetSpillDefault.
+// budget <= 0 means unlimited: the query never spills.
 func (q *Query) WithMemoryBudget(budget int64) *Query {
 	nq := *q
-	if budget <= 0 {
-		budget = -1
+	if budget < 0 {
+		budget = 0
 	}
 	nq.budget = budget
 	return &nq
 }
 
 // WithSpillDir directs this query's spill files to dir instead of the
-// process default (the OS temp dir).
+// OS temp dir.
 func (q *Query) WithSpillDir(dir string) *Query {
 	nq := *q
 	nq.spillDir = dir
 	return &nq
-}
-
-// spillConfig resolves the query's effective spill policy against the
-// process defaults.
-func (q *Query) spillConfig() (int64, string) {
-	budget, dir := SpillDefaults()
-	if q.budget != 0 {
-		budget = q.budget
-		if budget < 0 {
-			budget = 0
-		}
-	}
-	if q.spillDir != "" {
-		dir = q.spillDir
-	}
-	return budget, dir
 }
 
 // push appends op to a copy of q. The full slice expression pins the
@@ -261,10 +247,11 @@ func (q *Query) colPredFns(ref int) (func(float64) bool, func(string) bool) {
 	return q.ops[ref].ffn, q.ops[ref].sfn
 }
 
-// Where keeps rows satisfying pred. The predicate receives whole rows,
-// so it is opaque to the planner and runs on the row path; prefer
-// WhereEq/WhereFloat/WhereString (or WhereExpr) for filters the
-// planner can push down and vectorize.
+// Where keeps rows satisfying pred. The predicate receives whole rows
+// materialized from the columnar state (fresh rows, which it may
+// retain), so it is opaque to the planner; prefer WhereEq/WhereFloat/
+// WhereString (or WhereExpr) for filters the planner can push down and
+// vectorize.
 func (q *Query) Where(pred Predicate) *Query {
 	if q.err != nil {
 		return q
@@ -486,8 +473,11 @@ func (q *Query) Limit(n int) *Query {
 	return q.push(&qop{kind: opLimit, n: n, name: q.name, schema: q.schema})
 }
 
-// Extend appends a computed column. The callback receives whole rows,
-// so this operation is opaque to the planner and runs on the row path.
+// Extend appends a computed column. The callback receives whole rows
+// materialized from the columnar state (fresh rows, which it may
+// retain), so this operation is opaque to the planner. Its results
+// follow Insert's rule: an Int is widened into a TypeFloat column, any
+// other type mismatch fails Run with ErrTypeClash.
 func (q *Query) Extend(name string, typ Type, f func(Row) Value) *Query {
 	if q.err != nil {
 		return q
@@ -502,34 +492,34 @@ func (q *Query) Extend(name string, typ Type, f func(Row) Value) *Query {
 // --- execution ---
 
 // exec runs the recorded operations and returns the final execution
-// state. The planner, when enabled, executes the leading
+// state. The source is decoded into the one ColumnBlock the executor
+// works on; the planner, when enabled, executes the leading
 // scan/filter/join region from its optimized plan; everything else
 // (and everything, when the planner is off or the region cannot be
-// planned) replays through the chain, which is the historical eager
-// execution verbatim.
+// planned) replays through the chain as written.
 func (q *Query) exec() (*chain, error) {
-	budget, dir := q.spillConfig()
-	if q.store != nil {
-		return q.execStorage(budget, dir)
-	}
-	ch := &chain{t: q.src, sc: NewScratch(), budget: budget, spillDir: dir}
+	ch := &chain{sc: NewScratch(), budget: q.budget, spillDir: q.spillDir}
 	if q.provOn {
-		ch.prov = &provState{arena: prov.NewArena()}
+		ch.arena = prov.NewArena()
 	}
+	var err error
+	if ch.b, err = q.source(); err != nil {
+		return nil, err
+	}
+	colQueries.Add(1)
 	start := 0
-	if q.plannerOn() {
-		if n, handled := q.planRegion(ch); handled {
-			start = n
-		} else {
-			planDirect.Add(1)
+	if q.store == nil && q.plannerOn() {
+		if start, err = q.planRegion(ch); err != nil {
+			return nil, err
 		}
-	} else {
-		planDirect.Add(1)
 	}
-	if start == 0 && ch.prov != nil {
-		// The planner did not produce (annotated) region output, so the
-		// source scan itself is the leaf relation.
-		ch.annotateSource()
+	if start == 0 {
+		planDirect.Add(1)
+		if ch.arena != nil {
+			// The planner did not produce (annotated) region output, so
+			// the source scan itself is the leaf relation.
+			ch.b = ch.annotate(ch.b)
+		}
 	}
 	for _, op := range q.ops[start:] {
 		if err := ch.apply(op, q); err != nil {
@@ -539,13 +529,16 @@ func (q *Query) exec() (*chain, error) {
 	return ch, nil
 }
 
-// execStorage scans q.store's partitions — handing the scan the
-// query's leading filters as a pruning hint — concatenates the
-// surviving blocks, and replays every recorded operation over them.
-// All filters re-apply in full, so pruning (which only ever skips
-// partitions that cannot contain a matching row) is correctness-
-// neutral.
-func (q *Query) execStorage(budget int64, dir string) (*chain, error) {
+// source decodes the query's scan into a block: a table through
+// decodeTable, a storage by scanning its partitions — handing the scan
+// the query's leading filters as a pruning hint — and concatenating
+// the surviving blocks. All filters re-apply in full, so pruning (which
+// only ever skips partitions that cannot contain a matching row) is
+// correctness-neutral.
+func (q *Query) source() (*ColumnBlock, error) {
+	if q.store == nil {
+		return decodeTable(q.src)
+	}
 	ctx := q.ctx
 	if ctx == nil {
 		ctx = context.Background()
@@ -572,24 +565,20 @@ func (q *Query) execStorage(budget int64, dir string) (*chain, error) {
 		}
 		parts = append(parts, b)
 	}
-	b, err := concatBlocks(q.store.StorageName(), q.store.StorageSchema(), parts)
+	return concatBlocks(q.store.StorageName(), q.store.StorageSchema(), parts)
+}
+
+// decodeTable is the one site where executing queries decode a table
+// (the source, join right sides, planned scans). A table breaking the
+// executable-table rule refuses the query: the error wraps
+// ErrMixedColumn and engine.colfallback counts the refusal.
+func decodeTable(t *Table) (*ColumnBlock, error) {
+	b, err := FromTable(t)
 	if err != nil {
-		return nil, err
+		colFallbacks.Add(1)
+		return nil, fmt.Errorf("engine: table %q is not executable: %w", t.Name, err)
 	}
-	ch := &chain{sc: NewScratch(), budget: budget, spillDir: dir}
-	ch.setBlock(b)
-	if q.provOn {
-		ch.prov = &provState{arena: prov.NewArena()}
-		ch.annotateSource()
-	}
-	colQueries.Add(1)
-	planDirect.Add(1)
-	for _, op := range q.ops {
-		if err := ch.apply(op, q); err != nil {
-			return nil, err
-		}
-	}
-	return ch, nil
+	return b, nil
 }
 
 // leadingFilterExpr conjoins the query's leading run of inspectable
@@ -662,11 +651,7 @@ func (q *Query) Run() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := ch.table()
-	if ch.prov != nil {
-		t = stripProv(ch.prov.arena, t)
-	}
-	return t, nil
+	return ch.result(), nil
 }
 
 // MustRun returns the result table, panicking on error; for tests and
@@ -688,10 +673,7 @@ func (q *Query) Count() (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if ch.b != nil {
-		return ch.b.Len(), nil
-	}
-	return ch.t.Len(), nil
+	return ch.b.Len(), nil
 }
 
 // ScalarFloat runs the query, which must produce exactly one row and one
@@ -714,221 +696,188 @@ func (q *Query) ScalarFloat() (float64, error) {
 
 // --- the chain: direct (planner-off) execution ---
 
-// chain is the direct executor: the historical eager Query execution,
-// one operation at a time. The first vectorizable operation decodes
-// the state into a ColumnBlock and subsequent operations run over
-// column vectors; tables whose values cannot be decoded into uniform
-// columns fall back to the row operators — both paths produce
-// byte-identical results (golden_test.go). The planner-off path runs
-// entirely here, and the planned path hands its region output to a
-// chain for the remaining operations, so every query ends in this
-// executor.
+// chain is the executor: one operation at a time over one ColumnBlock.
+// The planner-off path runs entirely here, and the planned path hands
+// its region output to a chain for the remaining operations, so every
+// query ends in this executor.
 type chain struct {
-	t     *Table       // row form; nil when b carries the state
-	b     *ColumnBlock // columnar form; nil when t carries the state
-	sc    *Scratch     // shared per-execution operator scratch
-	noCol bool         // latched: table failed columnar decode, stay on rows
+	b  *ColumnBlock // the current state
+	sc *Scratch     // shared per-execution operator scratch
 
-	// budget and spillDir are the execution's resolved spill policy,
-	// applied by the hash join and group-by operators (0 = never
-	// spill).
+	// budget and spillDir are the query's spill policy, applied by the
+	// hash join and group-by operators (0 = never spill).
 	budget   int64
 	spillDir string
 
-	// prov, when non-nil, is the execution's provenance context: the
-	// state carries a hidden annotation column (see provexec.go).
-	prov *provState
+	// arena, when non-nil, interns this execution's provenance sets:
+	// the state's last column is the hidden annotation column (see
+	// provexec.go).
+	arena *prov.Arena
 }
-
-// table returns the row form of the current state, materializing the
-// block if needed.
-func (c *chain) table() *Table {
-	if c.t != nil {
-		return c.t
-	}
-	return c.b.ToTable()
-}
-
-// block returns the columnar form of the current state, decoding the
-// table on first use, or nil when the data cannot be decoded (the
-// caller then uses the row path). Decode failure is latched so a chain
-// of operations on an undecodable table converts at most once.
-func (c *chain) block() *ColumnBlock {
-	if c.b != nil {
-		return c.b
-	}
-	if c.noCol || c.t == nil {
-		return nil
-	}
-	b, err := FromTable(c.t)
-	if err != nil {
-		// Silent before the observability layer: latching to the row
-		// path is correct (both paths agree bit-for-bit) but slow, so
-		// count and log it (metrics.go).
-		noteColFallback(err)
-		c.noCol = true
-		return nil
-	}
-	colQueries.Add(1)
-	c.b = b
-	return b
-}
-
-func (c *chain) setBlock(b *ColumnBlock) { c.t, c.b = nil, b }
-func (c *chain) setTable(t *Table)       { c.t, c.b = t, nil }
 
 // apply executes one recorded operation against the current state.
 func (c *chain) apply(op *qop, q *Query) error {
-	if c.prov != nil {
-		if handled, err := c.applyProv(op, q); handled {
-			return err
-		}
-	}
+	b := c.b
+	var nb *ColumnBlock
+	var err error
 	switch op.kind {
 	case opWhereRow:
-		c.setTable(Select(c.table(), op.pred))
-		return nil
+		rows := c.userRows()
+		rowsScanned.Add(int64(len(rows)))
+		var sel []int32
+		for i, r := range rows {
+			if op.pred(r) {
+				sel = append(sel, int32(b.phys(i)))
+			}
+		}
+		nb = b.withSel(sel)
 
 	case opFilter:
-		if b := c.block(); b != nil {
-			nb, err := c.filterBlock(b, op, q)
-			if err != nil {
-				return err
-			}
-			c.setBlock(nb)
-			return nil
-		}
-		t := c.table()
-		pred, err := compileExprRow(op.expr, t.Schema, q)
-		if err != nil {
-			return err
-		}
-		c.setTable(Select(t, pred))
-		return nil
+		nb, err = filterBlock(b, op, q)
 
 	case opSelect:
-		if b := c.block(); b != nil {
-			nb, err := b.Project(op.cols...)
-			if err != nil {
-				return err
-			}
-			c.setBlock(nb)
-			return nil
-		}
-		t, err := Project(c.table(), op.cols...)
-		if err != nil {
-			return err
-		}
-		c.setTable(t)
-		return nil
+		nb, err = b.Project(c.withProvName(op.cols)...)
 
 	case opRename:
-		if b := c.block(); b != nil {
-			nb, err := b.Rename(op.oldName, op.newName)
-			if err != nil {
-				return err
-			}
-			c.setBlock(nb)
-			return nil
+		nb, err = b.Rename(op.oldName, op.newName)
+
+	case opJoin:
+		var rb *ColumnBlock
+		if rb, err = decodeTable(op.joinT); err != nil {
+			return err
 		}
-		t, err := Rename(c.table(), op.oldName, op.newName)
+		if c.arena != nil {
+			// The right table's rows become fresh leaves. Row counts are
+			// unchanged by the extra column, so the build-side choice —
+			// and therefore emission order — matches an unannotated run.
+			rb = c.annotate(rb)
+		}
+		nb, err = b.equiJoinBudget(rb, op.joinL, op.joinR, c.sc, c.budget, c.spillDir)
 		if err != nil {
 			return err
 		}
-		c.setTable(t)
-		return nil
-
-	case opJoin:
+		if c.arena != nil {
+			nb = c.joinAnnotations(nb, len(b.Schema)-1)
+		}
 		// The join's output names are overwritten with the eagerly
 		// computed schema: a no-op for the default (both-sides-prefixed)
 		// naming, and the mechanism that implements flat SQL naming.
-		// Column order is left++right on both physical paths, so the
-		// overwrite is positionally safe.
-		if b := c.block(); b != nil {
-			if ob, err := FromTable(op.joinT); err == nil {
-				nb, err := b.equiJoinBudget(ob, op.joinL, op.joinR, c.sc, c.budget, c.spillDir)
-				if err != nil {
-					return err
-				}
-				nb.Name = op.name
-				nb.Schema = op.schema.Clone()
-				c.setBlock(nb)
-				return nil
-			}
-		}
-		t, err := EquiJoin(c.table(), op.joinT, op.joinL, op.joinR)
-		if err != nil {
-			return err
-		}
-		t.Name = op.name
-		t.Schema = op.schema.Clone()
-		c.setTable(t)
-		return nil
+		// Column order is left++right, so the overwrite is positionally
+		// safe.
+		nb.Name = op.name
+		nb.Schema = c.withProvCol(op.schema.Clone())
 
 	case opGroupBy:
-		if b := c.block(); b != nil {
-			t, err := b.groupByBudget(op.cols, op.aggs, c.sc, c.budget, c.spillDir)
-			if err != nil {
-				return err
-			}
-			c.setTable(t)
-			return nil
-		}
-		t, err := GroupBy(c.table(), op.cols, op.aggs)
-		if err != nil {
-			return err
-		}
-		c.setTable(t)
-		return nil
+		nb, err = c.groupBy(op)
 
 	case opOrderBy:
-		if b := c.block(); b != nil {
-			nb, err := b.OrderBy(op.col, op.desc)
-			if err != nil {
-				return err
-			}
-			c.setBlock(nb)
-			return nil
-		}
-		t, err := OrderBy(c.table(), op.col, op.desc)
-		if err != nil {
-			return err
-		}
-		c.setTable(t)
-		return nil
+		nb, err = b.OrderBy(op.col, op.desc)
 
 	case opDistinct:
-		if b := c.block(); b != nil {
-			c.setBlock(b.Distinct(c.sc))
-			return nil
+		gids, firstP := b.distinctGroups(c.userCols(), c.sc)
+		nb = b.withSel(firstP)
+		if c.arena != nil {
+			// Each duplicate's annotation ⊕-merges into the kept first
+			// row, so the survivor names every input that could have
+			// produced it.
+			merged := make([]int64, b.nrows)
+			for g, set := range c.unionByGroup(gids, len(firstP)) {
+				merged[firstP[g]] = set
+			}
+			nb, err = nb.WithColumn(c.userCols(), merged)
 		}
-		c.setTable(Distinct(c.table()))
-		return nil
 
 	case opLimit:
-		if b := c.block(); b != nil {
-			c.setBlock(b.Limit(op.n))
-			return nil
-		}
-		c.setTable(Limit(c.table(), op.n))
-		return nil
+		nb = b.Limit(op.n)
 
 	case opExtend:
-		t, err := Extend(c.table(), op.extName, op.extType, op.extFn)
-		if err != nil {
-			return err
-		}
-		c.setTable(t)
-		return nil
+		nb, err = c.extend(op)
+
+	default:
+		return fmt.Errorf("engine: unknown query op %d", op.kind)
 	}
-	return fmt.Errorf("engine: unknown query op %d", op.kind)
+	if err != nil {
+		return err
+	}
+	c.b = nb
+	return nil
 }
 
-// filterBlock applies an opFilter on the columnar path, using the
-// typed single-column operators where the expression shape permits
-// (the historical WhereEq/WhereFloat/WhereString fast paths) and the
-// generic compiled predicate otherwise.
-func (c *chain) filterBlock(b *ColumnBlock, op *qop, q *Query) (*ColumnBlock, error) {
+// userCols is the number of user-visible columns of the state: all of
+// them, minus the hidden annotation column under provenance.
+func (c *chain) userCols() int {
+	if c.arena != nil {
+		return len(c.b.Schema) - 1
+	}
+	return len(c.b.Schema)
+}
+
+// userTable materializes the state's user-visible columns as a table of
+// fresh rows (as ToTable builds them).
+func (c *chain) userTable() *Table {
+	b := *c.b
+	b.Schema, b.cols = b.Schema[:c.userCols()], b.cols[:c.userCols()]
+	return b.ToTable()
+}
+
+// userRows is what the opaque Where and Extend callbacks see: fresh
+// rows, which they may therefore retain.
+func (c *chain) userRows() []Row { return c.userTable().Rows }
+
+// groupBy aggregates the state. Under provenance each output group's
+// annotation is the ⊕-union of its input rows' sets, and the group-by
+// never spills: annotations live in the arena, which the on-disk
+// partitions cannot carry.
+func (c *chain) groupBy(op *qop) (*ColumnBlock, error) {
+	if c.arena == nil {
+		return c.b.groupByBudget(op.cols, op.aggs, c.sc, c.budget, c.spillDir)
+	}
+	g, err := c.b.newGrouping(op.cols, op.aggs)
+	if err != nil {
+		return nil, err
+	}
+	out, gids := c.b.groupByMem(g, c.sc)
+	out.Schema = append(out.Schema, provCol)
+	out.cols = append(out.cols, colvec{ints: c.unionByGroup(gids, out.nrows)})
+	return out, nil
+}
+
+// extend appends the callback's column, placed before the annotation
+// column under provenance. Results follow Insert's rule: int widens
+// into a float column, any other mismatch is ErrTypeClash.
+func (c *chain) extend(op *qop) (*ColumnBlock, error) {
+	b := c.b
+	cv := zeroColvec(op.extType, b.nrows)
+	for i, r := range c.userRows() {
+		v := op.extFn(r)
+		if v.typ == TypeInt && op.extType == TypeFloat {
+			v = Float(float64(v.i))
+		}
+		if v.typ != op.extType {
+			return nil, fmt.Errorf("%w: Extend column %q row %d: got %s, want %s",
+				ErrTypeClash, op.extName, i, v.typ, op.extType)
+		}
+		switch p := b.phys(i); op.extType {
+		case TypeInt:
+			cv.ints[p] = v.i
+		case TypeFloat:
+			cv.floats[p] = v.f
+		case TypeString:
+			cv.strs[p] = v.s
+		case TypeBool:
+			cv.bools[p] = v.b
+		}
+	}
+	nb := *b
+	nb.Schema = slices.Insert(b.Schema.Clone(), c.userCols(), Column{Name: op.extName, Type: op.extType})
+	nb.cols = slices.Insert(slices.Clone(b.cols), c.userCols(), cv)
+	return &nb, nil
+}
+
+// filterBlock applies an opFilter, using the typed single-column
+// operators where the expression shape permits and the generic compiled
+// predicate otherwise.
+func filterBlock(b *ColumnBlock, op *qop, q *Query) (*ColumnBlock, error) {
 	switch e := op.expr.(type) {
 	case plan.Cmp:
 		if e.Op == "=" {

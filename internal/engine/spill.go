@@ -33,33 +33,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
-	"sync"
 )
-
-// Process-wide default spill policy, applied by queries that do not set
-// an explicit budget. Zero budget means "never spill".
-var (
-	spillMu      sync.Mutex
-	spillDefault int64  // guarded by spillMu
-	spillDefDir  string // guarded by spillMu
-)
-
-// SetSpillDefault sets the process-wide memory budget (bytes of
-// estimated hash-table footprint; 0 disables spilling) and spill
-// directory ("" = the OS temp dir) used by queries that do not call
-// WithMemoryBudget/WithSpillDir explicitly.
-func SetSpillDefault(budget int64, dir string) {
-	spillMu.Lock()
-	defer spillMu.Unlock()
-	spillDefault, spillDefDir = budget, dir
-}
-
-// SpillDefaults returns the process-wide spill budget and directory.
-func SpillDefaults() (int64, string) {
-	spillMu.Lock()
-	defer spillMu.Unlock()
-	return spillDefault, spillDefDir
-}
 
 // hashEntryBytes is the modeled per-entry overhead of a Go map bucket
 // plus the []int32 match list header — deliberately round; the budget
@@ -291,14 +265,14 @@ func spillJoinIdx(l, r *ColumnBlock, li, ri int, buildLeft bool, sc *Scratch, bu
 // key maps to exactly one partition — merge in global first-appearance
 // order. Keyless group-bys never take this path (one global group
 // needs no hash table).
-func (b *ColumnBlock) spillGroupBy(keys []string, aggs []Aggregate, keyIdx, aggIdx []int, sc *Scratch, budget int64, dir string) (*Table, error) {
+func (b *ColumnBlock) spillGroupBy(g *grouping, sc *Scratch, budget int64, dir string) (*ColumnBlock, error) {
 	tmp, err := spillTempDir(dir)
 	if err != nil {
 		return nil, err
 	}
 	defer os.RemoveAll(tmp)
 
-	P := spillPartitionCount(estHashBytes(b, keyIdx), budget)
+	P := spillPartitionCount(estHashBytes(b, g.keyIdx), budget)
 	parts, err := newSpillParts(tmp, "group", P)
 	if err != nil {
 		return nil, err
@@ -309,7 +283,7 @@ func (b *ColumnBlock) spillGroupBy(keys []string, aggs []Aggregate, keyIdx, aggI
 	n := b.Len()
 	for i := 0; i < n; i++ {
 		key = key[:0]
-		for _, j := range keyIdx {
+		for _, j := range g.keyIdx {
 			key = b.appendKeyAt(key, i, j)
 		}
 		p := fnv64aBytes(key) & uint64(P-1)
@@ -325,11 +299,11 @@ func (b *ColumnBlock) spillGroupBy(keys []string, aggs []Aggregate, keyIdx, aggI
 	spillPartitions.Add(int64(P))
 	spillBytes.Add(parts.bytes)
 
-	type partialGroup struct {
-		first int32 // global logical index of the group's first row
-		row   Row
-	}
-	var groups []partialGroup
+	// Each partition aggregates to a block of complete groups; first[k]
+	// is the global logical index of the first row of the k-th group
+	// across the concatenated partition outputs.
+	var partials []*ColumnBlock
+	var first []int32
 	for p := 0; p < P; p++ {
 		logical, err := parts.readIndexes(p)
 		if err != nil {
@@ -343,38 +317,29 @@ func (b *ColumnBlock) spillGroupBy(keys []string, aggs []Aggregate, keyIdx, aggI
 			physSel[k] = int32(b.phys(int(li)))
 		}
 		sub := b.withSel(physSel)
-		gids, firstP := sub.groupIDs(keyIdx, sc)
-		nG := len(firstP)
-		rows := sub.aggregateGroups(keyIdx, aggIdx, aggs, gids, firstP, nG, false)
+		gids, firstP := sub.groupIDs(g.keyIdx, sc)
+		partials = append(partials, sub.aggregateGroups(g, gids, firstP, len(firstP)))
 		// Group ids are assigned in first-appearance order, so the first
 		// occurrence of id g in gids is group g's first row; partition
 		// scan order preserves global logical order.
-		firstGlobal := make([]int32, nG)
-		next := 0
-		for k, g := range gids {
-			if int(g) == next {
-				firstGlobal[next] = logical[k]
+		next := int32(0)
+		for k, gid := range gids {
+			if gid == next {
+				first = append(first, logical[k])
 				next++
-				if next == nG {
-					break
-				}
 			}
 		}
-		for g := 0; g < nG; g++ {
-			groups = append(groups, partialGroup{first: firstGlobal[g], row: rows[g]})
-		}
 	}
-	sort.Slice(groups, func(x, y int) bool { return groups[x].first < groups[y].first })
-
-	out, err := NewTable(b.Name+"_group", groupSchema(b, keys, keyIdx, aggs, aggIdx))
+	out, err := concatBlocks(b.Name+"_group", g.schema, partials)
 	if err != nil {
 		return nil, err
 	}
-	out.Rows = make([]Row, len(groups))
-	for i, g := range groups {
-		out.Rows[i] = g.row
+	order := make([]int32, len(first))
+	for k := range order {
+		order[k] = int32(k)
 	}
-	return out, nil
+	sort.Slice(order, func(x, y int) bool { return first[order[x]] < first[order[y]] })
+	return out.withSel(order), nil
 }
 
 // growIdx resizes a scratch index buffer to length n, reusing capacity.

@@ -163,38 +163,3 @@ func TestSpillPartitionCount(t *testing.T) {
 		}
 	}
 }
-
-func TestSpillDefaultsInherited(t *testing.T) {
-	oldB, oldD := SpillDefaults()
-	defer SetSpillDefault(oldB, oldD)
-
-	tbl := randomTable(rng.New(17), "s", 120)
-	right := &Table{Name: "r", Schema: Schema{{Name: "rid", Type: TypeInt}}}
-	for i := -3; i <= 3; i++ {
-		right.Rows = append(right.Rows, Row{Int(int64(i))})
-	}
-	want, err := From(tbl).Join(right, "id", "rid").Run()
-	if err != nil {
-		t.Fatalf("baseline: %v", err)
-	}
-
-	SetSpillDefault(1, t.TempDir())
-	parts := spillPartitions.Value()
-	got, err := From(tbl).Join(right, "id", "rid").Run() // inherits the 1-byte default
-	if err != nil {
-		t.Fatalf("inherited budget: %v", err)
-	}
-	if spillPartitions.Value() <= parts {
-		t.Fatal("process default budget did not trigger spill")
-	}
-	requireSameTable(t, "inherited-budget join", want, got)
-
-	// WithMemoryBudget(0) forces unlimited even under a process default.
-	parts = spillPartitions.Value()
-	if _, err := From(tbl).Join(right, "id", "rid").WithMemoryBudget(0).Run(); err != nil {
-		t.Fatalf("forced unlimited: %v", err)
-	}
-	if spillPartitions.Value() != parts {
-		t.Fatal("WithMemoryBudget(<=0) should disable spilling")
-	}
-}

@@ -72,14 +72,13 @@ func (t *Table) StorageSchema() Schema { return t.Schema.Clone() }
 func (t *Table) NumRows() int64 { return int64(len(t.Rows)) }
 
 // ScanPartitions implements Storage: the whole table is one partition,
-// decoded strictly (a mixed column fails the scan — storage callers
-// have no row path to fall back to). The pruning hint is ignored;
-// filters re-apply above.
+// decoded strictly (a mixed column fails the scan). The pruning hint is
+// ignored; filters re-apply above.
 func (t *Table) ScanPartitions(ctx context.Context, cols []string, _ plan.Expr) (PartitionIter, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	b, err := FromTable(t)
+	b, err := decodeTable(t)
 	if err != nil {
 		return nil, err
 	}

@@ -22,8 +22,8 @@ var (
 // ErrNotNumeric reports an access that required a numeric column but
 // found another value type. It wraps ErrTypeClash, so existing
 // errors.Is(err, ErrTypeClash) checks keep matching, while callers that
-// care about the narrower reason class (the columnar-fallback log, for
-// one) can distinguish it with errors.Is(err, ErrNotNumeric).
+// care about the narrower reason class can distinguish it with
+// errors.Is(err, ErrNotNumeric).
 var ErrNotNumeric = fmt.Errorf("%w: column is not numeric", ErrTypeClash)
 
 // Column describes one attribute of a relation.

@@ -1,6 +1,6 @@
 // Package enginebench builds deterministic micro-benchmark workloads
-// for the relational engine's row and columnar execution paths. The
-// same Workload definitions back both the `go test -bench` benchmarks
+// for the relational engine's operators. The same Workload definitions
+// back both the `go test -bench` benchmarks
 // (internal/engine/bench_test.go) and the cmd/benchjson trajectory
 // recorder, so the numbers in BENCH_9.json measure exactly the code the
 // benchmarks do.
@@ -17,17 +17,15 @@ import (
 // Sizes are the row counts every operator workload is generated at.
 var Sizes = []int{10_000, 100_000}
 
-// Workload is one operator micro-benchmark: Row runs the row-based
-// operator once, Col the columnar counterpart. Both operate on
-// pre-built inputs (table and decoded block), so an iteration measures
-// operator execution, not data generation or boundary conversion; the
-// columnar side threads one reusable Scratch through all iterations,
-// the way a query plan would.
+// Workload is one operator micro-benchmark: Run executes the operator
+// once over a pre-built decoded block, so an iteration measures
+// operator execution, not data generation or boundary conversion. One
+// reusable Scratch is threaded through all iterations, the way a query
+// plan would.
 type Workload struct {
 	Op   string // Select, EquiJoin, GroupBy, Distinct
 	Rows int
-	Row  func()
-	Col  func()
+	Run  func()
 }
 
 // Name returns the canonical benchmark label, e.g. "EquiJoin/100000".
@@ -87,20 +85,11 @@ func Workloads() []Workload {
 		ev := events(r.Split(), n)
 		evBlock := mustBlock(ev)
 		sc := engine.NewScratch()
-		vi, err := ev.ColIndex("val")
-		if err != nil {
-			panic(err)
-		}
 
 		pred := func(f float64) bool { return f < 0.5 }
 		out = append(out, Workload{
 			Op: "Select", Rows: n,
-			Row: func() {
-				engine.Select(ev, func(row engine.Row) bool {
-					return row[vi].IsNumeric() && pred(row[vi].AsFloat())
-				})
-			},
-			Col: func() {
+			Run: func() {
 				if _, err := evBlock.WhereFloat("val", pred); err != nil {
 					panic(err)
 				}
@@ -109,12 +98,7 @@ func Workloads() []Workload {
 
 		out = append(out, Workload{
 			Op: "EquiJoin", Rows: n,
-			Row: func() {
-				if _, err := engine.EquiJoin(ev, dim, "gid", "gid"); err != nil {
-					panic(err)
-				}
-			},
-			Col: func() {
+			Run: func() {
 				if _, err := evBlock.EquiJoin(dimBlock, "gid", "gid", sc); err != nil {
 					panic(err)
 				}
@@ -129,12 +113,7 @@ func Workloads() []Workload {
 		}
 		out = append(out, Workload{
 			Op: "GroupBy", Rows: n,
-			Row: func() {
-				if _, err := engine.GroupBy(ev, keys, aggs); err != nil {
-					panic(err)
-				}
-			},
-			Col: func() {
+			Run: func() {
 				if _, err := evBlock.GroupBy(keys, aggs, sc); err != nil {
 					panic(err)
 				}
@@ -143,15 +122,13 @@ func Workloads() []Workload {
 
 		// Distinct runs over a projection with heavy duplication (64×16×2
 		// distinct combinations), the shape DISTINCT exists for.
-		proj, err := engine.Project(ev, "gid", "tag", "flag")
+		projBlock, err := evBlock.Project("gid", "tag", "flag")
 		if err != nil {
 			panic(err)
 		}
-		projBlock := mustBlock(proj)
 		out = append(out, Workload{
 			Op: "Distinct", Rows: n,
-			Row: func() { engine.Distinct(proj) },
-			Col: func() { projBlock.Distinct(sc) },
+			Run: func() { projBlock.Distinct(sc) },
 		})
 	}
 	return out

@@ -249,12 +249,3 @@ func (db *DB) MonteCarlo(ctx context.Context, iters int, seed uint64, workers in
 	}
 	return out, nil
 }
-
-// MonteCarloNaive runs the query over iters independent database
-// instances on the calling goroutine's default worker pool.
-//
-// Deprecated: use MonteCarlo, which adds cancellation and worker
-// control. The two produce identical samples for the same seed.
-func (db *DB) MonteCarloNaive(iters int, seed uint64, q Query) ([]float64, error) {
-	return db.MonteCarlo(context.Background(), iters, seed, 0, q)
-}

@@ -93,7 +93,7 @@ func TestInstantiateSBP(t *testing.T) {
 
 func TestMonteCarloNaiveEstimatesMean(t *testing.T) {
 	db := sbpFixture(t, 20)
-	samples, err := db.MonteCarloNaive(400, 7, func(inst *engine.Database) (float64, error) {
+	samples, err := db.MonteCarlo(context.Background(), 400, 7, 0, func(inst *engine.Database) (float64, error) {
 		tbl, err := inst.Get("sbp_data")
 		if err != nil {
 			return 0, err
@@ -129,7 +129,7 @@ func TestBundledMatchesNaiveDistribution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	naive, err := db.MonteCarloNaive(iters, 11, func(inst *engine.Database) (float64, error) {
+	naive, err := db.MonteCarlo(context.Background(), iters, 11, 0, func(inst *engine.Database) (float64, error) {
 		tbl, _ := inst.Get("sbp_data")
 		return engine.From(tbl).
 			GroupBy(nil, engine.Aggregate{Fn: engine.AggAvg, Col: "sbp", As: "m"}).
@@ -261,7 +261,7 @@ func TestNoForEachSpecRunsOnce(t *testing.T) {
 
 func TestMonteCarloNaiveBadIters(t *testing.T) {
 	db := sbpFixture(t, 2)
-	if _, err := db.MonteCarloNaive(0, 1, nil); err == nil {
+	if _, err := db.MonteCarlo(context.Background(), 0, 1, 0, nil); err == nil {
 		t.Fatal("iters=0 accepted")
 	}
 	if _, err := db.InstantiateBundled(0, 1); err == nil {

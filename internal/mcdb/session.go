@@ -43,7 +43,7 @@ const DefaultBundleCacheCap = 8
 const DefaultPreparedCacheCap = 64
 
 // This file unifies the two MCDB execution strategies behind one entry
-// point. Historically callers chose between MonteCarloNaive (arbitrary
+// point. Historically callers chose between MonteCarlo (arbitrary
 // query closure, full re-instantiation per iteration) and
 // InstantiateBundled + BundleTable.Estimate (plan-once tuple bundles)
 // — two divergent call paths with different query representations. A

@@ -39,7 +39,11 @@ type Stats struct {
 	// query paths carry no context, so these come from diffing the
 	// process-global registry (obs.Default) around the run; concurrent
 	// Runs in one process see each other's engine activity here.
-	RowsScanned        int64
+	RowsScanned int64
+	// ColumnarQueries counts engine query executions;
+	// ColumnarFallbacks counts queries the engine refused because a
+	// table held a value not of its column's schema type
+	// (engine.ErrMixedColumn) — there is no row route to fall back to.
 	ColumnarQueries    int64
 	ColumnarFallbacks  int64
 	RealizeCacheHits   int64
@@ -58,7 +62,7 @@ func (s Stats) Report() string {
 	fmt.Fprintf(&b, "  elapsed          %s\n", s.Elapsed.Round(time.Millisecond))
 	fmt.Fprintf(&b, "  iterations       %d (%.4g/s)\n", s.Iterations, s.SamplesPerSec)
 	fmt.Fprintf(&b, "  rows scanned     %d\n", s.RowsScanned)
-	fmt.Fprintf(&b, "  columnar path    %d queries, %d fallbacks to rows\n", s.ColumnarQueries, s.ColumnarFallbacks)
+	fmt.Fprintf(&b, "  columnar path    %d queries, %d refused (mixed column)\n", s.ColumnarQueries, s.ColumnarFallbacks)
 	fmt.Fprintf(&b, "  realize cache    %d hits, %d misses\n", s.RealizeCacheHits, s.RealizeCacheMisses)
 	fmt.Fprintf(&b, "  shuffle          %d bytes\n", s.ShuffleBytes)
 	fmt.Fprintf(&b, "  task attempts    %d (%d retries, backoff %s)\n",
