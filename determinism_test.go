@@ -42,30 +42,30 @@ func equalExact(t *testing.T, label string, a, b []float64) {
 	}
 }
 
+// TestMCDBSessionDeterministicAcrossWorkers covers the bundle executor
+// end to end; internal/mcdb's TestExecEquivalenceTable holds the same
+// contract for the per-instance one.
 func TestMCDBSessionDeterministicAcrossWorkers(t *testing.T) {
 	db, err := experiments.SBPDatabase(40)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, strat := range []mcdb.Strategy{mcdb.StrategyNaive, mcdb.StrategyBundle} {
-		q := mcdb.AggQuery{Table: "sbp_data", Col: "sbp", Fn: engine.AggAvg}
-		var ref []float64
-		for _, w := range workerCounts {
-			got, err := db.NewSession().Exec(context.Background(), q, mcdb.ExecOptions{
-				Strategy:   strat,
-				Iterations: 60,
-				Workers:    w,
-				Seed:       7,
-			})
-			if err != nil {
-				t.Fatalf("%v workers=%d: %v", strat, w, err)
-			}
-			if ref == nil {
-				ref = got
-				continue
-			}
-			equalExact(t, strat.String(), ref, got)
+	q := mcdb.AggQuery{Table: "sbp_data", Col: "sbp", Fn: engine.AggAvg}
+	var ref []float64
+	for _, w := range workerCounts {
+		got, err := db.NewSession().Exec(context.Background(), q, mcdb.ExecOptions{
+			Iterations: 60,
+			Workers:    w,
+			Seed:       7,
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", w, err)
 		}
+		if ref == nil {
+			ref = got
+			continue
+		}
+		equalExact(t, "mcdb session", ref, got)
 	}
 }
 

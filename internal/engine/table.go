@@ -141,30 +141,32 @@ func MustNewTable(name string, schema Schema) *Table {
 	return t
 }
 
-// checkRow verifies arity and column types.
-func (t *Table) checkRow(r Row) error {
-	if len(r) != len(t.Schema) {
-		return fmt.Errorf("%w: table %q got %d values, want %d", ErrArity, t.Name, len(r), len(t.Schema))
+// Conform checks r against the schema — arity, then each value's type —
+// widening int values into float columns in place. It is the one rule
+// for what a row of this schema may hold; table names the relation in
+// the error, which wraps ErrArity or ErrTypeClash.
+func (s Schema) Conform(table string, r Row) error {
+	if len(r) != len(s) {
+		return fmt.Errorf("%w: table %q got %d values, want %d", ErrArity, table, len(r), len(s))
 	}
 	for i, v := range r {
-		want := t.Schema[i].Type
+		want := s[i].Type
 		if v.Type() == want {
 			continue
 		}
-		// Allow int→float widening at insert time.
 		if want == TypeFloat && v.Type() == TypeInt {
 			r[i] = Float(v.AsFloat())
 			continue
 		}
 		return fmt.Errorf("%w: table %q column %q: got %s, want %s",
-			ErrTypeClash, t.Name, t.Schema[i].Name, v.Type(), want)
+			ErrTypeClash, table, s[i].Name, v.Type(), want)
 	}
 	return nil
 }
 
 // Insert appends a row after validating it against the schema.
 func (t *Table) Insert(r Row) error {
-	if err := t.checkRow(r); err != nil {
+	if err := t.Schema.Conform(t.Name, r); err != nil {
 		return err
 	}
 	t.Rows = append(t.Rows, r)

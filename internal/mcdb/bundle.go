@@ -11,8 +11,8 @@ import (
 	"modeldata/internal/rng"
 )
 
-// BundleTable is a stochastic table materialized as tuple bundles: the
-// plan-once execution strategy of MCDB (§2.1). Each tuple stores its
+// BundleTable is a stochastic table materialized as tuple bundles:
+// MCDB's plan-once execution (§2.1). Each tuple stores its
 // deterministic attributes exactly once; each uncertain attribute
 // stores its instantiations across all Monte Carlo iterations.
 type BundleTable struct {
@@ -35,17 +35,6 @@ type BundleTable struct {
 	detOnce  sync.Once
 	detBlock *engine.ColumnBlock
 	detErr   error
-}
-
-// uncPos maps schema index → position within the bundle's uncertain
-// column list.
-func (bt *BundleTable) uncPos(schemaIdx int) (int, bool) {
-	for k, c := range bt.UncertainCols {
-		if c == schemaIdx {
-			return k, true
-		}
-	}
-	return 0, false
 }
 
 // InstantiateBundled realizes every stochastic table as a BundleTable
@@ -101,55 +90,62 @@ func (db *DB) bundleSpec(ctx context.Context, spec *TableSpec, iters int, r *rng
 		Unc:           make([][][]float64, len(outers)),
 	}
 	err = parallel.ForStreams(ctx, r, len(outers), parallel.Options{Workers: workers},
-		func(ti int, tr *rng.Stream) error {
-			outer := outers[ti]
-			// Parameter query runs once per tuple (not per iteration).
-			params, err := db.vgParams(spec, outer)
-			if err != nil {
-				return err
-			}
-			unc := make([][]float64, len(spec.UncertainCols))
-			for k := range unc {
-				unc[k] = make([]float64, iters)
-			}
-			var det engine.Row
-			for it := 0; it < iters; it++ {
-				vgOut, err := spec.VG(params, tr)
-				if err != nil {
-					return err
-				}
-				var row engine.Row
-				if spec.OutputRow != nil {
-					row = spec.OutputRow(outer, vgOut)
-				} else {
-					row = append(append(engine.Row{}, outer...), vgOut...)
-				}
-				if len(row) != len(spec.Schema) {
-					return fmt.Errorf("%w: %q produced %d values, schema has %d",
-						ErrBadSpec, spec.Name, len(row), len(spec.Schema))
-				}
-				if it == 0 {
-					det = row.Clone()
-					for _, c := range spec.UncertainCols {
-						det[c] = engine.Value{}
-					}
-				}
-				for k, c := range spec.UncertainCols {
-					if !row[c].IsNumeric() {
-						return fmt.Errorf("%w: %q uncertain column %d is %s, bundles require numeric",
-							ErrBadSpec, spec.Name, c, row[c].Type())
-					}
-					unc[k][it] = row[c].AsFloat()
-				}
-			}
-			bt.Det[ti] = det
-			bt.Unc[ti] = unc
-			return nil
+		func(ti int, tr *rng.Stream) (err error) {
+			bt.Det[ti], bt.Unc[ti], err = db.sampleTuple(spec, outers[ti], tr, iters)
+			return err
 		})
 	if err != nil {
 		return nil, err
 	}
 	return bt, nil
+}
+
+// sampleTuple realizes one tuple's bundle: the parameter query runs
+// once, then the VG function draws iters times from tr — the tuple's
+// pristine substream — filling one array per uncertain column. The
+// first draw's row, conformed to the schema by Insert's rule (so both
+// executors hold the same Values for a spec), supplies the deterministic
+// attributes. Full realization calls it for every tuple; delta
+// re-realization for the tuples a change affects, on a copy of spec
+// carrying the changed VG or parameter query.
+func (db *DB) sampleTuple(spec *TableSpec, outer engine.Row, tr *rng.Stream, iters int) (engine.Row, [][]float64, error) {
+	params, err := db.vgParams(spec, outer)
+	if err != nil {
+		return nil, nil, err
+	}
+	unc := make([][]float64, len(spec.UncertainCols))
+	for k := range unc {
+		unc[k] = make([]float64, iters)
+	}
+	var det engine.Row
+	for it := 0; it < iters; it++ {
+		vgOut, err := spec.VG(params, tr)
+		if err != nil {
+			return nil, nil, err
+		}
+		row := spec.outputRow(outer, vgOut)
+		if len(row) != len(spec.Schema) {
+			return nil, nil, fmt.Errorf("%w: %q produced %d values, schema has %d",
+				ErrBadSpec, spec.Name, len(row), len(spec.Schema))
+		}
+		if it == 0 {
+			det = row.Clone()
+			if err := spec.Schema.Conform(spec.Name, det); err != nil {
+				return nil, nil, fmt.Errorf("%w: %w", ErrBadSpec, err)
+			}
+			for _, c := range spec.UncertainCols {
+				det[c] = engine.Value{}
+			}
+		}
+		for k, c := range spec.UncertainCols {
+			if !row[c].IsNumeric() {
+				return nil, nil, fmt.Errorf("%w: %q uncertain column %d is %s, bundles require numeric",
+					ErrBadSpec, spec.Name, c, row[c].Type())
+			}
+			unc[k][it] = row[c].AsFloat()
+		}
+	}
+	return det, unc, nil
 }
 
 // Len returns the number of tuples in the bundle table.
@@ -179,6 +175,11 @@ func (bt *BundleTable) FilterDet(pred func(det engine.Row) bool) *BundleTable {
 // iteration. A nil UncPredicate accepts every tuple.
 type UncPredicate func(det engine.Row, unc []float64) bool
 
+// iterRun is a half-open run [lo, hi) of Monte Carlo iterations. A set
+// of iterations is a list of disjoint ascending runs: the full set is
+// the one run [0, Iters), and the kernel's inner loop stays contiguous.
+type iterRun struct{ lo, hi int }
+
 // Estimate scans the bundle table once and computes, per Monte Carlo
 // iteration, the aggregate of the named uncertain column over tuples
 // satisfying pred. The result is a sample of size Iters from the
@@ -187,78 +188,77 @@ type UncPredicate func(det engine.Row, unc []float64) bool
 // Iterations whose selection is empty (pred rejects every tuple)
 // yield COUNT = 0, SUM = 0, and — by the repository-wide convention
 // documented on Session.Exec — AVG = 0 rather than NaN, keeping the
-// sample vector finite and bit-identical to the naive strategy.
+// sample vector finite on both executors.
 func (bt *BundleTable) Estimate(col string, fn engine.AggFunc, pred UncPredicate) ([]float64, error) {
+	return bt.estimate(col, fn, pred, []iterRun{{0, bt.Iters}})
+}
+
+// estimate is the aggregation kernel behind Estimate, restricted to the
+// iterations in runs; positions outside runs are left zero and must not
+// be read. Tuples accumulate in tuple order whatever the runs, so the
+// value at an iteration is bitwise the same in any run set holding it —
+// which is what lets delta execution re-aggregate only dirty iterations.
+func (bt *BundleTable) estimate(col string, fn engine.AggFunc, pred UncPredicate, runs []iterRun) ([]float64, error) {
 	schemaIdx, err := bt.Schema.ColIndex(col)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%w: %w", ErrBadQuery, err)
 	}
-	k, ok := bt.uncPos(schemaIdx)
+	k, ok := uncPos(bt.UncertainCols, schemaIdx)
 	if !ok {
-		return nil, fmt.Errorf("mcdb: column %q is not uncertain in %q", col, bt.Name)
+		return nil, fmt.Errorf("%w: column %q is not uncertain in %q", ErrBadQuery, col, bt.Name)
 	}
 	sums := make([]float64, bt.Iters)
 	counts := make([]float64, bt.Iters)
 	uncBuf := make([]float64, len(bt.UncertainCols))
-	for i := range bt.Det {
+	for i, det := range bt.Det {
 		unc := bt.Unc[i]
-		for it := 0; it < bt.Iters; it++ {
-			if pred != nil {
-				for kk := range uncBuf {
-					uncBuf[kk] = unc[kk][it]
-				}
-				if !pred(bt.Det[i], uncBuf) {
+		for _, r := range runs {
+			for it := r.lo; it < r.hi; it++ {
+				if pred != nil && !qualifies(pred, det, unc, it, uncBuf) {
 					continue
 				}
+				sums[it] += unc[k][it]
+				counts[it]++
 			}
-			sums[it] += unc[k][it]
-			counts[it]++
 		}
 	}
-	out := make([]float64, bt.Iters)
 	switch fn {
 	case engine.AggCount:
-		copy(out, counts)
+		return counts, nil
 	case engine.AggSum:
-		copy(out, sums)
+		return sums, nil
 	case engine.AggAvg:
-		for it := range out {
-			// Empty selection: AVG is 0 by convention (see Session.Exec).
-			if counts[it] > 0 {
-				out[it] = sums[it] / counts[it]
+		// Empty selection: AVG is 0 by convention (see Session.Exec) —
+		// the untouched zero sum.
+		for it, n := range counts {
+			if n > 0 {
+				sums[it] /= n
 			}
 		}
-	default:
-		return nil, fmt.Errorf("mcdb: bundle aggregate %v not supported", fn)
+		return sums, nil
 	}
-	return out, nil
+	return nil, fmt.Errorf("%w: aggregate %v not supported", ErrBadQuery, fn)
+}
+
+// qualifies reports whether a tuple passes pred at iteration it; buf
+// (one slot per uncertain column) receives the tuple's values there.
+func qualifies(pred UncPredicate, det engine.Row, unc [][]float64, it int, buf []float64) bool {
+	for k := range buf {
+		buf[k] = unc[k][it]
+	}
+	return pred(det, buf)
 }
 
 // Realize materializes the bundle table at a single Monte Carlo
-// iteration as an ordinary engine table — useful for spot checks and
-// for queries that the bundle executor does not cover. It runs on the
-// columnar path — the deterministic columns decode once per bundle
-// table, each iteration only swaps in fresh uncertain vectors — and
-// falls back to row-at-a-time assembly for bundles whose Det rows the
-// columnar layout cannot represent; both paths produce identical
-// tables.
+// iteration as an ordinary engine table — MCDB's instantiate-a-bundle
+// step, for spot checks and for queries the bundle executor does not
+// cover. See RealizeBlock.
 func (bt *BundleTable) Realize(iter int) (*engine.Table, error) {
-	if b, err := bt.RealizeBlock(iter); err == nil {
-		return b.ToTable(), nil
-	} else if iter < 0 || iter >= bt.Iters {
+	b, err := bt.RealizeBlock(iter)
+	if err != nil {
 		return nil, err
 	}
-	return bt.realizeRows(iter)
-}
-
-// cachedDetBlock decodes the deterministic columns of Det into a
-// ColumnBlock exactly once (uncertain positions stay zero-filled and
-// are patched per iteration).
-func (bt *BundleTable) cachedDetBlock() (*engine.ColumnBlock, error) {
-	bt.detOnce.Do(func() {
-		bt.detBlock, bt.detErr = engine.FromRowsPartial(bt.Name, bt.Schema, bt.Det, bt.UncertainCols)
-	})
-	return bt.detBlock, bt.detErr
+	return b.ToTable(), nil
 }
 
 // RealizeBlock materializes the bundle table at a single Monte Carlo
@@ -270,7 +270,12 @@ func (bt *BundleTable) RealizeBlock(iter int) (*engine.ColumnBlock, error) {
 	if iter < 0 || iter >= bt.Iters {
 		return nil, fmt.Errorf("mcdb: iteration %d outside [0, %d)", iter, bt.Iters)
 	}
-	b, err := bt.cachedDetBlock()
+	// Uncertain positions of the cached block stay zero-filled; each
+	// call patches them for its iteration.
+	bt.detOnce.Do(func() {
+		bt.detBlock, bt.detErr = engine.FromRowsPartial(bt.Name, bt.Schema, bt.Det, bt.UncertainCols)
+	})
+	b, err := bt.detBlock, bt.detErr
 	if err != nil {
 		return nil, err
 	}
@@ -296,30 +301,6 @@ func (bt *BundleTable) RealizeBlock(iter int) (*engine.ColumnBlock, error) {
 	return b, nil
 }
 
-// realizeRows is the row-at-a-time fallback for Realize, kept for
-// bundles whose Det rows hold values that do not match the schema types
-// exactly (Insert re-validates and widens them).
-func (bt *BundleTable) realizeRows(iter int) (*engine.Table, error) {
-	out, err := engine.NewTable(bt.Name, bt.Schema)
-	if err != nil {
-		return nil, err
-	}
-	for i, det := range bt.Det {
-		row := det.Clone()
-		for k, c := range bt.UncertainCols {
-			if bt.Schema[c].Type == engine.TypeInt {
-				row[c] = engine.Int(int64(bt.Unc[i][k][iter]))
-			} else {
-				row[c] = engine.Float(bt.Unc[i][k][iter])
-			}
-		}
-		if err := out.Insert(row); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
 // JoinDet equijoins the bundle table with a deterministic table on a
 // deterministic bundle column — the common MCDB query shape where a
 // stochastic table (e.g. random demand per customer) joins reference
@@ -333,7 +314,7 @@ func (bt *BundleTable) JoinDet(det *engine.Table, bundleCol, detCol string) (*Bu
 	if err != nil {
 		return nil, err
 	}
-	if _, isUnc := bt.uncPos(bIdx); isUnc {
+	if _, isUnc := uncPos(bt.UncertainCols, bIdx); isUnc {
 		return nil, fmt.Errorf("mcdb: join key %q is uncertain; joins must use deterministic columns", bundleCol)
 	}
 	dIdx, err := det.ColIndex(detCol)

@@ -17,6 +17,7 @@ package mcdb
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"modeldata/internal/engine"
 	"modeldata/internal/obs"
@@ -80,39 +81,15 @@ func (s *Session) ExecDelta(ctx context.Context, q AggQuery, opts ExecOptions, d
 // covers the full Iterations run (the realization is per-tuple, not
 // per-window), so shards report consistent counter values.
 func (s *Session) ExecDeltaRange(ctx context.Context, q AggQuery, opts ExecOptions, d Delta, lo, hi int) ([]float64, error) {
-	if opts.Iterations <= 0 {
-		return nil, fmt.Errorf("mcdb: iters=%d", opts.Iterations)
+	spec, _, err := s.db.checkQuery(q, opts, lo, hi, true)
+	if err != nil {
+		return nil, err
 	}
-	if lo < 0 || hi > opts.Iterations || lo > hi {
-		return nil, fmt.Errorf("mcdb: window [%d, %d) outside [0, %d)", lo, hi, opts.Iterations)
-	}
-	switch q.Fn {
-	case engine.AggCount, engine.AggSum, engine.AggAvg:
-	default:
-		return nil, fmt.Errorf("mcdb: aggregate %v not supported by ExecDelta", q.Fn)
-	}
-	if d.Table == "" {
-		return nil, fmt.Errorf("%w: delta names no table", ErrBadSpec)
+	if _, err := s.db.Spec(d.Table); err != nil {
+		return nil, err
 	}
 	if d.MapUnc != nil && (d.VG != nil || d.Params != nil) {
 		return nil, fmt.Errorf("%w: delta MapUnc cannot combine with a VG or Params change", ErrBadSpec)
-	}
-	if opts.Strategy == StrategyNaive {
-		return nil, fmt.Errorf("mcdb: delta execution requires the bundle strategy")
-	}
-	qspec, err := s.db.Spec(q.Table)
-	if err != nil {
-		return nil, err
-	}
-	if len(qspec.UncertainCols) == 0 {
-		return nil, fmt.Errorf("%w: %q has no UncertainCols for bundled execution", ErrBadSpec, q.Table)
-	}
-	dspec, err := s.db.Spec(d.Table)
-	if err != nil {
-		return nil, err
-	}
-	if len(dspec.UncertainCols) == 0 {
-		return nil, fmt.Errorf("%w: %q has no UncertainCols for bundled execution", ErrBadSpec, d.Table)
 	}
 
 	ctx, span := obs.Start(ctx, "mcdb.exec_delta")
@@ -121,22 +98,19 @@ func (s *Session) ExecDeltaRange(ctx context.Context, q AggQuery, opts ExecOptio
 	span.SetInt("iterations", int64(opts.Iterations))
 	defer span.End()
 
-	old, err := s.bundlesFor(ctx, opts)
+	oldBt, err := s.bundleFor(ctx, opts, q.Table)
 	if err != nil {
 		return nil, err
 	}
 	reg := parallel.StatsFrom(ctx).Registry()
-	oldBt, ok := old[q.Table]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSpec, q.Table)
-	}
+	all := []iterRun{{0, opts.Iterations}}
 
 	if d.Table != q.Table {
 		// The change touches a different stochastic table, so this
 		// query's bundle — and every sample — is untouched.
 		reg.Counter(MetricDeltaItersSkipped).Add(int64(opts.Iterations))
 		span.SetInt("iters_skipped", int64(opts.Iterations))
-		return estimateWindow(oldBt, q, lo, hi)
+		return bundleSamples(oldBt, q, all, lo, hi)
 	}
 
 	affected := make([]int, 0, len(oldBt.Det))
@@ -145,7 +119,7 @@ func (s *Session) ExecDeltaRange(ctx context.Context, q AggQuery, opts ExecOptio
 			affected = append(affected, ti)
 		}
 	}
-	newBt, detChanged, err := s.rerealize(ctx, dspec, oldBt, d, affected, opts)
+	newBt, detChanged, err := s.rerealize(ctx, spec, oldBt, d, affected, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -157,34 +131,22 @@ func (s *Session) ExecDeltaRange(ctx context.Context, q AggQuery, opts ExecOptio
 	reg.Counter(MetricDeltaItersSkipped).Add(int64(skipped))
 	span.SetInt("iters_skipped", int64(skipped))
 
-	newF := newBt
-	if q.WhereDet != nil {
-		newF = newBt.FilterDet(q.WhereDet)
+	if skipped == 0 {
+		return bundleSamples(newBt, q, all, lo, hi)
 	}
-	if dirtyCount == opts.Iterations {
-		full, err := newF.Estimate(q.Col, q.Fn, q.WhereUnc)
-		if err != nil {
-			return nil, err
-		}
-		return window(full, lo, hi), nil
-	}
-	oldF := oldBt
-	if q.WhereDet != nil {
-		oldF = oldBt.FilterDet(q.WhereDet)
-	}
-	out, err := oldF.Estimate(q.Col, q.Fn, q.WhereUnc)
+	// Clean iterations keep the baseline's samples; the dirty ones are
+	// re-aggregated over the changed bundle by the same kernel.
+	out, err := bundleSamples(oldBt, q, all, 0, opts.Iterations)
 	if err != nil {
 		return nil, err
 	}
 	if dirtyCount > 0 {
-		dvals, err := estimateDirty(newF, q.Col, q.Fn, q.WhereUnc, dirty)
+		dvals, err := bundleSamples(newBt, q, dirty, 0, opts.Iterations)
 		if err != nil {
 			return nil, err
 		}
-		for it, isDirty := range dirty {
-			if isDirty {
-				out[it] = dvals[it]
-			}
+		for _, r := range dirty {
+			copy(out[r.lo:r.hi], dvals[r.lo:r.hi])
 		}
 	}
 	return window(out, lo, hi), nil
@@ -251,61 +213,22 @@ func (s *Session) rerealize(ctx context.Context, spec *TableSpec, old *BundleTab
 		return nil, nil, fmt.Errorf("%w: %q", ErrNoSpec, spec.Name)
 	}
 	subs := st.SplitN(len(outers))
-	vg := spec.VG
+	changed := *spec
 	if d.VG != nil {
-		vg = d.VG
+		changed.VG = d.VG
+	}
+	if d.Params != nil {
+		changed.Params = d.Params
 	}
 	err = parallel.For(ctx, len(affected), parallel.Options{Workers: opts.Workers}, func(j int) error {
 		ti := affected[j]
 		tr := *subs[ti] // pristine copy, as parallel.ForStreams hands bundleSpec
-		outer := outers[ti]
-		var params engine.Row
-		var err error
-		if d.Params != nil {
-			params, err = d.Params(s.db.Base, outer)
-		} else {
-			params, err = s.db.vgParams(spec, outer)
-		}
+		det, unc, err := s.db.sampleTuple(&changed, outers[ti], &tr, nb.Iters)
 		if err != nil {
 			return err
 		}
-		unc := make([][]float64, len(spec.UncertainCols))
-		for k := range unc {
-			unc[k] = make([]float64, nb.Iters)
-		}
-		var det engine.Row
-		for it := 0; it < nb.Iters; it++ {
-			vgOut, err := vg(params, &tr)
-			if err != nil {
-				return err
-			}
-			var row engine.Row
-			if spec.OutputRow != nil {
-				row = spec.OutputRow(outer, vgOut)
-			} else {
-				row = append(append(engine.Row{}, outer...), vgOut...)
-			}
-			if len(row) != len(spec.Schema) {
-				return fmt.Errorf("%w: %q produced %d values, schema has %d",
-					ErrBadSpec, spec.Name, len(row), len(spec.Schema))
-			}
-			if it == 0 {
-				det = row.Clone()
-				for _, c := range spec.UncertainCols {
-					det[c] = engine.Value{}
-				}
-			}
-			for k, c := range spec.UncertainCols {
-				if !row[c].IsNumeric() {
-					return fmt.Errorf("%w: %q uncertain column %d is %s, bundles require numeric",
-						ErrBadSpec, spec.Name, c, row[c].Type())
-				}
-				unc[k][it] = row[c].AsFloat()
-			}
-		}
-		nb.Det[ti] = det
-		nb.Unc[ti] = unc
-		detChanged[j] = !rowsEqual(det, old.Det[ti])
+		nb.Det[ti], nb.Unc[ti] = det, unc
+		detChanged[j] = !slices.Equal(det, old.Det[ti])
 		return nil
 	})
 	if err != nil {
@@ -328,14 +251,15 @@ func (db *DB) specStream(target *TableSpec, seed uint64) *rng.Stream {
 	return nil
 }
 
-// markDirty flags the iterations whose samples can differ between the
-// baseline and changed bundles: those where some query-relevant
-// affected tuple carries different uncertain values. Bitwise equality
-// decides reuse — if every value an iteration can read is unchanged,
-// the aggregate (accumulated in the same tuple order) is unchanged too.
-// A deterministic-attribute change forces every iteration dirty, since
-// the tuple's WhereDet membership itself may have flipped.
-func markDirty(q AggQuery, old, nb *BundleTable, affected []int, detChanged []bool, iters int) ([]bool, int) {
+// markDirty finds the iterations whose samples can differ between the
+// baseline and changed bundles — those where some query-relevant
+// affected tuple carries different uncertain values — as ascending runs
+// plus their total count. Bitwise equality decides reuse: if every
+// value an iteration can read is unchanged, the aggregate (accumulated
+// in the same tuple order) is unchanged too. A deterministic-attribute
+// change forces every iteration dirty, since the tuple's WhereDet
+// membership itself may have flipped.
+func markDirty(q AggQuery, old, nb *BundleTable, affected []int, detChanged []bool, iters int) ([]iterRun, int) {
 	dirty := make([]bool, iters)
 	count := 0
 	for idx, ti := range affected {
@@ -343,10 +267,7 @@ func markDirty(q AggQuery, old, nb *BundleTable, affected []int, detChanged []bo
 			continue // the query never sees this tuple, old world or new
 		}
 		if detChanged[idx] {
-			for it := range dirty {
-				dirty[it] = true
-			}
-			return dirty, iters
+			return []iterRun{{0, iters}}, iters
 		}
 		ou, nu := old.Unc[ti], nb.Unc[ti]
 		for it := 0; it < iters; it++ {
@@ -362,99 +283,22 @@ func markDirty(q AggQuery, old, nb *BundleTable, affected []int, detChanged []bo
 			}
 		}
 	}
-	return dirty, count
+	return runsOf(dirty), count
 }
 
-// estimateDirty is BundleTable.Estimate restricted to the flagged
-// iterations. Tuples accumulate in the same order as a full Estimate,
-// so the values at dirty positions are bitwise what Estimate would
-// produce there; positions not flagged are left zero and must not be
-// read. The empty-selection AVG = 0 convention carries over unchanged.
-func estimateDirty(bt *BundleTable, col string, fn engine.AggFunc, pred UncPredicate, dirty []bool) ([]float64, error) {
-	schemaIdx, err := bt.Schema.ColIndex(col)
-	if err != nil {
-		return nil, err
-	}
-	k, ok := bt.uncPos(schemaIdx)
-	if !ok {
-		return nil, fmt.Errorf("mcdb: column %q is not uncertain in %q", col, bt.Name)
-	}
-	idx := make([]int, 0, len(dirty))
-	for it, isDirty := range dirty {
-		if isDirty {
-			idx = append(idx, it)
-		}
-	}
-	sums := make([]float64, bt.Iters)
-	counts := make([]float64, bt.Iters)
-	uncBuf := make([]float64, len(bt.UncertainCols))
-	for i := range bt.Det {
-		unc := bt.Unc[i]
-		for _, it := range idx {
-			if pred != nil {
-				for kk := range uncBuf {
-					uncBuf[kk] = unc[kk][it]
-				}
-				if !pred(bt.Det[i], uncBuf) {
-					continue
-				}
+// runsOf renders a per-iteration flag vector as its maximal runs.
+func runsOf(flags []bool) []iterRun {
+	var runs []iterRun
+	for it := 0; it < len(flags); it++ {
+		if flags[it] {
+			lo := it
+			for it < len(flags) && flags[it] {
+				it++
 			}
-			sums[it] += unc[k][it]
-			counts[it]++
+			runs = append(runs, iterRun{lo, it})
 		}
 	}
-	out := make([]float64, bt.Iters)
-	switch fn {
-	case engine.AggCount:
-		copy(out, counts)
-	case engine.AggSum:
-		copy(out, sums)
-	case engine.AggAvg:
-		for _, it := range idx {
-			// Empty selection: AVG is 0 by convention (see Session.Exec).
-			if counts[it] > 0 {
-				out[it] = sums[it] / counts[it]
-			}
-		}
-	default:
-		return nil, fmt.Errorf("mcdb: bundle aggregate %v not supported", fn)
-	}
-	return out, nil
-}
-
-// estimateWindow runs the standard bundle pipeline (FilterDet →
-// Estimate → window) over one bundle table.
-func estimateWindow(bt *BundleTable, q AggQuery, lo, hi int) ([]float64, error) {
-	if q.WhereDet != nil {
-		bt = bt.FilterDet(q.WhereDet)
-	}
-	full, err := bt.Estimate(q.Col, q.Fn, q.WhereUnc)
-	if err != nil {
-		return nil, err
-	}
-	return window(full, lo, hi), nil
-}
-
-// window slices the full sample vector to [lo, hi), avoiding a copy
-// when the window covers everything.
-func window(full []float64, lo, hi int) []float64 {
-	if lo == 0 && hi == len(full) {
-		return full
-	}
-	return append([]float64(nil), full[lo:hi]...)
-}
-
-// rowsEqual reports exact Value-level equality of two rows.
-func rowsEqual(a, b engine.Row) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return runs
 }
 
 // ExecLineage returns, for every Monte Carlo iteration of q, the
@@ -467,27 +311,16 @@ func rowsEqual(a, b engine.Row) bool {
 // set ExecDelta's dirty-iteration test restricts its value comparison
 // to.
 func (s *Session) ExecLineage(ctx context.Context, q AggQuery, opts ExecOptions) ([][]prov.Leaf, error) {
-	if opts.Iterations <= 0 {
-		return nil, fmt.Errorf("mcdb: iters=%d", opts.Iterations)
-	}
-	spec, err := s.db.Spec(q.Table)
-	if err != nil {
+	if _, _, err := s.db.checkQuery(q, opts, 0, opts.Iterations, true); err != nil {
 		return nil, err
-	}
-	if len(spec.UncertainCols) == 0 {
-		return nil, fmt.Errorf("%w: %q has no UncertainCols for bundled execution", ErrBadSpec, q.Table)
 	}
 	ctx, span := obs.Start(ctx, "mcdb.lineage")
 	span.SetAttr("table", q.Table)
 	span.SetInt("iterations", int64(opts.Iterations))
 	defer span.End()
-	bundles, err := s.bundlesFor(ctx, opts)
+	bt, err := s.bundleFor(ctx, opts, q.Table)
 	if err != nil {
 		return nil, err
-	}
-	bt, ok := bundles[q.Table]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSpec, q.Table)
 	}
 	arena := prov.NewArena()
 	memo := make(map[prov.Set][]prov.Leaf)
@@ -496,18 +329,12 @@ func (s *Session) ExecLineage(ctx context.Context, q AggQuery, opts ExecOptions)
 	leaves := make([]prov.Leaf, 0, bt.Len())
 	for it := 0; it < bt.Iters; it++ {
 		leaves = leaves[:0]
-		for ti := range bt.Det {
-			if q.WhereDet != nil && !q.WhereDet(bt.Det[ti]) {
+		for ti, det := range bt.Det {
+			if q.WhereDet != nil && !q.WhereDet(det) {
 				continue
 			}
-			if q.WhereUnc != nil {
-				unc := bt.Unc[ti]
-				for k := range uncBuf {
-					uncBuf[k] = unc[k][it]
-				}
-				if !q.WhereUnc(bt.Det[ti], uncBuf) {
-					continue
-				}
+			if q.WhereUnc != nil && !qualifies(q.WhereUnc, det, bt.Unc[ti], it, uncBuf) {
+				continue
 			}
 			leaves = append(leaves, prov.Leaf{Table: q.Table, Row: ti})
 		}

@@ -2,6 +2,7 @@ package mcdb
 
 import (
 	"context"
+	"errors"
 	"math"
 	"testing"
 
@@ -243,12 +244,10 @@ func TestExecDeltaRandomizedEquivalence(t *testing.T) {
 
 // TestExecDeltaEmptyAVGConvention pins satellite semantics: iterations
 // whose selection empties out yield AVG = 0 — never NaN — identically
-// on the naive, bundle, and delta paths. With a predicate nothing can
-// satisfy, every iteration is empty and all three strategies agree
-// bit-for-bit (zeros); with a merely-steep predicate, bundle and delta
-// (which share a realization) stay bit-identical while mixing empty and
-// non-empty iterations, and the naive path still keeps every sample
-// finite with exact zeros at its own empty iterations.
+// on the bundle and delta paths, which share a realization and so must
+// agree bit-for-bit: all zeros under a predicate nothing can satisfy,
+// a mix of empty and non-empty iterations under a merely-steep one.
+// (TestExecEquivalenceTable pins the same convention per instance.)
 func TestExecDeltaEmptyAVGConvention(t *testing.T) {
 	ctx := context.Background()
 	w := deltaWorld{kind: deltaKindVG, targetGrp: 1}
@@ -275,13 +274,8 @@ func TestExecDeltaEmptyAVGConvention(t *testing.T) {
 		return empties
 	}
 
-	// Impossible predicate: all three strategies produce all-zero
-	// sample vectors, bit-identical by the convention alone.
+	// Impossible predicate: all-zero sample vectors.
 	impossible := mkQ(1e12)
-	naive, err := db2.NewSession().Exec(ctx, impossible, ExecOptions{Strategy: StrategyNaive, Iterations: 80, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
 	bundle, err := db2.NewSession().Exec(ctx, impossible, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -290,20 +284,13 @@ func TestExecDeltaEmptyAVGConvention(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	requireSameSamples(t, "naive vs bundle (all empty)", naive, bundle)
 	requireSameSamples(t, "bundle vs delta (all empty)", bundle, delta)
 	if checkFinite("all-empty delta", delta) != 80 {
 		t.Fatal("impossible predicate left a non-zero sample")
 	}
 
-	// Steep predicate: empty and non-empty iterations mix. Bundle and
-	// delta share one realization and must agree bit-for-bit; the naive
-	// path draws its own realization but obeys the same convention.
+	// Steep predicate: empty and non-empty iterations mix.
 	steep := mkQ(21)
-	naive, err = db2.NewSession().Exec(ctx, steep, ExecOptions{Strategy: StrategyNaive, Iterations: 80, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
 	bundle, err = db2.NewSession().Exec(ctx, steep, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -313,7 +300,6 @@ func TestExecDeltaEmptyAVGConvention(t *testing.T) {
 		t.Fatal(err)
 	}
 	requireSameSamples(t, "bundle vs delta (mixed)", bundle, delta)
-	checkFinite("steep naive", naive)
 	if e := checkFinite("steep delta", delta); e == 0 || e == 80 {
 		t.Fatalf("steep predicate emptied %d of 80 iterations; want a mix", e)
 	}
@@ -400,17 +386,45 @@ func TestExecDeltaValidation(t *testing.T) {
 		{"mapunc plus vg", q, good, Delta{Table: "obs",
 			MapUnc: func(det engine.Row, unc []float64) {},
 			VG:     func(p engine.Row, r *rng.Stream) ([]engine.Value, error) { return nil, nil }}},
-		{"naive strategy", q, ExecOptions{Iterations: 5, Strategy: StrategyNaive}, Delta{Table: "obs"}},
-		{"zero iters", q, ExecOptions{}, Delta{Table: "obs"}},
-		{"bad aggregate", AggQuery{Table: "obs", Col: "val", Fn: engine.AggFunc(99)}, good, Delta{Table: "obs"}},
 	}
 	for _, tc := range cases {
 		if _, err := s.ExecDelta(ctx, tc.q, tc.opts, tc.d); err == nil {
 			t.Errorf("%s: expected error", tc.name)
 		}
 	}
-	if _, err := s.ExecDeltaRange(ctx, q, good, Delta{Table: "obs"}, 3, 9); err == nil {
-		t.Error("window beyond Iterations: expected error")
+
+	// What the shared preamble rejects is marked as the caller's fault,
+	// on every entry point alike.
+	badQueries := []struct {
+		name   string
+		q      AggQuery
+		opts   ExecOptions
+		lo, hi int
+	}{
+		{"zero iters", q, ExecOptions{}, 0, 0},
+		{"window beyond Iterations", q, good, 3, 9},
+		{"bad aggregate", AggQuery{Table: "obs", Col: "val", Fn: engine.AggFunc(99)}, good, 0, 5},
+		{"unknown column", AggQuery{Table: "obs", Col: "nope", Fn: engine.AggAvg}, good, 0, 5},
+		{"deterministic column", AggQuery{Table: "obs", Col: "grp", Fn: engine.AggAvg}, good, 0, 5},
+	}
+	for _, tc := range badQueries {
+		check := func(entry string, err error) {
+			t.Helper()
+			if !errors.Is(err, ErrBadQuery) {
+				t.Errorf("%s via %s: got %v, want ErrBadQuery", tc.name, entry, err)
+			}
+		}
+		_, err := s.ExecRange(ctx, tc.q, tc.opts, tc.lo, tc.hi)
+		check("ExecRange", err)
+		_, err = s.ExecDeltaRange(ctx, tc.q, tc.opts, Delta{Table: "obs"}, tc.lo, tc.hi)
+		check("ExecDeltaRange", err)
+		if tc.lo == 0 { // ExecLineage takes no window
+			_, err = s.ExecLineage(ctx, tc.q, tc.opts)
+			check("ExecLineage", err)
+		}
+	}
+	if _, err := s.ExecSQLRange(ctx, "SELECT AVG(val) FROM obs", good, 3, 9); !errors.Is(err, ErrBadQuery) {
+		t.Errorf("ExecSQLRange window beyond Iterations: got %v, want ErrBadQuery", err)
 	}
 }
 
@@ -435,11 +449,10 @@ func TestExecLineage(t *testing.T) {
 	if len(lin) != 20 {
 		t.Fatalf("%d iterations of lineage, want 20", len(lin))
 	}
-	bundles, err := s.bundlesFor(ctx, opts)
+	bt, err := s.bundleFor(ctx, opts, "obs")
 	if err != nil {
 		t.Fatal(err)
 	}
-	bt := bundles["obs"]
 	for it := 0; it < bt.Iters; it++ {
 		var want []int
 		for ti := range bt.Det {

@@ -7,12 +7,15 @@
 // from which moments, quantiles, extreme quantiles (MCDB-R), and
 // threshold probabilities are estimated.
 //
-// Two execution strategies are provided:
+// A spec's declaration selects how its table is executed:
 //
-//   - Naive: instantiate a full database per Monte Carlo iteration and
-//     re-run the query (the strawman MCDB is designed to avoid).
-//   - Tuple bundles: execute the plan once, with each uncertain cell
-//     carrying its instantiations across all Monte Carlo iterations.
+//   - Tuple bundles, when it declares UncertainCols: the plan runs
+//     once, each uncertain cell carrying its instantiations across all
+//     Monte Carlo iterations.
+//   - Per instance, when it declares none (non-numeric stochastic
+//     attributes cannot be bundled): a full database is instantiated
+//     per iteration and the query re-run — the strawman MCDB is
+//     designed to avoid, and how arbitrary SQL runs.
 package mcdb
 
 import (
@@ -30,6 +33,10 @@ var (
 	ErrNoSpec    = errors.New("mcdb: no such stochastic table spec")
 	ErrBadSpec   = errors.New("mcdb: invalid stochastic table spec")
 	ErrNoSamples = errors.New("mcdb: no Monte Carlo samples")
+	// ErrBadQuery marks a query the caller got wrong — iterations,
+	// window, aggregate or column — as opposed to a fault while running
+	// a well-formed one.
+	ErrBadQuery = errors.New("mcdb: invalid query")
 )
 
 // VG is a Variable Generation function: given the parameter row
@@ -66,9 +73,34 @@ type TableSpec struct {
 	OutputRow func(outer engine.Row, vgOut []engine.Value) engine.Row
 	// UncertainCols lists the indexes (into Schema) of the columns
 	// produced by the VG function; the bundle executor keeps these as
-	// per-iteration arrays and the rest as constants. Required for
-	// bundled execution; the naive path ignores it.
+	// per-iteration arrays and the rest as constants. A spec that
+	// declares them executes on bundles; one that declares none
+	// executes per instance.
 	UncertainCols []int
+}
+
+// UncPos returns the position within UncertainCols of the schema column
+// at idx, or false when that column is deterministic.
+func (s *TableSpec) UncPos(idx int) (int, bool) { return uncPos(s.UncertainCols, idx) }
+
+func uncPos(uncertainCols []int, idx int) (int, bool) {
+	for k, c := range uncertainCols {
+		if c == idx {
+			return k, true
+		}
+	}
+	return 0, false
+}
+
+// outputRow assembles one realized row from the outer tuple and the VG
+// output (the spec's final SELECT).
+func (s *TableSpec) outputRow(outer engine.Row, vgOut []engine.Value) engine.Row {
+	if s.OutputRow != nil {
+		return s.OutputRow(outer, vgOut)
+	}
+	row := make(engine.Row, 0, len(outer)+len(vgOut))
+	row = append(row, outer...)
+	return append(row, vgOut...)
 }
 
 func (s *TableSpec) validate() error {
@@ -179,13 +211,7 @@ func (db *DB) realizeTuple(spec *TableSpec, outer engine.Row, r *rng.Stream) (en
 	if err != nil {
 		return nil, err
 	}
-	if spec.OutputRow != nil {
-		return spec.OutputRow(outer, vgOut), nil
-	}
-	row := make(engine.Row, 0, len(outer)+len(vgOut))
-	row = append(row, outer...)
-	row = append(row, vgOut...)
-	return row, nil
+	return spec.outputRow(outer, vgOut), nil
 }
 
 // Instantiate produces one complete database instance: a clone of the
@@ -220,18 +246,26 @@ type Query func(inst *engine.Database) (float64, error)
 
 // MonteCarlo runs the query over iters independent database instances,
 // re-instantiating and re-executing everything per iteration — the
-// naive strategy the tuple-bundle executor is measured against in
-// experiment E1. Iterations fan out over the parallel runtime: each
-// iteration draws from a substream split from seed in index order, so
-// the returned samples are bit-identical at any worker count (workers
-// ≤ 0 uses the context default). Cancellation of ctx aborts between
+// baseline the tuple-bundle executor is measured against in experiment
+// E1. Iterations fan out over the parallel runtime: each iteration
+// draws from a substream split from seed in index order, so the
+// returned samples are bit-identical at any worker count (workers ≤ 0
+// uses the context default). Cancellation of ctx aborts between
 // iterations with ctx.Err().
 func (db *DB) MonteCarlo(ctx context.Context, iters int, seed uint64, workers int, q Query) ([]float64, error) {
-	if iters <= 0 {
-		return nil, fmt.Errorf("mcdb: iters=%d", iters)
+	opts := ExecOptions{Iterations: iters, Seed: seed, Workers: workers}
+	if err := checkWindow(opts, 0, iters); err != nil {
+		return nil, err
 	}
-	out := make([]float64, iters)
-	err := parallel.ForStreams(ctx, rng.New(seed), iters, parallel.Options{Workers: workers},
+	return db.perInstance(ctx, opts, 0, iters, q)
+}
+
+// perInstance is the per-instance executor: for each iteration of the
+// window [lo, hi) of an opts.Iterations run, instantiate a database on
+// that iteration's substream and take one scalar from it.
+func (db *DB) perInstance(ctx context.Context, opts ExecOptions, lo, hi int, q Query) ([]float64, error) {
+	out := make([]float64, hi-lo)
+	err := parallel.ForStreamsRange(ctx, rng.New(opts.Seed), opts.Iterations, lo, hi, parallel.Options{Workers: opts.Workers},
 		func(i int, r *rng.Stream) error {
 			inst, err := db.Instantiate(r)
 			if err != nil {
@@ -241,7 +275,7 @@ func (db *DB) MonteCarlo(ctx context.Context, iters int, seed uint64, workers in
 			if err != nil {
 				return err
 			}
-			out[i] = v
+			out[i-lo] = v
 			return nil
 		})
 	if err != nil {

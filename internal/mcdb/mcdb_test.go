@@ -63,6 +63,23 @@ func sbpFixture(t *testing.T, nPatients int) *DB {
 	return db
 }
 
+// perInstanceTwin returns a database over db's base tables whose specs
+// are db's with UncertainCols cleared, so Session.Exec runs them per
+// instance — the reference executor, on the instantiations db itself
+// produces for a seed.
+func perInstanceTwin(t *testing.T, db *DB) *DB {
+	t.Helper()
+	twin := New(db.Base)
+	for _, sp := range db.specs {
+		c := *sp
+		c.UncertainCols = nil
+		if err := twin.AddSpec(&c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return twin
+}
+
 func TestInstantiateSBP(t *testing.T) {
 	db := sbpFixture(t, 10)
 	inst, err := db.Instantiate(rng.New(1))
@@ -213,6 +230,86 @@ func TestBundleRealize(t *testing.T) {
 	}
 	if _, err := bt.Realize(99); err == nil {
 		t.Fatal("out-of-range iteration accepted")
+	}
+}
+
+// detTypeFixture is a stochastic table whose VG also emits a
+// deterministic attribute: weight FLOAT, for which the VG returns vg's
+// first value, beside the uncertain val.
+func detTypeFixture(t *testing.T, first engine.Value) *DB {
+	t.Helper()
+	base := engine.NewDatabase()
+	items := engine.MustNewTable("items", engine.Schema{{Name: "id", Type: engine.TypeInt}})
+	for i := 0; i < 3; i++ {
+		items.MustInsert(engine.Int(int64(i)))
+	}
+	base.Put(items)
+	db := New(base)
+	if err := db.AddSpec(&TableSpec{
+		Name: "w",
+		Schema: engine.Schema{
+			{Name: "id", Type: engine.TypeInt},
+			{Name: "weight", Type: engine.TypeFloat},
+			{Name: "val", Type: engine.TypeFloat},
+		},
+		ForEach: "items",
+		VG: func(params engine.Row, r *rng.Stream) ([]engine.Value, error) {
+			return []engine.Value{first, engine.Float(r.Normal(0, 1))}, nil
+		},
+		UncertainCols: []int{2},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	return db
+}
+
+// TestDetAttributesConformToSchema: deterministic attributes are typed
+// by Insert's rule on both executors — an int widens into a FLOAT
+// column to the same Value, anything else is ErrTypeClash — so a
+// bundle's Det rows always realize.
+func TestDetAttributesConformToSchema(t *testing.T) {
+	ctx := context.Background()
+	db := detTypeFixture(t, engine.Int(2))
+	bundles, err := db.InstantiateBundledCtx(ctx, 4, 1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bt := bundles["w"]
+	inst, err := db.Instantiate(rng.New(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl, _ := inst.Get("w")
+	realized, err := bt.Realize(0)
+	if err != nil {
+		t.Fatalf("Realize over widened Det rows: %v", err)
+	}
+	for ti := range bt.Det {
+		want := engine.Float(2)
+		if bt.Det[ti][1] != want || tbl.Rows[ti][1] != want {
+			t.Fatalf("tuple %d weight: bundle %#v, instance %#v, want %#v", ti, bt.Det[ti][1], tbl.Rows[ti][1], want)
+		}
+		for _, c := range []int{0, 1} {
+			if realized.Rows[ti][c] != tbl.Rows[ti][c] {
+				t.Fatalf("tuple %d col %d: realized %#v, instance %#v", ti, c, realized.Rows[ti][c], tbl.Rows[ti][c])
+			}
+		}
+	}
+
+	bad := detTypeFixture(t, engine.Str("heavy"))
+	if _, err := bad.Instantiate(rng.New(1)); !errors.Is(err, engine.ErrTypeClash) {
+		t.Fatalf("Instantiate: got %v, want ErrTypeClash", err)
+	}
+	if _, err := bad.InstantiateBundledCtx(ctx, 4, 1, 0); !errors.Is(err, engine.ErrTypeClash) || !errors.Is(err, ErrBadSpec) {
+		t.Fatalf("InstantiateBundledCtx: got %v, want ErrTypeClash in ErrBadSpec", err)
+	}
+	// A delta's VG goes through the same check when tuples re-sample.
+	_, err = db.NewSession().ExecDelta(ctx, AggQuery{Table: "w", Col: "val", Fn: engine.AggSum},
+		ExecOptions{Iterations: 4, Seed: 1}, Delta{Table: "w", VG: func(engine.Row, *rng.Stream) ([]engine.Value, error) {
+			return []engine.Value{engine.Str("heavy"), engine.Float(0)}, nil
+		}})
+	if !errors.Is(err, engine.ErrTypeClash) || !errors.Is(err, ErrBadSpec) {
+		t.Fatalf("ExecDelta: got %v, want ErrTypeClash in ErrBadSpec", err)
 	}
 }
 
@@ -550,10 +647,10 @@ func TestSessionExecSQL(t *testing.T) {
 
 	// The declarative path answers the same question; the samples must
 	// match exactly (same seed → same instantiations → same rows).
-	agg, err := s.Exec(context.Background(), AggQuery{
+	agg, err := perInstanceTwin(t, db).NewSession().Exec(context.Background(), AggQuery{
 		Table: "sbp_data", Col: "sbp", Fn: engine.AggAvg,
 		WhereDet: func(r engine.Row) bool { return r[1].AsString() == "M" },
-	}, ExecOptions{Strategy: StrategyNaive, Iterations: 20, Seed: 5})
+	}, ExecOptions{Iterations: 20, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -42,41 +42,7 @@ const DefaultBundleCacheCap = 8
 // realistic statement working set resident.
 const DefaultPreparedCacheCap = 64
 
-// This file unifies the two MCDB execution strategies behind one entry
-// point. Historically callers chose between MonteCarlo (arbitrary
-// query closure, full re-instantiation per iteration) and
-// InstantiateBundled + BundleTable.Estimate (plan-once tuple bundles)
-// — two divergent call paths with different query representations. A
-// Session executes one declarative AggQuery under either strategy, so
-// strategy choice becomes a knob rather than a rewrite.
-
-// Strategy selects how a Session executes a query.
-type Strategy int
-
-// Execution strategies.
-const (
-	// StrategyAuto bundles when the target spec declares uncertain
-	// columns (the fast path) and falls back to naive otherwise.
-	StrategyAuto Strategy = iota
-	// StrategyNaive re-instantiates the database per iteration.
-	StrategyNaive
-	// StrategyBundle executes the plan once over tuple bundles.
-	StrategyBundle
-)
-
-func (s Strategy) String() string {
-	switch s {
-	case StrategyAuto:
-		return "auto"
-	case StrategyNaive:
-		return "naive"
-	case StrategyBundle:
-		return "bundle"
-	}
-	return fmt.Sprintf("Strategy(%d)", int(s))
-}
-
-// AggQuery is the declarative query form both strategies execute:
+// AggQuery is the declarative query form both executors run:
 //
 //	SELECT Fn(Col) FROM Table
 //	WHERE WhereDet(deterministic attrs) AND WhereUnc(uncertain attrs)
@@ -86,7 +52,8 @@ func (s Strategy) String() string {
 // deterministic columns (on the bundle path the uncertain positions of
 // its row argument hold zero Values); WhereUnc receives the tuple's
 // uncertain values at the current iteration, ordered as the spec's
-// UncertainCols. Supported aggregates: COUNT, SUM, AVG.
+// UncertainCols — none, for a spec that declares none, whose realized
+// rows WhereDet sees whole. Supported aggregates: COUNT, SUM, AVG.
 type AggQuery struct {
 	Table    string
 	Col      string
@@ -97,7 +64,6 @@ type AggQuery struct {
 
 // ExecOptions configure one Session.Exec call.
 type ExecOptions struct {
-	Strategy   Strategy
 	Iterations int
 	// Workers bounds fan-out; zero uses the context default.
 	Workers int
@@ -146,17 +112,17 @@ func (db *DB) NewSessionCache(capacity int) *Session {
 	}
 }
 
-// Exec runs q for opts.Iterations Monte Carlo iterations under the
-// selected strategy and returns the per-iteration samples. Results for
-// a given (strategy, iterations, seed) are bit-identical at any worker
-// count; ctx cancellation aborts mid-run with ctx.Err().
+// Exec runs q for opts.Iterations Monte Carlo iterations and returns
+// the per-iteration samples: over tuple bundles when q.Table's spec
+// declares UncertainCols, per instantiated database when it declares
+// none. Results for a given (iterations, seed) are bit-identical at any
+// worker count; ctx cancellation aborts mid-run with ctx.Err().
 //
 // Aggregate semantics over an empty per-iteration selection (every
 // tuple filtered out at that iteration): COUNT and SUM are 0, and AVG
-// is defined as 0 as well — not NaN — so samples stay finite and the
-// naive and bundle strategies agree bit-for-bit. See
-// BundleTable.Estimate for the bundle-side statement of the same
-// convention.
+// is defined as 0 as well — not NaN — so samples stay finite, on both
+// executors. See BundleTable.Estimate for the bundle-side statement of
+// the same convention.
 func (s *Session) Exec(ctx context.Context, q AggQuery, opts ExecOptions) ([]float64, error) {
 	return s.ExecRange(ctx, q, opts, 0, opts.Iterations)
 }
@@ -167,149 +133,159 @@ func (s *Session) Exec(ctx context.Context, q AggQuery, opts ExecOptions) ([]flo
 // [0, Iterations) into disjoint contiguous windows and concatenate
 // their outputs in index order reproduce the single-node Exec
 // bit-identically, because iteration i draws from substream i of the
-// same seed regardless of which shard runs it. On the bundle strategy
-// the realization covers all Iterations (bundles are per-tuple, not
+// same seed regardless of which shard runs it. On bundles the
+// realization covers all Iterations (bundles are per-tuple, not
 // per-iteration) and the window selects from the estimated vector;
 // the session cache amortizes that realization across a shard's
 // queries.
 func (s *Session) ExecRange(ctx context.Context, q AggQuery, opts ExecOptions, lo, hi int) ([]float64, error) {
-	if opts.Iterations <= 0 {
-		return nil, fmt.Errorf("mcdb: iters=%d", opts.Iterations)
-	}
-	if lo < 0 || hi > opts.Iterations || lo > hi {
-		return nil, fmt.Errorf("mcdb: window [%d, %d) outside [0, %d)", lo, hi, opts.Iterations)
-	}
-	spec, err := s.db.Spec(q.Table)
+	spec, colIdx, err := s.db.checkQuery(q, opts, lo, hi, false)
 	if err != nil {
 		return nil, err
 	}
-	switch q.Fn {
-	case engine.AggCount, engine.AggSum, engine.AggAvg:
-	default:
-		return nil, fmt.Errorf("mcdb: aggregate %v not supported by Exec", q.Fn)
-	}
-	strategy := opts.Strategy
-	if strategy == StrategyAuto {
-		if len(spec.UncertainCols) > 0 {
-			strategy = StrategyBundle
-		} else {
-			strategy = StrategyNaive
-		}
-	}
 	ctx, span := obs.Start(ctx, "mcdb.exec")
 	span.SetAttr("table", q.Table)
-	span.SetAttr("strategy", strategy.String())
 	span.SetInt("iterations", int64(opts.Iterations))
 	span.SetInt("lo", int64(lo))
 	span.SetInt("hi", int64(hi))
 	defer span.End()
-	switch strategy {
-	case StrategyBundle:
-		return s.execBundle(ctx, spec, q, opts, lo, hi)
-	case StrategyNaive:
-		return s.execNaive(ctx, spec, q, opts, lo, hi)
-	default:
-		return nil, fmt.Errorf("mcdb: unknown strategy %v", opts.Strategy)
+	if len(spec.UncertainCols) == 0 {
+		return s.db.perInstance(ctx, opts, lo, hi, instanceAgg(q, colIdx))
 	}
-}
-
-// bundlesFor returns (realizing on demand) the cached bundle tables for
-// one (iterations, seed) configuration.
-func (s *Session) bundlesFor(ctx context.Context, opts ExecOptions) (map[string]*BundleTable, error) {
-	key := bundleKey{iters: opts.Iterations, seed: opts.Seed}
-	reg := parallel.StatsFrom(ctx).Registry()
-	if cached, ok := s.bundles.Get(key); ok {
-		reg.Counter(MetricRealizeCacheHits).Add(1)
-		return cached, nil
-	}
-	reg.Counter(MetricRealizeCacheMisses).Add(1)
-	bundles, err := s.db.InstantiateBundledCtx(ctx, opts.Iterations, opts.Seed, opts.Workers)
+	bt, err := s.bundleFor(ctx, opts, q.Table)
 	if err != nil {
 		return nil, err
 	}
-	// A racing realization of the same key produced identical bundles
-	// (same seed, deterministic runtime), so either copy may win.
-	actual, _, evicted := s.bundles.GetOrAdd(key, bundles)
-	if evicted > 0 {
-		reg.Counter(MetricRealizeCacheEvictions).Add(int64(evicted))
-	}
-	return actual, nil
+	return bundleSamples(bt, q, []iterRun{{0, bt.Iters}}, lo, hi)
 }
 
-func (s *Session) execBundle(ctx context.Context, spec *TableSpec, q AggQuery, opts ExecOptions, lo, hi int) ([]float64, error) {
-	bundles, err := s.bundlesFor(ctx, opts)
+// checkWindow validates the run shape every entry point shares: a
+// positive iteration count and a window inside [0, Iterations).
+func checkWindow(opts ExecOptions, lo, hi int) error {
+	if opts.Iterations <= 0 {
+		return fmt.Errorf("%w: iters=%d", ErrBadQuery, opts.Iterations)
+	}
+	if lo < 0 || hi > opts.Iterations || lo > hi {
+		return fmt.Errorf("%w: window [%d, %d) outside [0, %d)", ErrBadQuery, lo, hi, opts.Iterations)
+	}
+	return nil
+}
+
+// checkQuery is the preamble of every AggQuery entry point: run shape,
+// aggregate, spec, and a column the spec's executor can aggregate — an
+// uncertain one on bundles, a numeric one per instance. bundled marks
+// an entry point that exists only on bundles (delta, lineage). It
+// returns the spec and the column's schema index.
+func (db *DB) checkQuery(q AggQuery, opts ExecOptions, lo, hi int, bundled bool) (*TableSpec, int, error) {
+	if err := checkWindow(opts, lo, hi); err != nil {
+		return nil, 0, err
+	}
+	if q.Fn != engine.AggCount && q.Fn != engine.AggSum && q.Fn != engine.AggAvg {
+		return nil, 0, fmt.Errorf("%w: aggregate %v not supported", ErrBadQuery, q.Fn)
+	}
+	spec, err := db.Spec(q.Table)
 	if err != nil {
-		return nil, err
+		return nil, 0, err
 	}
-	bt, ok := bundles[q.Table]
-	if !ok {
-		return nil, fmt.Errorf("%w: %q", ErrNoSpec, q.Table)
+	idx, err := spec.Schema.ColIndex(q.Col)
+	if err != nil {
+		return nil, 0, fmt.Errorf("%w: %w", ErrBadQuery, err)
 	}
+	if len(spec.UncertainCols) == 0 {
+		if bundled {
+			return nil, 0, fmt.Errorf("%w: %q declares no UncertainCols, so it has no bundles", ErrBadQuery, q.Table)
+		}
+		if t := spec.Schema[idx].Type; t != engine.TypeInt && t != engine.TypeFloat {
+			return nil, 0, fmt.Errorf("%w: column %q of %q is %s, aggregates require numeric", ErrBadQuery, q.Col, q.Table, t)
+		}
+	} else if _, ok := spec.UncPos(idx); !ok {
+		return nil, 0, fmt.Errorf("%w: column %q is not uncertain in %q", ErrBadQuery, q.Col, q.Table)
+	}
+	return spec, idx, nil
+}
+
+// bundleSamples is the bundle query pipeline: select on deterministic
+// attributes once, aggregate the iterations in runs, and cut the window
+// [lo, hi) from the result.
+func bundleSamples(bt *BundleTable, q AggQuery, runs []iterRun, lo, hi int) ([]float64, error) {
 	if q.WhereDet != nil {
 		bt = bt.FilterDet(q.WhereDet)
 	}
-	full, err := bt.Estimate(q.Col, q.Fn, q.WhereUnc)
+	full, err := bt.estimate(q.Col, q.Fn, q.WhereUnc, runs)
 	if err != nil {
 		return nil, err
 	}
-	if lo == 0 && hi == len(full) {
-		return full, nil
-	}
-	return append([]float64(nil), full[lo:hi]...), nil
+	return window(full, lo, hi), nil
 }
 
-func (s *Session) execNaive(ctx context.Context, spec *TableSpec, q AggQuery, opts ExecOptions, lo, hi int) ([]float64, error) {
-	colIdx, err := spec.Schema.ColIndex(q.Col)
-	if err != nil {
-		return nil, err
+// window slices the full sample vector to [lo, hi), avoiding a copy
+// when the window covers everything.
+func window(full []float64, lo, hi int) []float64 {
+	if lo == 0 && hi == len(full) {
+		return full
 	}
-	out := make([]float64, hi-lo)
-	err = parallel.ForStreamsRange(ctx, rng.New(opts.Seed), opts.Iterations, lo, hi, parallel.Options{Workers: opts.Workers},
-		func(i int, r *rng.Stream) error {
-			inst, err := s.db.Instantiate(r)
-			if err != nil {
-				return err
+	return append([]float64(nil), full[lo:hi]...)
+}
+
+// instanceAgg is q as a scalar over one instantiated database — how a
+// spec with no UncertainCols is aggregated. colIdx is q.Col's schema
+// index.
+func instanceAgg(q AggQuery, colIdx int) Query {
+	return func(inst *engine.Database) (float64, error) {
+		tbl, err := inst.Get(q.Table)
+		if err != nil {
+			return 0, err
+		}
+		var sum, count float64
+		for _, row := range tbl.Rows {
+			if q.WhereDet != nil && !q.WhereDet(row) {
+				continue
 			}
-			tbl, err := inst.Get(q.Table)
-			if err != nil {
-				return err
+			if q.WhereUnc != nil && !q.WhereUnc(row, nil) {
+				continue
 			}
-			var sum float64
-			var count int
-			uncBuf := make([]float64, len(spec.UncertainCols))
-			for _, row := range tbl.Rows {
-				if q.WhereDet != nil && !q.WhereDet(row) {
-					continue
-				}
-				if q.WhereUnc != nil {
-					for k, c := range spec.UncertainCols {
-						uncBuf[k] = row[c].AsFloat()
-					}
-					if !q.WhereUnc(row, uncBuf) {
-						continue
-					}
-				}
-				sum += row[colIdx].AsFloat()
-				count++
-			}
-			switch q.Fn {
-			case engine.AggCount:
-				out[i-lo] = float64(count)
-			case engine.AggSum:
-				out[i-lo] = sum
-			case engine.AggAvg:
-				// Empty selection: AVG is 0 by convention (matches the
-				// bundle path in BundleTable.Estimate; see Exec).
-				if count > 0 {
-					out[i-lo] = sum / float64(count)
-				}
-			}
-			return nil
-		})
-	if err != nil {
-		return nil, err
+			sum += row[colIdx].AsFloat()
+			count++
+		}
+		switch {
+		case q.Fn == engine.AggCount:
+			return count, nil
+		case q.Fn == engine.AggAvg && count > 0:
+			return sum / count, nil
+		}
+		// SUM — or AVG of an empty selection, whose untouched zero sum is
+		// the convention's 0 (see Exec).
+		return sum, nil
 	}
-	return out, nil
+}
+
+// bundleFor returns the named table of the bundle realization for one
+// (iterations, seed) pair, realizing every table on a cache miss.
+func (s *Session) bundleFor(ctx context.Context, opts ExecOptions, table string) (*BundleTable, error) {
+	key := bundleKey{iters: opts.Iterations, seed: opts.Seed}
+	reg := parallel.StatsFrom(ctx).Registry()
+	bundles, ok := s.bundles.Get(key)
+	if ok {
+		reg.Counter(MetricRealizeCacheHits).Add(1)
+	} else {
+		reg.Counter(MetricRealizeCacheMisses).Add(1)
+		fresh, err := s.db.InstantiateBundledCtx(ctx, opts.Iterations, opts.Seed, opts.Workers)
+		if err != nil {
+			return nil, err
+		}
+		// A racing realization of the same key produced identical bundles
+		// (same seed, deterministic runtime), so either copy may win.
+		var evicted int
+		bundles, _, evicted = s.bundles.GetOrAdd(key, fresh)
+		if evicted > 0 {
+			reg.Counter(MetricRealizeCacheEvictions).Add(int64(evicted))
+		}
+	}
+	bt, ok := bundles[table]
+	if !ok {
+		return nil, fmt.Errorf("%w: %q", ErrNoSpec, table)
+	}
+	return bt, nil
 }
 
 // --- SQL over Monte Carlo instantiations ---
@@ -344,7 +320,6 @@ func (s *Session) Prepared(sql string) (*engine.Prepared, error) {
 // iterations — each against a fresh instantiation of the database —
 // and returns the per-iteration samples. Like Exec, results for a
 // given (iterations, seed) are bit-identical at any worker count.
-// opts.Strategy is ignored: SQL always runs on full instantiations.
 func (s *Session) ExecSQL(ctx context.Context, sql string, opts ExecOptions) ([]float64, error) {
 	return s.ExecSQLRange(ctx, sql, opts, 0, opts.Iterations)
 }
@@ -354,11 +329,8 @@ func (s *Session) ExecSQL(ctx context.Context, sql string, opts ExecOptions) ([]
 // samples — the SQL analogue of ExecRange, with the same
 // shard-and-concatenate bit-identity guarantee.
 func (s *Session) ExecSQLRange(ctx context.Context, sql string, opts ExecOptions, lo, hi int) ([]float64, error) {
-	if opts.Iterations <= 0 {
-		return nil, fmt.Errorf("mcdb: iters=%d", opts.Iterations)
-	}
-	if lo < 0 || hi > opts.Iterations || lo > hi {
-		return nil, fmt.Errorf("mcdb: window [%d, %d) outside [0, %d)", lo, hi, opts.Iterations)
+	if err := checkWindow(opts, lo, hi); err != nil {
+		return nil, err
 	}
 	p, err := s.Prepared(sql)
 	if err != nil {
@@ -370,24 +342,7 @@ func (s *Session) ExecSQLRange(ctx context.Context, sql string, opts ExecOptions
 	span.SetInt("lo", int64(lo))
 	span.SetInt("hi", int64(hi))
 	defer span.End()
-	out := make([]float64, hi-lo)
-	err = parallel.ForStreamsRange(ctx, rng.New(opts.Seed), opts.Iterations, lo, hi, parallel.Options{Workers: opts.Workers},
-		func(i int, r *rng.Stream) error {
-			inst, err := s.db.Instantiate(r)
-			if err != nil {
-				return err
-			}
-			v, err := p.Scalar(inst)
-			if err != nil {
-				return err
-			}
-			out[i-lo] = v
-			return nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	return s.db.perInstance(ctx, opts, lo, hi, p.Scalar)
 }
 
 // ExplainSQL renders the plan ExecSQL would run, in both text and JSON

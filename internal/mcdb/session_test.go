@@ -2,6 +2,7 @@ package mcdb
 
 import (
 	"context"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -9,6 +10,7 @@ import (
 
 	"modeldata/internal/engine"
 	"modeldata/internal/parallel"
+	"modeldata/internal/rng"
 )
 
 // TestBundleCacheBoundedUnderSeedChurn is the long-running-server
@@ -24,7 +26,7 @@ func TestBundleCacheBoundedUnderSeedChurn(t *testing.T) {
 
 	const churn = 40
 	for seed := uint64(0); seed < churn; seed++ {
-		if _, err := s.Exec(ctx, q, ExecOptions{Strategy: StrategyBundle, Iterations: 5, Seed: seed}); err != nil {
+		if _, err := s.Exec(ctx, q, ExecOptions{Iterations: 5, Seed: seed}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -40,7 +42,7 @@ func TestBundleCacheBoundedUnderSeedChurn(t *testing.T) {
 	}
 
 	// Recently used seeds still hit; evicted ones re-realize.
-	if _, err := s.Exec(ctx, q, ExecOptions{Strategy: StrategyBundle, Iterations: 5, Seed: churn - 1}); err != nil {
+	if _, err := s.Exec(ctx, q, ExecOptions{Iterations: 5, Seed: churn - 1}); err != nil {
 		t.Fatal(err)
 	}
 	if hits := reg.Counter(MetricRealizeCacheHits).Value(); hits != 1 {
@@ -50,7 +52,7 @@ func TestBundleCacheBoundedUnderSeedChurn(t *testing.T) {
 	// A tiny explicit capacity is honored too.
 	s2 := db.NewSessionCache(2)
 	for seed := uint64(0); seed < 10; seed++ {
-		if _, err := s2.Exec(ctx, q, ExecOptions{Strategy: StrategyBundle, Iterations: 5, Seed: seed}); err != nil {
+		if _, err := s2.Exec(ctx, q, ExecOptions{Iterations: 5, Seed: seed}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -59,102 +61,169 @@ func TestBundleCacheBoundedUnderSeedChurn(t *testing.T) {
 	}
 }
 
-// TestAvgEmptySelectionRowVsBundle pins the empty-selection AVG
-// convention (0, not NaN) and that both strategies agree bit-for-bit
-// over a predicate that empties out some iterations entirely.
-func TestAvgEmptySelectionRowVsBundle(t *testing.T) {
-	db := sbpFixture(t, 4)
-	s := db.NewSession()
-	// SBP draws are N(120, 15); a 165 mmHg floor leaves most
-	// iterations with zero qualifying tuples out of only 4 patients.
-	pred := func(det engine.Row, unc []float64) bool { return unc[0] > 165 }
-	opts := ExecOptions{Iterations: 60, Seed: 11}
+// sameBits reports bitwise equality of two samples, all NaN payloads
+// counting as one class.
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
+}
 
-	for _, fn := range []engine.AggFunc{engine.AggAvg, engine.AggSum, engine.AggCount} {
-		q := AggQuery{Table: "sbp_data", Col: "sbp", Fn: fn, WhereUnc: pred}
-		opts.Strategy = StrategyBundle
-		bundle, err := s.Exec(context.Background(), q, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		opts.Strategy = StrategyNaive
-		naive, err := s.Exec(context.Background(), q, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		empties := 0
-		for i := range bundle {
-			if bundle[i] != naive[i] {
-				t.Fatalf("%v iter %d: bundle %v != naive %v", fn, i, bundle[i], naive[i])
+// TestExecEquivalenceTable is the one table over Session.Exec's
+// configuration axes: {a spec with UncertainCols, its twin without} ×
+// {workers 1, 2, 8} × {one window, three windows concatenated} ×
+// {COUNT, SUM, AVG} × {no predicate, one that empties some iterations,
+// one that empties all}. Per spec every cell holds identical bytes; the
+// two executors draw different realizations but must agree on the
+// empty-selection convention: COUNT = SUM = AVG = 0, never NaN.
+func TestExecEquivalenceTable(t *testing.T) {
+	const iters = 60
+	windows := [][2]int{{0, 19}, {19, 37}, {37, iters}}
+	ctx := context.Background()
+	bundled := sbpFixture(t, 4)
+	specs := []struct {
+		name string
+		db   *DB
+		// where renders "sbp > cut" in the form the spec's executor reads
+		// it: per iteration on bundles, on the realized row per instance.
+		where func(q *AggQuery, cut float64)
+	}{
+		{"bundled", bundled, func(q *AggQuery, cut float64) {
+			q.WhereUnc = func(det engine.Row, unc []float64) bool { return unc[0] > cut }
+		}},
+		{"per-instance", perInstanceTwin(t, bundled), func(q *AggQuery, cut float64) {
+			q.WhereDet = func(row engine.Row) bool { return row[2].AsFloat() > cut }
+		}},
+	}
+	// SBP draws are N(120, 15): a 140 mmHg floor leaves about two
+	// iterations in three with no qualifying tuple out of 4 patients,
+	// 1e12 leaves all.
+	cuts := []struct {
+		name               string
+		cut                float64
+		minEmpty, maxEmpty int
+	}{{"all", math.Inf(-1), 0, 0}, {"some-empty", 140, 1, iters - 1}, {"all-empty", 1e12, iters, iters}}
+
+	for _, sp := range specs {
+		for _, c := range cuts {
+			byFn := map[engine.AggFunc][]float64{}
+			for _, fn := range []engine.AggFunc{engine.AggCount, engine.AggSum, engine.AggAvg} {
+				q := AggQuery{Table: "sbp_data", Col: "sbp", Fn: fn}
+				sp.where(&q, c.cut)
+				for _, workers := range []int{1, 2, 8} {
+					s := sp.db.NewSession() // fresh: no realization cached from another worker count
+					opts := ExecOptions{Iterations: iters, Seed: 11, Workers: workers}
+					full, err := s.Exec(ctx, q, opts)
+					if err != nil {
+						t.Fatalf("%s/%s/%v workers=%d: %v", sp.name, c.name, fn, workers, err)
+					}
+					var parts []float64
+					for _, w := range windows {
+						p, err := s.ExecRange(ctx, q, opts, w[0], w[1])
+						if err != nil {
+							t.Fatalf("%s/%s/%v window %v: %v", sp.name, c.name, fn, w, err)
+						}
+						parts = append(parts, p...)
+					}
+					if byFn[fn] == nil {
+						byFn[fn] = full
+					}
+					if len(full) != iters || len(parts) != iters {
+						t.Fatalf("%s/%s/%v: %d and %d samples, want %d", sp.name, c.name, fn, len(full), len(parts), iters)
+					}
+					for i, want := range byFn[fn] {
+						if !sameBits(full[i], want) || !sameBits(parts[i], want) {
+							t.Fatalf("%s/%s/%v workers=%d iter %d: full %v, windows %v, want %v",
+								sp.name, c.name, fn, workers, i, full[i], parts[i], want)
+						}
+					}
+				}
 			}
-			if bundle[i] != bundle[i] { // NaN check
-				t.Fatalf("%v iter %d: NaN leaked into samples", fn, i)
+			empties := 0
+			for i, n := range byFn[engine.AggCount] {
+				sum, avg := byFn[engine.AggSum][i], byFn[engine.AggAvg][i]
+				if sum != sum || avg != avg {
+					t.Fatalf("%s/%s iter %d: NaN leaked into samples", sp.name, c.name, i)
+				}
+				if n == 0 {
+					empties++
+					if math.Float64bits(sum) != 0 || math.Float64bits(avg) != 0 {
+						t.Fatalf("%s/%s iter %d: empty selection gave SUM %v AVG %v, want 0", sp.name, c.name, i, sum, avg)
+					}
+				}
 			}
-			if bundle[i] == 0 {
-				empties++
+			if empties < c.minEmpty || empties > c.maxEmpty {
+				t.Fatalf("%s/%s: %d of %d iterations empty, want %d to %d; the cut exercises nothing",
+					sp.name, c.name, empties, iters, c.minEmpty, c.maxEmpty)
 			}
 		}
-		if fn == engine.AggAvg && empties == 0 {
-			t.Fatal("predicate never emptied an iteration; test exercises nothing")
+	}
+}
+
+// TestEstimateRunsMatchFull is the property the shared kernel rests
+// on: restricted to any set of iterations, it yields at each of them
+// bitwise what the full estimate holds there.
+func TestEstimateRunsMatchFull(t *testing.T) {
+	const iters = 64
+	bundles, err := sbpFixture(t, 9).InstantiateBundled(iters, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bt := bundles["sbp_data"]
+	preds := []UncPredicate{nil, func(det engine.Row, unc []float64) bool { return unc[0] > 135 }}
+	gen := rng.New(0xD127)
+	for trial := 0; trial < 30; trial++ {
+		density := float64(trial%6) / 5 // 0 (none dirty) … 1 (all dirty)
+		flags := make([]bool, iters)
+		for it := range flags {
+			flags[it] = gen.Float64() < density
+		}
+		for _, fn := range []engine.AggFunc{engine.AggCount, engine.AggSum, engine.AggAvg} {
+			for pi, pred := range preds {
+				full, err := bt.Estimate("sbp", fn, pred)
+				if err != nil {
+					t.Fatal(err)
+				}
+				part, err := bt.estimate("sbp", fn, pred, runsOf(flags))
+				if err != nil {
+					t.Fatal(err)
+				}
+				for it, dirty := range flags {
+					if dirty && !sameBits(part[it], full[it]) {
+						t.Fatalf("trial %d %v pred %d iter %d: restricted %v, full %v", trial, fn, pi, it, part[it], full[it])
+					}
+				}
+			}
 		}
 	}
 }
 
 // TestExecRangeShardsBitIdentical checks the serving-layer shard
 // invariant at the session level: disjoint iteration windows
-// concatenated in index order equal the full run, for the naive,
-// bundle, and SQL paths.
+// concatenated in index order equal the full run, on the SQL path
+// (TestExecEquivalenceTable holds the same for aggregates, on both
+// executors).
 func TestExecRangeShardsBitIdentical(t *testing.T) {
-	db := sbpFixture(t, 8)
-	s := db.NewSession()
-	const iters = 30
-	windows := [][2]int{{0, 9}, {9, 17}, {17, 30}}
-
-	check := func(name string, full []float64, part func(lo, hi int) ([]float64, error)) {
-		t.Helper()
-		if len(full) != iters {
-			t.Fatalf("%s: full run returned %d samples", name, len(full))
-		}
-		got := make([]float64, 0, iters)
-		for _, w := range windows {
-			p, err := part(w[0], w[1])
-			if err != nil {
-				t.Fatalf("%s window %v: %v", name, w, err)
-			}
-			if len(p) != w[1]-w[0] {
-				t.Fatalf("%s window %v: %d samples", name, w, len(p))
-			}
-			got = append(got, p...)
-		}
-		for i := range full {
-			if got[i] != full[i] {
-				t.Fatalf("%s iter %d: sharded %v != full %v", name, i, got[i], full[i])
-			}
-		}
-	}
-
+	s := sbpFixture(t, 8).NewSession()
 	ctx := context.Background()
-	for _, strat := range []Strategy{StrategyNaive, StrategyBundle} {
-		q := AggQuery{Table: "sbp_data", Col: "sbp", Fn: engine.AggAvg}
-		opts := ExecOptions{Strategy: strat, Iterations: iters, Seed: 3, Workers: 4}
-		full, err := s.Exec(ctx, q, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		check(strat.String(), full, func(lo, hi int) ([]float64, error) {
-			return s.ExecRange(ctx, q, opts, lo, hi)
-		})
-	}
-
+	const iters = 30
 	const sql = "SELECT AVG(sbp) FROM sbp_data"
 	opts := ExecOptions{Iterations: iters, Seed: 3, Workers: 4}
 	full, err := s.ExecSQL(ctx, sql, opts)
-	if err != nil {
-		t.Fatal(err)
+	if err != nil || len(full) != iters {
+		t.Fatalf("full run: %d samples, err %v", len(full), err)
 	}
-	check("sql", full, func(lo, hi int) ([]float64, error) {
-		return s.ExecSQLRange(ctx, sql, opts, lo, hi)
-	})
+	var got []float64
+	for _, w := range [][2]int{{0, 9}, {9, 17}, {17, 30}} {
+		p, err := s.ExecSQLRange(ctx, sql, opts, w[0], w[1])
+		if err != nil || len(p) != w[1]-w[0] {
+			t.Fatalf("window %v: %d samples, err %v", w, len(p), err)
+		}
+		got = append(got, p...)
+	}
+	for i := range full {
+		if got[i] != full[i] {
+			t.Fatalf("iter %d: sharded %v != full %v", i, got[i], full[i])
+		}
+	}
 
 	if _, err := s.ExecRange(ctx, AggQuery{Table: "sbp_data", Col: "sbp", Fn: engine.AggAvg},
 		ExecOptions{Iterations: iters, Seed: 3}, 5, 40); err == nil {
@@ -197,7 +266,9 @@ func TestExplainSQLCachedInstantiation(t *testing.T) {
 
 // TestSessionConcurrentHammer drives one Session from many goroutines
 // mixing every public entry point under -race, asserting each caller
-// sees samples bit-identical to a serial reference run.
+// sees samples bit-identical to a serial reference run. ExecSQL is the
+// per-instance executor's entry here; its aggregate form runs the same
+// loop.
 func TestSessionConcurrentHammer(t *testing.T) {
 	db := sbpFixture(t, 6)
 	ref := db.NewSession()
@@ -209,22 +280,14 @@ func TestSessionConcurrentHammer(t *testing.T) {
 
 	seeds := []uint64{1, 2, 3}
 	wantBundle := make(map[uint64][]float64)
-	wantNaive := make(map[uint64][]float64)
 	wantSQL := make(map[uint64][]float64)
 	for _, seed := range seeds {
 		opts := ExecOptions{Iterations: 12, Seed: seed, Workers: 1}
-		opts.Strategy = StrategyBundle
 		b, err := ref.Exec(ctx, aggQ, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		wantBundle[seed] = b
-		opts.Strategy = StrategyNaive
-		nv, err := ref.Exec(ctx, aggQ, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wantNaive[seed] = nv
 		sq, err := ref.ExecSQL(ctx, sql, ExecOptions{Iterations: 12, Seed: seed, Workers: 1})
 		if err != nil {
 			t.Fatal(err)
@@ -246,9 +309,8 @@ func TestSessionConcurrentHammer(t *testing.T) {
 			for round := 0; round < 4; round++ {
 				seed := seeds[(g+round)%len(seeds)]
 				opts := ExecOptions{Iterations: 12, Seed: seed, Workers: 2}
-				switch (g + round) % 4 {
+				switch g % 3 {
 				case 0:
-					opts.Strategy = StrategyBundle
 					got, err := s.Exec(ctx, aggQ, opts)
 					if err != nil {
 						errc <- err
@@ -261,19 +323,6 @@ func TestSessionConcurrentHammer(t *testing.T) {
 						}
 					}
 				case 1:
-					opts.Strategy = StrategyNaive
-					got, err := s.Exec(ctx, aggQ, opts)
-					if err != nil {
-						errc <- err
-						return
-					}
-					for i := range got {
-						if got[i] != wantNaive[seed][i] {
-							t.Errorf("goroutine %d: naive seed %d iter %d: %v != %v", g, seed, i, got[i], wantNaive[seed][i])
-							return
-						}
-					}
-				case 2:
 					got, err := s.ExecSQL(ctx, sql, ExecOptions{Iterations: 12, Seed: seed, Workers: 2})
 					if err != nil {
 						errc <- err
@@ -285,7 +334,7 @@ func TestSessionConcurrentHammer(t *testing.T) {
 							return
 						}
 					}
-				case 3:
+				case 2:
 					if _, err := s.Prepared(sql); err != nil {
 						errc <- err
 						return

@@ -116,10 +116,13 @@ func writeBody(w http.ResponseWriter, body string) {
 	}
 }
 
-// decodeJSON decodes a bounded JSON body into v.
+// decodeJSON decodes a bounded JSON body into v. A field v does not
+// declare is an error, so a misspelt or retired option is refused
+// rather than silently answered with defaults.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
-	body := http.MaxBytesReader(w, r.Body, maxBodyBytes)
-	if err := json.NewDecoder(body).Decode(v); err != nil {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
 		return badRequestf("request body: %v", err)
 	}
 	return nil

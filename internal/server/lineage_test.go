@@ -207,17 +207,51 @@ func TestWhatIfCacheKeySeparation(t *testing.T) {
 
 // TestLineageWhatIfValidation: the combinations the surface rejects.
 func TestLineageWhatIfValidation(t *testing.T) {
-	_, ts := newTestServer(t, Config{BaseSeed: 1})
+	s, ts := newTestServer(t, Config{BaseSeed: 1})
+	// Tenant "flat" serves the fixture with UncertainCols cleared: it
+	// answers per instance, and has no bundles to take lineage or a
+	// what-if from.
+	db, err := experiments.SBPDatabase(fixturePatients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := db.Spec("sbp_data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	flatSpec := *spec
+	flatSpec.UncertainCols = nil
+	flat := mcdb.New(db.Base)
+	if err := flat.AddSpec(&flatSpec); err != nil {
+		t.Fatal(err)
+	}
+	s.AddTenant("flat", flat)
+	plain := QueryRequest{Tenant: "flat", Table: "sbp_data", Col: "sbp", Fn: "avg", Iterations: 5, Seed: 2}
+	resp, _ := post[QueryResponse](t, ts.URL+"/v1/query", plain)
+	if resp == nil {
+		t.Fatal("plain query on the flat tenant failed")
+	}
+	want, err := flat.NewSession().Exec(context.Background(),
+		mcdb.AggQuery{Table: "sbp_data", Col: "sbp", Fn: engine.AggAvg},
+		mcdb.ExecOptions{Iterations: 5, Seed: resp.EffectiveSeed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if resp.Samples[i] != want[i] {
+			t.Fatalf("flat tenant iter %d: server %v, direct session %v", i, resp.Samples[i], want[i])
+		}
+	}
+
 	cases := []QueryRequest{
 		// lineage + whatif
 		{Tenant: "acme", Table: "sbp_data", Col: "sbp", Fn: "avg", Iterations: 5,
 			Lineage: true, WhatIf: &WhatIf{Col: "sbp", Shift: 1}},
-		// lineage under the naive strategy
-		{Tenant: "acme", Table: "sbp_data", Col: "sbp", Fn: "avg", Iterations: 5,
-			Strategy: "naive", Lineage: true},
-		// whatif under the naive strategy
-		{Tenant: "acme", Table: "sbp_data", Col: "sbp", Fn: "avg", Iterations: 5,
-			Strategy: "naive", WhatIf: &WhatIf{Col: "sbp", Shift: 1}},
+		// lineage on a table with no uncertain columns (tenant "flat")
+		{Tenant: "flat", Table: "sbp_data", Col: "sbp", Fn: "avg", Iterations: 5, Lineage: true},
+		// whatif on the same
+		{Tenant: "flat", Table: "sbp_data", Col: "sbp", Fn: "avg", Iterations: 5,
+			WhatIf: &WhatIf{Col: "sbp", Shift: 1}},
 		// whatif on a deterministic column
 		{Tenant: "acme", Table: "sbp_data", Col: "sbp", Fn: "avg", Iterations: 5,
 			WhatIf: &WhatIf{Col: "gender", Shift: 1}},

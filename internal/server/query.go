@@ -10,6 +10,7 @@ package server
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -44,16 +45,15 @@ type QueryRequest struct {
 	Seed       uint64      `json:"seed"`
 	// Workers is the per-query worker budget (clamped to the server's
 	// MaxWorkers and divided across shards); 0 asks for the maximum.
-	Workers  int    `json:"workers,omitempty"`
-	Strategy string `json:"strategy,omitempty"` // auto, naive, bundle
+	Workers int `json:"workers,omitempty"`
 	// Offset/Limit page through the sample vector; Limit 0 means one
 	// full page (the server's PageSize).
 	Offset int `json:"offset,omitempty"`
 	Limit  int `json:"limit,omitempty"`
 	// Lineage asks for per-iteration why-provenance: for every Monte
 	// Carlo iteration, the indexes of the stochastic-table tuples that
-	// contributed to the sample. Bundle strategy only; cannot be
-	// combined with WhatIf.
+	// contributed to the sample. Needs a table whose spec declares
+	// uncertain columns; cannot be combined with WhatIf.
 	Lineage bool `json:"lineage,omitempty"`
 	// WhatIf, when set, answers the query against a hypothetical
 	// database instead of the base one, via delta re-realization
@@ -138,10 +138,6 @@ func (s *Server) Query(ctx context.Context, req QueryRequest) (*QueryResponse, e
 	if err != nil {
 		return nil, err
 	}
-	strat, err := parseStrategy(req.Strategy)
-	if err != nil {
-		return nil, err
-	}
 	if err := s.checkIterations(req.Iterations); err != nil {
 		return nil, err
 	}
@@ -164,9 +160,6 @@ func (s *Server) Query(ctx context.Context, req QueryRequest) (*QueryResponse, e
 	if err != nil {
 		return nil, err
 	}
-	if (req.Lineage || req.WhatIf != nil) && strat == mcdb.StrategyNaive {
-		return nil, badRequestf("lineage and what-if require the bundle strategy")
-	}
 	var delta mcdb.Delta
 	var whatifCanon string
 	if req.WhatIf != nil {
@@ -181,11 +174,10 @@ func (s *Server) Query(ctx context.Context, req QueryRequest) (*QueryResponse, e
 	q := mcdb.AggQuery{Table: req.Table, Col: req.Col, Fn: fn,
 		WhereDet: preds.det, WhereUnc: preds.unc}
 	key := resultKey{tenant: req.Tenant, kind: "agg",
-		text: canonicalAgg(req, strat, preds), seed: req.Seed, iters: req.Iterations,
+		text: canonicalAgg(req, preds), seed: req.Seed, iters: req.Iterations,
 		lineage: req.Lineage, whatif: whatifCanon}
 	samples, lineage, cached, err := s.results(key, func() ([]float64, [][]int, error) {
 		opts := mcdb.ExecOptions{
-			Strategy:   strat,
 			Iterations: req.Iterations,
 			Seed:       s.EffectiveSeed(req.Tenant, req.Seed),
 		}
@@ -220,6 +212,11 @@ func (s *Server) Query(ctx context.Context, req QueryRequest) (*QueryResponse, e
 		return vec, rows, nil
 	})
 	if err != nil {
+		// mcdb's preamble runs inside the shard run; what it rejects —
+		// a bad col, lineage on an un-bundled table — is the client's fault.
+		if errors.Is(err, mcdb.ErrBadQuery) || errors.Is(err, mcdb.ErrNoSpec) {
+			err = badRequestf("%v", err)
+		}
 		return nil, err
 	}
 	s.reg.Counter(MetricQueries).Inc()
@@ -252,13 +249,8 @@ func compileWhatIf(db *mcdb.DB, queryTable string, w *WhatIf) (mcdb.Delta, strin
 	if err != nil {
 		return mcdb.Delta{}, "", badRequestf("whatif column: %v", err)
 	}
-	uncPos := -1
-	for k, c := range spec.UncertainCols {
-		if c == idx {
-			uncPos = k
-		}
-	}
-	if uncPos < 0 {
+	k, ok := spec.UncPos(idx)
+	if !ok {
 		return mcdb.Delta{}, "", badRequestf("whatif column %q is not an uncertain column of %q", w.Col, table)
 	}
 	preds, err := compileWhere(spec, w.Where)
@@ -272,7 +264,6 @@ func compileWhatIf(db *mcdb.DB, queryTable string, w *WhatIf) (mcdb.Delta, strin
 	if scale == 0 { //lint:allow floateq the JSON zero value means "unset", mapped to the identity scale
 		scale = 1
 	}
-	k := uncPos
 	d := mcdb.Delta{
 		Table:  table,
 		Where:  preds.det,
@@ -522,18 +513,6 @@ func parseAgg(fn string) (engine.AggFunc, error) {
 	return 0, badRequestf("unknown aggregate %q (want count, sum, or avg)", fn)
 }
 
-func parseStrategy(s string) (mcdb.Strategy, error) {
-	switch strings.ToLower(s) {
-	case "", "auto":
-		return mcdb.StrategyAuto, nil
-	case "naive":
-		return mcdb.StrategyNaive, nil
-	case "bundle":
-		return mcdb.StrategyBundle, nil
-	}
-	return 0, badRequestf("unknown strategy %q (want auto, naive, or bundle)", s)
-}
-
 // compiled holds a WHERE clause lowered onto the two predicate slots
 // of mcdb.AggQuery, plus the canonical text of each conjunct for the
 // cache key.
@@ -560,18 +539,11 @@ func compileWhere(spec *mcdb.TableSpec, preds []Predicate) (compiled, error) {
 		if err != nil {
 			return out, err
 		}
-		uncPos := -1
-		for k, c := range spec.UncertainCols {
-			if c == idx {
-				uncPos = k
-			}
-		}
-		if uncPos >= 0 {
+		if k, ok := spec.UncPos(idx); ok {
 			if p.Str != nil {
 				return out, badRequestf("predicate on uncertain column %q must be numeric", p.Col)
 			}
 			lit := engine.Float(p.Value)
-			k := uncPos
 			unc = append(unc, func(u []float64) bool { return cmp(engine.Float(u[k]), lit) })
 			out.canon = append(out.canon, fmt.Sprintf("unc %s %s %s",
 				p.Col, op, strconv.FormatFloat(p.Value, 'g', -1, 64)))
@@ -632,11 +604,11 @@ func compare(op string) (string, func(a, b engine.Value) bool, error) {
 }
 
 // canonicalAgg renders the query in a normalized form for the cache
-// key: strategy and operator spellings are canonicalized so equivalent
+// key: aggregate and operator spellings are canonicalized so equivalent
 // requests share an entry.
-func canonicalAgg(req QueryRequest, strat mcdb.Strategy, preds compiled) string {
+func canonicalAgg(req QueryRequest, preds compiled) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%s|%s|%s|%s", req.Table, req.Col, strings.ToLower(req.Fn), strat)
+	fmt.Fprintf(&b, "%s|%s|%s", req.Table, req.Col, strings.ToLower(req.Fn))
 	for _, c := range preds.canon {
 		b.WriteByte('|')
 		b.WriteString(c)

@@ -518,14 +518,38 @@ func TestRequestValidation(t *testing.T) {
 		{Tenant: "acme", Table: "nope", Col: "sbp", Fn: "avg", Iterations: 5},
 		{Tenant: "acme", Table: "sbp_data", Col: "sbp", Fn: "avg", Iterations: 5,
 			Where: []Predicate{{Col: "sbp", Op: "like", Value: 1}}},
-		{Tenant: "acme", Table: "sbp_data", Col: "sbp", Fn: "avg", Iterations: 5,
-			Strategy: "quantum"},
-		{Table: "sbp_data", Col: "sbp", Fn: "avg", Iterations: 5}, // no tenant
+		{Tenant: "acme", Table: "sbp_data", Col: "nope", Fn: "avg", Iterations: 5},   // unknown column
+		{Tenant: "acme", Table: "sbp_data", Col: "gender", Fn: "avg", Iterations: 5}, // deterministic column
+		{Table: "sbp_data", Col: "sbp", Fn: "avg", Iterations: 5},                    // no tenant
 	}
 	for i, req := range cases {
 		resp, httpResp := post[QueryResponse](t, ts.URL+"/v1/query", req)
 		if resp != nil || httpResp.StatusCode != 400 {
 			t.Fatalf("case %d: status %d, want 400", i, httpResp.StatusCode)
+		}
+	}
+
+	// A field the request type does not declare — a retired option, a
+	// typo — is refused by name, not ignored and answered with defaults.
+	for path, fields := range map[string]string{
+		"/v1/query": `"tenant":"acme","table":"sbp_data","col":"sbp","fn":"avg","iterations":5`,
+		"/v1/sql":   `"tenant":"acme","sql":"SELECT AVG(sbp) FROM sbp_data","iterations":5`,
+	} {
+		for _, field := range []string{`"strategy":"naive"`, `"iteratons":5`} {
+			body := "{" + fields + "," + field + "}"
+			resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			msg, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := field[1:strings.Index(field, `":`)]
+			if resp.StatusCode != 400 || !strings.Contains(string(msg), name) {
+				t.Fatalf("%s with %s: status %d body %s, want 400 naming %q", path, field, resp.StatusCode, msg, name)
+			}
 		}
 	}
 	if resp, httpResp := post[SQLResponse](t, ts.URL+"/v1/sql",
