@@ -222,9 +222,11 @@ func BenchmarkVGNormal(b *testing.B) {
 	vg := mcdb.NormalVG()
 	params := engine.Row{engine.Float(120), engine.Float(15)}
 	r := rng.New(9)
+	var buf []engine.Value
+	var err error
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := vg(params, r); err != nil {
+		if buf, err = vg(params, r, buf[:0]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -70,7 +70,7 @@ func whatIfDB(capRegion int64, limit float64) (*mcdb.DB, error) {
 		Params: func(db *engine.Database, outer engine.Row) (engine.Row, error) {
 			return outer, nil
 		},
-		VG: func(params engine.Row, r *rng.Stream) ([]engine.Value, error) {
+		VG: func(params engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error) {
 			mean := params[2].AsFloat()
 			v := 0.0
 			for i := 0; i < whatIfVGWork; i++ {
@@ -80,7 +80,7 @@ func whatIfDB(capRegion int64, limit float64) (*mcdb.DB, error) {
 			if limit > 0 && params[1].AsInt() == capRegion {
 				v = math.Min(v, limit)
 			}
-			return []engine.Value{engine.Float(v)}, nil
+			return append(out, engine.Float(v)), nil
 		},
 		UncertainCols: []int{3},
 	})

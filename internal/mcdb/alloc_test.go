@@ -1,0 +1,56 @@
+package mcdb_test
+
+import (
+	"context"
+	"math"
+	"testing"
+
+	"modeldata/internal/engine"
+	"modeldata/internal/experiments"
+	"modeldata/internal/mcdb"
+)
+
+// TestSamplingAllocatesPerTupleNotPerIteration is the allocation budget
+// of the bundle sampling loop: realizing SBPDatabase(50) costs the same
+// number of allocations at 100 and at 1000 iterations, because every
+// draw of a tuple lands in one reused buffer and, under the default
+// OutputRow, no row is assembled past the first draw. A spec with a
+// custom OutputRow is the documented exception: that hook returns a row
+// per draw, so the route pays one allocation per tuple-iteration.
+func TestSamplingAllocatesPerTupleNotPerIteration(t *testing.T) {
+	const patients = 50
+	db, err := experiments.SBPDatabase(patients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := db.Spec("sbp_data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	custom := *spec
+	custom.OutputRow = func(outer engine.Row, vgOut []engine.Value) engine.Row {
+		return engine.Row{outer[0], outer[1], vgOut[0]}
+	}
+	customDB := mcdb.New(db.Base)
+	if err := customDB.AddSpec(&custom); err != nil {
+		t.Fatal(err)
+	}
+
+	ctx := context.Background()
+	allocs := func(db *mcdb.DB, iters int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			if _, err := db.InstantiateBundledCtx(ctx, iters, 3, 1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// The runtime's own odd allocation moves a count by one or two, so
+	// "the same" is: not even one more allocation per tuple for 900 more
+	// iterations of each.
+	if at100, at1000 := allocs(db, 100), allocs(db, 1000); math.Abs(at1000-at100) >= patients {
+		t.Fatalf("default OutputRow: %v allocations at 100 iterations, %v at 1000; the sampling loop allocates per tuple-iteration", at100, at1000)
+	}
+	if got, want := allocs(customDB, 1000)-allocs(customDB, 100), float64(patients*900); math.Abs(got-want) >= patients {
+		t.Fatalf("custom OutputRow: %v more allocations at 1000 iterations than at 100, want %v (one row per draw)", got, want)
+	}
+}

@@ -102,10 +102,16 @@ func (db *DB) bundleSpec(ctx context.Context, spec *TableSpec, iters int, r *rng
 
 // sampleTuple realizes one tuple's bundle: the parameter query runs
 // once, then the VG function draws iters times from tr — the tuple's
-// pristine substream — filling one array per uncertain column. The
-// first draw's row, conformed to the schema by Insert's rule (so both
-// executors hold the same Values for a spec), supplies the deterministic
-// attributes. Full realization calls it for every tuple; delta
+// pristine substream — filling one array per uncertain column. Every
+// draw lands in the same buffer (vgBuf[:0]), so the loop allocates per
+// tuple, not per tuple-iteration. Under the default OutputRow a row is
+// outer ++ vgOut, so uncertain column c is read straight from
+// vgOut[c-len(outer)] and the row is assembled for the first draw only;
+// a custom OutputRow is called for every draw. The first draw's row,
+// conformed to the schema by Insert's rule (so both executors hold the
+// same Values for a spec), supplies the deterministic attributes; the
+// row length and the uncertain columns' numeric type are checked on
+// every draw. Full realization calls it for every tuple; delta
 // re-realization for the tuples a change affects, on a copy of spec
 // carrying the changed VG or parameter query.
 func (db *DB) sampleTuple(spec *TableSpec, outer engine.Row, tr *rng.Stream, iters int) (engine.Row, [][]float64, error) {
@@ -118,18 +124,24 @@ func (db *DB) sampleTuple(spec *TableSpec, outer engine.Row, tr *rng.Stream, ite
 		unc[k] = make([]float64, iters)
 	}
 	var det engine.Row
+	var vgBuf []engine.Value
 	for it := 0; it < iters; it++ {
-		vgOut, err := spec.VG(params, tr)
+		vgBuf, err = spec.VG(params, tr, vgBuf[:0])
 		if err != nil {
 			return nil, nil, err
 		}
-		row := spec.outputRow(outer, vgOut)
-		if len(row) != len(spec.Schema) {
+		// cells[c-off] is column c of this draw's row: the assembled row
+		// itself, or — default OutputRow past the first draw — its VG tail.
+		cells, off := vgBuf, len(outer)
+		if spec.OutputRow != nil || it == 0 {
+			cells, off = spec.outputRow(outer, vgBuf), 0
+		}
+		if off+len(cells) != len(spec.Schema) {
 			return nil, nil, fmt.Errorf("%w: %q produced %d values, schema has %d",
-				ErrBadSpec, spec.Name, len(row), len(spec.Schema))
+				ErrBadSpec, spec.Name, off+len(cells), len(spec.Schema))
 		}
 		if it == 0 {
-			det = row.Clone()
+			det = engine.Row(cells).Clone()
 			if err := spec.Schema.Conform(spec.Name, det); err != nil {
 				return nil, nil, fmt.Errorf("%w: %w", ErrBadSpec, err)
 			}
@@ -138,11 +150,17 @@ func (db *DB) sampleTuple(spec *TableSpec, outer engine.Row, tr *rng.Stream, ite
 			}
 		}
 		for k, c := range spec.UncertainCols {
-			if !row[c].IsNumeric() {
-				return nil, nil, fmt.Errorf("%w: %q uncertain column %d is %s, bundles require numeric",
-					ErrBadSpec, spec.Name, c, row[c].Type())
+			var v *engine.Value
+			if c >= off {
+				v = &cells[c-off]
+			} else {
+				v = &outer[c] // an outer attribute declared uncertain
 			}
-			unc[k][it] = row[c].AsFloat()
+			if !v.IsNumeric() {
+				return nil, nil, fmt.Errorf("%w: %q uncertain column %d is %s, bundles require numeric",
+					ErrBadSpec, spec.Name, c, v.Type())
+			}
+			unc[k][it] = v.AsFloat()
 		}
 	}
 	return det, unc, nil

@@ -77,9 +77,11 @@ func (s *Session) ExecDelta(ctx context.Context, q AggQuery, opts ExecOptions, d
 
 // ExecDeltaRange is ExecDelta restricted to the iteration window
 // [lo, hi) — the sharding primitive, with the same concatenation
-// bit-identity guarantee as ExecRange. Skipped-iteration accounting
-// covers the full Iterations run (the realization is per-tuple, not
-// per-window), so shards report consistent counter values.
+// bit-identity guarantee as ExecRange. Re-realization, the dirtiness
+// test and the skipped-iteration accounting cover the full Iterations
+// run (the realization is per-tuple, not per-window), so shards report
+// consistent counter values; aggregation, baseline and dirty alike, is
+// clipped to the window.
 func (s *Session) ExecDeltaRange(ctx context.Context, q AggQuery, opts ExecOptions, d Delta, lo, hi int) ([]float64, error) {
 	spec, _, err := s.db.checkQuery(q, opts, lo, hi, true)
 	if err != nil {
@@ -103,14 +105,14 @@ func (s *Session) ExecDeltaRange(ctx context.Context, q AggQuery, opts ExecOptio
 		return nil, err
 	}
 	reg := parallel.StatsFrom(ctx).Registry()
-	all := []iterRun{{0, opts.Iterations}}
+	win := []iterRun{{lo, hi}}
 
 	if d.Table != q.Table {
 		// The change touches a different stochastic table, so this
 		// query's bundle — and every sample — is untouched.
 		reg.Counter(MetricDeltaItersSkipped).Add(int64(opts.Iterations))
 		span.SetInt("iters_skipped", int64(opts.Iterations))
-		return bundleSamples(oldBt, q, all, lo, hi)
+		return bundleSamples(oldBt, q, win, lo, hi)
 	}
 
 	affected := make([]int, 0, len(oldBt.Det))
@@ -132,15 +134,16 @@ func (s *Session) ExecDeltaRange(ctx context.Context, q AggQuery, opts ExecOptio
 	span.SetInt("iters_skipped", int64(skipped))
 
 	if skipped == 0 {
-		return bundleSamples(newBt, q, all, lo, hi)
+		return bundleSamples(newBt, q, win, lo, hi)
 	}
 	// Clean iterations keep the baseline's samples; the dirty ones are
-	// re-aggregated over the changed bundle by the same kernel.
-	out, err := bundleSamples(oldBt, q, all, 0, opts.Iterations)
+	// re-aggregated over the changed bundle by the same kernel — both
+	// inside the window only.
+	out, err := bundleSamples(oldBt, q, win, 0, opts.Iterations)
 	if err != nil {
 		return nil, err
 	}
-	if dirtyCount > 0 {
+	if dirty = clipRuns(dirty, lo, hi); len(dirty) > 0 {
 		dvals, err := bundleSamples(newBt, q, dirty, 0, opts.Iterations)
 		if err != nil {
 			return nil, err
@@ -284,6 +287,19 @@ func markDirty(q AggQuery, old, nb *BundleTable, affected []int, detChanged []bo
 		}
 	}
 	return runsOf(dirty), count
+}
+
+// clipRuns restricts runs to the window [lo, hi), dropping what falls
+// outside it.
+func clipRuns(runs []iterRun, lo, hi int) []iterRun {
+	var out []iterRun
+	for _, r := range runs {
+		r.lo, r.hi = max(r.lo, lo), min(r.hi, hi)
+		if r.lo < r.hi {
+			out = append(out, r)
+		}
+	}
+	return out
 }
 
 // runsOf renders a per-iteration flag vector as its maximal runs.

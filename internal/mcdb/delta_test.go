@@ -45,29 +45,30 @@ func buildDeltaDB(t *testing.T, nItems, nGrps int, w deltaWorld, changed bool) *
 	base.Put(items)
 	db := New(base)
 
-	baseVG := func(params engine.Row, r *rng.Stream) ([]engine.Value, error) {
+	baseVG := func(params engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error) {
 		v := params[2].AsFloat() + r.Normal(0, 1+float64(params[1].AsInt()))
-		return []engine.Value{engine.Float(v)}, nil
+		return append(out, engine.Float(v)), nil
 	}
 	obsVG := baseVG
 	var obsParams func(db *engine.Database, outer engine.Row) (engine.Row, error)
 	if changed {
 		switch w.kind {
 		case deltaKindVG:
-			obsVG = func(params engine.Row, r *rng.Stream) ([]engine.Value, error) {
+			obsVG = func(params engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error) {
 				if params[1].AsInt() != w.targetGrp {
-					return baseVG(params, r)
+					return baseVG(params, r, out)
 				}
 				v := params[2].AsFloat()*1.3 + r.Normal(0, 2)
-				return []engine.Value{engine.Float(v)}, nil
+				return append(out, engine.Float(v)), nil
 			}
 		case deltaKindParams:
 			obsParams = deltaShiftParams(w.targetGrp)
 		case deltaKindMapUnc:
-			obsVG = func(params engine.Row, r *rng.Stream) ([]engine.Value, error) {
-				out, err := baseVG(params, r)
+			obsVG = func(params engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error) {
+				n := len(out)
+				out, err := baseVG(params, r, out)
 				if err == nil && params[1].AsInt() == w.targetGrp {
-					out[0] = engine.Float(math.Min(out[0].AsFloat(), deltaCapFor(params)))
+					out[n] = engine.Float(math.Min(out[n].AsFloat(), deltaCapFor(params)))
 				}
 				return out, err
 			}
@@ -95,12 +96,12 @@ func buildDeltaDB(t *testing.T, nItems, nGrps int, w deltaWorld, changed bool) *
 		t.Fatal(err)
 	}
 
-	obs2VG := func(params engine.Row, r *rng.Stream) ([]engine.Value, error) {
-		return []engine.Value{engine.Float(100 + r.Normal(0, 3))}, nil
+	obs2VG := func(params engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error) {
+		return append(out, engine.Float(100+r.Normal(0, 3))), nil
 	}
 	if changed && w.kind == deltaKindOther {
-		obs2VG = func(params engine.Row, r *rng.Stream) ([]engine.Value, error) {
-			return []engine.Value{engine.Float(200 + r.Normal(0, 9))}, nil
+		obs2VG = func(params engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error) {
+			return append(out, engine.Float(200+r.Normal(0, 9))), nil
 		}
 	}
 	spec2 := &TableSpec{
@@ -144,9 +145,9 @@ func deltaFor(w deltaWorld) Delta {
 	whereGrp := func(det engine.Row) bool { return det[1].AsInt() == w.targetGrp }
 	switch w.kind {
 	case deltaKindVG:
-		return Delta{Table: "obs", Where: whereGrp, VG: func(params engine.Row, r *rng.Stream) ([]engine.Value, error) {
+		return Delta{Table: "obs", Where: whereGrp, VG: func(params engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error) {
 			v := params[2].AsFloat()*1.3 + r.Normal(0, 2)
-			return []engine.Value{engine.Float(v)}, nil
+			return append(out, engine.Float(v)), nil
 		}}
 	case deltaKindParams:
 		return Delta{Table: "obs", Where: whereGrp, Params: deltaShiftParams(w.targetGrp)}
@@ -155,8 +156,8 @@ func deltaFor(w deltaWorld) Delta {
 			unc[0] = math.Min(unc[0], deltaCapFor(det))
 		}}
 	default:
-		return Delta{Table: "obs2", VG: func(params engine.Row, r *rng.Stream) ([]engine.Value, error) {
-			return []engine.Value{engine.Float(200 + r.Normal(0, 9))}, nil
+		return Delta{Table: "obs2", VG: func(params engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error) {
+			return append(out, engine.Float(200+r.Normal(0, 9))), nil
 		}}
 	}
 }
@@ -178,10 +179,13 @@ func requireSameSamples(t *testing.T, name string, want, got []float64) {
 // realized-value transform, or unrelated table, executed as ExecDelta
 // against the baseline session and as a fresh full Exec of the changed
 // database. The two must agree bit-for-bit at every worker count, and
-// disjoint ExecDeltaRange windows must concatenate to the full run.
+// disjoint ExecDeltaRange windows must concatenate to the full run —
+// each doing a window's worth of work: when every iteration is dirty,
+// WhereUnc is evaluated exactly tuples × (hi − lo) times.
 func TestExecDeltaRandomizedEquivalence(t *testing.T) {
 	gen := rng.New(0xDE17A)
 	ctx := context.Background()
+	allDirtyWindows := 0
 	for trial := 0; trial < 40; trial++ {
 		nItems := 5 + gen.Intn(28)
 		nGrps := 2 + gen.Intn(3)
@@ -190,6 +194,7 @@ func TestExecDeltaRandomizedEquivalence(t *testing.T) {
 		w := deltaWorld{kind: gen.Intn(4), targetGrp: int64(gen.Intn(nGrps))}
 
 		q := AggQuery{Table: "obs", Col: "val"}
+		evals := 0 // WhereUnc evaluations; the kernel runs on the calling goroutine
 		switch gen.Intn(3) {
 		case 0:
 			q.Fn = engine.AggCount
@@ -206,7 +211,7 @@ func TestExecDeltaRandomizedEquivalence(t *testing.T) {
 			q.WhereDet = func(det engine.Row) bool { return det[1].AsInt() == filterGrp }
 		case 2:
 			cut := 8 + gen.Float64()*8
-			q.WhereUnc = func(det engine.Row, unc []float64) bool { return unc[0] > cut }
+			q.WhereUnc = func(det engine.Row, unc []float64) bool { evals++; return unc[0] > cut }
 		}
 
 		db1 := buildDeltaDB(t, nItems, nGrps, w, false)
@@ -227,18 +232,34 @@ func TestExecDeltaRandomizedEquivalence(t *testing.T) {
 			requireSameSamples(t, "delta vs full", want, got)
 		}
 
-		// Sharded windows concatenate to the full run.
-		mid := iters / 2
+		// Sharded windows concatenate to the full run, and an all-dirty
+		// window (the skip counter, which covers the full run, stays 0)
+		// aggregates the changed bundle over its own iterations only.
 		opts := ExecOptions{Iterations: iters, Seed: seed}
-		head, err := s1.ExecDeltaRange(ctx, q, opts, d, 0, mid)
-		if err != nil {
-			t.Fatalf("trial %d: ExecDeltaRange head: %v", trial, err)
+		st := parallel.NewStats()
+		wctx := parallel.WithStats(ctx, st)
+		var parts []float64
+		for _, win := range [][2]int{{0, iters}, {0, iters / 3}, {iters / 3, 2 * iters / 3}, {2 * iters / 3, iters}} {
+			before := evals
+			part, err := s1.ExecDeltaRange(wctx, q, opts, d, win[0], win[1])
+			if err != nil {
+				t.Fatalf("trial %d: ExecDeltaRange %v: %v", trial, win, err)
+			}
+			if q.WhereUnc != nil && st.Registry().Counter(MetricDeltaItersSkipped).Value() == 0 {
+				allDirtyWindows++
+				if got, want := evals-before, nItems*(win[1]-win[0]); got != want {
+					t.Fatalf("trial %d window %v: %d WhereUnc evaluations, want %d tuples × %d iterations = %d",
+						trial, win, got, nItems, win[1]-win[0], want)
+				}
+			}
+			if win[1]-win[0] < iters {
+				parts = append(parts, part...)
+			}
 		}
-		tail, err := s1.ExecDeltaRange(ctx, q, opts, d, mid, iters)
-		if err != nil {
-			t.Fatalf("trial %d: ExecDeltaRange tail: %v", trial, err)
-		}
-		requireSameSamples(t, "windowed delta", want, append(head, tail...))
+		requireSameSamples(t, "windowed delta", want, parts)
+	}
+	if allDirtyWindows == 0 {
+		t.Fatal("no trial paired a WhereUnc with an all-dirty delta; the work-per-window check ran on nothing")
 	}
 }
 
@@ -385,7 +406,7 @@ func TestExecDeltaValidation(t *testing.T) {
 		{"unknown table", q, good, Delta{Table: "nope"}},
 		{"mapunc plus vg", q, good, Delta{Table: "obs",
 			MapUnc: func(det engine.Row, unc []float64) {},
-			VG:     func(p engine.Row, r *rng.Stream) ([]engine.Value, error) { return nil, nil }}},
+			VG:     func(p engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error) { return nil, nil }}},
 	}
 	for _, tc := range cases {
 		if _, err := s.ExecDelta(ctx, tc.q, tc.opts, tc.d); err == nil {

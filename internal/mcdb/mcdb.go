@@ -40,11 +40,18 @@ var (
 )
 
 // VG is a Variable Generation function: given the parameter row
-// produced by the spec's parameter query, it returns one realization of
-// the uncertain values for a single outer tuple. VG functions range
-// from a draw from a normal distribution to a full backward random walk
-// (see the library in vg.go).
-type VG func(params engine.Row, r *rng.Stream) ([]engine.Value, error)
+// produced by the spec's parameter query, it appends one realization of
+// the uncertain values for a single outer tuple to out and returns the
+// extended slice, as append does. VG functions range from a draw from a
+// normal distribution to a full backward random walk (see the library
+// in vg.go).
+//
+// out is the caller's buffer. The bundle sampling loop hands the same
+// one back emptied (buf[:0]) for every iteration of a tuple, so a VG
+// must not keep out or the slice it returns past the call; a caller
+// that keeps the realization (per-instance realizeTuple) passes nil and
+// owns what comes back.
+type VG func(params engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error)
 
 // TableSpec declares one stochastic table, mirroring MCDB's
 // CREATE TABLE ... AS FOR EACH ... WITH ... syntax:
@@ -69,7 +76,13 @@ type TableSpec struct {
 	VG VG
 	// OutputRow assembles a realized row from the outer tuple and the
 	// VG output (the final SELECT). A nil OutputRow appends the VG
-	// values to the outer row.
+	// values to the outer row — the form the bundle sampling loop reads
+	// without assembling a row per draw. A custom OutputRow is called
+	// for every draw, so that route pays whatever row it allocates per
+	// tuple-iteration. On bundles vgOut is a buffer the next draw
+	// overwrites; the returned row is read before that draw (and cloned
+	// where it is kept), so it may alias vgOut, but OutputRow must not
+	// keep vgOut anywhere else.
 	OutputRow func(outer engine.Row, vgOut []engine.Value) engine.Row
 	// UncertainCols lists the indexes (into Schema) of the columns
 	// produced by the VG function; the bundle executor keeps these as
@@ -207,7 +220,9 @@ func (db *DB) realizeTuple(spec *TableSpec, outer engine.Row, r *rng.Stream) (en
 	if err != nil {
 		return nil, err
 	}
-	vgOut, err := spec.VG(params, r)
+	// A nil buffer: Table.Insert retains the row, and a custom OutputRow
+	// may return vgOut itself.
+	vgOut, err := spec.VG(params, r, nil)
 	if err != nil {
 		return nil, err
 	}

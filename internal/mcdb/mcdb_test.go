@@ -253,8 +253,8 @@ func detTypeFixture(t *testing.T, first engine.Value) *DB {
 			{Name: "val", Type: engine.TypeFloat},
 		},
 		ForEach: "items",
-		VG: func(params engine.Row, r *rng.Stream) ([]engine.Value, error) {
-			return []engine.Value{first, engine.Float(r.Normal(0, 1))}, nil
+		VG: func(params engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error) {
+			return append(out, first, engine.Float(r.Normal(0, 1))), nil
 		},
 		UncertainCols: []int{2},
 	}); err != nil {
@@ -305,8 +305,8 @@ func TestDetAttributesConformToSchema(t *testing.T) {
 	}
 	// A delta's VG goes through the same check when tuples re-sample.
 	_, err = db.NewSession().ExecDelta(ctx, AggQuery{Table: "w", Col: "val", Fn: engine.AggSum},
-		ExecOptions{Iterations: 4, Seed: 1}, Delta{Table: "w", VG: func(engine.Row, *rng.Stream) ([]engine.Value, error) {
-			return []engine.Value{engine.Str("heavy"), engine.Float(0)}, nil
+		ExecOptions{Iterations: 4, Seed: 1}, Delta{Table: "w", VG: func(_ engine.Row, _ *rng.Stream, out []engine.Value) ([]engine.Value, error) {
+			return append(out, engine.Str("heavy"), engine.Float(0)), nil
 		}})
 	if !errors.Is(err, engine.ErrTypeClash) || !errors.Is(err, ErrBadSpec) {
 		t.Fatalf("ExecDelta: got %v, want ErrTypeClash in ErrBadSpec", err)
@@ -387,7 +387,7 @@ func TestVGLibrary(t *testing.T) {
 		params := engine.Row{engine.Float(100), engine.Float(0.001), engine.Float(0.01)}
 		sum := 0.0
 		for i := 0; i < 2000; i++ {
-			vals, err := vg(params, r)
+			vals, err := vg(params, r, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -405,7 +405,7 @@ func TestVGLibrary(t *testing.T) {
 		neg := 0
 		pos := 0
 		for i := 0; i < 500; i++ {
-			vals, err := vg(params, r)
+			vals, err := vg(params, r, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -435,7 +435,7 @@ func TestVGLibrary(t *testing.T) {
 		sum := 0.0
 		const n = 5000
 		for i := 0; i < n; i++ {
-			vals, err := vg(params, r)
+			vals, err := vg(params, r, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -448,7 +448,7 @@ func TestVGLibrary(t *testing.T) {
 	})
 	t.Run("ParamErrors", func(t *testing.T) {
 		for _, vg := range []VG{NormalVG(), PoissonVG(), BackwardWalkVG(1), OptionPayoffVG(1, 0), BayesianDemandVG(0)} {
-			if _, err := vg(nil, r); !errors.Is(err, ErrBadSpec) {
+			if _, err := vg(nil, r, nil); !errors.Is(err, ErrBadSpec) {
 				t.Fatalf("missing params accepted: %v", err)
 			}
 		}

@@ -135,9 +135,9 @@ func (s *Session) Exec(ctx context.Context, q AggQuery, opts ExecOptions) ([]flo
 // bit-identically, because iteration i draws from substream i of the
 // same seed regardless of which shard runs it. On bundles the
 // realization covers all Iterations (bundles are per-tuple, not
-// per-iteration) and the window selects from the estimated vector;
-// the session cache amortizes that realization across a shard's
-// queries.
+// per-iteration) and the session cache amortizes it across a shard's
+// queries; the aggregation kernel runs over the window alone, so a
+// shard's estimation work is tuples × (hi − lo).
 func (s *Session) ExecRange(ctx context.Context, q AggQuery, opts ExecOptions, lo, hi int) ([]float64, error) {
 	spec, colIdx, err := s.db.checkQuery(q, opts, lo, hi, false)
 	if err != nil {
@@ -156,7 +156,7 @@ func (s *Session) ExecRange(ctx context.Context, q AggQuery, opts ExecOptions, l
 	if err != nil {
 		return nil, err
 	}
-	return bundleSamples(bt, q, []iterRun{{0, bt.Iters}}, lo, hi)
+	return bundleSamples(bt, q, []iterRun{{lo, hi}}, lo, hi)
 }
 
 // checkWindow validates the run shape every entry point shares: a
@@ -206,7 +206,8 @@ func (db *DB) checkQuery(q AggQuery, opts ExecOptions, lo, hi int, bundled bool)
 
 // bundleSamples is the bundle query pipeline: select on deterministic
 // attributes once, aggregate the iterations in runs, and cut the window
-// [lo, hi) from the result.
+// [lo, hi) from the result. Only positions inside runs are meaningful,
+// so callers pass runs covering what they read of the window.
 func bundleSamples(bt *BundleTable, q AggQuery, runs []iterRun, lo, hi int) ([]float64, error) {
 	if q.WhereDet != nil {
 		bt = bt.FilterDet(q.WhereDet)

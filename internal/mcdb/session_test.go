@@ -73,12 +73,15 @@ func sameBits(a, b float64) bool {
 // {COUNT, SUM, AVG} × {no predicate, one that empties some iterations,
 // one that empties all}. Per spec every cell holds identical bytes; the
 // two executors draw different realizations but must agree on the
-// empty-selection convention: COUNT = SUM = AVG = 0, never NaN.
+// empty-selection convention: COUNT = SUM = AVG = 0, never NaN. On
+// bundles the table also counts WhereUnc evaluations: a window costs
+// tuples × (hi − lo) of them, the full run being the window [0, iters).
 func TestExecEquivalenceTable(t *testing.T) {
-	const iters = 60
+	const iters, patients = 60, 4
 	windows := [][2]int{{0, 19}, {19, 37}, {37, iters}}
 	ctx := context.Background()
-	bundled := sbpFixture(t, 4)
+	bundled := sbpFixture(t, patients)
+	evals := 0 // the bundle kernel runs on the calling goroutine
 	specs := []struct {
 		name string
 		db   *DB
@@ -87,7 +90,7 @@ func TestExecEquivalenceTable(t *testing.T) {
 		where func(q *AggQuery, cut float64)
 	}{
 		{"bundled", bundled, func(q *AggQuery, cut float64) {
-			q.WhereUnc = func(det engine.Row, unc []float64) bool { return unc[0] > cut }
+			q.WhereUnc = func(det engine.Row, unc []float64) bool { evals++; return unc[0] > cut }
 		}},
 		{"per-instance", perInstanceTwin(t, bundled), func(q *AggQuery, cut float64) {
 			q.WhereDet = func(row engine.Row) bool { return row[2].AsFloat() > cut }
@@ -111,15 +114,24 @@ func TestExecEquivalenceTable(t *testing.T) {
 				for _, workers := range []int{1, 2, 8} {
 					s := sp.db.NewSession() // fresh: no realization cached from another worker count
 					opts := ExecOptions{Iterations: iters, Seed: 11, Workers: workers}
+					evals = 0
 					full, err := s.Exec(ctx, q, opts)
 					if err != nil {
 						t.Fatalf("%s/%s/%v workers=%d: %v", sp.name, c.name, fn, workers, err)
 					}
+					if q.WhereUnc != nil && evals != patients*iters {
+						t.Fatalf("%s/%s/%v: full run evaluated WhereUnc %d times, want %d", sp.name, c.name, fn, evals, patients*iters)
+					}
 					var parts []float64
 					for _, w := range windows {
+						evals = 0
 						p, err := s.ExecRange(ctx, q, opts, w[0], w[1])
 						if err != nil {
 							t.Fatalf("%s/%s/%v window %v: %v", sp.name, c.name, fn, w, err)
+						}
+						if q.WhereUnc != nil && evals != patients*(w[1]-w[0]) {
+							t.Fatalf("%s/%s/%v window %v: evaluated WhereUnc %d times, want %d tuples × %d iterations",
+								sp.name, c.name, fn, w, evals, patients, w[1]-w[0])
 						}
 						parts = append(parts, p...)
 					}

@@ -18,31 +18,31 @@ import (
 // Normal(params[0], params[1]) — MCDB's Normal VG function used by the
 // SBP_DATA example. The parameter row must carry (mean, std).
 func NormalVG() VG {
-	return func(params engine.Row, r *rng.Stream) ([]engine.Value, error) {
+	return func(params engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error) {
 		if len(params) < 2 {
 			return nil, fmt.Errorf("%w: Normal VG needs (mean, std), got %d params", ErrBadSpec, len(params))
 		}
 		mean, std := params[0].AsFloat(), params[1].AsFloat()
-		return []engine.Value{engine.Float(r.Normal(mean, std))}, nil
+		return append(out, engine.Float(r.Normal(mean, std))), nil
 	}
 }
 
 // PoissonVG returns a VG function drawing one value from
 // Poisson(params[0]).
 func PoissonVG() VG {
-	return func(params engine.Row, r *rng.Stream) ([]engine.Value, error) {
+	return func(params engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error) {
 		if len(params) < 1 {
 			return nil, fmt.Errorf("%w: Poisson VG needs (lambda)", ErrBadSpec)
 		}
-		return []engine.Value{engine.Int(int64(r.Poisson(params[0].AsFloat())))}, nil
+		return append(out, engine.Int(int64(r.Poisson(params[0].AsFloat())))), nil
 	}
 }
 
 // DistVG adapts any rng.Dist into a single-value VG function with fixed
 // parameters.
 func DistVG(d rng.Dist) VG {
-	return func(_ engine.Row, r *rng.Stream) ([]engine.Value, error) {
-		return []engine.Value{engine.Float(d.Sample(r))}, nil
+	return func(_ engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error) {
+		return append(out, engine.Float(d.Sample(r))), nil
 	}
 }
 
@@ -51,7 +51,7 @@ func DistVG(d rng.Dist) VG {
 // prior prices (the §2.1 example). Parameters: (currentPrice, drift,
 // vol). It emits the estimated price `steps` ticks in the past.
 func BackwardWalkVG(steps int) VG {
-	return func(params engine.Row, r *rng.Stream) ([]engine.Value, error) {
+	return func(params engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error) {
 		if len(params) < 3 {
 			return nil, fmt.Errorf("%w: BackwardWalk VG needs (price, drift, vol)", ErrBadSpec)
 		}
@@ -62,7 +62,7 @@ func BackwardWalkVG(steps int) VG {
 			// Invert one forward log-step: divide out a sampled return.
 			price /= 1 + drift + vol*r.StdNormal()
 		}
-		return []engine.Value{engine.Float(price)}, nil
+		return append(out, engine.Float(price)), nil
 	}
 }
 
@@ -71,7 +71,7 @@ func BackwardWalkVG(steps int) VG {
 // European call struck at `strike` — the "value of a stock option one
 // week from now" example. Parameters: (currentPrice, drift, vol).
 func OptionPayoffVG(steps int, strike float64) VG {
-	return func(params engine.Row, r *rng.Stream) ([]engine.Value, error) {
+	return func(params engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error) {
 		if len(params) < 3 {
 			return nil, fmt.Errorf("%w: OptionPayoff VG needs (price, drift, vol)", ErrBadSpec)
 		}
@@ -85,7 +85,7 @@ func OptionPayoffVG(steps int, strike float64) VG {
 		if payoff < 0 {
 			payoff = 0
 		}
-		return []engine.Value{engine.Float(payoff)}, nil
+		return append(out, engine.Float(payoff)), nil
 	}
 }
 
@@ -101,7 +101,7 @@ func OptionPayoffVG(steps int, strike float64) VG {
 // Gamma(shape+purchases, 1/(rate+periods)). Demand at price p scales
 // the posterior rate by the elasticity factor exp(−elasticity·p).
 func BayesianDemandVG(elasticity float64) VG {
-	return func(params engine.Row, r *rng.Stream) ([]engine.Value, error) {
+	return func(params engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error) {
 		if len(params) < 5 {
 			return nil, fmt.Errorf("%w: BayesianDemand VG needs 5 params", ErrBadSpec)
 		}
@@ -114,6 +114,6 @@ func BayesianDemandVG(elasticity float64) VG {
 		postRate := rate + periods
 		lambda := r.Gamma(postShape, 1/postRate)
 		demand := r.Poisson(lambda * math.Exp(-elasticity*price))
-		return []engine.Value{engine.Int(int64(demand))}, nil
+		return append(out, engine.Int(int64(demand))), nil
 	}
 }

@@ -138,7 +138,7 @@ func (s *Server) Query(ctx context.Context, req QueryRequest) (*QueryResponse, e
 	if err != nil {
 		return nil, err
 	}
-	if err := s.checkIterations(req.Iterations); err != nil {
+	if err := s.checkRun(req.Iterations, req.Offset); err != nil {
 		return nil, err
 	}
 	t, release, err := s.admit(req.Tenant)
@@ -285,7 +285,7 @@ func (s *Server) SQL(ctx context.Context, req SQLRequest) (*SQLResponse, error) 
 		return nil, badRequestf("sql is required")
 	}
 	if !req.Explain {
-		if err := s.checkIterations(req.Iterations); err != nil {
+		if err := s.checkRun(req.Iterations, req.Offset); err != nil {
 			return nil, err
 		}
 	}
@@ -428,10 +428,7 @@ func (s *Server) cacheStore(key resultKey, samples []float64, lineage [][]int) {
 // respond assembles the common response: full-vector summary plus the
 // requested page of samples.
 func (s *Server) respond(tenant string, seed uint64, iters, offset, limit int, samples []float64, cached bool) (*QueryResponse, error) {
-	page, next, err := s.paginate(samples, offset, limit)
-	if err != nil {
-		return nil, err
-	}
+	page, next := s.paginate(samples, offset, limit)
 	est, err := mcdb.Summarize(samples)
 	if err != nil {
 		return nil, err
@@ -452,11 +449,9 @@ func (s *Server) respond(tenant string, seed uint64, iters, offset, limit int, s
 
 // paginate selects [offset, offset+limit) of the vector, clamping
 // limit to the server page size. next is -1 when the page exhausts the
-// vector.
-func (s *Server) paginate(samples []float64, offset, limit int) (page []float64, next int, err error) {
-	if offset < 0 || offset > len(samples) {
-		return nil, 0, badRequestf("offset %d outside [0, %d]", offset, len(samples))
-	}
+// vector. offset is inside the vector: checkRun held it to
+// [0, iterations] and a run's vector has one sample per iteration.
+func (s *Server) paginate(samples []float64, offset, limit int) (page []float64, next int) {
 	if limit <= 0 || limit > s.cfg.PageSize {
 		limit = s.cfg.PageSize
 	}
@@ -468,7 +463,7 @@ func (s *Server) paginate(samples []float64, offset, limit int) (page []float64,
 	if end == len(samples) {
 		next = -1
 	}
-	return samples[offset:end:end], next, nil
+	return samples[offset:end:end], next
 }
 
 // requestContext attaches the server-wide stats collector (so session
@@ -491,12 +486,18 @@ func (s *Server) workerBudget(req int) int {
 	return req
 }
 
-func (s *Server) checkIterations(iters int) error {
+// checkRun refuses a run shape no execution could answer, before the
+// request is admitted: an iteration count outside (0, MaxIterations],
+// or a page offset outside the sample vector those iterations produce.
+func (s *Server) checkRun(iters, offset int) error {
 	if iters <= 0 {
 		return badRequestf("iterations must be positive, got %d", iters)
 	}
 	if iters > s.cfg.MaxIterations {
 		return badRequestf("iterations %d exceeds server limit %d", iters, s.cfg.MaxIterations)
+	}
+	if offset < 0 || offset > iters {
+		return badRequestf("offset %d outside [0, %d]", offset, iters)
 	}
 	return nil
 }
@@ -524,8 +525,11 @@ type compiled struct {
 
 // compileWhere routes each predicate to the deterministic or uncertain
 // slot by whether its column is one the spec's VG function produces.
-// Comparisons go through engine.Value's exact total order, so int
-// columns compare correctly against float literals.
+// Deterministic comparisons go through engine.Value's exact total
+// order, so int columns compare correctly against float literals. An
+// uncertain column is a float64 per tuple-iteration compared with a
+// float64 literal, so its predicate is compare's plain float form —
+// the hottest call of a query never boxes an engine.Value.
 func compileWhere(spec *mcdb.TableSpec, preds []Predicate) (compiled, error) {
 	var out compiled
 	var det []func(engine.Row) bool
@@ -535,7 +539,7 @@ func compileWhere(spec *mcdb.TableSpec, preds []Predicate) (compiled, error) {
 		if err != nil {
 			return out, badRequestf("predicate column: %v", err)
 		}
-		op, cmp, err := compare(p.Op)
+		op, cmp, fcmp, err := compare(p.Op)
 		if err != nil {
 			return out, err
 		}
@@ -543,8 +547,8 @@ func compileWhere(spec *mcdb.TableSpec, preds []Predicate) (compiled, error) {
 			if p.Str != nil {
 				return out, badRequestf("predicate on uncertain column %q must be numeric", p.Col)
 			}
-			lit := engine.Float(p.Value)
-			unc = append(unc, func(u []float64) bool { return cmp(engine.Float(u[k]), lit) })
+			lit := p.Value
+			unc = append(unc, func(u []float64) bool { return fcmp(u[k], lit) })
 			out.canon = append(out.canon, fmt.Sprintf("unc %s %s %s",
 				p.Col, op, strconv.FormatFloat(p.Value, 'g', -1, 64)))
 			continue
@@ -582,25 +586,36 @@ func compileWhere(spec *mcdb.TableSpec, preds []Predicate) (compiled, error) {
 	return out, nil
 }
 
-// compare maps an operator spelling to its canonical name and an
-// engine.Value comparison (Equal/Less compose into all six operators,
-// keeping float comparison semantics in one audited place).
-func compare(op string) (string, func(a, b engine.Value) bool, error) {
+// compare maps an operator spelling to its canonical name and two
+// comparisons: over engine.Value (Equal/Less compose into all six
+// operators, keeping comparison semantics in one audited place) and
+// over two float64s. The float form is what the Value form computes on
+// two engine.Float values — Value.Less is a < b and Value.Equal is
+// a == b there — spelled with the same compositions, not with <=, >=
+// or !=, so NaN orders exactly as it does through engine.Value (NaN
+// passes le, ge and ne, fails eq, lt and gt).
+func compare(op string) (string, func(a, b engine.Value) bool, func(a, b float64) bool, error) {
 	switch op {
 	case "eq", "=", "==":
-		return "eq", func(a, b engine.Value) bool { return a.Equal(b) }, nil
+		return "eq", func(a, b engine.Value) bool { return a.Equal(b) },
+			func(a, b float64) bool { return a == b }, nil //lint:allow floateq mirrors Value.Equal on two floats, which is exact ==
 	case "ne", "!=", "<>":
-		return "ne", func(a, b engine.Value) bool { return !a.Equal(b) }, nil
+		return "ne", func(a, b engine.Value) bool { return !a.Equal(b) },
+			func(a, b float64) bool { return !(a == b) }, nil //lint:allow floateq mirrors !Value.Equal on two floats, which is exact ==
 	case "lt", "<":
-		return "lt", func(a, b engine.Value) bool { return a.Less(b) }, nil
+		return "lt", func(a, b engine.Value) bool { return a.Less(b) },
+			func(a, b float64) bool { return a < b }, nil
 	case "le", "<=":
-		return "le", func(a, b engine.Value) bool { return !b.Less(a) }, nil
+		return "le", func(a, b engine.Value) bool { return !b.Less(a) },
+			func(a, b float64) bool { return !(b < a) }, nil
 	case "gt", ">":
-		return "gt", func(a, b engine.Value) bool { return b.Less(a) }, nil
+		return "gt", func(a, b engine.Value) bool { return b.Less(a) },
+			func(a, b float64) bool { return b < a }, nil
 	case "ge", ">=":
-		return "ge", func(a, b engine.Value) bool { return !a.Less(b) }, nil
+		return "ge", func(a, b engine.Value) bool { return !a.Less(b) },
+			func(a, b float64) bool { return !(a < b) }, nil
 	}
-	return "", nil, badRequestf("unknown operator %q", op)
+	return "", nil, nil, badRequestf("unknown operator %q", op)
 }
 
 // canonicalAgg renders the query in a normalized form for the cache

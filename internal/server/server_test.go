@@ -12,6 +12,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -328,6 +329,43 @@ func TestPredicatesMatchDirectClosures(t *testing.T) {
 	}
 }
 
+// TestUncertainPredicateMatchesValueOrder: the float64 comparison an
+// uncertain-column predicate compiles to answers exactly as compare's
+// engine.Value form does on two engine.Float values — for all six
+// operators over the values where float order is not a total order or
+// not obvious: NaN on either side, both infinities, both zeros, a
+// denormal, and an ordinary pair.
+func TestUncertainPredicateMatchesValueOrder(t *testing.T) {
+	db, err := experiments.SBPDatabase(fixturePatients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := db.Spec("sbp_data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	vals := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, 120.5, 130}
+	for _, op := range []string{"eq", "ne", "lt", "le", "gt", "ge"} {
+		_, boxed, _, err := compare(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, lit := range vals {
+			preds, err := compileWhere(spec, []Predicate{{Col: "sbp", Op: op, Value: lit}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, u := range vals {
+				want := boxed(engine.Float(u), engine.Float(lit))
+				if got := preds.unc(nil, []float64{u}); got != want {
+					t.Errorf("%v %s %v: float predicate %v, engine.Value order %v", u, op, lit, got, want)
+				}
+			}
+		}
+	}
+}
+
 // TestPagination: pages reassemble the full vector exactly, with
 // next_offset chaining and terminating at -1.
 func TestPagination(t *testing.T) {
@@ -510,7 +548,7 @@ func TestTraceEndpoint(t *testing.T) {
 
 // TestRequestValidation: malformed requests are 4xx, not 500.
 func TestRequestValidation(t *testing.T) {
-	_, ts := newTestServer(t, Config{BaseSeed: 1, MaxIterations: 100})
+	s, ts := newTestServer(t, Config{BaseSeed: 1, MaxIterations: 100})
 	cases := []QueryRequest{
 		{Tenant: "acme", Table: "sbp_data", Col: "sbp", Fn: "median", Iterations: 5},
 		{Tenant: "acme", Table: "sbp_data", Col: "sbp", Fn: "avg", Iterations: 0},
@@ -527,6 +565,23 @@ func TestRequestValidation(t *testing.T) {
 		if resp != nil || httpResp.StatusCode != 400 {
 			t.Fatalf("case %d: status %d, want 400", i, httpResp.StatusCode)
 		}
+	}
+
+	// An offset outside the run's sample vector is refused on entry: the
+	// request is not admitted, nothing executes, nothing is cached.
+	admitted, misses := s.reg.Counter(MetricAdmitted).Value(), s.reg.Counter(MetricCacheMisses).Value()
+	for _, offset := range []int{-1, 6} {
+		q := QueryRequest{Tenant: "acme", Table: "sbp_data", Col: "sbp", Fn: "avg", Iterations: 5, Offset: offset}
+		if resp, httpResp := post[QueryResponse](t, ts.URL+"/v1/query", q); resp != nil || httpResp.StatusCode != 400 {
+			t.Fatalf("query offset %d: status %d, want 400", offset, httpResp.StatusCode)
+		}
+		sq := SQLRequest{Tenant: "acme", SQL: "SELECT AVG(sbp) FROM sbp_data", Iterations: 5, Offset: offset}
+		if resp, httpResp := post[SQLResponse](t, ts.URL+"/v1/sql", sq); resp != nil || httpResp.StatusCode != 400 {
+			t.Fatalf("sql offset %d: status %d, want 400", offset, httpResp.StatusCode)
+		}
+	}
+	if a, m := s.reg.Counter(MetricAdmitted).Value(), s.reg.Counter(MetricCacheMisses).Value(); a != admitted || m != misses {
+		t.Fatalf("out-of-range offset ran: admitted %d → %d, cache misses %d → %d", admitted, a, misses, m)
 	}
 
 	// A field the request type does not declare — a retired option, a
@@ -558,8 +613,7 @@ func TestRequestValidation(t *testing.T) {
 	}
 
 	// Unknown tenant on a server without Open.
-	s := New(Config{})
-	sts := httptest.NewServer(s.Handler())
+	sts := httptest.NewServer(New(Config{}).Handler())
 	defer sts.Close()
 	if resp, httpResp := post[QueryResponse](t, sts.URL+"/v1/query",
 		QueryRequest{Tenant: "ghost", Table: "sbp_data", Col: "sbp", Fn: "avg", Iterations: 5}); resp != nil || httpResp.StatusCode != 404 {
