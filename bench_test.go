@@ -3,7 +3,9 @@ package modeldata_test
 // One benchmark per paper artifact: each BenchmarkF*/BenchmarkE* runs
 // the registered experiment that regenerates the corresponding figure
 // or quantitative claim, failing if the paper's qualitative shape does
-// not hold. Micro-benchmarks for the hot substrate operations follow.
+// not hold. Micro-benchmarks follow for the substrate packages the
+// repository benchmark (bench/) does not reach; engine, mcdb and
+// parallel numbers are bench/ per-layer metrics (bench/README.md).
 
 import (
 	"context"
@@ -12,10 +14,8 @@ import (
 	"testing"
 
 	"modeldata/internal/assimilate"
-	"modeldata/internal/engine"
 	"modeldata/internal/experiments"
 	"modeldata/internal/linalg"
-	"modeldata/internal/mcdb"
 	"modeldata/internal/rng"
 	"modeldata/internal/sgd"
 	"modeldata/internal/timeseries"
@@ -64,64 +64,6 @@ func BenchmarkA3CyclingReuse(b *testing.B)        { benchExperiment(b, "A3") }
 func BenchmarkA4SelfJoinParallel(b *testing.B)    { benchExperiment(b, "A4") }
 
 // --- substrate micro-benchmarks ---
-
-func BenchmarkEngineHashJoin(b *testing.B) {
-	left := engine.MustNewTable("l", engine.Schema{
-		{Name: "k", Type: engine.TypeInt}, {Name: "v", Type: engine.TypeFloat},
-	})
-	right := engine.MustNewTable("r", engine.Schema{
-		{Name: "k", Type: engine.TypeInt}, {Name: "w", Type: engine.TypeFloat},
-	})
-	for i := 0; i < 10000; i++ {
-		left.MustInsert(engine.Int(int64(i)), engine.Float(float64(i)))
-		right.MustInsert(engine.Int(int64(i%1000)), engine.Float(float64(i)))
-	}
-	q := engine.From(left).Join(right, "k", "k")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		n, err := q.Count()
-		if err != nil {
-			b.Fatal(err)
-		}
-		if n != 10000 {
-			b.Fatalf("join rows = %d", n)
-		}
-	}
-}
-
-func BenchmarkEngineGroupBy(b *testing.B) {
-	t := engine.MustNewTable("t", engine.Schema{
-		{Name: "g", Type: engine.TypeInt}, {Name: "v", Type: engine.TypeFloat},
-	})
-	for i := 0; i < 20000; i++ {
-		t.MustInsert(engine.Int(int64(i%100)), engine.Float(float64(i)))
-	}
-	q := engine.From(t).GroupBy([]string{"g"}, engine.Aggregate{Fn: engine.AggSum, Col: "v", As: "s"})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if n, err := q.Count(); err != nil || n != 100 {
-			b.Fatalf("groups = %d err = %v", n, err)
-		}
-	}
-}
-
-func BenchmarkBundleEstimate(b *testing.B) {
-	db, err := experiments.SBPDatabase(200)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bundles, err := db.InstantiateBundled(500, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	bt := bundles["sbp_data"]
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := bt.Estimate("sbp", engine.AggAvg, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
 
 func BenchmarkThomasSolve(b *testing.B) {
 	n := 100000
@@ -213,20 +155,6 @@ func BenchmarkParticleFilterStep(b *testing.B) {
 			b.Fatal(err)
 		}
 		if _, err := f.Step(y); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkVGNormal(b *testing.B) {
-	vg := mcdb.NormalVG()
-	params := engine.Row{engine.Float(120), engine.Float(15)}
-	r := rng.New(9)
-	var buf []engine.Value
-	var err error
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if buf, err = vg(params, r, buf[:0]); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -49,6 +49,7 @@ type shell struct {
 	iters   int
 	seed    uint64
 	workers int
+	in      io.Reader // repl reads statements from here, one per line
 	out     io.Writer
 }
 
@@ -70,6 +71,7 @@ func main() {
 		iters:   *iters,
 		seed:    *seed,
 		workers: *workers,
+		in:      os.Stdin,
 		out:     os.Stdout,
 	}
 	// Every request the shell sends carries this context, so Ctrl-C
@@ -83,25 +85,34 @@ func main() {
 		}
 		return
 	}
-	sh.repl(ctx)
+	if err := sh.repl(ctx); err != nil {
+		log.Fatal(err)
+	}
 }
 
-func (sh *shell) repl(ctx context.Context) {
+// maxStatement bounds one input line, as cmd/sqlcli does; a longer
+// line ends the session with bufio.ErrTooLong.
+const maxStatement = 1 << 20
+
+// repl runs statements from sh.in until \q or end of input, and
+// returns the error that cut the input short, if one did.
+func (sh *shell) repl(ctx context.Context) error {
 	fmt.Fprintf(sh.out, "connected to %s (tenant %q, iters %d, seed %d); \\q quits\n",
 		sh.addr, sh.tenant, sh.iters, sh.seed)
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(sh.in)
+	sc.Buffer(make([]byte, maxStatement), maxStatement)
 	for {
 		fmt.Fprint(sh.out, "mcdb> ")
 		if !sc.Scan() {
 			fmt.Fprintln(sh.out)
-			return
+			return sc.Err()
 		}
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
 			continue
 		}
 		if line == `\q` || line == `\quit` {
-			return
+			return nil
 		}
 		if err := sh.dispatch(ctx, line); err != nil {
 			fmt.Fprintf(sh.out, "error: %v\n", err)

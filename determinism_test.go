@@ -219,41 +219,6 @@ func TestMapReduceCancellation(t *testing.T) {
 	}
 }
 
-// TestRunPlannerEquivalenceAcrossWorkers runs a full experiment with
-// the query planner forced off (written-order execution) and forced
-// on (cost-based reordering), at workers 1, 2, and 8, and requires
-// every variant to produce identical rows. This is the end-to-end
-// statement of the planner's contract: plan choice may change speed,
-// never results — even under parallel replay.
-func TestRunPlannerEquivalenceAcrossWorkers(t *testing.T) {
-	run := func(on bool, workers int) modeldata.ExperimentResult {
-		t.Helper()
-		prev := engine.SetPlannerDefault(on)
-		defer engine.SetPlannerDefault(prev)
-		res, err := modeldata.Run(context.Background(), "F4",
-			modeldata.WithSeed(3), modeldata.WithWorkers(workers))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	ref := run(false, 1)
-	for _, on := range []bool{false, true} {
-		for _, w := range workerCounts {
-			got := run(on, w)
-			if len(got.Rows) != len(ref.Rows) {
-				t.Fatalf("planner=%v workers=%d: %d rows vs %d", on, w, len(got.Rows), len(ref.Rows))
-			}
-			for i := range ref.Rows {
-				if got.Rows[i] != ref.Rows[i] {
-					t.Fatalf("planner=%v workers=%d: row %d: %+v vs %+v",
-						on, w, i, got.Rows[i], ref.Rows[i])
-				}
-			}
-		}
-	}
-}
-
 // TestRunStatsAndProgress checks the per-run counters and progress
 // callback wiring of the options API.
 func TestRunStatsAndProgress(t *testing.T) {

@@ -46,7 +46,8 @@
 // deterministic runtime whose results are bit-identical to sequential
 // execution at any worker count (one pre-split random substream per
 // iteration index — see DESIGN.md). The benchmarks in bench_test.go
-// regenerate one experiment per paper artifact.
+// regenerate one experiment per paper artifact; serving and storage
+// performance is measured by the repository benchmark in bench/.
 package modeldata
 
 import "modeldata/internal/experiments"

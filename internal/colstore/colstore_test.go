@@ -271,24 +271,6 @@ func TestZoneMapPruning(t *testing.T) {
 	requireSameTable(t, "pruned scan", want, got)
 }
 
-func TestDisablePruningScansEverything(t *testing.T) {
-	tbl := seqTable("z", 1000)
-	st := writeAndOpen(t, tbl, colstore.Options{SegmentRows: 100, DisablePruning: true})
-	pred := plan.Between{Col: "id", Lo: plan.IntLit(250), Hi: plan.IntLit(349)}
-	it, err := st.ScanPartitions(context.Background(), nil, pred)
-	if err != nil {
-		t.Fatalf("ScanPartitions: %v", err)
-	}
-	drain(t, it)
-	stats := it.Stats()
-	if stats.Scanned != 10 || stats.BlocksPruned != 0 {
-		t.Fatalf("stats = %+v, want all 10 scanned, 0 pruned", stats)
-	}
-	if _, pruned := st.PlanScan(pred); pruned != 0 {
-		t.Fatalf("PlanScan pruned = %d, want 0", pruned)
-	}
-}
-
 func TestNaNSegmentsSurviveOrderPredicates(t *testing.T) {
 	// A segment whose float column is all NaN must still be scanned for
 	// <=-style predicates (NaN rows match them under engine semantics)

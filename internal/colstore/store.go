@@ -37,18 +37,17 @@ var (
 
 // Store is an opened segment directory.
 type Store struct {
-	dir     string
-	name    string
-	schema  engine.Schema
-	segs    []*segMeta // footer per segment, file-name order
-	rows    int64
-	noPrune bool
+	dir    string
+	name   string
+	schema engine.Schema
+	segs   []*segMeta // footer per segment, file-name order
+	rows   int64
 }
 
 // Open reads the footers of every seg-*.mdcs file under dir (sorted by
 // file name, which is write order) and validates that all segments
 // agree on relation name and schema.
-func Open(dir string, opt Options) (*Store, error) {
+func Open(dir string, _ Options) (*Store, error) {
 	paths, err := filepath.Glob(filepath.Join(dir, "seg-*.mdcs"))
 	if err != nil {
 		return nil, err
@@ -57,7 +56,7 @@ func Open(dir string, opt Options) (*Store, error) {
 		return nil, fmt.Errorf("colstore: no segments under %q", dir)
 	}
 	sort.Strings(paths)
-	st := &Store{dir: dir, noPrune: opt.DisablePruning}
+	st := &Store{dir: dir}
 	// bounded by the segment files present on disk
 	st.segs = make([]*segMeta, 0, len(paths))
 	for _, p := range paths {
@@ -183,7 +182,7 @@ func (st *Store) ScanPartitions(ctx context.Context, cols []string, pred plan.Ex
 // scan's partition count and pruned-block count from footers alone.
 func (st *Store) PlanScan(pred plan.Expr) (partitions, pruned int64) {
 	partitions = int64(len(st.segs))
-	if st.noPrune || pred == nil {
+	if pred == nil {
 		return partitions, 0
 	}
 	for _, sm := range st.segs {
@@ -225,7 +224,7 @@ func (it *segIter) Next() (*engine.ColumnBlock, error) {
 		sm := it.st.segs[it.next]
 		it.next++
 		it.stats.Partitions++
-		if !it.st.noPrune && it.pred != nil && !engine.ZoneMayMatch(it.pred, sm.zoneStats()) {
+		if it.pred != nil && !engine.ZoneMayMatch(it.pred, sm.zoneStats()) {
 			n := int64(len(it.proj))
 			it.stats.BlocksPruned += n
 			blocksPruned.Add(n)

@@ -33,14 +33,12 @@ type Writer struct {
 	closed   bool
 }
 
-// Options configures a Writer or Store.
+// Options configures a Writer. Open takes one and reads nothing from
+// it: a Store always prunes by zone map (the benchmark reports how
+// much as colstore.prune_ratio on batch_ooc).
 type Options struct {
 	// SegmentRows is the partition size; 0 means DefaultSegmentRows.
 	SegmentRows int
-	// DisablePruning makes Store scans decode every segment, ignoring
-	// zone maps — the full-decode baseline the benchmarks compare
-	// against. Writers ignore it.
-	DisablePruning bool
 }
 
 // NewWriter creates a segment writer for a relation with the given
@@ -380,18 +378,6 @@ func WriteTable(dir string, t *engine.Table, opt Options) error {
 		return err
 	}
 	if err := w.AppendTable(t); err != nil {
-		return err
-	}
-	return w.Close()
-}
-
-// WriteBlock is the one-call form for a block source.
-func WriteBlock(dir string, b *engine.ColumnBlock, opt Options) error {
-	w, err := NewWriter(dir, b.Name, b.Schema, opt)
-	if err != nil {
-		return err
-	}
-	if err := w.AppendBlock(b); err != nil {
 		return err
 	}
 	return w.Close()

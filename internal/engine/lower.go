@@ -345,7 +345,7 @@ func (q *Query) Explain() (*plan.Tree, error) {
 	if reg := q.lowerRegion(); reg != nil {
 		spec, cat := q.regionSpec(reg)
 		var choice *plan.Choice
-		if q.plannerOn() && len(reg.joins) >= 2 {
+		if !q.plannerOff && len(reg.joins) >= 2 {
 			choice = plan.Choose(cat, spec)
 		}
 		if choice == nil {

@@ -83,14 +83,7 @@ func (p *Prepared) Scalar(db *Database) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if t.Len() != 1 || len(t.Schema) != 1 {
-		return 0, sqlErrf("scalar query returned %d×%d", t.Len(), len(t.Schema))
-	}
-	v := t.Rows[0][0]
-	if !v.IsNumeric() {
-		return 0, sqlErrf("scalar query returned %s", v.Type())
-	}
-	return v.AsFloat(), nil
+	return scalarOf(t)
 }
 
 // Explain binds the statement to db and returns its plan tree.

@@ -74,6 +74,21 @@ func explainText(t *testing.T, db *Database, sql string) string {
 	return strings.Join(lines, "\n")
 }
 
+// plannerOffQuery binds sql to db with the planner off: the written
+// order, which the planner-on results are compared against.
+func plannerOffQuery(t *testing.T, db *Database, sql string) *Query {
+	t.Helper()
+	p, err := Prepare(sql)
+	if err != nil {
+		t.Fatalf("Prepare: %v", err)
+	}
+	q, err := p.Query(db)
+	if err != nil {
+		t.Fatalf("bind: %v", err)
+	}
+	return q.WithPlanner(false)
+}
+
 // TestExplainReordersStarJoin pins the issue's acceptance criterion:
 // EXPLAIN over a 3-table join shows a cost-chosen join order that
 // differs from the written order. The written order joins med first;
@@ -115,9 +130,11 @@ func TestExplainReordersStarJoin(t *testing.T) {
 // EXPLAIN renders the written order, no reordering.
 func TestExplainWrittenOrderWhenPlannerOff(t *testing.T) {
 	db := starDB(t)
-	prev := SetPlannerDefault(false)
-	defer SetPlannerDefault(prev)
-	text := explainText(t, db, starSQL)
+	tree, err := plannerOffQuery(t, db, starSQL).Explain()
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := tree.Text()
 
 	medJoin := strings.Index(text, "join fact.gid = med.gid")
 	tinyJoin := strings.Index(text, "join fact.tag = tiny.tag")
@@ -188,11 +205,8 @@ func TestPlannerOnOffGolden(t *testing.T) {
 		"SELECT fact.id FROM fact JOIN tiny ON fact.tag = tiny.tag WHERE NOT fact.val > 1000",
 	}
 	for i, sql := range queries {
-		prev := SetPlannerDefault(false)
-		off, errOff := db.Query(sql)
-		SetPlannerDefault(true)
+		off, errOff := plannerOffQuery(t, db, sql).Run()
 		on, errOn := db.Query(sql)
-		SetPlannerDefault(prev)
 		if errOff != nil || errOn != nil {
 			t.Fatalf("query %d: off err=%v on err=%v", i, errOff, errOn)
 		}
@@ -391,36 +405,10 @@ func TestPlannerMetrics(t *testing.T) {
 	}
 
 	d0 := direct.Value()
-	prev := SetPlannerDefault(false)
-	_, err := db.Query(starSQL)
-	SetPlannerDefault(prev)
-	if err != nil {
+	if _, err := plannerOffQuery(t, db, starSQL).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if direct.Value() != d0+1 {
 		t.Fatalf("direct %d→%d, want +1", d0, direct.Value())
-	}
-}
-
-// TestSetPlannerDefault pins the toggle contract: it returns the
-// previous value and WithPlanner overrides it in both directions.
-func TestSetPlannerDefault(t *testing.T) {
-	orig := SetPlannerDefault(true)
-	defer SetPlannerDefault(orig)
-	if prev := SetPlannerDefault(false); !prev {
-		t.Fatal("SetPlannerDefault(false) should report previous=true")
-	}
-	if prev := SetPlannerDefault(true); prev {
-		t.Fatal("SetPlannerDefault(true) should report previous=false")
-	}
-	db := starDB(t)
-	fact, _ := db.Get("fact")
-	med, _ := db.Get("med")
-	base := From(fact).Join(med, "gid", "gid")
-	if !base.WithPlanner(true).plannerOn() {
-		t.Fatal("WithPlanner(true) not forcing on")
-	}
-	if base.WithPlanner(false).plannerOn() {
-		t.Fatal("WithPlanner(false) not forcing off")
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync/atomic"
 
 	"modeldata/internal/engine/plan"
 	"modeldata/internal/prov"
@@ -45,10 +44,12 @@ import (
 // what Insert enforces. A hand-assembled Rows that breaks the rule
 // makes Run and Count return an error wrapping ErrMixedColumn.
 type Query struct {
-	src  *Table
-	ops  []*qop
-	err  error
-	mode plannerMode
+	src *Table
+	ops []*qop
+	err error
+	// plannerOff, set by WithPlanner(false), is inverted so the zero
+	// Query plans.
+	plannerOff bool
 
 	// store, when set by FromStorage, replaces src as the scan source:
 	// execution streams the storage's partitions (zone-map pruned by
@@ -130,47 +131,15 @@ type qop struct {
 	extFn   func(Row) Value
 }
 
-// --- planner mode ---
+// --- planner ---
 
-type plannerMode uint8
-
-const (
-	plannerDefault plannerMode = iota
-	plannerForceOn
-	plannerForceOff
-)
-
-// plannerDisabled is the process-wide default, inverted so the zero
-// value means "planner on".
-var plannerDisabled atomic.Bool
-
-// SetPlannerDefault sets the process-wide planner default (it starts
-// enabled) and returns the previous setting. Per-query WithPlanner
-// overrides it. The planner affects plan choice only, never results.
-func SetPlannerDefault(on bool) bool {
-	return !plannerDisabled.Swap(!on)
-}
-
-// WithPlanner forces the planner on or off for this query, overriding
-// the process default.
+// WithPlanner turns the cost-based planner on (the default) or off for
+// this query. Off executes the operations in written order; the
+// planner affects plan choice only, never results.
 func (q *Query) WithPlanner(on bool) *Query {
 	nq := *q
-	if on {
-		nq.mode = plannerForceOn
-	} else {
-		nq.mode = plannerForceOff
-	}
+	nq.plannerOff = !on
 	return &nq
-}
-
-func (q *Query) plannerOn() bool {
-	switch q.mode {
-	case plannerForceOn:
-		return true
-	case plannerForceOff:
-		return false
-	}
-	return !plannerDisabled.Load()
 }
 
 // --- building ---
@@ -508,7 +477,7 @@ func (q *Query) exec() (*chain, error) {
 	}
 	colQueries.Add(1)
 	start := 0
-	if q.store == nil && q.plannerOn() {
+	if q.store == nil && !q.plannerOff {
 		if start, err = q.planRegion(ch); err != nil {
 			return nil, err
 		}

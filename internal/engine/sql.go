@@ -755,6 +755,11 @@ func (db *Database) QueryScalar(sql string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	return scalarOf(t)
+}
+
+// scalarOf reads the one numeric cell of a scalar query's result.
+func scalarOf(t *Table) (float64, error) {
 	if t.Len() != 1 || len(t.Schema) != 1 {
 		return 0, sqlErrf("scalar query returned %d×%d", t.Len(), len(t.Schema))
 	}

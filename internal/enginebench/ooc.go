@@ -1,24 +1,25 @@
-package enginebench
-
-// Out-of-core workloads: the 10⁷-row benchmarks over internal/colstore
-// segments. Data builds segment-by-segment from typed vectors — never
+// Package enginebench is the out-of-core fixture the repository
+// benchmark imports: bench/batch.go calls BuildOOCStore for the
+// batch_ooc workload, and its oracle counts the rows and gid groups
+// written here. It lives outside bench/ only because a change to
+// bench/ has to be a benchmark change of its own; the data is pinned
+// by ooc_test.go until it moves.
+//
+// Data builds segment-by-segment from typed vectors — never
 // materializing boxed rows — so a 10⁷-row relation costs one segment
 // buffer, not ten million engine.Row allocations. The `id` column is
 // sequential, clustering segments into disjoint id ranges that a
 // BETWEEN predicate can prune via zone maps; `gid` is a small-domain
 // group key and `val`/`tag` give the aggregates real work.
+package enginebench
 
 import (
 	"fmt"
 
 	"modeldata/internal/colstore"
 	"modeldata/internal/engine"
-	"modeldata/internal/engine/plan"
 	"modeldata/internal/rng"
 )
-
-// OOCDefaultRows is the headline out-of-core benchmark scale.
-const OOCDefaultRows = 10_000_000
 
 // oocGidDomain is the group-by key cardinality.
 const oocGidDomain = 1024
@@ -72,95 +73,4 @@ func BuildOOCStore(dir string, rows, segRows int) error {
 		}
 	}
 	return w.Close()
-}
-
-// oocJoinDim builds the join dimension: rows/100 stride-distinct ids,
-// so each dimension row matches exactly one fact row and the build
-// side is large enough to force a Grace spill at a small budget.
-func oocJoinDim(rows int) *engine.Table {
-	n := rows / 100
-	if n < 1 {
-		n = 1
-	}
-	t := &engine.Table{Name: "dim", Schema: engine.Schema{
-		{Name: "jid", Type: engine.TypeInt},
-		{Name: "label", Type: engine.TypeString},
-	}}
-	t.Rows = make([]engine.Row, 0, n)
-	for i := 0; i < n; i++ {
-		t.Rows = append(t.Rows, engine.Row{
-			engine.Int(int64(i * 100)),
-			engine.Str(fmt.Sprintf("d%06d", i)),
-		})
-	}
-	return t
-}
-
-// OOCWorkload is one out-of-core benchmark: Base is the unoptimized
-// execution (full decode, or unlimited-memory hash), Opt the optimized
-// one (zone-map-pruned scan, or budgeted spill).
-type OOCWorkload struct {
-	Op   string
-	Rows int
-	Base func()
-	Opt  func()
-}
-
-// Name returns the canonical benchmark label, e.g. "ScanPruned/10000000".
-func (w OOCWorkload) Name() string { return fmt.Sprintf("%s/%d", w.Op, w.Rows) }
-
-// OOCWorkloads opens the segment directory written by BuildOOCStore
-// twice — once with pruning, once decoding everything — and returns
-// the scan, join, and group-by workload pairs. spillBudget is the
-// memory budget (bytes) the Opt join/group-by run under; Base runs
-// unlimited.
-func OOCWorkloads(dir string, rows int, spillBudget int64, spillDir string) ([]OOCWorkload, error) {
-	pruned, err := colstore.Open(dir, colstore.Options{})
-	if err != nil {
-		return nil, err
-	}
-	full, err := colstore.Open(dir, colstore.Options{DisablePruning: true})
-	if err != nil {
-		return nil, err
-	}
-	mustCount := func(q *engine.Query) {
-		if _, err := q.Count(); err != nil {
-			panic(err)
-		}
-	}
-
-	// A BETWEEN over 1% of the sequential id range: zone maps prune
-	// every segment outside it, the full-decode store reads them all.
-	lo, hi := int64(rows/2), int64(rows/2+rows/100)
-	between := plan.Between{Col: "id", Lo: plan.IntLit(lo), Hi: plan.IntLit(hi)}
-	scan := OOCWorkload{
-		Op: "ScanPruned", Rows: rows,
-		Base: func() { mustCount(engine.FromStorage(full).WhereExpr(between)) },
-		Opt:  func() { mustCount(engine.FromStorage(pruned).WhereExpr(between)) },
-	}
-
-	dim := oocJoinDim(rows)
-	join := OOCWorkload{
-		Op: "JoinSpill", Rows: rows,
-		Base: func() { mustCount(engine.FromStorage(pruned).Join(dim, "id", "jid")) },
-		Opt: func() {
-			mustCount(engine.FromStorage(pruned).Join(dim, "id", "jid").
-				WithMemoryBudget(spillBudget).WithSpillDir(spillDir))
-		},
-	}
-
-	aggs := []engine.Aggregate{
-		{Fn: engine.AggCount, As: "n"},
-		{Fn: engine.AggSum, Col: "val", As: "sv"},
-		{Fn: engine.AggMax, Col: "val", As: "mv"},
-	}
-	group := OOCWorkload{
-		Op: "GroupBySpill", Rows: rows,
-		Base: func() { mustCount(engine.FromStorage(pruned).GroupBy([]string{"gid"}, aggs...)) },
-		Opt: func() {
-			mustCount(engine.FromStorage(pruned).GroupBy([]string{"gid"}, aggs...).
-				WithMemoryBudget(spillBudget).WithSpillDir(spillDir))
-		},
-	}
-	return []OOCWorkload{scan, join, group}, nil
 }

@@ -162,10 +162,6 @@ func (a *Arena) Size(s Set) int {
 	return len(a.sets[s])
 }
 
-// NumSets returns the number of distinct interned sets (including the
-// empty set), a rough measure of annotation diversity.
-func (a *Arena) NumSets() int { return len(a.sets) }
-
 func (a *Arena) tmpBuf() []int32 {
 	if a.tmp == nil {
 		a.tmp = make([]int32, 0, 16)
