@@ -403,19 +403,72 @@ func TestDatabase(t *testing.T) {
 	if tbl.Len() != 5 {
 		t.Fatal("wrong table")
 	}
+	// A clone shares the (immutable) rows under headers of its own:
+	// Insert, Put and Drop on either side are invisible to the other, and
+	// the original's row list is left exactly as it was.
+	db.Put(MustNewTable("extra", Schema{{Name: "x", Type: TypeInt}}))
+	orig, _ := db.Get("person")
+	wantLen, wantCap := len(orig.Rows), cap(orig.Rows)
 	clone := db.Clone()
 	ct, _ := clone.Get("person")
-	ct.Rows[0][1] = Str("mutated")
-	orig, _ := db.Get("person")
-	if orig.Rows[0][1].AsString() == "mutated" {
-		t.Fatal("clone is not deep")
+	if ct == orig || ct.Len() != 5 || &ct.Rows[0][0] != &orig.Rows[0][0] || !ct.Schema.Equal(orig.Schema) {
+		t.Fatal("clone does not hold the original's rows under its own header")
 	}
+	ct.MustInsert(Int(6), Str("fay"), Int(40), Float(1))
+	if len(orig.Rows) != wantLen || cap(orig.Rows) != wantCap {
+		t.Fatalf("Insert on the clone changed the original's row list: len %d cap %d", len(orig.Rows), cap(orig.Rows))
+	}
+	orig.MustInsert(Int(7), Str("gus"), Int(41), Float(2))
+	if ct.Len() != 6 || orig.Len() != 6 || ct.Rows[5][1].AsString() != "fay" || orig.Rows[5][1].AsString() != "gus" {
+		t.Fatalf("Insert crossed the clone boundary: clone %v, original %v", ct.Rows[5], orig.Rows[5])
+	}
+	clone.Drop("extra")
+	clone.Put(MustNewTable("mine", Schema{{Name: "x", Type: TypeInt}}))
+	db.Put(MustNewTable("theirs", Schema{{Name: "x", Type: TypeInt}}))
+	if _, err := db.Get("extra"); err != nil {
+		t.Fatal("Drop on the clone reached the original")
+	}
+	if _, err := db.Get("mine"); !errors.Is(err, ErrNoTable) {
+		t.Fatal("Put on the clone reached the original")
+	}
+	if _, err := clone.Get("theirs"); !errors.Is(err, ErrNoTable) {
+		t.Fatal("Put on the original reached the clone")
+	}
+	// Table.Clone stays the deep copy: its cells may be written.
+	deep := orig.Clone()
+	deep.Rows[0][1] = Str("mutated")
+	if orig.Rows[0][1].AsString() != "ann" {
+		t.Fatal("Table.Clone is not deep")
+	}
+	db.Drop("extra")
+	db.Drop("theirs")
 	db.Drop("person")
 	if _, err := db.Get("person"); !errors.Is(err, ErrNoTable) {
 		t.Fatalf("got %v, want ErrNoTable", err)
 	}
 	if len(db.Names()) != 0 {
 		t.Fatal("Names after drop")
+	}
+}
+
+// TestDatabaseCloneAllocs pins that cloning copies no row: a database
+// holding a 10^5-row table clones in O(tables) allocations.
+func TestDatabaseCloneAllocs(t *testing.T) {
+	db := NewDatabase()
+	big := MustNewTable("big", Schema{{Name: "x", Type: TypeInt}})
+	for i := 0; i < 100_000; i++ {
+		big.MustInsert(Int(int64(i)))
+	}
+	db.Put(big)
+	db.Put(peopleTable(t))
+	var clone *Database
+	allocs := testing.AllocsPerRun(10, func() { clone = db.Clone() })
+	if allocs > 16 {
+		t.Fatalf("Clone of a 100000-row database: %.0f allocations, want O(tables)", allocs)
+	}
+	ct, _ := clone.Get("big")
+	if ct.Len() != 100_000 || &ct.Rows[0][0] != &big.Rows[0][0] {
+		t.Fatal("clone does not share the original's rows")
 	}
 }
 

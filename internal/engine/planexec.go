@@ -420,6 +420,12 @@ func buildScanBlock(b *ColumnBlock, fp []int32, keep []retCol, withRid bool, sca
 // saturated count compares "huge", which only flips a build side
 // toward the raw scan — still exactly what the written path would do,
 // since the real count is at least as large.
+//
+// An edge is counted on uint64 key codes, computed once per column,
+// where equiJoinIdx would join on them — both columns of one key kind,
+// not strings, keyCodes succeeding on both — and on byte keys otherwise
+// (strings, an int64 beyond 2^53, mismatched kinds, which never match).
+// Codes are equal exactly when byte keys are, so the counts agree.
 func canonLens(blocks []*ColumnBlock, failPos [][]int32, joins []regionJoin, lj, rj []int) []int64 {
 	m := len(joins)
 	lens := make([]int64, m)
@@ -430,57 +436,76 @@ func canonLens(blocks []*ColumnBlock, failPos [][]int32, joins []regionJoin, lj,
 		}
 	}
 	lens[0] = c0
+	// lc[c] / rc[c]: key codes of join c's left and right columns, nil
+	// for an edge counted on byte keys. The last join is never counted.
+	lc, rc := make([][]uint64, m), make([][]uint64, m)
+	for c := 0; c < m-1; c++ {
+		lb, rb := blocks[joins[c].leftScan], blocks[c+1]
+		lt, rt := lb.Schema[lj[c]].Type, rb.Schema[rj[c]].Type
+		if lt == TypeString || colKeyKind(lt) != colKeyKind(rt) {
+			continue
+		}
+		l, r := make([]uint64, lb.Len()), make([]uint64, rb.Len())
+		if lb.keyCodes(lj[c], l) && rb.keyCodes(rj[c], r) {
+			lc[c], rc[c] = l, r
+		}
+	}
+	type keyCount struct {
+		codes map[uint64]int64
+		keys  map[string]int64
+	}
+	var cnt []keyCount
 	var kb []byte
+	// weight is the number of partial join tuples below row i of scan t
+	// among scans ≤ p: the product over the joins c < p that hang scan
+	// c+1 off t of that child's count at the row's key.
+	weight := func(t, p, i int) int64 {
+		w := int64(1)
+		for c := t; c < p && w != 0; c++ {
+			if joins[c].leftScan != t {
+				continue
+			}
+			if lc[c] != nil {
+				w = satMul(w, cnt[c+1].codes[lc[c][i]])
+			} else {
+				kb = blocks[t].appendKeyAt(kb[:0], i, lj[c])
+				w = satMul(w, cnt[c+1].keys[string(kb)])
+			}
+		}
+		return w
+	}
 	for p := 1; p < m; p++ {
-		cnt := make([]map[string]int64, p+1)
+		cnt = make([]keyCount, p+1)
 		for t := p; t >= 1; t-- {
-			b := blocks[t]
-			mp := make(map[string]int64, b.Len())
-			fp := failPos[t]
+			b, fp, codes := blocks[t], failPos[t], rc[t-1]
+			var kc keyCount
+			if codes != nil {
+				kc.codes = make(map[uint64]int64, b.Len())
+			} else {
+				kc.keys = make(map[string]int64, b.Len())
+			}
 			for i, n := 0, b.Len(); i < n; i++ {
 				if int(fp[i]) <= p {
 					continue
 				}
-				w := int64(1)
-				// Joins introducing a scan below t in the tree slice:
-				// join c introduces scan c+1 and hangs it off leftScan.
-				for c := t; c < p; c++ {
-					if joins[c].leftScan != t {
-						continue
-					}
-					kb = b.appendKeyAt(kb[:0], i, lj[c])
-					w = satMul(w, cnt[c+1][string(kb)])
-					if w == 0 {
-						break
-					}
-				}
+				w := weight(t, p, i)
 				if w == 0 {
 					continue
 				}
-				kb = b.appendKeyAt(kb[:0], i, rj[t-1])
-				mp[string(kb)] = satAdd(mp[string(kb)], w)
+				if codes != nil {
+					kc.codes[codes[i]] = satAdd(kc.codes[codes[i]], w)
+				} else {
+					kb = b.appendKeyAt(kb[:0], i, rj[t-1])
+					kc.keys[string(kb)] = satAdd(kc.keys[string(kb)], w)
+				}
 			}
-			cnt[t] = mp
+			cnt[t] = kc
 		}
 		var total int64
-		b0 := blocks[0]
-		fp := failPos[0]
-		for i, n := 0, b0.Len(); i < n; i++ {
-			if int(fp[i]) <= p {
-				continue
+		for i, fp := range failPos[0] {
+			if int(fp) > p {
+				total = satAdd(total, weight(0, p, i))
 			}
-			w := int64(1)
-			for c := 0; c < p; c++ {
-				if joins[c].leftScan != 0 {
-					continue
-				}
-				kb = b0.appendKeyAt(kb[:0], i, lj[c])
-				w = satMul(w, cnt[c+1][string(kb)])
-				if w == 0 {
-					break
-				}
-			}
-			total = satAdd(total, w)
 		}
 		lens[p] = total
 	}

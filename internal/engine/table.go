@@ -324,16 +324,22 @@ func (db *Database) Names() []string {
 	return out
 }
 
-// Clone deep-copies the database; this is how Monte Carlo layers
-// materialize independent database instances. Tables are deep-copied
-// (the clone may mutate them freely); storage backends are read-only
-// and safe for concurrent scans, so the clone shares them — each
-// clone gets its own registration map, but the backends themselves
-// are the same objects.
+// Clone returns an independent database over the same rows; this is how
+// Monte Carlo layers materialize database instances. Rows are immutable
+// once inserted, so each table of the clone is a fresh header (name,
+// schema copy, row list clipped to its length) over the original's
+// rows, and cloning costs O(tables), not O(rows). A clone may Insert,
+// Put and Drop freely — the clip makes its first Insert reallocate the
+// row list, so neither side sees the other's changes — but, like any
+// holder of a table, must not write a cell of an existing row;
+// Table.Clone is the deep copy for that. Storage backends are read-only
+// and safe for concurrent scans, so the clone shares them too, under
+// its own registration map.
 func (db *Database) Clone() *Database {
 	out := NewDatabase()
-	for _, t := range db.tables {
-		out.Put(t.Clone())
+	for k, t := range db.tables {
+		n := len(t.Rows)
+		out.tables[k] = &Table{Name: t.Name, Schema: t.Schema.Clone(), Rows: t.Rows[:n:n]}
 	}
 	for _, st := range db.stores {
 		out.PutStorage(st)

@@ -54,3 +54,43 @@ func TestSamplingAllocatesPerTupleNotPerIteration(t *testing.T) {
 		t.Fatalf("custom OutputRow: %v more allocations at 1000 iterations than at 100, want %v (one row per draw)", got, want)
 	}
 }
+
+// TestInstanceAllocsPerIterationNotPerTuple is the allocation budget of
+// the per-instance executor: with the default OutputRow one iteration —
+// clone the base tables, realize the spec into its slab, aggregate —
+// allocates the same number of objects over 50 outer rows and over
+// 5000, because a clone shares rows, a realization is two slices and
+// every draw lands in one reused buffer.
+func TestInstanceAllocsPerIterationNotPerTuple(t *testing.T) {
+	ctx := context.Background()
+	perIteration := func(patients int) float64 {
+		db, err := experiments.SBPDatabase(patients)
+		if err != nil {
+			t.Fatal(err)
+		}
+		spec, err := db.Spec("sbp_data")
+		if err != nil {
+			t.Fatal(err)
+		}
+		flatSpec := *spec
+		flatSpec.UncertainCols = nil // executes per instance
+		flat := mcdb.New(db.Base)
+		if err := flat.AddSpec(&flatSpec); err != nil {
+			t.Fatal(err)
+		}
+		sess := flat.NewSession()
+		allocs := func(iters int) float64 {
+			return testing.AllocsPerRun(3, func() {
+				_, err := sess.Exec(ctx, mcdb.AggQuery{Table: "sbp_data", Col: "sbp", Fn: engine.AggAvg},
+					mcdb.ExecOptions{Iterations: iters, Seed: 3, Workers: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		return (allocs(12) - allocs(2)) / 10
+	}
+	if small, large := perIteration(50), perIteration(5000); math.Abs(large-small) >= 8 {
+		t.Fatalf("%v allocations per iteration over 50 outer rows, %v over 5000; the executor allocates per tuple", small, large)
+	}
+}

@@ -128,7 +128,7 @@ func (db *DB) sampleTuple(spec *TableSpec, outer engine.Row, tr *rng.Stream, ite
 	for it := 0; it < iters; it++ {
 		vgBuf, err = spec.VG(params, tr, vgBuf[:0])
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, badSpec(err)
 		}
 		// cells[c-off] is column c of this draw's row: the assembled row
 		// itself, or — default OutputRow past the first draw — its VG tail.
@@ -137,13 +137,13 @@ func (db *DB) sampleTuple(spec *TableSpec, outer engine.Row, tr *rng.Stream, ite
 			cells, off = spec.outputRow(outer, vgBuf), 0
 		}
 		if off+len(cells) != len(spec.Schema) {
-			return nil, nil, fmt.Errorf("%w: %q produced %d values, schema has %d",
-				ErrBadSpec, spec.Name, off+len(cells), len(spec.Schema))
+			return nil, nil, fmt.Errorf("%w: %w: %q produced %d values, schema has %d",
+				ErrBadSpec, engine.ErrArity, spec.Name, off+len(cells), len(spec.Schema))
 		}
 		if it == 0 {
 			det = engine.Row(cells).Clone()
 			if err := spec.Schema.Conform(spec.Name, det); err != nil {
-				return nil, nil, fmt.Errorf("%w: %w", ErrBadSpec, err)
+				return nil, nil, badSpec(err)
 			}
 			for _, c := range spec.UncertainCols {
 				det[c] = engine.Value{}

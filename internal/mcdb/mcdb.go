@@ -46,11 +46,12 @@ var (
 // normal distribution to a full backward random walk (see the library
 // in vg.go).
 //
-// out is the caller's buffer. The bundle sampling loop hands the same
-// one back emptied (buf[:0]) for every iteration of a tuple, so a VG
-// must not keep out or the slice it returns past the call; a caller
-// that keeps the realization (per-instance realizeTuple) passes nil and
-// owns what comes back.
+// out is the caller's buffer. Both executors hand the same one back
+// emptied (buf[:0]) for every draw — each iteration of a tuple on
+// bundles, each tuple of a realization per instance — so a VG must not
+// keep out or the slice it returns past the call. params is shared by
+// every draw of its tuple and must not be written. An error from a VG
+// or a parameter query is reported wrapping ErrBadSpec.
 type VG func(params engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error)
 
 // TableSpec declares one stochastic table, mirroring MCDB's
@@ -70,7 +71,10 @@ type TableSpec struct {
 	ForEach string
 	// Params produces the VG parameter row for one outer tuple; in
 	// MCDB this is an arbitrary SQL query over the non-random tables.
-	// A nil Params passes the outer row itself to the VG function.
+	// It must be a function of the base tables and the outer row alone:
+	// a run resolves it once per outer tuple and reads the result, which
+	// is read-only from then on, at every iteration. A nil Params passes
+	// the outer row itself to the VG function.
 	Params func(db *engine.Database, outer engine.Row) (engine.Row, error)
 	// VG generates one realization of the uncertain values.
 	VG VG
@@ -79,10 +83,11 @@ type TableSpec struct {
 	// values to the outer row — the form the bundle sampling loop reads
 	// without assembling a row per draw. A custom OutputRow is called
 	// for every draw, so that route pays whatever row it allocates per
-	// tuple-iteration. On bundles vgOut is a buffer the next draw
-	// overwrites; the returned row is read before that draw (and cloned
-	// where it is kept), so it may alias vgOut, but OutputRow must not
-	// keep vgOut anywhere else.
+	// tuple-iteration. On either executor vgOut is a buffer the next
+	// draw overwrites; the returned row is read (bundles) or copied into
+	// the realized table (per instance) before that draw, so it may
+	// alias vgOut or outer, but OutputRow must not keep vgOut anywhere
+	// else.
 	OutputRow func(outer engine.Row, vgOut []engine.Value) engine.Row
 	// UncertainCols lists the indexes (into Schema) of the columns
 	// produced by the VG function; the bundle executor keeps these as
@@ -90,6 +95,15 @@ type TableSpec struct {
 	// declares them executes on bundles; one that declares none
 	// executes per instance.
 	UncertainCols []int
+}
+
+// badSpec marks err as a fault of the spec — its parameter query, its VG
+// or the row they produce — rather than of the query being run.
+func badSpec(err error) error {
+	if errors.Is(err, ErrBadSpec) {
+		return err
+	}
+	return fmt.Errorf("%w: %w", ErrBadSpec, err)
 }
 
 // UncPos returns the position within UncertainCols of the schema column
@@ -165,33 +179,93 @@ func (db *DB) Spec(name string) (*TableSpec, error) {
 	return nil, fmt.Errorf("%w: %q", ErrNoSpec, name)
 }
 
-// realizeSpec materializes one realization of a stochastic table,
-// checking ctx every few hundred tuples so a large realization can be
-// aborted mid-build.
-func (db *DB) realizeSpec(ctx context.Context, spec *TableSpec, r *rng.Stream) (*engine.Table, error) {
-	out, err := engine.NewTable(spec.Name, spec.Schema)
-	if err != nil {
-		return nil, err
-	}
-	outers, err := db.outerRows(spec)
-	if err != nil {
-		return nil, err
-	}
-	for i, outer := range outers {
-		if i%256 == 0 {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-		}
-		row, err := db.realizeTuple(spec, outer, r)
+// instancer holds what every instantiation of one run shares because it
+// does not depend on the random draw: per spec (in db.specs order) the
+// FOR EACH rows and the VG parameter rows. It is read-only once built,
+// so the iterations of a run use one concurrently.
+type instancer struct {
+	db             *DB
+	outers, params [][]engine.Row
+}
+
+// newInstancer resolves every spec's outer rows and runs its parameter
+// query once per outer tuple (a nil Params shares the outer rows),
+// checking ctx every few hundred tuples.
+func (db *DB) newInstancer(ctx context.Context) (*instancer, error) {
+	in := &instancer{db: db, outers: make([][]engine.Row, len(db.specs)), params: make([][]engine.Row, len(db.specs))}
+	for s, spec := range db.specs {
+		outers, err := db.outerRows(spec)
 		if err != nil {
 			return nil, err
 		}
-		if err := out.Insert(row); err != nil {
+		in.outers[s], in.params[s] = outers, outers
+		if spec.Params == nil {
+			continue
+		}
+		params := make([]engine.Row, len(outers))
+		for i, outer := range outers {
+			if i%256 == 0 && ctx.Err() != nil {
+				return nil, ctx.Err()
+			}
+			if params[i], err = db.vgParams(spec, outer); err != nil {
+				return nil, err
+			}
+		}
+		in.params[s] = params
+	}
+	return in, nil
+}
+
+// instantiate produces one database instance on r: a clone of the
+// deterministic tables plus one realization of every stochastic table.
+// ctx is observed between tables and every few hundred realized tuples.
+func (in *instancer) instantiate(ctx context.Context, r *rng.Stream) (*engine.Database, error) {
+	inst := in.db.Base.Clone()
+	for s, spec := range in.db.specs {
+		t, err := realizeSpec(ctx, spec, in.outers[s], in.params[s], r)
+		if err != nil {
 			return nil, err
 		}
+		inst.Put(t)
 	}
-	return out, nil
+	return inst, nil
+}
+
+// realizeSpec materializes one realization of a stochastic table into
+// one slab of Values, one slot per outer tuple. Every draw lands in the
+// same VG buffer and its row — outer ++ vgOut, or the custom OutputRow's
+// result, which may therefore alias vgOut — is copied into its slot
+// before the next draw, then conformed to the schema by Insert's rule.
+func realizeSpec(ctx context.Context, spec *TableSpec, outers, params []engine.Row, r *rng.Stream) (*engine.Table, error) {
+	width := len(spec.Schema)
+	rows := make([]engine.Row, len(outers))
+	slab := make([]engine.Value, len(outers)*width)
+	var vgBuf []engine.Value
+	for i, outer := range outers {
+		if i%256 == 0 && ctx.Err() != nil {
+			return nil, ctx.Err()
+		}
+		var err error
+		if vgBuf, err = spec.VG(params[i], r, vgBuf[:0]); err != nil {
+			return nil, badSpec(err)
+		}
+		head, tail := outer, engine.Row(vgBuf)
+		if spec.OutputRow != nil {
+			head, tail = nil, spec.OutputRow(outer, vgBuf)
+		}
+		slot := engine.Row(slab[i*width : (i+1)*width : (i+1)*width])
+		if len(head)+len(tail) == width {
+			n := copy(slot, head)
+			copy(slot[n:], tail)
+		} else {
+			slot = append(head.Clone(), tail...) // Conform words the arity error
+		}
+		if err := spec.Schema.Conform(spec.Name, slot); err != nil {
+			return nil, badSpec(err)
+		}
+		rows[i] = slot
+	}
+	return &engine.Table{Name: spec.Name, Schema: spec.Schema.Clone(), Rows: rows}, nil
 }
 
 // outerRows returns the FOR EACH loop rows ([nil] when absent).
@@ -201,7 +275,7 @@ func (db *DB) outerRows(spec *TableSpec) ([]engine.Row, error) {
 	}
 	t, err := db.Base.Get(spec.ForEach)
 	if err != nil {
-		return nil, err
+		return nil, badSpec(err)
 	}
 	return t.Rows, nil
 }
@@ -211,22 +285,11 @@ func (db *DB) vgParams(spec *TableSpec, outer engine.Row) (engine.Row, error) {
 	if spec.Params == nil {
 		return outer, nil
 	}
-	return spec.Params(db.Base, outer)
-}
-
-// realizeTuple realizes one output row for one outer tuple.
-func (db *DB) realizeTuple(spec *TableSpec, outer engine.Row, r *rng.Stream) (engine.Row, error) {
-	params, err := db.vgParams(spec, outer)
+	params, err := spec.Params(db.Base, outer)
 	if err != nil {
-		return nil, err
+		return nil, badSpec(err)
 	}
-	// A nil buffer: Table.Insert retains the row, and a custom OutputRow
-	// may return vgOut itself.
-	vgOut, err := spec.VG(params, r, nil)
-	if err != nil {
-		return nil, err
-	}
-	return spec.outputRow(outer, vgOut), nil
+	return params, nil
 }
 
 // Instantiate produces one complete database instance: a clone of the
@@ -238,21 +301,16 @@ func (db *DB) Instantiate(r *rng.Stream) (*engine.Database, error) {
 }
 
 // InstantiateCtx is Instantiate with cancellation: ctx is observed
-// between stochastic tables and every few hundred realized tuples, so
-// a server handler can abort an instantiation mid-build with ctx.Err().
+// between stochastic tables and every few hundred tuples, so a server
+// handler can abort an instantiation mid-build with ctx.Err(). Each call
+// resolves the parameter queries afresh; a run of many instantiations
+// (Session.ExecSQL) resolves them once.
 func (db *DB) InstantiateCtx(ctx context.Context, r *rng.Stream) (*engine.Database, error) {
-	inst := db.Base.Clone()
-	for _, spec := range db.specs {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		t, err := db.realizeSpec(ctx, spec, r)
-		if err != nil {
-			return nil, err
-		}
-		inst.Put(t)
+	in, err := db.newInstancer(ctx)
+	if err != nil {
+		return nil, err
 	}
-	return inst, nil
+	return in.instantiate(ctx, r)
 }
 
 // Query maps a realized database instance to a scalar sample from the
@@ -262,27 +320,42 @@ type Query func(inst *engine.Database) (float64, error)
 // MonteCarlo runs the query over iters independent database instances,
 // re-instantiating and re-executing everything per iteration — the
 // baseline the tuple-bundle executor is measured against in experiment
-// E1. Iterations fan out over the parallel runtime: each iteration
-// draws from a substream split from seed in index order, so the
-// returned samples are bit-identical at any worker count (workers ≤ 0
-// uses the context default). Cancellation of ctx aborts between
-// iterations with ctx.Err().
+// E1. That is why it calls InstantiateCtx per iteration, parameter
+// queries included, where Session.ExecSQL resolves them once per run:
+// the strawman stays naive by construction. Iterations fan out over the
+// parallel runtime: each iteration draws from a substream split from
+// seed in index order, so the returned samples are bit-identical at any
+// worker count (workers ≤ 0 uses the context default). Cancellation of
+// ctx aborts mid-instantiation with ctx.Err().
 func (db *DB) MonteCarlo(ctx context.Context, iters int, seed uint64, workers int, q Query) ([]float64, error) {
 	opts := ExecOptions{Iterations: iters, Seed: seed, Workers: workers}
 	if err := checkWindow(opts, 0, iters); err != nil {
 		return nil, err
 	}
-	return db.perInstance(ctx, opts, 0, iters, q)
+	return perInstance(ctx, opts, 0, iters, db.InstantiateCtx, q)
 }
 
-// perInstance is the per-instance executor: for each iteration of the
+// perInstanceOnce is the per-instance executor as sessions run it: what
+// is deterministic — outer rows, VG parameter rows — is resolved once
+// for the whole window, then every iteration realizes from it.
+func (db *DB) perInstanceOnce(ctx context.Context, opts ExecOptions, lo, hi int, q Query) ([]float64, error) {
+	in, err := db.newInstancer(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return perInstance(ctx, opts, lo, hi, in.instantiate, q)
+}
+
+// perInstance is the one per-instance loop: for each iteration of the
 // window [lo, hi) of an opts.Iterations run, instantiate a database on
-// that iteration's substream and take one scalar from it.
-func (db *DB) perInstance(ctx context.Context, opts ExecOptions, lo, hi int, q Query) ([]float64, error) {
+// that iteration's substream — under ctx, so cancellation stops a
+// realization mid-build — and take one scalar from it.
+func perInstance(ctx context.Context, opts ExecOptions, lo, hi int,
+	instantiate func(context.Context, *rng.Stream) (*engine.Database, error), q Query) ([]float64, error) {
 	out := make([]float64, hi-lo)
 	err := parallel.ForStreamsRange(ctx, rng.New(opts.Seed), opts.Iterations, lo, hi, parallel.Options{Workers: opts.Workers},
 		func(i int, r *rng.Stream) error {
-			inst, err := db.Instantiate(r)
+			inst, err := instantiate(ctx, r)
 			if err != nil {
 				return err
 			}

@@ -150,7 +150,7 @@ func (s *Session) ExecRange(ctx context.Context, q AggQuery, opts ExecOptions, l
 	span.SetInt("hi", int64(hi))
 	defer span.End()
 	if len(spec.UncertainCols) == 0 {
-		return s.db.perInstance(ctx, opts, lo, hi, instanceAgg(q, colIdx))
+		return s.db.perInstanceOnce(ctx, opts, lo, hi, instanceAgg(q, colIdx))
 	}
 	bt, err := s.bundleFor(ctx, opts, q.Table)
 	if err != nil {
@@ -343,7 +343,7 @@ func (s *Session) ExecSQLRange(ctx context.Context, sql string, opts ExecOptions
 	span.SetInt("lo", int64(lo))
 	span.SetInt("hi", int64(hi))
 	defer span.End()
-	return s.db.perInstance(ctx, opts, lo, hi, p.Scalar)
+	return s.db.perInstanceOnce(ctx, opts, lo, hi, p.Scalar)
 }
 
 // ExplainSQL renders the plan ExecSQL would run, in both text and JSON

@@ -328,9 +328,11 @@ func (s *Server) SQL(ctx context.Context, req SQLRequest) (*SQLResponse, error) 
 		return vec, nil, err
 	})
 	if err != nil {
-		// A parse error surfaces here (the statement is prepared inside
-		// the shard run); report it as the client's fault.
-		if _, ok := err.(*StatusError); !ok && ctx.Err() == nil {
+		// A parse error or an unknown table or column surfaces here (the
+		// statement is prepared and resolved inside the shard run); report
+		// it as the client's fault. A tenant spec that fails to realize
+		// (mcdb.ErrBadSpec) is the server's: it passes through as a 500.
+		if _, ok := err.(*StatusError); !ok && ctx.Err() == nil && !errors.Is(err, mcdb.ErrBadSpec) {
 			err = badRequestf("%v", err)
 		}
 		return nil, err

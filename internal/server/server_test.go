@@ -679,3 +679,52 @@ func TestTenantCapBoundsMaterialization(t *testing.T) {
 		t.Fatalf("tenants gauge = %d, want 3", got)
 	}
 }
+
+// TestBrokenSpecIs500: a tenant spec that cannot be realized — here a
+// parameter query that fails — is the server's fault on /v1/sql and
+// /v1/query alike, where a statement naming an unknown table stays the
+// client's. The failed run counts one cache miss and caches nothing.
+func TestBrokenSpecIs500(t *testing.T) {
+	s, ts := newTestServer(t, Config{BaseSeed: 1})
+	db, err := experiments.SBPDatabase(fixturePatients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec, err := db.Spec("sbp_data")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, uncertain := range map[string][]int{"broken": spec.UncertainCols, "brokenflat": nil} {
+		bad := *spec
+		bad.UncertainCols = uncertain
+		bad.Params = func(*engine.Database, engine.Row) (engine.Row, error) {
+			return nil, fmt.Errorf("parameter table unreadable")
+		}
+		broken := mcdb.New(db.Base)
+		if err := broken.AddSpec(&bad); err != nil {
+			t.Fatal(err)
+		}
+		s.AddTenant(name, broken)
+		for _, tc := range []struct {
+			path string
+			req  any
+			want int
+		}{
+			{"/v1/sql", SQLRequest{Tenant: name, SQL: "SELECT AVG(sbp) FROM sbp_data", Iterations: 5, Seed: 3}, 500},
+			{"/v1/query", QueryRequest{Tenant: name, Table: "sbp_data", Col: "sbp", Fn: "avg", Iterations: 5, Seed: 3}, 500},
+			{"/v1/sql", SQLRequest{Tenant: "acme", SQL: "SELECT AVG(x) FROM nope", Iterations: 5, Seed: 3}, 400},
+		} {
+			misses := s.reg.Counter(MetricCacheMisses).Value()
+			resp, httpResp := post[QueryResponse](t, ts.URL+tc.path, tc.req)
+			if resp != nil || httpResp.StatusCode != tc.want {
+				t.Fatalf("%s %s %+v: status %d, want %d", name, tc.path, tc.req, httpResp.StatusCode, tc.want)
+			}
+			if got := s.reg.Counter(MetricCacheMisses).Value() - misses; got != 1 {
+				t.Fatalf("%s %s: %d cache misses counted, want 1", name, tc.path, got)
+			}
+			if n := s.cache.Len(); n != 0 {
+				t.Fatalf("%s %s: failed run left %d cached entries", name, tc.path, n)
+			}
+		}
+	}
+}
