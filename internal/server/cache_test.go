@@ -1,10 +1,11 @@
 package server
 
-// Result-cache bound tests: the byte budget, TTL expiry, and a churn
-// loop asserting the byte gauge never exceeds its budget and always
-// matches what is resident.
+// Result-cache bound tests: the byte budget, TTL expiry, the text a
+// first hit retains, and a churn loop asserting after every step that
+// the byte gauge stays within its budget and equals what is resident.
 
 import (
+	"encoding/json"
 	"fmt"
 	"testing"
 	"time"
@@ -32,21 +33,21 @@ func key(i int) resultKey {
 func TestCacheByteBudgetEvicts(t *testing.T) {
 	// Budget fits exactly two 100-sample vectors (800 bytes each).
 	s := cacheServer(Config{CacheMaxBytes: 1600})
-	s.cacheStore(key(1), storedVec(100, 1), nil)
-	s.cacheStore(key(2), storedVec(100, 2), nil)
+	s.cacheStore(key(1), cachedResult{samples: storedVec(100, 1)})
+	s.cacheStore(key(2), cachedResult{samples: storedVec(100, 2)})
 	if got := s.reg.Gauge(MetricCacheBytes).Value(); got != 1600 {
 		t.Fatalf("cache bytes = %d, want 1600", got)
 	}
 	// A third insert must evict the least-recently-used (key 1).
-	s.cacheStore(key(3), storedVec(100, 3), nil)
+	s.cacheStore(key(3), cachedResult{samples: storedVec(100, 3)})
 	if got := s.reg.Gauge(MetricCacheBytes).Value(); got != 1600 {
 		t.Fatalf("cache bytes after eviction = %d, want 1600", got)
 	}
-	if _, _, ok := s.cacheGet(key(1)); ok {
+	if _, ok := s.cacheGet(key(1)); ok {
 		t.Fatal("key 1 should have been evicted by the byte budget")
 	}
 	for _, i := range []int{2, 3} {
-		if _, _, ok := s.cacheGet(key(i)); !ok {
+		if _, ok := s.cacheGet(key(i)); !ok {
 			t.Fatalf("key %d should be resident", i)
 		}
 	}
@@ -57,12 +58,12 @@ func TestCacheByteBudgetEvicts(t *testing.T) {
 
 func TestCacheOversizedEntryNotCached(t *testing.T) {
 	s := cacheServer(Config{CacheMaxBytes: 800})
-	s.cacheStore(key(1), storedVec(50, 1), nil)  // 400 bytes: fits
-	s.cacheStore(key(2), storedVec(200, 2), nil) // 1600 bytes: over the whole budget
-	if _, _, ok := s.cacheGet(key(2)); ok {
+	s.cacheStore(key(1), cachedResult{samples: storedVec(50, 1)})  // 400 bytes: fits
+	s.cacheStore(key(2), cachedResult{samples: storedVec(200, 2)}) // 1600 bytes: over the whole budget
+	if _, ok := s.cacheGet(key(2)); ok {
 		t.Fatal("an entry larger than the byte budget must not be cached")
 	}
-	if _, _, ok := s.cacheGet(key(1)); !ok {
+	if _, ok := s.cacheGet(key(1)); !ok {
 		t.Fatal("storing an oversized entry must not disturb resident ones")
 	}
 	if got := s.reg.Gauge(MetricCacheBytes).Value(); got != 400 {
@@ -73,39 +74,194 @@ func TestCacheOversizedEntryNotCached(t *testing.T) {
 func TestCacheTTLExpiry(t *testing.T) {
 	clock := obs.NewManualClock(time.Unix(1000, 0))
 	s := cacheServer(Config{CacheTTL: time.Minute, Clock: clock})
-	s.cacheStore(key(1), storedVec(10, 1), nil)
-	if _, _, ok := s.cacheGet(key(1)); !ok {
+	s.cacheStore(key(1), cachedResult{samples: storedVec(10, 1)})
+	if _, ok := s.cacheGet(key(1)); !ok {
 		t.Fatal("fresh entry should hit")
 	}
 	clock.Advance(59 * time.Second)
-	if _, _, ok := s.cacheGet(key(1)); !ok {
+	if _, ok := s.cacheGet(key(1)); !ok {
 		t.Fatal("entry within TTL should hit")
 	}
 	clock.Advance(2 * time.Second) // now 61s past insertion
-	if _, _, ok := s.cacheGet(key(1)); ok {
+	if _, ok := s.cacheGet(key(1)); ok {
 		t.Fatal("stale entry should miss")
 	}
 	if got := s.reg.Gauge(MetricCacheBytes).Value(); got != 0 {
 		t.Fatalf("cache bytes after expiry = %d, want 0", got)
 	}
 	// Re-storing after expiry starts a fresh TTL window.
-	s.cacheStore(key(1), storedVec(10, 2), nil)
-	if _, _, ok := s.cacheGet(key(1)); !ok {
+	s.cacheStore(key(1), cachedResult{samples: storedVec(10, 2)})
+	if _, ok := s.cacheGet(key(1)); !ok {
 		t.Fatal("re-stored entry should hit")
 	}
 }
 
 func TestCacheReplacementKeepsAccounting(t *testing.T) {
 	s := cacheServer(Config{CacheMaxBytes: 4000})
-	s.cacheStore(key(1), storedVec(100, 1), nil) // 800 bytes
-	s.cacheStore(key(1), storedVec(200, 2), nil) // replaced: 1600 bytes
+	s.cacheStore(key(1), cachedResult{samples: storedVec(100, 1)}) // 800 bytes
+	s.cacheStore(key(1), cachedResult{samples: storedVec(200, 2)}) // replaced: 1600 bytes
 	if got := s.reg.Gauge(MetricCacheBytes).Value(); got != 1600 {
 		t.Fatalf("cache bytes after replacement = %d, want 1600", got)
 	}
-	v, _, ok := s.cacheGet(key(1))
-	if !ok || len(v) != 200 || v[0] != 2 {
-		t.Fatalf("replacement not visible: %v %d", ok, len(v))
+	e, ok := s.cacheGet(key(1))
+	if v := e.samples; !ok || len(v) != 200 || v[0] != 2 {
+		t.Fatalf("replacement not visible: %v %d", ok, len(e.samples))
 	}
+}
+
+// hit is what results does on a cache hit: look the key up and, on an
+// entry's first hit, retain its text. It checks the text it is handed.
+func hit(t *testing.T, s *Server, k resultKey) (cachedResult, bool) {
+	t.Helper()
+	e, ok := s.cacheGet(k)
+	if !ok {
+		return e, false
+	}
+	if e.text == nil {
+		e = s.retainText(k, e)
+	}
+	if e.text != nil {
+		want, err := json.Marshal(e.samples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := "[" + string(e.text) + "]"; got != string(want) || len(e.ends) != len(e.samples) {
+			t.Fatalf("entry text %s with %d offsets, want %s", got, len(e.ends), want)
+		}
+	}
+	return e, true
+}
+
+// checkAccounting asserts the byte gauge equals what is resident:
+// Σ vector + lineage + retained text + offsets. It walks the cache
+// oldest-first and re-adds in the same order, so recency is undisturbed.
+func checkAccounting(t *testing.T, s *Server, step string) {
+	t.Helper()
+	s.cacheMu.Lock()
+	defer s.cacheMu.Unlock()
+	type kv struct {
+		k resultKey
+		v cachedResult
+	}
+	var resident []kv
+	for {
+		k, v, ok := s.cache.RemoveOldest()
+		if !ok {
+			break
+		}
+		resident = append(resident, kv{k, v})
+	}
+	var sum int64
+	for _, e := range resident {
+		want := int64(len(e.v.samples))*8 + int64(len(e.v.text)) + int64(len(e.v.ends))*4
+		for _, l := range e.v.lineage {
+			want += int64(len(l)) * 8
+		}
+		if e.v.bytes != want {
+			t.Fatalf("%s: entry %s charged %d bytes, holds %d", step, e.k.text, e.v.bytes, want)
+		}
+		sum += want
+		s.cache.Add(e.k, e.v)
+	}
+	if gauge := s.reg.Gauge(MetricCacheBytes).Value(); gauge != sum || s.cacheBytes != sum || sum > s.cfg.CacheMaxBytes {
+		t.Fatalf("%s: gauge %d, cacheBytes %d, resident %d, budget %d", step, gauge, s.cacheBytes, sum, s.cfg.CacheMaxBytes)
+	}
+	if n := len(resident); n > s.cache.Cap() {
+		t.Fatalf("%s: %d entries exceed the entry cap", step, n)
+	}
+}
+
+// TestCacheTextAccounting: the text a first hit retains is charged to
+// the byte budget like the vector it spells.
+func TestCacheTextAccounting(t *testing.T) {
+	// 100 samples of 1.5: 800 bytes of vector, 399 of text, 400 of offsets.
+	const vec, grown = 800, 800 + 399 + 400
+
+	// The least budget under which a 100-sample entry may take text: the
+	// decision is made before encoding, at maxSampleText per sample.
+	const admits = vec + (maxSampleText+4)*100
+
+	t.Run("first hit grows the entry and evicts older ones", func(t *testing.T) {
+		s := cacheServer(Config{CacheMaxBytes: admits}) // 3700: four bare vectors fit, a fifth's worth of text does not
+		for i := 1; i <= 4; i++ {
+			s.cacheStore(key(i), cachedResult{samples: storedVec(100, 1.5)})
+		}
+		checkAccounting(t, s, "four bare vectors")
+		evictions := s.reg.Counter(MetricCacheEvictions).Value()
+		if e, ok := hit(t, s, key(4)); !ok || e.text == nil || e.bytes != grown {
+			t.Fatalf("first hit: ok=%v, %d bytes charged, want %d with text", ok, e.bytes, grown)
+		}
+		checkAccounting(t, s, "after the first hit")
+		if _, ok := s.cacheGet(key(1)); ok {
+			t.Fatal("the oldest entry should have been evicted to make room for the text")
+		}
+		for _, i := range []int{2, 3} {
+			if _, ok := s.cacheGet(key(i)); !ok {
+				t.Fatalf("key %d evicted: growth took more room than it needed", i)
+			}
+		}
+		if got := s.reg.Counter(MetricCacheEvictions).Value(); got != evictions+1 {
+			t.Fatalf("evictions %d, want %d", got, evictions+1)
+		}
+		if e, ok := hit(t, s, key(4)); !ok || e.bytes != grown || s.cacheBytes != 2*vec+grown {
+			t.Fatalf("second hit: ok=%v, entry %d, cache %d bytes", ok, e.bytes, s.cacheBytes)
+		}
+	})
+
+	t.Run("text that cannot fit is not retained", func(t *testing.T) {
+		s := cacheServer(Config{CacheMaxBytes: admits - 1})
+		s.cacheStore(key(1), cachedResult{samples: storedVec(100, 1.5)})
+		for i := 0; i < 2; i++ {
+			e, ok := hit(t, s, key(1))
+			if !ok || e.text != nil || len(e.samples) != 100 {
+				t.Fatalf("hit %d: ok=%v text=%q", i, ok, e.text)
+			}
+			checkAccounting(t, s, "oversized text")
+		}
+		if got := s.reg.Gauge(MetricCacheBytes).Value(); got != vec {
+			t.Fatalf("gauge %d, want the bare vector's %d", got, vec)
+		}
+	})
+
+	t.Run("replacement retires the text", func(t *testing.T) {
+		s := cacheServer(Config{})
+		s.cacheStore(key(1), cachedResult{samples: storedVec(100, 1.5)})
+		stale, _ := s.cacheGet(key(1))
+		hit(t, s, key(1))
+		s.cacheStore(key(1), cachedResult{samples: storedVec(50, 2.5)})
+		checkAccounting(t, s, "after replacement")
+		if got := s.reg.Gauge(MetricCacheBytes).Value(); got != 400 {
+			t.Fatalf("gauge %d after replacement, want 400", got)
+		}
+		// A first hit that raced the replacement holds the old vector:
+		// its text must not land on the new entry.
+		s.retainText(key(1), stale)
+		if e, _ := s.cacheGet(key(1)); e.text != nil {
+			t.Fatalf("text of the replaced vector attached to its replacement: %s", e.text)
+		}
+		if e, ok := hit(t, s, key(1)); !ok || string(e.text[:7]) != "2.5,2.5" {
+			t.Fatalf("replacement's own text: ok=%v %q", ok, e.text)
+		}
+		checkAccounting(t, s, "replacement hit")
+	})
+
+	t.Run("expiry drops vector and text together", func(t *testing.T) {
+		clock := obs.NewManualClock(time.Unix(1000, 0))
+		s := cacheServer(Config{CacheTTL: time.Minute, Clock: clock})
+		s.cacheStore(key(1), cachedResult{samples: storedVec(100, 1.5), lineage: [][]int{{1, 2}, {}}})
+		hit(t, s, key(1))
+		if got := s.reg.Gauge(MetricCacheBytes).Value(); got != grown+16 {
+			t.Fatalf("gauge %d, want %d", got, grown+16)
+		}
+		clock.Advance(61 * time.Second)
+		if _, ok := hit(t, s, key(1)); ok {
+			t.Fatal("stale entry should miss")
+		}
+		checkAccounting(t, s, "after expiry")
+		if got := s.reg.Gauge(MetricCacheBytes).Value(); got != 0 {
+			t.Fatalf("gauge %d after expiry, want 0", got)
+		}
+	})
 }
 
 func TestCacheChurnHoldsBudgets(t *testing.T) {
@@ -118,23 +274,29 @@ func TestCacheChurnHoldsBudgets(t *testing.T) {
 		Clock:          clock,
 	})
 	r := rng.New(523)
+	texts := 0
 	for i := 0; i < 2000; i++ {
 		switch r.Intn(3) {
-		case 0, 1:
-			s.cacheStore(key(r.Intn(40)), storedVec(r.Intn(300), float64(i)), nil)
-		case 2:
-			s.cacheGet(key(r.Intn(40)))
+		case 0:
+			// Up to 2400 bytes of vector: some cannot take their text
+			// even alone, most can only by evicting others.
+			e := cachedResult{samples: storedVec(r.Intn(300), float64(i)+0.25)}
+			if r.Intn(4) == 0 {
+				e.lineage = [][]int{make([]int, r.Intn(20)), nil}
+			}
+			s.cacheStore(key(r.Intn(40)), e)
+		case 1, 2:
+			if e, ok := hit(t, s, key(r.Intn(40))); ok && e.text != nil {
+				texts++
+			}
 		}
 		if r.Intn(20) == 0 {
 			clock.Advance(7 * time.Second)
 		}
-		bytes := s.reg.Gauge(MetricCacheBytes).Value()
-		if bytes < 0 || bytes > budget {
-			t.Fatalf("step %d: cache bytes %d outside [0, %d]", i, bytes, budget)
-		}
-		if n := s.cache.Len(); n > 16 {
-			t.Fatalf("step %d: %d entries exceed the entry cap", i, n)
-		}
+		checkAccounting(t, s, fmt.Sprintf("step %d", i))
+	}
+	if texts == 0 {
+		t.Fatal("no hit ever retained text: the churn does not exercise first-hit growth")
 	}
 	// Drain everything and confirm the accounting returns to zero.
 	s.cacheMu.Lock()

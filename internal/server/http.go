@@ -14,6 +14,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"strconv"
+	"sync"
 
 	"modeldata/internal/obs"
 )
@@ -55,7 +56,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, resp)
+	writeJSON(w, resp.appendJSON)
 }
 
 func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
@@ -69,7 +70,7 @@ func (s *Server) handleSQL(w http.ResponseWriter, r *http.Request) {
 		writeError(w, err)
 		return
 	}
-	writeJSON(w, resp)
+	writeJSON(w, resp.appendJSON)
 }
 
 // handleMetrics renders the registry as sorted "name value" lines.
@@ -128,32 +129,55 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, v any) error {
 	return nil
 }
 
-// errorResponse is the JSON error envelope.
-type errorResponse struct {
-	Error string `json:"error"`
-}
+// bodies pools response buffers: a page of samples is ~14 KB of text,
+// and a buffer that grew to hold one is reused by the next request. A
+// fresh one (the pool is emptied by the collector) starts large enough
+// for an error or a short answer without a chain of regrowths.
+var bodies = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
 
-func writeError(w http.ResponseWriter, err error) {
-	code := http.StatusInternalServerError
-	var se *StatusError
-	if errors.As(err, &se) {
-		code = se.Code
-		if se.RetryAfter > 0 {
-			w.Header().Set("Retry-After", strconv.Itoa(se.RetryAfter))
+// maxPooledBody keeps a buffer that grew for one outsized use (a large
+// lineage page, the text of a 100 000-sample vector) from living on in
+// the pool.
+const maxPooledBody = 1 << 20
+
+// writeJSON encodes a response into a buffer and writes it in one
+// piece. Encoding comes first so that a value that cannot be encoded —
+// a non-finite number, a malformed plan — is answered with an error
+// status and the error envelope, never with 200 and an empty body.
+func writeJSON(w http.ResponseWriter, encode func([]byte) ([]byte, error)) {
+	buf := bodies.Get().(*[]byte)
+	body, err := encode((*buf)[:0])
+	code := http.StatusOK
+	if err != nil {
+		code = http.StatusInternalServerError
+		var se *StatusError
+		if errors.As(err, &se) {
+			code = se.Code
+			if se.RetryAfter > 0 {
+				w.Header().Set("Retry-After", strconv.Itoa(se.RetryAfter))
+			}
 		}
+		body = append(appendString(append(body[:0], `{"error":`...), err.Error()), '}', '\n')
 	}
 	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Length", strconv.Itoa(len(body)))
 	w.WriteHeader(code)
-	if encErr := json.NewEncoder(w).Encode(errorResponse{Error: err.Error()}); encErr != nil {
-		log.Printf("server: writing error response: %v", encErr)
-	}
-}
-
-func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		// The status line is already written, so the client sees a
-		// truncated body; the log line is the server-side signal.
+	if _, err := w.Write(body); err != nil {
 		log.Printf("server: writing response: %v", err)
 	}
+	putBody(buf, body)
+}
+
+// putBody returns buf, now holding b, to the pool.
+func putBody(buf *[]byte, b []byte) {
+	if cap(b) <= maxPooledBody {
+		*buf = b
+		bodies.Put(buf)
+	}
+}
+
+// writeError answers with err's status and the JSON error envelope
+// {"error": "..."}: a response whose encoding fails before it starts.
+func writeError(w http.ResponseWriter, err error) {
+	writeJSON(w, func(b []byte) ([]byte, error) { return b, err })
 }

@@ -5,13 +5,16 @@ package server
 // answering through the bounded result cache. Responses carry the full
 // distribution summary plus one page of raw samples; the cache stores
 // the complete sample vector so later pages of a cached query never
-// re-execute.
+// re-execute — with its summary and, from the first hit on, its JSON
+// text, so a hit neither sorts nor formats a sample (DESIGN.md §10).
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -122,6 +125,11 @@ type QueryResponse struct {
 	// with Samples: Lineage[i] lists the tuple indexes of the query's
 	// table that contributed to Samples[i]'s iteration.
 	Lineage [][]int `json:"lineage,omitempty"`
+
+	// sampleText, when the result cache supplied it, is the JSON text of
+	// Samples without the brackets; the encoder copies it instead of
+	// formatting Samples. It aliases the cache entry and is read-only.
+	sampleText []byte
 }
 
 // SQLResponse answers an SQLRequest. For Explain requests only the
@@ -176,7 +184,7 @@ func (s *Server) Query(ctx context.Context, req QueryRequest) (*QueryResponse, e
 	key := resultKey{tenant: req.Tenant, kind: "agg",
 		text: canonicalAgg(req, preds), seed: req.Seed, iters: req.Iterations,
 		lineage: req.Lineage, whatif: whatifCanon}
-	samples, lineage, cached, err := s.results(key, func() ([]float64, [][]int, error) {
+	entry, cached, err := s.results(key, func() ([]float64, [][]int, error) {
 		opts := mcdb.ExecOptions{
 			Iterations: req.Iterations,
 			Seed:       s.EffectiveSeed(req.Tenant, req.Seed),
@@ -220,15 +228,7 @@ func (s *Server) Query(ctx context.Context, req QueryRequest) (*QueryResponse, e
 		return nil, err
 	}
 	s.reg.Counter(MetricQueries).Inc()
-	resp, err := s.respond(req.Tenant, req.Seed, req.Iterations, req.Offset, req.Limit, samples, cached)
-	if err != nil {
-		return nil, err
-	}
-	if req.Lineage && lineage != nil {
-		end := resp.Offset + len(resp.Samples)
-		resp.Lineage = lineage[resp.Offset:end:end]
-	}
-	return resp, nil
+	return s.respond(req.Tenant, req.Seed, req.Iterations, req.Offset, req.Limit, entry, cached), nil
 }
 
 // compileWhatIf lowers the declarative what-if onto an mcdb.Delta: a
@@ -318,7 +318,7 @@ func (s *Server) SQL(ctx context.Context, req SQLRequest) (*SQLResponse, error) 
 
 	key := resultKey{tenant: req.Tenant, kind: "sql", text: req.SQL,
 		seed: req.Seed, iters: req.Iterations}
-	samples, _, cached, err := s.results(key, func() ([]float64, [][]int, error) {
+	entry, cached, err := s.results(key, func() ([]float64, [][]int, error) {
 		seed := s.EffectiveSeed(req.Tenant, req.Seed)
 		vec, err := s.sharded(ctx, t, req.Iterations, s.workerBudget(req.Workers),
 			func(ctx context.Context, sess *mcdb.Session, workers, lo, hi int) ([]float64, error) {
@@ -338,36 +338,67 @@ func (s *Server) SQL(ctx context.Context, req SQLRequest) (*SQLResponse, error) 
 		return nil, err
 	}
 	s.reg.Counter(MetricSQL).Inc()
-	resp, err := s.respond(req.Tenant, req.Seed, req.Iterations, req.Offset, req.Limit, samples, cached)
-	if err != nil {
-		return nil, err
-	}
-	return &SQLResponse{QueryResponse: *resp}, nil
+	return &SQLResponse{QueryResponse: *s.respond(req.Tenant, req.Seed, req.Iterations, req.Offset, req.Limit, entry, cached)}, nil
 }
 
-// results answers key from the cache or computes, stores, and counts.
-// Two racing misses on the same key both compute, but determinism makes
-// their vectors identical, so either store is correct.
-func (s *Server) results(key resultKey, compute func() ([]float64, [][]int, error)) ([]float64, [][]int, bool, error) {
-	if v, l, ok := s.cacheGet(key); ok {
+// results answers key from the cache or computes, summarizes, stores,
+// and counts. Two racing misses on the same key both compute, but
+// determinism makes their vectors identical, so either store is
+// correct. An answer JSON cannot carry (summarize) is an error and is
+// not stored.
+func (s *Server) results(key resultKey, compute func() ([]float64, [][]int, error)) (cachedResult, bool, error) {
+	if e, ok := s.cacheGet(key); ok {
 		s.reg.Counter(MetricCacheHits).Inc()
-		return v, l, true, nil
+		if e.text == nil {
+			e = s.retainText(key, e)
+		}
+		return e, true, nil
 	}
 	s.reg.Counter(MetricCacheMisses).Inc()
-	v, l, err := compute()
-	if err != nil {
-		return nil, nil, false, err
+	e := cachedResult{}
+	var err error
+	if e.samples, e.lineage, err = compute(); err != nil {
+		return cachedResult{}, false, err
 	}
-	s.cacheStore(key, v, l)
-	return v, l, false, nil
+	if e.summary, err = summarize(e.samples); err != nil {
+		return cachedResult{}, false, err
+	}
+	return s.cacheStore(key, e), false, nil
 }
 
-// resultBytes is the accounted payload size of one cached entry: the
-// sample vector plus any lineage rows (tuple indexes at word size;
-// slice headers are noise next to the payload and are not counted).
-func resultBytes(samples []float64, lineage [][]int) int64 {
-	n := int64(len(samples)) * 8
-	for _, l := range lineage {
+// summarize computes the response summary of a full sample vector, once
+// per cache entry. A non-finite sample or summary field (a what-if
+// scale that overflows float64, a variance past MaxFloat64) has no JSON
+// spelling: the error names it, before anything is cached or written.
+func summarize(samples []float64) (Summary, error) {
+	for i, v := range samples {
+		if math.IsInf(v, 0) || math.IsNaN(v) {
+			return Summary{}, unrepresentable(fmt.Sprintf("the sample of iteration %d", i), v)
+		}
+	}
+	est, err := mcdb.Summarize(samples)
+	if err != nil {
+		return Summary{}, err
+	}
+	sum := Summary{N: est.N, Mean: est.Mean, Variance: est.Variance,
+		CI95: est.CI95, Median: est.Quantiles[0.5]}
+	for _, f := range sum.floats() {
+		if math.IsInf(f.v, 0) || math.IsNaN(f.v) {
+			return Summary{}, unrepresentable("the summary's "+f.name, f.v)
+		}
+	}
+	return sum, nil
+}
+
+// resultBytes is the accounted payload size of one cached entry, the
+// amount charged to Config.CacheMaxBytes: the sample vector, any
+// lineage rows (tuple indexes at word size), and — once a first hit has
+// retained them — the samples' JSON text and its per-sample end
+// offsets. Slice headers and the summary are noise next to the payload
+// and are not counted.
+func resultBytes(e cachedResult) int64 {
+	n := int64(len(e.samples))*8 + int64(len(e.text)) + int64(len(e.ends))*4
+	for _, l := range e.lineage {
 		n += int64(len(l)) * 8
 	}
 	return n
@@ -375,40 +406,52 @@ func resultBytes(samples []float64, lineage [][]int) int64 {
 
 // cacheGet returns the fresh cached entry for key, evicting it (and
 // reporting a miss) when it has outlived Config.CacheTTL.
-func (s *Server) cacheGet(key resultKey) ([]float64, [][]int, bool) {
+func (s *Server) cacheGet(key resultKey) (cachedResult, bool) {
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
 	v, ok := s.cache.Get(key)
 	if !ok {
-		return nil, nil, false
+		return cachedResult{}, false
 	}
 	if s.cfg.CacheTTL > 0 && s.cfg.Clock.Now().Sub(v.at) > s.cfg.CacheTTL {
 		s.cache.Remove(key)
 		s.cacheBytes -= v.bytes
 		s.reg.Counter(MetricCacheEvictions).Inc()
 		s.reg.Gauge(MetricCacheBytes).Set(s.cacheBytes)
-		return nil, nil, false
+		return cachedResult{}, false
 	}
-	return v.samples, v.lineage, true
+	return v, true
 }
 
-// cacheStore inserts a computed entry, evicting least-recently-used
-// entries until both the entry-count and byte budgets hold. An entry
-// larger than the whole byte budget is not cached at all (storing it
-// would evict everything and then still break the bound).
-func (s *Server) cacheStore(key resultKey, samples []float64, lineage [][]int) {
-	bytes := resultBytes(samples, lineage)
-	if bytes > s.cfg.CacheMaxBytes {
+// cacheStore inserts a computed entry, stamped with its accounted size
+// and insertion time, and returns it as stored. An entry larger than
+// the whole byte budget is not cached at all (storing it would evict
+// everything and then still break the bound).
+func (s *Server) cacheStore(key resultKey, e cachedResult) cachedResult {
+	e.bytes, e.at = resultBytes(e), s.cfg.Clock.Now()
+	if e.bytes > s.cfg.CacheMaxBytes {
 		s.reg.Counter(MetricCacheEvictions).Inc()
-		return
+		return e
 	}
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
 	if old, ok := s.cache.Remove(key); ok { // replacement: retire old accounting
 		s.cacheBytes -= old.bytes
 	}
+	s.evictForLocked(e.bytes, 1)
+	// evictForLocked left a free slot, so this Add never evicts internally
+	// (which would skew byte accounting).
+	s.cache.Add(key, e)
+	s.cacheBytes += e.bytes
+	s.reg.Gauge(MetricCacheBytes).Set(s.cacheBytes)
+	return e
+}
+
+// evictForLocked drops least-recently-used entries until slots more entries
+// and bytes more payload fit both budgets. Caller holds cacheMu.
+func (s *Server) evictForLocked(bytes int64, slots int) {
 	evicted := 0
-	for s.cache.Len() >= s.cache.Cap() || s.cacheBytes+bytes > s.cfg.CacheMaxBytes {
+	for s.cache.Len()+slots > s.cache.Cap() || s.cacheBytes+bytes > s.cfg.CacheMaxBytes {
 		_, old, ok := s.cache.RemoveOldest()
 		if !ok {
 			break
@@ -416,37 +459,80 @@ func (s *Server) cacheStore(key resultKey, samples []float64, lineage [][]int) {
 		s.cacheBytes -= old.bytes
 		evicted++
 	}
-	// The explicit evictions above keep the cache under its entry cap,
-	// so this Add never evicts internally (which would skew byte
-	// accounting).
-	s.cache.Add(key, cachedResult{samples: samples, lineage: lineage, bytes: bytes, at: s.cfg.Clock.Now()})
-	s.cacheBytes += bytes
 	if evicted > 0 {
 		s.reg.Counter(MetricCacheEvictions).Add(int64(evicted))
 	}
-	s.reg.Gauge(MetricCacheBytes).Set(s.cacheBytes)
 }
 
-// respond assembles the common response: full-vector summary plus the
-// requested page of samples.
-func (s *Server) respond(tenant string, seed uint64, iters, offset, limit int, samples []float64, cached bool) (*QueryResponse, error) {
-	page, next := s.paginate(samples, offset, limit)
-	est, err := mcdb.Summarize(samples)
-	if err != nil {
-		return nil, err
+// retainText runs on the first hit of an entry: it encodes the whole
+// sample vector once and keeps the text on the entry, so every later
+// hit, on any page, copies a sub-slice instead of formatting floats.
+// Doing it here and not at the miss means a vector that is never asked
+// for twice is never encoded in full nor held twice. The text is
+// charged to the byte budget like the vector, evicting older entries;
+// an entry whose text could not fit beside it even in an otherwise
+// empty cache (judged on maxSampleText per sample, so the decision
+// precedes the work) keeps none and its hits format their page. The
+// returned entry carries the text either way.
+func (s *Server) retainText(key resultKey, e cachedResult) cachedResult {
+	n := int64(len(e.samples))
+	if worst := n * maxSampleText; worst > math.MaxUint32 || e.bytes+worst+4*n > s.cfg.CacheMaxBytes {
+		return e
 	}
-	return &QueryResponse{
+	// Encode into a pooled buffer and keep an exact-size copy: what the
+	// entry holds is what it is charged for, not append's spare capacity.
+	ends := make([]uint32, n)
+	buf := bodies.Get().(*[]byte)
+	text, err := appendSamples((*buf)[:0], e.samples, 0, ends)
+	if err == nil {
+		e.text, e.ends = bytes.Clone(text), ends
+	}
+	putBody(buf, text)
+	if err != nil {
+		return e // the response encoder reports it
+	}
+	s.cacheMu.Lock()
+	defer s.cacheMu.Unlock()
+	cur, ok := s.cache.Get(key)
+	if !ok || cur.text != nil || len(cur.samples) != len(e.samples) || (n > 0 && &cur.samples[0] != &e.samples[0]) {
+		return e // evicted or replaced since the lookup, or a racing first hit won
+	}
+	grow := resultBytes(e) - e.bytes
+	s.evictForLocked(grow, 0) // stops short of key: it is the most recently used, and fits
+	e.bytes += grow
+	s.cache.Add(key, e)
+	s.cacheBytes += grow
+	s.reg.Gauge(MetricCacheBytes).Set(s.cacheBytes)
+	return e
+}
+
+// respond assembles the common response from a cache entry: its
+// summary, and the requested page of samples, sample text and lineage.
+func (s *Server) respond(tenant string, seed uint64, iters, offset, limit int, e cachedResult, cached bool) *QueryResponse {
+	page, next := s.paginate(e.samples, offset, limit)
+	end := offset + len(page)
+	resp := &QueryResponse{
 		Tenant:        tenant,
 		EffectiveSeed: s.EffectiveSeed(tenant, seed),
 		Iterations:    iters,
 		Shards:        s.cfg.Shards,
 		Cached:        cached,
-		Summary: Summary{N: est.N, Mean: est.Mean, Variance: est.Variance,
-			CI95: est.CI95, Median: est.Quantiles[0.5]},
-		Offset:     offset,
-		NextOffset: next,
-		Samples:    page,
-	}, nil
+		Summary:       e.summary,
+		Offset:        offset,
+		NextOffset:    next,
+		Samples:       page,
+	}
+	if e.text != nil && len(page) > 0 {
+		start := 0
+		if offset > 0 {
+			start = int(e.ends[offset-1]) + 1 // past the separator
+		}
+		resp.sampleText = e.text[start:e.ends[end-1]]
+	}
+	if e.lineage != nil {
+		resp.Lineage = e.lineage[offset:end:end]
+	}
+	return resp
 }
 
 // paginate selects [offset, offset+limit) of the vector, clamping

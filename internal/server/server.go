@@ -57,7 +57,9 @@ const (
 	// large to cache at all.
 	MetricCacheEvictions = "server.cache.evictions"
 	// MetricCacheBytes gauges the bytes currently held by the result
-	// cache (sample payloads; keys are not counted).
+	// cache: per resident entry the sample vector, its lineage rows and,
+	// once a hit has retained them, the samples' JSON text and offsets
+	// (resultBytes). Keys and summaries are not counted.
 	MetricCacheBytes = "server.cache.bytes"
 	// MetricQueries counts structured aggregate queries served.
 	MetricQueries = "server.queries"
@@ -190,10 +192,18 @@ type resultKey struct {
 
 // cachedResult is one resident cache entry: the full sample vector,
 // the per-iteration lineage when the key's lineage flag is set, the
-// accounted payload size, and the insertion time for TTL expiry.
+// summary of the vector (computed by the miss that stored it, so a hit
+// never sorts), the accounted payload size, and the insertion time for
+// TTL expiry. From its first hit on, an entry also holds the JSON text
+// of samples, comma-separated, with ends[i] the offset just past sample
+// i's text: any page of a later hit is one sub-slice of text
+// (retainText). All of it is immutable once stored; responses alias it.
 type cachedResult struct {
 	samples []float64
 	lineage [][]int
+	summary Summary
+	text    []byte
+	ends    []uint32
 	bytes   int64
 	at      time.Time
 }
