@@ -1,13 +1,14 @@
 package colstore
 
 // Segment decode: reading column blocks back into engine vectors. Each
-// block reads with one positioned read (its footer offset/length),
-// verifies its fnv64a checksum, then decodes into a typed vector that
-// engine.BlockOf assembles without row boxing.
+// block reads with one positioned read (its footer offset/length) into
+// a buffer the scan reuses, verifies its CRC-32C, then decodes into a
+// typed vector that engine.BlockOf assembles without row boxing.
 
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 	"math"
 	"os"
 
@@ -15,11 +16,11 @@ import (
 )
 
 // decodeSegment reads the projected columns of one segment into an
-// engine.ColumnBlock.
-func decodeSegment(sm *segMeta, schema engine.Schema, proj []int) (*engine.ColumnBlock, error) {
+// engine.ColumnBlock. buf is the scan's read buffer, returned grown.
+func decodeSegment(sm *segMeta, proj []int, buf []byte) (*engine.ColumnBlock, []byte, error) {
 	f, err := os.Open(sm.path)
 	if err != nil {
-		return nil, err
+		return nil, buf, err
 	}
 	defer f.Close() // read-only descriptor; close errors carry no data loss
 
@@ -28,68 +29,80 @@ func decodeSegment(sm *segMeta, schema engine.Schema, proj []int) (*engine.Colum
 	for i, j := range proj {
 		cm := &sm.cols[j]
 		outSchema[i] = engine.Column{Name: cm.name, Type: cm.typ}
-		// bounded by the column's footer-declared block size
-		raw := make([]byte, cm.size)
-		if _, err := f.ReadAt(raw, cm.off); err != nil {
-			return nil, fmt.Errorf("%s: column %q: %w", sm.path, cm.name, err)
+		if vecs[i], buf, err = readBlock(f, cm, int(sm.rows), buf); err != nil {
+			return nil, buf, fmt.Errorf("%s: column %q: %w", sm.path, cm.name, err)
 		}
-		if got := fnv64a(fnvOffset, raw); got != cm.sum {
-			return nil, fmt.Errorf("%w: %s column %q block checksum mismatch", ErrCorrupt, sm.path, cm.name)
-		}
-		vec, err := decodeBlock(raw, cm.typ, int(sm.rows))
-		if err != nil {
-			return nil, fmt.Errorf("%s: column %q: %w", sm.path, cm.name, err)
-		}
-		vecs[i] = vec
 	}
-	return engine.BlockOf(sm.name, outSchema, vecs)
+	b, err := engine.BlockOf(sm.name, outSchema, vecs)
+	return b, buf, err
 }
 
-// decodeBlock decodes one column block's bytes into a typed vector.
+// readBlock fetches one column block into buf (grown to the largest
+// block seen), verifies its checksum and decodes it. Nothing decoded
+// aliases buf, so the next block may overwrite it.
+func readBlock(r io.ReaderAt, cm *colMeta, rows int, buf []byte) (any, []byte, error) {
+	if int64(cap(buf)) < cm.size {
+		// bounded by the column's block size, which parseFooter checked
+		// against the file's length
+		buf = make([]byte, cm.size)
+	}
+	raw := buf[:cm.size]
+	if _, err := r.ReadAt(raw, cm.off); err != nil {
+		return nil, buf, err
+	}
+	if checksum(raw) != cm.sum {
+		return nil, buf, fmt.Errorf("%w: block checksum mismatch", ErrCorrupt)
+	}
+	vec, err := decodeBlock(raw, cm.typ, rows)
+	return vec, buf, err
+}
+
+// decodeBlock decodes one column block's bytes into a typed vector
+// that shares no memory with raw. Every allocation is bounded by
+// len(raw): a block that cannot hold rows values is refused first.
 func decodeBlock(raw []byte, typ engine.Type, rows int) (any, error) {
+	if rows < 0 || !blockHolds(typ, uint64(len(raw)), uint64(rows)) {
+		return nil, fmt.Errorf("%w: %s block of %d bytes cannot hold %d values", ErrCorrupt, typ, len(raw), rows)
+	}
 	switch typ {
 	case engine.TypeInt:
-		if len(raw) != rows*8 {
-			return nil, fmt.Errorf("%w: int block is %d bytes, want %d", ErrCorrupt, len(raw), rows*8)
-		}
-		// bounded by the segment's footer-declared row count
 		v := make([]int64, rows)
 		for i := range v {
-			v[i] = int64(binary.BigEndian.Uint64(raw[i*8:]))
+			v[i] = int64(binary.BigEndian.Uint64(raw[i*8 : i*8+8]))
 		}
 		return v, nil
 	case engine.TypeFloat:
-		if len(raw) != rows*8 {
-			return nil, fmt.Errorf("%w: float block is %d bytes, want %d", ErrCorrupt, len(raw), rows*8)
-		}
-		// bounded by the segment's footer-declared row count
 		v := make([]float64, rows)
 		for i := range v {
-			v[i] = math.Float64frombits(binary.BigEndian.Uint64(raw[i*8:]))
+			v[i] = math.Float64frombits(binary.BigEndian.Uint64(raw[i*8 : i*8+8]))
 		}
 		return v, nil
 	case engine.TypeString:
-		// bounded by the segment's footer-declared row count
+		// One conversion of the slab; each value is a substring of it.
+		// The values therefore keep the whole block alive, which is what
+		// a scan wants: its rows live and die together.
+		s := string(raw)
 		v := make([]string, rows)
 		pos := 0
 		for i := range v {
-			n, w := binary.Uvarint(raw[pos:])
-			if w <= 0 || pos+w+int(n) > len(raw) {
+			n, w := uint64(0), 1
+			if pos < len(s) && s[pos] < 0x80 {
+				n = uint64(s[pos])
+			} else if n, w = binary.Uvarint(raw[pos:]); w <= 0 {
 				return nil, fmt.Errorf("%w: truncated string block", ErrCorrupt)
 			}
 			pos += w
-			v[i] = string(raw[pos : pos+int(n)])
+			if n > uint64(len(s)-pos) {
+				return nil, fmt.Errorf("%w: truncated string block", ErrCorrupt)
+			}
+			v[i] = s[pos : pos+int(n)]
 			pos += int(n)
 		}
-		if pos != len(raw) {
-			return nil, fmt.Errorf("%w: %d trailing string-block bytes", ErrCorrupt, len(raw)-pos)
+		if pos != len(s) {
+			return nil, fmt.Errorf("%w: %d trailing string-block bytes", ErrCorrupt, len(s)-pos)
 		}
 		return v, nil
 	case engine.TypeBool:
-		if len(raw) != rows {
-			return nil, fmt.Errorf("%w: bool block is %d bytes, want %d", ErrCorrupt, len(raw), rows)
-		}
-		// bounded by the segment's footer-declared row count
 		v := make([]bool, rows)
 		for i := range v {
 			v[i] = raw[i] != 0

@@ -1,7 +1,7 @@
 // Package colstore is the on-disk columnar storage backend: tables
 // partition into fixed-row-count segment files, each holding one typed
 // block per column plus a footer of per-column zone maps (row count,
-// min/max, NaN presence) and fnv64a checksums. A Store opens a segment
+// min/max, NaN presence) and CRC-32C checksums. A Store opens a segment
 // directory and implements engine.Storage, streaming segments back as
 // engine.ColumnBlocks with zone-map pruning against the scan's
 // predicate — so the whole operator suite (filters, joins, group-by,
@@ -9,7 +9,8 @@
 // storage-equivalence suite can pin its results byte-identical to the
 // in-memory path.
 //
-// Segment layout (all integers big-endian or uvarint as noted):
+// Segment layout, version 2 (all integers big-endian or uvarint as
+// noted):
 //
 //	"MDCS" <version:1>                      header
 //	column blocks, concatenated:            per column, rows values
@@ -22,21 +23,45 @@
 //	    per column:
 //	        uvarint len(colname)+colname, 1B type
 //	        uvarint offset, uvarint length      (block bounds)
-//	        8B fnv64a of the block bytes
+//	        4B CRC-32C of the block bytes
 //	        1B zone flags (1=HasRange, 2=HasNaN)
 //	        uvarint nulls (always 0; reserved)
 //	        typed min, typed max                (when HasRange)
-//	    8B fnv64a of the footer bytes above
+//	    4B CRC-32C of the footer bytes above
 //	"MDCF" <footerLen:8BE>                  trailer
 //
 // The trailer is fixed-size so a reader can locate the footer from the
 // file end; per-block checksums verify lazily at decode, so opening a
 // store reads only footers.
+//
+// A block is one slab end to end: the writer encodes a whole column
+// vector into a reused buffer, checksums it once and writes the segment
+// with one call; the reader fetches the block with one positioned read,
+// verifies it, and only then decodes — a string block as substrings of
+// one conversion of the slab, not one allocation per row. The checksum
+// is CRC-32C (Castagnoli) because amd64 and arm64 compute it in
+// hardware through hash/crc32, about 20 bytes per nanosecond where the
+// byte-serial FNV-1a of version 1 did one; it is still computed for
+// every block and the footer, and still checked before a single value
+// is decoded. Version 1 files are refused, with an error naming both
+// versions, rather than migrated: a store is a scratch artefact of the
+// process that wrote it (none is committed, none outlives its run), so
+// a second checksum kept only to read files nobody has would be a
+// second read path with no input.
+//
+// The footer is input from outside the program even when its checksum
+// holds. parseFooter therefore bounds every declared length against
+// the bytes actually present — the blocks tile [header, footer) in
+// column order with no gap or overlap, a fixed-width block is exactly
+// rows × width, a string block at least one byte per row — before
+// anything is allocated from it, so decoding a whole segment allocates
+// a small multiple of its file size whatever the footer claims.
 package colstore
 
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math"
 
 	"modeldata/internal/engine"
@@ -45,7 +70,9 @@ import (
 const (
 	segMagic     = "MDCS"
 	segTrailer   = "MDCF"
-	segVersion   = 1
+	segVersion   = 2
+	headerBytes  = len(segMagic) + 1
+	sumBytes     = 4     // one CRC-32C
 	trailerBytes = 4 + 8 // magic + footer length
 
 	// DefaultSegmentRows is the default rows-per-segment partition
@@ -61,19 +88,11 @@ const (
 // not verify.
 var ErrCorrupt = fmt.Errorf("colstore: corrupt segment")
 
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// fnv64a extends hash h with b (FNV-1a); seed with fnvOffset.
-func fnv64a(h uint64, b []byte) uint64 {
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime
-	}
-	return h
-}
+// checksum is the CRC-32C of b, the integrity check of every block and
+// footer.
+func checksum(b []byte) uint32 { return crc32.Checksum(b, castagnoli) }
 
 // colMeta is one column's footer entry.
 type colMeta struct {
@@ -81,7 +100,7 @@ type colMeta struct {
 	typ  engine.Type
 	off  int64
 	size int64
-	sum  uint64
+	sum  uint32
 	zone engine.ZoneMap
 }
 
@@ -93,20 +112,6 @@ type segMeta struct {
 	cols []colMeta
 }
 
-// appendUvarint appends v to dst.
-func appendUvarint(dst []byte, v uint64) []byte {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	return append(dst, buf[:n]...)
-}
-
-// appendU64 appends v big-endian.
-func appendU64(dst []byte, v uint64) []byte {
-	var buf [8]byte
-	binary.BigEndian.PutUint64(buf[:], v)
-	return append(dst, buf[:]...)
-}
-
 // appendTypedValue appends a zone-map bound in the column's typed
 // encoding. Unlike the engine's key encoding — which collapses
 // float-representable ints into float bit space — this keeps exact
@@ -114,12 +119,12 @@ func appendU64(dst []byte, v uint64) []byte {
 func appendTypedValue(dst []byte, typ engine.Type, v engine.Value) []byte {
 	switch typ {
 	case engine.TypeInt:
-		return appendU64(dst, uint64(v.AsInt()))
+		return binary.BigEndian.AppendUint64(dst, uint64(v.AsInt()))
 	case engine.TypeFloat:
-		return appendU64(dst, math.Float64bits(v.AsFloat()))
+		return binary.BigEndian.AppendUint64(dst, math.Float64bits(v.AsFloat()))
 	case engine.TypeString:
 		s := v.AsString()
-		dst = appendUvarint(dst, uint64(len(s)))
+		dst = binary.AppendUvarint(dst, uint64(len(s)))
 		return append(dst, s...)
 	case engine.TypeBool:
 		if v.AsBool() {
@@ -145,12 +150,14 @@ func (r *byteReader) uvarint() (uint64, error) {
 	return v, nil
 }
 
-func (r *byteReader) bytes(n int) ([]byte, error) {
-	if n < 0 || r.pos+n > len(r.b) {
+// bytes returns the next n bytes. n is a length read from the input, so
+// it is compared unsigned against what remains, never converted first.
+func (r *byteReader) bytes(n uint64) ([]byte, error) {
+	if n > uint64(len(r.b)-r.pos) {
 		return nil, fmt.Errorf("%w: truncated field", ErrCorrupt)
 	}
-	out := r.b[r.pos : r.pos+n]
-	r.pos += n
+	out := r.b[r.pos : r.pos+int(n)]
+	r.pos += int(n)
 	return out, nil
 }
 
@@ -160,6 +167,14 @@ func (r *byteReader) u64() (uint64, error) {
 		return 0, err
 	}
 	return binary.BigEndian.Uint64(b), nil
+}
+
+func (r *byteReader) u32() (uint32, error) {
+	b, err := r.bytes(4)
+	if err != nil {
+		return 0, err
+	}
+	return binary.BigEndian.Uint32(b), nil
 }
 
 func (r *byteReader) byte() (byte, error) {
@@ -190,7 +205,7 @@ func (r *byteReader) typedValue(typ engine.Type) (engine.Value, error) {
 		if err != nil {
 			return engine.Value{}, err
 		}
-		b, err := r.bytes(int(n))
+		b, err := r.bytes(n)
 		if err != nil {
 			return engine.Value{}, err
 		}
@@ -205,8 +220,10 @@ func (r *byteReader) typedValue(typ engine.Type) (engine.Value, error) {
 	return engine.Value{}, fmt.Errorf("%w: unknown bound type", ErrCorrupt)
 }
 
-// parseFooter decodes the footer bytes (checksum already verified).
-func parseFooter(path string, footer []byte) (*segMeta, error) {
+// parseFooter decodes the footer bytes (checksum already verified) of a
+// segment whose column blocks must tile [headerBytes, dataEnd). Every
+// length the footer declares is checked against that range before use.
+func parseFooter(path string, footer []byte, dataEnd int64) (*segMeta, error) {
 	r := &byteReader{b: footer}
 	rows, err := r.uvarint()
 	if err != nil {
@@ -216,7 +233,7 @@ func parseFooter(path string, footer []byte) (*segMeta, error) {
 	if err != nil {
 		return nil, err
 	}
-	name, err := r.bytes(int(nameLen))
+	name, err := r.bytes(nameLen)
 	if err != nil {
 		return nil, err
 	}
@@ -224,18 +241,19 @@ func parseFooter(path string, footer []byte) (*segMeta, error) {
 	if err != nil {
 		return nil, err
 	}
-	if ncols > 1<<16 {
+	if ncols == 0 || ncols > 1<<16 {
 		return nil, fmt.Errorf("%w: implausible column count %d", ErrCorrupt, ncols)
 	}
 	sm := &segMeta{path: path, rows: int64(rows), name: string(name)}
 	// bounded by the footer's verified column count
 	sm.cols = make([]colMeta, 0, ncols)
+	next := uint64(headerBytes) // where the next block must start
 	for i := uint64(0); i < ncols; i++ {
 		cnLen, err := r.uvarint()
 		if err != nil {
 			return nil, err
 		}
-		cn, err := r.bytes(int(cnLen))
+		cn, err := r.bytes(cnLen)
 		if err != nil {
 			return nil, err
 		}
@@ -255,7 +273,16 @@ func parseFooter(path string, footer []byte) (*segMeta, error) {
 		if err != nil {
 			return nil, err
 		}
-		sum, err := r.u64()
+		if off != next || size > uint64(dataEnd)-off {
+			return nil, fmt.Errorf("%w: column %q block [%d,+%d) does not follow the previous one at %d inside [%d,%d)",
+				ErrCorrupt, cn, off, size, next, headerBytes, dataEnd)
+		}
+		next = off + size
+		if !blockHolds(typ, size, rows) {
+			return nil, fmt.Errorf("%w: column %q block of %d bytes cannot hold %d %s values",
+				ErrCorrupt, cn, size, rows, typ)
+		}
+		sum, err := r.u32()
 		if err != nil {
 			return nil, err
 		}
@@ -288,7 +315,24 @@ func parseFooter(path string, footer []byte) (*segMeta, error) {
 	if r.pos != len(footer) {
 		return nil, fmt.Errorf("%w: %d trailing footer bytes", ErrCorrupt, len(footer)-r.pos)
 	}
+	if next != uint64(dataEnd) {
+		return nil, fmt.Errorf("%w: %d data bytes belong to no column", ErrCorrupt, uint64(dataEnd)-next)
+	}
 	return sm, nil
+}
+
+// blockHolds reports whether a block of size bytes can be rows values
+// of typ: exactly rows × width for a fixed-width type, at least one
+// byte per row for strings. Both numbers come from the input, so
+// nothing is multiplied.
+func blockHolds(typ engine.Type, size, rows uint64) bool {
+	switch typ {
+	case engine.TypeInt, engine.TypeFloat:
+		return size%8 == 0 && size/8 == rows
+	case engine.TypeBool:
+		return size == rows
+	}
+	return rows <= size
 }
 
 // schema reconstructs the segment's engine schema.

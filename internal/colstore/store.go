@@ -2,8 +2,9 @@ package colstore
 
 // Store: the on-disk implementation of engine.Storage. Open parses
 // only segment footers (zone maps, offsets, checksums); scans decode
-// segments lazily, verifying each block's checksum and skipping whole
-// segments the zone maps prove predicate-free. A Store is immutable
+// the columns they were asked for, segment by segment, verifying each
+// block's checksum and skipping whole segments the zone maps prove
+// predicate-free. A Store is immutable
 // after Open and safe for concurrent scans — each segment read opens
 // its own file handle.
 
@@ -11,6 +12,7 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -28,11 +30,18 @@ const (
 	// MetricBlocksPruned counts column blocks skipped without decode
 	// because a segment's zone maps refuted the scan predicate.
 	MetricBlocksPruned = "colstore.blocks_pruned"
+	// MetricBlocksDecoded counts column blocks read, verified and
+	// decoded: a scan of k columns adds k per surviving segment.
+	MetricBlocksDecoded = "colstore.blocks_decoded"
+	// MetricBytesRead counts the block bytes those decodes read.
+	MetricBytesRead = "colstore.bytes_read"
 )
 
 var (
 	segmentsScanned = obs.Default().Counter(MetricSegmentsScanned)
 	blocksPruned    = obs.Default().Counter(MetricBlocksPruned)
+	blocksDecoded   = obs.Default().Counter(MetricBlocksDecoded)
+	bytesRead       = obs.Default().Counter(MetricBytesRead)
 )
 
 // Store is an opened segment directory.
@@ -81,7 +90,7 @@ func Open(dir string, _ Options) (*Store, error) {
 	return st, nil
 }
 
-// readFooter locates, checksums, and parses one segment's footer.
+// readFooter opens one segment file and parses its footer.
 func readFooter(path string) (*segMeta, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -92,11 +101,16 @@ func readFooter(path string) (*segMeta, error) {
 	if err != nil {
 		return nil, err
 	}
-	size := fi.Size()
-	if size < int64(len(segMagic))+1+8+trailerBytes {
+	return readFooterAt(path, f, fi.Size())
+}
+
+// readFooterAt locates, checksums, and parses the footer of a segment
+// of the given size.
+func readFooterAt(path string, f io.ReaderAt, size int64) (*segMeta, error) {
+	if size < int64(headerBytes+sumBytes+trailerBytes) {
 		return nil, fmt.Errorf("%w: file too short", ErrCorrupt)
 	}
-	var head [5]byte
+	var head [headerBytes]byte
 	if _, err := f.ReadAt(head[:], 0); err != nil {
 		return nil, err
 	}
@@ -104,7 +118,8 @@ func readFooter(path string) (*segMeta, error) {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
 	if head[4] != segVersion {
-		return nil, fmt.Errorf("%w: unsupported version %d", ErrCorrupt, head[4])
+		return nil, fmt.Errorf("%w: segment format version %d, this build reads only version %d",
+			ErrCorrupt, head[4], segVersion)
 	}
 	var trailer [trailerBytes]byte
 	if _, err := f.ReadAt(trailer[:], size-trailerBytes); err != nil {
@@ -113,21 +128,22 @@ func readFooter(path string) (*segMeta, error) {
 	if string(trailer[:4]) != segTrailer {
 		return nil, fmt.Errorf("%w: bad trailer", ErrCorrupt)
 	}
-	footerLen := int64(binary.BigEndian.Uint64(trailer[4:]))
-	footerEnd := size - trailerBytes - 8 // footer checksum precedes trailer
-	if footerLen <= 0 || footerLen > footerEnd-int64(len(segMagic))-1 {
+	footerLen := binary.BigEndian.Uint64(trailer[4:])
+	footerEnd := size - trailerBytes - sumBytes // footer checksum precedes trailer
+	if footerLen == 0 || footerLen > uint64(footerEnd-int64(headerBytes)) {
 		return nil, fmt.Errorf("%w: implausible footer length %d", ErrCorrupt, footerLen)
 	}
+	footerStart := footerEnd - int64(footerLen)
 	// bounded by the trailer's validated footer length
-	buf := make([]byte, footerLen+8)
-	if _, err := f.ReadAt(buf, footerEnd-footerLen); err != nil {
+	buf := make([]byte, footerLen+sumBytes)
+	if _, err := f.ReadAt(buf, footerStart); err != nil {
 		return nil, err
 	}
-	footer, sumBytes := buf[:footerLen], buf[footerLen:]
-	if fnv64a(fnvOffset, footer) != binary.BigEndian.Uint64(sumBytes) {
+	footer := buf[:footerLen]
+	if checksum(footer) != binary.BigEndian.Uint32(buf[footerLen:]) {
 		return nil, fmt.Errorf("%w: footer checksum mismatch", ErrCorrupt)
 	}
-	return parseFooter(path, footer)
+	return parseFooter(path, footer, footerStart)
 }
 
 // StorageName implements engine.Storage.
@@ -163,10 +179,11 @@ func (st *Store) colProjection(cols []string) ([]int, error) {
 }
 
 // ScanPartitions implements engine.Storage: each segment is one
-// partition. pred is a pruning hint only — segments whose zone maps
-// cannot satisfy it are skipped whole (every projected block counted
-// as pruned); surviving segments decode and stream back in file order,
-// so concatenated scan output is deterministic.
+// partition. Only the blocks of cols are read. pred is a pruning hint
+// only — segments whose zone maps cannot satisfy it are skipped whole
+// (every projected block counted as pruned); surviving segments decode
+// and stream back in file order, so concatenated scan output is
+// deterministic.
 func (st *Store) ScanPartitions(ctx context.Context, cols []string, pred plan.Expr) (engine.PartitionIter, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -213,6 +230,9 @@ type segIter struct {
 	pred  plan.Expr
 	next  int
 	stats engine.ScanStats
+	// buf is the block read buffer, reused across the scan's segments.
+	// bounded by the largest projected block (see readBlock)
+	buf []byte
 }
 
 // Next implements engine.PartitionIter.
@@ -230,12 +250,21 @@ func (it *segIter) Next() (*engine.ColumnBlock, error) {
 			blocksPruned.Add(n)
 			continue
 		}
-		b, err := decodeSegment(sm, it.st.schema, it.proj)
+		b, buf, err := decodeSegment(sm, it.proj, it.buf)
+		it.buf = buf
 		if err != nil {
 			return nil, err
 		}
+		var size int64
+		for _, j := range it.proj {
+			size += sm.cols[j].size
+		}
 		it.stats.Scanned++
+		it.stats.BlocksDecoded += int64(len(it.proj))
+		it.stats.BytesRead += size
 		segmentsScanned.Add(1)
+		blocksDecoded.Add(int64(len(it.proj)))
+		bytesRead.Add(size)
 		return b, nil
 	}
 	return nil, nil

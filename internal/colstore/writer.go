@@ -3,15 +3,17 @@ package colstore
 // Writer: partitioning a relation into on-disk segments. Rows buffer
 // in column vectors until SegmentRows accumulate, then flush as one
 // segment file; Close flushes the remainder. A relation with zero rows
-// still writes one empty segment so the schema round-trips.
+// still writes one empty segment so the schema round-trips. The
+// vectors and the encode buffer are allocated once per Writer and
+// reused by every segment it writes.
 
 import (
-	"bufio"
 	"encoding/binary"
 	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"modeldata/internal/engine"
 )
@@ -25,12 +27,24 @@ type Writer struct {
 	rows   int // rows per segment
 
 	// buf holds the pending segment's column vectors, schema order.
-	// bounded by rows (one segment's worth; flushSegment resets it)
-	buf      []any
+	// bounded by rows (one segment's worth; flushSegment truncates it)
+	buf      []segCol
 	buffered int
-	nextSeg  int
-	wrote    bool
-	closed   bool
+	// enc is the segment encode buffer.
+	// bounded by one encoded segment (rows values per column)
+	enc     []byte
+	nextSeg int
+	wrote   bool
+	closed  bool
+}
+
+// segCol is one column's pending values; the schema type selects the
+// field in use.
+type segCol struct {
+	ints   []int64
+	floats []float64
+	strs   []string
+	bools  []bool
 }
 
 // Options configures a Writer. Open takes one and reads nothing from
@@ -59,26 +73,21 @@ func NewWriter(dir, name string, schema engine.Schema, opt Options) (*Writer, er
 		rows = DefaultSegmentRows
 	}
 	w := &Writer{dir: dir, name: name, schema: schema.Clone(), rows: rows}
-	w.resetBuf()
-	return w, nil
-}
-
-func (w *Writer) resetBuf() {
 	// bounded by one segment's row budget (w.rows)
-	w.buf = make([]any, len(w.schema))
+	w.buf = make([]segCol, len(w.schema))
 	for j, c := range w.schema {
 		switch c.Type {
 		case engine.TypeInt:
-			w.buf[j] = make([]int64, 0, w.rows)
+			w.buf[j].ints = make([]int64, 0, rows)
 		case engine.TypeFloat:
-			w.buf[j] = make([]float64, 0, w.rows)
+			w.buf[j].floats = make([]float64, 0, rows)
 		case engine.TypeString:
-			w.buf[j] = make([]string, 0, w.rows)
+			w.buf[j].strs = make([]string, 0, rows)
 		case engine.TypeBool:
-			w.buf[j] = make([]bool, 0, w.rows)
+			w.buf[j].bools = make([]bool, 0, rows)
 		}
 	}
-	w.buffered = 0
+	return w, nil
 }
 
 // AppendBlock buffers a block's rows, flushing full segments as they
@@ -102,15 +111,16 @@ func (w *Writer) AppendBlock(b *engine.ColumnBlock) error {
 			if err != nil {
 				return err
 			}
+			c := &w.buf[j]
 			switch v := vec.(type) {
 			case []int64:
-				w.buf[j] = append(w.buf[j].([]int64), v[lo:lo+take]...)
+				c.ints = append(c.ints, v[lo:lo+take]...)
 			case []float64:
-				w.buf[j] = append(w.buf[j].([]float64), v[lo:lo+take]...)
+				c.floats = append(c.floats, v[lo:lo+take]...)
 			case []string:
-				w.buf[j] = append(w.buf[j].([]string), v[lo:lo+take]...)
+				c.strs = append(c.strs, v[lo:lo+take]...)
 			case []bool:
-				w.buf[j] = append(w.buf[j].([]bool), v[lo:lo+take]...)
+				c.bools = append(c.bools, v[lo:lo+take]...)
 			}
 		}
 		w.buffered += take
@@ -179,68 +189,46 @@ func (w *Writer) Close() error {
 	return nil
 }
 
-// flushSegment writes the buffered vectors as segment file nextSeg.
+// flushSegment writes the buffered vectors as segment file nextSeg:
+// the whole segment is encoded into w.enc and written with one call.
 func (w *Writer) flushSegment() error {
+	w.enc = encodeSegment(w.enc[:0], w.name, w.schema, w.buf)
 	path := filepath.Join(w.dir, fmt.Sprintf("seg-%06d.mdcs", w.nextSeg))
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := writeSegment(f, w.name, w.schema, w.buf, w.buffered); err != nil {
-		f.Close() //lint:allow errdrop error-path cleanup; the segment write error is the one to surface
-		return err
-	}
-	if err := f.Close(); err != nil {
+	if err := os.WriteFile(path, w.enc, 0o666); err != nil {
 		return err
 	}
 	w.nextSeg++
 	w.wrote = true
-	w.resetBuf()
+	for j := range w.buf {
+		c := &w.buf[j]
+		// Dropping the string references lets the source rows go.
+		clear(c.strs)
+		c.ints, c.floats, c.strs, c.bools = c.ints[:0], c.floats[:0], c.strs[:0], c.bools[:0]
+	}
+	w.buffered = 0
 	return nil
 }
 
-// countingWriter tracks bytes and a running fnv64a over what passes
-// through, so block offsets and checksums fall out of the write path.
-type countingWriter struct {
-	w   *bufio.Writer
-	off int64
-	sum uint64
-}
+// encodeSegment appends one whole segment — header, column blocks,
+// footer, trailer — to dst. Each block is encoded as one run of dst and
+// checksummed once; its zone map falls out of the same pass.
+func encodeSegment(dst []byte, name string, schema engine.Schema, cols []segCol) []byte {
+	dst = append(dst, segMagic...)
+	dst = append(dst, segVersion)
 
-func (cw *countingWriter) write(b []byte) error {
-	if _, err := cw.w.Write(b); err != nil {
-		return err
-	}
-	cw.off += int64(len(b))
-	cw.sum = fnv64a(cw.sum, b)
-	return nil
-}
-
-// writeSegment serializes one segment: header, column blocks, footer.
-func writeSegment(f *os.File, name string, schema engine.Schema, vecs []any, rows int) error {
-	cw := &countingWriter{w: bufio.NewWriterSize(f, 1<<16)}
-	if err := cw.write([]byte(segMagic)); err != nil {
-		return err
-	}
-	if err := cw.write([]byte{segVersion}); err != nil {
-		return err
-	}
-
+	rows := 0
 	metas := make([]colMeta, len(schema))
-	var scratch [8]byte
 	for j, c := range schema {
-		start := cw.off
-		cw.sum = fnvOffset
-		zone := engine.ZoneMap{Rows: int64(rows)}
+		start := len(dst)
+		zone := engine.ZoneMap{}
 		switch c.Type {
 		case engine.TypeInt:
-			v := vecs[j].([]int64)[:rows]
+			v := cols[j].ints
+			rows = len(v)
+			dst = slices.Grow(dst, 8*len(v))
 			var mn, mx int64
 			for i, x := range v {
-				binary.BigEndian.PutUint64(scratch[:], uint64(x))
-				if err := cw.write(scratch[:]); err != nil {
-					return err
-				}
+				dst = binary.BigEndian.AppendUint64(dst, uint64(x))
 				if i == 0 || x < mn {
 					mn = x
 				}
@@ -248,19 +236,18 @@ func writeSegment(f *os.File, name string, schema engine.Schema, vecs []any, row
 					mx = x
 				}
 			}
-			if rows > 0 {
+			if len(v) > 0 {
 				zone.HasRange = true
 				zone.Min, zone.Max = engine.Int(mn), engine.Int(mx)
 			}
 		case engine.TypeFloat:
-			v := vecs[j].([]float64)[:rows]
+			v := cols[j].floats
+			rows = len(v)
+			dst = slices.Grow(dst, 8*len(v))
 			var mn, mx float64
 			seen := false
 			for _, x := range v {
-				binary.BigEndian.PutUint64(scratch[:], math.Float64bits(x))
-				if err := cw.write(scratch[:]); err != nil {
-					return err
-				}
+				dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(x))
 				if math.IsNaN(x) {
 					zone.HasNaN = true
 					continue
@@ -278,17 +265,12 @@ func writeSegment(f *os.File, name string, schema engine.Schema, vecs []any, row
 				zone.Min, zone.Max = engine.Float(mn), engine.Float(mx)
 			}
 		case engine.TypeString:
-			v := vecs[j].([]string)[:rows]
+			v := cols[j].strs
+			rows = len(v)
 			var mn, mx string
 			for i, x := range v {
-				var lb [binary.MaxVarintLen64]byte
-				n := binary.PutUvarint(lb[:], uint64(len(x)))
-				if err := cw.write(lb[:n]); err != nil {
-					return err
-				}
-				if err := cw.write([]byte(x)); err != nil {
-					return err
-				}
+				dst = binary.AppendUvarint(dst, uint64(len(x)))
+				dst = append(dst, x...)
 				if i == 0 || x < mn {
 					mn = x
 				}
@@ -296,52 +278,48 @@ func writeSegment(f *os.File, name string, schema engine.Schema, vecs []any, row
 					mx = x
 				}
 			}
-			if rows > 0 {
+			if len(v) > 0 {
 				zone.HasRange = true
 				zone.Min, zone.Max = engine.Str(mn), engine.Str(mx)
 			}
 		case engine.TypeBool:
-			v := vecs[j].([]bool)[:rows]
+			v := cols[j].bools
+			rows = len(v)
+			dst = slices.Grow(dst, len(v))
 			mn, mx := true, false
 			for _, x := range v {
-				b := byte(0)
 				if x {
-					b = 1
-				}
-				if err := cw.write([]byte{b}); err != nil {
-					return err
-				}
-				if !x {
+					dst = append(dst, 1)
+					mx = true
+				} else {
+					dst = append(dst, 0)
 					mn = false
 				}
-				if x {
-					mx = true
-				}
 			}
-			if rows > 0 {
+			if len(v) > 0 {
 				zone.HasRange = true
 				zone.Min, zone.Max = engine.Bool(mn), engine.Bool(mx)
 			}
 		}
 		metas[j] = colMeta{
 			name: c.Name, typ: c.Type,
-			off: start, size: cw.off - start, sum: cw.sum,
+			off: int64(start), size: int64(len(dst) - start), sum: checksum(dst[start:]),
 			zone: zone,
 		}
 	}
 
-	// Footer.
-	footer := appendUvarint(nil, uint64(rows))
-	footer = appendUvarint(footer, uint64(len(name)))
-	footer = append(footer, name...)
-	footer = appendUvarint(footer, uint64(len(metas)))
+	footerStart := len(dst)
+	dst = binary.AppendUvarint(dst, uint64(rows))
+	dst = binary.AppendUvarint(dst, uint64(len(name)))
+	dst = append(dst, name...)
+	dst = binary.AppendUvarint(dst, uint64(len(metas)))
 	for _, m := range metas {
-		footer = appendUvarint(footer, uint64(len(m.name)))
-		footer = append(footer, m.name...)
-		footer = append(footer, byte(m.typ))
-		footer = appendUvarint(footer, uint64(m.off))
-		footer = appendUvarint(footer, uint64(m.size))
-		footer = appendU64(footer, m.sum)
+		dst = binary.AppendUvarint(dst, uint64(len(m.name)))
+		dst = append(dst, m.name...)
+		dst = append(dst, byte(m.typ))
+		dst = binary.AppendUvarint(dst, uint64(m.off))
+		dst = binary.AppendUvarint(dst, uint64(m.size))
+		dst = binary.BigEndian.AppendUint32(dst, m.sum)
 		var flags byte
 		if m.zone.HasRange {
 			flags |= zmFlagRange
@@ -349,26 +327,17 @@ func writeSegment(f *os.File, name string, schema engine.Schema, vecs []any, row
 		if m.zone.HasNaN {
 			flags |= zmFlagNaN
 		}
-		footer = append(footer, flags)
-		footer = appendUvarint(footer, 0) // nulls, reserved
+		dst = append(dst, flags)
+		dst = binary.AppendUvarint(dst, 0) // nulls, reserved
 		if m.zone.HasRange {
-			footer = appendTypedValue(footer, m.typ, m.zone.Min)
-			footer = appendTypedValue(footer, m.typ, m.zone.Max)
+			dst = appendTypedValue(dst, m.typ, m.zone.Min)
+			dst = appendTypedValue(dst, m.typ, m.zone.Max)
 		}
 	}
-	if err := cw.write(footer); err != nil {
-		return err
-	}
-	if err := cw.write(appendU64(nil, fnv64a(fnvOffset, footer))); err != nil {
-		return err
-	}
-	if err := cw.write([]byte(segTrailer)); err != nil {
-		return err
-	}
-	if err := cw.write(appendU64(nil, uint64(len(footer)))); err != nil {
-		return err
-	}
-	return cw.w.Flush()
+	footerLen := len(dst) - footerStart
+	dst = binary.BigEndian.AppendUint32(dst, checksum(dst[footerStart:]))
+	dst = append(dst, segTrailer...)
+	return binary.BigEndian.AppendUint64(dst, uint64(footerLen))
 }
 
 // WriteTable is the one-call form: partition t into segments under dir.

@@ -9,6 +9,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -295,6 +296,106 @@ func gather(cv colvec, typ Type, idx []int32) colvec {
 	return out
 }
 
+// joinTable is the build side of a hash equi-join: the build block's
+// physical row positions keyed by join key, in insertion (logical scan)
+// order within a key. It is built once and may be probed by any number
+// of blocks, which is what lets a storage scan stream its partitions
+// past one table.
+type joinTable struct {
+	build *ColumnBlock
+	bi    int
+	// strs keys a string column. codes keys a numeric or bool column by
+	// uint64 key code; it is nil when the build side holds an int64
+	// that is not exactly a float64, for which codes cannot stay
+	// collision-free. bytes keys by binary byte key and is built on
+	// first need: when codes is nil, or a probe block holds such an int.
+	strs  map[string][]int32
+	codes map[uint64][]int32
+	bytes map[string][]int32
+}
+
+func newJoinTable(build *ColumnBlock, bi int, sc *Scratch) *joinTable {
+	jt := &joinTable{build: build, bi: bi}
+	n := build.Len()
+	if build.Schema[bi].Type == TypeString {
+		jt.strs = make(map[string][]int32, n)
+		bstrs := build.cols[bi].strs
+		for i := 0; i < n; i++ {
+			p := int32(build.phys(i))
+			jt.strs[bstrs[p]] = append(jt.strs[bstrs[p]], p)
+		}
+		return jt
+	}
+	bcodes := sc.codesBuf(n, 0)
+	if build.keyCodes(bi, bcodes) {
+		jt.codes = make(map[uint64][]int32, n)
+		for i, c := range bcodes {
+			jt.codes[c] = append(jt.codes[c], int32(build.phys(i)))
+		}
+	}
+	return jt
+}
+
+// byteKeys returns the binary-byte-key table, building it on first use.
+func (jt *joinTable) byteKeys(sc *Scratch) map[string][]int32 {
+	if jt.bytes == nil {
+		n := jt.build.Len()
+		jt.bytes = make(map[string][]int32, n)
+		buf := sc.keyBuf()
+		for i := 0; i < n; i++ {
+			buf = jt.build.appendKeyAt(buf[:0], i, jt.bi)
+			jt.bytes[string(buf)] = append(jt.bytes[string(buf)], int32(jt.build.phys(i)))
+		}
+		sc.putKey(buf)
+	}
+	return jt.bytes
+}
+
+// probe appends to pidx and bidx the physical (probe, build) positions
+// of every match of probe's column pi, in probe logical order with
+// build insertion order within a key. Mismatched key kinds (string
+// against numeric, say) never join.
+func (jt *joinTable) probe(probe *ColumnBlock, pi int, sc *Scratch, pidx, bidx []int32) ([]int32, []int32) {
+	if colKeyKind(jt.build.Schema[jt.bi].Type) != colKeyKind(probe.Schema[pi].Type) {
+		return pidx, bidx
+	}
+	n := probe.Len()
+	if jt.strs != nil {
+		pstrs := probe.cols[pi].strs
+		for i := 0; i < n; i++ {
+			p := int32(probe.phys(i))
+			for _, bp := range jt.strs[pstrs[p]] {
+				pidx, bidx = append(pidx, p), append(bidx, bp)
+			}
+		}
+		return pidx, bidx
+	}
+	if jt.codes != nil {
+		if pcodes := sc.codesBuf(n, 1); probe.keyCodes(pi, pcodes) {
+			for i, c := range pcodes {
+				if m := jt.codes[c]; len(m) > 0 {
+					p := int32(probe.phys(i))
+					for _, bp := range m {
+						pidx, bidx = append(pidx, p), append(bidx, bp)
+					}
+				}
+			}
+			return pidx, bidx
+		}
+	}
+	ht := jt.byteKeys(sc)
+	buf := sc.keyBuf()
+	for i := 0; i < n; i++ {
+		buf = probe.appendKeyAt(buf[:0], i, pi)
+		p := int32(probe.phys(i))
+		for _, bp := range ht[string(buf)] {
+			pidx, bidx = append(pidx, p), append(bidx, bp)
+		}
+	}
+	sc.putKey(buf)
+	return pidx, bidx
+}
+
 // equiJoinIdx computes the matching (left, right) physical row-index
 // pairs of the hash equi-join of l and r on columns li and ri.
 // buildLeft selects the hash-build side explicitly; emission order is
@@ -303,79 +404,11 @@ func gather(cv colvec, typ Type, idx []int32) colvec {
 // from sc's index buffers — callers must hand them back with putIdx
 // once consumed. sc must be non-nil.
 func equiJoinIdx(l, r *ColumnBlock, li, ri int, buildLeft bool, sc *Scratch) (lidx, ridx []int32) {
-	build, probe := r, l
-	bi, pi := ri, li
-	swapped := false
 	if buildLeft {
-		build, probe = l, r
-		bi, pi = li, ri
-		swapped = true
+		ridx, lidx = newJoinTable(l, li, sc).probe(r, ri, sc, sc.idxBuf(1), sc.idxBuf(0))
+		return lidx, ridx
 	}
-
-	lidx, ridx = sc.idxBuf(0), sc.idxBuf(1)
-	emit := func(pPhys, bPhys int32) {
-		if swapped {
-			lidx = append(lidx, bPhys)
-			ridx = append(ridx, pPhys)
-		} else {
-			lidx = append(lidx, pPhys)
-			ridx = append(ridx, bPhys)
-		}
-	}
-
-	if colKeyKind(l.Schema[li].Type) == colKeyKind(r.Schema[ri].Type) {
-		switch {
-		case l.Schema[li].Type == TypeString: // both string
-			ht := make(map[string][]int32, build.Len())
-			bstrs := build.cols[bi].strs
-			for i, n := 0, build.Len(); i < n; i++ {
-				p := int32(build.phys(i))
-				ht[bstrs[p]] = append(ht[bstrs[p]], p)
-			}
-			pstrs := probe.cols[pi].strs
-			for i, n := 0, probe.Len(); i < n; i++ {
-				p := int32(probe.phys(i))
-				for _, bp := range ht[pstrs[p]] {
-					emit(p, bp)
-				}
-			}
-		default: // numeric or bool: uint64 key codes
-			bcodes := sc.codesBuf(build.Len(), 0)
-			pcodes := sc.codesBuf(probe.Len(), 1)
-			if build.keyCodes(bi, bcodes) && probe.keyCodes(pi, pcodes) {
-				ht := make(map[uint64][]int32, len(bcodes))
-				for i, c := range bcodes {
-					ht[c] = append(ht[c], int32(build.phys(i)))
-				}
-				for i, c := range pcodes {
-					p := int32(probe.phys(i))
-					for _, bp := range ht[c] {
-						emit(p, bp)
-					}
-				}
-			} else {
-				// An unrepresentable int64 key appeared: uint64 codes
-				// cannot stay collision-free, use binary byte keys.
-				ht := make(map[string][]int32, build.Len())
-				buf := sc.keyBuf()
-				for i, n := 0, build.Len(); i < n; i++ {
-					buf = build.appendKeyAt(buf[:0], i, bi)
-					ht[string(buf)] = append(ht[string(buf)], int32(build.phys(i)))
-				}
-				for i, n := 0, probe.Len(); i < n; i++ {
-					buf = probe.appendKeyAt(buf[:0], i, pi)
-					p := int32(probe.phys(i))
-					for _, bp := range ht[string(buf)] {
-						emit(p, bp)
-					}
-				}
-				sc.putKey(buf)
-			}
-		}
-	}
-	// Mismatched key kinds (e.g. string vs numeric) never join; the
-	// output stays empty.
-	return lidx, ridx
+	return newJoinTable(r, ri, sc).probe(l, li, sc, sc.idxBuf(0), sc.idxBuf(1))
 }
 
 // EquiJoin computes the hash equi-join of b and r on leftCol =
@@ -420,6 +453,89 @@ func (b *ColumnBlock) equiJoinBudget(r *ColumnBlock, leftCol, rightCol string, s
 	sc.putIdx(0, lidx)
 	sc.putIdx(1, ridx)
 	return out, nil
+}
+
+// joinStream is the hash equi-join of a storage scan with a table, run
+// one scan partition at a time: the table is hashed once, each
+// partition probes it, and only a partition's matching rows are kept,
+// so the scan side is never concatenated. The in-memory join builds on
+// the smaller input and emits in the other's order; which side is
+// smaller is not known until the last partition has been filtered, so
+// the stream always builds on the table and, if the scan turns out to
+// be the smaller side, result reorders the pairs into the order a
+// build on it would have emitted.
+type joinStream struct {
+	op    *qop
+	sc    *Scratch
+	r     *ColumnBlock // the decoded table
+	jt    *joinTable   // r hashed on the join column
+	lrows int          // scan rows probed so far
+	// lparts holds each partition's matching rows, gathered dense;
+	// ridx the table row of every one of them, in the same order.
+	lschema Schema
+	lparts  []*ColumnBlock
+	ridx    []int32
+}
+
+// newJoinStream prepares to stream the chain's scan through the join op
+// records. It returns nil when the table's hash table would exceed the
+// memory budget: that join has to Grace-partition both inputs, which
+// equiJoinBudget does over the concatenated scan.
+func newJoinStream(op *qop, c *chain) (*joinStream, error) {
+	r, err := decodeTable(op.joinT)
+	if err != nil {
+		return nil, err
+	}
+	ri, err := r.ColIndex(op.joinR)
+	if err != nil {
+		return nil, fmt.Errorf("join right: %w", err)
+	}
+	if c.budget > 0 && estHashBytes(r, []int{ri}) > c.budget {
+		return nil, nil
+	}
+	return &joinStream{op: op, sc: c.sc, r: r, jt: newJoinTable(r, ri, c.sc)}, nil
+}
+
+// probe joins one partition of the scan.
+func (s *joinStream) probe(part *ColumnBlock) error {
+	li, err := part.ColIndex(s.op.joinL)
+	if err != nil {
+		return fmt.Errorf("join left: %w", err)
+	}
+	var lidx []int32
+	lidx, s.ridx = s.jt.probe(part, li, s.sc, s.sc.idxBuf(0), s.ridx)
+	s.lrows += part.Len()
+	s.lschema = part.Schema
+	if len(lidx) > 0 {
+		s.lparts = append(s.lparts, part.withSel(lidx).Dense())
+	}
+	s.sc.putIdx(0, lidx)
+	return nil
+}
+
+// result assembles the join output, named and shaped as the op records.
+func (s *joinStream) result() (*ColumnBlock, error) {
+	l, err := concatBlocks(s.op.name, s.lschema, s.lparts)
+	if err != nil {
+		return nil, err
+	}
+	out := &ColumnBlock{Name: s.op.name, Schema: s.op.schema.Clone(), nrows: len(s.ridx), cols: slices.Clone(l.cols)}
+	for j := range s.r.Schema {
+		out.cols = append(out.cols, gather(s.r.cols[j], s.r.Schema[j].Type, s.ridx))
+	}
+	if s.lrows >= s.r.Len() {
+		return out, nil
+	}
+	// The scan is the smaller side, so the in-memory join would have
+	// built on it and emitted in table order, scan order within one
+	// table row. Pairs are in scan order already; a stable sort on the
+	// table row (the table is dense: position is order) is that order.
+	order := make([]int32, len(s.ridx))
+	for i := range order {
+		order[i] = int32(i)
+	}
+	sort.SliceStable(order, func(x, y int) bool { return s.ridx[order[x]] < s.ridx[order[y]] })
+	return out.withSel(order), nil
 }
 
 // --- group-by ---

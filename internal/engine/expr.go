@@ -48,10 +48,11 @@ type predFns interface {
 }
 
 // compileExprBlock compiles e into a logical-row predicate over the
-// block. Values are read through the block (allocation-free
-// reconstruction) and compared with Value.Equal/Less; BETWEEN is
-// !v.Less(lo) && !hi.Less(v); float predicates see only numeric values,
-// string predicates only strings.
+// block. The six comparison operators and BETWEEN are compositions of
+// compareAt's less and equal — BETWEEN is !v.Less(lo) && !hi.Less(v) —
+// so NaN, ±0 and int-against-float order the same whether compareAt
+// read a typed vector or built Values. Float predicates see only
+// numeric values, string predicates only strings.
 func compileExprBlock(e plan.Expr, b *ColumnBlock, fns predFns) (func(i int) bool, error) {
 	switch t := e.(type) {
 	case plan.And:
@@ -85,30 +86,28 @@ func compileExprBlock(e plan.Expr, b *ColumnBlock, fns predFns) (func(i int) boo
 		if err != nil {
 			return nil, err
 		}
-		lo, hi := valOfLit(t.Lo), valOfLit(t.Hi)
-		return func(i int) bool {
-			v := b.value(i, idx)
-			return !v.Less(lo) && !hi.Less(v)
-		}, nil
+		ltLo, _, _ := compareAt(b, idx, valOfLit(t.Lo))
+		_, gtHi, _ := compareAt(b, idx, valOfLit(t.Hi))
+		return func(i int) bool { p := b.phys(i); return !ltLo(p) && !gtHi(p) }, nil
 	case plan.Cmp:
 		idx, err := b.ColIndex(t.Col)
 		if err != nil {
 			return nil, err
 		}
-		val := valOfLit(t.Val)
+		lt, gt, eq := compareAt(b, idx, valOfLit(t.Val))
 		switch t.Op {
 		case "=":
-			return func(i int) bool { return b.value(i, idx).Equal(val) }, nil
+			return func(i int) bool { return eq(b.phys(i)) }, nil
 		case "<>", "!=":
-			return func(i int) bool { return !b.value(i, idx).Equal(val) }, nil
+			return func(i int) bool { return !eq(b.phys(i)) }, nil
 		case "<":
-			return func(i int) bool { return b.value(i, idx).Less(val) }, nil
+			return func(i int) bool { return lt(b.phys(i)) }, nil
 		case "<=":
-			return func(i int) bool { return !val.Less(b.value(i, idx)) }, nil
+			return func(i int) bool { return !gt(b.phys(i)) }, nil
 		case ">":
-			return func(i int) bool { return val.Less(b.value(i, idx)) }, nil
+			return func(i int) bool { return gt(b.phys(i)) }, nil
 		case ">=":
-			return func(i int) bool { return !b.value(i, idx).Less(val) }, nil
+			return func(i int) bool { return !lt(b.phys(i)) }, nil
 		}
 		return nil, fmt.Errorf("engine: unknown comparison %q", t.Op)
 	case plan.ColPred:
@@ -138,6 +137,41 @@ func compileExprBlock(e plan.Expr, b *ColumnBlock, fns predFns) (func(i int) boo
 		return nil, fmt.Errorf("engine: unknown predicate domain %q", t.Fn)
 	}
 	return nil, fmt.Errorf("engine: unsupported expression %T", e)
+}
+
+// compareAt returns the three comparisons of column j's value at a
+// physical position against lit that every operator composes from: lt
+// is v.Less(lit), gt is lit.Less(v), eq is v.Equal(lit). A numeric
+// column against a numeric literal computes them on the typed vector —
+// a mixed int/float pair exactly, through the helpers Value.Less and
+// Value.Equal use themselves — so no Value is built per row; any other
+// pairing calls Value.Less and Value.Equal.
+func compareAt(b *ColumnBlock, j int, lit Value) (lt, gt, eq func(p int) bool) {
+	switch typ := b.Schema[j].Type; {
+	case typ == TypeFloat && lit.typ == TypeFloat:
+		v, x := b.cols[j].floats, lit.f
+		return func(p int) bool { return v[p] < x },
+			func(p int) bool { return x < v[p] },
+			func(p int) bool { return v[p] == x } //lint:allow floateq Value.Equal on two floats is exact ==
+	case typ == TypeFloat && lit.typ == TypeInt:
+		v, x := b.cols[j].floats, lit.i
+		return func(p int) bool { return floatLessInt(v[p], x) },
+			func(p int) bool { return intLessFloat(x, v[p]) },
+			func(p int) bool { return floatEqualsInt(v[p], x) }
+	case typ == TypeInt && lit.typ == TypeInt:
+		v, x := b.cols[j].ints, lit.i
+		return func(p int) bool { return v[p] < x },
+			func(p int) bool { return x < v[p] },
+			func(p int) bool { return v[p] == x }
+	case typ == TypeInt && lit.typ == TypeFloat:
+		v, x := b.cols[j].ints, lit.f
+		return func(p int) bool { return intLessFloat(v[p], x) },
+			func(p int) bool { return floatLessInt(x, v[p]) },
+			func(p int) bool { return floatEqualsInt(x, v[p]) }
+	}
+	return func(p int) bool { return b.valuePhys(p, j).Less(lit) },
+		func(p int) bool { return lit.Less(b.valuePhys(p, j)) },
+		func(p int) bool { return b.valuePhys(p, j).Equal(lit) }
 }
 
 // validateExprCols checks that every column e references resolves in

@@ -222,11 +222,11 @@ type retCol struct {
 }
 
 // retainedCols computes, per scan, the columns planned execution must
-// carry: those the query tail can reference (neededAtExit) plus the
+// carry: those the query tail can reference (neededBefore) plus the
 // region's own join keys and post-filter columns. Results preserve
 // each scan's schema order.
 func (q *Query) retainedCols(reg *region) [][]retCol {
-	need := q.neededAtExit(reg)
+	need := neededBefore(q.ops[reg.end:], nil)
 	local := make([]map[string]bool, len(reg.scans))
 	mark := func(scan int, bare string) {
 		if local[scan] == nil {
@@ -257,14 +257,15 @@ func (q *Query) retainedCols(reg *region) [][]retCol {
 	return out
 }
 
-// neededAtExit returns the set of region-exit column names (lowercase)
-// the operations after the region require, or nil meaning all of them.
-// It walks the tail backward: projections and aggregations narrow the
-// set; whole-row operations (Where, Extend, Distinct, trailing joins)
-// widen it to everything, since they observe the full schema.
-func (q *Query) neededAtExit(reg *region) map[string]bool {
-	var need map[string]bool // nil = all
-	tail := q.ops[reg.end:]
+// neededBefore returns the set of column names (lowercase) of the state
+// entering tail that tail and its consumer require, or nil meaning all
+// of them; need is what the consumer requires of tail's output, in the
+// same form. It walks the tail backward: projections and aggregations
+// narrow the set; whole-row operations (Where, Extend, Distinct, joins)
+// widen it to everything, since they observe the full schema. The
+// planner prunes region-exit columns with it, a storage scan its
+// stored ones.
+func neededBefore(tail []*qop, need map[string]bool) map[string]bool {
 	for i := len(tail) - 1; i >= 0; i-- {
 		op := tail[i]
 		switch op.kind {

@@ -52,9 +52,10 @@ type Query struct {
 	plannerOff bool
 
 	// store, when set by FromStorage, replaces src as the scan source:
-	// execution streams the storage's partitions (zone-map pruned by
-	// the query's leading filters) and replays the recorded operations
-	// over the concatenated blocks.
+	// execution streams the storage's partitions — the columns the
+	// operations observe, zone-map pruned by the leading filters, which
+	// run on each partition — and replays the remaining operations over
+	// the concatenated survivors (see source).
 	store Storage
 	// ctx, when set by WithContext, flows into storage scans.
 	ctx context.Context
@@ -150,10 +151,11 @@ func From(t *Table) *Query {
 }
 
 // FromStorage starts a query over a storage backend. Execution scans
-// the storage's partitions — letting it prune against the query's
-// leading filters — and runs the same operators as From, so results
-// are byte-identical to a query over the equivalent in-memory table
-// (the storage-equivalence suite in internal/colstore enforces this).
+// the storage's partitions — asking only for the columns the query can
+// observe and letting it prune against the query's leading filters —
+// and runs the same operators as From, so results are byte-identical to
+// a query over the equivalent in-memory table (the storage-equivalence
+// suite in internal/colstore enforces this).
 // Storage queries execute directly: the join-region planner only
 // reorders multi-table joins, whose right sides are in-memory tables
 // either way.
@@ -465,24 +467,28 @@ func (q *Query) Extend(name string, typ Type, f func(Row) Value) *Query {
 // works on; the planner, when enabled, executes the leading
 // scan/filter/join region from its optimized plan; everything else
 // (and everything, when the planner is off or the region cannot be
-// planned) replays through the chain as written.
-func (q *Query) exec() (*chain, error) {
+// planned) replays through the chain as written. wholeRows says the
+// caller will read the final state's rows, not merely count them, which
+// decides whether a storage scan has to fetch columns no operation
+// names.
+func (q *Query) exec(wholeRows bool) (*chain, error) {
 	ch := &chain{sc: NewScratch(), budget: q.budget, spillDir: q.spillDir}
 	if q.provOn {
 		ch.arena = prov.NewArena()
 	}
-	var err error
-	if ch.b, err = q.source(); err != nil {
+	start, err := q.source(ch, wholeRows)
+	if err != nil {
 		return nil, err
 	}
 	colQueries.Add(1)
-	start := 0
+	planned := false
 	if q.store == nil && !q.plannerOff {
 		if start, err = q.planRegion(ch); err != nil {
 			return nil, err
 		}
+		planned = start > 0
 	}
-	if start == 0 {
+	if !planned {
 		planDirect.Add(1)
 		if ch.arena != nil {
 			// The planner did not produce (annotated) region output, so
@@ -498,43 +504,125 @@ func (q *Query) exec() (*chain, error) {
 	return ch, nil
 }
 
-// source decodes the query's scan into a block: a table through
-// decodeTable, a storage by scanning its partitions — handing the scan
-// the query's leading filters as a pruning hint — and concatenating
-// the surviving blocks. All filters re-apply in full, so pruning (which
-// only ever skips partitions that cannot contain a matching row) is
-// correctness-neutral.
-func (q *Query) source() (*ColumnBlock, error) {
+// source decodes the query's scan into ch.b and returns how many of the
+// leading operations it has already applied. A table decodes whole,
+// through decodeTable, and applies none. A storage is scanned partition
+// by partition, and a pass over it costs what the query reads:
+//
+//   - only the stored columns the operations can observe are asked of
+//     the storage (scanCols);
+//   - the leading run — the filters whose conjunction is the pruning
+//     hint, and the Selects and Renames among them — is applied to each
+//     partition as it arrives, so only surviving rows are concatenated;
+//   - when the operation after that run joins a table that fits the
+//     memory budget, the partitions stream past one hash table of it
+//     (joinStream) and are never concatenated at all.
+//
+// All filters run in full, so pruning (which only ever skips partitions
+// that cannot contain a matching row) is correctness-neutral. Under
+// provenance the scan is the plain one — every column, no hint, nothing
+// applied early: leaf annotations index rows of the full stored
+// relation, and a pruned or pre-filtered scan would shift every index
+// after the first skipped row.
+func (q *Query) source(ch *chain, wholeRows bool) (int, error) {
 	if q.store == nil {
-		return decodeTable(q.src)
+		var err error
+		ch.b, err = decodeTable(q.src)
+		return 0, err
 	}
 	ctx := q.ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	// Under provenance, pruning is disabled: leaf annotations index
-	// rows of the full stored relation, and a pruned scan would shift
-	// every index after the first skipped partition.
+	name, schema := q.store.StorageName(), q.store.StorageSchema()
 	var hint plan.Expr
+	var cols []string
+	var js *joinStream
+	lead := 0
 	if !q.provOn {
-		hint = q.leadingFilterExpr()
+		hint, lead = q.leadingFilterExpr(), q.leadingRun()
+		need := map[string]bool{} // a count observes no column of the result
+		if wholeRows {
+			need = nil // its rows observe all of them
+		}
+		cols, schema = scanCols(schema, neededBefore(q.ops, need))
+		if lead < len(q.ops) && q.ops[lead].kind == opJoin {
+			var err error
+			if js, err = newJoinStream(q.ops[lead], ch); err != nil {
+				return 0, err
+			}
+		}
 	}
-	it, err := q.store.ScanPartitions(ctx, nil, hint)
+	it, err := q.store.ScanPartitions(ctx, cols, hint)
 	if err != nil {
-		return nil, err
+		return 0, err
 	}
 	var parts []*ColumnBlock
+	each := func(b *ColumnBlock) error {
+		ch.b = b
+		for _, op := range q.ops[:lead] {
+			if err := ch.apply(op, q); err != nil {
+				return err
+			}
+		}
+		if js != nil {
+			return js.probe(ch.b)
+		}
+		parts = append(parts, ch.b)
+		return nil
+	}
+	scanned := 0
 	for {
 		b, err := it.Next()
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		if b == nil {
 			break
 		}
-		parts = append(parts, b)
+		scanned++
+		if err := each(b); err != nil {
+			return 0, err
+		}
 	}
-	return concatBlocks(q.store.StorageName(), q.store.StorageSchema(), parts)
+	if scanned == 0 {
+		// Every partition was pruned: one empty partition carries the
+		// schema through the leading run.
+		empty, err := concatBlocks(name, schema, nil)
+		if err != nil {
+			return 0, err
+		}
+		if err := each(empty); err != nil {
+			return 0, err
+		}
+	}
+	if js != nil {
+		ch.b, err = js.result()
+		return lead + 1, err
+	}
+	ch.b, err = concatBlocks(name, parts[0].Schema, parts)
+	return lead, err
+}
+
+// scanCols turns the needed-column set of a scan into the projection
+// handed to the storage and the schema its partitions will carry:
+// stored names in stored order, nil (everything) when need is nil. A
+// query that observes no column at all still has rows to count, so it
+// reads the first.
+func scanCols(stored Schema, need map[string]bool) ([]string, Schema) {
+	if need == nil {
+		return nil, stored
+	}
+	cols, schema := []string{}, Schema{}
+	for _, c := range stored {
+		if need[strings.ToLower(c.Name)] {
+			cols, schema = append(cols, c.Name), append(schema, c)
+		}
+	}
+	if len(cols) == 0 {
+		return []string{stored[0].Name}, stored[:1]
+	}
+	return cols, schema
 }
 
 // decodeTable is the one site where executing queries decode a table
@@ -577,7 +665,7 @@ func (q *Query) leadingFilterExpr() plan.Expr {
 		}
 		return name
 	}
-	for _, op := range q.ops {
+	for _, op := range q.ops[:q.leadingRun()] {
 		switch op.kind {
 		case opFilter:
 			fe := op.expr
@@ -604,11 +692,23 @@ func (q *Query) leadingFilterExpr() plan.Expr {
 			delete(nm, strings.ToLower(op.oldName))
 			nm[strings.ToLower(op.newName)] = old
 			toStored = nm
-		default:
-			return e
 		}
 	}
 	return e
+}
+
+// leadingRun is the number of operations in the leading run
+// leadingFilterExpr describes: filters, Selects and Renames, up to the
+// first operation of any other kind. Each acts on a row by itself, so
+// applying the run to every partition of a scan and concatenating
+// equals concatenating and then applying it.
+func (q *Query) leadingRun() int {
+	for i, op := range q.ops {
+		if op.kind != opFilter && op.kind != opSelect && op.kind != opRename {
+			return i
+		}
+	}
+	return len(q.ops)
 }
 
 // Run returns the result table or the first error encountered.
@@ -616,7 +716,7 @@ func (q *Query) Run() (*Table, error) {
 	if q.err != nil {
 		return nil, q.err
 	}
-	ch, err := q.exec()
+	ch, err := q.exec(true)
 	if err != nil {
 		return nil, err
 	}
@@ -638,7 +738,7 @@ func (q *Query) Count() (int, error) {
 	if q.err != nil {
 		return 0, q.err
 	}
-	ch, err := q.exec()
+	ch, err := q.exec(false)
 	if err != nil {
 		return 0, err
 	}

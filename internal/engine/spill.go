@@ -2,12 +2,13 @@ package engine
 
 // Grace-style spill-to-disk for hash join and group-by. When a memory
 // budget is set and the estimated hash-table footprint of an operator
-// exceeds it, the operator partitions its inputs by the fnv64a hash of
-// the binary key encoding (the same injective encoding the in-memory
-// hash tables key on), writes the partitions to a temporary directory,
-// and processes them one at a time — so peak memory is roughly
-// 1/P of the unbounded build. Output is byte-identical to the
-// in-memory path:
+// exceeds it, the operator partitions its inputs by a hash of the key —
+// of the uint64 key code where the group-by has one (the vector the
+// in-memory hash table keys on, computed once for the whole block),
+// otherwise of the binary key encoding — writes the partitions to a
+// temporary directory, and processes them one at a time — so peak
+// memory is roughly 1/P of the unbounded build. Output is
+// byte-identical to the in-memory path:
 //
 //   - Join: the in-memory path emits probe rows in logical order, and
 //     within one probe row its build matches in build-scan order. Each
@@ -30,6 +31,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"sort"
@@ -80,6 +82,14 @@ func spillPartitionCount(est, budget int64) int {
 		p <<= 1
 	}
 	return p
+}
+
+// codePartition maps a uint64 key code to one of p partitions, p a
+// power of two. Codes are float bit patterns, whose low bits are mostly
+// zero and whose high bits are an exponent: multiply to mix, then take
+// the top bits.
+func codePartition(c uint64, p int) uint64 {
+	return (c * 0x9e3779b97f4a7c15) >> (64 - bits.TrailingZeros(uint(p)))
 }
 
 // fnv64aBytes is the FNV-1a hash of b. Inlined (vs hash/fnv) to avoid
@@ -279,20 +289,35 @@ func (b *ColumnBlock) spillGroupBy(g *grouping, sc *Scratch, budget int64, dir s
 	}
 	defer parts.close()
 
-	key := sc.keyBuf()
 	n := b.Len()
-	for i := 0; i < n; i++ {
-		key = key[:0]
-		for _, j := range g.keyIdx {
-			key = b.appendKeyAt(key, i, j)
-		}
-		p := fnv64aBytes(key) & uint64(P-1)
-		if err := parts.record(p, uint64(i), nil); err != nil {
-			sc.putKey(key)
-			return nil, err
+	var codes []uint64
+	if len(g.keyIdx) == 1 {
+		if c := sc.codesBuf(n, 0); b.keyCodes(g.keyIdx[0], c) {
+			codes = c
 		}
 	}
-	sc.putKey(key)
+	if codes != nil {
+		// Equal keys have equal codes, so a hash of the code keeps a
+		// group whole.
+		for i, c := range codes {
+			if err := parts.record(codePartition(c, P), uint64(i), nil); err != nil {
+				return nil, err
+			}
+		}
+	} else {
+		key := sc.keyBuf()
+		for i := 0; i < n; i++ {
+			key = key[:0]
+			for _, j := range g.keyIdx {
+				key = b.appendKeyAt(key, i, j)
+			}
+			if err := parts.record(fnv64aBytes(key)&uint64(P-1), uint64(i), nil); err != nil {
+				sc.putKey(key)
+				return nil, err
+			}
+		}
+		sc.putKey(key)
+	}
 	if err := parts.flush(); err != nil {
 		return nil, err
 	}
@@ -350,15 +375,20 @@ func growIdx(s []int32, n int) []int32 {
 	return s[:n]
 }
 
-// spillParts manages one side's P partition files.
+// spillParts manages one side's P partition files. Records batch in a
+// per-partition buffer and reach the file spillFlushBytes at a time.
 type spillParts struct {
 	files []*os.File
-	ws    []*bufio.Writer
+	bufs  [][]byte
 	bytes int64
 }
 
+// spillFlushBytes is the size a partition's record buffer is written
+// out at.
+const spillFlushBytes = 32 << 10
+
 func newSpillParts(dir, name string, p int) (*spillParts, error) {
-	sp := &spillParts{files: make([]*os.File, 0, p), ws: make([]*bufio.Writer, 0, p)}
+	sp := &spillParts{files: make([]*os.File, 0, p), bufs: make([][]byte, p)}
 	for i := 0; i < p; i++ {
 		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("%s-%03d.part", name, i)))
 		if err != nil {
@@ -366,60 +396,48 @@ func newSpillParts(dir, name string, p int) (*spillParts, error) {
 			return nil, err
 		}
 		sp.files = append(sp.files, f)
-		sp.ws = append(sp.ws, bufio.NewWriter(f))
 	}
 	return sp, nil
 }
 
 // record writes (a, key) to partition p; a nil key writes just a.
 func (sp *spillParts) record(p, a uint64, key []byte) error {
-	w := sp.ws[p]
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], a)
-	if _, err := w.Write(buf[:n]); err != nil {
-		return err
+	buf := binary.AppendUvarint(sp.bufs[p], a)
+	if key != nil {
+		buf = appendSpillKey(buf, key)
 	}
-	sp.bytes += int64(n)
-	if key == nil {
-		return nil
-	}
-	return sp.writeKey(w, key)
+	return sp.put(p, buf)
 }
 
 // record2 writes (a, b, key) to partition p.
 func (sp *spillParts) record2(p, a, b uint64, key []byte) error {
-	w := sp.ws[p]
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], a)
-	if _, err := w.Write(buf[:n]); err != nil {
-		return err
-	}
-	m := binary.PutUvarint(buf[:], b)
-	if _, err := w.Write(buf[:m]); err != nil {
-		return err
-	}
-	sp.bytes += int64(n + m)
-	return sp.writeKey(w, key)
+	buf := binary.AppendUvarint(binary.AppendUvarint(sp.bufs[p], a), b)
+	return sp.put(p, appendSpillKey(buf, key))
 }
 
-func (sp *spillParts) writeKey(w *bufio.Writer, key []byte) error {
-	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], uint64(len(key)))
-	if _, err := w.Write(buf[:n]); err != nil {
-		return err
+func appendSpillKey(buf, key []byte) []byte {
+	return append(binary.AppendUvarint(buf, uint64(len(key))), key...)
+}
+
+// put stores partition p's extended buffer, writing it out once full.
+func (sp *spillParts) put(p uint64, buf []byte) error {
+	sp.bytes += int64(len(buf) - len(sp.bufs[p]))
+	if len(buf) >= spillFlushBytes {
+		if _, err := sp.files[p].Write(buf); err != nil {
+			return err
+		}
+		buf = buf[:0]
 	}
-	if _, err := w.Write(key); err != nil {
-		return err
-	}
-	sp.bytes += int64(n) + int64(len(key))
+	sp.bufs[p] = buf
 	return nil
 }
 
 func (sp *spillParts) flush() error {
-	for _, w := range sp.ws {
-		if err := w.Flush(); err != nil {
+	for p, buf := range sp.bufs {
+		if _, err := sp.files[p].Write(buf); err != nil {
 			return err
 		}
+		sp.bufs[p] = buf[:0]
 	}
 	return nil
 }
@@ -436,18 +454,23 @@ func (sp *spillParts) reader(p int) (*bufio.Reader, error) {
 // readIndexes reads partition p as a plain uvarint sequence (the
 // group-by spill layout).
 func (sp *spillParts) readIndexes(p int) ([]int32, error) {
-	r, err := sp.reader(p)
+	if _, err := sp.files[p].Seek(0, io.SeekStart); err != nil {
+		return nil, err
+	}
+	raw, err := io.ReadAll(sp.files[p])
 	if err != nil {
 		return nil, err
 	}
 	var out []int32
-	for {
-		v, ok, err := readUvarintEOF(r)
-		if !ok {
-			return out, err
+	for len(raw) > 0 {
+		v, w := binary.Uvarint(raw)
+		if w <= 0 {
+			return nil, fmt.Errorf("engine: malformed spill record in %s", sp.files[p].Name())
 		}
 		out = append(out, int32(v))
+		raw = raw[w:]
 	}
+	return out, nil
 }
 
 func (sp *spillParts) close() {

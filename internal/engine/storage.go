@@ -20,11 +20,15 @@ import (
 
 // ScanStats reports what one partitioned scan did: how many partitions
 // (segments) the storage holds for the scan, how many it actually
-// decoded, and how many column blocks zone maps pruned without decode.
+// decoded, how many column blocks zone maps pruned without decode, and
+// how many blocks (and stored bytes) the surviving partitions decoded —
+// one block per projected column each.
 type ScanStats struct {
-	Partitions   int64
-	Scanned      int64
-	BlocksPruned int64
+	Partitions    int64
+	Scanned       int64
+	BlocksPruned  int64
+	BlocksDecoded int64
+	BytesRead     int64
 }
 
 // PartitionIter streams the partitions of one scan. Next returns
