@@ -126,32 +126,14 @@ func decodeColumn(rows []Row, j int, typ Type, colName string) (colvec, error) {
 // value's type differs from its column's schema type (possible only for
 // hand-assembled Rows; Insert rejects or widens such values).
 func FromTable(t *Table) (*ColumnBlock, error) {
-	return FromRowsPartial(t.Name, t.Schema, t.Rows, nil)
-}
-
-// FromRowsPartial decodes rows into a ColumnBlock, leaving the columns
-// listed in skip allocated but zero-filled (their row values are not
-// read). The MCDB bundle layer uses this to decode the deterministic
-// attributes of a tuple-bundle table once while the uncertain columns —
-// zero placeholders in the Det rows — are patched in per Monte Carlo
-// iteration.
-func FromRowsPartial(name string, schema Schema, rows []Row, skip []int) (*ColumnBlock, error) {
 	b := &ColumnBlock{
-		Name:   name,
-		Schema: schema.Clone(),
-		nrows:  len(rows),
-		cols:   make([]colvec, len(schema)),
+		Name:   t.Name,
+		Schema: t.Schema.Clone(),
+		nrows:  len(t.Rows),
+		cols:   make([]colvec, len(t.Schema)),
 	}
-	skipped := make(map[int]bool, len(skip))
-	for _, j := range skip {
-		skipped[j] = true
-	}
-	for j, c := range schema {
-		if skipped[j] {
-			b.cols[j] = zeroColvec(c.Type, len(rows))
-			continue
-		}
-		cv, err := decodeColumn(rows, j, c.Type, c.Name)
+	for j, c := range t.Schema {
+		cv, err := decodeColumn(t.Rows, j, c.Type, c.Name)
 		if err != nil {
 			return nil, err
 		}
@@ -293,9 +275,8 @@ func (b *ColumnBlock) Vec(j int) (any, error) {
 // WithColumn returns a shallow copy of the block with column j's
 // vector replaced. vals must be a []int64, []float64, []string, or
 // []bool matching the column's schema type and physical length; the
-// other columns are shared. This is the patch primitive behind the
-// tuple-bundle realization loop: decode the deterministic columns once,
-// swap in each iteration's uncertain vectors.
+// other columns are shared. Deferred.Scalar swaps each call's vectors
+// into the finished join with it.
 func (b *ColumnBlock) WithColumn(j int, vals any) (*ColumnBlock, error) {
 	if j < 0 || j >= len(b.Schema) {
 		return nil, fmt.Errorf("%w: column %d of %d", ErrNoColumn, j, len(b.Schema))

@@ -51,6 +51,26 @@ func (q *Query) planRegion(ch *chain) (int, error) {
 	if reg == nil {
 		return 0, nil
 	}
+	acc, _, err := q.joinRegion(ch, reg, -1)
+	if acc == nil || err != nil {
+		return 0, err
+	}
+	if acc, err = q.postFilters(reg.post, acc); err != nil {
+		return 0, nil
+	}
+	ch.b = acc
+	return reg.end, nil
+}
+
+// joinRegion executes reg's scans, pushed filters and joins over ch's
+// decoded source and returns the finished join: the region's columns in
+// written order, its rows in written order, reg.post not yet applied. A
+// nil block means the region cannot be executed from a plan. ridScan,
+// when not negative, names a scan whose hidden row ids are returned
+// too: rid[p] is the row of that scan behind physical row p of the
+// block, which is what lets a caller replace that scan's columns
+// afterwards (see Deferred).
+func (q *Query) joinRegion(ch *chain, reg *region, ridScan int) (*ColumnBlock, []int64, error) {
 	m := len(reg.joins)
 
 	// Decode every scan, deduplicating self-joins.
@@ -61,7 +81,7 @@ func (q *Query) planRegion(ch *chain) (int, error) {
 		if !ok {
 			var err error
 			if b, err = decodeTable(t); err != nil {
-				return 0, err
+				return nil, nil, err
 			}
 			decoded[t] = b
 		}
@@ -83,7 +103,7 @@ func (q *Query) planRegion(ch *chain) (int, error) {
 		b := blocks[f.scan]
 		pred, err := compileExprBlock(f.pred, b, q)
 		if err != nil {
-			return 0, nil
+			return nil, nil, nil
 		}
 		n := b.Len()
 		rowsScanned.Add(int64(n))
@@ -107,11 +127,11 @@ func (q *Query) planRegion(ch *chain) (int, error) {
 	for p, jn := range reg.joins {
 		a, err := blocks[jn.leftScan].ColIndex(jn.leftCol)
 		if err != nil {
-			return 0, nil
+			return nil, nil, nil
 		}
 		bcol, err := blocks[p+1].ColIndex(jn.rightCol)
 		if err != nil {
-			return 0, nil
+			return nil, nil, nil
 		}
 		lj[p], rj[p] = a, bcol
 	}
@@ -146,7 +166,7 @@ func (q *Query) planRegion(ch *chain) (int, error) {
 	scanBlks := make([]*ColumnBlock, len(blocks))
 	keepIdx := make([]map[string]int, len(blocks))
 	for s, b := range blocks {
-		scanBlks[s] = buildScanBlock(b, failPos[s], ret[s], reordered || provOn, s)
+		scanBlks[s] = buildScanBlock(b, failPos[s], ret[s], reordered || provOn || s == ridScan, s)
 		mp := make(map[string]int, len(ret[s]))
 		for i, rc := range ret[s] {
 			mp[strings.ToLower(rc.bare)] = i
@@ -283,25 +303,29 @@ func (q *Query) planRegion(ch *chain) (int, error) {
 		outSchema = append(outSchema, provCol)
 		outCols = append(outCols, colvec{ints: ids})
 	}
-	acc = &ColumnBlock{Name: reg.name, Schema: outSchema, nrows: acc.nrows, sel: acc.sel, cols: outCols}
-
-	// Residual multi-scan filters, exactly where they were written:
-	// after all joins, on the written-order block.
-	for _, p := range reg.post {
-		pred, err := compileExprBlock(p, acc, q)
-		if err != nil {
-			return 0, nil
-		}
-		acc = acc.whereFunc(pred)
+	var rid []int64
+	if ridScan >= 0 {
+		rid = acc.cols[accRid[ridScan]].ints
 	}
-
 	planPlanned.Add(1)
 	planPushdown.Add(int64(pushedBelow))
 	if reordered {
 		planReordered.Add(1)
 	}
-	ch.b = acc
-	return reg.end, nil
+	return &ColumnBlock{Name: reg.name, Schema: outSchema, nrows: acc.nrows, sel: acc.sel, cols: outCols}, rid, nil
+}
+
+// postFilters applies a region's residual conjuncts exactly where they
+// were written: after all joins, on the written-order block.
+func (q *Query) postFilters(post []plan.Expr, acc *ColumnBlock) (*ColumnBlock, error) {
+	for _, p := range post {
+		pred, err := compileExprBlock(p, acc, q)
+		if err != nil {
+			return nil, err
+		}
+		acc = acc.whereFunc(pred)
+	}
+	return acc, nil
 }
 
 // chooseOrder runs (or recalls) the cost-based join-order choice.

@@ -603,16 +603,21 @@ func buildSelectQuery(db *Database, st *selectStmt) (*Query, error) {
 		if err != nil {
 			return nil, err
 		}
+		// ON names its operands in either order: the one qualified by
+		// the joined table, when the other is not, is the right side.
+		leftArg, rightArg := jn.left, jn.right
+		if qualifiedBy(leftArg, jn.table) && !qualifiedBy(rightArg, jn.table) {
+			leftArg, rightArg = rightArg, leftArg
+		}
 		// Join columns may be written bare or table-qualified
 		// ("person.pid"); strip a matching table qualifier so the name
 		// resolves against the pre-join schemas. After the first join
 		// the left side keeps its qualified names, so the qualifier is
 		// stripped only against the original FROM table.
-		leftArg := jn.left
 		if i == 0 {
 			leftArg = stripQualifier(leftArg, st.from)
 		}
-		q = q.join(right, leftArg, stripQualifier(jn.right, jn.table), i > 0)
+		q = q.join(right, leftArg, stripQualifier(rightArg, jn.table), i > 0)
 	}
 	if st.where != nil {
 		q = q.WhereExpr(st.where)
@@ -690,6 +695,9 @@ func stripQualifier(col, table string) string {
 	}
 	return col
 }
+
+// qualifiedBy reports whether col is written "table.col".
+func qualifiedBy(col, table string) bool { return stripQualifier(col, table) != col }
 
 func containsFold(xs []string, s string) bool {
 	for _, x := range xs {

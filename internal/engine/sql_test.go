@@ -170,6 +170,46 @@ func TestSQLJoin(t *testing.T) {
 	}
 }
 
+// TestSQLJoinOperandOrder: ON names the two join columns in either
+// order — the joined table's first or second — and both spellings are
+// the same statement.
+func TestSQLJoinOperandOrder(t *testing.T) {
+	db := sqlFixture(t)
+	for _, s := range []string{
+		`CREATE TABLE states (code VARCHAR(1), label VARCHAR(16))`,
+		`INSERT INTO states VALUES ('S', 'susceptible'), ('I', 'infected'), ('R', 'recovered')`,
+	} {
+		if _, err := db.Query(s); err != nil {
+			t.Fatalf("%s: %v", s, err)
+		}
+	}
+	for _, tc := range []struct{ name, left, right string }{
+		{"two tables",
+			`SELECT person.name, orders.amount FROM person JOIN orders ON person.pid = orders.pid ORDER BY orders.amount`,
+			`SELECT person.name, orders.amount FROM person JOIN orders ON orders.pid = person.pid ORDER BY orders.amount`},
+		{"joined table bare",
+			`SELECT COUNT(*) AS n FROM person JOIN orders ON person.pid = pid`,
+			`SELECT COUNT(*) AS n FROM person JOIN orders ON orders.pid = pid`},
+		{"three-table chain",
+			`SELECT states.label, SUM(orders.amount) AS total FROM orders JOIN person ON orders.pid = person.pid ` +
+				`JOIN states ON person.state = states.code WHERE orders.amount > 5.5 GROUP BY states.label`,
+			`SELECT states.label, SUM(orders.amount) AS total FROM orders JOIN person ON person.pid = orders.pid ` +
+				`JOIN states ON states.code = person.state WHERE orders.amount > 5.5 GROUP BY states.label`},
+	} {
+		want, err := db.Query(tc.left)
+		if err != nil {
+			t.Fatalf("%s: %s: %v", tc.name, tc.left, err)
+		}
+		got, err := db.Query(tc.right)
+		if err != nil {
+			t.Fatalf("%s: %s: %v", tc.name, tc.right, err)
+		}
+		if want.Len() == 0 || !tablesEqualForTest(want, got) {
+			t.Errorf("%s: the two spellings differ:\n%v\n%v", tc.name, want, got)
+		}
+	}
+}
+
 func TestSQLInsertNegativeAndEscapes(t *testing.T) {
 	db := NewDatabase()
 	if _, err := db.Query(`CREATE TABLE t (x FLOAT, s TEXT)`); err != nil {

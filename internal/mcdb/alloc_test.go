@@ -94,3 +94,32 @@ func TestInstanceAllocsPerIterationNotPerTuple(t *testing.T) {
 		t.Fatalf("%v allocations per iteration over 50 outer rows, %v over 5000; the executor allocates per tuple", small, large)
 	}
 }
+
+// TestPlanOnceAllocsPerIterationNotPerTuple is the allocation budget of
+// the plan-once SQL executor: with the default OutputRow one more
+// iteration — draw the uncertain column into one vector, gather it
+// through the finished join, aggregate — allocates the same number of
+// objects over 100 outer rows and over 1000, because every draw lands in
+// one reused buffer and one scratch row.
+func TestPlanOnceAllocsPerIterationNotPerTuple(t *testing.T) {
+	ctx := context.Background()
+	const sql = "SELECT AVG(sbp_data.sbp) FROM sbp_data JOIN patients ON sbp_data.pid = patients.pid WHERE sbp_data.sbp > 110"
+	perIteration := func(patients int) float64 {
+		db, err := experiments.SBPDatabase(patients)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess := db.NewSession()
+		allocs := func(iters int) float64 {
+			return testing.AllocsPerRun(3, func() {
+				if _, err := sess.ExecSQL(ctx, sql, mcdb.ExecOptions{Iterations: iters, Seed: 3, Workers: 1}); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		return (allocs(12) - allocs(2)) / 10
+	}
+	if small, large := perIteration(100), perIteration(1000); math.Abs(large-small) >= 8 {
+		t.Fatalf("%v allocations per iteration over 100 outer rows, %v over 1000; the executor allocates per tuple", small, large)
+	}
+}

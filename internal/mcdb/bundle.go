@@ -3,7 +3,6 @@ package mcdb
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"modeldata/internal/engine"
 	"modeldata/internal/obs"
@@ -27,14 +26,6 @@ type BundleTable struct {
 	// Unc[tuple][k][iter] is the value of the k-th uncertain column of
 	// the tuple at the given Monte Carlo iteration.
 	Unc [][][]float64
-
-	// detOnce caches the columnar decode of Det — the deterministic
-	// attributes convert to column vectors once, then every Realize call
-	// only patches the uncertain columns. Guarded by sync.Once so
-	// concurrent Realize calls share one decode.
-	detOnce  sync.Once
-	detBlock *engine.ColumnBlock
-	detErr   error
 }
 
 // InstantiateBundled realizes every stochastic table as a BundleTable
@@ -265,111 +256,4 @@ func qualifies(pred UncPredicate, det engine.Row, unc [][]float64, it int, buf [
 		buf[k] = unc[k][it]
 	}
 	return pred(det, buf)
-}
-
-// Realize materializes the bundle table at a single Monte Carlo
-// iteration as an ordinary engine table — MCDB's instantiate-a-bundle
-// step, for spot checks and for queries the bundle executor does not
-// cover. See RealizeBlock.
-func (bt *BundleTable) Realize(iter int) (*engine.Table, error) {
-	b, err := bt.RealizeBlock(iter)
-	if err != nil {
-		return nil, err
-	}
-	return b.ToTable(), nil
-}
-
-// RealizeBlock materializes the bundle table at a single Monte Carlo
-// iteration in columnar form: the cached deterministic block plus one
-// freshly gathered vector per uncertain column. This is the batch
-// analogue of the tuple-bundle argument — the per-tuple work that does
-// not depend on the iteration happens once, not Iters times.
-func (bt *BundleTable) RealizeBlock(iter int) (*engine.ColumnBlock, error) {
-	if iter < 0 || iter >= bt.Iters {
-		return nil, fmt.Errorf("mcdb: iteration %d outside [0, %d)", iter, bt.Iters)
-	}
-	// Uncertain positions of the cached block stay zero-filled; each
-	// call patches them for its iteration.
-	bt.detOnce.Do(func() {
-		bt.detBlock, bt.detErr = engine.FromRowsPartial(bt.Name, bt.Schema, bt.Det, bt.UncertainCols)
-	})
-	b, err := bt.detBlock, bt.detErr
-	if err != nil {
-		return nil, err
-	}
-	for k, c := range bt.UncertainCols {
-		var vec any
-		if bt.Schema[c].Type == engine.TypeInt {
-			ints := make([]int64, len(bt.Det))
-			for i := range bt.Det {
-				ints[i] = int64(bt.Unc[i][k][iter])
-			}
-			vec = ints
-		} else {
-			floats := make([]float64, len(bt.Det))
-			for i := range bt.Det {
-				floats[i] = bt.Unc[i][k][iter]
-			}
-			vec = floats
-		}
-		if b, err = b.WithColumn(c, vec); err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
-}
-
-// JoinDet equijoins the bundle table with a deterministic table on a
-// deterministic bundle column — the common MCDB query shape where a
-// stochastic table (e.g. random demand per customer) joins reference
-// data (e.g. customer regions). Because the join key is deterministic,
-// the join executes once for all Monte Carlo iterations: matching
-// deterministic attributes are appended to each tuple's Det row and the
-// uncertain arrays are shared unchanged. Tuples matching multiple
-// rows of det are replicated (sharing their uncertain arrays).
-func (bt *BundleTable) JoinDet(det *engine.Table, bundleCol, detCol string) (*BundleTable, error) {
-	bIdx, err := bt.Schema.ColIndex(bundleCol)
-	if err != nil {
-		return nil, err
-	}
-	if _, isUnc := uncPos(bt.UncertainCols, bIdx); isUnc {
-		return nil, fmt.Errorf("mcdb: join key %q is uncertain; joins must use deterministic columns", bundleCol)
-	}
-	dIdx, err := det.ColIndex(detCol)
-	if err != nil {
-		return nil, err
-	}
-	// Hash the deterministic side. Keys are binary AppendKey encodings
-	// built in a reused buffer; a key string is only interned when a new
-	// distinct key enters the table.
-	ht := make(map[string][]engine.Row, det.Len())
-	var keyBuf []byte
-	for _, row := range det.Rows {
-		keyBuf = row[dIdx].AppendKey(keyBuf[:0])
-		ht[string(keyBuf)] = append(ht[string(keyBuf)], row)
-	}
-	schema := bt.Schema.Clone()
-	for _, c := range det.Schema {
-		schema = append(schema, engine.Column{Name: det.Name + "." + c.Name, Type: c.Type})
-	}
-	if err := schema.Validate(); err != nil {
-		return nil, err
-	}
-	out := &BundleTable{
-		Name:          bt.Name + "_" + det.Name,
-		Schema:        schema,
-		Iters:         bt.Iters,
-		UncertainCols: append([]int(nil), bt.UncertainCols...),
-	}
-	for i, d := range bt.Det {
-		keyBuf = d[bIdx].AppendKey(keyBuf[:0])
-		for _, match := range ht[string(keyBuf)] {
-			nr := make(engine.Row, 0, len(d)+len(match))
-			nr = append(nr, d...)
-			nr = append(nr, match...)
-			out.Det = append(out.Det, nr)
-			out.Unc = append(out.Unc, bt.Unc[i])
-		}
-	}
-	return out, nil
 }

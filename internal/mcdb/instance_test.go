@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"modeldata/internal/engine"
+	"modeldata/internal/parallel"
 	"modeldata/internal/rng"
 )
 
@@ -197,6 +198,43 @@ func TestPerInstanceCancelsMidRealization(t *testing.T) {
 		}
 		if later := calls.Load() - 10; later >= 512 {
 			t.Fatalf("%s: %d VG calls after the cancelling one; the realization ignored the context", name, later)
+		}
+	}
+}
+
+// TestPlanOnceCancelsMidDraw: the plan-once executor's draws observe
+// the context as realizations do, in the window's first draw and in a
+// later iteration's vector draw alike.
+func TestPlanOnceCancelsMidDraw(t *testing.T) {
+	const tuples = 10_000
+	var calls atomic.Int64
+	var cancel context.CancelFunc
+	for _, cancelAt := range []int64{10, tuples + 10} {
+		db := New(itemsBase(tuples))
+		if err := db.AddSpec(&TableSpec{Name: "t", Schema: idWVal, ForEach: "items", UncertainCols: []int{2},
+			VG: func(params engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error) {
+				if calls.Add(1) == cancelAt {
+					cancel()
+				}
+				return append(out, engine.Float(r.Float64())), nil
+			}}); err != nil {
+			t.Fatal(err)
+		}
+		var ctx context.Context
+		ctx, cancel = context.WithCancel(context.Background())
+		calls.Store(0)
+		stats := parallel.NewStats()
+		_, err := db.NewSession().ExecSQL(parallel.WithStats(ctx, stats), "SELECT SUM(t.val) FROM t JOIN items ON t.id = items.id",
+			ExecOptions{Iterations: 3, Seed: 1, Workers: 1})
+		cancel()
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("cancelled at VG call %d: got %v, want context.Canceled", cancelAt, err)
+		}
+		if later := calls.Load() - cancelAt; later >= 256 {
+			t.Fatalf("cancelled at VG call %d: %d VG calls after it; the draw ignored the context", cancelAt, later)
+		}
+		if stats.Registry().Counter(MetricSQLPlanOnce).Value() != 1 {
+			t.Fatalf("the statement did not run plan-once")
 		}
 	}
 }

@@ -15,13 +15,21 @@
 //   - Per instance, when it declares none (non-numeric stochastic
 //     attributes cannot be bundled): a full database is instantiated
 //     per iteration and the query re-run — the strawman MCDB is
-//     designed to avoid, and how arbitrary SQL runs.
+//     designed to avoid.
+//
+// Arbitrary SQL (Session.ExecSQL) follows the same declaration: a
+// statement over one stochastic table with float UncertainCols runs its
+// joins and deterministic filters once per window and draws only the
+// uncertain columns per iteration (planOnce); any other statement runs
+// per instance.
 package mcdb
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 
 	"modeldata/internal/engine"
 	"modeldata/internal/parallel"
@@ -220,52 +228,144 @@ func (db *DB) newInstancer(ctx context.Context) (*instancer, error) {
 // deterministic tables plus one realization of every stochastic table.
 // ctx is observed between tables and every few hundred realized tuples.
 func (in *instancer) instantiate(ctx context.Context, r *rng.Stream) (*engine.Database, error) {
+	tables, err := in.realize(ctx, r)
+	if err != nil {
+		return nil, err
+	}
 	inst := in.db.Base.Clone()
-	for s, spec := range in.db.specs {
-		t, err := realizeSpec(ctx, spec, in.outers[s], in.params[s], r)
-		if err != nil {
-			return nil, err
-		}
+	for _, t := range tables {
 		inst.Put(t)
 	}
 	return inst, nil
 }
 
-// realizeSpec materializes one realization of a stochastic table into
-// one slab of Values, one slot per outer tuple. Every draw lands in the
-// same VG buffer and its row — outer ++ vgOut, or the custom OutputRow's
-// result, which may therefore alias vgOut — is copied into its slot
-// before the next draw, then conformed to the schema by Insert's rule.
-func realizeSpec(ctx context.Context, spec *TableSpec, outers, params []engine.Row, r *rng.Stream) (*engine.Table, error) {
+// realize draws one realization of every stochastic table on r, in
+// db.specs order.
+func (in *instancer) realize(ctx context.Context, r *rng.Stream) ([]*engine.Table, error) {
+	tables := make([]*engine.Table, len(in.db.specs))
+	for s, spec := range in.db.specs {
+		var err error
+		if tables[s], err = realizeSpec(ctx, spec, in.outers[s], in.params[s], r); err != nil {
+			return nil, err
+		}
+	}
+	return tables, nil
+}
+
+// drawSpec is the one tuple loop of a realization. For every outer
+// tuple, in order, it draws the VG on r into one reused buffer, copies
+// the draw's row — outer ++ vgOut, or the custom OutputRow's result,
+// which may therefore alias vgOut — into the slot the caller hands out
+// before the next draw, conforms it to the schema by Insert's rule, and
+// gives it to got. ctx is observed every 256 tuples.
+func drawSpec(ctx context.Context, spec *TableSpec, outers, params []engine.Row, r *rng.Stream,
+	slot func(i int) engine.Row, got func(i int, row engine.Row) error) error {
 	width := len(spec.Schema)
-	rows := make([]engine.Row, len(outers))
-	slab := make([]engine.Value, len(outers)*width)
 	var vgBuf []engine.Value
 	for i, outer := range outers {
 		if i%256 == 0 && ctx.Err() != nil {
-			return nil, ctx.Err()
+			return ctx.Err()
 		}
 		var err error
 		if vgBuf, err = spec.VG(params[i], r, vgBuf[:0]); err != nil {
-			return nil, badSpec(err)
+			return badSpec(err)
 		}
 		head, tail := outer, engine.Row(vgBuf)
 		if spec.OutputRow != nil {
 			head, tail = nil, spec.OutputRow(outer, vgBuf)
 		}
-		slot := engine.Row(slab[i*width : (i+1)*width : (i+1)*width])
+		row := slot(i)
 		if len(head)+len(tail) == width {
-			n := copy(slot, head)
-			copy(slot[n:], tail)
+			n := copy(row, head)
+			copy(row[n:], tail)
 		} else {
-			slot = append(head.Clone(), tail...) // Conform words the arity error
+			row = append(head.Clone(), tail...) // Conform words the arity error
 		}
-		if err := spec.Schema.Conform(spec.Name, slot); err != nil {
-			return nil, badSpec(err)
+		if err := spec.Schema.Conform(spec.Name, row); err != nil {
+			return badSpec(err)
 		}
-		rows[i] = slot
+		if err := got(i, row); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// realizeSpec materializes one realization of a stochastic table into
+// one slab of Values, one slot per outer tuple.
+func realizeSpec(ctx context.Context, spec *TableSpec, outers, params []engine.Row, r *rng.Stream) (*engine.Table, error) {
+	width := len(spec.Schema)
+	rows := make([]engine.Row, len(outers))
+	slab := make([]engine.Value, len(outers)*width)
+	err := drawSpec(ctx, spec, outers, params, r,
+		func(i int) engine.Row { return slab[i*width : (i+1)*width : (i+1)*width] },
+		func(i int, row engine.Row) error { rows[i] = row; return nil })
+	if err != nil {
+		return nil, err
 	}
 	return &engine.Table{Name: spec.Name, Schema: spec.Schema.Clone(), Rows: rows}, nil
+}
+
+// drawVectors is one realization as the plan-once executor needs it:
+// every spec's VG is still called for every tuple in db.specs order, so
+// r ends where realize would leave it and a broken spec fails as it
+// would there, but only spec read's uncertain cells are kept, one
+// []float64 per entry of its UncertainCols. Its other cells are the
+// first draw's, which the statement was executed over. Those the default
+// OutputRow copies from the outer row cannot differ; the rest — a custom
+// OutputRow's, or VG output not declared uncertain — are compared with
+// first, the realized rows of that draw, and a difference is the spec's
+// fault.
+func (in *instancer) drawVectors(ctx context.Context, read int, first []engine.Row, r *rng.Stream) ([][]float64, error) {
+	var vecs [][]float64
+	for s, spec := range in.db.specs {
+		scratch := make(engine.Row, len(spec.Schema))
+		got := func(int, engine.Row) error { return nil }
+		if s == read {
+			vecs = make([][]float64, len(spec.UncertainCols))
+			for k := range vecs {
+				vecs[k] = make([]float64, len(in.outers[s]))
+			}
+			copied := 0 // leading cells the default OutputRow takes from the outer row
+			if spec.OutputRow == nil && len(in.outers[s]) > 0 {
+				copied = len(in.outers[s][0])
+			}
+			var det []int // the cells a draw could change unnoticed
+			for c := copied; c < len(spec.Schema); c++ {
+				if _, unc := spec.UncPos(c); !unc {
+					det = append(det, c)
+				}
+			}
+			unc := spec.UncertainCols
+			got = func(i int, row engine.Row) error {
+				for k, c := range unc {
+					vecs[k][i] = row[c].AsFloat()
+				}
+				for _, c := range det {
+					if !sameCell(&row[c], &first[i][c]) {
+						return fmt.Errorf("%w: %q column %q is not in UncertainCols but changed between draws (tuple %d: %v, then %v)",
+							ErrBadSpec, spec.Name, spec.Schema[c].Name, i, first[i][c], row[c])
+					}
+				}
+				return nil
+			}
+		}
+		err := drawSpec(ctx, spec, in.outers[s], in.params[s], r, func(int) engine.Row { return scratch }, got)
+		if err != nil {
+			return nil, err
+		}
+	}
+	return vecs, nil
+}
+
+// sameCell reports whether two conformed cells of one column hold the
+// same bits. Value.Equal alone would call a NaN cell changed and a zero
+// whose sign flipped unchanged.
+func sameCell(a, b *engine.Value) bool {
+	if a.Type() == engine.TypeFloat && b.Type() == engine.TypeFloat {
+		return math.Float64bits(a.AsFloat()) == math.Float64bits(b.AsFloat())
+	}
+	return a.Type() == b.Type() && a.Equal(*b)
 }
 
 // outerRows returns the FOR EACH loop rows ([nil] when absent).
@@ -344,6 +444,66 @@ func (db *DB) perInstanceOnce(ctx context.Context, opts ExecOptions, lo, hi int,
 		return nil, err
 	}
 	return perInstance(ctx, opts, lo, hi, in.instantiate, q)
+}
+
+// deferred binds p for plan-once execution: against the base tables and
+// one still empty table per spec, with each spec's UncertainCols as what
+// a draw changes. It returns nil when the statement has to run per
+// instance (see engine.Prepared.Defer), and otherwise the index of the
+// one spec the statement reads.
+func (in *instancer) deferred(p *engine.Prepared) (*engine.Deferred, int, error) {
+	inst := in.db.Base.Clone()
+	tables := make([]*engine.Table, len(in.db.specs))
+	uncertain := make(map[*engine.Table][]int, len(in.db.specs))
+	for s, spec := range in.db.specs {
+		tables[s] = &engine.Table{Name: spec.Name, Schema: spec.Schema.Clone()}
+		inst.Put(tables[s])
+		uncertain[tables[s]] = spec.UncertainCols
+	}
+	d, err := p.Defer(inst, uncertain)
+	if d == nil || err != nil {
+		return nil, 0, err
+	}
+	return d, slices.Index(tables, d.Table()), nil
+}
+
+// planOnce is the tuple-bundle executor for SQL: the window's first
+// iteration is realized in full and the statement executed over it, once
+// — joins, deterministic filters, written order — and every other
+// iteration draws only the read spec's uncertain columns, from the same
+// substream in the same order a full realization would, and evaluates
+// what depends on them over the finished join. Samples are the bits
+// perInstance returns for p.Scalar.
+func (in *instancer) planOnce(ctx context.Context, d *engine.Deferred, read int, opts ExecOptions, lo, hi int) ([]float64, error) {
+	out := make([]float64, hi-lo)
+	if lo == hi {
+		return out, nil
+	}
+	tables, err := in.realize(ctx, rng.New(opts.Seed).SplitN(lo + 1)[lo])
+	if err != nil {
+		return nil, err
+	}
+	first := tables[read].Rows
+	d.Table().Rows = first
+	if out[0], err = d.Run(); err != nil {
+		return nil, err
+	}
+	err = parallel.ForStreamsRange(ctx, rng.New(opts.Seed), opts.Iterations, lo, hi, parallel.Options{Workers: opts.Workers},
+		func(i int, r *rng.Stream) error {
+			if i == lo {
+				return nil // Run's answer
+			}
+			vecs, err := in.drawVectors(ctx, read, first, r)
+			if err != nil {
+				return err
+			}
+			out[i-lo], err = d.Scalar(vecs)
+			return err
+		})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // perInstance is the one per-instance loop: for each iteration of the

@@ -210,29 +210,6 @@ func TestFilterDetAndUncertainPredicate(t *testing.T) {
 	}
 }
 
-func TestBundleRealize(t *testing.T) {
-	db := sbpFixture(t, 4)
-	bundles, err := db.InstantiateBundled(5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bt := bundles["sbp_data"]
-	tbl, err := bt.Realize(3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.Len() != 4 {
-		t.Fatalf("realized rows = %d", tbl.Len())
-	}
-	v := tbl.Rows[2][2].AsFloat()
-	if v != bt.Unc[2][0][3] {
-		t.Fatalf("realized value %g != bundle value %g", v, bt.Unc[2][0][3])
-	}
-	if _, err := bt.Realize(99); err == nil {
-		t.Fatal("out-of-range iteration accepted")
-	}
-}
-
 // detTypeFixture is a stochastic table whose VG also emits a
 // deterministic attribute: weight FLOAT, for which the VG returns vg's
 // first value, beside the uncertain val.
@@ -265,8 +242,7 @@ func detTypeFixture(t *testing.T, first engine.Value) *DB {
 
 // TestDetAttributesConformToSchema: deterministic attributes are typed
 // by Insert's rule on both executors — an int widens into a FLOAT
-// column to the same Value, anything else is ErrTypeClash — so a
-// bundle's Det rows always realize.
+// column to the same Value, anything else is ErrTypeClash.
 func TestDetAttributesConformToSchema(t *testing.T) {
 	ctx := context.Background()
 	db := detTypeFixture(t, engine.Int(2))
@@ -280,19 +256,13 @@ func TestDetAttributesConformToSchema(t *testing.T) {
 		t.Fatal(err)
 	}
 	tbl, _ := inst.Get("w")
-	realized, err := bt.Realize(0)
-	if err != nil {
-		t.Fatalf("Realize over widened Det rows: %v", err)
-	}
 	for ti := range bt.Det {
 		want := engine.Float(2)
 		if bt.Det[ti][1] != want || tbl.Rows[ti][1] != want {
 			t.Fatalf("tuple %d weight: bundle %#v, instance %#v, want %#v", ti, bt.Det[ti][1], tbl.Rows[ti][1], want)
 		}
-		for _, c := range []int{0, 1} {
-			if realized.Rows[ti][c] != tbl.Rows[ti][c] {
-				t.Fatalf("tuple %d col %d: realized %#v, instance %#v", ti, c, realized.Rows[ti][c], tbl.Rows[ti][c])
-			}
+		if bt.Det[ti][0] != tbl.Rows[ti][0] {
+			t.Fatalf("tuple %d id: bundle %#v, instance %#v", ti, bt.Det[ti][0], tbl.Rows[ti][0])
 		}
 	}
 
@@ -505,115 +475,6 @@ func TestThresholdQuery(t *testing.T) {
 	p, err := ThresholdProbability([]float64{1, 2, 3, 4}, 2.5)
 	if err != nil || p != 0.5 {
 		t.Fatalf("p = %g err = %v", p, err)
-	}
-}
-
-func TestBundleJoinDet(t *testing.T) {
-	// The §2.1 pricing shape: random demand per customer joined with a
-	// deterministic region table, then "revenue from East Coast
-	// customers" per iteration.
-	db := New(nil)
-	base := db.Base
-	customers := engine.MustNewTable("customers", engine.Schema{
-		{Name: "cid", Type: engine.TypeInt},
-	})
-	regions := engine.MustNewTable("regions", engine.Schema{
-		{Name: "cid", Type: engine.TypeInt},
-		{Name: "region", Type: engine.TypeString},
-	})
-	for i := 0; i < 30; i++ {
-		customers.MustInsert(engine.Int(int64(i)))
-		reg := "west"
-		if i%3 == 0 {
-			reg = "east"
-		}
-		regions.MustInsert(engine.Int(int64(i)), engine.Str(reg))
-	}
-	base.Put(customers)
-	base.Put(regions)
-	if err := db.AddSpec(&TableSpec{
-		Name: "demand",
-		Schema: engine.Schema{
-			{Name: "cid", Type: engine.TypeInt},
-			{Name: "qty", Type: engine.TypeFloat},
-		},
-		ForEach:       "customers",
-		VG:            DistVG(rng.UniformDist{Lo: 0, Hi: 10}),
-		UncertainCols: []int{1},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	bundles, err := db.InstantiateBundled(200, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	joined, err := bundles["demand"].JoinDet(regions, "cid", "cid")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if joined.Len() != 30 {
-		t.Fatalf("joined tuples = %d", joined.Len())
-	}
-	if _, err := joined.Schema.ColIndex("regions.region"); err != nil {
-		t.Fatal("region column missing after join")
-	}
-	regIdx, _ := joined.Schema.ColIndex("regions.region")
-	east := joined.FilterDet(func(det engine.Row) bool {
-		return det[regIdx].AsString() == "east"
-	})
-	if east.Len() != 10 {
-		t.Fatalf("east tuples = %d", east.Len())
-	}
-	sums, err := east.Estimate("qty", engine.AggSum, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// E[sum] = 10 customers × mean 5 = 50.
-	if m := stats.Mean(sums); math.Abs(m-50) > 3 {
-		t.Fatalf("east demand mean = %g, want ≈ 50", m)
-	}
-}
-
-func TestBundleJoinDetErrors(t *testing.T) {
-	db := sbpFixture(t, 4)
-	bundles, err := db.InstantiateBundled(5, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bt := bundles["sbp_data"]
-	other := engine.MustNewTable("other", engine.Schema{{Name: "pid", Type: engine.TypeInt}})
-	if _, err := bt.JoinDet(other, "nope", "pid"); err == nil {
-		t.Fatal("missing bundle column accepted")
-	}
-	if _, err := bt.JoinDet(other, "pid", "nope"); err == nil {
-		t.Fatal("missing det column accepted")
-	}
-	// Joining on the uncertain column is rejected.
-	if _, err := bt.JoinDet(other, "sbp", "pid"); err == nil {
-		t.Fatal("uncertain join key accepted")
-	}
-}
-
-func TestBundleJoinDetDangling(t *testing.T) {
-	db := sbpFixture(t, 4)
-	bundles, err := db.InstantiateBundled(5, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	bt := bundles["sbp_data"]
-	lookup := engine.MustNewTable("lookup", engine.Schema{
-		{Name: "pid", Type: engine.TypeInt},
-		{Name: "tag", Type: engine.TypeString},
-	})
-	lookup.MustInsert(engine.Int(0), engine.Str("a"))
-	lookup.MustInsert(engine.Int(0), engine.Str("b")) // fan-out
-	joined, err := bt.JoinDet(lookup, "pid", "pid")
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Patient 0 matches twice; patients 1–3 dangle.
-	if joined.Len() != 2 {
-		t.Fatalf("joined tuples = %d, want 2", joined.Len())
 	}
 }
 

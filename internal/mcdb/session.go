@@ -24,6 +24,11 @@ const (
 	// MetricRealizeCacheEvictions counts realized bundle sets dropped
 	// from the session's bounded LRU to stay within its capacity.
 	MetricRealizeCacheEvictions = "mcdb.realize_cache_evictions"
+	// MetricSQLPlanOnce counts ExecSQLRange windows answered by the
+	// plan-once executor; MetricSQLPerInstance those that re-ran the
+	// statement per instantiated database.
+	MetricSQLPlanOnce    = "mcdb.sql_plan_once"
+	MetricSQLPerInstance = "mcdb.sql_per_instance"
 )
 
 // DefaultBundleCacheCap bounds the bundle-realization cache of a
@@ -292,12 +297,27 @@ func (s *Session) bundleFor(ctx context.Context, opts ExecOptions, table string)
 // --- SQL over Monte Carlo instantiations ---
 //
 // ExecSQL runs an arbitrary scalar SELECT (joins, WHERE, GROUP BY —
-// anything the engine's SQL dialect supports) once per Monte Carlo
-// instantiation, where AggQuery is limited to one table and one
-// aggregate. The statement is prepared once per Session; the engine's
-// cost-based planner picks a join order on the first iteration and the
-// Prepared choice cache replays it on the rest (every instantiation of
-// a spec has the same row counts, so the cached order always matches).
+// anything the engine's SQL dialect supports) for every Monte Carlo
+// iteration, where AggQuery is limited to one table and one aggregate.
+// The statement is prepared once per Session. Each call picks its
+// executor from the lowered statement and the specs (see
+// engine.Prepared.Defer for the conditions):
+//
+//   - plan once, when the statement reads exactly one stochastic table,
+//     once, whose UncertainCols are float columns and not join keys. The
+//     window's first iteration is realized in full and the statement
+//     executed over it; the other iterations draw only that table's
+//     uncertain columns — every spec's VG still runs for every tuple on
+//     the iteration's substream, so the draws are the per-instance ones
+//     — and re-evaluate what names them over the finished join.
+//   - per instance, otherwise: a database is instantiated per iteration
+//     and the statement run against it; the engine's planner picks a
+//     join order on the first iteration and the Prepared choice cache
+//     replays it on the rest.
+//
+// Both return the bits DB.MonteCarlo returns for Prepared.Scalar.
+// MetricSQLPlanOnce / MetricSQLPerInstance and the mcdb.sql span's
+// executor attribute say which one answered.
 
 // Prepared parses sql once and caches it on the session's bounded LRU.
 // Repeated calls with the same text return the same *engine.Prepared,
@@ -318,7 +338,7 @@ func (s *Session) Prepared(sql string) (*engine.Prepared, error) {
 }
 
 // ExecSQL runs a scalar SELECT for opts.Iterations Monte Carlo
-// iterations — each against a fresh instantiation of the database —
+// iterations — each over that iteration's realization of the database —
 // and returns the per-iteration samples. Like Exec, results for a
 // given (iterations, seed) are bit-identical at any worker count.
 func (s *Session) ExecSQL(ctx context.Context, sql string, opts ExecOptions) ([]float64, error) {
@@ -343,7 +363,23 @@ func (s *Session) ExecSQLRange(ctx context.Context, sql string, opts ExecOptions
 	span.SetInt("lo", int64(lo))
 	span.SetInt("hi", int64(hi))
 	defer span.End()
-	return s.db.perInstanceOnce(ctx, opts, lo, hi, p.Scalar)
+	in, err := s.db.newInstancer(ctx)
+	if err != nil {
+		return nil, err
+	}
+	d, read, err := in.deferred(p)
+	if err != nil {
+		return nil, err
+	}
+	reg := parallel.StatsFrom(ctx).Registry()
+	if d == nil {
+		span.SetAttr("executor", "per_instance")
+		reg.Counter(MetricSQLPerInstance).Add(1)
+		return perInstance(ctx, opts, lo, hi, in.instantiate, p.Scalar)
+	}
+	span.SetAttr("executor", "plan_once")
+	reg.Counter(MetricSQLPlanOnce).Add(1)
+	return in.planOnce(ctx, d, read, opts, lo, hi)
 }
 
 // ExplainSQL renders the plan ExecSQL would run, in both text and JSON
