@@ -15,10 +15,7 @@
 // Usage:
 //
 //	go run ./cmd/modeldatalint ./...
-//	go run ./cmd/modeldatalint -json ./...        # SARIF on stdout
-//	go run ./cmd/modeldatalint -fix ./...         # apply suggested fixes in place
-//	go run ./cmd/modeldatalint -fix -diff ./...   # print the fixes without writing
-//	go run ./cmd/modeldatalint -list              # analyzer names, one per line
+//	go run ./cmd/modeldatalint -list   # analyzer names, one per line
 //	go run ./cmd/modeldatalint -help
 //
 // Exit code contract, pinned by cmd/modeldatalint tests and relied on
@@ -34,8 +31,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
-	"strings"
 
 	"modeldata/internal/lint"
 	"modeldata/internal/lint/suite"
@@ -52,11 +47,8 @@ func run(dir string, argv []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	help := fs.Bool("help", false, "describe each analyzer and exit")
 	list := fs.Bool("list", false, "print analyzer names, one per line, and exit")
-	jsonOut := fs.Bool("json", false, "write findings as SARIF JSON to stdout")
-	fix := fs.Bool("fix", false, "apply suggested fixes to the source files")
-	diff := fs.Bool("diff", false, "with -fix: print the rewrites instead of applying them")
 	fs.Usage = func() {
-		fmt.Fprintln(stderr, "usage: modeldatalint [-help] [-list] [-json] [-fix [-diff]] [packages]")
+		fmt.Fprintln(stderr, "usage: modeldatalint [-help] [-list] [packages]")
 		fs.PrintDefaults()
 	}
 	if err := fs.Parse(argv); err != nil {
@@ -76,10 +68,6 @@ func run(dir string, argv []string, stdout, stderr io.Writer) int {
 		}
 		return 0
 	}
-	if *diff && !*fix {
-		fmt.Fprintln(stderr, "modeldatalint: -diff requires -fix")
-		return 2
-	}
 
 	patterns := fs.Args()
 	if len(patterns) == 0 {
@@ -96,87 +84,12 @@ func run(dir string, argv []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	if *fix {
-		if code, ok := applyFixes(findings, *diff, stdout, stderr); !ok {
-			return code
-		}
-	}
-
-	if *jsonOut {
-		if err := lint.WriteSARIF(stdout, analyzers, findings); err != nil {
-			fmt.Fprintln(stderr, "modeldatalint:", err)
-			return 2
-		}
-	} else if !*fix || *diff {
-		for _, f := range findings {
-			fmt.Fprintln(stdout, f)
-		}
+	for _, f := range findings {
+		fmt.Fprintln(stdout, f)
 	}
 	if len(findings) > 0 {
 		fmt.Fprintf(stderr, "modeldatalint: %d unsuppressed diagnostic(s)\n", len(findings))
 		return 1
 	}
 	return 0
-}
-
-// applyFixes computes every suggested fix and either rewrites the files
-// in place or, with diff set, prints the rewrites as line hunks. It
-// reports false with an exit code on failure.
-func applyFixes(findings []lint.Finding, diff bool, stdout, stderr io.Writer) (int, bool) {
-	fixed, err := lint.ApplyFixes(findings)
-	if err != nil {
-		fmt.Fprintln(stderr, "modeldatalint:", err)
-		return 2, false
-	}
-	for _, name := range sortedKeys(fixed) {
-		if diff {
-			orig, err := os.ReadFile(name)
-			if err != nil {
-				fmt.Fprintln(stderr, "modeldatalint:", err)
-				return 2, false
-			}
-			printDiff(stdout, name, orig, fixed[name])
-			continue
-		}
-		if err := os.WriteFile(name, fixed[name], 0o644); err != nil {
-			fmt.Fprintln(stderr, "modeldatalint:", err)
-			return 2, false
-		}
-		fmt.Fprintf(stdout, "fixed %s\n", name)
-	}
-	return 0, true
-}
-
-func sortedKeys(m map[string][]byte) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// printDiff prints a single line-granular hunk per file: the common
-// prefix and suffix are trimmed and the differing middle is shown as
-// removed/added lines. The suggested fixes are localized rewrites, so
-// one hunk per file reads well without a full diff algorithm.
-func printDiff(w io.Writer, name string, orig, fixed []byte) {
-	a := strings.Split(string(orig), "\n")
-	b := strings.Split(string(fixed), "\n")
-	start := 0
-	for start < len(a) && start < len(b) && a[start] == b[start] {
-		start++
-	}
-	endA, endB := len(a), len(b)
-	for endA > start && endB > start && a[endA-1] == b[endB-1] {
-		endA--
-		endB--
-	}
-	fmt.Fprintf(w, "--- %s:%d\n", name, start+1)
-	for _, line := range a[start:endA] {
-		fmt.Fprintf(w, "-%s\n", line)
-	}
-	for _, line := range b[start:endB] {
-		fmt.Fprintf(w, "+%s\n", line)
-	}
 }

@@ -2,13 +2,11 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
-	"modeldata/internal/lint"
 	"modeldata/internal/lint/suite"
 )
 
@@ -81,97 +79,5 @@ func TestListFlag(t *testing.T) {
 		if lines[i] != a.Name {
 			t.Errorf("-list line %d = %q, want %q", i, lines[i], a.Name)
 		}
-	}
-}
-
-// TestJSONRoundTrip runs -json over a module with known diagnostics and
-// re-parses the SARIF from stdout: rule IDs, locations, and the
-// suggested fix must survive the trip.
-func TestJSONRoundTrip(t *testing.T) {
-	dir := writeModule(t, map[string]string{
-		"a.go": "package a\n\nimport \"errors\"\n\nfunc fail() error { return errors.New(\"x\") }\n\nfunc A() { _ = fail() }\n",
-	})
-	var stdout, stderr bytes.Buffer
-	if got := run(dir, []string{"-json", "./..."}, &stdout, &stderr); got != 1 {
-		t.Fatalf("run(-json) = %d, want 1; stderr: %s", got, stderr.String())
-	}
-	var log lint.SARIFLog
-	if err := json.Unmarshal(stdout.Bytes(), &log); err != nil {
-		t.Fatalf("stdout is not valid SARIF JSON: %v\n%s", err, stdout.String())
-	}
-	if len(log.Runs) != 1 {
-		t.Fatalf("SARIF has %d runs, want 1", len(log.Runs))
-	}
-	sr := log.Runs[0]
-	if got, want := len(sr.Tool.Driver.Rules), len(suite.All()); got != want {
-		t.Errorf("SARIF declares %d rules, want %d", got, want)
-	}
-	var errdropResult *lint.SARIFResult
-	for i := range sr.Results {
-		if sr.Results[i].RuleID == "errdrop" {
-			errdropResult = &sr.Results[i]
-		}
-	}
-	if errdropResult == nil {
-		t.Fatalf("no errdrop result in SARIF output:\n%s", stdout.String())
-	}
-	if len(errdropResult.Locations) != 1 {
-		t.Fatalf("errdrop result has %d locations, want 1", len(errdropResult.Locations))
-	}
-	loc := errdropResult.Locations[0].PhysicalLocation
-	if filepath.Base(loc.ArtifactLocation.URI) != "a.go" || loc.Region.StartLine != 7 {
-		t.Errorf("errdrop location = %s:%d, want a.go:7", loc.ArtifactLocation.URI, loc.Region.StartLine)
-	}
-	if errdropResult.Fix == nil || len(errdropResult.Fix.Edits) == 0 {
-		t.Error("errdrop result lost its suggested fix in the round trip")
-	}
-}
-
-// TestFixRewritesModule applies -fix to a module with a fixable
-// diagnostic and verifies the rewrite lands and the module then lints
-// clean.
-func TestFixRewritesModule(t *testing.T) {
-	dir := writeModule(t, map[string]string{
-		"a.go": "package a\n\nimport \"errors\"\n\nfunc fail() error { return errors.New(\"x\") }\n\nfunc A() { _ = fail() }\n",
-	})
-	var stdout, stderr bytes.Buffer
-	// The fix is applied, but the diagnostic was present on this run:
-	// exit 1, matching gofmt-style "rerun to verify" usage.
-	if got := run(dir, []string{"-fix", "./..."}, &stdout, &stderr); got != 1 {
-		t.Fatalf("run(-fix) = %d, want 1; stderr: %s", got, stderr.String())
-	}
-	src, err := os.ReadFile(filepath.Join(dir, "a.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(string(src), "log.Printf(\"ignored error: %v\", err)") {
-		t.Fatalf("-fix did not rewrite the dropped error:\n%s", src)
-	}
-	stdout.Reset()
-	stderr.Reset()
-	if got := run(dir, []string{"./..."}, &stdout, &stderr); got != 0 {
-		t.Errorf("module is not clean after -fix: exit %d\nstdout: %s", got, stdout.String())
-	}
-}
-
-// TestFixDiffIsDryRun checks -fix -diff prints hunks without touching
-// the file — the CI idempotency dry-run depends on this.
-func TestFixDiffIsDryRun(t *testing.T) {
-	content := "package a\n\nimport \"errors\"\n\nfunc fail() error { return errors.New(\"x\") }\n\nfunc A() { _ = fail() }\n"
-	dir := writeModule(t, map[string]string{"a.go": content})
-	var stdout, stderr bytes.Buffer
-	if got := run(dir, []string{"-fix", "-diff", "./..."}, &stdout, &stderr); got != 1 {
-		t.Fatalf("run(-fix -diff) = %d, want 1; stderr: %s", got, stderr.String())
-	}
-	if !strings.Contains(stdout.String(), "-func A() { _ = fail() }") ||
-		!strings.Contains(stdout.String(), "+func A() {") {
-		t.Errorf("-fix -diff printed no hunk:\n%s", stdout.String())
-	}
-	src, err := os.ReadFile(filepath.Join(dir, "a.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(src) != content {
-		t.Errorf("-fix -diff modified the file:\n%s", src)
 	}
 }

@@ -17,13 +17,6 @@
 // error has nowhere to go), the fmt Print family (this repo prints to
 // stdout and strings.Builder), and methods on strings/bytes/hash types,
 // whose errors are documented to be always nil.
-//
-// The suggested fix (`modeldatalint -fix`) rewrites the statement into
-// the checked-and-logged form, adding the "log" import if needed:
-//
-//	if err := f(); err != nil {
-//		log.Printf("ignored error: %v", err)
-//	}
 package errdrop
 
 import (
@@ -40,9 +33,8 @@ import (
 // Analyzer is the errdrop rule.
 var Analyzer = &lint.Analyzer{
 	Name: "errdrop",
-	Doc: "flags discarded error returns (`_ =` and bare calls) outside tests and annotated " +
-		"sites (fix: rewrite into the checked-and-logged form)",
-	Run: run,
+	Doc:  "flags discarded error returns (`_ =` and bare calls) outside tests and annotated sites",
+	Run:  run,
 }
 
 var printFamily = map[string]bool{
@@ -59,13 +51,12 @@ func run(pass *lint.Pass) error {
 		if strings.HasSuffix(pass.Fset.Position(f.Pos()).Filename, "_test.go") {
 			continue
 		}
-		file := f
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.ExprStmt:
-				checkBareCall(pass, file, n)
+				checkBareCall(pass, n)
 			case *ast.AssignStmt:
-				checkBlankAssign(pass, file, n)
+				checkBlankAssign(pass, n)
 			}
 			return true
 		})
@@ -75,24 +66,22 @@ func run(pass *lint.Pass) error {
 
 // checkBareCall flags an expression statement that silently drops an
 // error result.
-func checkBareCall(pass *lint.Pass, file *ast.File, stmt *ast.ExprStmt) {
+func checkBareCall(pass *lint.Pass, stmt *ast.ExprStmt) {
 	call, ok := ast.Unparen(stmt.X).(*ast.CallExpr)
 	if !ok {
 		return
 	}
-	n, lastIsError := errorResults(pass.TypesInfo, call)
-	if !lastIsError || exempt(pass.TypesInfo, call) {
+	if !returnsError(pass.TypesInfo, call) || exempt(pass.TypesInfo, call) {
 		return
 	}
-	edits := loggedFormEdits(pass, file, stmt.Pos(), stmt.Pos(), stmt.End(), n)
-	pass.ReportFixf(stmt.Pos(), edits,
+	pass.Reportf(stmt.Pos(),
 		"error returned by %s is silently dropped (bare call); handle it, log it, or annotate //lint:allow errdrop",
 		exprString(pass.Fset, call.Fun))
 }
 
 // checkBlankAssign flags `_ = expr` / `_, _ = f()` where the discarded
 // value (or the call's last result) is an error.
-func checkBlankAssign(pass *lint.Pass, file *ast.File, stmt *ast.AssignStmt) {
+func checkBlankAssign(pass *lint.Pass, stmt *ast.AssignStmt) {
 	if stmt.Tok != token.ASSIGN || len(stmt.Rhs) != 1 {
 		return
 	}
@@ -104,14 +93,10 @@ func checkBlankAssign(pass *lint.Pass, file *ast.File, stmt *ast.AssignStmt) {
 	}
 	rhs := ast.Unparen(stmt.Rhs[0])
 	if call, ok := rhs.(*ast.CallExpr); ok {
-		n, lastIsError := errorResults(pass.TypesInfo, call)
-		if !lastIsError || exempt(pass.TypesInfo, call) {
+		if !returnsError(pass.TypesInfo, call) || exempt(pass.TypesInfo, call) {
 			return
 		}
-		// Rewrite `_ = f()` into the logged form by replacing the
-		// blanks with error binders.
-		edits := loggedFormEdits(pass, file, stmt.Pos(), call.Pos(), stmt.End(), n)
-		pass.ReportFixf(stmt.Pos(), edits,
+		pass.Reportf(stmt.Pos(),
 			"error from %s discarded with _ =; handle it, log it, or annotate //lint:allow errdrop",
 			exprString(pass.Fset, call.Fun))
 		return
@@ -122,57 +107,13 @@ func checkBlankAssign(pass *lint.Pass, file *ast.File, stmt *ast.AssignStmt) {
 	}
 }
 
-// loggedFormEdits builds the checked-and-logged rewrite: the text from
-// stmtPos up to callPos (the `_ = ` prefix, or nothing for a bare call)
-// becomes the if-binder, and the closing logging block lands after the
-// statement. nResults underscores all but the trailing error.
-func loggedFormEdits(pass *lint.Pass, file *ast.File, stmtPos, callPos, stmtEnd token.Pos, nResults int) []lint.TextEdit {
-	binder := "if " + strings.Repeat("_, ", nResults-1) + "err := "
-	edits := []lint.TextEdit{
-		{Pos: stmtPos, End: callPos, NewText: binder},
-		{Pos: stmtEnd, NewText: "; err != nil {\n\tlog.Printf(\"ignored error: %v\", err)\n}", Indent: true},
-	}
-	if e, ok := addImportEdit(file, "log"); ok {
-		edits = append(edits, e)
-	}
-	return edits
-}
-
-// addImportEdit returns the edit that adds `"path"` to the file's
-// imports, or ok=false when it is already imported.
-func addImportEdit(file *ast.File, path string) (lint.TextEdit, bool) {
-	for _, imp := range file.Imports {
-		if imp.Path.Value == `"`+path+`"` {
-			return lint.TextEdit{}, false
-		}
-	}
-	for _, decl := range file.Decls {
-		gd, ok := decl.(*ast.GenDecl)
-		if !ok || gd.Tok != token.IMPORT {
-			continue
-		}
-		if gd.Rparen.IsValid() {
-			return lint.TextEdit{Pos: gd.Rparen, NewText: "\t\"" + path + "\"\n"}, true
-		}
-		return lint.TextEdit{Pos: gd.End(), NewText: "\nimport \"" + path + "\""}, true
-	}
-	return lint.TextEdit{Pos: file.Name.End(), NewText: "\n\nimport \"" + path + "\""}, true
-}
-
-// errorResults reports how many results the call has and whether the
-// last one is an error.
-func errorResults(info *types.Info, call *ast.CallExpr) (n int, lastIsError bool) {
+// returnsError reports whether the call's last result is an error.
+func returnsError(info *types.Info, call *ast.CallExpr) bool {
 	t := lint.TypeOf(info, call)
-	if t == nil {
-		return 0, false
-	}
 	if tuple, ok := t.(*types.Tuple); ok {
-		if tuple.Len() == 0 {
-			return 0, false
-		}
-		return tuple.Len(), isErrorType(tuple.At(tuple.Len() - 1).Type())
+		return tuple.Len() > 0 && isErrorType(tuple.At(tuple.Len()-1).Type())
 	}
-	return 1, isErrorType(t)
+	return isErrorType(t)
 }
 
 func isErrorType(t types.Type) bool {

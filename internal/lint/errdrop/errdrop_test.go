@@ -9,7 +9,3 @@ import (
 func TestErrDrop(t *testing.T) {
 	linttest.Run(t, Analyzer, "errdrop")
 }
-
-func TestErrDropFixturesAreFixable(t *testing.T) {
-	linttest.RunFix(t, Analyzer, "errdropfix")
-}

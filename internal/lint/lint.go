@@ -75,68 +75,11 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// ReportFixf records a diagnostic at pos together with a suggested fix:
-// a set of textual edits that `modeldatalint -fix` can apply
-// mechanically. Edits are resolved to file offsets immediately, so the
-// Finding stays self-contained once the pass finishes.
-func (p *Pass) ReportFixf(pos token.Pos, edits []TextEdit, format string, args ...any) {
-	fix := &Fix{}
-	for _, e := range edits {
-		start := p.Fset.Position(e.Pos)
-		end := start
-		if e.End.IsValid() {
-			end = p.Fset.Position(e.End)
-		}
-		fix.Edits = append(fix.Edits, Edit{
-			Filename: start.Filename,
-			Offset:   start.Offset,
-			End:      end.Offset,
-			NewText:  e.NewText,
-			Indent:   e.Indent,
-		})
-	}
-	p.report(Finding{
-		Position: p.Fset.Position(pos),
-		Rule:     p.Analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-		Fix:      fix,
-	})
-}
-
-// TextEdit is an analyzer-facing edit: replace source range [Pos, End)
-// with NewText. A zero End means a pure insertion at Pos. With Indent
-// set, every newline in NewText is re-indented to match the line
-// containing Pos when the edit is applied, so inserted statements line
-// up with their anchor.
-type TextEdit struct {
-	Pos     token.Pos
-	End     token.Pos
-	NewText string
-	Indent  bool
-}
-
-// Fix is a mechanically applicable suggested fix, as resolved edits.
-type Fix struct {
-	Edits []Edit `json:"edits"`
-}
-
-// Edit is one resolved textual replacement: [Offset, End) of Filename
-// becomes NewText.
-type Edit struct {
-	Filename string `json:"filename"`
-	Offset   int    `json:"offset"`
-	End      int    `json:"end"`
-	NewText  string `json:"newText"`
-	Indent   bool   `json:"indent,omitempty"`
-}
-
-// Finding is one diagnostic with its resolved file position and, for
-// mechanical diagnostics, a suggested fix.
+// Finding is one diagnostic with its resolved file position.
 type Finding struct {
 	Position token.Position
 	Rule     string
 	Message  string
-	Fix      *Fix
 }
 
 func (f Finding) String() string {

@@ -309,25 +309,11 @@ var (
 // package (e.g. a miniature obs) the way analysistest fixtures use
 // their testdata GOPATH.
 func LoadDir(dir, importPath string) (*Package, error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var names []string
-	for _, e := range ents {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return nil, fmt.Errorf("lint: no .go files in %s", dir)
-	}
 	dirOnce.Do(func() {
 		dirFset = token.NewFileSet()
 		dirImporter = newSharedImporter(dirFset)
 	})
-	files, err := parseFiles(dirFset, dir, names)
+	files, err := parseDir(dirFset, dir)
 	if err != nil {
 		return nil, err
 	}
@@ -337,45 +323,6 @@ func LoadDir(dir, importPath string) (*Package, error) {
 		loaded:   make(map[string]*types.Package),
 	}
 	return check(dirFset, imp, importPath, files), nil
-}
-
-// LoadDirStrict is LoadDir with type errors surfaced instead of
-// tolerated. linttest.RunFix uses it to prove that a fixture rewritten
-// by suggested fixes still compiles; imported fixture stubs are still
-// checked tolerantly, since fixes never touch them.
-func LoadDirStrict(dir, importPath string) (*Package, []error) {
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, []error{err}
-	}
-	var names []string
-	for _, e := range ents {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return nil, []error{fmt.Errorf("lint: no .go files in %s", dir)}
-	}
-	dirOnce.Do(func() {
-		dirFset = token.NewFileSet()
-		dirImporter = newSharedImporter(dirFset)
-	})
-	files, err := parseFiles(dirFset, dir, names)
-	if err != nil {
-		return nil, []error{err}
-	}
-	imp := &fixtureImporter{
-		root:     filepath.Dir(dir),
-		fallback: dirImporter,
-		loaded:   make(map[string]*types.Package),
-	}
-	var errs []error
-	pkg := checkInto(dirFset, imp, importPath, files, func(err error) {
-		errs = append(errs, err)
-	})
-	return pkg, errs
 }
 
 // fixtureImporter resolves "modeldatalint.test/<name>" imports to
@@ -401,20 +348,9 @@ func (fi *fixtureImporter) ImportFrom(path, srcDir string, mode types.ImportMode
 		return pkg, nil
 	}
 	dir := filepath.Join(fi.root, strings.TrimPrefix(path, fixturePrefix))
-	ents, err := os.ReadDir(dir)
+	files, err := parseDir(dirFset, dir)
 	if err != nil {
 		return nil, fmt.Errorf("lint: fixture import %q: %w", path, err)
-	}
-	var names []string
-	for _, e := range ents {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	files, err := parseFiles(dirFset, dir, names)
-	if err != nil {
-		return nil, err
 	}
 	pkg := check(dirFset, fi, path, files)
 	if pkg.Types == nil {
@@ -422,6 +358,24 @@ func (fi *fixtureImporter) ImportFrom(path, srcDir string, mode types.ImportMode
 	}
 	fi.loaded[path] = pkg.Types
 	return pkg.Types, nil
+}
+
+// parseDir parses every .go file directly inside dir, in name order.
+func parseDir(fset *token.FileSet, dir string) ([]*ast.File, error) {
+	ents, err := os.ReadDir(dir) // sorted by filename
+	if err != nil {
+		return nil, err
+	}
+	var names []string
+	for _, e := range ents {
+		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
+			names = append(names, e.Name())
+		}
+	}
+	if len(names) == 0 {
+		return nil, fmt.Errorf("lint: no .go files in %s", dir)
+	}
+	return parseFiles(fset, dir, names)
 }
 
 func parseFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, error) {
@@ -441,11 +395,6 @@ func parseFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, e
 // for every analyzer in this suite, and missing information only makes
 // analyzers quieter, never wrong.
 func check(fset *token.FileSet, imp types.Importer, importPath string, files []*ast.File) *Package {
-	return checkInto(fset, imp, importPath, files, func(error) {})
-}
-
-// checkInto is check with the type-error sink exposed.
-func checkInto(fset *token.FileSet, imp types.Importer, importPath string, files []*ast.File, sink func(error)) *Package {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -457,7 +406,7 @@ func checkInto(fset *token.FileSet, imp types.Importer, importPath string, files
 	conf := types.Config{
 		Importer:    imp,
 		FakeImportC: true,
-		Error:       sink,
+		Error:       func(error) {},
 	}
 	tpkg, _ := conf.Check(importPath, fset, files, info)
 	return &Package{

@@ -8,8 +8,7 @@
 // and asks, for each obs.Start site, whether the exit block is
 // reachable without executing an End for that span; return statements,
 // early breaks, and panic paths all count as exits, which is why
-// `defer sp.End()` immediately after Start is the canonical shape and
-// is what `modeldatalint -fix` inserts.
+// `defer sp.End()` immediately after Start is the canonical shape.
 //
 // Spans that escape the starting function — returned, stored, or passed
 // onward — transfer the End obligation with them and are not checked
@@ -29,8 +28,7 @@ import (
 // Analyzer is the spanleak rule.
 var Analyzer = &lint.Analyzer{
 	Name: "spanleak",
-	Doc: "flags obs.Start spans that do not reach End() on every control-flow path " +
-		"(fix: defer sp.End() right after Start)",
+	Doc:  "flags obs.Start spans that do not reach End() on every control-flow path",
 	// The obs package itself constructs and finishes spans as data;
 	// its tests exercise half-open spans deliberately.
 	DefaultAllow: []string{"internal/obs"},
@@ -96,7 +94,9 @@ func checkFunc(pass *lint.Pass, body *ast.BlockStmt) {
 				continue // responsibility transferred with the span
 			}
 			if leaks(g, blk, i, pass.TypesInfo, obj) {
-				report(pass, assign, name.Name, parents)
+				pass.Reportf(assign.Pos(),
+					"span %s from obs.Start does not reach End() on every path; defer %s.End() after Start",
+					name.Name, name.Name)
 			}
 		}
 	}
@@ -270,24 +270,6 @@ func isEndCall(e ast.Expr, info *types.Info, obj types.Object) bool {
 	}
 	id, ok := ast.Unparen(sel.X).(*ast.Ident)
 	return ok && info.Uses[id] == obj
-}
-
-// report emits the leak diagnostic, with the mechanical fix — insert
-// `defer sp.End()` right after the Start statement — whenever the
-// assignment sits directly in a block, where the insertion is
-// syntactically safe. Span.End is idempotent, so an added defer is
-// harmless even on paths that already End explicitly.
-func report(pass *lint.Pass, assign *ast.AssignStmt, name string, parents map[ast.Node]ast.Node) {
-	msg := "span %s from obs.Start does not reach End() on every path; defer %s.End() after Start"
-	if _, inBlock := parents[assign].(*ast.BlockStmt); inBlock {
-		pass.ReportFixf(assign.Pos(), []lint.TextEdit{{
-			Pos:     assign.End(),
-			NewText: "\ndefer " + name + ".End()",
-			Indent:  true,
-		}}, msg, name, name)
-		return
-	}
-	pass.Reportf(assign.Pos(), msg, name, name)
 }
 
 // parentMap records each node's syntactic parent within body.

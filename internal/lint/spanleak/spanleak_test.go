@@ -9,7 +9,3 @@ import (
 func TestSpanLeak(t *testing.T) {
 	linttest.Run(t, Analyzer, "spanleak")
 }
-
-func TestSpanLeakFixturesAreFixable(t *testing.T) {
-	linttest.RunFix(t, Analyzer, "spanleakfix")
-}

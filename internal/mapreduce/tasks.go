@@ -89,7 +89,6 @@ type scheduler[T any] struct {
 	run    func(i int) (T, error)
 	pstats *parallel.Stats       // context-level counters (nil-safe)
 	prog   func(done, total int) // context progress hook (may be nil)
-	clock  obs.Clock             // injectable scheduler clock (straggler detection, durations)
 	traced bool                  // a tracer rides the context: emit per-attempt spans
 
 	mu      sync.Mutex
@@ -131,7 +130,6 @@ func runTasks[T any](ctx context.Context, stage string, n, workers int, pol para
 		run:       run,
 		pstats:    parallel.StatsFrom(ctx),
 		prog:      parallel.ProgressFrom(ctx),
-		clock:     obs.ClockFrom(ctx),
 		traced:    obs.Enabled(ctx),
 		tasks:     make([]taskState, n),
 		results:   make([]T, n),
@@ -188,7 +186,7 @@ func (s *scheduler[T]) worker(ctx context.Context) {
 			return
 		case <-tickC:
 			s.mu.Lock()
-			s.checkStragglersLocked(s.clock.Now())
+			s.checkStragglersLocked(obs.Wall.Now())
 			s.mu.Unlock()
 		}
 	}
@@ -203,7 +201,7 @@ func (s *scheduler[T]) execute(ctx context.Context, a attemptRef) {
 		s.mu.Unlock()
 		return
 	}
-	began := s.clock.Now()
+	began := obs.Wall.Now()
 	st.running++
 	if st.running == 1 {
 		st.started = began
@@ -235,7 +233,7 @@ func (s *scheduler[T]) execute(ctx context.Context, a attemptRef) {
 		st.started = time.Time{}
 	}
 	if err == nil {
-		s.commitLocked(a, res, s.clock.Now().Sub(began))
+		s.commitLocked(a, res, obs.Wall.Now().Sub(began))
 		return
 	}
 	s.failLocked(ctx, a, err)
@@ -283,7 +281,7 @@ func (s *scheduler[T]) commitLocked(a attemptRef, res T, dur time.Duration) {
 	if s.remaining == 0 {
 		close(s.doneCh)
 	} else {
-		s.checkStragglersLocked(s.clock.Now())
+		s.checkStragglersLocked(obs.Wall.Now())
 	}
 	s.mu.Unlock()
 	s.pstats.AddIterations(1)

@@ -21,14 +21,13 @@
 //     loops instrument unconditionally and pay near zero when
 //     observability is off.
 //
-// Spans and the Registry travel through context.Context (WithTracer,
-// WithClock), mirroring how the parallel runtime plumbs worker bounds
-// and stats. Traces export in the Chrome trace-event format
-// (WriteChromeTrace), loadable in chrome://tracing or Perfetto.
+// Spans and the Registry travel through context.Context (WithTracer),
+// mirroring how the parallel runtime plumbs worker bounds and stats.
+// Traces export in the Chrome trace-event format (WriteChromeTrace),
+// loadable in chrome://tracing or Perfetto.
 package obs
 
 import (
-	"context"
 	"sync"
 	"time"
 )
@@ -88,24 +87,6 @@ func (c *ManualClock) Set(t time.Time) {
 type ctxKey int
 
 const (
-	clockKey ctxKey = iota
-	tracerKey
+	tracerKey ctxKey = iota
 	spanKey
 )
-
-// WithClock returns a context whose observability layers read time from
-// c instead of the wall clock.
-func WithClock(ctx context.Context, c Clock) context.Context {
-	if c == nil {
-		return ctx
-	}
-	return context.WithValue(ctx, clockKey, c)
-}
-
-// ClockFrom returns the clock installed on ctx, defaulting to Wall.
-func ClockFrom(ctx context.Context) Clock {
-	if c, ok := ctx.Value(clockKey).(Clock); ok {
-		return c
-	}
-	return Wall
-}

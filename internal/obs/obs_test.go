@@ -28,17 +28,6 @@ func TestManualClock(t *testing.T) {
 	}
 }
 
-func TestClockFromDefaultsToWall(t *testing.T) {
-	ctx := context.Background()
-	if ClockFrom(ctx) != Wall {
-		t.Fatalf("ClockFrom(empty ctx) is not Wall")
-	}
-	mc := NewManualClock(epoch)
-	if got := ClockFrom(WithClock(ctx, mc)); got != Clock(mc) {
-		t.Fatalf("ClockFrom did not return the installed clock")
-	}
-}
-
 func TestSpanTreeAndDepth(t *testing.T) {
 	mc := NewManualClock(epoch)
 	tr := NewTracerClock(mc)

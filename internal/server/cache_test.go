@@ -1,16 +1,18 @@
 package server
 
-// Result-cache bound tests: the byte budget, TTL expiry, the text a
-// first hit retains, and a churn loop asserting after every step that
-// the byte gauge stays within its budget and equals what is resident.
+// Result-cache tests: the byte budget, the text a first hit retains, a
+// churn loop asserting after every step that the byte gauge stays
+// within its budget and equals what is resident, and a replaced tenant
+// never being answered from its predecessor's entries.
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
+	"reflect"
 	"testing"
-	"time"
 
-	"modeldata/internal/obs"
+	"modeldata/internal/experiments"
 	"modeldata/internal/rng"
 )
 
@@ -27,7 +29,7 @@ func storedVec(n int, fill float64) []float64 {
 }
 
 func key(i int) resultKey {
-	return resultKey{tenant: "t", kind: "agg", text: fmt.Sprintf("q%d", i), seed: 1, iters: 1}
+	return resultKey{tenant: 1, kind: "agg", text: fmt.Sprintf("q%d", i), seed: 1, iters: 1}
 }
 
 func TestCacheByteBudgetEvicts(t *testing.T) {
@@ -68,31 +70,6 @@ func TestCacheOversizedEntryNotCached(t *testing.T) {
 	}
 	if got := s.reg.Gauge(MetricCacheBytes).Value(); got != 400 {
 		t.Fatalf("cache bytes = %d, want 400", got)
-	}
-}
-
-func TestCacheTTLExpiry(t *testing.T) {
-	clock := obs.NewManualClock(time.Unix(1000, 0))
-	s := cacheServer(Config{CacheTTL: time.Minute, Clock: clock})
-	s.cacheStore(key(1), cachedResult{samples: storedVec(10, 1)})
-	if _, ok := s.cacheGet(key(1)); !ok {
-		t.Fatal("fresh entry should hit")
-	}
-	clock.Advance(59 * time.Second)
-	if _, ok := s.cacheGet(key(1)); !ok {
-		t.Fatal("entry within TTL should hit")
-	}
-	clock.Advance(2 * time.Second) // now 61s past insertion
-	if _, ok := s.cacheGet(key(1)); ok {
-		t.Fatal("stale entry should miss")
-	}
-	if got := s.reg.Gauge(MetricCacheBytes).Value(); got != 0 {
-		t.Fatalf("cache bytes after expiry = %d, want 0", got)
-	}
-	// Re-storing after expiry starts a fresh TTL window.
-	s.cacheStore(key(1), cachedResult{samples: storedVec(10, 2)})
-	if _, ok := s.cacheGet(key(1)); !ok {
-		t.Fatal("re-stored entry should hit")
 	}
 }
 
@@ -244,35 +221,11 @@ func TestCacheTextAccounting(t *testing.T) {
 		}
 		checkAccounting(t, s, "replacement hit")
 	})
-
-	t.Run("expiry drops vector and text together", func(t *testing.T) {
-		clock := obs.NewManualClock(time.Unix(1000, 0))
-		s := cacheServer(Config{CacheTTL: time.Minute, Clock: clock})
-		s.cacheStore(key(1), cachedResult{samples: storedVec(100, 1.5), lineage: [][]int{{1, 2}, {}}})
-		hit(t, s, key(1))
-		if got := s.reg.Gauge(MetricCacheBytes).Value(); got != grown+16 {
-			t.Fatalf("gauge %d, want %d", got, grown+16)
-		}
-		clock.Advance(61 * time.Second)
-		if _, ok := hit(t, s, key(1)); ok {
-			t.Fatal("stale entry should miss")
-		}
-		checkAccounting(t, s, "after expiry")
-		if got := s.reg.Gauge(MetricCacheBytes).Value(); got != 0 {
-			t.Fatalf("gauge %d after expiry, want 0", got)
-		}
-	})
 }
 
 func TestCacheChurnHoldsBudgets(t *testing.T) {
 	const budget = 10_000
-	clock := obs.NewManualClock(time.Unix(1000, 0))
-	s := cacheServer(Config{
-		ResultCacheCap: 16,
-		CacheMaxBytes:  budget,
-		CacheTTL:       time.Minute,
-		Clock:          clock,
-	})
+	s := cacheServer(Config{ResultCacheCap: 16, CacheMaxBytes: budget})
 	r := rng.New(523)
 	texts := 0
 	for i := 0; i < 2000; i++ {
@@ -289,9 +242,6 @@ func TestCacheChurnHoldsBudgets(t *testing.T) {
 			if e, ok := hit(t, s, key(r.Intn(40))); ok && e.text != nil {
 				texts++
 			}
-		}
-		if r.Intn(20) == 0 {
-			clock.Advance(7 * time.Second)
 		}
 		checkAccounting(t, s, fmt.Sprintf("step %d", i))
 	}
@@ -312,4 +262,53 @@ func TestCacheChurnHoldsBudgets(t *testing.T) {
 		t.Fatalf("after draining, residual byte accounting %d", s.cacheBytes)
 	}
 	s.cacheMu.Unlock()
+}
+
+// TestReplacedTenantMissesCache: AddTenant documents that registering a
+// name twice replaces the earlier tenant, so the same request must then
+// be computed over the new database, not answered with the samples the
+// old one left in the cache.
+func TestReplacedTenantMissesCache(t *testing.T) {
+	ctx := context.Background()
+	ask := map[string]func(s *Server) (*QueryResponse, error){
+		"query": func(s *Server) (*QueryResponse, error) {
+			return s.Query(ctx, QueryRequest{Tenant: "t", Table: "sbp_data", Col: "sbp", Fn: "sum", Iterations: 10, Seed: 3})
+		},
+		"sql": func(s *Server) (*QueryResponse, error) {
+			r, err := s.SQL(ctx, SQLRequest{Tenant: "t", SQL: "SELECT SUM(sbp) FROM sbp_data", Iterations: 10, Seed: 3})
+			if err != nil {
+				return nil, err
+			}
+			return &r.QueryResponse, nil
+		},
+	}
+	for name, ask := range ask {
+		t.Run(name, func(t *testing.T) {
+			serve := func(s *Server, patients int) *QueryResponse {
+				t.Helper()
+				db, err := experiments.SBPDatabase(patients)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s.AddTenant("t", db)
+				resp, err := ask(s)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return resp
+			}
+			want := serve(New(Config{BaseSeed: 1}), 80)
+
+			s := New(Config{BaseSeed: 1})
+			small := serve(s, 20)
+			got := serve(s, 80)
+			if got.Cached || !reflect.DeepEqual(got.Samples, want.Samples) {
+				t.Fatalf("after replacement: cached=%v mean %v; the new database's mean is %v (the replaced one's was %v)",
+					got.Cached, got.Summary.Mean, want.Summary.Mean, small.Summary.Mean)
+			}
+			if again, err := ask(s); err != nil || !again.Cached || !reflect.DeepEqual(again.Samples, want.Samples) {
+				t.Fatalf("the replacement's own answer should be cached: %v, %+v", err, again)
+			}
+		})
+	}
 }

@@ -181,7 +181,7 @@ func (s *Server) Query(ctx context.Context, req QueryRequest) (*QueryResponse, e
 	}
 	q := mcdb.AggQuery{Table: req.Table, Col: req.Col, Fn: fn,
 		WhereDet: preds.det, WhereUnc: preds.unc}
-	key := resultKey{tenant: req.Tenant, kind: "agg",
+	key := resultKey{tenant: t.gen, kind: "agg",
 		text: canonicalAgg(req, preds), seed: req.Seed, iters: req.Iterations,
 		lineage: req.Lineage, whatif: whatifCanon}
 	entry, cached, err := s.results(key, func() ([]float64, [][]int, error) {
@@ -316,7 +316,7 @@ func (s *Server) SQL(ctx context.Context, req SQLRequest) (*SQLResponse, error) 
 		}, nil
 	}
 
-	key := resultKey{tenant: req.Tenant, kind: "sql", text: req.SQL,
+	key := resultKey{tenant: t.gen, kind: "sql", text: req.SQL,
 		seed: req.Seed, iters: req.Iterations}
 	entry, cached, err := s.results(key, func() ([]float64, [][]int, error) {
 		seed := s.EffectiveSeed(req.Tenant, req.Seed)
@@ -404,31 +404,19 @@ func resultBytes(e cachedResult) int64 {
 	return n
 }
 
-// cacheGet returns the fresh cached entry for key, evicting it (and
-// reporting a miss) when it has outlived Config.CacheTTL.
+// cacheGet returns the cached entry for key.
 func (s *Server) cacheGet(key resultKey) (cachedResult, bool) {
 	s.cacheMu.Lock()
 	defer s.cacheMu.Unlock()
-	v, ok := s.cache.Get(key)
-	if !ok {
-		return cachedResult{}, false
-	}
-	if s.cfg.CacheTTL > 0 && s.cfg.Clock.Now().Sub(v.at) > s.cfg.CacheTTL {
-		s.cache.Remove(key)
-		s.cacheBytes -= v.bytes
-		s.reg.Counter(MetricCacheEvictions).Inc()
-		s.reg.Gauge(MetricCacheBytes).Set(s.cacheBytes)
-		return cachedResult{}, false
-	}
-	return v, true
+	return s.cache.Get(key)
 }
 
-// cacheStore inserts a computed entry, stamped with its accounted size
-// and insertion time, and returns it as stored. An entry larger than
-// the whole byte budget is not cached at all (storing it would evict
-// everything and then still break the bound).
+// cacheStore inserts a computed entry, stamped with its accounted
+// size, and returns it as stored. An entry larger than the whole byte
+// budget is not cached at all (storing it would evict everything and
+// then still break the bound).
 func (s *Server) cacheStore(key resultKey, e cachedResult) cachedResult {
-	e.bytes, e.at = resultBytes(e), s.cfg.Clock.Now()
+	e.bytes = resultBytes(e)
 	if e.bytes > s.cfg.CacheMaxBytes {
 		s.reg.Counter(MetricCacheEvictions).Inc()
 		return e

@@ -19,7 +19,6 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"modeldata/internal/lru"
 	"modeldata/internal/mcdb"
@@ -96,15 +95,6 @@ type Config struct {
 	// past the budget evicts least-recently-used entries, and a single
 	// result larger than the whole budget is simply not cached.
 	CacheMaxBytes int64
-	// CacheTTL bounds result staleness: entries older than the TTL are
-	// evicted on lookup (and count as misses). Zero keeps entries until
-	// evicted by capacity.
-	CacheTTL time.Duration
-	// Clock supplies the timestamps TTL expiry is judged against.
-	// Defaults to obs.Wall; tests inject an obs.ManualClock.
-	Clock obs.Clock
-	// BundleCacheCap sizes each session's bundle-realization LRU.
-	BundleCacheCap int
 	// PageSize caps samples per response page; requests asking for more
 	// are clamped.
 	PageSize int
@@ -160,13 +150,19 @@ type Server struct {
 	inflight int  // guarded by mu
 	// bounded by the Config.MaxTenants admission cap in tenantFor
 	tenants map[string]*tenant // guarded by mu
+	// tenantGen numbers the tenants built so far; see tenant.gen.
+	tenantGen uint64 // guarded by mu
 }
 
 // tenant is one isolated namespace: its own database, one session per
 // shard (each with its own bounded bundle cache, as a real backend
-// shard would hold its own realizations), and an in-flight count.
+// shard would hold its own realizations), and an in-flight count. gen
+// is unique per tenant value: AddTenant may put a different database
+// under a name already served, and the result cache must not answer the
+// new one with the old one's samples.
 type tenant struct {
 	name     string
+	gen      uint64
 	db       *mcdb.DB
 	shards   []*mcdb.Session
 	inflight int // guarded by mu (the owning Server's)
@@ -181,7 +177,7 @@ type tenant struct {
 // request with no lineage) and the canonical what-if text (a delta run
 // answers a hypothetical database, never the base one).
 type resultKey struct {
-	tenant  string
+	tenant  uint64 // tenant.gen, not the name: a replaced tenant's entries never match
 	kind    string // "agg" or "sql"
 	text    string // canonical query text
 	seed    uint64
@@ -193,8 +189,9 @@ type resultKey struct {
 // cachedResult is one resident cache entry: the full sample vector,
 // the per-iteration lineage when the key's lineage flag is set, the
 // summary of the vector (computed by the miss that stored it, so a hit
-// never sorts), the accounted payload size, and the insertion time for
-// TTL expiry. From its first hit on, an entry also holds the JSON text
+// never sorts) and the accounted payload size. Entries leave by
+// capacity only: answers are deterministic, so none goes stale. From
+// its first hit on, an entry also holds the JSON text
 // of samples, comma-separated, with ends[i] the offset just past sample
 // i's text: any page of a later hit is one sub-slice of text
 // (retainText). All of it is immutable once stored; responses alias it.
@@ -205,7 +202,6 @@ type cachedResult struct {
 	text    []byte
 	ends    []uint32
 	bytes   int64
-	at      time.Time
 }
 
 // New builds a Server from cfg, applying defaults for zero limits.
@@ -230,12 +226,6 @@ func New(cfg Config) *Server {
 	}
 	if cfg.CacheMaxBytes <= 0 {
 		cfg.CacheMaxBytes = DefaultCacheMaxBytes
-	}
-	if cfg.Clock == nil {
-		cfg.Clock = obs.Wall
-	}
-	if cfg.BundleCacheCap <= 0 {
-		cfg.BundleCacheCap = mcdb.DefaultBundleCacheCap
 	}
 	if cfg.PageSize <= 0 {
 		cfg.PageSize = DefaultPageSize
@@ -263,15 +253,17 @@ func New(cfg Config) *Server {
 func (s *Server) AddTenant(name string, db *mcdb.DB) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.tenants[name] = s.newTenant(name, db)
+	s.tenants[name] = s.newTenantLocked(name, db)
 	s.reg.Gauge(MetricTenants).Set(int64(len(s.tenants)))
 }
 
-// newTenant builds the per-shard sessions. Caller holds s.mu.
-func (s *Server) newTenant(name string, db *mcdb.DB) *tenant {
-	t := &tenant{name: name, db: db, shards: make([]*mcdb.Session, s.cfg.Shards)}
+// newTenantLocked builds the per-shard sessions and numbers the tenant.
+// Caller holds s.mu.
+func (s *Server) newTenantLocked(name string, db *mcdb.DB) *tenant {
+	s.tenantGen++
+	t := &tenant{name: name, gen: s.tenantGen, db: db, shards: make([]*mcdb.Session, s.cfg.Shards)}
 	for i := range t.shards {
-		t.shards[i] = db.NewSessionCache(s.cfg.BundleCacheCap)
+		t.shards[i] = db.NewSession()
 	}
 	return t
 }
@@ -300,7 +292,7 @@ func (s *Server) tenantFor(name string) (*tenant, error) {
 	if err != nil {
 		return nil, &StatusError{Code: 404, Msg: fmt.Sprintf("tenant %q: %v", name, err)}
 	}
-	t := s.newTenant(name, db)
+	t := s.newTenantLocked(name, db)
 	s.tenants[name] = t
 	s.reg.Gauge(MetricTenants).Set(int64(len(s.tenants)))
 	return t, nil

@@ -1,13 +1,6 @@
 package stats
 
-import (
-	"errors"
-	"math"
-)
-
-// ErrBandwidth is returned when a KDE is constructed with a
-// non-positive bandwidth.
-var ErrBandwidth = errors.New("stats: KDE bandwidth must be positive")
+import "math"
 
 // Kernel is a KDE kernel function: non-negative, symmetric, with
 // K(0) > 0 and K(x) non-increasing in |x| (the paper's definition in

@@ -28,12 +28,6 @@ func ApproxEqual(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol
 }
 
-// ApproxZero reports whether x is within tol of zero — the common
-// special case of ApproxEqual for residuals and differences.
-func ApproxZero(x, tol float64) bool {
-	return math.Abs(x) <= tol
-}
-
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {

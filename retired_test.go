@@ -1,0 +1,246 @@
+package modeldata_test
+
+// What earlier PRs deleted stays deleted. Each row below is an
+// invariant a PR bought by removing a second code path, a second
+// harness or a byte-at-a-time loop; the identifiers and paths that
+// belonged to the removed half must not come back. These were grep
+// steps in CI, which no `go test ./...` runs; here they are tier-1.
+
+import (
+	"fmt"
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"strings"
+	"testing"
+)
+
+// offender is a line pattern and one line it must match: the example
+// is checked first, so a mistyped regexp cannot silently un-guard.
+type offender struct{ pattern, example string }
+
+type retired struct {
+	name  string     // the invariant
+	pr    int        // the PR that retired what is listed
+	why   string     // what coming back would mean
+	scope []string   // directories (walked) and files, relative to the module root
+	tests bool       // _test.go files are searched too
+	lines []offender // must match no line of a .go file in scope
+	paths []string   // globs relative to the module root that must match nothing
+}
+
+var retiredTable = []retired{
+	{
+		name: "One execution route", pr: 13,
+		why:   "the engine has one operator implementation, over ColumnBlock; these belonged to the row route (its expression compiler, its fallback latch, its half of provenance)",
+		scope: []string{"internal/engine"},
+		lines: []offender{
+			{`compileExprRow`, `func compileExprRow(e Expr) (rowFn, error) {`},
+			{`noCol`, `if c.noCol {`},
+			{`annotateTable`, `t = annotateTable(t, leaf)`},
+		},
+	},
+	{
+		name: "One Monte Carlo core", pr: 15,
+		why:   "internal/mcdb writes each of its loops once and the spec, not an option, picks the executor; these were the second copies and the switch that selected them",
+		scope: []string{"internal/mcdb", "internal/server"},
+		lines: []offender{
+			{`realizeRows`, `rows, err := db.realizeRows(spec, r)`},
+			{`estimateDirty`, `func (b *BundleTable) estimateDirty(q AggQuery) []float64 {`},
+			{`execNaive`, `return s.execNaive(ctx, q, opts)`},
+			{`StrategyNaive`, `case StrategyNaive:`},
+			{`parseStrategy`, `st, err := parseStrategy(req.Strategy)`},
+		},
+	},
+	{
+		name: "One Monte Carlo core", pr: 16,
+		why:   "an uncertain-column predicate is a plain float64 comparison, not a boxed compare per tuple-iteration",
+		scope: []string{"internal/mcdb", "internal/server"},
+		lines: []offender{
+			{`cmp\(engine\.Float\(u\[`, `return cmp(engine.Float(u[i]), lit)`},
+		},
+	},
+	{
+		name: "One Monte Carlo core", pr: 19,
+		why:   "a realization is one slab filled by realizeSpec, not a row allocated and Inserted per tuple",
+		scope: []string{"internal/mcdb", "internal/server"},
+		lines: []offender{
+			{`realizeTuple`, `row, err := db.realizeTuple(spec, outer, r)`},
+		},
+	},
+	{
+		name: "One Monte Carlo core", pr: 24,
+		why:   "a SQL statement over a stochastic table runs its joins once through the engine (Session.ExecSQL's plan-once executor), not through BundleTable's hand-written join and realize",
+		scope: []string{"internal/mcdb", "internal/server"},
+		lines: []offender{
+			{`JoinDet`, `func (b *BundleTable) JoinDet(right *engine.Table, on ...string) (*BundleTable, error) {`},
+			{`RealizeBlock`, `blk, err := b.RealizeBlock(it)`},
+			{`\) Realize\(`, `func (b *BundleTable) Realize(it int) (*engine.Table, error) {`},
+		},
+	},
+	{
+		name: "One harness", pr: 17,
+		why:   "bench/ is the only benchmark harness; these were the second one, its committed reports, and the two switches that gave it a slow baseline to take ratios over",
+		scope: []string{"."},
+		tests: true,
+		lines: []offender{
+			{`SetPlannerDefault`, `engine.SetPlannerDefault(false)`},
+			{`DisablePruning`, `colstore.Options{DisablePruning: true}`},
+			{`OOCWorkloads`, `for _, w := range enginebench.OOCWorkloads(rows) {`},
+			{`PlannerWorkloads`, `func PlannerWorkloads() []Workload {`},
+		},
+		paths: []string{"cmd/benchjson", "BENCH_*.json"},
+	},
+	{
+		name: "One response encoder", pr: 22,
+		why:   "every /v1 body is appended to a buffer by encode.go and written once; encoding into the ResponseWriter is how an unencodable value became 200 with an empty body",
+		scope: []string{"internal/server/http.go"},
+		lines: []offender{
+			{`json\.NewEncoder\(w\)`, `if err := json.NewEncoder(w).Encode(resp); err != nil {`},
+		},
+	},
+	{
+		name: "A stored pass costs what the query reads", pr: 23,
+		why:   "a storage scan is handed the columns the query can observe; a nil projection is computed, never written",
+		scope: []string{"internal/engine/query.go"},
+		lines: []offender{
+			{`ScanPartitions\(ctx, nil`, `parts, err := src.ScanPartitions(ctx, nil, preds)`},
+		},
+	},
+	{
+		name: "A stored pass costs what the query reads", pr: 23,
+		why:   "a column block is checksummed by hardware CRC-32C in one call, not by the byte-at-a-time FNV loop that was a quarter of every read",
+		scope: []string{"internal/colstore"},
+		lines: []offender{
+			{`fnv`, `h := fnv.New64a()`},
+		},
+	},
+}
+
+// violations lists what of r is present under root, one message per
+// offending line or path, each naming the row and its PR.
+func (r retired) violations(root string) ([]string, error) {
+	var out []string
+	report := func(what string) {
+		out = append(out, fmt.Sprintf("%s (retired by PR %d): %s\n\t%s", r.name, r.pr, what, r.why))
+	}
+	for _, glob := range r.paths {
+		found, err := filepath.Glob(filepath.Join(root, glob))
+		if err != nil {
+			return nil, err
+		}
+		for _, p := range found {
+			report(p + " exists")
+		}
+	}
+	res := make([]*regexp.Regexp, len(r.lines))
+	for i, l := range r.lines {
+		re, err := regexp.Compile(l.pattern)
+		if err != nil {
+			return nil, err
+		}
+		if !re.MatchString(l.example) {
+			return nil, fmt.Errorf("pattern %q does not match its own example %q", l.pattern, l.example)
+		}
+		res[i] = re
+	}
+	for _, s := range r.scope {
+		err := filepath.WalkDir(filepath.Join(root, s), func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			name := d.Name()
+			if d.IsDir() {
+				if name == "testdata" || (strings.HasPrefix(name, ".") && name != ".") {
+					return filepath.SkipDir
+				}
+				return nil
+			}
+			if !strings.HasSuffix(name, ".go") || (!r.tests && strings.HasSuffix(name, "_test.go")) {
+				return nil
+			}
+			if path == filepath.Join(root, "retired_test.go") {
+				return nil // the table itself
+			}
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for n, line := range strings.Split(string(src), "\n") {
+				for _, re := range res {
+					if re.MatchString(line) {
+						report(fmt.Sprintf("%s:%d matches %q: %s", path, n+1, re, strings.TrimSpace(line)))
+					}
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+func TestRetired(t *testing.T) {
+	for _, r := range retiredTable {
+		t.Run(fmt.Sprintf("%s/PR%d", r.name, r.pr), func(t *testing.T) {
+			found, err := r.violations(".")
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range found {
+				t.Error(v)
+			}
+		})
+	}
+}
+
+// TestRetiredFindsWhatIsPutBack plants one retired identifier and one
+// retired path in an otherwise clean tree: the rows that guard them
+// must say so, by name and PR, and nothing else may fire — not on a
+// test file outside a tests row, not under testdata/. (The empty files
+// are there because a scope that no longer exists is an error: a guard
+// over nothing guards nothing.)
+func TestRetiredFindsWhatIsPutBack(t *testing.T) {
+	root := t.TempDir()
+	for path, src := range map[string]string{
+		"internal/engine/expr.go":             "package engine\n\nfunc compileExprRow() {}\n",
+		"internal/engine/expr_test.go":        "package engine\n\nvar _ = compileExprRow\n",
+		"internal/engine/testdata/src/a/a.go": "package a\n\nfunc annotateTable() {}\n",
+		"internal/mcdb/mcdb.go":               "package mcdb\n",
+		"internal/server/http.go":             "package server\n",
+		"internal/engine/query.go":            "package engine\n",
+		"internal/colstore/format.go":         "package colstore\n",
+		"cmd/benchjson/main.go":               "package main\n",
+	} {
+		full := filepath.Join(root, path)
+		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(full, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []string
+	for _, r := range retiredTable {
+		found, err := r.violations(root)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got = append(got, found...)
+	}
+	want := []struct{ row, names string }{
+		{"One execution route (retired by PR 13)", filepath.Join("internal", "engine", "expr.go") + ":3 "},
+		{"One harness (retired by PR 17)", filepath.Join("cmd", "benchjson") + " exists"},
+	}
+	if len(got) != len(want) {
+		t.Fatalf("want %d violations, got %q", len(want), got)
+	}
+	for i, w := range want {
+		if !strings.HasPrefix(got[i], w.row) || !strings.Contains(got[i], w.names) {
+			t.Errorf("violation %q should start with %q and name %q", got[i], w.row, w.names)
+		}
+	}
+}
