@@ -247,7 +247,7 @@ func TestZoneMapPruning(t *testing.T) {
 	if stats.BlocksPruned != wantPruned {
 		t.Fatalf("BlocksPruned = %d, want %d", stats.BlocksPruned, wantPruned)
 	}
-	if planned, pruned := st.PlanScan(pred); planned != 10 || pruned != wantPruned {
+	if planned, pruned := st.PlanScan(nil, pred); planned != 10 || pruned != wantPruned {
 		t.Fatalf("PlanScan = (%d, %d), want (10, %d)", planned, pruned, wantPruned)
 	}
 	var rows int
@@ -284,11 +284,11 @@ func TestNaNSegmentsSurviveOrderPredicates(t *testing.T) {
 	st := writeAndOpen(t, tbl, colstore.Options{SegmentRows: 4})
 
 	le := plan.Cmp{Op: "<=", Col: "x", Val: plan.FloatLit(0)}
-	if _, pruned := st.PlanScan(le); pruned != 0 {
+	if _, pruned := st.PlanScan(nil, le); pruned != 0 {
 		t.Fatalf("all-NaN segment pruned for <= (pruned=%d); NaN rows match <=", pruned)
 	}
 	lt := plan.Cmp{Op: "<", Col: "x", Val: plan.FloatLit(0)}
-	if _, pruned := st.PlanScan(lt); pruned == 0 {
+	if _, pruned := st.PlanScan(nil, lt); pruned == 0 {
 		t.Fatal("all-NaN segment not pruned for <; NaN rows never match <")
 	}
 
@@ -317,6 +317,40 @@ func TestExplainReportsPruning(t *testing.T) {
 	text := tree.Text()
 	if !strings.Contains(text, "partitions=10") || !strings.Contains(text, "blocks_pruned=32") {
 		t.Fatalf("Explain missing partition/pruning annotations:\n%s", text)
+	}
+}
+
+// EXPLAIN's blocks_pruned= is what the executed scan's ScanStats
+// report: a pruned segment counts one block per column the scan
+// projects, and a provenance query, which scans every column with no
+// hint, prunes nothing.
+func TestExplainPruningMatchesScanStats(t *testing.T) {
+	st := writeAndOpen(t, seqTable("z", 1000), colstore.Options{SegmentRows: 100})
+	mid := plan.Between{Col: "id", Lo: plan.IntLit(250), Hi: plan.IntLit(349)}
+	for _, tc := range []struct {
+		name  string
+		build func(*engine.Query) *engine.Query
+		want  int64
+	}{
+		{"full scan", func(q *engine.Query) *engine.Query { return q.WhereExpr(mid) }, 8 * 4},
+		{"projected scan", func(q *engine.Query) *engine.Query { return q.WhereExpr(mid).Select("tag") }, 8 * 2},
+		{"provenance", func(q *engine.Query) *engine.Query { return q.WhereExpr(mid).Select("tag").WithProvenance() }, 0},
+	} {
+		tree, err := tc.build(engine.FromStorage(st)).Explain()
+		if err != nil {
+			t.Fatalf("%s: Explain: %v", tc.name, err)
+		}
+		scan := tree.Root
+		for scan.Kind != plan.KindScan {
+			scan = scan.Input
+		}
+		rec := &recordingStorage{Storage: st}
+		if _, err := tc.build(engine.FromStorage(rec)).Run(); err != nil {
+			t.Fatalf("%s: Run: %v", tc.name, err)
+		}
+		if got := rec.iters[0].Stats().BlocksPruned; scan.BlocksPruned != got || got != tc.want {
+			t.Fatalf("%s: EXPLAIN blocks_pruned=%d, scan pruned %d, want %d", tc.name, scan.BlocksPruned, got, tc.want)
+		}
 	}
 }
 

@@ -7,14 +7,17 @@ package colstore_test
 // memory budgets, and concurrent scans (run under -race).
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"sync"
 	"testing"
 
 	"modeldata/internal/colstore"
 	"modeldata/internal/engine"
 	"modeldata/internal/engine/plan"
+	"modeldata/internal/obs"
 	"modeldata/internal/rng"
 )
 
@@ -357,5 +360,138 @@ func TestStorageEquivalenceConcurrent(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// A storage-sourced group-by under a memory budget streams its scan
+// into the Grace partitioner. Over every key type — NaN, −0 and +0
+// among the floats — with MIN/MAX of every type and AVG, behind a
+// leading filter and Select, over a scan whose every segment is pruned,
+// and with a budget crossed at the first partition or only at a later
+// one (so buffered partitions are handed to the partitioner), each
+// result equals the unbudgeted query over the table byte for byte.
+func TestStorageEquivalenceSpilledGroupBy(t *testing.T) {
+	r := rng.New(937)
+	tbl := randomTable(r, "ev", 300)
+	st := writeAndOpen(t, tbl, colstore.Options{SegmentRows: 16})
+	aggs := []engine.Aggregate{
+		{Fn: engine.AggCount, As: "n"},
+		{Fn: engine.AggSum, Col: "x", As: "sx"},
+		{Fn: engine.AggAvg, Col: "x", As: "ax"},
+		{Fn: engine.AggAvg, Col: "id", As: "aid"},
+	}
+	for _, c := range equivSchema {
+		aggs = append(aggs,
+			engine.Aggregate{Fn: engine.AggMin, Col: c.Name, As: "min_" + c.Name},
+			engine.Aggregate{Fn: engine.AggMax, Col: c.Name, As: "max_" + c.Name})
+	}
+	keys := [][]string{{"id"}, {"x"}, {"tag"}, {"flag"}, {"tag", "flag"}, {"x", "id"}}
+	leads := []struct {
+		name string
+		lead func(*engine.Query) *engine.Query
+	}{
+		{"scan", func(q *engine.Query) *engine.Query { return q }},
+		{"filter+select", func(q *engine.Query) *engine.Query {
+			return q.WhereExpr(plan.Cmp{Op: ">=", Col: "x", Val: plan.FloatLit(-1)}).Select("flag", "tag", "x", "id")
+		}},
+		{"all pruned", func(q *engine.Query) *engine.Query {
+			return q.WhereExpr(plan.Cmp{Op: ">", Col: "id", Val: plan.IntLit(1 << 62)})
+		}},
+	}
+	// Every row's hash estimate is at least hashEntryBytes (48): 100 rows'
+	// worth is more than a 16-row segment holds and less than the table.
+	const later = 100 * 48
+	spilled := 0
+	for _, k := range keys {
+		for _, l := range leads {
+			want, err := l.lead(engine.From(tbl)).GroupBy(k, aggs...).Run()
+			if err != nil {
+				t.Fatalf("%v %s in memory: %v", k, l.name, err)
+			}
+			for _, budget := range []int64{1, later} {
+				label := fmt.Sprintf("keys %v, %s, budget %d", k, l.name, budget)
+				before := obs.Default().Snapshot()
+				got, err := l.lead(engine.FromStorage(st)).GroupBy(k, aggs...).
+					WithMemoryBudget(budget).WithSpillDir(t.TempDir()).Run()
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				requireSameTable(t, label, want, got)
+				if obs.Default().Snapshot().Sub(before).Counters[engine.MetricSpillPartitions] > 0 {
+					spilled++
+				}
+			}
+		}
+	}
+	// Everything spills but the pruned scans, whose one empty partition
+	// never crosses a budget.
+	if want := len(keys) * 2 * 2; spilled != want {
+		t.Fatalf("%d of the budgeted queries spilled, want %d", spilled, want)
+	}
+}
+
+// A budgeted group-by over a store never concatenates its scan: beyond
+// what decoding the referenced columns costs, it allocates less than
+// half their decoded bytes.
+func TestSpilledGroupByNeverConcatenates(t *testing.T) {
+	const rows = 200_000
+	ids, vals := make([]int64, rows), make([]float64, rows)
+	for i := range ids {
+		ids[i], vals[i] = int64(i%1024), float64(i%977)/7
+	}
+	b, err := engine.BlockOf("big", engine.Schema{{Name: "gid", Type: engine.TypeInt}, {Name: "val", Type: engine.TypeFloat}}, []any{ids, vals})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	w, err := colstore.NewWriter(dir, "big", b.Schema, colstore.Options{SegmentRows: 1 << 14})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.AppendBlock(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := colstore.Open(dir, colstore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	allocated := func(f func()) uint64 {
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		f()
+		runtime.ReadMemStats(&m1)
+		return m1.TotalAlloc - m0.TotalAlloc
+	}
+	spill := t.TempDir()
+	before := obs.Default().Snapshot()
+	group := allocated(func() {
+		got, err := engine.FromStorage(st).GroupBy([]string{"gid"},
+			engine.Aggregate{Fn: engine.AggSum, Col: "val", As: "sv"}).
+			WithMemoryBudget(1 << 20).WithSpillDir(spill).Run()
+		if err != nil || got.Len() != 1024 {
+			t.Fatalf("group-by: %v groups, %v", got, err)
+		}
+	})
+	if obs.Default().Snapshot().Sub(before).Counters[engine.MetricSpillPartitions] == 0 {
+		t.Fatal("the group-by did not spill")
+	}
+	scan := allocated(func() {
+		it, err := st.ScanPartitions(context.Background(), []string{"gid", "val"}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for b, err := it.Next(); b != nil || err != nil; b, err = it.Next() {
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	decoded := uint64(rows * 16)
+	if group < scan || group-scan >= decoded/2 {
+		t.Fatalf("group-by allocated %d bytes beyond its scan's %d, want < %d (half the %d decoded bytes)",
+			int64(group)-int64(scan), scan, decoded/2, decoded)
 	}
 }

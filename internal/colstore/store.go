@@ -196,15 +196,21 @@ func (st *Store) ScanPartitions(ctx context.Context, cols []string, pred plan.Ex
 }
 
 // PlanScan implements engine.ScanPlanner for EXPLAIN: it predicts the
-// scan's partition count and pruned-block count from footers alone.
-func (st *Store) PlanScan(pred plan.Expr) (partitions, pruned int64) {
+// partition count and pruned-block count of a scan of cols (nil = all)
+// from footers alone, counting a pruned segment's blocks as Next does:
+// one per projected column.
+func (st *Store) PlanScan(cols []string, pred plan.Expr) (partitions, pruned int64) {
 	partitions = int64(len(st.segs))
 	if pred == nil {
 		return partitions, 0
 	}
+	perSeg := int64(len(st.schema))
+	if cols != nil {
+		perSeg = int64(len(cols))
+	}
 	for _, sm := range st.segs {
 		if !engine.ZoneMayMatch(pred, sm.zoneStats()) {
-			pruned += int64(len(st.schema))
+			pruned += perSeg
 		}
 	}
 	return partitions, pruned

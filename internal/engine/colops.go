@@ -538,6 +538,99 @@ func (s *joinStream) result() (*ColumnBlock, error) {
 	return out.withSel(order), nil
 }
 
+// groupStream is a budgeted, keyed group-by fed one partition at a
+// time: a storage scan's, or the chain's state as the only one. While
+// the running hash estimate fits the budget the partitions are
+// buffered, and if it never crosses they are concatenated and grouped
+// in memory. Once it crosses, P is fixed from the estimate projected to
+// the input's row count, and every buffered and later row goes to a
+// groupSpill as it arrives, so a scan is never concatenated.
+type groupStream struct {
+	op    *qop
+	c     *chain
+	total int64     // the input's row count, as stored
+	g     *grouping // resolved against the first partition
+
+	parts  []*ColumnBlock // buffered while the estimate fits
+	est    int64          // estHashBytes of parts
+	stored int64          // the stored rows behind parts
+	inMem  bool           // never spill: no spill file, or this is the rescan
+	spill  *groupSpill    // non-nil once the estimate crossed
+	// spillErr is the spill's I/O error: the rows on disk are lost.
+	spillErr error
+}
+
+// add takes one partition, with the leading run applied; stored is its
+// row count as the storage returned it.
+func (s *groupStream) add(part *ColumnBlock, stored int) error {
+	if s.g == nil {
+		var err error
+		if s.g, err = part.newGrouping(s.op.cols, s.op.aggs); err != nil {
+			return err
+		}
+	}
+	if s.spill != nil {
+		if s.spillErr == nil {
+			s.spillErr = s.spill.add(part, s.c.sc)
+		}
+		return nil
+	}
+	s.parts, s.stored = append(s.parts, part), s.stored+int64(stored)
+	if s.est += estHashBytes(part, s.g.keyIdx); s.inMem || s.est <= s.c.budget {
+		return nil
+	}
+	open := openSpillFile
+	if s.c.openSpill != nil {
+		open = s.c.openSpill
+	}
+	f, err := open(s.c.spillDir)
+	if err != nil {
+		spillFallbacks.Add(1)
+		s.inMem = true
+		return nil
+	}
+	projected := int64(float64(s.est) / float64(s.stored) * float64(s.total))
+	s.spill = newGroupSpill(s.g, part.Schema, spillPartitionCount(max(s.est, projected), s.c.budget), f)
+	for _, b := range s.parts {
+		if s.spillErr == nil {
+			s.spillErr = s.spill.add(b, s.c.sc)
+		}
+	}
+	s.parts = nil
+	return nil
+}
+
+// result returns the group-by of everything added, named for an input
+// named name, and removes the spill file. A spill error is also left in
+// spillErr.
+func (s *groupStream) result(name string) (*ColumnBlock, error) {
+	defer s.close()
+	if s.spill == nil {
+		b := s.parts[0]
+		if len(s.parts) > 1 {
+			var err error
+			if b, err = concatBlocks(name, b.Schema, s.parts); err != nil {
+				return nil, err
+			}
+		}
+		out, _ := b.groupByMem(s.g, s.c.sc)
+		out.Name = name + "_group"
+		return out, nil
+	}
+	var out *ColumnBlock
+	if s.spillErr == nil {
+		out, s.spillErr = s.spill.result(name, s.c.sc)
+	}
+	return out, s.spillErr
+}
+
+// close removes the spill file, if there is one.
+func (s *groupStream) close() {
+	if s.spill != nil {
+		s.spill.runs.f.Close() //lint:allow errdrop scratch file being discarded; its reads are done or failed
+	}
+}
+
 // --- group-by ---
 
 // colAggState is the per-(group, aggregate) accumulator. Min/max track
@@ -551,11 +644,11 @@ type colAggState struct {
 
 // groupIDs assigns a dense group id to every logical row, in
 // first-appearance order, keyed by the composite key columns. It
-// returns one id per row plus the physical row of each group's first
-// appearance.
-func (b *ColumnBlock) groupIDs(keyIdx []int, sc *Scratch) (gids []int32, firstP []int32) {
+// returns one id per row, in dst's storage when it is large enough,
+// plus the physical row of each group's first appearance.
+func (b *ColumnBlock) groupIDs(keyIdx []int, sc *Scratch, dst []int32) (gids []int32, firstP []int32) {
 	n := b.Len()
-	gids = make([]int32, n)
+	gids = growIdx(dst, n)
 	if len(keyIdx) == 1 {
 		j := keyIdx[0]
 		switch b.Schema[j].Type {
@@ -617,28 +710,11 @@ func (b *ColumnBlock) groupIDs(keyIdx []int, sc *Scratch) (gids []int32, firstP 
 // SUM/AVG = 0, MIN/MAX the zero of the column's type). The output is a
 // dense block: keys then aggregates.
 func (b *ColumnBlock) GroupBy(keys []string, aggs []Aggregate, sc *Scratch) (*ColumnBlock, error) {
-	return b.groupByBudget(keys, aggs, sc, 0, "")
-}
-
-// groupByBudget is GroupBy with a spill policy: when budget > 0 and the
-// estimated group hash footprint exceeds it, rows Grace-partition to
-// disk under dir and each partition aggregates separately (see
-// spill.go). Keyless group-bys never spill — one global group needs no
-// hash table.
-func (b *ColumnBlock) groupByBudget(keys []string, aggs []Aggregate, sc *Scratch, budget int64, dir string) (*ColumnBlock, error) {
-	sc = sc.orNew()
 	g, err := b.newGrouping(keys, aggs)
 	if err != nil {
 		return nil, err
 	}
-	if budget > 0 && len(g.keyIdx) > 0 && estHashBytes(b, g.keyIdx) > budget {
-		out, err := b.spillGroupBy(g, sc, budget, dir)
-		if err == nil {
-			return out, nil
-		}
-		spillFallbacks.Add(1)
-	}
-	out, _ := b.groupByMem(g, sc)
+	out, _ := b.groupByMem(g, sc.orNew())
 	return out, nil
 }
 
@@ -698,7 +774,7 @@ func (b *ColumnBlock) groupByMem(g *grouping, sc *Scratch) (*ColumnBlock, []int3
 			firstP = []int32{int32(b.phys(0))}
 		}
 	} else {
-		gids, firstP = b.groupIDs(g.keyIdx, sc)
+		gids, firstP = b.groupIDs(g.keyIdx, sc, nil)
 	}
 	nGroups := len(firstP)
 	if len(g.keyIdx) == 0 && nGroups == 0 {
@@ -844,7 +920,7 @@ func (b *ColumnBlock) distinctGroups(ncols int, sc *Scratch) (gids, firstP []int
 	for j := range idx {
 		idx[j] = j
 	}
-	return b.groupIDs(idx, sc)
+	return b.groupIDs(idx, sc, nil)
 }
 
 // OrderBy stably sorts the block by the named column. Only the

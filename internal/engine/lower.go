@@ -324,14 +324,16 @@ func (q *Query) Explain() (*plan.Tree, error) {
 	}
 	if q.store != nil {
 		// Storage-backed scan: one scan node annotated with the
-		// storage's partition/pruning prediction (from segment footers,
-		// no data decoded), then the recorded operations as written.
+		// storage's partition/pruning prediction for the scan Run makes
+		// (from segment footers, no data decoded), then the recorded
+		// operations as written.
 		root := &plan.Node{
 			Kind: plan.KindScan, Table: q.store.StorageName(),
 			Alias: q.store.StorageName(), Rows: q.store.NumRows(),
 		}
 		if sp, ok := q.store.(ScanPlanner); ok {
-			root.Partitions, root.BlocksPruned = sp.PlanScan(q.leadingFilterExpr())
+			req := q.scanRequest(true)
+			root.Partitions, root.BlocksPruned = sp.PlanScan(req.cols, req.hint)
 		}
 		for _, op := range q.ops {
 			root = opNode(op, root)

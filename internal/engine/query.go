@@ -516,14 +516,15 @@ func (q *Query) exec(wholeRows bool) (*chain, error) {
 //     partition as it arrives, so only surviving rows are concatenated;
 //   - when the operation after that run joins a table that fits the
 //     memory budget, the partitions stream past one hash table of it
-//     (joinStream) and are never concatenated at all.
+//     (joinStream) and are never concatenated at all;
+//   - when it is a keyed group-by under a memory budget, the partitions
+//     stream into it (groupStream), and once its hash estimate crosses
+//     the budget every row is partitioned to disk as it arrives.
 //
 // All filters run in full, so pruning (which only ever skips partitions
-// that cannot contain a matching row) is correctness-neutral. Under
-// provenance the scan is the plain one — every column, no hint, nothing
-// applied early: leaf annotations index rows of the full stored
-// relation, and a pruned or pre-filtered scan would shift every index
-// after the first skipped row.
+// that cannot contain a matching row) is correctness-neutral. If a
+// streamed group-by's spill fails after rows reached disk, the storage
+// is scanned again and the group-by runs in memory.
 func (q *Query) source(ch *chain, wholeRows bool) (int, error) {
 	if q.store == nil {
 		var err error
@@ -534,74 +535,125 @@ func (q *Query) source(ch *chain, wholeRows bool) (int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	name, schema := q.store.StorageName(), q.store.StorageSchema()
-	var hint plan.Expr
-	var cols []string
+	req := q.scanRequest(wholeRows)
 	var js *joinStream
-	lead := 0
-	if !q.provOn {
-		hint, lead = q.leadingFilterExpr(), q.leadingRun()
-		need := map[string]bool{} // a count observes no column of the result
-		if wholeRows {
-			need = nil // its rows observe all of them
-		}
-		cols, schema = scanCols(schema, neededBefore(q.ops, need))
-		if lead < len(q.ops) && q.ops[lead].kind == opJoin {
+	var gs *groupStream
+	if !q.provOn && req.lead < len(q.ops) {
+		switch op := q.ops[req.lead]; {
+		case op.kind == opJoin:
 			var err error
-			if js, err = newJoinStream(q.ops[lead], ch); err != nil {
+			if js, err = newJoinStream(op, ch); err != nil {
 				return 0, err
 			}
+		case op.kind == opGroupBy && ch.budget > 0 && len(op.cols) > 0:
+			gs = &groupStream{op: op, c: ch, total: q.store.NumRows()}
 		}
 	}
-	it, err := q.store.ScanPartitions(ctx, cols, hint)
-	if err != nil {
-		return 0, err
-	}
 	var parts []*ColumnBlock
+	sink := func(b *ColumnBlock, stored int) error {
+		switch {
+		case js != nil:
+			return js.probe(b)
+		case gs != nil:
+			return gs.add(b, stored)
+		}
+		parts = append(parts, b)
+		return nil
+	}
+	name := q.store.StorageName()
+	for {
+		if err := q.scanEach(ctx, ch, req, sink); err != nil {
+			if gs != nil {
+				gs.close()
+			}
+			return 0, err
+		}
+		var err error
+		if gs != nil {
+			if ch.b, err = gs.result(name); gs.spillErr == nil {
+				return req.lead + 1, err
+			}
+			// The rows that reached the spill file went with it.
+			spillFallbacks.Add(1)
+			gs = &groupStream{op: gs.op, c: ch, inMem: true}
+			continue
+		}
+		if js != nil {
+			ch.b, err = js.result()
+			return req.lead + 1, err
+		}
+		ch.b, err = concatBlocks(name, parts[0].Schema, parts)
+		return req.lead, err
+	}
+}
+
+// scanReq is what a pass over a storage asks of it.
+type scanReq struct {
+	cols   []string  // the projection; nil = every column
+	schema Schema    // the schema partitions come back with
+	hint   plan.Expr // the pruning hint
+	lead   int       // the leading operations applied to each partition
+}
+
+// scanRequest is the scan source makes, and EXPLAIN predicts: the
+// stored columns the operations can observe, and the leading run with
+// its conjunction as the hint. Under provenance it is the plain scan —
+// every column, no hint, nothing applied early: leaf annotations index
+// rows of the full stored relation, and a pruned or pre-filtered scan
+// would shift every index after the first skipped row.
+func (q *Query) scanRequest(wholeRows bool) scanReq {
+	if q.provOn {
+		return scanReq{schema: q.store.StorageSchema()}
+	}
+	need := map[string]bool{} // a count observes no column of the result
+	if wholeRows {
+		need = nil // its rows observe all of them
+	}
+	cols, schema := scanCols(q.store.StorageSchema(), neededBefore(q.ops, need))
+	return scanReq{cols: cols, schema: schema, hint: q.leadingFilterExpr(), lead: q.leadingRun()}
+}
+
+// scanEach streams the storage's partitions to sink, each with the
+// leading run applied, together with its row count as stored. When
+// every partition is pruned, sink gets one empty partition, which
+// carries the schema through the leading run.
+func (q *Query) scanEach(ctx context.Context, ch *chain, req scanReq, sink func(b *ColumnBlock, stored int) error) error {
+	it, err := q.store.ScanPartitions(ctx, req.cols, req.hint)
+	if err != nil {
+		return err
+	}
 	each := func(b *ColumnBlock) error {
+		stored := b.Len()
 		ch.b = b
-		for _, op := range q.ops[:lead] {
+		for _, op := range q.ops[:req.lead] {
 			if err := ch.apply(op, q); err != nil {
 				return err
 			}
 		}
-		if js != nil {
-			return js.probe(ch.b)
-		}
-		parts = append(parts, ch.b)
-		return nil
+		return sink(ch.b, stored)
 	}
 	scanned := 0
 	for {
 		b, err := it.Next()
 		if err != nil {
-			return 0, err
+			return err
 		}
 		if b == nil {
 			break
 		}
 		scanned++
 		if err := each(b); err != nil {
-			return 0, err
+			return err
 		}
 	}
-	if scanned == 0 {
-		// Every partition was pruned: one empty partition carries the
-		// schema through the leading run.
-		empty, err := concatBlocks(name, schema, nil)
-		if err != nil {
-			return 0, err
-		}
-		if err := each(empty); err != nil {
-			return 0, err
-		}
+	if scanned > 0 {
+		return nil
 	}
-	if js != nil {
-		ch.b, err = js.result()
-		return lead + 1, err
+	empty, err := concatBlocks(q.store.StorageName(), req.schema, nil)
+	if err != nil {
+		return err
 	}
-	ch.b, err = concatBlocks(name, parts[0].Schema, parts)
-	return lead, err
+	return each(empty)
 }
 
 // scanCols turns the needed-column set of a scan into the projection
@@ -777,6 +829,9 @@ type chain struct {
 	// hash join and group-by operators (0 = never spill).
 	budget   int64
 	spillDir string
+	// openSpill creates a group-by's spill file under spillDir; nil
+	// means openSpillFile. Tests substitute one that fails.
+	openSpill func(dir string) (spillFile, error)
 
 	// arena, when non-nil, interns this execution's provenance sets:
 	// the state's last column is the hidden annotation column (see
@@ -893,13 +948,25 @@ func (c *chain) userTable() *Table {
 // rows, which they may therefore retain.
 func (c *chain) userRows() []Row { return c.userTable().Rows }
 
-// groupBy aggregates the state. Under provenance each output group's
-// annotation is the ⊕-union of its input rows' sets, and the group-by
-// never spills: annotations live in the arena, which the on-disk
-// partitions cannot carry.
+// groupBy aggregates the state. A keyed group-by under a memory budget
+// is a groupStream whose one partition is the state; if its spill fails,
+// the state is still here to group in memory. Under provenance each
+// output group's annotation is the ⊕-union of its input rows' sets, and
+// the group-by never spills: annotations live in the arena, which the
+// on-disk partitions cannot carry.
 func (c *chain) groupBy(op *qop) (*ColumnBlock, error) {
+	if c.arena == nil && c.budget > 0 && len(op.cols) > 0 {
+		s := &groupStream{op: op, c: c, total: int64(c.b.Len())}
+		if err := s.add(c.b, c.b.Len()); err != nil {
+			return nil, err
+		}
+		if out, err := s.result(c.b.Name); s.spillErr == nil {
+			return out, err
+		}
+		spillFallbacks.Add(1)
+	}
 	if c.arena == nil {
-		return c.b.groupByBudget(op.cols, op.aggs, c.sc, c.budget, c.spillDir)
+		return c.b.GroupBy(op.cols, op.aggs, c.sc)
 	}
 	g, err := c.b.newGrouping(op.cols, op.aggs)
 	if err != nil {

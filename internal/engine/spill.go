@@ -2,13 +2,10 @@ package engine
 
 // Grace-style spill-to-disk for hash join and group-by. When a memory
 // budget is set and the estimated hash-table footprint of an operator
-// exceeds it, the operator partitions its inputs by a hash of the key —
-// of the uint64 key code where the group-by has one (the vector the
-// in-memory hash table keys on, computed once for the whole block),
-// otherwise of the binary key encoding — writes the partitions to a
-// temporary directory, and processes them one at a time — so peak
-// memory is roughly 1/P of the unbounded build. Output is
-// byte-identical to the in-memory path:
+// exceeds it, the operator partitions its input rows by a hash of the
+// key into P partitions of one spill file (spillRuns), then processes
+// the partitions one at a time — so peak hash state is roughly 1/P of
+// the unbounded build. Output is byte-identical to the in-memory path:
 //
 //   - Join: the in-memory path emits probe rows in logical order, and
 //     within one probe row its build matches in build-scan order. Each
@@ -17,23 +14,26 @@ package engine
 //     order. A counting-placement merge (per-probe-row offsets from a
 //     prefix sum over match counts) then restores global probe order
 //     exactly.
-//   - Group-by: a group's rows land wholly in one partition, in scan
-//     order, so per-group float accumulation is bit-identical; groups
-//     are globally ordered by the logical index of their first
-//     appearance, reproducing first-appearance order.
+//   - Group-by: a record carries what the grouping reads — the key
+//     values, every aggregate input, and the row's logical index — so a
+//     partition reads back as a dense block of its own rows and is
+//     grouped by the in-memory operators. A group's rows land wholly in
+//     one partition, in scan order, so per-group float accumulation is
+//     bit-identical; groups are globally ordered by the logical index of
+//     their first appearance, reproducing first-appearance order.
 //
 // Spill I/O failures are not fatal: the operator falls back to the
 // in-memory path (counted by colstore.spill_fallbacks), trading the
 // budget for completion.
 
 import (
-	"bufio"
 	"encoding/binary"
-	"fmt"
+	"errors"
 	"io"
+	"math"
 	"math/bits"
 	"os"
-	"path/filepath"
+	"slices"
 	"sort"
 )
 
@@ -44,7 +44,8 @@ const hashEntryBytes = 48
 
 // estHashBytes estimates the hash-table footprint of building on b's
 // key columns: per-row bucket overhead, eight bytes per fixed-width
-// key, and the summed byte length of string keys.
+// key, and the summed byte length of string keys. It is additive over
+// row-disjoint blocks, so a stream can keep a running total.
 func estHashBytes(b *ColumnBlock, keyIdx []int) int64 {
 	n := int64(b.Len())
 	est := n * hashEntryBytes
@@ -61,21 +62,9 @@ func estHashBytes(b *ColumnBlock, keyIdx []int) int64 {
 	return est
 }
 
-// spillTempDir creates a fresh scratch directory for one spill run,
-// creating the configured parent first (a spill dir named before any
-// spill happens need not exist yet).
-func spillTempDir(dir string) (string, error) {
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return "", err
-		}
-	}
-	return os.MkdirTemp(dir, "mdspill-*")
-}
-
 // spillPartitionCount picks a power-of-two partition count so each
 // partition's estimated build fits the budget, clamped to [2, 128]
-// (beyond 128 the per-partition file overhead dominates any win).
+// (beyond 128 the per-partition overhead dominates any win).
 func spillPartitionCount(est, budget int64) int {
 	p := 2
 	for int64(p) < 128 && est/int64(p) > budget {
@@ -101,6 +90,152 @@ func fnv64aBytes(b []byte) uint64 {
 		h *= 1099511628211
 	}
 	return h
+}
+
+// --- the spill file ---
+
+// spillFile is where one spilling operator's partitions go: written as
+// runs at offsets spillRuns chooses and read back by offset. An
+// *os.File is one; tests hand in one that fails.
+type spillFile interface {
+	io.WriterAt
+	io.ReaderAt
+	io.Closer
+}
+
+// tempSpill is a scratch file that removes itself when closed.
+type tempSpill struct{ *os.File }
+
+func (t tempSpill) Close() error {
+	err := t.File.Close()
+	if rerr := os.Remove(t.Name()); err == nil {
+		err = rerr
+	}
+	return err
+}
+
+// openSpillFile creates a scratch spill file under dir ("" = the OS
+// temp dir), creating dir first: a spill dir named before any spill
+// happens need not exist yet.
+func openSpillFile(dir string) (spillFile, error) {
+	if dir != "" {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return nil, err
+		}
+	}
+	f, err := os.CreateTemp(dir, "mdspill-*")
+	if err != nil {
+		return nil, err
+	}
+	return tempSpill{f}, nil
+}
+
+// spillRunBytes is the size of one partition's window of the slab, and
+// so of the runs it is written out as; spillRecordRoom is the room a
+// window keeps for the record being appended to it. A longer record
+// grows its window off the slab, which costs one copy.
+const (
+	spillRunBytes   = 32 << 10
+	spillRecordRoom = 256
+)
+
+// spillRuns keeps P partitions in one spill file. Each partition's
+// records are encoded straight into its own window of one slab; a full
+// window is written at the end of the file as one run, so a partition
+// is the sequence of its runs. A record never straddles two runs.
+type spillRuns struct {
+	f    spillFile
+	win  [][]byte   // partition p's pending records
+	runs [][]extent // partition p's runs, in write order
+	end  int64      // bytes written so far
+}
+
+type extent struct{ off, n int64 }
+
+func newSpillRuns(f spillFile, p int) *spillRuns {
+	slab := make([]byte, p*spillRunBytes)
+	r := &spillRuns{f: f, win: make([][]byte, p), runs: make([][]extent, p)}
+	for i := range r.win {
+		r.win[i] = slab[i*spillRunBytes : i*spillRunBytes : (i+1)*spillRunBytes]
+	}
+	return r
+}
+
+// window returns partition p's window with room for one more record,
+// written out first if it is nearly full. The caller appends the record
+// and stores the window back in win[p].
+func (r *spillRuns) window(p int) ([]byte, error) {
+	w := r.win[p]
+	if cap(w)-len(w) >= spillRecordRoom {
+		return w, nil
+	}
+	return w[:0], r.write(p, w)
+}
+
+// write appends b to the file as a run of partition p.
+func (r *spillRuns) write(p int, b []byte) error {
+	if len(b) == 0 {
+		return nil
+	}
+	if _, err := r.f.WriteAt(b, r.end); err != nil {
+		return err
+	}
+	r.runs[p] = append(r.runs[p], extent{r.end, int64(len(b))})
+	r.end += int64(len(b))
+	return nil
+}
+
+// flush writes every pending window and counts the file's bytes as
+// spilled.
+func (r *spillRuns) flush() error {
+	for p, w := range r.win {
+		if err := r.write(p, w); err != nil {
+			return err
+		}
+		r.win[p] = w[:0]
+	}
+	spillBytes.Add(r.end)
+	return nil
+}
+
+// each reads partition p's runs in turn into buf (reused) and hands
+// each to fn; a run holds whole records.
+func (r *spillRuns) each(p int, buf []byte, fn func(run []byte) error) ([]byte, error) {
+	for _, e := range r.runs[p] {
+		if int64(cap(buf)) < e.n {
+			buf = make([]byte, e.n)
+		}
+		if _, err := r.f.ReadAt(buf[:e.n], e.off); err != nil {
+			return buf, err
+		}
+		if err := fn(buf[:e.n]); err != nil {
+			return buf, err
+		}
+	}
+	return buf, nil
+}
+
+var errMalformedSpill = errors.New("engine: malformed spill record")
+
+// --- join ---
+
+// A join record is a row's logical index and its binary join key,
+// length-prefixed. The blocks stay in memory: only the hash index
+// spills.
+func appendJoinRecord(w []byte, logical int, key []byte) []byte {
+	w = binary.AppendUvarint(binary.AppendUvarint(w, uint64(logical)), uint64(len(key)))
+	return append(w, key...)
+}
+
+// cutJoinRecord splits one join record off the front of b.
+func cutJoinRecord(b []byte) (logical int32, key, rest []byte, err error) {
+	i, n := binary.Uvarint(b)
+	k, m := binary.Uvarint(b[max(n, 0):])
+	if n <= 0 || m <= 0 || uint64(len(b)-n-m) < k {
+		return 0, nil, nil, errMalformedSpill
+	}
+	b = b[n+m:]
+	return int32(i), b[:k], b[k:], nil
 }
 
 // joinPairs computes hash equi-join match pairs like equiJoinIdx, but
@@ -139,108 +274,80 @@ func spillJoinIdx(l, r *ColumnBlock, li, ri int, buildLeft bool, sc *Scratch, bu
 		return lidx, ridx, nil
 	}
 
-	tmp, err := spillTempDir(dir)
+	f, err := openSpillFile(dir)
 	if err != nil {
 		return nil, nil, err
 	}
-	defer os.RemoveAll(tmp)
+	defer f.Close()
 
+	// Partitions [0, P) hold the build side's records, [P, 2P) the probe
+	// side's; the probe's logical index drives the order-restoring merge.
 	P := spillPartitionCount(estHashBytes(build, []int{bi}), budget)
-	bparts, err := newSpillParts(tmp, "build", P)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer bparts.close()
-	pparts, err := newSpillParts(tmp, "probe", P)
-	if err != nil {
-		return nil, nil, err
-	}
-	defer pparts.close()
-
-	// Partition the build side: records of (phys, key).
+	runs := newSpillRuns(f, 2*P)
 	key := sc.keyBuf()
-	for i, n := 0, build.Len(); i < n; i++ {
-		key = build.appendKeyAt(key[:0], i, bi)
-		p := fnv64aBytes(key) & uint64(P-1)
-		if err := bparts.record(p, uint64(build.phys(i)), key); err != nil {
-			sc.putKey(key)
-			return nil, nil, err
+	side := func(b *ColumnBlock, j, first int) error {
+		for i, n := 0, b.Len(); i < n; i++ {
+			key = b.appendKeyAt(key[:0], i, j)
+			p := first + int(fnv64aBytes(key)&uint64(P-1))
+			w, err := runs.window(p)
+			if err != nil {
+				return err
+			}
+			runs.win[p] = appendJoinRecord(w, i, key)
 		}
+		return nil
 	}
-	// Partition the probe side: records of (logical, phys, key). The
-	// logical index drives the order-restoring merge.
-	for i, n := 0, probe.Len(); i < n; i++ {
-		key = probe.appendKeyAt(key[:0], i, pi)
-		p := fnv64aBytes(key) & uint64(P-1)
-		if err := pparts.record2(p, uint64(i), uint64(probe.phys(i)), key); err != nil {
-			sc.putKey(key)
-			return nil, nil, err
-		}
+	err = side(build, bi, 0)
+	if err == nil {
+		err = side(probe, pi, P)
 	}
 	sc.putKey(key)
-	if err := bparts.flush(); err != nil {
+	if err == nil {
+		err = runs.flush()
+	}
+	if err != nil {
 		return nil, nil, err
 	}
-	if err := pparts.flush(); err != nil {
-		return nil, nil, err
-	}
-	spillPartitions.Add(int64(P))
-	spillBytes.Add(bparts.bytes + pparts.bytes)
 
-	// Process partitions in index order, collecting match pairs and
-	// per-probe-row match counts.
-	type pair struct{ pl, pp, bp int32 }
+	// Process partitions in index order, collecting match pairs of
+	// logical rows and per-probe-row match counts.
+	type pair struct{ pl, bl int32 }
 	pairs := make([][]pair, P)
 	counts := make([]int32, probe.Len())
-	var keyBuf []byte
+	var buf []byte
 	for p := 0; p < P; p++ {
-		br, err := bparts.reader(p)
-		if err != nil {
-			return nil, nil, err
-		}
 		ht := make(map[string][]int32)
-		for {
-			phys, ok, err := readUvarintEOF(br)
-			if !ok {
+		buf, err = runs.each(p, buf, func(run []byte) error {
+			for len(run) > 0 {
+				bl, k, next, err := cutJoinRecord(run)
 				if err != nil {
-					return nil, nil, err
+					return err
 				}
-				break
+				ht[string(k)] = append(ht[string(k)], bl)
+				run = next
 			}
-			keyBuf, err = readKey(br, keyBuf)
-			if err != nil {
-				return nil, nil, err
-			}
-			ht[string(keyBuf)] = append(ht[string(keyBuf)], int32(phys))
-		}
-		pr, err := pparts.reader(p)
+			return nil
+		})
 		if err != nil {
 			return nil, nil, err
 		}
-		for {
-			logical, ok, err := readUvarintEOF(pr)
-			if !ok {
+		buf, err = runs.each(P+p, buf, func(run []byte) error {
+			for len(run) > 0 {
+				pl, k, next, err := cutJoinRecord(run)
 				if err != nil {
-					return nil, nil, err
+					return err
 				}
-				break
+				matches := ht[string(k)]
+				counts[pl] += int32(len(matches))
+				for _, bl := range matches {
+					pairs[p] = append(pairs[p], pair{pl, bl})
+				}
+				run = next
 			}
-			phys, err := binary.ReadUvarint(pr)
-			if err != nil {
-				return nil, nil, err
-			}
-			keyBuf, err = readKey(pr, keyBuf)
-			if err != nil {
-				return nil, nil, err
-			}
-			matches := ht[string(keyBuf)]
-			if len(matches) == 0 {
-				continue
-			}
-			counts[logical] += int32(len(matches))
-			for _, bp := range matches {
-				pairs[p] = append(pairs[p], pair{pl: int32(logical), pp: int32(phys), bp: bp})
-			}
+			return nil
+		})
+		if err != nil {
+			return nil, nil, err
 		}
 	}
 
@@ -258,104 +365,166 @@ func spillJoinIdx(l, r *ColumnBlock, li, ri int, buildLeft bool, sc *Scratch, bu
 		for _, pr := range pairs[p] {
 			k := offsets[pr.pl]
 			offsets[pr.pl]++
+			pp, bp := int32(probe.phys(int(pr.pl))), int32(build.phys(int(pr.bl)))
 			if swapped {
-				lidx[k], ridx[k] = pr.bp, pr.pp
+				lidx[k], ridx[k] = bp, pp
 			} else {
-				lidx[k], ridx[k] = pr.pp, pr.bp
+				lidx[k], ridx[k] = pp, bp
 			}
 		}
 	}
+	spillPartitions.Add(int64(P))
 	return lidx, ridx, nil
 }
 
-// spillGroupBy is the Grace-partitioned counterpart of the in-memory
-// group-by: logical rows are partitioned by composite-key hash, each
-// partition is grouped and aggregated as a sub-block (bounding the
-// group hash table), and the partial groups — complete groups, since a
-// key maps to exactly one partition — merge in global first-appearance
-// order. Keyless group-bys never take this path (one global group
-// needs no hash table).
-func (b *ColumnBlock) spillGroupBy(g *grouping, sc *Scratch, budget int64, dir string) (*ColumnBlock, error) {
-	tmp, err := spillTempDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	defer os.RemoveAll(tmp)
+// --- group-by ---
 
-	P := spillPartitionCount(estHashBytes(b, g.keyIdx), budget)
-	parts, err := newSpillParts(tmp, "group", P)
-	if err != nil {
-		return nil, err
-	}
-	defer parts.close()
+// groupSpill partitions a group-by's input rows, block by block, into
+// one spill file, and aggregates it partition by partition. A record is
+// the row's logical index (as a delta from the partition's previous
+// record), then each column the grouping reads, once: int and float as
+// their eight bytes (floats by bit pattern, so NaN payloads and −0
+// survive), a bool as one byte, a string length-prefixed.
+type groupSpill struct {
+	g      *grouping // over the input blocks
+	sub    *grouping // the same grouping over a partition's block
+	cols   []int     // the input columns a record carries
+	schema Schema    // their schema: a partition's block's
+	runs   *spillRuns
+	rows   int64   // input rows partitioned so far
+	last   []int64 // per partition, the logical index of its last record
+	n      []int   // per partition, its record count
+}
 
-	n := b.Len()
-	var codes []uint64
-	if len(g.keyIdx) == 1 {
-		if c := sc.codesBuf(n, 0); b.keyCodes(g.keyIdx[0], c) {
-			codes = c
+func newGroupSpill(g *grouping, in Schema, P int, f spillFile) *groupSpill {
+	s := &groupSpill{g: g, runs: newSpillRuns(f, P), last: make([]int64, P), n: make([]int, P)}
+	s.sub = &grouping{aggs: g.aggs, schema: g.schema}
+	at := make([]int, len(in)) // input column → 1 + its place in a record
+	carry := func(j int) int {
+		if j < 0 {
+			return j // COUNT reads no column
 		}
+		if at[j] == 0 {
+			s.cols, s.schema = append(s.cols, j), append(s.schema, in[j])
+			at[j] = len(s.cols)
+		}
+		return at[j] - 1
 	}
-	if codes != nil {
-		// Equal keys have equal codes, so a hash of the code keeps a
-		// group whole.
-		for i, c := range codes {
-			if err := parts.record(codePartition(c, P), uint64(i), nil); err != nil {
-				return nil, err
+	for _, j := range g.keyIdx {
+		s.sub.keyIdx = append(s.sub.keyIdx, carry(j))
+	}
+	for _, j := range g.aggIdx {
+		s.sub.aggIdx = append(s.sub.aggIdx, carry(j))
+	}
+	return s
+}
+
+// add partitions b's rows, which follow every row added before.
+func (s *groupSpill) add(b *ColumnBlock, sc *Scratch) error {
+	for i, p := range s.partitionsOf(b, sc) {
+		w, err := s.runs.window(int(p))
+		if err != nil {
+			return err
+		}
+		at, ph := s.rows+int64(i), b.phys(i)
+		w = binary.AppendUvarint(w, uint64(at-s.last[p]))
+		s.last[p], s.n[p] = at, s.n[p]+1
+		for _, j := range s.cols {
+			switch cv := &b.cols[j]; b.Schema[j].Type {
+			case TypeInt:
+				w = binary.LittleEndian.AppendUint64(w, uint64(cv.ints[ph]))
+			case TypeFloat:
+				w = binary.LittleEndian.AppendUint64(w, math.Float64bits(cv.floats[ph]))
+			case TypeString:
+				w = append(binary.AppendUvarint(w, uint64(len(cv.strs[ph]))), cv.strs[ph]...)
+			case TypeBool:
+				w = append(w, boolByte(cv.bools[ph]))
 			}
 		}
-	} else {
-		key := sc.keyBuf()
-		for i := 0; i < n; i++ {
-			key = key[:0]
-			for _, j := range g.keyIdx {
-				key = b.appendKeyAt(key, i, j)
-			}
-			if err := parts.record(fnv64aBytes(key)&uint64(P-1), uint64(i), nil); err != nil {
-				sc.putKey(key)
-				return nil, err
-			}
-		}
-		sc.putKey(key)
+		s.runs.win[p] = w
 	}
-	if err := parts.flush(); err != nil {
+	s.rows += int64(b.Len())
+	return nil
+}
+
+func boolByte(v bool) byte {
+	if v {
+		return 1
+	}
+	return 0
+}
+
+// partitionsOf returns the partition of every logical row of b, in a
+// scratch buffer: a mix of the value for one int key, the FNV-1a hash
+// of the binary key encoding otherwise. Equal keys get equal
+// partitions.
+func (s *groupSpill) partitionsOf(b *ColumnBlock, sc *Scratch) []uint64 {
+	parts := sc.codesBuf(b.Len(), 0)
+	if j := s.g.keyIdx[0]; len(s.g.keyIdx) == 1 && b.Schema[j].Type == TypeInt {
+		ints := b.cols[j].ints
+		for i := range parts {
+			parts[i] = codePartition(uint64(ints[b.phys(i)]), len(s.n))
+		}
+		return parts
+	}
+	key := sc.keyBuf()
+	for i := range parts {
+		key = key[:0]
+		for _, j := range s.g.keyIdx {
+			key = b.appendKeyAt(key, i, j)
+		}
+		parts[i] = fnv64aBytes(key) & uint64(len(s.n)-1)
+	}
+	sc.putKey(key)
+	return parts
+}
+
+// result aggregates each partition as a block of its own rows — complete
+// groups, since a key maps to exactly one partition — and merges the
+// partial groups in global first-appearance order.
+func (s *groupSpill) result(name string, sc *Scratch) (*ColumnBlock, error) {
+	if err := s.runs.flush(); err != nil {
 		return nil, err
 	}
-	spillPartitions.Add(int64(P))
-	spillBytes.Add(parts.bytes)
-
-	// Each partition aggregates to a block of complete groups; first[k]
-	// is the global logical index of the first row of the k-th group
-	// across the concatenated partition outputs.
+	// One block, sized for the largest partition, holds each partition
+	// in turn; the aggregates copy what they keep.
+	most := slices.Max(s.n)
+	blk := &ColumnBlock{Name: name, Schema: s.schema, cols: make([]colvec, len(s.schema))}
+	for k, c := range s.schema {
+		blk.cols[k] = zeroColvec(c.Type, most)
+	}
+	logical, gids := make([]int64, 0, most), make([]int32, most)
+	var raw []byte
+	var first []int64
 	var partials []*ColumnBlock
-	var first []int32
-	for p := 0; p < P; p++ {
-		logical, err := parts.readIndexes(p)
+	for p, n := range s.n {
+		if n == 0 {
+			continue
+		}
+		for k := range blk.cols {
+			cv := &blk.cols[k]
+			cv.ints, cv.floats, cv.strs, cv.bools = cv.ints[:0], cv.floats[:0], cv.strs[:0], cv.bools[:0]
+		}
+		logical = logical[:0]
+		var err error
+		raw, err = s.runs.each(p, raw, func(run []byte) error {
+			logical, err = s.decode(run, blk, logical)
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
-		if len(logical) == 0 {
-			continue
-		}
-		physSel := make([]int32, len(logical))
-		for k, li := range logical {
-			physSel[k] = int32(b.phys(int(li)))
-		}
-		sub := b.withSel(physSel)
-		gids, firstP := sub.groupIDs(g.keyIdx, sc)
-		partials = append(partials, sub.aggregateGroups(g, gids, firstP, len(firstP)))
-		// Group ids are assigned in first-appearance order, so the first
-		// occurrence of id g in gids is group g's first row; partition
-		// scan order preserves global logical order.
-		next := int32(0)
-		for k, gid := range gids {
-			if gid == next {
-				first = append(first, logical[k])
-				next++
-			}
+		blk.nrows = len(logical)
+		var firstP []int32
+		gids, firstP = blk.groupIDs(s.sub.keyIdx, sc, gids)
+		partials = append(partials, blk.aggregateGroups(s.sub, gids, firstP, len(firstP)))
+		// blk is dense, so a group's first physical row is its first
+		// row in the partition, which is in global logical order.
+		for _, fp := range firstP {
+			first = append(first, logical[fp])
 		}
 	}
-	out, err := concatBlocks(b.Name+"_group", g.schema, partials)
+	out, err := concatBlocks(name+"_group", s.g.schema, partials)
 	if err != nil {
 		return nil, err
 	}
@@ -364,7 +533,63 @@ func (b *ColumnBlock) spillGroupBy(g *grouping, sc *Scratch, budget int64, dir s
 		order[k] = int32(k)
 	}
 	sort.Slice(order, func(x, y int) bool { return first[order[x]] < first[order[y]] })
+	spillPartitions.Add(int64(len(s.n)))
 	return out.withSel(order), nil
+}
+
+// decode appends one run's records to blk's vectors and their logical
+// indexes to logical, which holds the partition's earlier records.
+// String values are substrings of one conversion of the run.
+func (s *groupSpill) decode(run []byte, blk *ColumnBlock, logical []int64) ([]int64, error) {
+	var strs string
+	if slices.ContainsFunc(s.schema, func(c Column) bool { return c.Type == TypeString }) {
+		strs = string(run)
+	}
+	var at int64
+	if len(logical) > 0 {
+		at = logical[len(logical)-1]
+	}
+	for off := 0; off < len(run); {
+		d, w := binary.Uvarint(run[off:])
+		if w <= 0 {
+			return nil, errMalformedSpill
+		}
+		off += w
+		at += int64(d)
+		logical = append(logical, at)
+		for k, c := range s.schema {
+			cv := &blk.cols[k]
+			switch c.Type {
+			case TypeInt:
+				if len(run)-off < 8 {
+					return nil, errMalformedSpill
+				}
+				cv.ints = append(cv.ints, int64(binary.LittleEndian.Uint64(run[off:])))
+				off += 8
+			case TypeFloat:
+				if len(run)-off < 8 {
+					return nil, errMalformedSpill
+				}
+				cv.floats = append(cv.floats, math.Float64frombits(binary.LittleEndian.Uint64(run[off:])))
+				off += 8
+			case TypeString:
+				n, w := binary.Uvarint(run[off:])
+				if w <= 0 || uint64(len(run)-off-w) < n {
+					return nil, errMalformedSpill
+				}
+				off += w
+				cv.strs = append(cv.strs, strs[off:off+int(n)])
+				off += int(n)
+			case TypeBool:
+				if off >= len(run) {
+					return nil, errMalformedSpill
+				}
+				cv.bools = append(cv.bools, run[off] != 0)
+				off++
+			}
+		}
+	}
+	return logical, nil
 }
 
 // growIdx resizes a scratch index buffer to length n, reusing capacity.
@@ -373,137 +598,4 @@ func growIdx(s []int32, n int) []int32 {
 		return make([]int32, n)
 	}
 	return s[:n]
-}
-
-// spillParts manages one side's P partition files. Records batch in a
-// per-partition buffer and reach the file spillFlushBytes at a time.
-type spillParts struct {
-	files []*os.File
-	bufs  [][]byte
-	bytes int64
-}
-
-// spillFlushBytes is the size a partition's record buffer is written
-// out at.
-const spillFlushBytes = 32 << 10
-
-func newSpillParts(dir, name string, p int) (*spillParts, error) {
-	sp := &spillParts{files: make([]*os.File, 0, p), bufs: make([][]byte, p)}
-	for i := 0; i < p; i++ {
-		f, err := os.Create(filepath.Join(dir, fmt.Sprintf("%s-%03d.part", name, i)))
-		if err != nil {
-			sp.close()
-			return nil, err
-		}
-		sp.files = append(sp.files, f)
-	}
-	return sp, nil
-}
-
-// record writes (a, key) to partition p; a nil key writes just a.
-func (sp *spillParts) record(p, a uint64, key []byte) error {
-	buf := binary.AppendUvarint(sp.bufs[p], a)
-	if key != nil {
-		buf = appendSpillKey(buf, key)
-	}
-	return sp.put(p, buf)
-}
-
-// record2 writes (a, b, key) to partition p.
-func (sp *spillParts) record2(p, a, b uint64, key []byte) error {
-	buf := binary.AppendUvarint(binary.AppendUvarint(sp.bufs[p], a), b)
-	return sp.put(p, appendSpillKey(buf, key))
-}
-
-func appendSpillKey(buf, key []byte) []byte {
-	return append(binary.AppendUvarint(buf, uint64(len(key))), key...)
-}
-
-// put stores partition p's extended buffer, writing it out once full.
-func (sp *spillParts) put(p uint64, buf []byte) error {
-	sp.bytes += int64(len(buf) - len(sp.bufs[p]))
-	if len(buf) >= spillFlushBytes {
-		if _, err := sp.files[p].Write(buf); err != nil {
-			return err
-		}
-		buf = buf[:0]
-	}
-	sp.bufs[p] = buf
-	return nil
-}
-
-func (sp *spillParts) flush() error {
-	for p, buf := range sp.bufs {
-		if _, err := sp.files[p].Write(buf); err != nil {
-			return err
-		}
-		sp.bufs[p] = buf[:0]
-	}
-	return nil
-}
-
-// reader rewinds partition p's file and returns a buffered reader over
-// it. Writers must have been flushed.
-func (sp *spillParts) reader(p int) (*bufio.Reader, error) {
-	if _, err := sp.files[p].Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	return bufio.NewReader(sp.files[p]), nil
-}
-
-// readIndexes reads partition p as a plain uvarint sequence (the
-// group-by spill layout).
-func (sp *spillParts) readIndexes(p int) ([]int32, error) {
-	if _, err := sp.files[p].Seek(0, io.SeekStart); err != nil {
-		return nil, err
-	}
-	raw, err := io.ReadAll(sp.files[p])
-	if err != nil {
-		return nil, err
-	}
-	var out []int32
-	for len(raw) > 0 {
-		v, w := binary.Uvarint(raw)
-		if w <= 0 {
-			return nil, fmt.Errorf("engine: malformed spill record in %s", sp.files[p].Name())
-		}
-		out = append(out, int32(v))
-		raw = raw[w:]
-	}
-	return out, nil
-}
-
-func (sp *spillParts) close() {
-	for _, f := range sp.files {
-		f.Close() //lint:allow errdrop scratch files about to be removed; reads already completed or failed
-	}
-}
-
-// readUvarintEOF reads one uvarint, reporting ok=false at a clean EOF
-// (err nil) or on a real error (err set).
-func readUvarintEOF(r *bufio.Reader) (uint64, bool, error) {
-	v, err := binary.ReadUvarint(r)
-	if err == io.EOF {
-		return 0, false, nil
-	}
-	if err != nil {
-		return 0, false, err
-	}
-	return v, true, nil
-}
-
-// readKey reads a uvarint-length-prefixed key into buf (reused).
-func readKey(r *bufio.Reader, buf []byte) ([]byte, error) {
-	n, err := binary.ReadUvarint(r)
-	if err != nil {
-		return buf, err
-	}
-	if uint64(cap(buf)) < n {
-		buf = make([]byte, n)
-	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return buf, err
-	}
-	return buf, nil
 }

@@ -5,9 +5,13 @@ package engine
 // unlimited in-memory operators, trial after trial.
 
 import (
+	"context"
+	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
+	"modeldata/internal/engine/plan"
 	"modeldata/internal/rng"
 )
 
@@ -162,4 +166,184 @@ func TestSpillPartitionCount(t *testing.T) {
 			t.Fatalf("spillPartitionCount(%d, %d) = %d, want %d", tc.est, tc.budget, got, tc.want)
 		}
 	}
+}
+
+// The storage-source twin of TestSpillBadDirFallsBack: a streamed
+// group-by that cannot create its spill file at the crossing keeps
+// buffering and groups in memory.
+func TestSpillStreamBadDirFallsBack(t *testing.T) {
+	tbl := randomTable(rng.New(13), "f", 100)
+	aggs := []Aggregate{{Fn: AggCount, As: "n"}, {Fn: AggSum, Col: "x", As: "sx"}}
+	want, err := From(tbl).GroupBy([]string{"id"}, aggs...).Run()
+	if err != nil {
+		t.Fatalf("unlimited: %v", err)
+	}
+	fb := spillFallbacks.Value()
+	got, err := FromStorage(tbl).GroupBy([]string{"id"}, aggs...).
+		WithMemoryBudget(1).WithSpillDir("/dev/null/not-a-dir").Run()
+	if err != nil {
+		t.Fatalf("bad spill dir should fall back in-memory, got %v", err)
+	}
+	if spillFallbacks.Value() != fb+1 {
+		t.Fatalf("colstore.spill_fallbacks moved by %d, want 1", spillFallbacks.Value()-fb)
+	}
+	requireSameTable(t, "fallback group-by", want, got)
+}
+
+// memSpill is a spill file in memory whose writes fail once they would
+// take it past failAfter bytes (never when negative), and whose reads
+// fail when failRead is set.
+type memSpill struct {
+	buf       []byte
+	failAfter int
+	failRead  bool
+}
+
+var errSpillTest = errors.New("memSpill: injected I/O error")
+
+func (m *memSpill) WriteAt(p []byte, off int64) (int, error) {
+	end := int(off) + len(p)
+	if m.failAfter >= 0 && end > m.failAfter {
+		return 0, errSpillTest
+	}
+	if end > len(m.buf) {
+		m.buf = append(m.buf, make([]byte, end-len(m.buf))...)
+	}
+	return copy(m.buf[off:], p), nil
+}
+
+func (m *memSpill) ReadAt(p []byte, off int64) (int, error) {
+	if m.failRead || int(off)+len(p) > len(m.buf) {
+		return 0, errSpillTest
+	}
+	return copy(p, m.buf[off:]), nil
+}
+
+func (m *memSpill) Close() error { return nil }
+
+// chunked serves a table as a Storage of dense partitions of n rows and
+// counts the scans made of it.
+type chunked struct {
+	*Table
+	n     int
+	scans int
+}
+
+func (c *chunked) ScanPartitions(ctx context.Context, cols []string, pred plan.Expr) (PartitionIter, error) {
+	c.scans++
+	it, err := c.Table.ScanPartitions(ctx, cols, pred)
+	if err != nil {
+		return nil, err
+	}
+	b, err := it.Next()
+	if err != nil {
+		return nil, err
+	}
+	ch := &chunkIter{}
+	for lo := 0; lo < b.Len(); lo += c.n {
+		sel := make([]int32, 0, c.n)
+		for i := lo; i < lo+c.n && i < b.Len(); i++ {
+			sel = append(sel, int32(i))
+		}
+		ch.parts = append(ch.parts, b.withSel(sel).Dense())
+	}
+	return ch, nil
+}
+
+type chunkIter struct{ parts []*ColumnBlock }
+
+func (it *chunkIter) Next() (*ColumnBlock, error) {
+	if len(it.parts) == 0 {
+		return nil, nil
+	}
+	b := it.parts[0]
+	it.parts = it.parts[1:]
+	return b, nil
+}
+
+func (it *chunkIter) Stats() ScanStats { return ScanStats{} }
+
+// fatTable has records longer than a window's spare room (long
+// strings) over few groups, so windows fill and runs reach the spill
+// file while rows are still being added.
+func fatTable(n int) *Table {
+	t := MustNewTable("fat", Schema{{Name: "k", Type: TypeInt}, {Name: "s", Type: TypeString}, {Name: "x", Type: TypeFloat}})
+	for i := 0; i < n; i++ {
+		s := strings.Repeat(string(rune('a'+i%26)), 300+i%700)
+		t.MustInsert(Int(int64(i%5)), Str(s), Float(float64(i)/3))
+	}
+	return t
+}
+
+// A streamed group-by whose spill fails still answers as the in-memory
+// group-by does and counts one colstore.spill_fallbacks: with no spill
+// file at the crossing it keeps buffering; once rows have reached the
+// file — a write or a read failing — it scans the storage again.
+func TestSpillStreamFallsBack(t *testing.T) {
+	tbl := fatTable(400)
+	aggs := []Aggregate{{Fn: AggCount, As: "n"}, {Fn: AggMax, Col: "s", As: "ms"}, {Fn: AggSum, Col: "x", As: "sx"}}
+	want, err := From(tbl).WhereFloat("x", func(v float64) bool { return v > 5 }).GroupBy([]string{"k"}, aggs...).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name          string
+		open          func(string) (spillFile, error)
+		scans, fbacks int
+	}{
+		{"spills", func(string) (spillFile, error) { return &memSpill{failAfter: -1}, nil }, 1, 0},
+		{"no spill file", func(string) (spillFile, error) { return nil, errSpillTest }, 1, 1},
+		{"write fails mid-stream", func(string) (spillFile, error) { return &memSpill{failAfter: 40 << 10}, nil }, 2, 1},
+		{"read fails", func(string) (spillFile, error) { return &memSpill{failAfter: -1, failRead: true}, nil }, 2, 1},
+	}
+	for _, tc := range cases {
+		st := &chunked{Table: tbl, n: 64}
+		q := FromStorage(st).WhereFloat("x", func(v float64) bool { return v > 5 }).GroupBy([]string{"k"}, aggs...)
+		// The budget crosses in the second partition.
+		ch := &chain{sc: NewScratch(), budget: 100 * hashEntryBytes, openSpill: tc.open}
+		fb, parts := spillFallbacks.Value(), spillPartitions.Value()
+		start, err := q.source(ch, true)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if start != len(q.ops) {
+			t.Fatalf("%s: source applied %d ops, want the group-by too (%d)", tc.name, start, len(q.ops))
+		}
+		if st.scans != tc.scans || spillFallbacks.Value()-fb != int64(tc.fbacks) {
+			t.Fatalf("%s: %d scans and %d fallbacks, want %d and %d",
+				tc.name, st.scans, spillFallbacks.Value()-fb, tc.scans, tc.fbacks)
+		}
+		if spilled := spillPartitions.Value() > parts; spilled != (tc.fbacks == 0) {
+			t.Fatalf("%s: spilled=%v", tc.name, spilled)
+		}
+		requireSameTable(t, tc.name, want, ch.b.ToTable())
+
+		// A group-by over an in-memory state falls back without a rescan.
+		tq := From(tbl).GroupBy([]string{"k"}, aggs...)
+		ch = &chain{b: mustBlock(t, tbl), sc: NewScratch(), budget: 1, openSpill: tc.open}
+		fb = spillFallbacks.Value()
+		out, err := ch.groupBy(tq.ops[0])
+		if err != nil || spillFallbacks.Value()-fb != int64(tc.fbacks) {
+			t.Fatalf("%s, in-memory state: %v, %d fallbacks", tc.name, err, spillFallbacks.Value()-fb)
+		}
+		requireSameTable(t, tc.name+", in-memory state", tq.MustRun(), out.ToTable())
+	}
+}
+
+// Records longer than a window's spare room grow their window off the
+// slab; a long join key does the same on the join's side.
+func TestSpillLongRecords(t *testing.T) {
+	tbl := fatTable(300)
+	aggs := []Aggregate{{Fn: AggMin, Col: "s", As: "mn"}, {Fn: AggAvg, Col: "x", As: "ax"}}
+	want := From(tbl).GroupBy([]string{"s"}, aggs...).MustRun()
+	got := From(tbl).GroupBy([]string{"s"}, aggs...).WithMemoryBudget(1).WithSpillDir(t.TempDir()).MustRun()
+	requireSameTable(t, "long string keys", want, got)
+
+	dim := MustNewTable("dim", Schema{{Name: "ds", Type: TypeString}, {Name: "v", Type: TypeInt}})
+	for i := 0; i < 40; i++ {
+		dim.MustInsert(tbl.Rows[i*7][1], Int(int64(i)))
+	}
+	want = From(tbl).Join(dim, "s", "ds").MustRun()
+	got = From(tbl).Join(dim, "s", "ds").WithMemoryBudget(1).WithSpillDir(t.TempDir()).MustRun()
+	requireSameTable(t, "long string join keys", want, got)
 }

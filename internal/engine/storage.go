@@ -59,11 +59,12 @@ type Storage interface {
 }
 
 // ScanPlanner is an optional Storage refinement for EXPLAIN: it
-// predicts, without decoding data, how many partitions a scan with the
-// given pruning hint would touch and how many column blocks it would
-// prune. The on-disk store implements it from segment footers.
+// predicts, without decoding data, how many partitions a scan of cols
+// (nil = all) with the given pruning hint would touch and how many
+// column blocks it would prune — what the scan's ScanStats will report.
+// The on-disk store implements it from segment footers.
 type ScanPlanner interface {
-	PlanScan(pred plan.Expr) (partitions, blocksPruned int64)
+	PlanScan(cols []string, pred plan.Expr) (partitions, blocksPruned int64)
 }
 
 // StorageName implements Storage for the in-memory table.

@@ -116,6 +116,15 @@ var retiredTable = []retired{
 			{`fnv`, `h := fnv.New64a()`},
 		},
 	},
+	{
+		name: "One Grace group-by", pr: 29,
+		why:   "a spilled group-by writes the columns it reads as runs of one spill file and aggregates each partition from its own rows; spilling row numbers to gather back from the concatenated input, one file per partition, was the second design",
+		scope: []string{"internal/engine"},
+		lines: []offender{
+			{`readIndexes`, `logical, err := parts.readIndexes(p)`},
+			{`%03d\.part`, `f, err := os.Create(filepath.Join(dir, fmt.Sprintf("%s-%03d.part", name, i)))`},
+		},
+	},
 }
 
 // violations lists what of r is present under root, one message per
