@@ -90,7 +90,7 @@ func main() {
 	}
 }
 
-// maxStatement bounds one input line, as cmd/sqlcli does; a longer
+// maxStatement bounds one input line, as examples/sqlcli does; a longer
 // line ends the session with bufio.ErrTooLong.
 const maxStatement = 1 << 20
 

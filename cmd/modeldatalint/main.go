@@ -1,13 +1,10 @@
 // Command modeldatalint statically enforces the repository's
-// determinism, numeric-safety, and concurrency invariants. It is a
-// multichecker over the analyzers in internal/lint/suite:
+// determinism and service invariants. It is a multichecker over the
+// analyzers in internal/lint/suite:
 //
 //	rngsource      no math/rand, crypto/rand, or time.Now() outside the allowlist
 //	maporder       no map-iteration order leaking into results
-//	floateq        no ==/!= on floats outside tolerance helpers
 //	ctxplumb       long-running entry points plumb context.Context
-//	spanleak       every obs.Start reaches End on all paths
-//	lockguard      `// guarded by <mu>` fields accessed only under the lock
 //	boundedgrowth  long-lived maps/slices route through internal/lru or document a bound
 //	errdrop        no silently discarded errors
 //	ctxhttp        HTTP calls thread a context and close response bodies
@@ -18,9 +15,9 @@
 //	go run ./cmd/modeldatalint -list   # analyzer names, one per line
 //	go run ./cmd/modeldatalint -help
 //
-// Exit code contract, pinned by cmd/modeldatalint tests and relied on
-// by CI: 0 when every package is clean, 1 when unsuppressed diagnostics
-// remain, 2 when the packages could not be loaded at all. Intentional
+// Exit code contract, pinned by cmd/modeldatalint tests: 0 when every
+// package is clean, 1 when unsuppressed diagnostics remain, 2 when the
+// packages could not be loaded or do not type-check. Intentional
 // violations are suppressed in place:
 //
 //	//lint:allow <rule> <one-line reason>

@@ -31,8 +31,8 @@ func writeModule(t *testing.T, files map[string]string) string {
 	return dir
 }
 
-// TestExitCodeContract pins the 0/1/2 contract CI relies on: clean
-// module, module with a diagnostic, unloadable pattern.
+// TestExitCodeContract pins the 0/1/2 contract: clean module, module
+// with a diagnostic, unloadable pattern, unknown flag.
 func TestExitCodeContract(t *testing.T) {
 	clean := writeModule(t, map[string]string{
 		"a.go": "package a\n\nfunc A() int { return 1 }\n",
@@ -50,7 +50,7 @@ func TestExitCodeContract(t *testing.T) {
 		{"clean module exits 0", clean, []string{"./..."}, 0},
 		{"diagnostics exit 1", dirty, []string{"./..."}, 1},
 		{"load failure exits 2", clean, []string{"./no/such/dir"}, 2},
-		{"diff without fix exits 2", clean, []string{"-diff", "./..."}, 2},
+		{"unknown flag exits 2", clean, []string{"-diff", "./..."}, 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -76,7 +76,7 @@ func normalizeLogWeights(lw []float64) ([]float64, float64, error) {
 		w[i] = math.Exp(v - maxLW)
 		total += w[i]
 	}
-	if total == 0 || math.IsNaN(total) { //lint:allow floateq exact zero means every weight underflowed: the collapse being detected
+	if total == 0 || math.IsNaN(total) { // exact zero means every weight underflowed: the collapse being detected
 		return nil, 0, ErrCollapsed
 	}
 	linearSum := total * math.Exp(maxLW)
@@ -103,7 +103,7 @@ func ESS[S any](ps []Weighted[S]) float64 {
 	for _, p := range ps {
 		s += p.W * p.W
 	}
-	if s == 0 { //lint:allow floateq exact-zero guard before dividing; any nonzero sum is a valid ESS
+	if s == 0 { // exact-zero guard before dividing; any nonzero sum is a valid ESS
 		return 0
 	}
 	return 1 / s

@@ -87,7 +87,7 @@ func NelderMead(f func([]float64) float64, x0 []float64, opts NMOptions) (NMResu
 	for i := 0; i < n; i++ {
 		x := append([]float64(nil), x0...)
 		h := opts.Step * math.Abs(x[i])
-		if h == 0 { //lint:allow floateq h is Step*|x[i]|, exactly zero only when x[i] is; fall back to the absolute step
+		if h == 0 { // h is Step*|x[i]|, exactly zero only when x[i] is; fall back to the absolute step
 			h = opts.Step
 		}
 		x[i] += h

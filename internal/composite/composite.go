@@ -257,7 +257,7 @@ func synthesizeTransform(src, dst *PortSpec) (Transform, string, error) {
 	}
 	switch src.Kind {
 	case KindSeries:
-		if src.TickDelta == 0 || dst.TickDelta == 0 || src.TickDelta == dst.TickDelta { //lint:allow floateq zero is the unset sentinel and equal ticks are set verbatim, both exact by construction
+		if src.TickDelta == 0 || dst.TickDelta == 0 || src.TickDelta == dst.TickDelta { // zero is the unset sentinel and equal ticks are set verbatim, both exact by construction
 			return nil, "", nil
 		}
 		dstTick := dst.TickDelta

@@ -37,7 +37,7 @@ type eventQueue []*event
 
 func (q eventQueue) Len() int { return len(q) }
 func (q eventQueue) Less(i, j int) bool {
-	if q[i].time != q[j].time { //lint:allow floateq event order must be an exact total order; timestamp ties break by seq, never by tolerance
+	if q[i].time != q[j].time { // event order must be an exact total order; timestamp ties break by seq, never by tolerance
 		return q[i].time < q[j].time
 	}
 	return q[i].seq < q[j].seq

@@ -149,7 +149,7 @@ func OrthogonalLH29() (*LatinHypercube, error) {
 		if err != nil {
 			return nil, err
 		}
-		if lh.MaxColumnCorrelation() == 0 { //lint:allow floateq correlation of integer level columns is exactly zero when orthogonal
+		if lh.MaxColumnCorrelation() == 0 { // correlation of integer level columns is exactly zero when orthogonal
 			return lh, nil
 		}
 	}

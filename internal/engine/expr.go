@@ -152,7 +152,7 @@ func compareAt(b *ColumnBlock, j int, lit Value) (lt, gt, eq func(p int) bool) {
 		v, x := b.cols[j].floats, lit.f
 		return func(p int) bool { return v[p] < x },
 			func(p int) bool { return x < v[p] },
-			func(p int) bool { return v[p] == x } //lint:allow floateq Value.Equal on two floats is exact ==
+			func(p int) bool { return v[p] == x } // Value.Equal on two floats is exact ==
 	case typ == TypeFloat && lit.typ == TypeInt:
 		v, x := b.cols[j].floats, lit.i
 		return func(p int) bool { return floatLessInt(v[p], x) },

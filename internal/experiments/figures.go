@@ -156,7 +156,7 @@ func runF2(ctx context.Context, seed uint64) (Result, error) {
 		Row{Name: "max |measured−g|/g across α", Value: maxRelErr, Unit: "fraction"},
 		Row{Name: "efficiency gain g(1)/g(α*)", Value: composite.GAlpha(1, theory) / composite.GAlpha(astar, theory), Unit: "×"},
 	)
-	res.Verdict = maxRelErr < 0.35 && bestAlpha == astar //lint:allow floateq bestAlpha is copied from a grid that contains astar itself, so identity is exact
+	res.Verdict = maxRelErr < 0.35 && bestAlpha == astar // bestAlpha is copied from a grid that contains astar itself, so identity is exact
 	return res, nil
 }
 
@@ -241,7 +241,7 @@ func runF5(_ context.Context, _ uint64) (Result, error) { //lint:allow ctxplumb 
 			{Name: "max column correlation", Value: lh.MaxColumnCorrelation(), Unit: ""},
 		},
 	}
-	res.Verdict = lh.NumRuns() == 9 && lh.IsLatin() && lh.MaxColumnCorrelation() == 0 //lint:allow floateq orthogonality check: correlation of the integer design is exactly zero
+	res.Verdict = lh.NumRuns() == 9 && lh.IsLatin() && lh.MaxColumnCorrelation() == 0 // orthogonality check: correlation of the integer design is exactly zero
 	return res, nil
 }
 

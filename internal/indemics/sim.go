@@ -337,7 +337,7 @@ func VaccinatePreschoolersSQL(triggerFrac float64) (Observer, *int) {
 		if err != nil {
 			return err
 		}
-		if nPreschool == 0 { //lint:allow floateq COUNT returns an exact small integer in a float column
+		if nPreschool == 0 { // COUNT returns an exact small integer in a float column
 			return nil
 		}
 		nInfected, err := db.QueryScalar(

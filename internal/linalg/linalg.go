@@ -105,7 +105,7 @@ func (m *Matrix) Mul(b *Matrix) (*Matrix, error) {
 	for i := 0; i < m.Rows; i++ {
 		for k := 0; k < m.Cols; k++ {
 			a := m.At(i, k)
-			if a == 0 { //lint:allow floateq sparsity fast path: only an exact zero may skip, any other value must multiply
+			if a == 0 { // sparsity fast path: only an exact zero may skip, any other value must multiply
 				continue
 			}
 			for j := 0; j < b.Cols; j++ {
@@ -199,7 +199,7 @@ func FactorLU(a *Matrix) (*LU, error) {
 				p = i
 			}
 		}
-		if maxVal == 0 { //lint:allow floateq an exactly zero pivot column is the definition of singular here
+		if maxVal == 0 { // an exactly zero pivot column is the definition of singular here
 			return nil, ErrSingular
 		}
 		if p != k {
@@ -422,7 +422,7 @@ func (t *Tridiagonal) SolveThomas(d []float64) ([]float64, error) {
 	}
 	cp := make([]float64, n-1)
 	dp := make([]float64, n)
-	if t.Diag[0] == 0 { //lint:allow floateq exact-zero pivot guard before dividing
+	if t.Diag[0] == 0 { // exact-zero pivot guard before dividing
 		return nil, ErrSingular
 	}
 	if n > 1 {
@@ -431,7 +431,7 @@ func (t *Tridiagonal) SolveThomas(d []float64) ([]float64, error) {
 	dp[0] = d[0] / t.Diag[0]
 	for i := 1; i < n; i++ {
 		denom := t.Diag[i] - t.Sub[i-1]*cp[i-1]
-		if denom == 0 { //lint:allow floateq exact-zero pivot guard before dividing
+		if denom == 0 { // exact-zero pivot guard before dividing
 			return nil, ErrSingular
 		}
 		if i < n-1 {

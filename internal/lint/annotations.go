@@ -7,8 +7,8 @@ import (
 	"strings"
 )
 
-// This file parses the field/var comment conventions the concurrency-era
-// analyzers enforce:
+// This file parses the field/var comment conventions boundedgrowth
+// reads:
 //
 //	mu      sync.Mutex
 //	tenants map[string]*tenant // guarded by mu
@@ -16,9 +16,9 @@ import (
 //
 // A directive is a comment that *starts* with the directive phrase
 // (after //), so ordinary prose mentioning "guarded by" mid-sentence is
-// never parsed as one. The argument is the rest of the comment:
-// lockguard takes the first word as the mutex name, boundedgrowth takes
-// the whole rest as the human-readable eviction reason.
+// never parsed as one. The argument is the rest of the comment: a
+// `// guarded by` marks its struct as shared and long-lived, and a
+// `// bounded by` gives the human-readable reason growth is bounded.
 
 // Directive phrases recognized on struct fields and package-level vars.
 const (
@@ -29,7 +29,7 @@ const (
 // FieldDirectives scans every struct type declared in the unit for
 // fields carrying the directive and maps each field object to the
 // directive's argument. Directives with no argument are returned as
-// malformed positions for the analyzer to report.
+// malformed positions for the analyzer to report or ignore.
 func FieldDirectives(info *types.Info, files []*ast.File, directive string) (map[*types.Var]string, []token.Pos) {
 	out := make(map[*types.Var]string)
 	var malformed []token.Pos

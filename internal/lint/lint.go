@@ -1,11 +1,10 @@
 // Package lint is a minimal static-analysis framework in the style of
 // golang.org/x/tools/go/analysis, built entirely on the standard
 // library so that the repository stays dependency-free. It exists to
-// enforce, at compile time, the determinism and numeric-safety
-// invariants that PRs 1-2 established at run time: all randomness flows
-// through pre-split rng substreams, map iteration never leaks its
-// nondeterministic order into results, floats are never compared with
-// ==, and long-running entry points plumb a context.Context.
+// enforce, at compile time, the determinism invariants the experiments
+// rely on at run time: all randomness flows through pre-split rng
+// substreams, map iteration never leaks its nondeterministic order into
+// results, and long-running entry points plumb a context.Context.
 //
 // The framework mirrors the x/tools API surface the analyzers need
 // (Analyzer, Pass, Reportf, an analysistest-style fixture runner in the
@@ -21,7 +20,8 @@
 //
 //	//lint:allow <rule> <one-line reason>
 //
-// The reason is mandatory; a bare directive is itself reported.
+// The reason is mandatory; a bare directive is itself reported, and so
+// is one that suppresses nothing.
 package lint
 
 import (
@@ -89,7 +89,8 @@ func (f Finding) String() string {
 // RunAnalyzers applies every analyzer to every package unit, applies
 // DefaultAllow lists and //lint:allow directives, and returns the
 // surviving findings in deterministic (file, line, column, rule) order.
-// Malformed directives are returned as findings of rule "lintdirective".
+// Malformed directives, and directives that suppressed no finding of the
+// analyzers that ran, are returned as findings of rule "lintdirective".
 func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 	var out []Finding
 	for _, pkg := range pkgs {
@@ -113,12 +114,13 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 				if defaultAllowed(a, pkg.ImportPath, f.Position.Filename) {
 					continue
 				}
-				if allows.allowed(f.Position.Filename, f.Position.Line, a.Name) {
+				if allows.allowed(f) {
 					continue
 				}
 				out = append(out, f)
 			}
 		}
+		out = append(out, allows.unused()...)
 	}
 	sort.Slice(out, func(i, j int) bool {
 		a, b := out[i], out[j]

@@ -15,6 +15,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 )
@@ -33,194 +34,101 @@ type Package struct {
 // listedPackage is the subset of `go list -json` output the loader
 // consumes.
 type listedPackage struct {
-	Dir           string
-	ImportPath    string
-	GoFiles       []string
-	CgoFiles      []string
-	TestGoFiles   []string
-	XTestGoFiles  []string
-	Imports       []string
-	Standard      bool
-	Incomplete    bool
-	DepOnly       bool
-	ForTest       string
-	Match         []string
-	IgnoredGoFile []string
+	Dir         string
+	ImportPath  string
+	Export      string
+	GoFiles     []string
+	CgoFiles    []string
+	TestGoFiles []string
+	ImportMap   map[string]string
+	Standard    bool
+	ForTest     string
+	Match       []string
 }
 
-// Load enumerates the packages matching patterns with `go list` run in
-// dir, then parses and type-checks each from source. Dependencies —
-// including the standard library — are type-checked from source on
-// demand by the importer, so no compiled export data and no external
-// module is required. Type errors in dependencies are tolerated
-// (analysis proceeds on partial information); the repository itself is
-// kept compiling by the build job, so its own units check cleanly.
+// Load enumerates the packages matching patterns, with their
+// dependencies and test variants, in one `go list -deps -test -export`
+// run in dir, then parses and type-checks each unit from source.
+// Imports resolve to the export data the go command compiled, so no
+// dependency — the standard library included — is checked from source.
 //
-// Checking is parallel, keyed by the import graph: the listed packages'
-// export-facing halves (GoFiles only) are checked wave by wave in
-// topological order, each wave fanning out across GOMAXPROCS workers
-// and registering its results with a shared importer; the test-carrying
-// units then check fully parallel, importing the already-checked
-// results instead of re-checking dependencies from source. The standard
-// library still goes through one mutex-serialized source importer —
-// srcimporter is not concurrency-safe — but each stdlib package is
-// checked at most once per Load, and the module's own units (the bulk
-// of the parse+check work after warmup) no longer serialize.
+// A package with in-package test files is checked as its test variant
+// "p [p.test]", whose GoFiles are the package's and its _test.go files
+// together (the test files see unexported names, so the halves cannot
+// be checked apart); an external _test package is its own unit. Units
+// check in parallel, each through its own importer, and any type error
+// is a load error: an analyzer over a partly checked unit would
+// quietly miss things.
 func Load(dir string, patterns ...string) ([]*Package, error) {
-	listed, err := goList(dir, patterns)
+	listed, err := goList(dir, append([]string{"-deps", "-test", "-export", "--"}, patterns...)...)
 	if err != nil {
 		return nil, err
 	}
-	var mod []listedPackage
+	exports := make(map[string]string, len(listed))
+	var units []listedPackage
 	for _, lp := range listed {
-		if lp.Standard || len(lp.CgoFiles) > 0 {
-			continue
+		exports[lp.ImportPath] = lp.Export
+		if !lp.Standard && len(lp.CgoFiles) == 0 && isUnit(lp) {
+			units = append(units, lp)
 		}
-		mod = append(mod, lp)
 	}
 
 	fset := token.NewFileSet()
-	shared := newSharedImporter(fset)
-
-	// Phase 1: check each package's GoFiles-only unit in dependency
-	// order so later waves import checked results, not source. The
-	// checked *types.Package doubles as the returned unit when the
-	// package has no in-package test files.
-	pure := make(map[string]*Package, len(mod))
-	var pureMu sync.Mutex
-	var firstErr error
-	var errMu sync.Mutex
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
+	pkgs := make([]*Package, len(units))
+	errs := make([]error, len(units))
+	parallelDo(len(units), func(i int) {
+		lp := units[i]
+		path, _, _ := strings.Cut(lp.ImportPath, " ")
+		files, err := parseFiles(fset, lp.Dir, lp.GoFiles)
+		if err == nil {
+			imp := importer.ForCompiler(fset, "gc", exportLookup(exports, lp.ImportMap))
+			pkgs[i], err = check(fset, imp, path, files)
 		}
-		errMu.Unlock()
-	}
-	for _, wave := range topoWaves(mod) {
-		parallelDo(len(wave), func(i int) {
-			lp := wave[i]
-			if len(lp.GoFiles) == 0 {
-				return
-			}
-			files, err := parseFiles(fset, lp.Dir, lp.GoFiles)
-			if err != nil {
-				fail(fmt.Errorf("%s: %w", lp.ImportPath, err))
-				return
-			}
-			pkg := check(fset, shared, lp.ImportPath, files)
-			pureMu.Lock()
-			pure[lp.ImportPath] = pkg
-			pureMu.Unlock()
-			if pkg.Types != nil {
-				shared.register(lp.ImportPath, pkg.Types)
-			}
-		})
-		if firstErr != nil {
-			return nil, firstErr
+		if err != nil {
+			errs[i] = fmt.Errorf("%s: %w", path, err)
 		}
-	}
-
-	// Phase 2: build the returned units. Packages with in-package
-	// test files re-check GoFiles+TestGoFiles as one unit (the test
-	// files see unexported names, so the halves cannot be checked
-	// separately); external _test packages are their own unit. Every
-	// in-module import resolves through the phase-1 results, so this
-	// phase has no ordering constraints and runs fully parallel.
-	units := make([][]*Package, len(mod))
-	parallelDo(len(mod), func(i int) {
-		lp := mod[i]
-		var out []*Package
-		if len(lp.TestGoFiles) > 0 {
-			names := append(append([]string{}, lp.GoFiles...), lp.TestGoFiles...)
-			files, err := parseFiles(fset, lp.Dir, names)
-			if err != nil {
-				fail(fmt.Errorf("%s: %w", lp.ImportPath, err))
-				return
-			}
-			out = append(out, check(fset, shared, lp.ImportPath, files))
-		} else if p := pure[lp.ImportPath]; p != nil {
-			out = append(out, p)
-		}
-		if len(lp.XTestGoFiles) > 0 {
-			files, err := parseFiles(fset, lp.Dir, lp.XTestGoFiles)
-			if err != nil {
-				fail(fmt.Errorf("%s_test: %w", lp.ImportPath, err))
-				return
-			}
-			out = append(out, check(fset, shared, lp.ImportPath+"_test", files))
-		}
-		units[i] = out
 	})
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
-	var pkgs []*Package
-	for _, u := range units {
-		pkgs = append(pkgs, u...)
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	sort.Slice(pkgs, func(i, j int) bool { return pkgs[i].ImportPath < pkgs[j].ImportPath })
 	return pkgs, nil
 }
 
-// topoWaves groups the module's packages into dependency waves: every
-// package's in-module imports live in strictly earlier waves. An import
-// cycle cannot occur in compiling Go code; if the list is somehow
-// cyclic anyway, the remainder becomes one final wave and the importer
-// falls back to checking those from source.
-func topoWaves(mod []listedPackage) [][]listedPackage {
-	inMod := make(map[string]bool, len(mod))
-	for _, lp := range mod {
-		inMod[lp.ImportPath] = true
+// isUnit reports whether a listed package is one the analyzers see: a
+// matched package without in-package tests, the "p [p.test]" variant of
+// one with them, or an external "p_test [p.test]" package. Dependencies
+// recompiled for a test ("q [p.test]") and generated test mains are not.
+func isUnit(lp listedPackage) bool {
+	if lp.ForTest == "" {
+		return len(lp.Match) > 0 && len(lp.TestGoFiles) == 0
 	}
-	deps := make(map[string][]string, len(mod))
-	for _, lp := range mod {
-		for _, imp := range lp.Imports {
-			if inMod[imp] {
-				deps[lp.ImportPath] = append(deps[lp.ImportPath], imp)
-			}
+	path, _, _ := strings.Cut(lp.ImportPath, " ")
+	return (path == lp.ForTest && len(lp.TestGoFiles) > 0) || path == lp.ForTest+"_test"
+}
+
+// exportLookup opens the export data for an import path as seen from a
+// unit whose ImportMap is importMap: the map redirects a path to the
+// test variant the unit was compiled against.
+func exportLookup(exports, importMap map[string]string) func(string) (io.ReadCloser, error) {
+	return func(path string) (io.ReadCloser, error) {
+		if mapped, ok := importMap[path]; ok {
+			path = mapped
 		}
+		file := exports[path]
+		if file == "" {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
 	}
-	placed := make(map[string]bool, len(mod))
-	rest := append([]listedPackage{}, mod...)
-	var waves [][]listedPackage
-	for len(rest) > 0 {
-		var wave, next []listedPackage
-		for _, lp := range rest {
-			ready := true
-			for _, d := range deps[lp.ImportPath] {
-				if !placed[d] {
-					ready = false
-					break
-				}
-			}
-			if ready {
-				wave = append(wave, lp)
-			} else {
-				next = append(next, lp)
-			}
-		}
-		if len(wave) == 0 {
-			waves = append(waves, next) // cycle: check the rest as one wave
-			break
-		}
-		for _, lp := range wave {
-			placed[lp.ImportPath] = true
-		}
-		waves = append(waves, wave)
-		rest = next
-	}
-	return waves
 }
 
 // parallelDo runs f(0..n-1) across up to GOMAXPROCS goroutines and
 // waits for all of them.
 func parallelDo(n int, f func(i int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > n {
-		workers = n
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	if workers <= 1 {
 		for i := 0; i < n; i++ {
 			f(i)
@@ -245,119 +153,39 @@ func parallelDo(n int, f func(i int)) {
 	wg.Wait()
 }
 
-// sharedImporter resolves the module's own import paths from the
-// phase-1 checked results and everything else (the standard library)
-// through one mutex-serialized source importer. go/types calls
-// ImportFrom from as many goroutines as there are units being checked;
-// the registry is read-locked and srcimporter — which is not safe for
-// concurrent use — is fully serialized, each stdlib package checked at
-// most once and cached inside the importer.
-type sharedImporter struct {
-	mu sync.RWMutex
-	// bounded by the module's package graph: at most one entry per
-	// import path the load ever touches
-	checked map[string]*types.Package // guarded by mu
-
-	srcMu sync.Mutex
-	src   types.ImporterFrom
-}
-
-func newSharedImporter(fset *token.FileSet) *sharedImporter {
-	return &sharedImporter{
-		checked: make(map[string]*types.Package),
-		src:     importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),
-	}
-}
-
-func (si *sharedImporter) register(path string, pkg *types.Package) {
-	si.mu.Lock()
-	si.checked[path] = pkg
-	si.mu.Unlock()
-}
-
-func (si *sharedImporter) Import(path string) (*types.Package, error) {
-	return si.ImportFrom(path, "", 0)
-}
-
-func (si *sharedImporter) ImportFrom(path, srcDir string, mode types.ImportMode) (*types.Package, error) {
-	si.mu.RLock()
-	pkg := si.checked[path]
-	si.mu.RUnlock()
-	if pkg != nil {
-		return pkg, nil
-	}
-	si.srcMu.Lock()
-	defer si.srcMu.Unlock()
-	return si.src.ImportFrom(path, srcDir, mode)
-}
-
-// dirFset and dirImporter are shared across every LoadDir call in the
-// process so fixture loads amortize standard-library source checking:
-// the first fixture importing net/http pays for it, the rest hit the
-// importer's cache.
-var (
-	dirOnce     sync.Once
-	dirFset     *token.FileSet
-	dirImporter *sharedImporter
-)
-
 // LoadDir parses and type-checks every .go file directly inside dir as
 // a single package unit. It is how linttest loads testdata fixture
-// packages, which live outside the module's package graph. Imports of
-// the form "modeldatalint.test/<name>" resolve to the sibling directory
-// <dir>/../<name>, so a fixture can depend on a stub of a module
-// package (e.g. a miniature obs) the way analysistest fixtures use
-// their testdata GOPATH.
+// packages, which live outside the module's package graph; their
+// imports resolve to export data listed by one `go list -export` of
+// exactly the paths they import.
 func LoadDir(dir, importPath string) (*Package, error) {
-	dirOnce.Do(func() {
-		dirFset = token.NewFileSet()
-		dirImporter = newSharedImporter(dirFset)
-	})
-	files, err := parseDir(dirFset, dir)
+	fset := token.NewFileSet()
+	files, err := parseDir(fset, dir)
 	if err != nil {
 		return nil, err
 	}
-	imp := &fixtureImporter{
-		root:     filepath.Dir(dir),
-		fallback: dirImporter,
-		loaded:   make(map[string]*types.Package),
+	seen := make(map[string]bool)
+	var imports []string
+	for _, f := range files {
+		for _, spec := range f.Imports {
+			path, err := strconv.Unquote(spec.Path.Value)
+			if err == nil && !seen[path] {
+				seen[path] = true
+				imports = append(imports, path)
+			}
+		}
 	}
-	return check(dirFset, imp, importPath, files), nil
-}
-
-// fixtureImporter resolves "modeldatalint.test/<name>" imports to
-// sibling fixture directories under the same testdata/src root,
-// delegating everything else to the shared source importer.
-type fixtureImporter struct {
-	root     string
-	fallback types.ImporterFrom
-	loaded   map[string]*types.Package
-}
-
-const fixturePrefix = "modeldatalint.test/"
-
-func (fi *fixtureImporter) Import(path string) (*types.Package, error) {
-	return fi.ImportFrom(path, "", 0)
-}
-
-func (fi *fixtureImporter) ImportFrom(path, srcDir string, mode types.ImportMode) (*types.Package, error) {
-	if !strings.HasPrefix(path, fixturePrefix) {
-		return fi.fallback.ImportFrom(path, srcDir, mode)
+	exports := make(map[string]string)
+	if len(imports) > 0 {
+		listed, err := goList(dir, append([]string{"-export", "--"}, imports...)...)
+		if err != nil {
+			return nil, err
+		}
+		for _, lp := range listed {
+			exports[lp.ImportPath] = lp.Export
+		}
 	}
-	if pkg := fi.loaded[path]; pkg != nil {
-		return pkg, nil
-	}
-	dir := filepath.Join(fi.root, strings.TrimPrefix(path, fixturePrefix))
-	files, err := parseDir(dirFset, dir)
-	if err != nil {
-		return nil, fmt.Errorf("lint: fixture import %q: %w", path, err)
-	}
-	pkg := check(dirFset, fi, path, files)
-	if pkg.Types == nil {
-		return nil, fmt.Errorf("lint: fixture import %q did not check", path)
-	}
-	fi.loaded[path] = pkg.Types
-	return pkg.Types, nil
+	return check(fset, importer.ForCompiler(fset, "gc", exportLookup(exports, nil)), importPath, files)
 }
 
 // parseDir parses every .go file directly inside dir, in name order.
@@ -390,11 +218,8 @@ func parseFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, e
 	return files, nil
 }
 
-// check type-checks one unit, tolerating errors: go/types keeps
-// recording partial type information after an error, which is enough
-// for every analyzer in this suite, and missing information only makes
-// analyzers quieter, never wrong.
-func check(fset *token.FileSet, imp types.Importer, importPath string, files []*ast.File) *Package {
+// check type-checks one unit and returns its first type error, if any.
+func check(fset *token.FileSet, imp types.Importer, importPath string, files []*ast.File) (*Package, error) {
 	info := &types.Info{
 		Types:      make(map[ast.Expr]types.TypeAndValue),
 		Defs:       make(map[*ast.Ident]types.Object),
@@ -403,30 +228,29 @@ func check(fset *token.FileSet, imp types.Importer, importPath string, files []*
 		Implicits:  make(map[ast.Node]types.Object),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
-	conf := types.Config{
-		Importer:    imp,
-		FakeImportC: true,
-		Error:       func(error) {},
+	conf := types.Config{Importer: imp}
+	tpkg, err := conf.Check(importPath, fset, files, info)
+	if err != nil {
+		return nil, err
 	}
-	tpkg, _ := conf.Check(importPath, fset, files, info)
 	return &Package{
 		ImportPath: importPath,
 		Fset:       fset,
 		Files:      files,
 		Types:      tpkg,
 		Info:       info,
-	}
+	}, nil
 }
 
-func goList(dir string, patterns []string) ([]listedPackage, error) {
-	args := append([]string{"list", "-json", "--"}, patterns...)
-	cmd := exec.Command("go", args...)
+// goList runs `go list -json` with args in dir and decodes its output.
+func goList(dir string, args ...string) ([]listedPackage, error) {
+	cmd := exec.Command("go", append([]string{"list", "-json"}, args...)...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	out, err := cmd.Output()
 	if err != nil {
-		return nil, fmt.Errorf("go list %s: %v\n%s", strings.Join(patterns, " "), err, stderr.String())
+		return nil, fmt.Errorf("go list %s: %v\n%s", strings.Join(args, " "), err, stderr.String())
 	}
 	dec := json.NewDecoder(bytes.NewReader(out))
 	var listed []listedPackage

@@ -9,25 +9,19 @@ import (
 	"modeldata/internal/lint/ctxhttp"
 	"modeldata/internal/lint/ctxplumb"
 	"modeldata/internal/lint/errdrop"
-	"modeldata/internal/lint/floateq"
-	"modeldata/internal/lint/lockguard"
 	"modeldata/internal/lint/maporder"
 	"modeldata/internal/lint/rngsource"
-	"modeldata/internal/lint/spanleak"
 )
 
-// All returns every analyzer in the suite, in stable order: the four
-// determinism-era rules first, then the five concurrency-era rules.
+// All returns every analyzer in the suite, in stable order: the three
+// determinism rules first, then the three service-era rules.
 func All() []*lint.Analyzer {
 	return []*lint.Analyzer{
 		ctxplumb.Analyzer,
-		floateq.Analyzer,
 		maporder.Analyzer,
 		rngsource.Analyzer,
 		boundedgrowth.Analyzer,
 		ctxhttp.Analyzer,
 		errdrop.Analyzer,
-		lockguard.Analyzer,
-		spanleak.Analyzer,
 	}
 }

@@ -278,7 +278,7 @@ func markDirty(q AggQuery, old, nb *BundleTable, affected []int, detChanged []bo
 				continue
 			}
 			for k := range ou {
-				if ou[k][it] != nu[k][it] { //lint:allow floateq bitwise sameness is exactly what decides sample reuse
+				if ou[k][it] != nu[k][it] { // bitwise sameness is exactly what decides sample reuse
 					dirty[it] = true
 					count++
 					break

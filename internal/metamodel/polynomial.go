@@ -165,7 +165,7 @@ func (p *Polynomial) RSquared(x [][]float64, y []float64) (float64, error) {
 		ssTot += (y[i] - mean) * (y[i] - mean)
 		ssRes += (y[i] - pred) * (y[i] - pred)
 	}
-	if ssTot == 0 { //lint:allow floateq exactly constant response: R² is 1 by convention, and any nonzero ssTot divides safely
+	if ssTot == 0 { // exactly constant response: R² is 1 by convention, and any nonzero ssTot divides safely
 		return 1, nil
 	}
 	return 1 - ssRes/ssTot, nil

@@ -319,7 +319,7 @@ func (s Snapshot) String() string {
 
 // trimFloat formats a float compactly for reports.
 func trimFloat(v float64) string {
-	if v == math.Trunc(v) && math.Abs(v) < 1e15 { //lint:allow floateq display formatting only: exact integer check picks the shorter rendering
+	if v == math.Trunc(v) && math.Abs(v) < 1e15 { // display formatting only: exact integer check picks the shorter rendering
 		return fmt.Sprintf("%d", int64(v))
 	}
 	return fmt.Sprintf("%.4g", v)

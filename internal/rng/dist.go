@@ -42,7 +42,7 @@ func (d NormalDist) Var() float64 { return d.Sigma * d.Sigma }
 // LogPDF returns the normal log density at x.
 func (d NormalDist) LogPDF(x float64) float64 {
 	if d.Sigma <= 0 {
-		if x == d.Mu { //lint:allow floateq degenerate sigma=0 distribution is a point mass exactly at Mu
+		if x == d.Mu { // degenerate sigma=0 distribution is a point mass exactly at Mu
 			return math.Inf(1)
 		}
 		return math.Inf(-1)
@@ -148,7 +148,7 @@ func (d PoissonDist) Var() float64 { return d.Lambda }
 // LogPDF returns the log probability mass at x (x must be a
 // non-negative integer value).
 func (d PoissonDist) LogPDF(x float64) float64 {
-	if x < 0 || x != math.Trunc(x) { //lint:allow floateq integrality test: Poisson support is exact integers
+	if x < 0 || x != math.Trunc(x) { // integrality test: Poisson support is exact integers
 		return math.Inf(-1)
 	}
 	lg, _ := math.Lgamma(x + 1)
@@ -178,7 +178,7 @@ func (d BernoulliDist) Var() float64 { return d.P * (1 - d.P) }
 
 // LogPDF returns the log probability mass at x ∈ {0, 1}.
 func (d BernoulliDist) LogPDF(x float64) float64 {
-	switch x { //lint:allow floateq Bernoulli support is exactly {0, 1}; anything else has zero mass
+	switch x { // Bernoulli support is exactly {0, 1}; anything else has zero mass
 	case 1:
 		return math.Log(d.P)
 	case 0:

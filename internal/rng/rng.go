@@ -236,7 +236,7 @@ func (r *Stream) Poisson(lambda float64) int {
 	switch {
 	case lambda < 0:
 		panic(fmt.Sprintf("rng: Poisson called with lambda=%g", lambda))
-	case lambda == 0: //lint:allow floateq exact-zero rate is the degenerate always-zero draw
+	case lambda == 0: // exact-zero rate is the degenerate always-zero draw
 		return 0
 	case lambda < 30:
 		// Knuth: multiply uniforms until the product drops below e^-λ.
@@ -344,7 +344,7 @@ func (r *Stream) Categorical(weights []float64) int {
 		}
 		total += w
 	}
-	if len(weights) == 0 || total == 0 { //lint:allow floateq exact-zero mass check before dividing by total
+	if len(weights) == 0 || total == 0 { // exact-zero mass check before dividing by total
 		panic("rng: Categorical called with empty or zero weights")
 	}
 	u := r.Float64() * total

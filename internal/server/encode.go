@@ -36,7 +36,7 @@ func appendFloat(b []byte, f float64) (_ []byte, ok bool) {
 		return b, false
 	}
 	abs := math.Abs(f)
-	if abs != 0 && (abs < 1e-6 || abs >= 1e21) { //lint:allow floateq zero is the one value below 1e-6 that takes the 'f' form
+	if abs != 0 && (abs < 1e-6 || abs >= 1e21) { // zero is the one value below 1e-6 that takes the 'f' form
 		b = strconv.AppendFloat(b, f, 'e', -1, 64)
 		if n := len(b); n >= 4 && b[n-4] == 'e' && b[n-3] == '-' && b[n-2] == '0' {
 			b[n-2] = b[n-1]

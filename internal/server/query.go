@@ -261,7 +261,7 @@ func compileWhatIf(db *mcdb.DB, queryTable string, w *WhatIf) (mcdb.Delta, strin
 		return mcdb.Delta{}, "", badRequestf("whatif predicates must be deterministic (uncertain columns select per-iteration, not per-tuple)")
 	}
 	scale, shift := w.Scale, w.Shift
-	if scale == 0 { //lint:allow floateq the JSON zero value means "unset", mapped to the identity scale
+	if scale == 0 { // the JSON zero value means "unset", mapped to the identity scale
 		scale = 1
 	}
 	d := mcdb.Delta{
@@ -674,10 +674,10 @@ func compare(op string) (string, func(a, b engine.Value) bool, func(a, b float64
 	switch op {
 	case "eq", "=", "==":
 		return "eq", func(a, b engine.Value) bool { return a.Equal(b) },
-			func(a, b float64) bool { return a == b }, nil //lint:allow floateq mirrors Value.Equal on two floats, which is exact ==
+			func(a, b float64) bool { return a == b }, nil // mirrors Value.Equal on two floats, which is exact ==
 	case "ne", "!=", "<>":
 		return "ne", func(a, b engine.Value) bool { return !a.Equal(b) },
-			func(a, b float64) bool { return !(a == b) }, nil //lint:allow floateq mirrors !Value.Equal on two floats, which is exact ==
+			func(a, b float64) bool { return !(a == b) }, nil // mirrors !Value.Equal on two floats, which is exact ==
 	case "lt", "<":
 		return "lt", func(a, b engine.Value) bool { return a.Less(b) },
 			func(a, b float64) bool { return a < b }, nil

@@ -118,7 +118,7 @@ func applyRowUpdate(tri *linalg.Tridiagonal, b, x []float64, i int, step float64
 	var scale float64
 	if kaczmarz {
 		ns := rowNormSq(tri, i)
-		if ns == 0 { //lint:allow floateq an exactly zero row norm means an all-zero row; skip before dividing
+		if ns == 0 { // an exactly zero row norm means an all-zero row; skip before dividing
 			return
 		}
 		scale = -res / ns

@@ -20,8 +20,7 @@ var ErrEmpty = errors.New("stats: empty sample")
 
 // ApproxEqual reports whether a and b agree to within the absolute
 // tolerance tol. It is the sanctioned replacement for float == / != on
-// computed values (the floateq analyzer points here): exact comparison
-// of accumulated floats depends on evaluation order, while a tolerance
+// computed values: exact comparison of accumulated floats depends on evaluation order, while a tolerance
 // states the intended precision explicitly. NaN compares equal to
 // nothing, matching IEEE semantics.
 func ApproxEqual(a, b, tol float64) bool {
@@ -81,7 +80,7 @@ func Covariance(xs, ys []float64) float64 {
 // when either sample is constant.
 func Correlation(xs, ys []float64) float64 {
 	sx, sy := StdDev(xs), StdDev(ys)
-	if sx == 0 || sy == 0 { //lint:allow floateq exactly constant samples have no correlation; guard before dividing
+	if sx == 0 || sy == 0 { // exactly constant samples have no correlation; guard before dividing
 		return 0
 	}
 	return Covariance(xs, ys) / (sx * sy)

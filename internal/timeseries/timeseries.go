@@ -119,7 +119,7 @@ func (s *Series) StepAt(t float64) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if t == s.Points[j+1].T { //lint:allow floateq step-function semantics: only an exact knot hit takes the right value
+	if t == s.Points[j+1].T { // step-function semantics: only an exact knot hit takes the right value
 		return s.Points[j+1].V, nil
 	}
 	return s.Points[j].V, nil
@@ -239,7 +239,7 @@ func FitTrend(s *Series, degree int) (*TrendModel, error) {
 	}
 	t0 := s.Points[0].T
 	tScale := s.Points[n-1].T - t0
-	if tScale == 0 { //lint:allow floateq exact-zero span means a single instant; guard before dividing
+	if tScale == 0 { // exact-zero span means a single instant; guard before dividing
 		tScale = 1
 	}
 	x := linalg.NewMatrix(n, degree+1)

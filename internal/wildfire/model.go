@@ -51,18 +51,19 @@ type SensorAwareConfig struct {
 	M int
 }
 
-// withDefaults fills zero fields.
+// withDefaults fills zero fields: an exactly zero value is the unset
+// sentinel for a config default.
 func (c SensorAwareConfig) withDefaults(sm Sensors) SensorAwareConfig {
-	if c.HotThreshold == 0 { //lint:allow floateq zero value is the unset sentinel for config defaults
+	if c.HotThreshold == 0 {
 		c.HotThreshold = sm.Ambient + 3*sm.Noise
 	}
-	if c.CoolThreshold == 0 { //lint:allow floateq zero value is the unset sentinel for config defaults
+	if c.CoolThreshold == 0 {
 		c.CoolThreshold = sm.Ambient + sm.Noise
 	}
-	if c.AdjustProb == 0 { //lint:allow floateq zero value is the unset sentinel for config defaults
+	if c.AdjustProb == 0 {
 		c.AdjustProb = 0.5
 	}
-	if c.ModelConfidence == 0 { //lint:allow floateq zero value is the unset sentinel for config defaults
+	if c.ModelConfidence == 0 {
 		c.ModelConfidence = 0.5
 	}
 	if c.M == 0 {

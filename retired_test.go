@@ -125,6 +125,18 @@ var retiredTable = []retired{
 			{`%03d\.part`, `f, err := os.Create(filepath.Join(dir, fmt.Sprintf("%s-%03d.part", name, i)))`},
 		},
 	},
+	{
+		name: "Lint keeps the rules that have caught something", pr: 31,
+		why:   "lockguard, spanleak and floateq had no finding fixed in any committed tree, and the control-flow graph served only the first two; dependencies are read from the go command's export data, not type-checked from source in dependency waves",
+		scope: []string{"internal/lint"},
+		tests: true,
+		lines: []offender{
+			{`BuildCFG`, `g := lint.BuildCFG(body)`},
+			{`topoWaves`, `for _, wave := range topoWaves(mod) {`},
+			{`importer\.ForCompiler\(.*"source"`, `src: importer.ForCompiler(fset, "source", nil).(types.ImporterFrom),`},
+		},
+		paths: []string{"internal/lint/lockguard", "internal/lint/spanleak", "internal/lint/floateq", "internal/lint/cfg.go"},
+	},
 }
 
 // violations lists what of r is present under root, one message per
@@ -223,6 +235,7 @@ func TestRetiredFindsWhatIsPutBack(t *testing.T) {
 		"internal/engine/query.go":            "package engine\n",
 		"internal/colstore/format.go":         "package colstore\n",
 		"cmd/benchjson/main.go":               "package main\n",
+		"internal/lint/load.go":               "package lint\n",
 	} {
 		full := filepath.Join(root, path)
 		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
