@@ -48,14 +48,23 @@ func (db *DB) InstantiateBundledCtx(ctx context.Context, iters int, seed uint64,
 	if iters <= 0 {
 		return nil, fmt.Errorf("mcdb: iters=%d", iters)
 	}
+	in, err := db.newInstancer(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return in.bundled(ctx, iters, seed, workers)
+}
+
+// bundled is InstantiateBundledCtx over the resolved rows of in.
+func (in *instancer) bundled(ctx context.Context, iters int, seed uint64, workers int) (map[string]*BundleTable, error) {
 	ctx, span := obs.Start(ctx, "mcdb.instantiate_bundled")
 	span.SetInt("iters", int64(iters))
-	span.SetInt("tables", int64(len(db.specs)))
+	span.SetInt("tables", int64(len(in.db.specs)))
 	defer span.End()
 	r := rng.New(seed)
-	out := make(map[string]*BundleTable, len(db.specs))
-	for _, spec := range db.specs {
-		bt, err := db.bundleSpec(ctx, spec, iters, r.Split(), workers)
+	out := make(map[string]*BundleTable, len(in.db.specs))
+	for s, spec := range in.db.specs {
+		bt, err := bundleSpec(ctx, spec, in.outers[s], in.params[s], iters, r.Split(), workers)
 		if err != nil {
 			return nil, err
 		}
@@ -64,13 +73,9 @@ func (db *DB) InstantiateBundledCtx(ctx context.Context, iters int, seed uint64,
 	return out, nil
 }
 
-func (db *DB) bundleSpec(ctx context.Context, spec *TableSpec, iters int, r *rng.Stream, workers int) (*BundleTable, error) {
+func bundleSpec(ctx context.Context, spec *TableSpec, outers, params []engine.Row, iters int, r *rng.Stream, workers int) (*BundleTable, error) {
 	if len(spec.UncertainCols) == 0 {
 		return nil, fmt.Errorf("%w: %q has no UncertainCols for bundled execution", ErrBadSpec, spec.Name)
-	}
-	outers, err := db.outerRows(spec)
-	if err != nil {
-		return nil, err
 	}
 	bt := &BundleTable{
 		Name:          spec.Name,
@@ -80,9 +85,9 @@ func (db *DB) bundleSpec(ctx context.Context, spec *TableSpec, iters int, r *rng
 		Det:           make([]engine.Row, len(outers)),
 		Unc:           make([][][]float64, len(outers)),
 	}
-	err = parallel.ForStreams(ctx, r, len(outers), parallel.Options{Workers: workers},
+	err := parallel.ForStreams(ctx, r, len(outers), parallel.Options{Workers: workers},
 		func(ti int, tr *rng.Stream) (err error) {
-			bt.Det[ti], bt.Unc[ti], err = db.sampleTuple(spec, outers[ti], tr, iters)
+			bt.Det[ti], bt.Unc[ti], err = sampleTuple(spec, outers[ti], params[ti], tr, iters)
 			return err
 		})
 	if err != nil {
@@ -91,8 +96,8 @@ func (db *DB) bundleSpec(ctx context.Context, spec *TableSpec, iters int, r *rng
 	return bt, nil
 }
 
-// sampleTuple realizes one tuple's bundle: the parameter query runs
-// once, then the VG function draws iters times from tr — the tuple's
+// sampleTuple realizes one tuple's bundle from its resolved parameter
+// row: the VG function draws iters times from tr — the tuple's
 // pristine substream — filling one array per uncertain column. Every
 // draw lands in the same buffer (vgBuf[:0]), so the loop allocates per
 // tuple, not per tuple-iteration. Under the default OutputRow a row is
@@ -104,12 +109,8 @@ func (db *DB) bundleSpec(ctx context.Context, spec *TableSpec, iters int, r *rng
 // row length and the uncertain columns' numeric type are checked on
 // every draw. Full realization calls it for every tuple; delta
 // re-realization for the tuples a change affects, on a copy of spec
-// carrying the changed VG or parameter query.
-func (db *DB) sampleTuple(spec *TableSpec, outer engine.Row, tr *rng.Stream, iters int) (engine.Row, [][]float64, error) {
-	params, err := db.vgParams(spec, outer)
-	if err != nil {
-		return nil, nil, err
-	}
+// carrying the changed VG, with the changed parameter query's row.
+func sampleTuple(spec *TableSpec, outer, params engine.Row, tr *rng.Stream, iters int) (engine.Row, [][]float64, error) {
 	unc := make([][]float64, len(spec.UncertainCols))
 	for k := range unc {
 		unc[k] = make([]float64, iters)
@@ -117,6 +118,7 @@ func (db *DB) sampleTuple(spec *TableSpec, outer engine.Row, tr *rng.Stream, ite
 	var det engine.Row
 	var vgBuf []engine.Value
 	for it := 0; it < iters; it++ {
+		var err error
 		vgBuf, err = spec.VG(params, tr, vgBuf[:0])
 		if err != nil {
 			return nil, nil, badSpec(err)

@@ -33,7 +33,8 @@ const (
 	// recomputing — the saving of delta re-realization.
 	MetricDeltaItersSkipped = "mcdb.delta_iters_skipped"
 	// MetricDeltaTuplesRerealized counts tuples re-sampled under the
-	// changed specification.
+	// changed specification, or re-mapped by a MapUnc — which skips the
+	// ones the query's WhereDet rejects.
 	MetricDeltaTuplesRerealized = "mcdb.delta_tuples_rerealized"
 )
 
@@ -115,9 +116,14 @@ func (s *Session) ExecDeltaRange(ctx context.Context, q AggQuery, opts ExecOptio
 		return bundleSamples(oldBt, q, win, lo, hi)
 	}
 
+	// A MapUnc never changes Det, so a tuple q.WhereDet rejects stays
+	// out of the query's sight in the changed world too: it can neither
+	// dirty an iteration (markDirty) nor reach an aggregate (FilterDet),
+	// and is not re-mapped.
+	hidden := func(det engine.Row) bool { return d.MapUnc != nil && q.WhereDet != nil && !q.WhereDet(det) }
 	affected := make([]int, 0, len(oldBt.Det))
 	for ti, det := range oldBt.Det {
-		if d.Where == nil || d.Where(det) {
+		if (d.Where == nil || d.Where(det)) && !hidden(det) {
 			affected = append(affected, ti)
 		}
 	}
@@ -160,7 +166,9 @@ func (s *Session) ExecDeltaRange(ctx context.Context, q AggQuery, opts ExecOptio
 // are re-sampled (or value-transformed for a MapUnc delta). The second
 // result marks, per affected tuple, whether its deterministic
 // attributes changed — which forces every iteration dirty, because
-// WhereDet membership may differ.
+// WhereDet membership may differ. Re-sampled tuples read the session's
+// outer rows and, unless d changes the parameter query, its resolved
+// parameter rows: the ones the baseline bundle was realized from.
 func (s *Session) rerealize(ctx context.Context, spec *TableSpec, old *BundleTable, d Delta, affected []int, opts ExecOptions) (*BundleTable, []bool, error) {
 	nb := &BundleTable{
 		Name:          old.Name,
@@ -199,23 +207,17 @@ func (s *Session) rerealize(ctx context.Context, spec *TableSpec, old *BundleTab
 	}
 	// VG or Params changed: re-sample the affected tuples on the exact
 	// substreams the full realization derives — seed → one Split per
-	// spec in registration order (InstantiateBundledCtx) → one SplitN
-	// child per tuple in tuple order (parallel.ForStreams inside
-	// bundleSpec) — so the merged bundle is bit-identical to realizing
-	// the changed database from scratch.
-	outers, err := s.db.outerRows(spec)
+	// spec in registration order (instancer.bundled) → one SplitN child
+	// per tuple in tuple order (parallel.ForStreams inside bundleSpec) —
+	// so the merged bundle is bit-identical to realizing the changed
+	// database from scratch.
+	in, err := s.instancer(ctx)
 	if err != nil {
 		return nil, nil, err
 	}
-	if len(outers) != old.Len() {
-		return nil, nil, fmt.Errorf("mcdb: base table behind %q changed since realization (%d outer rows, bundle has %d tuples)",
-			spec.Name, len(outers), old.Len())
-	}
-	st := s.db.specStream(spec, opts.Seed)
-	if st == nil {
-		return nil, nil, fmt.Errorf("%w: %q", ErrNoSpec, spec.Name)
-	}
-	subs := st.SplitN(len(outers))
+	si := slices.Index(s.db.specs, spec)
+	outers, params := in.outers[si], in.params[si]
+	subs := specStream(opts.Seed, si).SplitN(len(outers))
 	changed := *spec
 	if d.VG != nil {
 		changed.VG = d.VG
@@ -225,8 +227,15 @@ func (s *Session) rerealize(ctx context.Context, spec *TableSpec, old *BundleTab
 	}
 	err = parallel.For(ctx, len(affected), parallel.Options{Workers: opts.Workers}, func(j int) error {
 		ti := affected[j]
+		p := params[ti]
+		if d.Params != nil {
+			var err error
+			if p, err = s.db.vgParams(&changed, outers[ti]); err != nil {
+				return err
+			}
+		}
 		tr := *subs[ti] // pristine copy, as parallel.ForStreams hands bundleSpec
-		det, unc, err := s.db.sampleTuple(&changed, outers[ti], &tr, nb.Iters)
+		det, unc, err := sampleTuple(&changed, outers[ti], p, &tr, nb.Iters)
 		if err != nil {
 			return err
 		}
@@ -240,18 +249,15 @@ func (s *Session) rerealize(ctx context.Context, spec *TableSpec, old *BundleTab
 	return nb, detChanged, nil
 }
 
-// specStream replays the split trajectory of InstantiateBundledCtx up
-// to the target spec, returning the exact stream bundleSpec received
-// for it, or nil if the spec is not registered.
-func (db *DB) specStream(target *TableSpec, seed uint64) *rng.Stream {
+// specStream replays the split trajectory of instancer.bundled up to
+// spec si, returning the exact stream bundleSpec received for it.
+func specStream(seed uint64, si int) *rng.Stream {
 	r := rng.New(seed)
-	for _, sp := range db.specs {
-		st := r.Split()
-		if sp == target {
-			return st
-		}
+	st := r.Split()
+	for range si {
+		st = r.Split()
 	}
-	return nil
+	return st
 }
 
 // markDirty finds the iterations whose samples can differ between the

@@ -41,7 +41,7 @@ func wStd(_ *engine.Database, outer engine.Row) (engine.Row, error) {
 
 // TestPerInstanceMatchesMonteCarlo is the guard of the per-request
 // instancer: whatever the spec's shape, Session.ExecSQL and per-instance
-// ExecRange — which resolve outer and parameter rows once per call and
+// ExecRange — which resolve outer and parameter rows once per session and
 // realize into a slab — return the bits DB.MonteCarlo returns when it
 // re-derives everything per iteration, at any worker count and window
 // split.
@@ -120,41 +120,79 @@ func TestPerInstanceMatchesMonteCarlo(t *testing.T) {
 	}
 }
 
-// TestParamsResolvedOncePerRun: a session run resolves the parameter
-// query once per outer tuple for the whole window, where MonteCarlo —
-// E1's baseline, naive by construction — resolves it per iteration.
-func TestParamsResolvedOncePerRun(t *testing.T) {
+// TestParamsResolvedOncePerSession: a Session resolves the parameter
+// query once per outer tuple for its whole life, whichever of its routes
+// comes first and however many runs follow; a fresh Session resolves it
+// again; a Delta.Params what-if runs its own query once per affected
+// tuple; and MonteCarlo — E1's baseline, naive by construction —
+// resolves it per iteration.
+func TestParamsResolvedOncePerSession(t *testing.T) {
 	const tuples, iters = 7, 6
 	var calls atomic.Int64
-	db := New(itemsBase(tuples))
-	if err := db.AddSpec(&TableSpec{Name: "t", Schema: idWVal, ForEach: "items", VG: NormalVG(),
-		Params: func(b *engine.Database, outer engine.Row) (engine.Row, error) {
-			calls.Add(1)
-			return wStd(b, outer)
-		}}); err != nil {
+	counted := func(b *engine.Database, outer engine.Row) (engine.Row, error) {
+		calls.Add(1)
+		return wStd(b, outer)
+	}
+	bundled := New(itemsBase(tuples))
+	if err := bundled.AddSpec(&TableSpec{Name: "t", Schema: idWVal, ForEach: "items", VG: NormalVG(),
+		Params: counted, UncertainCols: []int{2}}); err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
 	const sql = "SELECT SUM(val) FROM t"
+	agg := AggQuery{Table: "t", Col: "val", Fn: engine.AggAvg}
+	type route func(*Session, ExecOptions) error
+	execSQL := func(s *Session, o ExecOptions) error { _, err := s.ExecSQLRange(ctx, sql, o, 1, iters); return err }
+	exec := func(s *Session, o ExecOptions) error { _, err := s.Exec(ctx, agg, o); return err }
+	explain := func(s *Session, _ ExecOptions) error { _, _, err := s.ExplainSQL(ctx, sql); return err }
+	whatIf := func(s *Session, o ExecOptions) error {
+		_, err := s.ExecDelta(ctx, agg, o, Delta{Table: "t", MapUnc: func(_ engine.Row, unc []float64) { unc[0] *= 2 }})
+		return err
+	}
+	// The bundled spec's ExecSQLRange runs plan-once, its twin's per
+	// instance; Exec likewise.
+	for _, tc := range []struct {
+		name   string
+		db     *DB
+		routes []route
+	}{
+		{"bundled", bundled, []route{execSQL, exec, whatIf, explain}},
+		{"per instance", perInstanceTwin(t, bundled), []route{explain, execSQL, exec}},
+	} {
+		for _, session := range []string{"a session", "a fresh session"} {
+			s := tc.db.NewSession()
+			for _, seed := range []uint64{3, 4} {
+				for _, r := range tc.routes {
+					if err := r(s, ExecOptions{Iterations: iters, Seed: seed, Workers: 2}); err != nil {
+						t.Fatalf("%s: %v", tc.name, err)
+					}
+				}
+			}
+			if got := calls.Swap(0); got != tuples {
+				t.Fatalf("%s: %s ran Params %d times over two seeds of every route, want once per tuple (%d)", tc.name, session, got, tuples)
+			}
+		}
+	}
+
+	s := bundled.NewSession()
 	opts := ExecOptions{Iterations: iters, Seed: 3, Workers: 2}
-	sess := db.NewSession()
-	if _, err := sess.ExecSQLRange(ctx, sql, opts, 1, iters); err != nil {
+	if err := exec(s, opts); err != nil {
 		t.Fatal(err)
 	}
-	if got := calls.Swap(0); got != tuples {
-		t.Fatalf("ExecSQLRange over %d iterations ran Params %d times, want once per tuple (%d)", iters-1, got, tuples)
-	}
-	if _, err := sess.Exec(ctx, AggQuery{Table: "t", Col: "val", Fn: engine.AggAvg}, opts); err != nil {
+	calls.Store(0)
+	firstThree := Delta{Table: "t", Params: counted, Where: func(det engine.Row) bool { return det[0].AsInt() < 3 }}
+	if _, err := s.ExecDelta(ctx, agg, opts, firstThree); err != nil {
 		t.Fatal(err)
 	}
-	if got := calls.Swap(0); got != tuples {
-		t.Fatalf("per-instance Exec over %d iterations ran Params %d times, want once per tuple (%d)", iters, got, tuples)
+	if got := calls.Swap(0); got != 3 {
+		t.Fatalf("a Params what-if over 3 tuples ran Params %d times, want 3", got)
 	}
+
 	p, err := engine.Prepare(sql)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.MonteCarlo(ctx, iters, 3, 2, p.Scalar); err != nil {
+	if _, err := bundled.MonteCarlo(ctx, iters, 3, 2, p.Scalar); err != nil {
 		t.Fatal(err)
 	}
 	if got := calls.Swap(0); got != tuples*iters {

@@ -19,9 +19,15 @@
 //
 // Arbitrary SQL (Session.ExecSQL) follows the same declaration: a
 // statement over one stochastic table with float UncertainCols runs its
-// joins and deterministic filters once per window and draws only the
-// uncertain columns per iteration (planOnce); any other statement runs
-// per instance.
+// joins and deterministic filters once per (session, statement) and
+// draws only the uncertain columns per iteration (planOnce); any other
+// statement runs per instance.
+//
+// What does not depend on the draw is resolved once per session: the
+// FOR EACH rows, every spec's VG parameter rows and each statement's
+// bound plan. A Session therefore assumes DB.Base does not change while
+// it is live — the bundle cache always did; open a new Session after
+// changing a base table.
 package mcdb
 
 import (
@@ -80,9 +86,10 @@ type TableSpec struct {
 	// Params produces the VG parameter row for one outer tuple; in
 	// MCDB this is an arbitrary SQL query over the non-random tables.
 	// It must be a function of the base tables and the outer row alone:
-	// a run resolves it once per outer tuple and reads the result, which
-	// is read-only from then on, at every iteration. A nil Params passes
-	// the outer row itself to the VG function.
+	// a Session resolves it once per outer tuple for its whole life and
+	// reads the result, which is read-only from then on, at every
+	// iteration of every run. A nil Params passes the outer row itself to
+	// the VG function.
 	Params func(db *engine.Database, outer engine.Row) (engine.Row, error)
 	// VG generates one realization of the uncertain values.
 	VG VG
@@ -187,10 +194,10 @@ func (db *DB) Spec(name string) (*TableSpec, error) {
 	return nil, fmt.Errorf("%w: %q", ErrNoSpec, name)
 }
 
-// instancer holds what every instantiation of one run shares because it
-// does not depend on the random draw: per spec (in db.specs order) the
-// FOR EACH rows and the VG parameter rows. It is read-only once built,
-// so the iterations of a run use one concurrently.
+// instancer holds what every realization shares because it does not
+// depend on the random draw: per spec (in db.specs order) the FOR EACH
+// rows and the VG parameter rows. It is read-only once built, so the
+// iterations of a run, and the runs of a Session, use one concurrently.
 type instancer struct {
 	db             *DB
 	outers, params [][]engine.Row
@@ -403,8 +410,8 @@ func (db *DB) Instantiate(r *rng.Stream) (*engine.Database, error) {
 // InstantiateCtx is Instantiate with cancellation: ctx is observed
 // between stochastic tables and every few hundred tuples, so a server
 // handler can abort an instantiation mid-build with ctx.Err(). Each call
-// resolves the parameter queries afresh; a run of many instantiations
-// (Session.ExecSQL) resolves them once.
+// resolves the parameter queries afresh; a Session resolves them once
+// for its whole life.
 func (db *DB) InstantiateCtx(ctx context.Context, r *rng.Stream) (*engine.Database, error) {
 	in, err := db.newInstancer(ctx)
 	if err != nil {
@@ -421,8 +428,8 @@ type Query func(inst *engine.Database) (float64, error)
 // re-instantiating and re-executing everything per iteration — the
 // baseline the tuple-bundle executor is measured against in experiment
 // E1. That is why it calls InstantiateCtx per iteration, parameter
-// queries included, where Session.ExecSQL resolves them once per run:
-// the strawman stays naive by construction. Iterations fan out over the
+// queries included, where a Session resolves them once: the strawman
+// stays naive by construction. Iterations fan out over the
 // parallel runtime: each iteration draws from a substream split from
 // seed in index order, so the returned samples are bit-identical at any
 // worker count (workers ≤ 0 uses the context default). Cancellation of
@@ -433,17 +440,6 @@ func (db *DB) MonteCarlo(ctx context.Context, iters int, seed uint64, workers in
 		return nil, err
 	}
 	return perInstance(ctx, opts, 0, iters, db.InstantiateCtx, q)
-}
-
-// perInstanceOnce is the per-instance executor as sessions run it: what
-// is deterministic — outer rows, VG parameter rows — is resolved once
-// for the whole window, then every iteration realizes from it.
-func (db *DB) perInstanceOnce(ctx context.Context, opts ExecOptions, lo, hi int, q Query) ([]float64, error) {
-	in, err := db.newInstancer(ctx)
-	if err != nil {
-		return nil, err
-	}
-	return perInstance(ctx, opts, lo, hi, in.instantiate, q)
 }
 
 // deferred binds p for plan-once execution: against the base tables and
@@ -467,37 +463,29 @@ func (in *instancer) deferred(p *engine.Prepared) (*engine.Deferred, int, error)
 	return d, slices.Index(tables, d.Table()), nil
 }
 
-// planOnce is the tuple-bundle executor for SQL: the window's first
-// iteration is realized in full and the statement executed over it, once
-// — joins, deterministic filters, written order — and every other
-// iteration draws only the read spec's uncertain columns, from the same
-// substream in the same order a full realization would, and evaluates
-// what depends on them over the finished join. Samples are the bits
-// perInstance returns for p.Scalar.
-func (in *instancer) planOnce(ctx context.Context, d *engine.Deferred, read int, opts ExecOptions, lo, hi int) ([]float64, error) {
+// planOnce is the tuple-bundle executor for SQL. The statement is
+// executed once per session — joins, deterministic filters, written
+// order — over one full realization (statement.bind), and every
+// iteration after that draws only the read spec's uncertain columns,
+// from the same substream in the same order a full realization would,
+// and evaluates what depends on them over the finished join. Samples
+// are the bits perInstance returns for p.Scalar.
+func (st *statement) planOnce(ctx context.Context, in *instancer, opts ExecOptions, lo, hi int) ([]float64, error) {
 	out := make([]float64, hi-lo)
 	if lo == hi {
 		return out, nil
 	}
-	tables, err := in.realize(ctx, rng.New(opts.Seed).SplitN(lo + 1)[lo])
+	first, done, err := st.bind(ctx, in, opts, lo, out)
 	if err != nil {
 		return nil, err
 	}
-	first := tables[read].Rows
-	d.Table().Rows = first
-	if out[0], err = d.Run(); err != nil {
-		return nil, err
-	}
-	err = parallel.ForStreamsRange(ctx, rng.New(opts.Seed), opts.Iterations, lo, hi, parallel.Options{Workers: opts.Workers},
+	err = parallel.ForStreamsRange(ctx, rng.New(opts.Seed), opts.Iterations, lo+done, hi, parallel.Options{Workers: opts.Workers},
 		func(i int, r *rng.Stream) error {
-			if i == lo {
-				return nil // Run's answer
-			}
-			vecs, err := in.drawVectors(ctx, read, first, r)
+			vecs, err := in.drawVectors(ctx, st.read, first, r)
 			if err != nil {
 				return err
 			}
-			out[i-lo], err = d.Scalar(vecs)
+			out[i-lo], err = st.d.Scalar(vecs)
 			return err
 		})
 	if err != nil {

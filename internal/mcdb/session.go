@@ -79,13 +79,22 @@ type ExecOptions struct {
 // realizations so repeated queries against the same (iterations, seed)
 // pay the VG sampling cost once. The cache is a bounded LRU (see
 // DefaultBundleCacheCap); evictions are counted under
-// MetricRealizeCacheEvictions. A Session is safe for concurrent use.
+// MetricRealizeCacheEvictions. What does not depend on the seed is
+// resolved once per session: the FOR EACH and VG parameter rows, on the
+// first call that needs them, and each SQL statement's plan-once
+// binding, on the statement's first run. DB.Base must therefore not
+// change while the Session is live. A Session is safe for concurrent
+// use.
 type Session struct {
 	db *DB
 
 	bundles *lru.Cache[bundleKey, map[string]*BundleTable]
 
-	prepared *lru.Cache[string, *engine.Prepared]
+	prepared *lru.Cache[string, *statement]
+
+	// inMu guards the lazily built instancer every route realizes from.
+	inMu sync.Mutex
+	in   *instancer // guarded by inMu
 
 	// explainMu guards the lazily built seed-0 instantiation that
 	// EXPLAIN plans against; building it once per session keeps
@@ -113,8 +122,24 @@ func (db *DB) NewSessionCache(capacity int) *Session {
 	return &Session{
 		db:       db,
 		bundles:  lru.New[bundleKey, map[string]*BundleTable](capacity),
-		prepared: lru.New[string, *engine.Prepared](DefaultPreparedCacheCap),
+		prepared: lru.New[string, *statement](DefaultPreparedCacheCap),
 	}
+}
+
+// instancer returns the session's resolved outer and parameter rows,
+// resolving them under ctx on first use. A failed or cancelled build is
+// not kept: the next call tries again.
+func (s *Session) instancer(ctx context.Context) (*instancer, error) {
+	s.inMu.Lock()
+	defer s.inMu.Unlock()
+	if s.in == nil {
+		in, err := s.db.newInstancer(ctx)
+		if err != nil {
+			return nil, err
+		}
+		s.in = in
+	}
+	return s.in, nil
 }
 
 // Exec runs q for opts.Iterations Monte Carlo iterations and returns
@@ -155,7 +180,11 @@ func (s *Session) ExecRange(ctx context.Context, q AggQuery, opts ExecOptions, l
 	span.SetInt("hi", int64(hi))
 	defer span.End()
 	if len(spec.UncertainCols) == 0 {
-		return s.db.perInstanceOnce(ctx, opts, lo, hi, instanceAgg(q, colIdx))
+		in, err := s.instancer(ctx)
+		if err != nil {
+			return nil, err
+		}
+		return perInstance(ctx, opts, lo, hi, in.instantiate, instanceAgg(q, colIdx))
 	}
 	bt, err := s.bundleFor(ctx, opts, q.Table)
 	if err != nil {
@@ -275,7 +304,11 @@ func (s *Session) bundleFor(ctx context.Context, opts ExecOptions, table string)
 		reg.Counter(MetricRealizeCacheHits).Add(1)
 	} else {
 		reg.Counter(MetricRealizeCacheMisses).Add(1)
-		fresh, err := s.db.InstantiateBundledCtx(ctx, opts.Iterations, opts.Seed, opts.Workers)
+		in, err := s.instancer(ctx)
+		if err != nil {
+			return nil, err
+		}
+		fresh, err := in.bundled(ctx, opts.Iterations, opts.Seed, opts.Workers)
 		if err != nil {
 			return nil, err
 		}
@@ -299,17 +332,18 @@ func (s *Session) bundleFor(ctx context.Context, opts ExecOptions, table string)
 // ExecSQL runs an arbitrary scalar SELECT (joins, WHERE, GROUP BY —
 // anything the engine's SQL dialect supports) for every Monte Carlo
 // iteration, where AggQuery is limited to one table and one aggregate.
-// The statement is prepared once per Session. Each call picks its
-// executor from the lowered statement and the specs (see
-// engine.Prepared.Defer for the conditions):
+// The statement is prepared, and its executor picked from the lowered
+// statement and the specs (see engine.Prepared.Defer for the
+// conditions), once per Session:
 //
 //   - plan once, when the statement reads exactly one stochastic table,
-//     once, whose UncertainCols are float columns and not join keys. The
-//     window's first iteration is realized in full and the statement
-//     executed over it; the other iterations draw only that table's
-//     uncertain columns — every spec's VG still runs for every tuple on
-//     the iteration's substream, so the draws are the per-instance ones
-//     — and re-evaluate what names them over the finished join.
+//     once, whose UncertainCols are float columns and not join keys. Its
+//     first run realizes the window's first iteration in full and
+//     executes the statement over it, binding it for the session; every
+//     later iteration draws only that table's uncertain columns — every
+//     spec's VG still runs for every tuple on the iteration's substream,
+//     so the draws are the per-instance ones — and re-evaluates what
+//     names them over the finished join.
 //   - per instance, otherwise: a database is instantiated per iteration
 //     and the statement run against it; the engine's planner picks a
 //     join order on the first iteration and the Prepared choice cache
@@ -319,22 +353,91 @@ func (s *Session) bundleFor(ctx context.Context, opts ExecOptions, table string)
 // MetricSQLPlanOnce / MetricSQLPerInstance and the mcdb.sql span's
 // executor attribute say which one answered.
 
-// Prepared parses sql once and caches it on the session's bounded LRU.
-// Repeated calls with the same text return the same *engine.Prepared,
-// sharing its join-order cache; statements evicted past
-// DefaultPreparedCacheCap are simply re-prepared on next use.
-func (s *Session) Prepared(sql string) (*engine.Prepared, error) {
-	if p, ok := s.prepared.Get(sql); ok {
-		return p, nil
+// statement is one entry of the session's prepared-statement cache: the
+// parsed statement and how the session runs it. mu serializes the
+// binding, so concurrent first runs bind once; the fields below it are
+// written under mu, once each, and read-only from then on.
+type statement struct {
+	p *engine.Prepared
+
+	mu      sync.Mutex
+	planned bool             // d and read are set
+	d       *engine.Deferred // nil: the statement runs per instance
+	read    int              // index of the spec d defers
+	ran     bool             // d has run over first
+	first   []engine.Row     // the realization of spec read d ran over
+}
+
+// plan picks the statement's executor over in's database once, returning
+// the Deferred that runs it plan-once, or nil when it runs per instance.
+// It reads no row and draws nothing; an error is the statement's own
+// and is not kept.
+func (st *statement) plan(in *instancer) (*engine.Deferred, error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if !st.planned {
+		d, read, err := in.deferred(st.p)
+		if err != nil {
+			return nil, err
+		}
+		st.planned, st.d, st.read = true, d, read
+	}
+	return st.d, nil
+}
+
+// bind runs the plan-once statement's join region unless an earlier
+// call has: over iteration lo of the run opts describes, realized in
+// full, storing Run's answer for it in out[0]. It returns the rows later
+// draws are checked against and how many leading iterations of the
+// window it answered (0 or 1). A failed or cancelled bind leaves the
+// statement to the next call.
+func (st *statement) bind(ctx context.Context, in *instancer, opts ExecOptions, lo int, out []float64) ([]engine.Row, int, error) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	if st.ran {
+		return st.first, 0, nil
+	}
+	tables, err := in.realize(ctx, rng.New(opts.Seed).SplitN(lo + 1)[lo])
+	if err != nil {
+		return nil, 0, err
+	}
+	first := tables[st.read].Rows
+	st.d.Table().Rows = first
+	if out[0], err = st.d.Run(); err != nil {
+		return nil, 0, err
+	}
+	st.ran, st.first = true, first
+	return first, 1, nil
+}
+
+// statement returns sql's cache entry, preparing it on a miss.
+// Statements evicted past DefaultPreparedCacheCap are simply
+// re-prepared, and re-bound, on next use.
+func (s *Session) statement(sql string) (*statement, error) {
+	if st, ok := s.prepared.Get(sql); ok {
+		return st, nil
 	}
 	p, err := engine.Prepare(sql)
 	if err != nil {
 		return nil, err
 	}
 	// Two goroutines racing to prepare the same text agree on one
-	// winner, so each statement keeps a single join-order cache.
-	actual, _, _ := s.prepared.GetOrAdd(sql, p)
+	// winner, so each statement keeps a single join-order cache and a
+	// single binding.
+	actual, _, _ := s.prepared.GetOrAdd(sql, &statement{p: p})
 	return actual, nil
+}
+
+// Prepared parses sql once and caches it on the session's bounded LRU.
+// Repeated calls with the same text return the same *engine.Prepared,
+// sharing its join-order cache; statements evicted past
+// DefaultPreparedCacheCap are simply re-prepared on next use.
+func (s *Session) Prepared(sql string) (*engine.Prepared, error) {
+	st, err := s.statement(sql)
+	if err != nil {
+		return nil, err
+	}
+	return st.p, nil
 }
 
 // ExecSQL runs a scalar SELECT for opts.Iterations Monte Carlo
@@ -353,7 +456,7 @@ func (s *Session) ExecSQLRange(ctx context.Context, sql string, opts ExecOptions
 	if err := checkWindow(opts, lo, hi); err != nil {
 		return nil, err
 	}
-	p, err := s.Prepared(sql)
+	st, err := s.statement(sql)
 	if err != nil {
 		return nil, err
 	}
@@ -363,11 +466,11 @@ func (s *Session) ExecSQLRange(ctx context.Context, sql string, opts ExecOptions
 	span.SetInt("lo", int64(lo))
 	span.SetInt("hi", int64(hi))
 	defer span.End()
-	in, err := s.db.newInstancer(ctx)
+	in, err := s.instancer(ctx)
 	if err != nil {
 		return nil, err
 	}
-	d, read, err := in.deferred(p)
+	d, err := st.plan(in)
 	if err != nil {
 		return nil, err
 	}
@@ -375,11 +478,11 @@ func (s *Session) ExecSQLRange(ctx context.Context, sql string, opts ExecOptions
 	if d == nil {
 		span.SetAttr("executor", "per_instance")
 		reg.Counter(MetricSQLPerInstance).Add(1)
-		return perInstance(ctx, opts, lo, hi, in.instantiate, p.Scalar)
+		return perInstance(ctx, opts, lo, hi, in.instantiate, st.p.Scalar)
 	}
 	span.SetAttr("executor", "plan_once")
 	reg.Counter(MetricSQLPlanOnce).Add(1)
-	return in.planOnce(ctx, d, read, opts, lo, hi)
+	return st.planOnce(ctx, in, opts, lo, hi)
 }
 
 // ExplainSQL renders the plan ExecSQL would run, in both text and JSON
@@ -387,8 +490,8 @@ func (s *Session) ExecSQLRange(ctx context.Context, sql string, opts ExecOptions
 // explained against a deterministic seed-0 instantiation — the same
 // row counts (and thus the same plan) every instantiation gets. The
 // instantiation is built at most once per session (under ctx, so a
-// server handler can abort a slow build) and reused by every later
-// EXPLAIN, whatever its statement.
+// server handler can abort a slow build), from the session's resolved
+// rows, and reused by every later EXPLAIN, whatever its statement.
 func (s *Session) ExplainSQL(ctx context.Context, sql string) (string, []byte, error) {
 	p, err := s.Prepared(sql)
 	if err != nil {
@@ -418,7 +521,11 @@ func (s *Session) explainInstance(ctx context.Context) (*engine.Database, error)
 	if s.explainInst != nil {
 		return s.explainInst, nil
 	}
-	inst, err := s.db.InstantiateCtx(ctx, rng.New(0))
+	in, err := s.instancer(ctx)
+	if err != nil {
+		return nil, err
+	}
+	inst, err := in.instantiate(ctx, rng.New(0))
 	if err != nil {
 		return nil, err
 	}

@@ -2,10 +2,13 @@ package mcdb
 
 import (
 	"context"
+	"errors"
 	"math"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"modeldata/internal/engine"
@@ -407,5 +410,182 @@ func TestPreparedCacheBoundedUnderStatementChurn(t *testing.T) {
 	ctx := context.Background()
 	if _, err := s.ExecSQL(ctx, "SELECT AVG(sbp) FROM sbp_data", ExecOptions{Iterations: 3, Seed: 1}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWarmSessionMatchesColdSessions: a warm session answers every run
+// from what it resolved and bound once — outer and parameter rows, the
+// plan-once binding made over another seed's iteration — and still
+// returns, for every seed and window, the bits a cold session and
+// DB.MonteCarlo return: after a bind a cancellation cut short, at
+// windows that start past 0 or are empty, and from four goroutines at
+// once.
+func TestWarmSessionMatchesColdSessions(t *testing.T) {
+	const tuples, iters = 600, 9
+	var calls, cancelAt atomic.Int64 // cancelAt 0: no VG call cancels
+	var cancel context.CancelFunc
+	normal := NormalVG()
+	db := New(itemsBase(tuples))
+	if err := db.AddSpec(&TableSpec{Name: "t", Schema: idWVal, ForEach: "items", Params: wStd, UncertainCols: []int{2},
+		VG: func(params engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error) {
+			if calls.Add(1) == cancelAt.Load() {
+				cancel()
+			}
+			return normal(params, r, out)
+		}}); err != nil {
+		t.Fatal(err)
+	}
+	const planOnce = "SELECT SUM(t.val) FROM t JOIN items ON t.id = items.id WHERE items.w > 11 AND t.val > 10"
+	const perInstance = "SELECT SUM(t.val) FROM t JOIN t ON t.id = t.id WHERE t.val > 10"
+	seeds := []uint64{1, 2, 5}
+	windows := [][2]int{{2, 7}, {0, iters}, {4, 4}, {8, iters}, {0, 1}, {3, 6}}
+	ctx := context.Background()
+	want := map[string]map[uint64][]float64{}
+	for _, sql := range []string{planOnce, perInstance} {
+		p, err := engine.Prepare(sql)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[sql] = map[uint64][]float64{}
+		for _, seed := range seeds {
+			if want[sql][seed], err = db.MonteCarlo(ctx, iters, seed, 1, p.Scalar); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	check := func(who, sql string, seed uint64, w [2]int, got []float64) error {
+		if len(got) != w[1]-w[0] {
+			return errors.New(who + ": wrong sample count")
+		}
+		for i, v := range got {
+			if it := w[0] + i; !sameBits(v, want[sql][seed][it]) {
+				t.Errorf("%s, %s, seed %d, window %v, iteration %d: %v, MonteCarlo %v", who, sql, seed, w, it, v, want[sql][seed][it])
+				return errors.New("bits differ")
+			}
+		}
+		return nil
+	}
+
+	// The first plan-once request is cancelled while it binds.
+	warm := db.NewSession()
+	var cctx context.Context
+	cctx, cancel = context.WithCancel(ctx)
+	cancelAt.Store(calls.Load() + 10)
+	_, err := warm.ExecSQLRange(cctx, planOnce, ExecOptions{Iterations: iters, Seed: 7, Workers: 1}, 2, 7)
+	cancel()
+	cancelAt.Store(0)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled bind: got %v, want context.Canceled", err)
+	}
+	if st, ok := warm.prepared.Get(planOnce); !ok || st.ran {
+		t.Fatal("the cancelled request did not stop inside the bind")
+	}
+
+	stats := parallel.NewStats()
+	sctx := parallel.WithStats(ctx, stats)
+	requests := 0
+	for _, seed := range seeds {
+		for _, w := range windows {
+			for _, sql := range []string{planOnce, perInstance} {
+				opts := ExecOptions{Iterations: iters, Seed: seed, Workers: 2}
+				cold, err := db.NewSession().ExecSQLRange(ctx, sql, opts, w[0], w[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := warm.ExecSQLRange(sctx, sql, opts, w[0], w[1])
+				if err != nil {
+					t.Fatal(err)
+				}
+				if check("cold", sql, seed, w, cold) != nil || check("warm", sql, seed, w, got) != nil {
+					return
+				}
+				requests++
+			}
+		}
+	}
+	reg := stats.Registry()
+	if once, per := reg.Counter(MetricSQLPlanOnce).Value(), reg.Counter(MetricSQLPerInstance).Value(); once != int64(requests/2) || per != int64(requests/2) {
+		t.Fatalf("%d requests ran plan-once and %d per instance, want %d each", once, per, requests/2)
+	}
+
+	shared := db.NewSession()
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for j := 0; j < len(seeds)*len(windows)*2; j++ {
+				k := (j + 5*g) % (len(seeds) * len(windows) * 2)
+				seed, w, sql := seeds[k%len(seeds)], windows[k/len(seeds)%len(windows)], []string{planOnce, perInstance}[k/len(seeds)/len(windows)]
+				got, err := shared.ExecSQLRange(ctx, sql, ExecOptions{Iterations: iters, Seed: seed, Workers: 2}, w[0], w[1])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if check("concurrent", sql, seed, w, got) != nil {
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// bytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes one
+// call of f allocates, after a warm-up call, on one P.
+func bytesPerRun(runs int, f func()) float64 {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
+}
+
+// TestWhatIfSkipsTuplesTheQueryCannotSee: a MapUnc what-if whose tuples
+// the query's WhereDet rejects returns the changed world's bits with
+// every iteration reused, and re-maps none of them. So from 100 to 1 000
+// iterations what it allocates grows by its per-iteration sample vectors
+// only: a copy of the 100 hidden tuples' arrays would add 800 B per
+// iteration.
+func TestWhatIfSkipsTuplesTheQueryCannotSee(t *testing.T) {
+	const items, grps = 300, 3
+	w := deltaWorld{kind: deltaKindMapUnc, targetGrp: 0}
+	q := AggQuery{Table: "obs", Col: "val", Fn: engine.AggSum,
+		WhereDet: func(det engine.Row) bool { return det[1].AsInt() == 1 }}
+	ctx := context.Background()
+	bytes := map[int]float64{}
+	for _, iters := range []int{100, 1000} {
+		opts := ExecOptions{Iterations: iters, Seed: 23, Workers: 1}
+		want, err := buildDeltaDB(t, items, grps, w, true).NewSession().Exec(ctx, q, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		s := buildDeltaDB(t, items, grps, w, false).NewSession()
+		st := parallel.NewStats()
+		got, err := s.ExecDelta(parallel.WithStats(ctx, st), q, opts, deltaFor(w))
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameSamples(t, "hidden what-if", want, got)
+		reg := st.Registry()
+		if skipped := reg.Counter(MetricDeltaItersSkipped).Value(); skipped != int64(iters) {
+			t.Fatalf("%d iterations: delta_iters_skipped = %d, want all", iters, skipped)
+		}
+		if n := reg.Counter(MetricDeltaTuplesRerealized).Value(); n != 0 {
+			t.Fatalf("%d iterations: %d hidden tuples re-mapped", iters, n)
+		}
+		bytes[iters] = bytesPerRun(5, func() {
+			if _, err := s.ExecDelta(ctx, q, opts, deltaFor(w)); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// Per added iteration: a dirty flag and the sum and count samples.
+	if perIter := (bytes[1000] - bytes[100]) / 900; perIter >= 64 {
+		t.Fatalf("%.0f B at 100 iterations, %.0f B at 1000: %.1f B per added iteration, want < 64", bytes[100], bytes[1000], perIter)
 	}
 }

@@ -80,6 +80,14 @@ var retiredTable = []retired{
 		},
 	},
 	{
+		name: "One Monte Carlo core", pr: 33,
+		why:   "a Session resolves the FOR EACH and VG parameter rows once for its life and every route reads them; resolving them again per request was the second copy",
+		scope: []string{"internal/mcdb", "internal/server"},
+		lines: []offender{
+			{`perInstanceOnce`, `return s.db.perInstanceOnce(ctx, opts, lo, hi, instanceAgg(q, colIdx))`},
+		},
+	},
+	{
 		name: "One harness", pr: 17,
 		why:   "bench/ is the only benchmark harness; these were the second one, its committed reports, and the two switches that gave it a slow baseline to take ratios over",
 		scope: []string{"."},
