@@ -58,7 +58,7 @@ func (b *ColumnBlock) WhereEq(col string, v Value) (*ColumnBlock, error) {
 	case b.Schema[j].Type == TypeInt && v.typ == TypeInt:
 		ints := b.cols[j].ints
 		for i := 0; i < n; i++ {
-			if p := b.phys(i); ints[p] == v.i {
+			if p := b.phys(i); ints[p] == v.i() {
 				sel = append(sel, int32(p))
 			}
 		}
@@ -72,7 +72,7 @@ func (b *ColumnBlock) WhereEq(col string, v Value) (*ColumnBlock, error) {
 	case b.Schema[j].Type == TypeBool && v.typ == TypeBool:
 		bools := b.cols[j].bools
 		for i := 0; i < n; i++ {
-			if p := b.phys(i); bools[p] == v.b {
+			if p := b.phys(i); bools[p] == v.b() {
 				sel = append(sel, int32(p))
 			}
 		}

@@ -73,13 +73,13 @@ func (b *ColumnBlock) ColIndex(name string) (int, error) { return b.Schema.ColIn
 func (b *ColumnBlock) valuePhys(p, j int) Value {
 	switch b.Schema[j].Type {
 	case TypeInt:
-		return Value{typ: TypeInt, i: b.cols[j].ints[p]}
+		return Int(b.cols[j].ints[p])
 	case TypeFloat:
-		return Value{typ: TypeFloat, f: b.cols[j].floats[p]}
+		return Float(b.cols[j].floats[p])
 	case TypeString:
-		return Value{typ: TypeString, s: b.cols[j].strs[p]}
+		return Str(b.cols[j].strs[p])
 	case TypeBool:
-		return Value{typ: TypeBool, b: b.cols[j].bools[p]}
+		return Bool(b.cols[j].bools[p])
 	}
 	return Value{}
 }
@@ -109,13 +109,13 @@ func decodeColumn(rows []Row, j int, typ Type, colName string) (colvec, error) {
 		}
 		switch typ {
 		case TypeInt:
-			cv.ints[i] = v.i
+			cv.ints[i] = v.i()
 		case TypeFloat:
-			cv.floats[i] = v.f
+			cv.floats[i] = v.f()
 		case TypeString:
 			cv.strs[i] = v.s
 		case TypeBool:
-			cv.bools[i] = v.b
+			cv.bools[i] = v.b()
 		}
 	}
 	return cv, nil

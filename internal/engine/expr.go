@@ -149,22 +149,22 @@ func compileExprBlock(e plan.Expr, b *ColumnBlock, fns predFns) (func(i int) boo
 func compareAt(b *ColumnBlock, j int, lit Value) (lt, gt, eq func(p int) bool) {
 	switch typ := b.Schema[j].Type; {
 	case typ == TypeFloat && lit.typ == TypeFloat:
-		v, x := b.cols[j].floats, lit.f
+		v, x := b.cols[j].floats, lit.f()
 		return func(p int) bool { return v[p] < x },
 			func(p int) bool { return x < v[p] },
 			func(p int) bool { return v[p] == x } // Value.Equal on two floats is exact ==
 	case typ == TypeFloat && lit.typ == TypeInt:
-		v, x := b.cols[j].floats, lit.i
+		v, x := b.cols[j].floats, lit.i()
 		return func(p int) bool { return floatLessInt(v[p], x) },
 			func(p int) bool { return intLessFloat(x, v[p]) },
 			func(p int) bool { return floatEqualsInt(v[p], x) }
 	case typ == TypeInt && lit.typ == TypeInt:
-		v, x := b.cols[j].ints, lit.i
+		v, x := b.cols[j].ints, lit.i()
 		return func(p int) bool { return v[p] < x },
 			func(p int) bool { return x < v[p] },
 			func(p int) bool { return v[p] == x }
 	case typ == TypeInt && lit.typ == TypeFloat:
-		v, x := b.cols[j].ints, lit.f
+		v, x := b.cols[j].ints, lit.f()
 		return func(p int) bool { return intLessFloat(v[p], x) },
 			func(p int) bool { return floatLessInt(x, v[p]) },
 			func(p int) bool { return floatEqualsInt(x, v[p]) }

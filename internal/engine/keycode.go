@@ -88,14 +88,14 @@ func appendBoolKey(dst []byte, b bool) []byte {
 func (v Value) AppendKey(dst []byte) []byte {
 	switch v.typ {
 	case TypeInt:
-		bits, tag := intKeyBits(v.i)
+		bits, tag := intKeyBits(v.i())
 		return appendTagged64(dst, tag, bits)
 	case TypeFloat:
-		return appendTagged64(dst, keyTagNum, numKeyBits(v.f))
+		return appendTagged64(dst, keyTagNum, numKeyBits(v.f()))
 	case TypeString:
 		return appendStringKey(dst, v.s)
 	case TypeBool:
-		return appendBoolKey(dst, v.b)
+		return appendBoolKey(dst, v.b())
 	}
 	return append(dst, '?')
 }

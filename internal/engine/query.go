@@ -987,7 +987,7 @@ func (c *chain) extend(op *qop) (*ColumnBlock, error) {
 	for i, r := range c.userRows() {
 		v := op.extFn(r)
 		if v.typ == TypeInt && op.extType == TypeFloat {
-			v = Float(float64(v.i))
+			v = Float(float64(v.i()))
 		}
 		if v.typ != op.extType {
 			return nil, fmt.Errorf("%w: Extend column %q row %d: got %s, want %s",
@@ -995,13 +995,13 @@ func (c *chain) extend(op *qop) (*ColumnBlock, error) {
 		}
 		switch p := b.phys(i); op.extType {
 		case TypeInt:
-			cv.ints[p] = v.i
+			cv.ints[p] = v.i()
 		case TypeFloat:
-			cv.floats[p] = v.f
+			cv.floats[p] = v.f()
 		case TypeString:
 			cv.strs[p] = v.s
 		case TypeBool:
-			cv.bools[p] = v.b
+			cv.bools[p] = v.b()
 		}
 	}
 	nb := *b

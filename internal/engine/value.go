@@ -42,25 +42,42 @@ func (t Type) String() string {
 }
 
 // Value is a tagged-union scalar. The zero Value is the integer 0.
+//
+// An int, float or bool lives in the one payload word n — an int as its
+// two's-complement bits, a float as math.Float64bits, a bool as 0 or 1 —
+// and a string in s, so a Value is 32 bytes and a row of them is what a
+// realization allocates per cell. Every constructor leaves the fields it
+// does not use zero, which makes == bit identity: same type, same bits
+// (a NaN equals a NaN with its payload, and -0 differs from +0). Equal
+// is SQL equality.
 type Value struct {
 	typ Type
-	i   int64
-	f   float64
+	n   uint64
 	s   string
-	b   bool
 }
 
 // Int returns an integer Value.
-func Int(v int64) Value { return Value{typ: TypeInt, i: v} }
+func Int(v int64) Value { return Value{typ: TypeInt, n: uint64(v)} }
 
 // Float returns a float Value.
-func Float(v float64) Value { return Value{typ: TypeFloat, f: v} }
+func Float(v float64) Value { return Value{typ: TypeFloat, n: math.Float64bits(v)} }
 
 // String returns a string Value.
 func Str(v string) Value { return Value{typ: TypeString, s: v} }
 
 // Bool returns a boolean Value.
-func Bool(v bool) Value { return Value{typ: TypeBool, b: v} }
+func Bool(v bool) Value {
+	if v {
+		return Value{typ: TypeBool, n: 1}
+	}
+	return Value{typ: TypeBool}
+}
+
+// i, f and b read the payload word as the type the tag names; the
+// caller has checked the tag.
+func (v Value) i() int64   { return int64(v.n) }
+func (v Value) f() float64 { return math.Float64frombits(v.n) }
+func (v Value) b() bool    { return v.n != 0 }
 
 // Type returns the value's type tag.
 func (v Value) Type() Type { return v.typ }
@@ -71,9 +88,9 @@ func (v Value) Type() Type { return v.typ }
 func (v Value) AsInt() int64 {
 	switch v.typ {
 	case TypeInt:
-		return v.i
+		return v.i()
 	case TypeFloat:
-		return int64(v.f)
+		return int64(v.f())
 	}
 	panic(fmt.Sprintf("engine: AsInt on %s value", v.typ))
 }
@@ -83,9 +100,9 @@ func (v Value) AsInt() int64 {
 func (v Value) AsFloat() float64 {
 	switch v.typ {
 	case TypeInt:
-		return float64(v.i)
+		return float64(v.i())
 	case TypeFloat:
-		return v.f
+		return v.f()
 	}
 	panic(fmt.Sprintf("engine: AsFloat on %s value", v.typ))
 }
@@ -103,7 +120,7 @@ func (v Value) AsBool() bool {
 	if v.typ != TypeBool {
 		panic(fmt.Sprintf("engine: AsBool on %s value", v.typ))
 	}
-	return v.b
+	return v.b()
 }
 
 // IsNumeric reports whether the value is an int or float.
@@ -173,16 +190,16 @@ func floatLessInt(f float64, i int64) bool {
 // equal to Float(2^53) even though both round to the same float64.
 func (v Value) Equal(o Value) bool {
 	if v.typ == TypeInt && o.typ == TypeInt {
-		return v.i == o.i
+		return v.i() == o.i()
 	}
 	if v.IsNumeric() && o.IsNumeric() {
 		if v.typ == TypeInt {
-			return floatEqualsInt(o.f, v.i)
+			return floatEqualsInt(o.f(), v.i())
 		}
 		if o.typ == TypeInt {
-			return floatEqualsInt(v.f, o.i)
+			return floatEqualsInt(v.f(), o.i())
 		}
-		return v.f == o.f
+		return v.f() == o.f()
 	}
 	if v.typ != o.typ {
 		return false
@@ -191,7 +208,7 @@ func (v Value) Equal(o Value) bool {
 	case TypeString:
 		return v.s == o.s
 	case TypeBool:
-		return v.b == o.b
+		return v.b() == o.b()
 	}
 	return false
 }
@@ -203,16 +220,16 @@ func (v Value) Equal(o Value) bool {
 // by type tag.
 func (v Value) Less(o Value) bool {
 	if v.typ == TypeInt && o.typ == TypeInt {
-		return v.i < o.i
+		return v.i() < o.i()
 	}
 	if v.IsNumeric() && o.IsNumeric() {
 		if v.typ == TypeInt {
-			return intLessFloat(v.i, o.f)
+			return intLessFloat(v.i(), o.f())
 		}
 		if o.typ == TypeInt {
-			return floatLessInt(v.f, o.i)
+			return floatLessInt(v.f(), o.i())
 		}
-		return v.f < o.f
+		return v.f() < o.f()
 	}
 	if v.typ != o.typ {
 		return v.typ < o.typ
@@ -221,7 +238,7 @@ func (v Value) Less(o Value) bool {
 	case TypeString:
 		return v.s < o.s
 	case TypeBool:
-		return !v.b && o.b
+		return !v.b() && o.b()
 	}
 	return false
 }
@@ -235,16 +252,16 @@ func (v Value) Less(o Value) bool {
 func (v Value) Key() string {
 	switch v.typ {
 	case TypeInt:
-		if floatRepresentable(v.i) {
-			return "n" + strconv.FormatFloat(float64(v.i), 'g', -1, 64)
+		if floatRepresentable(v.i()) {
+			return "n" + strconv.FormatFloat(float64(v.i()), 'g', -1, 64)
 		}
-		return "i" + strconv.FormatInt(v.i, 10)
+		return "i" + strconv.FormatInt(v.i(), 10)
 	case TypeFloat:
-		return "n" + strconv.FormatFloat(v.f, 'g', -1, 64)
+		return "n" + strconv.FormatFloat(v.f(), 'g', -1, 64)
 	case TypeString:
 		return "s" + v.s
 	case TypeBool:
-		if v.b {
+		if v.b() {
 			return "b1"
 		}
 		return "b0"
@@ -256,13 +273,13 @@ func (v Value) Key() string {
 func (v Value) String() string {
 	switch v.typ {
 	case TypeInt:
-		return strconv.FormatInt(v.i, 10)
+		return strconv.FormatInt(v.i(), 10)
 	case TypeFloat:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
+		return strconv.FormatFloat(v.f(), 'g', -1, 64)
 	case TypeString:
 		return v.s
 	case TypeBool:
-		return strconv.FormatBool(v.b)
+		return strconv.FormatBool(v.b())
 	}
 	return "?"
 }

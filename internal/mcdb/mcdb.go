@@ -34,7 +34,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"slices"
 
 	"modeldata/internal/engine"
@@ -98,7 +97,8 @@ type TableSpec struct {
 	// values to the outer row — the form the bundle sampling loop reads
 	// without assembling a row per draw. A custom OutputRow is called
 	// for every draw, so that route pays whatever row it allocates per
-	// tuple-iteration. On either executor vgOut is a buffer the next
+	// tuple-iteration; a fresh engine.Row is 32 B per cell, the size of
+	// an engine.Value. On either executor vgOut is a buffer the next
 	// draw overwrites; the returned row is read (bundles) or copied into
 	// the realized table (per instance) before that draw, so it may
 	// alias vgOut or outer, but OutputRow must not keep vgOut anywhere
@@ -313,26 +313,46 @@ func realizeSpec(ctx context.Context, spec *TableSpec, outers, params []engine.R
 	return &engine.Table{Name: spec.Name, Schema: spec.Schema.Clone(), Rows: rows}, nil
 }
 
+// vectorSet is what one plan-once draw fills: spec read's uncertain
+// cells, one []float64 per entry of its UncertainCols, and the scratch
+// row drawSpec copies every spec's tuples into. A draw that succeeds
+// overwrites every cell of vecs, so the draws of a window reuse a set
+// without clearing it.
+type vectorSet struct {
+	vecs    [][]float64
+	scratch engine.Row
+}
+
+// newVectorSet allocates a vectorSet for statements reading spec read.
+func (in *instancer) newVectorSet(read int) *vectorSet {
+	width := 0
+	for _, spec := range in.db.specs {
+		width = max(width, len(spec.Schema))
+	}
+	n := len(in.outers[read])
+	vs := &vectorSet{vecs: make([][]float64, len(in.db.specs[read].UncertainCols)), scratch: make(engine.Row, width)}
+	slab := make([]float64, len(vs.vecs)*n)
+	for k := range vs.vecs {
+		vs.vecs[k] = slab[k*n : (k+1)*n : (k+1)*n]
+	}
+	return vs
+}
+
 // drawVectors is one realization as the plan-once executor needs it:
 // every spec's VG is still called for every tuple in db.specs order, so
 // r ends where realize would leave it and a broken spec fails as it
-// would there, but only spec read's uncertain cells are kept, one
-// []float64 per entry of its UncertainCols. Its other cells are the
-// first draw's, which the statement was executed over. Those the default
-// OutputRow copies from the outer row cannot differ; the rest — a custom
-// OutputRow's, or VG output not declared uncertain — are compared with
-// first, the realized rows of that draw, and a difference is the spec's
-// fault.
-func (in *instancer) drawVectors(ctx context.Context, read int, first []engine.Row, r *rng.Stream) ([][]float64, error) {
-	var vecs [][]float64
+// would there, but only spec read's uncertain cells are kept, in
+// into.vecs. Its other cells are the first draw's, which the statement
+// was executed over. Those the default OutputRow copies from the outer
+// row cannot differ; the rest — a custom OutputRow's, or VG output not
+// declared uncertain — are compared bit for bit with first, the realized
+// rows of that draw, and a difference is the spec's fault. A failed draw
+// leaves into.vecs partly written.
+func (in *instancer) drawVectors(ctx context.Context, read int, first []engine.Row, r *rng.Stream, into *vectorSet) error {
 	for s, spec := range in.db.specs {
-		scratch := make(engine.Row, len(spec.Schema))
+		scratch := into.scratch[:len(spec.Schema)]
 		got := func(int, engine.Row) error { return nil }
 		if s == read {
-			vecs = make([][]float64, len(spec.UncertainCols))
-			for k := range vecs {
-				vecs[k] = make([]float64, len(in.outers[s]))
-			}
 			copied := 0 // leading cells the default OutputRow takes from the outer row
 			if spec.OutputRow == nil && len(in.outers[s]) > 0 {
 				copied = len(in.outers[s][0])
@@ -343,13 +363,13 @@ func (in *instancer) drawVectors(ctx context.Context, read int, first []engine.R
 					det = append(det, c)
 				}
 			}
-			unc := spec.UncertainCols
+			vecs, unc := into.vecs, spec.UncertainCols
 			got = func(i int, row engine.Row) error {
 				for k, c := range unc {
 					vecs[k][i] = row[c].AsFloat()
 				}
 				for _, c := range det {
-					if !sameCell(&row[c], &first[i][c]) {
+					if row[c] != first[i][c] {
 						return fmt.Errorf("%w: %q column %q is not in UncertainCols but changed between draws (tuple %d: %v, then %v)",
 							ErrBadSpec, spec.Name, spec.Schema[c].Name, i, first[i][c], row[c])
 					}
@@ -357,22 +377,11 @@ func (in *instancer) drawVectors(ctx context.Context, read int, first []engine.R
 				return nil
 			}
 		}
-		err := drawSpec(ctx, spec, in.outers[s], in.params[s], r, func(int) engine.Row { return scratch }, got)
-		if err != nil {
-			return nil, err
+		if err := drawSpec(ctx, spec, in.outers[s], in.params[s], r, func(int) engine.Row { return scratch }, got); err != nil {
+			return err
 		}
 	}
-	return vecs, nil
-}
-
-// sameCell reports whether two conformed cells of one column hold the
-// same bits. Value.Equal alone would call a NaN cell changed and a zero
-// whose sign flipped unchanged.
-func sameCell(a, b *engine.Value) bool {
-	if a.Type() == engine.TypeFloat && b.Type() == engine.TypeFloat {
-		return math.Float64bits(a.AsFloat()) == math.Float64bits(b.AsFloat())
-	}
-	return a.Type() == b.Type() && a.Equal(*b)
+	return nil
 }
 
 // outerRows returns the FOR EACH loop rows ([nil] when absent).
@@ -479,14 +488,37 @@ func (st *statement) planOnce(ctx context.Context, in *instancer, opts ExecOptio
 	if err != nil {
 		return nil, err
 	}
+	// free holds the vector sets no draw is filling, so the window
+	// allocates one per worker rather than one per iteration. A set goes
+	// back only after a whole draw and the Scalar that read it; a failed
+	// draw's set is dropped. It is a channel, not a sync.Pool, for the
+	// reason engine.Scratch gives.
+	workers := opts.Workers
+	if workers <= 0 {
+		workers = parallel.WorkersFrom(ctx)
+	}
+	free := make(chan *vectorSet, min(workers, hi-lo-done))
 	err = parallel.ForStreamsRange(ctx, rng.New(opts.Seed), opts.Iterations, lo+done, hi, parallel.Options{Workers: opts.Workers},
 		func(i int, r *rng.Stream) error {
-			vecs, err := in.drawVectors(ctx, st.read, first, r)
+			var vs *vectorSet
+			select {
+			case vs = <-free:
+			default:
+				vs = in.newVectorSet(st.read)
+			}
+			if err := in.drawVectors(ctx, st.read, first, r, vs); err != nil {
+				return err
+			}
+			v, err := st.d.Scalar(vs.vecs)
 			if err != nil {
 				return err
 			}
-			out[i-lo], err = st.d.Scalar(vecs)
-			return err
+			out[i-lo] = v
+			select {
+			case free <- vs:
+			default:
+			}
+			return nil
 		})
 	if err != nil {
 		return nil, err

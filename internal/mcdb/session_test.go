@@ -10,6 +10,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"modeldata/internal/engine"
 	"modeldata/internal/parallel"
@@ -529,6 +530,111 @@ func TestWarmSessionMatchesColdSessions(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestWarmSessionReusedVectorsMatchCold: the draws of a plan-once window
+// share their vector sets, so a set the last draw filled — or half
+// filled before it failed — is what the next draw is handed. Every
+// answer is still DB.MonteCarlo's bits: at 1, 2 and 8 workers, over
+// windows that start past 0, after a bind a cancellation cut short,
+// after a request whose draw failed partway, and while draws fail
+// partway and are retried. The statement reads two uncertain columns of
+// the second of two specs, so a set holds two vectors and the scratch
+// row serves specs of two widths.
+func TestWarmSessionReusedVectorsMatchCold(t *testing.T) {
+	const tuples, iters = 300, 12
+	// While failing, every failEvery-th call of t's VG fails: about one
+	// draw in three, so its retries get past it.
+	const failEvery = 1009
+	var calls, cancelAt, failing atomic.Int64 // 0: no VG call cancels or fails
+	var cancel context.CancelFunc
+	errFlaky := errors.New("flaky VG")
+	db := New(itemsBase(tuples))
+	if err := db.AddSpec(&TableSpec{Name: "u", Schema: idWVal, ForEach: "items", Params: wStd, UncertainCols: []int{2}, VG: NormalVG()}); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.AddSpec(&TableSpec{Name: "t", ForEach: "items", Params: wStd, UncertainCols: []int{2, 3},
+		Schema: append(idWVal.Clone(), engine.Column{Name: "x", Type: engine.TypeFloat}),
+		VG: func(params engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error) {
+			n := calls.Add(1)
+			if n == cancelAt.Load() {
+				cancel()
+			}
+			if failing.Load() != 0 && n%failEvery == 0 {
+				return nil, errFlaky
+			}
+			return append(out, engine.Float(r.Normal(params[0].AsFloat(), params[1].AsFloat())), engine.Float(r.Float64())), nil
+		}}); err != nil {
+		t.Fatal(err)
+	}
+	const sql = "SELECT SUM(t.val) FROM t JOIN items ON t.id = items.id WHERE items.w > 9 AND t.x > 0.3"
+	p, err := engine.Prepare(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	seeds := []uint64{1, 5}
+	want := map[uint64][]float64{}
+	for _, seed := range seeds {
+		if want[seed], err = db.MonteCarlo(ctx, iters, seed, 1, p.Scalar); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	warm := db.NewSession()
+	var cctx context.Context
+	cctx, cancel = context.WithCancel(ctx)
+	cancelAt.Store(calls.Load() + tuples/2)
+	_, err = warm.ExecSQLRange(cctx, sql, ExecOptions{Iterations: iters, Seed: 7, Workers: 2}, 3, iters)
+	cancel()
+	cancelAt.Store(0)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled bind: got %v, want context.Canceled", err)
+	}
+	if st, ok := warm.prepared.Get(sql); !ok || st.ran {
+		t.Fatal("the cancelled request did not stop inside the bind")
+	}
+
+	windows := [][2]int{{3, iters}, {1, 6}, {0, iters}, {iters - 1, iters}}
+	run := func(phase string, ctx context.Context) {
+		t.Helper()
+		for _, workers := range []int{1, 2, 8} {
+			for _, seed := range seeds {
+				for _, w := range windows {
+					got, err := warm.ExecSQLRange(ctx, sql, ExecOptions{Iterations: iters, Seed: seed, Workers: workers}, w[0], w[1])
+					if err != nil {
+						t.Fatalf("%s, %d workers, seed %d, window %v: %v", phase, workers, seed, w, err)
+					}
+					for i, v := range got {
+						if it := w[0] + i; math.Float64bits(v) != math.Float64bits(want[seed][it]) {
+							t.Fatalf("%s, %d workers, seed %d, window %v, iteration %d: %v, MonteCarlo %v", phase, workers, seed, w, it, v, want[seed][it])
+						}
+					}
+				}
+			}
+		}
+	}
+	run("after the cancelled bind", ctx)
+
+	// Unretried, a draw that fails partway fails its request, and the
+	// session answers the next one as if it had not happened.
+	failing.Store(1)
+	for _, workers := range []int{1, 8} {
+		opts := ExecOptions{Iterations: iters, Seed: 5, Workers: workers}
+		if _, err := warm.ExecSQL(ctx, sql, opts); !errors.Is(err, errFlaky) {
+			t.Fatalf("%d workers, a VG failing every %d calls: got %v, want it in the error", workers, failEvery, err)
+		}
+	}
+	failing.Store(0)
+	run("after a failed draw", ctx)
+
+	failing.Store(1)
+	stats := parallel.NewStats()
+	run("under retried failures", parallel.WithStats(parallel.WithRetryPolicy(ctx, parallel.RetryPolicy{MaxRetries: 50, Backoff: time.Microsecond, MaxBackoff: time.Microsecond}), stats))
+	failing.Store(0)
+	if stats.Retries() == 0 {
+		t.Fatal("no draw failed and was retried")
+	}
 }
 
 // bytesPerRun is testing.AllocsPerRun for bytes: the mean heap bytes one

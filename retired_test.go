@@ -88,6 +88,14 @@ var retiredTable = []retired{
 		},
 	},
 	{
+		name: "One Monte Carlo core", pr: 35,
+		why:   "an engine.Value keeps one payload word and every constructor zeroes the rest, so == on two Values is same-type-same-bits; a helper recomputing that per cell was the second definition",
+		scope: []string{"internal/mcdb", "internal/server"},
+		lines: []offender{
+			{`sameCell`, `if !sameCell(&row[c], &first[i][c]) {`},
+		},
+	},
+	{
 		name: "One harness", pr: 17,
 		why:   "bench/ is the only benchmark harness; these were the second one, its committed reports, and the two switches that gave it a slow baseline to take ratios over",
 		scope: []string{"."},
