@@ -247,8 +247,8 @@ func TestZoneMapPruning(t *testing.T) {
 	if stats.BlocksPruned != wantPruned {
 		t.Fatalf("BlocksPruned = %d, want %d", stats.BlocksPruned, wantPruned)
 	}
-	if planned, pruned := st.PlanScan(nil, pred); planned != 10 || pruned != wantPruned {
-		t.Fatalf("PlanScan = (%d, %d), want (10, %d)", planned, pruned, wantPruned)
+	if planned, pruned, rows := st.PlanScan(nil, pred); planned != 10 || pruned != wantPruned || rows != 200 {
+		t.Fatalf("PlanScan = (%d, %d, %d), want (10, %d, 200)", planned, pruned, rows, wantPruned)
 	}
 	var rows int
 	for _, b := range parts {
@@ -284,11 +284,11 @@ func TestNaNSegmentsSurviveOrderPredicates(t *testing.T) {
 	st := writeAndOpen(t, tbl, colstore.Options{SegmentRows: 4})
 
 	le := plan.Cmp{Op: "<=", Col: "x", Val: plan.FloatLit(0)}
-	if _, pruned := st.PlanScan(nil, le); pruned != 0 {
+	if _, pruned, _ := st.PlanScan(nil, le); pruned != 0 {
 		t.Fatalf("all-NaN segment pruned for <= (pruned=%d); NaN rows match <=", pruned)
 	}
 	lt := plan.Cmp{Op: "<", Col: "x", Val: plan.FloatLit(0)}
-	if _, pruned := st.PlanScan(nil, lt); pruned == 0 {
+	if _, pruned, _ := st.PlanScan(nil, lt); pruned == 0 {
 		t.Fatal("all-NaN segment not pruned for <; NaN rows never match <")
 	}
 

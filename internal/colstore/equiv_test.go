@@ -363,17 +363,68 @@ func TestStorageEquivalenceConcurrent(t *testing.T) {
 	}
 }
 
+// releaseCount is a Storage that counts the partitions its scans hand
+// out and the ones handed back; a partition a group-by buffered is
+// never handed back.
+type releaseCount struct {
+	*colstore.Store
+	parts, released int
+}
+
+func (r *releaseCount) ScanPartitions(ctx context.Context, cols []string, pred plan.Expr) (engine.PartitionIter, error) {
+	it, err := r.Store.ScanPartitions(ctx, cols, pred)
+	if err != nil {
+		return nil, err
+	}
+	return &countIter{PartitionIter: it, r: r}, nil
+}
+
+type countIter struct {
+	engine.PartitionIter
+	r *releaseCount
+}
+
+func (c *countIter) Next() (*engine.ColumnBlock, error) {
+	b, err := c.PartitionIter.Next()
+	if b != nil {
+		c.r.parts++
+	}
+	return b, err
+}
+
+func (c *countIter) Release(b *engine.ColumnBlock) {
+	c.r.released++
+	c.PartitionIter.Release(b)
+}
+
 // A storage-sourced group-by under a memory budget streams its scan
 // into the Grace partitioner. Over every key type — NaN, −0 and +0
 // among the floats — with MIN/MAX of every type and AVG, behind a
 // leading filter and Select, over a scan whose every segment is pruned,
 // and with a budget crossed at the first partition or only at a later
-// one (so buffered partitions are handed to the partitioner), each
-// result equals the unbudgeted query over the table byte for byte.
+// one, each result equals the unbudgeted query over the table byte for
+// byte. The later crossing comes after a filter no zone map can judge
+// empties the first segments, so partitions holding rows are buffered
+// and then handed to the partitioner.
 func TestStorageEquivalenceSpilledGroupBy(t *testing.T) {
 	r := rng.New(937)
 	tbl := randomTable(r, "ev", 300)
-	st := writeAndOpen(t, tbl, colstore.Options{SegmentRows: 16})
+	st := &releaseCount{Store: writeAndOpen(t, tbl, colstore.Options{SegmentRows: 16})}
+	// late is tbl with the rows keep drops moved to the front.
+	keep := func(v float64) bool { return v >= -1 }
+	late := &engine.Table{Name: tbl.Name, Schema: tbl.Schema}
+	for _, kept := range []bool{false, true} {
+		for _, row := range tbl.Rows {
+			if keep(row[1].AsFloat()) == kept {
+				late.Rows = append(late.Rows, row)
+			}
+		}
+	}
+	dropped := 0
+	for dropped < len(late.Rows) && !keep(late.Rows[dropped][1].AsFloat()) {
+		dropped++
+	}
+	lateSt := &releaseCount{Store: writeAndOpen(t, late, colstore.Options{SegmentRows: 16})}
 	aggs := []engine.Aggregate{
 		{Fn: engine.AggCount, As: "n"},
 		{Fn: engine.AggSum, Col: "x", As: "sx"},
@@ -388,15 +439,18 @@ func TestStorageEquivalenceSpilledGroupBy(t *testing.T) {
 	keys := [][]string{{"id"}, {"x"}, {"tag"}, {"flag"}, {"tag", "flag"}, {"x", "id"}}
 	leads := []struct {
 		name string
+		tbl  *engine.Table
+		st   *releaseCount
 		lead func(*engine.Query) *engine.Query
 	}{
-		{"scan", func(q *engine.Query) *engine.Query { return q }},
-		{"filter+select", func(q *engine.Query) *engine.Query {
+		{"scan", tbl, st, func(q *engine.Query) *engine.Query { return q }},
+		{"filter+select", tbl, st, func(q *engine.Query) *engine.Query {
 			return q.WhereExpr(plan.Cmp{Op: ">=", Col: "x", Val: plan.FloatLit(-1)}).Select("flag", "tag", "x", "id")
 		}},
-		{"all pruned", func(q *engine.Query) *engine.Query {
+		{"all pruned", tbl, st, func(q *engine.Query) *engine.Query {
 			return q.WhereExpr(plan.Cmp{Op: ">", Col: "id", Val: plan.IntLit(1 << 62)})
 		}},
+		{"late rows", late, lateSt, func(q *engine.Query) *engine.Query { return q.WhereFloat("x", keep) }},
 	}
 	// Every row's hash estimate is at least hashEntryBytes (48): 100 rows'
 	// worth is more than a 16-row segment holds and less than the table.
@@ -404,14 +458,15 @@ func TestStorageEquivalenceSpilledGroupBy(t *testing.T) {
 	spilled := 0
 	for _, k := range keys {
 		for _, l := range leads {
-			want, err := l.lead(engine.From(tbl)).GroupBy(k, aggs...).Run()
+			want, err := l.lead(engine.From(l.tbl)).GroupBy(k, aggs...).Run()
 			if err != nil {
 				t.Fatalf("%v %s in memory: %v", k, l.name, err)
 			}
 			for _, budget := range []int64{1, later} {
 				label := fmt.Sprintf("keys %v, %s, budget %d", k, l.name, budget)
 				before := obs.Default().Snapshot()
-				got, err := l.lead(engine.FromStorage(st)).GroupBy(k, aggs...).
+				l.st.parts, l.st.released = 0, 0
+				got, err := l.lead(engine.FromStorage(l.st)).GroupBy(k, aggs...).
 					WithMemoryBudget(budget).WithSpillDir(t.TempDir()).Run()
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
@@ -420,19 +475,62 @@ func TestStorageEquivalenceSpilledGroupBy(t *testing.T) {
 				if obs.Default().Snapshot().Sub(before).Counters[engine.MetricSpillPartitions] > 0 {
 					spilled++
 				}
+				// Past the segments keep empties, a partition holding
+				// rows was buffered before the spill started.
+				if buffered := l.st.parts - l.st.released; l.st == lateSt && budget == later && buffered <= dropped/16 {
+					t.Fatalf("%s: %d partitions buffered, want more than the %d keep empties", label, buffered, dropped/16)
+				}
 			}
 		}
 	}
 	// Everything spills but the pruned scans, whose one empty partition
 	// never crosses a budget.
-	if want := len(keys) * 2 * 2; spilled != want {
+	if want := len(keys) * 3 * 2; spilled != want {
 		t.Fatalf("%d of the budgeted queries spilled, want %d", spilled, want)
+	}
+}
+
+// A streamed group-by projects its estimate to the rows of the
+// segments its scan reads, not to the whole store: behind a filter
+// that zone maps prune to one segment, a group-by that fits its budget
+// stays in memory, while the same budget spills the unfiltered one.
+func TestPrunedGroupByWithinBudgetStaysInMemory(t *testing.T) {
+	tbl := &engine.Table{Name: "seq", Schema: engine.Schema{{Name: "id", Type: engine.TypeInt}, {Name: "x", Type: engine.TypeFloat}}}
+	for i := 0; i < 256; i++ {
+		tbl.Rows = append(tbl.Rows, engine.Row{engine.Int(int64(i)), engine.Float(float64(i % 7))})
+	}
+	st := writeAndOpen(t, tbl, colstore.Options{SegmentRows: 16})
+	lastSegment := plan.Cmp{Op: ">=", Col: "id", Val: plan.IntLit(240)}
+	agg := engine.Aggregate{Fn: engine.AggSum, Col: "x", As: "sx"}
+	// An int key's row estimates hashEntryBytes + 8 = 56 bytes: the one
+	// segment read fits twice over, the whole store does not.
+	const budget = 2 * 16 * 56
+	for _, tc := range []struct {
+		name   string
+		lead   func(*engine.Query) *engine.Query
+		spills bool
+	}{
+		{"pruned to one segment", func(q *engine.Query) *engine.Query { return q.WhereExpr(lastSegment) }, false},
+		{"every segment", func(q *engine.Query) *engine.Query { return q }, true},
+	} {
+		want := tc.lead(engine.From(tbl)).GroupBy([]string{"id"}, agg).MustRun()
+		before := obs.Default().Snapshot()
+		got, err := tc.lead(engine.FromStorage(st)).GroupBy([]string{"id"}, agg).
+			WithMemoryBudget(budget).WithSpillDir(t.TempDir()).Run()
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		requireSameTable(t, tc.name, want, got)
+		if spilled := obs.Default().Snapshot().Sub(before).Counters[engine.MetricSpillPartitions] > 0; spilled != tc.spills {
+			t.Fatalf("%s: spilled = %v, want %v", tc.name, spilled, tc.spills)
+		}
 	}
 }
 
 // A budgeted group-by over a store never concatenates its scan: beyond
 // what decoding the referenced columns costs, it allocates less than
-// half their decoded bytes.
+// half their decoded bytes. The reference scan releases every block,
+// as the group-by's scan does once it spills.
 func TestSpilledGroupByNeverConcatenates(t *testing.T) {
 	const rows = 200_000
 	ids, vals := make([]int64, rows), make([]float64, rows)
@@ -487,6 +585,7 @@ func TestSpilledGroupByNeverConcatenates(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			it.Release(b)
 		}
 	})
 	decoded := uint64(rows * 16)

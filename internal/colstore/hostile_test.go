@@ -12,9 +12,11 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"math"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -184,20 +186,86 @@ func FuzzDecodeBlock(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte, typ uint8, rows int) {
 		var vec any
 		var err error
-		got := allocated(func() { vec, err = decodeBlock(raw, engine.Type(typ), rows) })
+		got := allocated(func() { vec, err = decodeBlock(raw, engine.Type(typ), rows, nil) })
 		if got > allocBound(len(raw)) {
 			t.Fatalf("decoding %d bytes allocated %d", len(raw), got)
 		}
-		if err != nil {
-			if !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("error %v is not ErrCorrupt", err)
-			}
-			return
+		if err != nil && !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("error %v is not ErrCorrupt", err)
 		}
-		if _, err := engine.BlockOf("b", engine.Schema{{Name: "c", Type: engine.Type(typ)}}, []any{vec}); err != nil {
-			t.Fatalf("decoded vector is not a column of its type: %v", err)
+		if err == nil {
+			if _, err := engine.BlockOf("b", engine.Schema{{Name: "c", Type: engine.Type(typ)}}, []any{vec}); err != nil {
+				t.Fatalf("decoded vector is not a column of its type: %v", err)
+			}
+		}
+		if rows < 0 || rows > len(raw) {
+			return // every value takes a byte at least: refused before into is touched
+		}
+		// Into a used vector with room, and into one without, the decode
+		// is the fresh one, or the same error.
+		for _, n := range []int{rows + 3, max(rows-1, 0)} {
+			into := junkVector(engine.Type(typ), n)
+			again, err2 := decodeBlock(raw, engine.Type(typ), rows, into)
+			if (err == nil) != (err2 == nil) || err != nil && err.Error() != err2.Error() {
+				t.Fatalf("into a %d-cap vector: error %v, fresh decode %v", n, err2, err)
+			}
+			if err == nil && !sameVector(vec, again) {
+				t.Fatalf("into a %d-cap vector: %v, fresh decode %v", n, again, vec)
+			}
 		}
 	})
+}
+
+// junkVector is a used vector of typ with capacity n: every slot holds
+// a value no block decodes to by chance.
+func junkVector(typ engine.Type, n int) any {
+	switch typ {
+	case engine.TypeInt:
+		v := make([]int64, n)
+		for i := range v {
+			v[i] = -0x5a5a5a5a5a5a5a5a
+		}
+		return v
+	case engine.TypeFloat:
+		v := make([]float64, n)
+		for i := range v {
+			v[i] = math.Float64frombits(0x7ff8_dead_beef_0001)
+		}
+		return v
+	case engine.TypeString:
+		v := make([]string, n)
+		for i := range v {
+			v[i] = "junk"
+		}
+		return v
+	case engine.TypeBool:
+		v := make([]bool, n)
+		for i := range v {
+			v[i] = true
+		}
+		return v
+	}
+	return nil
+}
+
+// sameVector reports whether two decoded vectors are one type and hold
+// the same values bit for bit.
+func sameVector(a, b any) bool {
+	switch x := a.(type) {
+	case []int64:
+		y, ok := b.([]int64)
+		return ok && slices.Equal(x, y)
+	case []float64:
+		y, ok := b.([]float64)
+		return ok && slices.EqualFunc(x, y, func(p, q float64) bool { return math.Float64bits(p) == math.Float64bits(q) })
+	case []string:
+		y, ok := b.([]string)
+		return ok && slices.Equal(x, y)
+	case []bool:
+		y, ok := b.([]bool)
+		return ok && slices.Equal(x, y)
+	}
+	return false
 }
 
 func FuzzOpenSegment(f *testing.F) {
@@ -217,7 +285,7 @@ func FuzzOpenSegment(f *testing.F) {
 			}
 			var buf []byte
 			for j := range sm.cols {
-				if _, buf, err = readBlock(r, &sm.cols[j], int(sm.rows), buf); err != nil && !errors.Is(err, ErrCorrupt) {
+				if _, buf, err = readBlock(r, &sm.cols[j], int(sm.rows), buf, nil); err != nil && !errors.Is(err, ErrCorrupt) {
 					t.Fatalf("column %d: error %v is not ErrCorrupt", j, err)
 				}
 			}
@@ -238,7 +306,7 @@ func TestStringBlockDecodeAllocatesTwice(t *testing.T) {
 		raw = append(raw, 3, 't', byte('0'+i%10), byte('0'+i/10%10))
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := decodeBlock(raw, engine.TypeString, rows); err != nil {
+		if _, err := decodeBlock(raw, engine.TypeString, rows, nil); err != nil {
 			t.Fatal(err)
 		}
 	})

@@ -195,25 +195,27 @@ func (st *Store) ScanPartitions(ctx context.Context, cols []string, pred plan.Ex
 	return &segIter{st: st, ctx: ctx, proj: proj, pred: pred}, nil
 }
 
-// PlanScan implements engine.ScanPlanner for EXPLAIN: it predicts the
-// partition count and pruned-block count of a scan of cols (nil = all)
-// from footers alone, counting a pruned segment's blocks as Next does:
-// one per projected column.
-func (st *Store) PlanScan(cols []string, pred plan.Expr) (partitions, pruned int64) {
+// PlanScan implements engine.ScanPlanner: it predicts the partition
+// count, pruned-block count and decoded row count of a scan of cols
+// (nil = all) from footers alone, counting a pruned segment's blocks as
+// Next does: one per projected column.
+func (st *Store) PlanScan(cols []string, pred plan.Expr) (partitions, pruned, rows int64) {
 	partitions = int64(len(st.segs))
 	if pred == nil {
-		return partitions, 0
+		return partitions, 0, st.rows
 	}
 	perSeg := int64(len(st.schema))
 	if cols != nil {
 		perSeg = int64(len(cols))
 	}
 	for _, sm := range st.segs {
-		if !engine.ZoneMayMatch(pred, sm.zoneStats()) {
+		if engine.ZoneMayMatch(pred, sm.zoneStats()) {
+			rows += sm.rows
+		} else {
 			pruned += perSeg
 		}
 	}
-	return partitions, pruned
+	return partitions, pruned, rows
 }
 
 // zoneStats adapts a segment's footer to the zone evaluator's lookup.
@@ -228,7 +230,9 @@ func (sm *segMeta) zoneStats() func(string) (engine.ZoneMap, bool) {
 	}
 }
 
-// segIter streams a store's segments as partitions.
+// segIter streams a store's segments as partitions. It keeps one spare
+// vector set: the vectors of the block it returned last, once the
+// caller releases that block, which the next segment decodes into.
 type segIter struct {
 	st    *Store
 	ctx   context.Context
@@ -239,10 +243,16 @@ type segIter struct {
 	// buf is the block read buffer, reused across the scan's segments.
 	// bounded by the largest projected block (see readBlock)
 	buf []byte
+	// last is the block Next returned last and vecs its vectors, until
+	// it is released; spare is the released set, nil when there is none.
+	last  *engine.ColumnBlock
+	vecs  []any
+	spare []any
 }
 
 // Next implements engine.PartitionIter.
 func (it *segIter) Next() (*engine.ColumnBlock, error) {
+	it.last, it.vecs = nil, nil
 	for it.next < len(it.st.segs) {
 		if err := it.ctx.Err(); err != nil {
 			return nil, err
@@ -256,11 +266,12 @@ func (it *segIter) Next() (*engine.ColumnBlock, error) {
 			blocksPruned.Add(n)
 			continue
 		}
-		b, buf, err := decodeSegment(sm, it.proj, it.buf)
-		it.buf = buf
+		b, vecs, buf, err := decodeSegment(sm, it.proj, it.buf, it.spare)
+		it.buf, it.spare = buf, nil
 		if err != nil {
 			return nil, err
 		}
+		it.last, it.vecs = b, vecs
 		var size int64
 		for _, j := range it.proj {
 			size += sm.cols[j].size
@@ -274,6 +285,14 @@ func (it *segIter) Next() (*engine.ColumnBlock, error) {
 		return b, nil
 	}
 	return nil, nil
+}
+
+// Release implements engine.PartitionIter: the vectors of the block
+// Next returned last become the spare set. Any other block is ignored.
+func (it *segIter) Release(b *engine.ColumnBlock) {
+	if b != nil && b == it.last {
+		it.spare, it.last, it.vecs = it.vecs, nil, nil
+	}
 }
 
 // Stats implements engine.PartitionIter.

@@ -213,6 +213,7 @@ func (w *Writer) flushSegment() error {
 // footer, trailer — to dst. Each block is encoded as one run of dst and
 // checksummed once; its zone map falls out of the same pass.
 func encodeSegment(dst []byte, name string, schema engine.Schema, cols []segCol) []byte {
+	dst = slices.Grow(dst, segmentBound(schema, cols))
 	dst = append(dst, segMagic...)
 	dst = append(dst, segVersion)
 
@@ -225,7 +226,6 @@ func encodeSegment(dst []byte, name string, schema engine.Schema, cols []segCol)
 		case engine.TypeInt:
 			v := cols[j].ints
 			rows = len(v)
-			dst = slices.Grow(dst, 8*len(v))
 			var mn, mx int64
 			for i, x := range v {
 				dst = binary.BigEndian.AppendUint64(dst, uint64(x))
@@ -243,7 +243,6 @@ func encodeSegment(dst []byte, name string, schema engine.Schema, cols []segCol)
 		case engine.TypeFloat:
 			v := cols[j].floats
 			rows = len(v)
-			dst = slices.Grow(dst, 8*len(v))
 			var mn, mx float64
 			seen := false
 			for _, x := range v {
@@ -285,7 +284,6 @@ func encodeSegment(dst []byte, name string, schema engine.Schema, cols []segCol)
 		case engine.TypeBool:
 			v := cols[j].bools
 			rows = len(v)
-			dst = slices.Grow(dst, len(v))
 			mn, mx := true, false
 			for _, x := range v {
 				if x {
@@ -338,6 +336,37 @@ func encodeSegment(dst []byte, name string, schema engine.Schema, cols []segCol)
 	dst = binary.BigEndian.AppendUint32(dst, checksum(dst[footerStart:]))
 	dst = append(dst, segTrailer...)
 	return binary.BigEndian.AppendUint64(dst, uint64(footerLen))
+}
+
+// segmentBound is what encodeSegment's column blocks take for cols,
+// plus room for the header, trailer and a footer of short names and
+// zone values; a longer footer grows the buffer once more.
+func segmentBound(schema engine.Schema, cols []segCol) int {
+	n := 64 * (len(schema) + 1)
+	for j, c := range schema {
+		switch c.Type {
+		case engine.TypeInt:
+			n += 8 * len(cols[j].ints)
+		case engine.TypeFloat:
+			n += 8 * len(cols[j].floats)
+		case engine.TypeString:
+			for _, x := range cols[j].strs {
+				n += uvarintLen(uint64(len(x))) + len(x)
+			}
+		case engine.TypeBool:
+			n += len(cols[j].bools)
+		}
+	}
+	return n
+}
+
+// uvarintLen is the length of x's uvarint encoding.
+func uvarintLen(x uint64) int {
+	n := 1
+	for ; x >= 0x80; x >>= 7 {
+		n++
+	}
+	return n
 }
 
 // WriteTable is the one-call form: partition t into segments under dir.

@@ -540,15 +540,16 @@ func (s *joinStream) result() (*ColumnBlock, error) {
 
 // groupStream is a budgeted, keyed group-by fed one partition at a
 // time: a storage scan's, or the chain's state as the only one. While
-// the running hash estimate fits the budget the partitions are
-// buffered, and if it never crosses they are concatenated and grouped
-// in memory. Once it crosses, P is fixed from the estimate projected to
-// the input's row count, and every buffered and later row goes to a
-// groupSpill as it arrives, so a scan is never concatenated.
+// the hash estimate, projected from the stored rows seen to all the
+// scan decodes, fits the budget the partitions are buffered, and if it
+// never crosses they are concatenated and grouped in memory. Once it
+// crosses, P is fixed from that projection, and every buffered and
+// later row goes to a groupSpill as it arrives, so a scan is never
+// concatenated and a spilled partition is not kept.
 type groupStream struct {
 	op    *qop
 	c     *chain
-	total int64     // the input's row count, as stored
+	total int64     // the stored rows the input's scan decodes
 	g     *grouping // resolved against the first partition
 
 	parts  []*ColumnBlock // buffered while the estimate fits
@@ -561,23 +562,29 @@ type groupStream struct {
 }
 
 // add takes one partition, with the leading run applied; stored is its
-// row count as the storage returned it.
-func (s *groupStream) add(part *ColumnBlock, stored int) error {
+// row count as the storage returned it. It reports whether it kept the
+// partition: only a buffered one is kept.
+func (s *groupStream) add(part *ColumnBlock, stored int) (bool, error) {
 	if s.g == nil {
 		var err error
 		if s.g, err = part.newGrouping(s.op.cols, s.op.aggs); err != nil {
-			return err
+			return false, err
 		}
 	}
 	if s.spill != nil {
 		if s.spillErr == nil {
 			s.spillErr = s.spill.add(part, s.c.sc)
 		}
-		return nil
+		return false, nil
 	}
 	s.parts, s.stored = append(s.parts, part), s.stored+int64(stored)
-	if s.est += estHashBytes(part, s.g.keyIdx); s.inMem || s.est <= s.c.budget {
-		return nil
+	s.est += estHashBytes(part, s.g.keyIdx)
+	projected := s.est
+	if s.stored > 0 {
+		projected = max(s.est, int64(float64(s.est)/float64(s.stored)*float64(s.total)))
+	}
+	if s.inMem || projected <= s.c.budget {
+		return true, nil
 	}
 	open := openSpillFile
 	if s.c.openSpill != nil {
@@ -587,17 +594,16 @@ func (s *groupStream) add(part *ColumnBlock, stored int) error {
 	if err != nil {
 		spillFallbacks.Add(1)
 		s.inMem = true
-		return nil
+		return true, nil
 	}
-	projected := int64(float64(s.est) / float64(s.stored) * float64(s.total))
-	s.spill = newGroupSpill(s.g, part.Schema, spillPartitionCount(max(s.est, projected), s.c.budget), f)
+	s.spill = newGroupSpill(s.g, part.Schema, spillPartitionCount(projected, s.c.budget), f)
 	for _, b := range s.parts {
 		if s.spillErr == nil {
 			s.spillErr = s.spill.add(b, s.c.sc)
 		}
 	}
 	s.parts = nil
-	return nil
+	return false, nil
 }
 
 // result returns the group-by of everything added, named for an input

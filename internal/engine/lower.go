@@ -333,7 +333,7 @@ func (q *Query) Explain() (*plan.Tree, error) {
 		}
 		if sp, ok := q.store.(ScanPlanner); ok {
 			req := q.scanRequest(true)
-			root.Partitions, root.BlocksPruned = sp.PlanScan(req.cols, req.hint)
+			root.Partitions, root.BlocksPruned, _ = sp.PlanScan(req.cols, req.hint)
 		}
 		for _, op := range q.ops {
 			root = opNode(op, root)

@@ -547,18 +547,29 @@ func (q *Query) source(ch *chain, wholeRows bool) (int, error) {
 			}
 		case op.kind == opGroupBy && ch.budget > 0 && len(op.cols) > 0:
 			gs = &groupStream{op: op, c: ch, total: q.store.NumRows()}
+			if sp, ok := q.store.(ScanPlanner); ok {
+				// Its estimate projects to the rows the scan decodes,
+				// which pruned partitions are not.
+				_, _, gs.total = sp.PlanScan(req.cols, req.hint)
+			}
 		}
 	}
 	var parts []*ColumnBlock
-	sink := func(b *ColumnBlock, stored int) error {
+	sink := func(b *ColumnBlock, stored int) (bool, error) {
 		switch {
 		case js != nil:
-			return js.probe(b)
+			return false, js.probe(b)
 		case gs != nil:
 			return gs.add(b, stored)
 		}
+		if b.sel != nil {
+			// A filtered partition is compacted now, so the scan can
+			// reuse the vectors it selected from.
+			parts = append(parts, b.Dense())
+			return false, nil
+		}
 		parts = append(parts, b)
-		return nil
+		return true, nil
 	}
 	name := q.store.StorageName()
 	for {
@@ -614,20 +625,23 @@ func (q *Query) scanRequest(wholeRows bool) scanReq {
 }
 
 // scanEach streams the storage's partitions to sink, each with the
-// leading run applied, together with its row count as stored. When
-// every partition is pruned, sink gets one empty partition, which
-// carries the schema through the leading run.
-func (q *Query) scanEach(ctx context.Context, ch *chain, req scanReq, sink func(b *ColumnBlock, stored int) error) error {
+// leading run applied, together with its row count as stored. sink
+// reports whether it kept the partition (or anything sharing its
+// vectors); one it did not keep is released to the scan, which may
+// decode the next partition into its vectors. When every partition is
+// pruned, sink gets one empty partition, which carries the schema
+// through the leading run.
+func (q *Query) scanEach(ctx context.Context, ch *chain, req scanReq, sink func(b *ColumnBlock, stored int) (bool, error)) error {
 	it, err := q.store.ScanPartitions(ctx, req.cols, req.hint)
 	if err != nil {
 		return err
 	}
-	each := func(b *ColumnBlock) error {
+	each := func(b *ColumnBlock) (bool, error) {
 		stored := b.Len()
 		ch.b = b
 		for _, op := range q.ops[:req.lead] {
 			if err := ch.apply(op, q); err != nil {
-				return err
+				return false, err
 			}
 		}
 		return sink(ch.b, stored)
@@ -642,8 +656,12 @@ func (q *Query) scanEach(ctx context.Context, ch *chain, req scanReq, sink func(
 			break
 		}
 		scanned++
-		if err := each(b); err != nil {
+		kept, err := each(b)
+		if err != nil {
 			return err
+		}
+		if !kept {
+			it.Release(b)
 		}
 	}
 	if scanned > 0 {
@@ -653,7 +671,8 @@ func (q *Query) scanEach(ctx context.Context, ch *chain, req scanReq, sink func(
 	if err != nil {
 		return err
 	}
-	return each(empty)
+	_, err = each(empty)
+	return err
 }
 
 // scanCols turns the needed-column set of a scan into the projection
@@ -957,7 +976,7 @@ func (c *chain) userRows() []Row { return c.userTable().Rows }
 func (c *chain) groupBy(op *qop) (*ColumnBlock, error) {
 	if c.arena == nil && c.budget > 0 && len(op.cols) > 0 {
 		s := &groupStream{op: op, c: c, total: int64(c.b.Len())}
-		if err := s.add(c.b, c.b.Len()); err != nil {
+		if _, err := s.add(c.b, c.b.Len()); err != nil {
 			return nil, err
 		}
 		if out, err := s.result(c.b.Name); s.spillErr == nil {

@@ -261,6 +261,8 @@ func (it *chunkIter) Next() (*ColumnBlock, error) {
 	return b, nil
 }
 
+func (it *chunkIter) Release(*ColumnBlock) {}
+
 func (it *chunkIter) Stats() ScanStats { return ScanStats{} }
 
 // fatTable has records longer than a window's spare room (long
@@ -282,7 +284,8 @@ func fatTable(n int) *Table {
 func TestSpillStreamFallsBack(t *testing.T) {
 	tbl := fatTable(400)
 	aggs := []Aggregate{{Fn: AggCount, As: "n"}, {Fn: AggMax, Col: "s", As: "ms"}, {Fn: AggSum, Col: "x", As: "sx"}}
-	want, err := From(tbl).WhereFloat("x", func(v float64) bool { return v > 5 }).GroupBy([]string{"k"}, aggs...).Run()
+	late := func(v float64) bool { return v > 18 }
+	want, err := From(tbl).WhereFloat("x", late).GroupBy([]string{"k"}, aggs...).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,16 +293,20 @@ func TestSpillStreamFallsBack(t *testing.T) {
 		name          string
 		open          func(string) (spillFile, error)
 		scans, fbacks int
+		buffered      int // partitions of the first scan never released
 	}{
-		{"spills", func(string) (spillFile, error) { return &memSpill{failAfter: -1}, nil }, 1, 0},
-		{"no spill file", func(string) (spillFile, error) { return nil, errSpillTest }, 1, 1},
-		{"write fails mid-stream", func(string) (spillFile, error) { return &memSpill{failAfter: 40 << 10}, nil }, 2, 1},
-		{"read fails", func(string) (spillFile, error) { return &memSpill{failAfter: -1, failRead: true}, nil }, 2, 1},
+		{"spills", func(string) (spillFile, error) { return &memSpill{failAfter: -1}, nil }, 1, 0, 1},
+		{"no spill file", func(string) (spillFile, error) { return nil, errSpillTest }, 1, 1, 7},
+		{"write fails mid-stream", func(string) (spillFile, error) { return &memSpill{failAfter: 40 << 10}, nil }, 2, 1, 1},
+		{"read fails", func(string) (spillFile, error) { return &memSpill{failAfter: -1, failRead: true}, nil }, 2, 1, 1},
 	}
 	for _, tc := range cases {
 		st := &chunked{Table: tbl, n: 64}
-		q := FromStorage(st).WhereFloat("x", func(v float64) bool { return v > 5 }).GroupBy([]string{"k"}, aggs...)
-		// The budget crosses in the second partition.
+		rc := &releaseCounter{Storage: st}
+		q := FromStorage(rc).WhereFloat("x", late).GroupBy([]string{"k"}, aggs...)
+		// The first partition keeps 9 of its 64 rows, whose estimate
+		// projected to the table's 400 fits the budget: the projection
+		// crosses in the second partition, with the first buffered.
 		ch := &chain{sc: NewScratch(), budget: 100 * hashEntryBytes, openSpill: tc.open}
 		fb, parts := spillFallbacks.Value(), spillPartitions.Value()
 		start, err := q.source(ch, true)
@@ -315,6 +322,9 @@ func TestSpillStreamFallsBack(t *testing.T) {
 		}
 		if spilled := spillPartitions.Value() > parts; spilled != (tc.fbacks == 0) {
 			t.Fatalf("%s: spilled=%v", tc.name, spilled)
+		}
+		if c := rc.scans[0]; c.parts-c.released != tc.buffered {
+			t.Fatalf("%s: %d of the first scan's %d partitions kept, want %d", tc.name, c.parts-c.released, c.parts, tc.buffered)
 		}
 		requireSameTable(t, tc.name, want, ch.b.ToTable())
 

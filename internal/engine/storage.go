@@ -34,8 +34,18 @@ type ScanStats struct {
 // PartitionIter streams the partitions of one scan. Next returns
 // (nil, nil) after the final partition. Stats is valid once Next has
 // returned nil and reflects the whole scan.
+//
+// Release hands a block back. The caller may release the block Next
+// returned last once nothing references it any more, including blocks
+// derived from it (a selection, a projection, a rename share its
+// vectors); the iterator may then decode a later partition into its
+// vectors. Releasing is optional: a block never released is never
+// overwritten. Releasing any other block is a no-op. Only vectors are
+// reused: a string value stays valid, since a string column's values
+// are substrings of a slab each block decodes afresh.
 type PartitionIter interface {
 	Next() (*ColumnBlock, error)
+	Release(b *ColumnBlock)
 	Stats() ScanStats
 }
 
@@ -58,13 +68,15 @@ type Storage interface {
 	ScanPartitions(ctx context.Context, cols []string, pred plan.Expr) (PartitionIter, error)
 }
 
-// ScanPlanner is an optional Storage refinement for EXPLAIN: it
-// predicts, without decoding data, how many partitions a scan of cols
-// (nil = all) with the given pruning hint would touch and how many
-// column blocks it would prune — what the scan's ScanStats will report.
-// The on-disk store implements it from segment footers.
+// ScanPlanner is an optional Storage refinement: it predicts, without
+// decoding data, how many partitions a scan of cols (nil = all) with
+// the given pruning hint would touch and how many column blocks it
+// would prune — what the scan's ScanStats will report, for EXPLAIN —
+// and how many rows the partitions it decodes hold, which a streamed
+// group-by projects its hash estimate to. The on-disk store implements
+// it from segment footers.
 type ScanPlanner interface {
-	PlanScan(cols []string, pred plan.Expr) (partitions, blocksPruned int64)
+	PlanScan(cols []string, pred plan.Expr) (partitions, blocksPruned, rows int64)
 }
 
 // StorageName implements Storage for the in-memory table.
@@ -109,6 +121,10 @@ func (it *tableIter) Next() (*ColumnBlock, error) {
 	it.done = true
 	return it.block, nil
 }
+
+// Release is a no-op: the one block is the table's decode, never
+// reused.
+func (it *tableIter) Release(*ColumnBlock) {}
 
 func (it *tableIter) Stats() ScanStats {
 	return ScanStats{Partitions: 1, Scanned: 1}
