@@ -322,8 +322,7 @@ func TestExplainReportsPruning(t *testing.T) {
 
 // EXPLAIN's blocks_pruned= is what the executed scan's ScanStats
 // report: a pruned segment counts one block per column the scan
-// projects, and a provenance query, which scans every column with no
-// hint, prunes nothing.
+// projects.
 func TestExplainPruningMatchesScanStats(t *testing.T) {
 	st := writeAndOpen(t, seqTable("z", 1000), colstore.Options{SegmentRows: 100})
 	mid := plan.Between{Col: "id", Lo: plan.IntLit(250), Hi: plan.IntLit(349)}
@@ -334,7 +333,6 @@ func TestExplainPruningMatchesScanStats(t *testing.T) {
 	}{
 		{"full scan", func(q *engine.Query) *engine.Query { return q.WhereExpr(mid) }, 8 * 4},
 		{"projected scan", func(q *engine.Query) *engine.Query { return q.WhereExpr(mid).Select("tag") }, 8 * 2},
-		{"provenance", func(q *engine.Query) *engine.Query { return q.WhereExpr(mid).Select("tag").WithProvenance() }, 0},
 	} {
 		tree, err := tc.build(engine.FromStorage(st)).Explain()
 		if err != nil {

@@ -83,7 +83,6 @@ func TestScanAsksForReferencedColumnsOnly(t *testing.T) {
 			return q.Extend("twice", engine.TypeInt, func(r engine.Row) engine.Value { return engine.Int(2 * r[0].AsInt()) }).Select("twice")
 		}, false, all},
 		{"Distinct", func(q *engine.Query) *engine.Query { return q.Distinct() }, true, all},
-		{"provenance", func(q *engine.Query) *engine.Query { return q.WhereExpr(big).Select("id").WithProvenance() }, false, all},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -619,7 +619,7 @@ func (s *groupStream) result(name string) (*ColumnBlock, error) {
 				return nil, err
 			}
 		}
-		out, _ := b.groupByMem(s.g, s.c.sc)
+		out := b.groupByMem(s.g, s.c.sc)
 		out.Name = name + "_group"
 		return out, nil
 	}
@@ -720,8 +720,7 @@ func (b *ColumnBlock) GroupBy(keys []string, aggs []Aggregate, sc *Scratch) (*Co
 	if err != nil {
 		return nil, err
 	}
-	out, _ := b.groupByMem(g, sc.orNew())
-	return out, nil
+	return b.groupByMem(g, sc.orNew()), nil
 }
 
 // grouping is a resolved group-by: key and aggregate column indexes
@@ -769,9 +768,8 @@ func (b *ColumnBlock) newGrouping(keys []string, aggs []Aggregate) (*grouping, e
 	return g, nil
 }
 
-// groupByMem is the in-memory group-by. It also returns each logical
-// row's group id, which provenance execution ⊕-merges annotations by.
-func (b *ColumnBlock) groupByMem(g *grouping, sc *Scratch) (*ColumnBlock, []int32) {
+// groupByMem is the in-memory group-by.
+func (b *ColumnBlock) groupByMem(g *grouping, sc *Scratch) *ColumnBlock {
 	n := b.Len()
 	var gids, firstP []int32
 	if len(g.keyIdx) == 0 {
@@ -788,7 +786,7 @@ func (b *ColumnBlock) groupByMem(g *grouping, sc *Scratch) (*ColumnBlock, []int3
 		// group.
 		nGroups = 1
 	}
-	return b.aggregateGroups(g, gids, firstP, nGroups), gids
+	return b.aggregateGroups(g, gids, firstP, nGroups)
 }
 
 // aggregateGroups runs the accumulation passes and emits one output row
@@ -913,20 +911,13 @@ func (b *ColumnBlock) aggregateGroups(g *grouping, gids, firstP []int32, nGroups
 // The result is a new selection over the shared column vectors; nothing
 // is materialized.
 func (b *ColumnBlock) Distinct(sc *Scratch) *ColumnBlock {
-	_, firstP := b.distinctGroups(len(b.Schema), sc.orNew())
-	return b.withSel(firstP)
-}
-
-// distinctGroups groups logical rows by their first ncols columns (all
-// but the hidden annotation column under provenance), returning
-// groupIDs' result: firstP is the distinct selection.
-func (b *ColumnBlock) distinctGroups(ncols int, sc *Scratch) (gids, firstP []int32) {
 	rowsScanned.Add(int64(b.Len()))
-	idx := make([]int, ncols)
+	idx := make([]int, len(b.Schema))
 	for j := range idx {
 		idx[j] = j
 	}
-	return b.groupIDs(idx, sc, nil)
+	_, firstP := b.groupIDs(idx, sc.orNew(), nil)
+	return b.withSel(firstP)
 }
 
 // OrderBy stably sorts the block by the named column. Only the

@@ -228,5 +228,5 @@ func (d *Deferred) finish(b *ColumnBlock) (float64, error) {
 			return 0, err
 		}
 	}
-	return scalarOf(ch.result())
+	return scalarOf(ch.b.ToTable())
 }

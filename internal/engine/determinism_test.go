@@ -101,35 +101,6 @@ func TestGroupByManyKeysStable(t *testing.T) {
 	}
 }
 
-// TestPartitionedSelfJoinStable re-runs the parallel partitioned
-// self-join ten times with eight workers and requires identical row
-// order each time: partitions are processed concurrently but results
-// must be stitched together in sorted partition order.
-func TestPartitionedSelfJoinStable(t *testing.T) {
-	tbl := salesTable(t)
-	outSchema := Schema{
-		{Name: "a", Type: TypeInt},
-		{Name: "b", Type: TypeInt},
-	}
-	run := func() string {
-		j := PartitionedSelfJoin(tbl,
-			func(r Row) string { return r[2].Key() }, // partition by cell
-			func(a, b Row) bool { return a[0].AsInt() < b[0].AsInt() },
-			func(a, b Row) Row { return Row{a[0], b[0]} },
-			outSchema, 8)
-		return render(j)
-	}
-	first := run()
-	if first == "" {
-		t.Fatal("self join produced no output")
-	}
-	for i := 1; i < repeatRuns; i++ {
-		if got := run(); got != first {
-			t.Fatalf("run %d: self-join row order changed between identical runs", i)
-		}
-	}
-}
-
 // TestDatabaseNamesStable requires Names to return the same sorted
 // slice regardless of insertion order into the catalog map.
 func TestDatabaseNamesStable(t *testing.T) {

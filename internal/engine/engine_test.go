@@ -2,7 +2,6 @@ package engine
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -469,51 +468,6 @@ func TestDatabaseCloneAllocs(t *testing.T) {
 	ct, _ := clone.Get("big")
 	if ct.Len() != 100_000 || &ct.Rows[0][0] != &big.Rows[0][0] {
 		t.Fatal("clone does not share the original's rows")
-	}
-}
-
-func TestPartitionedSelfJoin(t *testing.T) {
-	// Agents on a line; interact within the same unit cell.
-	agents := MustNewTable("agents", Schema{
-		{Name: "id", Type: TypeInt},
-		{Name: "pos", Type: TypeFloat},
-	})
-	for i := 0; i < 12; i++ {
-		agents.MustInsert(Int(int64(i)), Float(float64(i)/4)) // cells 0,0,0,0,1,1,1,1,2,2,2,2
-	}
-	out := PartitionedSelfJoin(agents,
-		func(r Row) string { return fmt.Sprintf("%d", int(r[1].AsFloat())) },
-		func(a, b Row) bool { return a[0].AsInt() != b[0].AsInt() },
-		func(a, b Row) Row { return Row{a[0], b[0]} },
-		Schema{{Name: "a", Type: TypeInt}, {Name: "b", Type: TypeInt}},
-		4)
-	// Each cell of 4 agents yields 4*3 ordered pairs; 3 cells.
-	if out.Len() != 36 {
-		t.Fatalf("self-join rows = %d, want 36", out.Len())
-	}
-}
-
-func TestPartitionedSelfJoinDeterministic(t *testing.T) {
-	agents := MustNewTable("agents", Schema{{Name: "id", Type: TypeInt}})
-	for i := 0; i < 30; i++ {
-		agents.MustInsert(Int(int64(i)))
-	}
-	run := func() []Row {
-		return PartitionedSelfJoin(agents,
-			func(r Row) string { return fmt.Sprintf("%d", r[0].AsInt()%5) },
-			func(a, b Row) bool { return true },
-			func(a, b Row) Row { return Row{a[0], b[0]} },
-			Schema{{Name: "a", Type: TypeInt}, {Name: "b", Type: TypeInt}},
-			8).Rows
-	}
-	r1, r2 := run(), run()
-	if len(r1) != len(r2) {
-		t.Fatal("nondeterministic row count")
-	}
-	for i := range r1 {
-		if !r1[i][0].Equal(r2[i][0]) || !r1[i][1].Equal(r2[i][1]) {
-			t.Fatalf("nondeterministic order at %d", i)
-		}
 	}
 }
 

@@ -7,18 +7,16 @@ package engine
 // the awkward corners of the key encoding (NaN, -0, int64s beyond
 // float64 precision, strings containing the old separator byte, empty
 // results). Every pipeline runs at every point of {planner on, off} ×
-// {provenance on, off} × {budget unlimited, 1 byte}. Equality is
-// checked down to float bit patterns, not tolerances.
+// {budget unlimited, 1 byte}. Equality is checked down to float bit
+// patterns, not tolerances.
 
 import (
 	"fmt"
 	"math"
-	"reflect"
 	"sort"
 	"testing"
 
 	"modeldata/internal/engine/plan"
-	"modeldata/internal/prov"
 	"modeldata/internal/rng"
 )
 
@@ -459,8 +457,7 @@ func stLimit(n int) step {
 // checkPipeline is the one equivalence table: it runs steps over src
 // through the reference interpreter once and through the engine at
 // every point of the configuration lattice, requiring identical bytes
-// everywhere, callbacks that saw exactly their step's input, and
-// lineage identical across every provenance run.
+// everywhere and callbacks that saw exactly their step's input.
 func checkPipeline(t *testing.T, src *Table, steps ...step) {
 	t.Helper()
 	want, q, label := src, From(src).WithSpillDir(t.TempDir()), "From("+src.Name+")"
@@ -472,7 +469,6 @@ func checkPipeline(t *testing.T, src *Table, steps ...step) {
 	if n, err := q.Count(); err != nil || n != want.Len() {
 		t.Fatalf("%s: Count = %d, %v; want %d", label, n, err, want.Len())
 	}
-	var lineage [][]prov.Leaf
 	for _, pt := range lattice(q) {
 		cfg := label + " " + pt.label
 		for _, st := range steps {
@@ -491,18 +487,6 @@ func checkPipeline(t *testing.T, src *Table, steps ...step) {
 				requireSameTable(t, cfg+" rows handed to "+st.label, inputs[i], seen)
 			}
 		}
-		if !got.HasLineage() {
-			continue
-		}
-		sets := make([][]prov.Leaf, got.Len())
-		for i := range sets {
-			sets[i], _ = got.Lineage(i)
-		}
-		if lineage == nil {
-			lineage = sets
-		} else if !reflect.DeepEqual(lineage, sets) {
-			t.Fatalf("%s: lineage differs from the first provenance run", cfg)
-		}
 	}
 }
 
@@ -512,19 +496,14 @@ type latticePoint struct {
 	q     *Query
 }
 
-// lattice returns q at every point of {planner on, off} × {provenance
-// off, on} × {budget unlimited, 1 byte}.
+// lattice returns q at every point of {planner on, off} × {budget
+// unlimited, 1 byte}.
 func lattice(q *Query) []latticePoint {
 	var pts []latticePoint
 	for _, plannerOn := range []bool{true, false} {
-		for _, provOn := range []bool{false, true} {
-			for _, budget := range []int64{0, 1} {
-				pq := q.WithPlanner(plannerOn).WithMemoryBudget(budget)
-				if provOn {
-					pq = pq.WithProvenance()
-				}
-				pts = append(pts, latticePoint{fmt.Sprintf("[planner=%v prov=%v budget=%d]", plannerOn, provOn, budget), pq})
-			}
+		for _, budget := range []int64{0, 1} {
+			pq := q.WithPlanner(plannerOn).WithMemoryBudget(budget)
+			pts = append(pts, latticePoint{fmt.Sprintf("[planner=%v budget=%d]", plannerOn, budget), pq})
 		}
 	}
 	return pts

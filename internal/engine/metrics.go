@@ -41,12 +41,6 @@ const (
 	MetricPlanCacheHits   = "engine.plan.cache_hits"
 	MetricPlanCacheMisses = "engine.plan.cache_misses"
 
-	// MetricProvAnnotatedRows counts rows given why-provenance
-	// annotations (at source scans and planned-region exits) by
-	// WithProvenance executions. The prov. prefix matches the package
-	// that owns the semiring, though the threading lives here.
-	MetricProvAnnotatedRows = "prov.annotated_rows"
-
 	// Spill metrics carry the colstore. prefix because the storage layer
 	// owns the out-of-core story, even though the spilling operators live
 	// here (colstore depends on engine, not the other way around).
@@ -72,8 +66,6 @@ var (
 	planCanonSorts  = obs.Default().Counter(MetricPlanCanonSorts)
 	planCacheHits   = obs.Default().Counter(MetricPlanCacheHits)
 	planCacheMisses = obs.Default().Counter(MetricPlanCacheMisses)
-
-	provAnnotated = obs.Default().Counter(MetricProvAnnotatedRows)
 
 	spillPartitions = obs.Default().Counter(MetricSpillPartitions)
 	spillBytes      = obs.Default().Counter(MetricSpillBytes)

@@ -53,7 +53,7 @@ func requireRefused(t *testing.T, label string, fn func() error) {
 // all), a later scan of a planned region, a table scanned through the
 // Storage seam — refuses Run and Count loudly instead of running them
 // on a slow route, with the planner on and off.
-func requireShapesRefused(t *testing.T, provOn bool) {
+func requireShapesRefused(t *testing.T) {
 	clean := MustNewTable("clean", Schema{{Name: "id", Type: TypeInt}})
 	clean.MustInsert(Int(1))
 	clean.MustInsert(Int(2))
@@ -68,17 +68,14 @@ func requireShapesRefused(t *testing.T, provOn bool) {
 	for name, q := range shapes {
 		for _, plannerOn := range []bool{true, false} {
 			q := q.WithPlanner(plannerOn)
-			if provOn {
-				q = q.WithProvenance()
-			}
-			label := fmt.Sprintf("%s planner=%v prov=%v", name, plannerOn, provOn)
+			label := fmt.Sprintf("%s planner=%v", name, plannerOn)
 			requireRefused(t, label+" Run", func() error { _, err := q.Run(); return err })
 			requireRefused(t, label+" Count", func() error { _, err := q.Count(); return err })
 		}
 	}
 }
 
-func TestColFallbackCounterFires(t *testing.T) { requireShapesRefused(t, false) }
+func TestColFallbackCounterFires(t *testing.T) { requireShapesRefused(t) }
 
 // TestColFallbackSQLCounterFires drives the same refusal through the
 // SQL executor.

@@ -31,7 +31,6 @@ import (
 	"strings"
 
 	"modeldata/internal/engine/plan"
-	"modeldata/internal/prov"
 )
 
 // failNever marks a row rejected by no pushed filter.
@@ -158,15 +157,12 @@ func (q *Query) joinRegion(ch *chain, reg *region, ridScan int) (*ColumnBlock, [
 
 	// Per-scan inputs: pushed filters applied, columns pruned to what
 	// the rest of the query can observe, plus a hidden row-id column
-	// per scan when reordering (for the final restoring sort) or when
-	// recording provenance (region-exit annotations are built from the
-	// same row ids, so they survive any join order).
-	provOn := ch.arena != nil
+	// per scan when reordering (for the final restoring sort).
 	ret := q.retainedCols(reg)
 	scanBlks := make([]*ColumnBlock, len(blocks))
 	keepIdx := make([]map[string]int, len(blocks))
 	for s, b := range blocks {
-		scanBlks[s] = buildScanBlock(b, failPos[s], ret[s], reordered || provOn || s == ridScan, s)
+		scanBlks[s] = buildScanBlock(b, failPos[s], ret[s], reordered || s == ridScan, s)
 		mp := make(map[string]int, len(ret[s]))
 		for i, rc := range ret[s] {
 			mp[strings.ToLower(rc.bare)] = i
@@ -279,29 +275,6 @@ func (q *Query) joinRegion(ch *chain, reg *region, ridScan int) (*ColumnBlock, [
 			outSchema = append(outSchema, acc.Schema[p])
 			outCols = append(outCols, acc.cols[p])
 		}
-	}
-	if provOn {
-		// Region-exit provenance: each output row's annotation is the
-		// ⊗-union of one leaf per scan, recovered from the hidden row-id
-		// columns before they are dropped. Union is associative and
-		// commutative, so the cost-chosen join order cannot change the
-		// sets. Self-join scans share their table name, so both sides'
-		// leaves land in one identity space.
-		n := acc.Len()
-		ids := make([]int64, acc.nrows)
-		arena := ch.arena
-		for i := 0; i < n; i++ {
-			p := acc.phys(i)
-			set := prov.Empty
-			for s := range scanBlks {
-				rid := acc.cols[accRid[s]].ints[p]
-				set = arena.Join(set, arena.Leaf(reg.scans[s].Name, int(rid)))
-			}
-			ids[p] = int64(set)
-		}
-		provAnnotated.Add(int64(n))
-		outSchema = append(outSchema, provCol)
-		outCols = append(outCols, colvec{ints: ids})
 	}
 	var rid []int64
 	if ridScan >= 0 {

@@ -3,11 +3,9 @@ package engine
 import (
 	"context"
 	"fmt"
-	"slices"
 	"strings"
 
 	"modeldata/internal/engine/plan"
-	"modeldata/internal/prov"
 )
 
 // Query is a fluent relational query builder over tables. Builder
@@ -69,10 +67,6 @@ type Query struct {
 	// cache, when set by Prepared, memoizes the join-order choice
 	// across executions of the same statement.
 	cache *Prepared
-
-	// provOn, set by WithProvenance, threads why-provenance
-	// annotations through execution (see provexec.go).
-	provOn bool
 
 	// name and schema describe the query's current result shape,
 	// maintained eagerly by every builder method.
@@ -473,9 +467,6 @@ func (q *Query) Extend(name string, typ Type, f func(Row) Value) *Query {
 // names.
 func (q *Query) exec(wholeRows bool) (*chain, error) {
 	ch := &chain{sc: NewScratch(), budget: q.budget, spillDir: q.spillDir}
-	if q.provOn {
-		ch.arena = prov.NewArena()
-	}
 	start, err := q.source(ch, wholeRows)
 	if err != nil {
 		return nil, err
@@ -490,11 +481,6 @@ func (q *Query) exec(wholeRows bool) (*chain, error) {
 	}
 	if !planned {
 		planDirect.Add(1)
-		if ch.arena != nil {
-			// The planner did not produce (annotated) region output, so
-			// the source scan itself is the leaf relation.
-			ch.b = ch.annotate(ch.b)
-		}
 	}
 	for _, op := range q.ops[start:] {
 		if err := ch.apply(op, q); err != nil {
@@ -538,7 +524,7 @@ func (q *Query) source(ch *chain, wholeRows bool) (int, error) {
 	req := q.scanRequest(wholeRows)
 	var js *joinStream
 	var gs *groupStream
-	if !q.provOn && req.lead < len(q.ops) {
+	if req.lead < len(q.ops) {
 		switch op := q.ops[req.lead]; {
 		case op.kind == opJoin:
 			var err error
@@ -608,14 +594,8 @@ type scanReq struct {
 
 // scanRequest is the scan source makes, and EXPLAIN predicts: the
 // stored columns the operations can observe, and the leading run with
-// its conjunction as the hint. Under provenance it is the plain scan —
-// every column, no hint, nothing applied early: leaf annotations index
-// rows of the full stored relation, and a pruned or pre-filtered scan
-// would shift every index after the first skipped row.
+// its conjunction as the hint.
 func (q *Query) scanRequest(wholeRows bool) scanReq {
-	if q.provOn {
-		return scanReq{schema: q.store.StorageSchema()}
-	}
 	need := map[string]bool{} // a count observes no column of the result
 	if wholeRows {
 		need = nil // its rows observe all of them
@@ -791,7 +771,7 @@ func (q *Query) Run() (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	return ch.result(), nil
+	return ch.b.ToTable(), nil
 }
 
 // MustRun returns the result table, panicking on error; for tests and
@@ -851,11 +831,6 @@ type chain struct {
 	// openSpill creates a group-by's spill file under spillDir; nil
 	// means openSpillFile. Tests substitute one that fails.
 	openSpill func(dir string) (spillFile, error)
-
-	// arena, when non-nil, interns this execution's provenance sets:
-	// the state's last column is the hidden annotation column (see
-	// provexec.go).
-	arena *prov.Arena
 }
 
 // apply executes one recorded operation against the current state.
@@ -865,7 +840,7 @@ func (c *chain) apply(op *qop, q *Query) error {
 	var err error
 	switch op.kind {
 	case opWhereRow:
-		rows := c.userRows()
+		rows := b.ToTable().Rows
 		rowsScanned.Add(int64(len(rows)))
 		var sel []int32
 		for i, r := range rows {
@@ -879,7 +854,7 @@ func (c *chain) apply(op *qop, q *Query) error {
 		nb, err = filterBlock(b, op, q)
 
 	case opSelect:
-		nb, err = b.Project(c.withProvName(op.cols)...)
+		nb, err = b.Project(op.cols...)
 
 	case opRename:
 		nb, err = b.Rename(op.oldName, op.newName)
@@ -889,18 +864,9 @@ func (c *chain) apply(op *qop, q *Query) error {
 		if rb, err = decodeTable(op.joinT); err != nil {
 			return err
 		}
-		if c.arena != nil {
-			// The right table's rows become fresh leaves. Row counts are
-			// unchanged by the extra column, so the build-side choice —
-			// and therefore emission order — matches an unannotated run.
-			rb = c.annotate(rb)
-		}
 		nb, err = b.equiJoinBudget(rb, op.joinL, op.joinR, c.sc, c.budget, c.spillDir)
 		if err != nil {
 			return err
-		}
-		if c.arena != nil {
-			nb = c.joinAnnotations(nb, len(b.Schema)-1)
 		}
 		// The join's output names are overwritten with the eagerly
 		// computed schema: a no-op for the default (both-sides-prefixed)
@@ -908,7 +874,7 @@ func (c *chain) apply(op *qop, q *Query) error {
 		// Column order is left++right, so the overwrite is positionally
 		// safe.
 		nb.Name = op.name
-		nb.Schema = c.withProvCol(op.schema.Clone())
+		nb.Schema = op.schema.Clone()
 
 	case opGroupBy:
 		nb, err = c.groupBy(op)
@@ -917,18 +883,7 @@ func (c *chain) apply(op *qop, q *Query) error {
 		nb, err = b.OrderBy(op.col, op.desc)
 
 	case opDistinct:
-		gids, firstP := b.distinctGroups(c.userCols(), c.sc)
-		nb = b.withSel(firstP)
-		if c.arena != nil {
-			// Each duplicate's annotation ⊕-merges into the kept first
-			// row, so the survivor names every input that could have
-			// produced it.
-			merged := make([]int64, b.nrows)
-			for g, set := range c.unionByGroup(gids, len(firstP)) {
-				merged[firstP[g]] = set
-			}
-			nb, err = nb.WithColumn(c.userCols(), merged)
-		}
+		nb = b.Distinct(c.sc)
 
 	case opLimit:
 		nb = b.Limit(op.n)
@@ -946,35 +901,11 @@ func (c *chain) apply(op *qop, q *Query) error {
 	return nil
 }
 
-// userCols is the number of user-visible columns of the state: all of
-// them, minus the hidden annotation column under provenance.
-func (c *chain) userCols() int {
-	if c.arena != nil {
-		return len(c.b.Schema) - 1
-	}
-	return len(c.b.Schema)
-}
-
-// userTable materializes the state's user-visible columns as a table of
-// fresh rows (as ToTable builds them).
-func (c *chain) userTable() *Table {
-	b := *c.b
-	b.Schema, b.cols = b.Schema[:c.userCols()], b.cols[:c.userCols()]
-	return b.ToTable()
-}
-
-// userRows is what the opaque Where and Extend callbacks see: fresh
-// rows, which they may therefore retain.
-func (c *chain) userRows() []Row { return c.userTable().Rows }
-
 // groupBy aggregates the state. A keyed group-by under a memory budget
 // is a groupStream whose one partition is the state; if its spill fails,
-// the state is still here to group in memory. Under provenance each
-// output group's annotation is the ⊕-union of its input rows' sets, and
-// the group-by never spills: annotations live in the arena, which the
-// on-disk partitions cannot carry.
+// the state is still here to group in memory.
 func (c *chain) groupBy(op *qop) (*ColumnBlock, error) {
-	if c.arena == nil && c.budget > 0 && len(op.cols) > 0 {
+	if c.budget > 0 && len(op.cols) > 0 {
 		s := &groupStream{op: op, c: c, total: int64(c.b.Len())}
 		if _, err := s.add(c.b, c.b.Len()); err != nil {
 			return nil, err
@@ -984,26 +915,16 @@ func (c *chain) groupBy(op *qop) (*ColumnBlock, error) {
 		}
 		spillFallbacks.Add(1)
 	}
-	if c.arena == nil {
-		return c.b.GroupBy(op.cols, op.aggs, c.sc)
-	}
-	g, err := c.b.newGrouping(op.cols, op.aggs)
-	if err != nil {
-		return nil, err
-	}
-	out, gids := c.b.groupByMem(g, c.sc)
-	out.Schema = append(out.Schema, provCol)
-	out.cols = append(out.cols, colvec{ints: c.unionByGroup(gids, out.nrows)})
-	return out, nil
+	return c.b.GroupBy(op.cols, op.aggs, c.sc)
 }
 
-// extend appends the callback's column, placed before the annotation
-// column under provenance. Results follow Insert's rule: int widens
-// into a float column, any other mismatch is ErrTypeClash.
+// extend appends the callback's column. The callback sees fresh rows,
+// which it may retain. Results follow Insert's rule: int widens into a
+// float column, any other mismatch is ErrTypeClash.
 func (c *chain) extend(op *qop) (*ColumnBlock, error) {
 	b := c.b
 	cv := zeroColvec(op.extType, b.nrows)
-	for i, r := range c.userRows() {
+	for i, r := range b.ToTable().Rows {
 		v := op.extFn(r)
 		if v.typ == TypeInt && op.extType == TypeFloat {
 			v = Float(float64(v.i()))
@@ -1024,8 +945,8 @@ func (c *chain) extend(op *qop) (*ColumnBlock, error) {
 		}
 	}
 	nb := *b
-	nb.Schema = slices.Insert(b.Schema.Clone(), c.userCols(), Column{Name: op.extName, Type: op.extType})
-	nb.cols = slices.Insert(slices.Clone(b.cols), c.userCols(), cv)
+	nb.Schema = append(b.Schema.Clone(), Column{Name: op.extName, Type: op.extType})
+	nb.cols = append(b.cols[:len(b.cols):len(b.cols)], cv)
 	return &nb, nil
 }
 

@@ -148,7 +148,7 @@ func TestScanConsumersReleaseWhatTheyDrop(t *testing.T) {
 	if _, err := q.source(ch, true); err != nil {
 		t.Fatal(err)
 	}
-	requireSameTable(t, "after a failed spill", From(tbl).WhereExpr(some).GroupBy([]string{"k"}, aggs...).MustRun(), ch.result())
+	requireSameTable(t, "after a failed spill", From(tbl).WhereExpr(some).GroupBy([]string{"k"}, aggs...).MustRun(), ch.b.ToTable())
 	if len(st.scans) != 2 {
 		t.Fatalf("%d scans after a failed spill, want 2", len(st.scans))
 	}

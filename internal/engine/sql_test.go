@@ -379,3 +379,22 @@ func TestSQLDistinct(t *testing.T) {
 		t.Fatalf("non-distinct rows = %d", res2.Len())
 	}
 }
+
+// tablesEqualForTest compares two tables for identical schema, rows,
+// and Value payloads.
+func tablesEqualForTest(a, b *Table) bool {
+	if !a.Schema.Equal(b.Schema) || len(a.Rows) != len(b.Rows) {
+		return false
+	}
+	for i := range a.Rows {
+		if len(a.Rows[i]) != len(b.Rows[i]) {
+			return false
+		}
+		for j := range a.Rows[i] {
+			if a.Rows[i][j] != b.Rows[i][j] {
+				return false
+			}
+		}
+	}
+	return true
+}

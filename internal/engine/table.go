@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"modeldata/internal/prov"
 )
 
 // Common engine errors.
@@ -94,33 +92,7 @@ type Table struct {
 	Name   string
 	Schema Schema
 	Rows   []Row
-
-	// lineage, when non-nil, holds the why-provenance recorded by a
-	// WithProvenance query: one interned leaf set per row. It is
-	// query-result metadata, not part of the relation — operators
-	// ignore it, and only Lineage reads it.
-	lineage *tableLineage
 }
-
-// tableLineage is the provenance payload of a query result.
-type tableLineage struct {
-	arena *prov.Arena
-	sets  []prov.Set
-}
-
-// Lineage returns the why-provenance of the given result row: the
-// source-table rows that contributed to it, sorted by table then row
-// index. It reports ok=false when the table carries no provenance
-// (the query did not run WithProvenance) or the row is out of range.
-func (t *Table) Lineage(row int) ([]prov.Leaf, bool) {
-	if t.lineage == nil || row < 0 || row >= len(t.lineage.sets) {
-		return nil, false
-	}
-	return t.lineage.arena.Leaves(t.lineage.sets[row]), true
-}
-
-// HasLineage reports whether the table carries per-row provenance.
-func (t *Table) HasLineage() bool { return t.lineage != nil }
 
 // NewTable creates an empty table with the given name and schema. It
 // returns an error if the schema has duplicate column names.

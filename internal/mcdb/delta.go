@@ -16,13 +16,13 @@ package mcdb
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"slices"
 
 	"modeldata/internal/engine"
 	"modeldata/internal/obs"
 	"modeldata/internal/parallel"
-	"modeldata/internal/prov"
 	"modeldata/internal/rng"
 )
 
@@ -324,15 +324,13 @@ func runsOf(flags []bool) []iterRun {
 }
 
 // ExecLineage returns, for every Monte Carlo iteration of q, the
-// why-provenance of that iteration's sample: the stochastic-table
-// tuples (prov.Leaf values whose Row is the tuple's index in the
-// realized table) that passed both predicates and therefore contributed
-// to the aggregate. Lineage sets are interned in a prov.Arena, so
-// iterations with identical lineage share one slice. This is the
-// Monte Carlo counterpart of engine-level Query.WithProvenance, and the
-// set ExecDelta's dirty-iteration test restricts its value comparison
-// to.
-func (s *Session) ExecLineage(ctx context.Context, q AggQuery, opts ExecOptions) ([][]prov.Leaf, error) {
+// why-provenance of that iteration's sample: the ascending indexes, in
+// the realized table, of the tuples that passed both predicates and
+// therefore contributed to the aggregate. Sets are interned, so
+// iterations with identical lineage share one slice, and an iteration
+// with no contributors gets an empty, non-nil one. This is the set
+// ExecDelta's dirty-iteration test restricts its value comparison to.
+func (s *Session) ExecLineage(ctx context.Context, q AggQuery, opts ExecOptions) ([][]int, error) {
 	if _, _, err := s.db.checkQuery(q, opts, 0, opts.Iterations, true); err != nil {
 		return nil, err
 	}
@@ -344,13 +342,13 @@ func (s *Session) ExecLineage(ctx context.Context, q AggQuery, opts ExecOptions)
 	if err != nil {
 		return nil, err
 	}
-	arena := prov.NewArena()
-	memo := make(map[prov.Set][]prov.Leaf)
-	out := make([][]prov.Leaf, bt.Iters)
+	memo := make(map[string][]int) // varint-encoded rows -> interned set
+	out := make([][]int, bt.Iters)
 	uncBuf := make([]float64, len(bt.UncertainCols))
-	leaves := make([]prov.Leaf, 0, bt.Len())
+	rows := make([]int, 0, bt.Len())
+	var key []byte
 	for it := 0; it < bt.Iters; it++ {
-		leaves = leaves[:0]
+		rows, key = rows[:0], key[:0]
 		for ti, det := range bt.Det {
 			if q.WhereDet != nil && !q.WhereDet(det) {
 				continue
@@ -358,15 +356,15 @@ func (s *Session) ExecLineage(ctx context.Context, q AggQuery, opts ExecOptions)
 			if q.WhereUnc != nil && !qualifies(q.WhereUnc, det, bt.Unc[ti], it, uncBuf) {
 				continue
 			}
-			leaves = append(leaves, prov.Leaf{Table: q.Table, Row: ti})
+			rows = append(rows, ti)
+			key = binary.AppendUvarint(key, uint64(ti))
 		}
-		set := arena.SetOf(leaves)
-		ls, ok := memo[set]
+		set, ok := memo[string(key)]
 		if !ok {
-			ls = arena.Leaves(set)
-			memo[set] = ls
+			set = append(make([]int, 0, len(rows)), rows...)
+			memo[string(key)] = set
 		}
-		out[it] = ls
+		out[it] = set
 	}
 	return out, nil
 }

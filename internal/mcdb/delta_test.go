@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math"
+	"slices"
 	"testing"
 
 	"modeldata/internal/engine"
@@ -450,8 +451,9 @@ func TestExecDeltaValidation(t *testing.T) {
 }
 
 // TestExecLineage checks per-iteration why-provenance against a direct
-// scan of the realized bundle, and that iterations with identical
-// lineage share one interned slice.
+// scan of the realized bundle, that iterations with identical lineage
+// share one interned slice (and unequal ones do not), and that an
+// iteration with no contributors is an empty, non-nil slice.
 func TestExecLineage(t *testing.T) {
 	db := buildDeltaDB(t, 6, 2, deltaWorld{}, false)
 	s := db.NewSession()
@@ -475,19 +477,45 @@ func TestExecLineage(t *testing.T) {
 		t.Fatal(err)
 	}
 	for it := 0; it < bt.Iters; it++ {
-		var want []int
+		want := []int{}
 		for ti := range bt.Det {
 			if bt.Det[ti][1].AsInt() == 0 && bt.Unc[ti][0][it] > 11 {
 				want = append(want, ti)
 			}
 		}
-		if len(lin[it]) != len(want) {
-			t.Fatalf("iter %d: %d leaves, want %d", it, len(lin[it]), len(want))
+		if lin[it] == nil || !slices.Equal(lin[it], want) {
+			t.Fatalf("iter %d: lineage %#v, want %v", it, lin[it], want)
 		}
-		for j, ti := range want {
-			if lin[it][j].Table != "obs" || lin[it][j].Row != ti {
-				t.Fatalf("iter %d leaf %d = %+v, want obs:%d", it, j, lin[it][j], ti)
+	}
+	shared, apart := 0, 0
+	for a := range lin {
+		for b := a + 1; b < len(lin); b++ {
+			if len(lin[a]) == 0 || len(lin[b]) == 0 {
+				continue
 			}
+			same := &lin[a][0] == &lin[b][0]
+			if equal := slices.Equal(lin[a], lin[b]); same != equal {
+				t.Fatalf("iters %d and %d: equal sets %v, shared slice %v", a, b, equal, same)
+			}
+			if same {
+				shared++
+			} else {
+				apart++
+			}
+		}
+	}
+	if shared == 0 || apart == 0 {
+		t.Fatalf("%d pairs of iterations share a lineage set and %d do not; the interning check needs both", shared, apart)
+	}
+
+	none := q
+	none.WhereUnc = func(det engine.Row, unc []float64) bool { return false }
+	if lin, err = s.ExecLineage(ctx, none, opts); err != nil {
+		t.Fatal(err)
+	}
+	for it, l := range lin {
+		if l == nil || len(l) != 0 {
+			t.Fatalf("iter %d of an empty selection: lineage %#v, want []int{}", it, l)
 		}
 	}
 }

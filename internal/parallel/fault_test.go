@@ -166,10 +166,8 @@ func TestStatsRegistryParityUnderChaos(t *testing.T) {
 	s := NewStats()
 	ctx := WithStats(context.Background(), s)
 	ctx = WithFaultInjector(ctx, PanicInjector{Prob: 0.4, Seed: 21})
-	err := For(ctx, 64, Options{
-		Workers: 4,
-		Retry:   &RetryPolicy{MaxRetries: 8, Backoff: 20 * time.Microsecond},
-	}, func(i int) error { return nil })
+	ctx = WithRetryPolicy(ctx, RetryPolicy{MaxRetries: 8, Backoff: 20 * time.Microsecond})
+	err := For(ctx, 64, Options{Workers: 4}, func(i int) error { return nil })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,10 +212,8 @@ func TestForRetriesInjectedCrashes(t *testing.T) {
 		s := NewStats()
 		ctx := WithStats(context.Background(), s)
 		ctx = WithFaultInjector(ctx, CrashAttempts{Index: -1, Times: 2})
-		err := For(ctx, n, Options{
-			Workers: workers,
-			Retry:   &RetryPolicy{MaxRetries: 3, Backoff: 50 * time.Microsecond},
-		}, func(i int) error {
+		ctx = WithRetryPolicy(ctx, RetryPolicy{MaxRetries: 3, Backoff: 50 * time.Microsecond})
+		err := For(ctx, n, Options{Workers: workers}, func(i int) error {
 			counts[i].Add(1)
 			return nil
 		})
@@ -247,9 +243,8 @@ func TestForRetriesInjectedCrashes(t *testing.T) {
 // injected fault.
 func TestForExhaustedRetryBudgetFails(t *testing.T) {
 	ctx := WithFaultInjector(context.Background(), CrashAttempts{Index: 3, Times: 100})
-	err := For(ctx, 8, Options{
-		Retry: &RetryPolicy{MaxRetries: 2, Backoff: 10 * time.Microsecond},
-	}, func(i int) error { return nil })
+	ctx = WithRetryPolicy(ctx, RetryPolicy{MaxRetries: 2, Backoff: 10 * time.Microsecond})
+	err := For(ctx, 8, Options{}, func(i int) error { return nil })
 	if !errors.Is(err, ErrTaskFailed) {
 		t.Fatalf("err = %v, want ErrTaskFailed", err)
 	}
@@ -280,10 +275,8 @@ func TestForStreamsDeterministicUnderFaults(t *testing.T) {
 		const n = 64
 		out := make([]float64, n)
 		ctx := WithFaultInjector(context.Background(), inj)
-		err := ForStreams(ctx, parent, n, Options{
-			Workers: workers,
-			Retry:   &RetryPolicy{MaxRetries: 5, Backoff: 20 * time.Microsecond},
-		}, func(i int, r *rng.Stream) error {
+		ctx = WithRetryPolicy(ctx, RetryPolicy{MaxRetries: 5, Backoff: 20 * time.Microsecond})
+		err := ForStreams(ctx, parent, n, Options{Workers: workers}, func(i int, r *rng.Stream) error {
 			s := 0.0
 			for k := 0; k < 10; k++ {
 				s += r.Normal(0, 1)

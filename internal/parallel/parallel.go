@@ -48,9 +48,6 @@ type Options struct {
 	// context default" (WorkersFrom: WithWorkers value, else
 	// GOMAXPROCS).
 	Workers int
-	// Retry overrides the context retry policy (WithRetryPolicy) for
-	// this loop. Nil inherits from the context.
-	Retry *RetryPolicy
 	// NoFaults opts this loop out of the fault-tolerance machinery
 	// entirely — no injection, no panic recovery, no retries — for
 	// loops whose iterations mutate shared state in place and therefore
@@ -71,12 +68,12 @@ type errBox struct{ err error }
 // iterations. Progress and Stats hooks installed on ctx are serviced
 // after each completed iteration.
 //
-// When a retry policy (Options.Retry or WithRetryPolicy) or a fault
-// injector (WithFaultInjector) is present and Options.NoFaults is
-// unset, each iteration becomes a fault-tolerant task: a panic is
-// recovered into an error, and failed attempts are re-run serially on
-// the same worker with exponential backoff up to MaxRetries before
-// failing the loop. Retried iterations re-run fn(i) from scratch, so fn
+// When a retry policy (WithRetryPolicy) or a fault injector
+// (WithFaultInjector) is present on ctx and Options.NoFaults is unset,
+// each iteration becomes a fault-tolerant task: a panic is recovered
+// into an error, and failed attempts are re-run serially on the same
+// worker with exponential backoff up to MaxRetries before failing the
+// loop. Retried iterations re-run fn(i) from scratch, so fn
 // must be re-runnable: it must fully overwrite slot i on success and
 // derive randomness from state reset at attempt start (ForStreams
 // arranges this automatically). Speculative execution never applies
@@ -118,9 +115,6 @@ func For(ctx context.Context, n int, opts Options, fn func(i int) error) error {
 	run := func(ctx context.Context, i int) error { return fn(i) }
 	if !opts.NoFaults {
 		pol, havePol := RetryPolicyFrom(ctx)
-		if opts.Retry != nil {
-			pol, havePol = *opts.Retry, true
-		}
 		if inj := InjectorFrom(ctx); havePol || inj != nil {
 			run = func(ctx context.Context, i int) error {
 				return runTaskAttempts(ctx, "parallel", i, pol, inj, stats, func() error { return fn(i) })

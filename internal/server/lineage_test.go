@@ -10,6 +10,8 @@ package server
 
 import (
 	"context"
+	"encoding/json"
+	"strings"
 	"testing"
 
 	"modeldata/internal/engine"
@@ -95,6 +97,17 @@ func TestLineageCountsContributors(t *testing.T) {
 				t.Fatalf("iter %d: tuple %d is not a male patient", i, row)
 			}
 		}
+	}
+
+	// A predicate that selects nothing: every iteration's lineage is
+	// an empty list on the wire, never null.
+	req.Where = []Predicate{{Col: "sbp", Op: "gt", Value: 1e9}}
+	raw, _ := post[json.RawMessage](t, ts.URL+"/v1/query", req)
+	if raw == nil {
+		t.Fatal("empty-selection query failed")
+	}
+	if want := `"lineage":[` + strings.Repeat("[],", req.Iterations-1) + `[]]`; !strings.Contains(string(*raw), want) {
+		t.Fatalf("body %s; want it to carry %s", *raw, want)
 	}
 }
 

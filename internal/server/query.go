@@ -206,16 +206,9 @@ func (s *Server) Query(ctx context.Context, req QueryRequest) (*QueryResponse, e
 		// the sample run above touched shard 0.
 		o := opts
 		o.Workers = s.workerBudget(req.Workers)
-		leaves, err := t.shards[0].ExecLineage(ctx, q, o)
+		rows, err := t.shards[0].ExecLineage(ctx, q, o)
 		if err != nil {
 			return nil, nil, err
-		}
-		rows := make([][]int, len(leaves))
-		for i, ls := range leaves {
-			rows[i] = make([]int, len(ls))
-			for j, lf := range ls {
-				rows[i][j] = lf.Row
-			}
 		}
 		return vec, rows, nil
 	})
@@ -392,7 +385,8 @@ func summarize(samples []float64) (Summary, error) {
 
 // resultBytes is the accounted payload size of one cached entry, the
 // amount charged to Config.CacheMaxBytes: the sample vector, any
-// lineage rows (tuple indexes at word size), and — once a first hit has
+// lineage rows (tuple indexes at word size, counted per iteration, an
+// upper bound when iterations share an interned set), and — once a first hit has
 // retained them — the samples' JSON text and its per-sample end
 // offsets. Slice headers and the summary are noise next to the payload
 // and are not counted.

@@ -42,6 +42,20 @@ var retiredTable = []retired{
 		},
 	},
 	{
+		name: "One execution route", pr: 37,
+		why:   "lineage is a Monte Carlo answer, Session.ExecLineage's interned tuple indexes; the engine's provenance route, which no caller ran, the uncalled copy of the partitioned self-join and the third way to install a retry policy were second paths",
+		scope: []string{"internal/engine", "internal/mcdb", "internal/server", "internal/parallel"},
+		tests: true,
+		lines: []offender{
+			{`WithProvenance`, `func (q *Query) WithProvenance() *Query {`},
+			{`provColName`, `const provColName = "\x00prov"`},
+			{`HasLineage`, `func (t *Table) HasLineage() bool { return t.lineage != nil }`},
+			{`PartitionedSelfJoin`, `func PartitionedSelfJoin(t *Table, partKey func(Row) string,`},
+			{`opts\.Retry`, `if opts.Retry != nil {`},
+		},
+		paths: []string{"internal/prov"},
+	},
+	{
 		name: "One Monte Carlo core", pr: 15,
 		why:   "internal/mcdb writes each of its loops once and the spec, not an option, picks the executor; these were the second copies and the switch that selected them",
 		scope: []string{"internal/mcdb", "internal/server"},
@@ -247,6 +261,7 @@ func TestRetiredFindsWhatIsPutBack(t *testing.T) {
 		"internal/engine/expr_test.go":        "package engine\n\nvar _ = compileExprRow\n",
 		"internal/engine/testdata/src/a/a.go": "package a\n\nfunc annotateTable() {}\n",
 		"internal/mcdb/mcdb.go":               "package mcdb\n",
+		"internal/parallel/parallel.go":       "package parallel\n",
 		"internal/server/http.go":             "package server\n",
 		"internal/engine/query.go":            "package engine\n",
 		"internal/colstore/format.go":         "package colstore\n",
