@@ -186,6 +186,29 @@ func (bt *BundleTable) FilterDet(pred func(det engine.Row) bool) *BundleTable {
 // iteration. A nil UncPredicate accepts every tuple.
 type UncPredicate func(det engine.Row, unc []float64) bool
 
+// UncCmp is one conjunct of an uncertain predicate held as data: the
+// Pos-th uncertain value of a tuple (ordered as UncertainCols) compared
+// by Op — eq, ne, lt, le, gt or ge — against Lit. NaN orders as Less
+// and Equal do on two engine.Float values: u le Lit is !(Lit < u), u ge
+// Lit is !(u < Lit) and u ne Lit is !(u == Lit), so a NaN on either
+// side passes le, ge and ne and fails eq, lt and gt. The kernel tests a
+// conjunct with one typed loop over a whole run of iterations, where an
+// UncPredicate costs a call per tuple-iteration.
+type UncCmp struct {
+	Pos int
+	Op  string
+	Lit float64
+}
+
+// validUncOp reports whether op is an UncCmp operator.
+func validUncOp(op string) bool {
+	switch op {
+	case "eq", "ne", "lt", "le", "gt", "ge":
+		return true
+	}
+	return false
+}
+
 // iterRun is a half-open run [lo, hi) of Monte Carlo iterations. A set
 // of iterations is a list of disjoint ascending runs: the full set is
 // the one run [0, Iters), and the kernel's inner loop stays contiguous.
@@ -201,39 +224,52 @@ type iterRun struct{ lo, hi int }
 // documented on Session.Exec — AVG = 0 rather than NaN, keeping the
 // sample vector finite on both executors.
 func (bt *BundleTable) Estimate(col string, fn engine.AggFunc, pred UncPredicate) ([]float64, error) {
-	return bt.estimate(col, fn, pred, []iterRun{{0, bt.Iters}})
+	return bt.estimate(AggQuery{Col: col, Fn: fn, WhereUnc: pred}, []iterRun{{0, bt.Iters}})
 }
 
-// estimate is the aggregation kernel behind Estimate, restricted to the
-// iterations in runs; positions outside runs are left zero and must not
-// be read. Tuples accumulate in tuple order whatever the runs, so the
-// value at an iteration is bitwise the same in any run set holding it —
-// which is what lets delta execution re-aggregate only dirty iterations.
-func (bt *BundleTable) estimate(col string, fn engine.AggFunc, pred UncPredicate, runs []iterRun) ([]float64, error) {
-	schemaIdx, err := bt.Schema.ColIndex(col)
+// estimate is the aggregation kernel behind Estimate and the bundle
+// executor: q.Fn(q.Col) over the tuples that pass q's predicates,
+// restricted to the iterations in runs; positions outside runs are left
+// zero and must not be read. q.UncWhere must have passed checkQuery.
+// Per tuple it tests WhereDet once, then per run selects the iterations
+// that pass (see selector.pass) and adds their values. Tuples
+// accumulate in tuple order whatever the runs, so the value at an
+// iteration is bitwise the same in any run set holding it — which is
+// what lets delta execution re-aggregate only dirty iterations.
+func (bt *BundleTable) estimate(q AggQuery, runs []iterRun) ([]float64, error) {
+	schemaIdx, err := bt.Schema.ColIndex(q.Col)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadQuery, err)
 	}
 	k, ok := uncPos(bt.UncertainCols, schemaIdx)
 	if !ok {
-		return nil, fmt.Errorf("%w: column %q is not uncertain in %q", ErrBadQuery, col, bt.Name)
+		return nil, fmt.Errorf("%w: column %q is not uncertain in %q", ErrBadQuery, q.Col, bt.Name)
 	}
 	sums := make([]float64, bt.Iters)
 	counts := make([]float64, bt.Iters)
-	uncBuf := make([]float64, len(bt.UncertainCols))
+	sel := newSelector(q, len(bt.UncertainCols), runs)
 	for i, det := range bt.Det {
+		if q.WhereDet != nil && !q.WhereDet(det) {
+			continue
+		}
 		unc := bt.Unc[i]
+		vals := unc[k]
 		for _, r := range runs {
-			for it := r.lo; it < r.hi; it++ {
-				if pred != nil && !qualifies(pred, det, unc, it, uncBuf) {
-					continue
+			if sel == nil {
+				for it := r.lo; it < r.hi; it++ {
+					sums[it] += vals[it]
+					counts[it]++
 				}
-				sums[it] += unc[k][it]
+				continue
+			}
+			for _, j := range sel.pass(det, unc, r) {
+				it := r.lo + int(j)
+				sums[it] += vals[it]
 				counts[it]++
 			}
 		}
 	}
-	switch fn {
+	switch q.Fn {
 	case engine.AggCount:
 		return counts, nil
 	case engine.AggSum:
@@ -248,14 +284,110 @@ func (bt *BundleTable) estimate(col string, fn engine.AggFunc, pred UncPredicate
 		}
 		return sums, nil
 	}
-	return nil, fmt.Errorf("%w: aggregate %v not supported", ErrBadQuery, fn)
+	return nil, fmt.Errorf("%w: aggregate %v not supported", ErrBadQuery, q.Fn)
 }
 
-// qualifies reports whether a tuple passes pred at iteration it; buf
-// (one slot per uncertain column) receives the tuple's values there.
-func qualifies(pred UncPredicate, det engine.Row, unc [][]float64, it int, buf []float64) bool {
-	for k := range buf {
-		buf[k] = unc[k][it]
+// selector applies the uncertain half of a query's WHERE clause — the
+// UncWhere conjuncts, then WhereUnc — to one tuple over one run of
+// iterations at a time. It holds the buffers every call reuses.
+type selector struct {
+	cmps []UncCmp
+	pred UncPredicate
+	idx  []int32   // the selection: offsets into the run, ascending
+	buf  []float64 // the tuple's uncertain values at one iteration, for pred
+}
+
+// newSelector returns the selector of q over tuples with ncols
+// uncertain columns, sized for the longest of runs, or nil when q sets
+// no uncertain predicate and every iteration passes.
+func newSelector(q AggQuery, ncols int, runs []iterRun) *selector {
+	if len(q.UncWhere) == 0 && q.WhereUnc == nil {
+		return nil
 	}
-	return pred(det, buf)
+	longest := 0
+	for _, r := range runs {
+		longest = max(longest, r.hi-r.lo)
+	}
+	return &selector{cmps: q.UncWhere, pred: q.WhereUnc,
+		idx: make([]int32, longest), buf: make([]float64, ncols)}
+}
+
+// pass returns the offsets j, ascending, at which iteration r.lo+j of
+// the tuple (det, unc) passes every conjunct and then WhereUnc, which
+// is called only on the iterations the conjuncts left. The result
+// aliases the selector's buffer until the next call.
+func (s *selector) pass(det engine.Row, unc [][]float64, r iterRun) []int32 {
+	sel := s.idx[:r.hi-r.lo]
+	for j := range sel {
+		sel[j] = int32(j)
+	}
+	for _, c := range s.cmps {
+		sel = keep(sel, unc[c.Pos][r.lo:r.hi], c)
+	}
+	if s.pred != nil {
+		n := 0
+		for _, j := range sel {
+			for k := range s.buf {
+				s.buf[k] = unc[k][r.lo+int(j)]
+			}
+			if s.pred(det, s.buf) {
+				sel[n] = j
+				n++
+			}
+		}
+		sel = sel[:n]
+	}
+	return sel
+}
+
+// keep compacts sel, in place and in order, to the offsets j at which
+// xs[j] passes c. Each operator is one loop that branches on no value:
+// every offset is written, and the count advances by the comparison's
+// outcome.
+func keep(sel []int32, xs []float64, c UncCmp) []int32 {
+	n, lit := 0, c.Lit
+	switch c.Op {
+	case "eq":
+		for _, j := range sel {
+			sel[n] = j
+			n += b2i(xs[j] == lit)
+		}
+	case "ne":
+		for _, j := range sel {
+			sel[n] = j
+			n += b2i(!(xs[j] == lit))
+		}
+	case "lt":
+		for _, j := range sel {
+			sel[n] = j
+			n += b2i(xs[j] < lit)
+		}
+	case "le":
+		for _, j := range sel {
+			sel[n] = j
+			n += b2i(!(lit < xs[j]))
+		}
+	case "gt":
+		for _, j := range sel {
+			sel[n] = j
+			n += b2i(lit < xs[j])
+		}
+	case "ge":
+		for _, j := range sel {
+			sel[n] = j
+			n += b2i(!(xs[j] < lit))
+		}
+	default:
+		panic(fmt.Sprintf("mcdb: unknown UncCmp op %q", c.Op)) // checkQuery rejects it before a kernel runs
+	}
+	return sel[:n]
+}
+
+// b2i is 1 for true and 0 for false; the compiler emits it without a
+// branch.
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

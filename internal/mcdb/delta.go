@@ -118,8 +118,8 @@ func (s *Session) ExecDeltaRange(ctx context.Context, q AggQuery, opts ExecOptio
 
 	// A MapUnc never changes Det, so a tuple q.WhereDet rejects stays
 	// out of the query's sight in the changed world too: it can neither
-	// dirty an iteration (markDirty) nor reach an aggregate (FilterDet),
-	// and is not re-mapped.
+	// dirty an iteration (markDirty) nor reach an aggregate (the
+	// kernel's WhereDet test), and is not re-mapped.
 	hidden := func(det engine.Row) bool { return d.MapUnc != nil && q.WhereDet != nil && !q.WhereDet(det) }
 	affected := make([]int, 0, len(oldBt.Det))
 	for ti, det := range oldBt.Det {
@@ -342,22 +342,38 @@ func (s *Session) ExecLineage(ctx context.Context, q AggQuery, opts ExecOptions)
 	if err != nil {
 		return nil, err
 	}
+	// The kernel's selection, tuple by tuple over every iteration; then
+	// per iteration its set of passing tuples, ascending and interned.
+	iters := bt.Iters
+	passed := make([]bool, bt.Len()*iters) // tuple ti passes at iteration it: passed[ti*iters+it]
+	all := iterRun{0, iters}
+	sel := newSelector(q, len(bt.UncertainCols), []iterRun{all})
+	for ti, det := range bt.Det {
+		if q.WhereDet != nil && !q.WhereDet(det) {
+			continue
+		}
+		row := passed[ti*iters : (ti+1)*iters]
+		if sel == nil {
+			for it := range row {
+				row[it] = true
+			}
+			continue
+		}
+		for _, j := range sel.pass(det, bt.Unc[ti], all) {
+			row[j] = true
+		}
+	}
 	memo := make(map[string][]int) // varint-encoded rows -> interned set
-	out := make([][]int, bt.Iters)
-	uncBuf := make([]float64, len(bt.UncertainCols))
+	out := make([][]int, iters)
 	rows := make([]int, 0, bt.Len())
 	var key []byte
-	for it := 0; it < bt.Iters; it++ {
+	for it := range out {
 		rows, key = rows[:0], key[:0]
-		for ti, det := range bt.Det {
-			if q.WhereDet != nil && !q.WhereDet(det) {
-				continue
+		for ti := range bt.Det {
+			if passed[ti*iters+it] {
+				rows = append(rows, ti)
+				key = binary.AppendUvarint(key, uint64(ti))
 			}
-			if q.WhereUnc != nil && !qualifies(q.WhereUnc, det, bt.Unc[ti], it, uncBuf) {
-				continue
-			}
-			rows = append(rows, ti)
-			key = binary.AppendUvarint(key, uint64(ti))
 		}
 		set, ok := memo[string(key)]
 		if !ok {

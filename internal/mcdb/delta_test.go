@@ -182,7 +182,9 @@ func requireSameSamples(t *testing.T, name string, want, got []float64) {
 // database. The two must agree bit-for-bit at every worker count, and
 // disjoint ExecDeltaRange windows must concatenate to the full run —
 // each doing a window's worth of work: when every iteration is dirty,
-// WhereUnc is evaluated exactly tuples × (hi − lo) times.
+// WhereUnc is evaluated exactly tuples × (hi − lo) times. A trial whose
+// predicate is a WhereUnc closure also runs it as the typed UncWhere
+// conjunct, on the same dirty runs, to the same bits.
 func TestExecDeltaRandomizedEquivalence(t *testing.T) {
 	gen := rng.New(0xDE17A)
 	ctx := context.Background()
@@ -195,7 +197,8 @@ func TestExecDeltaRandomizedEquivalence(t *testing.T) {
 		w := deltaWorld{kind: gen.Intn(4), targetGrp: int64(gen.Intn(nGrps))}
 
 		q := AggQuery{Table: "obs", Col: "val"}
-		evals := 0 // WhereUnc evaluations; the kernel runs on the calling goroutine
+		var forms []AggQuery // q in other forms that must give q's bits
+		evals := 0           // WhereUnc evaluations; the kernel runs on the calling goroutine
 		switch gen.Intn(3) {
 		case 0:
 			q.Fn = engine.AggCount
@@ -213,6 +216,9 @@ func TestExecDeltaRandomizedEquivalence(t *testing.T) {
 		case 2:
 			cut := 8 + gen.Float64()*8
 			q.WhereUnc = func(det engine.Row, unc []float64) bool { evals++; return unc[0] > cut }
+			typed := q
+			typed.WhereUnc, typed.UncWhere = nil, []UncCmp{{Pos: 0, Op: "gt", Lit: cut}}
+			forms = append(forms, typed)
 		}
 
 		db1 := buildDeltaDB(t, nItems, nGrps, w, false)
@@ -258,6 +264,23 @@ func TestExecDeltaRandomizedEquivalence(t *testing.T) {
 			}
 		}
 		requireSameSamples(t, "windowed delta", want, parts)
+
+		for _, f := range forms {
+			got, err := db1.NewSession().ExecDelta(ctx, f, ExecOptions{Iterations: iters, Seed: seed, Workers: 2}, d)
+			if err != nil {
+				t.Fatalf("trial %d: typed ExecDelta: %v", trial, err)
+			}
+			requireSameSamples(t, "typed delta", want, got)
+			parts = parts[:0]
+			for _, win := range [][2]int{{0, iters / 3}, {iters / 3, 2 * iters / 3}, {2 * iters / 3, iters}} {
+				part, err := s1.ExecDeltaRange(ctx, f, opts, d, win[0], win[1])
+				if err != nil {
+					t.Fatalf("trial %d: typed ExecDeltaRange %v: %v", trial, win, err)
+				}
+				parts = append(parts, part...)
+			}
+			requireSameSamples(t, "typed windowed delta", want, parts)
+		}
 	}
 	if allDirtyWindows == 0 {
 		t.Fatal("no trial paired a WhereUnc with an all-dirty delta; the work-per-window check ran on nothing")
@@ -428,6 +451,12 @@ func TestExecDeltaValidation(t *testing.T) {
 		{"bad aggregate", AggQuery{Table: "obs", Col: "val", Fn: engine.AggFunc(99)}, good, 0, 5},
 		{"unknown column", AggQuery{Table: "obs", Col: "nope", Fn: engine.AggAvg}, good, 0, 5},
 		{"deterministic column", AggQuery{Table: "obs", Col: "grp", Fn: engine.AggAvg}, good, 0, 5},
+		{"UncWhere position past the uncertain columns", AggQuery{Table: "obs", Col: "val", Fn: engine.AggAvg,
+			UncWhere: []UncCmp{{Pos: 1, Op: "gt"}}}, good, 0, 5},
+		{"negative UncWhere position", AggQuery{Table: "obs", Col: "val", Fn: engine.AggAvg,
+			UncWhere: []UncCmp{{Pos: -1, Op: "gt"}}}, good, 0, 5},
+		{"unknown UncWhere operator", AggQuery{Table: "obs", Col: "val", Fn: engine.AggAvg,
+			UncWhere: []UncCmp{{Pos: 0, Op: "gt"}, {Pos: 0, Op: ">"}}}, good, 0, 5},
 	}
 	for _, tc := range badQueries {
 		check := func(entry string, err error) {
@@ -448,12 +477,20 @@ func TestExecDeltaValidation(t *testing.T) {
 	if _, err := s.ExecSQLRange(ctx, "SELECT AVG(val) FROM obs", good, 3, 9); !errors.Is(err, ErrBadQuery) {
 		t.Errorf("ExecSQLRange window beyond Iterations: got %v, want ErrBadQuery", err)
 	}
+	// A spec with no UncertainCols has no position an UncWhere can name.
+	twin := perInstanceTwin(t, db).NewSession()
+	if _, err := twin.Exec(ctx, AggQuery{Table: "obs", Col: "val", Fn: engine.AggAvg,
+		UncWhere: []UncCmp{{Pos: 0, Op: "gt"}}}, good); !errors.Is(err, ErrBadQuery) {
+		t.Errorf("UncWhere on a spec with no UncertainCols: got %v, want ErrBadQuery", err)
+	}
 }
 
 // TestExecLineage checks per-iteration why-provenance against a direct
 // scan of the realized bundle, that iterations with identical lineage
-// share one interned slice (and unequal ones do not), and that an
-// iteration with no contributors is an empty, non-nil slice.
+// share one interned slice (and unequal ones do not), that an
+// iteration with no contributors is an empty, non-nil slice, and that
+// the uncertain predicate gives the same sets as a WhereUnc closure, a
+// typed UncWhere conjunct, or both.
 func TestExecLineage(t *testing.T) {
 	db := buildDeltaDB(t, 6, 2, deltaWorld{}, false)
 	s := db.NewSession()
@@ -506,6 +543,20 @@ func TestExecLineage(t *testing.T) {
 	}
 	if shared == 0 || apart == 0 {
 		t.Fatalf("%d pairs of iterations share a lineage set and %d do not; the interning check needs both", shared, apart)
+	}
+
+	typed := q
+	typed.WhereUnc, typed.UncWhere = nil, []UncCmp{{Pos: 0, Op: "gt", Lit: 11}}
+	both := typed
+	both.WhereUnc = func(det engine.Row, unc []float64) bool { return unc[0] < 1e300 }
+	for _, f := range []AggQuery{typed, both} {
+		got, err := s.ExecLineage(ctx, f, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.EqualFunc(got, lin, slices.Equal[[]int]) {
+			t.Fatalf("typed lineage %v, closure lineage %v", got, lin)
+		}
 	}
 
 	none := q

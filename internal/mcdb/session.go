@@ -50,20 +50,26 @@ const DefaultPreparedCacheCap = 64
 // AggQuery is the declarative query form both executors run:
 //
 //	SELECT Fn(Col) FROM Table
-//	WHERE WhereDet(deterministic attrs) AND WhereUnc(uncertain attrs)
+//	WHERE WhereDet(deterministic attrs)
+//	  AND UncWhere[0] AND … AND WhereUnc(uncertain attrs)
 //
 // evaluated once per Monte Carlo iteration, yielding one sample of the
 // query-result distribution per iteration. WhereDet must inspect only
 // deterministic columns (on the bundle path the uncertain positions of
-// its row argument hold zero Values); WhereUnc receives the tuple's
+// its row argument hold zero Values). UncWhere's conjuncts compare the
+// tuple's uncertain values with literals; they are data, which the
+// bundle kernel tests over a whole run of iterations, and a spec that
+// declares no UncertainCols admits none. WhereUnc receives the tuple's
 // uncertain values at the current iteration, ordered as the spec's
 // UncertainCols — none, for a spec that declares none, whose realized
-// rows WhereDet sees whole. Supported aggregates: COUNT, SUM, AVG.
+// rows WhereDet sees whole — and is called only where UncWhere holds.
+// Supported aggregates: COUNT, SUM, AVG.
 type AggQuery struct {
 	Table    string
 	Col      string
 	Fn       engine.AggFunc
 	WhereDet func(det engine.Row) bool
+	UncWhere []UncCmp
 	WhereUnc UncPredicate
 }
 
@@ -206,10 +212,11 @@ func checkWindow(opts ExecOptions, lo, hi int) error {
 }
 
 // checkQuery is the preamble of every AggQuery entry point: run shape,
-// aggregate, spec, and a column the spec's executor can aggregate — an
-// uncertain one on bundles, a numeric one per instance. bundled marks
-// an entry point that exists only on bundles (delta, lineage). It
-// returns the spec and the column's schema index.
+// aggregate, spec, a column the spec's executor can aggregate — an
+// uncertain one on bundles, a numeric one per instance — and UncWhere
+// conjuncts the kernel can run. bundled marks an entry point that
+// exists only on bundles (delta, lineage). It returns the spec and the
+// column's schema index.
 func (db *DB) checkQuery(q AggQuery, opts ExecOptions, lo, hi int, bundled bool) (*TableSpec, int, error) {
 	if err := checkWindow(opts, lo, hi); err != nil {
 		return nil, 0, err
@@ -235,18 +242,25 @@ func (db *DB) checkQuery(q AggQuery, opts ExecOptions, lo, hi int, bundled bool)
 	} else if _, ok := spec.UncPos(idx); !ok {
 		return nil, 0, fmt.Errorf("%w: column %q is not uncertain in %q", ErrBadQuery, q.Col, q.Table)
 	}
+	for _, c := range q.UncWhere {
+		if c.Pos < 0 || c.Pos >= len(spec.UncertainCols) {
+			return nil, 0, fmt.Errorf("%w: UncWhere position %d outside the %d uncertain columns of %q",
+				ErrBadQuery, c.Pos, len(spec.UncertainCols), q.Table)
+		}
+		if !validUncOp(c.Op) {
+			return nil, 0, fmt.Errorf("%w: UncWhere operator %q (want eq, ne, lt, le, gt or ge)", ErrBadQuery, c.Op)
+		}
+	}
 	return spec, idx, nil
 }
 
-// bundleSamples is the bundle query pipeline: select on deterministic
-// attributes once, aggregate the iterations in runs, and cut the window
-// [lo, hi) from the result. Only positions inside runs are meaningful,
-// so callers pass runs covering what they read of the window.
+// bundleSamples is the bundle query pipeline: aggregate the iterations
+// in runs — the kernel applies WhereDet once per tuple — and cut the
+// window [lo, hi) from the result. Only positions inside runs are
+// meaningful, so callers pass runs covering what they read of the
+// window.
 func bundleSamples(bt *BundleTable, q AggQuery, runs []iterRun, lo, hi int) ([]float64, error) {
-	if q.WhereDet != nil {
-		bt = bt.FilterDet(q.WhereDet)
-	}
-	full, err := bt.estimate(q.Col, q.Fn, q.WhereUnc, runs)
+	full, err := bt.estimate(q, runs)
 	if err != nil {
 		return nil, err
 	}

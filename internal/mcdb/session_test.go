@@ -2,9 +2,11 @@ package mcdb
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"math"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -75,11 +77,13 @@ func sameBits(a, b float64) bool {
 // configuration axes: {a spec with UncertainCols, its twin without} ×
 // {workers 1, 2, 8} × {one window, three windows concatenated} ×
 // {COUNT, SUM, AVG} × {no predicate, one that empties some iterations,
-// one that empties all}. Per spec every cell holds identical bytes; the
-// two executors draw different realizations but must agree on the
-// empty-selection convention: COUNT = SUM = AVG = 0, never NaN. On
-// bundles the table also counts WhereUnc evaluations: a window costs
-// tuples × (hi − lo) of them, the full run being the window [0, iters).
+// one that empties all}, the bundled spec's predicate in both forms: a
+// WhereUnc closure and a typed UncWhere conjunct. Per spec every cell,
+// in either form, holds identical bytes; the two executors draw
+// different realizations but must agree on the empty-selection
+// convention: COUNT = SUM = AVG = 0, never NaN. The table also counts
+// WhereUnc evaluations: a window costs tuples × (hi − lo) of them, the
+// full run being the window [0, iters).
 func TestExecEquivalenceTable(t *testing.T) {
 	const iters, patients = 60, 4
 	windows := [][2]int{{0, 19}, {19, 37}, {37, iters}}
@@ -96,10 +100,15 @@ func TestExecEquivalenceTable(t *testing.T) {
 		{"bundled", bundled, func(q *AggQuery, cut float64) {
 			q.WhereUnc = func(det engine.Row, unc []float64) bool { evals++; return unc[0] > cut }
 		}},
+		{"bundled-typed", bundled, func(q *AggQuery, cut float64) {
+			q.UncWhere = []UncCmp{{Pos: 0, Op: "gt", Lit: cut}}
+		}},
 		{"per-instance", perInstanceTwin(t, bundled), func(q *AggQuery, cut float64) {
 			q.WhereDet = func(row engine.Row) bool { return row[2].AsFloat() > cut }
 		}},
 	}
+	// want[db][cut][fn] is the first answer a cell of that database gave.
+	want := map[*DB]map[string]map[engine.AggFunc][]float64{}
 	// SBP draws are N(120, 15): a 140 mmHg floor leaves about two
 	// iterations in three with no qualifying tuple out of 4 patients,
 	// 1e12 leaves all.
@@ -110,8 +119,15 @@ func TestExecEquivalenceTable(t *testing.T) {
 	}{{"all", math.Inf(-1), 0, 0}, {"some-empty", 140, 1, iters - 1}, {"all-empty", 1e12, iters, iters}}
 
 	for _, sp := range specs {
+		if want[sp.db] == nil {
+			want[sp.db] = map[string]map[engine.AggFunc][]float64{}
+		}
 		for _, c := range cuts {
-			byFn := map[engine.AggFunc][]float64{}
+			byFn := want[sp.db][c.name]
+			if byFn == nil {
+				byFn = map[engine.AggFunc][]float64{}
+				want[sp.db][c.name] = byFn
+			}
 			for _, fn := range []engine.AggFunc{engine.AggCount, engine.AggSum, engine.AggAvg} {
 				q := AggQuery{Table: "sbp_data", Col: "sbp", Fn: fn}
 				sp.where(&q, c.cut)
@@ -184,7 +200,21 @@ func TestEstimateRunsMatchFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	bt := bundles["sbp_data"]
-	preds := []UncPredicate{nil, func(det engine.Row, unc []float64) bool { return unc[0] > 135 }}
+	// A query with ref ≥ 0 must give the bits of query ref, its closure
+	// form; the last sets both forms, which must act as their
+	// conjunction.
+	above := func(det engine.Row, unc []float64) bool { return unc[0] > 135 }
+	queries := []struct {
+		q   AggQuery
+		ref int // index of the query it must equal bit for bit, or -1
+	}{
+		{AggQuery{}, -1},
+		{AggQuery{WhereUnc: above}, -1},
+		{AggQuery{UncWhere: []UncCmp{{0, "gt", 135}}}, 1},
+		{AggQuery{WhereUnc: func(det engine.Row, unc []float64) bool { return unc[0] > 125 && unc[0] <= 140 }}, -1},
+		{AggQuery{UncWhere: []UncCmp{{0, "gt", 125}},
+			WhereUnc: func(det engine.Row, unc []float64) bool { return unc[0] <= 140 }}, 3},
+	}
 	gen := rng.New(0xD127)
 	for trial := 0; trial < 30; trial++ {
 		density := float64(trial%6) / 5 // 0 (none dirty) … 1 (all dirty)
@@ -193,23 +223,145 @@ func TestEstimateRunsMatchFull(t *testing.T) {
 			flags[it] = gen.Float64() < density
 		}
 		for _, fn := range []engine.AggFunc{engine.AggCount, engine.AggSum, engine.AggAvg} {
-			for pi, pred := range preds {
-				full, err := bt.Estimate("sbp", fn, pred)
+			fulls := make([][]float64, len(queries))
+			for qi, qc := range queries {
+				q := qc.q
+				q.Col, q.Fn = "sbp", fn
+				var full []float64
+				var err error
+				if len(q.UncWhere) == 0 {
+					full, err = bt.Estimate("sbp", fn, q.WhereUnc)
+				} else {
+					full, err = bt.estimate(q, []iterRun{{0, iters}})
+				}
 				if err != nil {
 					t.Fatal(err)
 				}
-				part, err := bt.estimate("sbp", fn, pred, runsOf(flags))
+				part, err := bt.estimate(q, runsOf(flags))
 				if err != nil {
 					t.Fatal(err)
 				}
 				for it, dirty := range flags {
-					if dirty && !sameBits(part[it], full[it]) {
-						t.Fatalf("trial %d %v pred %d iter %d: restricted %v, full %v", trial, fn, pi, it, part[it], full[it])
+					if dirty && math.Float64bits(part[it]) != math.Float64bits(full[it]) {
+						t.Fatalf("trial %d %v query %d iter %d: restricted %v, full %v", trial, fn, qi, it, part[it], full[it])
 					}
 				}
+				if qc.ref >= 0 && !slices.EqualFunc(full, fulls[qc.ref], func(a, b float64) bool {
+					return math.Float64bits(a) == math.Float64bits(b)
+				}) {
+					t.Fatalf("trial %d %v: query %d gives %v, its closure form %v", trial, fn, qi, full, fulls[qc.ref])
+				}
+				fulls[qi] = full
 			}
 		}
 	}
+}
+
+// FuzzUncWhereMatchesClosure: over any small bundle of float bits —
+// NaN, ±Inf, ±0 and denormals included — any typed conjuncts and any
+// run set, the kernel's typed route gives the bits of a WhereUnc
+// closure that reads each conjunct as engine.Value orders two floats.
+// shape picks the bundle's size, the aggregate, and whether a WhereDet
+// and an extra WhereUnc ride along; each 10 bytes of conj are one
+// conjunct (position, operator, literal bits); bit it of runs puts
+// iteration it in the run set.
+func FuzzUncWhereMatchesClosure(f *testing.F) {
+	lit := func(pos, op byte, v float64) []byte {
+		return binary.LittleEndian.AppendUint64([]byte{pos, op}, math.Float64bits(v))
+	}
+	var grid []byte
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
+		math.SmallestNonzeroFloat64, 1, -2.5, 130} {
+		grid = binary.LittleEndian.AppendUint64(grid, math.Float64bits(v))
+	}
+	f.Add(uint16(0), []byte{}, uint64(1), grid)
+	f.Add(uint16(0x0f7d), lit(0, 4, 0), ^uint64(0), grid)
+	f.Add(uint16(0x6abe), append(lit(1, 3, math.NaN()), lit(0, 1, math.Inf(1))...), uint64(0x00f0_f0f3), grid)
+	f.Add(uint16(0x3ff3), append(lit(2, 5, -0.0), lit(1, 0, 1)...), uint64(0xaaaa_aaaa), grid)
+	ops := []string{"eq", "ne", "lt", "le", "gt", "ge"}
+	f.Fuzz(func(t *testing.T, shape uint16, conj []byte, runs uint64, vals []byte) {
+		tuples, ncols, iters := 1+int(shape%4), 1+int(shape>>2%3), 1+int(shape>>4%24)
+		fn := []engine.AggFunc{engine.AggCount, engine.AggSum, engine.AggAvg}[shape>>9%3]
+		bt := &BundleTable{Name: "f", Schema: engine.Schema{{Name: "g", Type: engine.TypeInt}}, Iters: iters}
+		for k := 0; k < ncols; k++ {
+			bt.Schema = append(bt.Schema, engine.Column{Name: "u" + strconv.Itoa(k), Type: engine.TypeFloat})
+			bt.UncertainCols = append(bt.UncertainCols, 1+k)
+		}
+		next := 0 // cycles through vals' 8-byte words; zeros when there are none
+		for ti := 0; ti < tuples; ti++ {
+			det := make(engine.Row, 1+ncols) // uncertain positions hold zero Values
+			det[0] = engine.Int(int64(ti))
+			bt.Det = append(bt.Det, det)
+			unc := make([][]float64, ncols)
+			for k := range unc {
+				unc[k] = make([]float64, iters)
+				for it := range unc[k] {
+					if n := len(vals) / 8; n > 0 {
+						unc[k][it] = math.Float64frombits(binary.LittleEndian.Uint64(vals[8*(next%n):]))
+						next++
+					}
+				}
+			}
+			bt.Unc = append(bt.Unc, unc)
+		}
+		var cmps []UncCmp
+		for ; len(conj) >= 10 && len(cmps) < 4; conj = conj[10:] {
+			cmps = append(cmps, UncCmp{Pos: int(conj[0]) % ncols, Op: ops[int(conj[1])%len(ops)],
+				Lit: math.Float64frombits(binary.LittleEndian.Uint64(conj[2:]))})
+		}
+		flags := make([]bool, iters)
+		for it := range flags {
+			flags[it] = runs>>it&1 == 1
+		}
+
+		typed := AggQuery{Col: "u" + strconv.Itoa(int(shape>>11)%ncols), Fn: fn, UncWhere: cmps}
+		if shape>>13&1 == 1 {
+			typed.WhereDet = func(det engine.Row) bool { return det[0].AsInt()%2 == 0 }
+		}
+		if shape>>14&1 == 1 {
+			typed.WhereUnc = func(_ engine.Row, unc []float64) bool { return !(unc[ncols-1] > 1) }
+		}
+		closure := typed
+		closure.UncWhere = nil
+		closure.WhereUnc = func(det engine.Row, unc []float64) bool {
+			for _, c := range cmps {
+				u, l := engine.Float(unc[c.Pos]), engine.Float(c.Lit)
+				var ok bool
+				switch c.Op {
+				case "eq":
+					ok = u.Equal(l)
+				case "ne":
+					ok = !u.Equal(l)
+				case "lt":
+					ok = u.Less(l)
+				case "le":
+					ok = !l.Less(u)
+				case "gt":
+					ok = l.Less(u)
+				case "ge":
+					ok = !u.Less(l)
+				}
+				if !ok {
+					return false
+				}
+			}
+			return typed.WhereUnc == nil || typed.WhereUnc(det, unc)
+		}
+		got, err := bt.estimate(typed, runsOf(flags))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := bt.estimate(closure, runsOf(flags))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for it := range want {
+			if math.Float64bits(got[it]) != math.Float64bits(want[it]) {
+				t.Fatalf("iter %d of %v under %v: typed %v (%#x), closure %v (%#x)",
+					it, fn, cmps, got[it], math.Float64bits(got[it]), want[it], math.Float64bits(want[it]))
+			}
+		}
+	})
 }
 
 // TestExecRangeShardsBitIdentical checks the serving-layer shard

@@ -10,6 +10,7 @@ import (
 	"encoding/json"
 	"net/http/httptest"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"sync"
 	"testing"
@@ -181,9 +182,17 @@ var poolIsLossy bool
 // TestCacheHitDoesNoPerSampleWork: serving a warmed key allocates the
 // same, in count and in bytes, whether the page holds 100 samples or
 // 10 000 — nothing on the hit path formats, boxes, copies or sorts a
-// sample (Summarize alone copied the vector to sort it).
+// sample (Summarize alone copied the vector to sort it). It counts the
+// hit alone by keeping the response-buffer pool's buffer in reach: a
+// hit that finds the pool empty grows a fresh buffer to the page's size
+// — at 10 000 samples ≈ 200 KB, ≈ 4 KB per hit over the 50 runs. A
+// collection can empty the pool, and so can a hit that runs on another
+// P than the one whose private slot holds the buffer, so the garbage
+// collector is off and one P runs everything, as in AllocsPerRun.
 func TestCacheHitDoesNoPerSampleWork(t *testing.T) {
 	const runs = 50
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	measure := func(iters int) (allocs float64, perRun uint64) {
 		s := fixtureServer(Config{BaseSeed: 1, PageSize: 10000})
 		h := s.Handler()

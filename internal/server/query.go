@@ -180,7 +180,7 @@ func (s *Server) Query(ctx context.Context, req QueryRequest) (*QueryResponse, e
 		}
 	}
 	q := mcdb.AggQuery{Table: req.Table, Col: req.Col, Fn: fn,
-		WhereDet: preds.det, WhereUnc: preds.unc}
+		WhereDet: preds.det, UncWhere: preds.unc}
 	key := resultKey{tenant: t.gen, kind: "agg",
 		text: canonicalAgg(req, preds), seed: req.Seed, iters: req.Iterations,
 		lineage: req.Lineage, whatif: whatifCanon}
@@ -250,7 +250,7 @@ func compileWhatIf(db *mcdb.DB, queryTable string, w *WhatIf) (mcdb.Delta, strin
 	if err != nil {
 		return mcdb.Delta{}, "", err
 	}
-	if preds.unc != nil {
+	if len(preds.unc) > 0 {
 		return mcdb.Delta{}, "", badRequestf("whatif predicates must be deterministic (uncertain columns select per-iteration, not per-tuple)")
 	}
 	scale, shift := w.Scale, w.Shift
@@ -584,32 +584,33 @@ func parseAgg(fn string) (engine.AggFunc, error) {
 	return 0, badRequestf("unknown aggregate %q (want count, sum, or avg)", fn)
 }
 
-// compiled holds a WHERE clause lowered onto the two predicate slots
-// of mcdb.AggQuery, plus the canonical text of each conjunct for the
-// cache key.
+// compiled holds a WHERE clause lowered onto mcdb.AggQuery's
+// deterministic closure and its uncertain conjuncts, plus the canonical
+// text of each conjunct for the cache key.
 type compiled struct {
 	det   func(engine.Row) bool
-	unc   mcdb.UncPredicate
+	unc   []mcdb.UncCmp
 	canon []string
 }
 
-// compileWhere routes each predicate to the deterministic or uncertain
-// slot by whether its column is one the spec's VG function produces.
-// Deterministic comparisons go through engine.Value's exact total
-// order, so int columns compare correctly against float literals. An
+// compileWhere routes each predicate by whether its column is one the
+// spec's VG function produces. Deterministic comparisons become one
+// closure over engine.Value's exact total order, so int columns compare
+// correctly against float literals; mcdb tests it once per tuple. An
 // uncertain column is a float64 per tuple-iteration compared with a
-// float64 literal, so its predicate is compare's plain float form —
-// the hottest call of a query never boxes an engine.Value.
+// float64 literal, so its predicate becomes an mcdb.UncCmp — data, not
+// a closure — which mcdb's kernel evaluates with one typed loop per
+// conjunct over a run of iterations, ordering NaN as compare's Value
+// form does on two engine.Float values.
 func compileWhere(spec *mcdb.TableSpec, preds []Predicate) (compiled, error) {
 	var out compiled
 	var det []func(engine.Row) bool
-	var unc []func([]float64) bool
 	for _, p := range preds {
 		idx, err := spec.Schema.ColIndex(p.Col)
 		if err != nil {
 			return out, badRequestf("predicate column: %v", err)
 		}
-		op, cmp, fcmp, err := compare(p.Op)
+		op, cmp, err := compare(p.Op)
 		if err != nil {
 			return out, err
 		}
@@ -617,8 +618,7 @@ func compileWhere(spec *mcdb.TableSpec, preds []Predicate) (compiled, error) {
 			if p.Str != nil {
 				return out, badRequestf("predicate on uncertain column %q must be numeric", p.Col)
 			}
-			lit := p.Value
-			unc = append(unc, func(u []float64) bool { return fcmp(u[k], lit) })
+			out.unc = append(out.unc, mcdb.UncCmp{Pos: k, Op: op, Lit: p.Value})
 			out.canon = append(out.canon, fmt.Sprintf("unc %s %s %s",
 				p.Col, op, strconv.FormatFloat(p.Value, 'g', -1, 64)))
 			continue
@@ -643,49 +643,29 @@ func compileWhere(spec *mcdb.TableSpec, preds []Predicate) (compiled, error) {
 			return true
 		}
 	}
-	if len(unc) > 0 {
-		out.unc = func(det engine.Row, u []float64) bool {
-			for _, f := range unc {
-				if !f(u) {
-					return false
-				}
-			}
-			return true
-		}
-	}
 	return out, nil
 }
 
-// compare maps an operator spelling to its canonical name and two
-// comparisons: over engine.Value (Equal/Less compose into all six
-// operators, keeping comparison semantics in one audited place) and
-// over two float64s. The float form is what the Value form computes on
-// two engine.Float values — Value.Less is a < b and Value.Equal is
-// a == b there — spelled with the same compositions, not with <=, >=
-// or !=, so NaN orders exactly as it does through engine.Value (NaN
-// passes le, ge and ne, fails eq, lt and gt).
-func compare(op string) (string, func(a, b engine.Value) bool, func(a, b float64) bool, error) {
+// compare maps an operator spelling to its canonical name, which is
+// also the mcdb.UncCmp operator, and its comparison over engine.Value:
+// Equal/Less compose into all six operators, keeping comparison
+// semantics in one audited place.
+func compare(op string) (string, func(a, b engine.Value) bool, error) {
 	switch op {
 	case "eq", "=", "==":
-		return "eq", func(a, b engine.Value) bool { return a.Equal(b) },
-			func(a, b float64) bool { return a == b }, nil // mirrors Value.Equal on two floats, which is exact ==
+		return "eq", func(a, b engine.Value) bool { return a.Equal(b) }, nil
 	case "ne", "!=", "<>":
-		return "ne", func(a, b engine.Value) bool { return !a.Equal(b) },
-			func(a, b float64) bool { return !(a == b) }, nil // mirrors !Value.Equal on two floats, which is exact ==
+		return "ne", func(a, b engine.Value) bool { return !a.Equal(b) }, nil
 	case "lt", "<":
-		return "lt", func(a, b engine.Value) bool { return a.Less(b) },
-			func(a, b float64) bool { return a < b }, nil
+		return "lt", func(a, b engine.Value) bool { return a.Less(b) }, nil
 	case "le", "<=":
-		return "le", func(a, b engine.Value) bool { return !b.Less(a) },
-			func(a, b float64) bool { return !(b < a) }, nil
+		return "le", func(a, b engine.Value) bool { return !b.Less(a) }, nil
 	case "gt", ">":
-		return "gt", func(a, b engine.Value) bool { return b.Less(a) },
-			func(a, b float64) bool { return b < a }, nil
+		return "gt", func(a, b engine.Value) bool { return b.Less(a) }, nil
 	case "ge", ">=":
-		return "ge", func(a, b engine.Value) bool { return !a.Less(b) },
-			func(a, b float64) bool { return !(a < b) }, nil
+		return "ge", func(a, b engine.Value) bool { return !a.Less(b) }, nil
 	}
-	return "", nil, nil, badRequestf("unknown operator %q", op)
+	return "", nil, badRequestf("unknown operator %q", op)
 }
 
 // canonicalAgg renders the query in a normalized form for the cache

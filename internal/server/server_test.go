@@ -329,40 +329,60 @@ func TestPredicatesMatchDirectClosures(t *testing.T) {
 	}
 }
 
-// TestUncertainPredicateMatchesValueOrder: the float64 comparison an
-// uncertain-column predicate compiles to answers exactly as compare's
-// engine.Value form does on two engine.Float values — for all six
-// operators over the values where float order is not a total order or
-// not obvious: NaN on either side, both infinities, both zeros, a
-// denormal, and an ordinary pair.
+// TestUncertainPredicateMatchesValueOrder: the mcdb.UncCmp an
+// uncertain-column predicate compiles to, run by mcdb's kernel, answers
+// exactly as compare's engine.Value form does on two engine.Float
+// values — for all six operators over the values where float order is
+// not a total order or not obvious: NaN on either side, both
+// infinities, both zeros, a denormal, and an ordinary pair. The values
+// are the iterations of a one-tuple bundle, and COUNT reads the
+// kernel's verdict at each.
 func TestUncertainPredicateMatchesValueOrder(t *testing.T) {
-	db, err := experiments.SBPDatabase(fixturePatients)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := db.Spec("sbp_data")
-	if err != nil {
-		t.Fatal(err)
-	}
 	vals := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1),
 		math.SmallestNonzeroFloat64, 120.5, 130}
+	draws := 0 // one tuple on one worker: its iterations are drawn in order
+	spec := &mcdb.TableSpec{
+		Name:   "grid",
+		Schema: engine.Schema{{Name: "u", Type: engine.TypeFloat}},
+		VG: func(_ engine.Row, _ *rng.Stream, out []engine.Value) ([]engine.Value, error) {
+			draws++
+			return append(out, engine.Float(vals[draws-1])), nil
+		},
+		UncertainCols: []int{0},
+	}
+	db := mcdb.New(engine.NewDatabase())
+	if err := db.AddSpec(spec); err != nil {
+		t.Fatal(err)
+	}
+	sess := db.NewSession()
+	opts := mcdb.ExecOptions{Iterations: len(vals), Workers: 1}
 	for _, op := range []string{"eq", "ne", "lt", "le", "gt", "ge"} {
-		_, boxed, _, err := compare(op)
+		_, boxed, err := compare(op)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, lit := range vals {
-			preds, err := compileWhere(spec, []Predicate{{Col: "sbp", Op: op, Value: lit}})
+			preds, err := compileWhere(spec, []Predicate{{Col: "u", Op: op, Value: lit}})
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, u := range vals {
-				want := boxed(engine.Float(u), engine.Float(lit))
-				if got := preds.unc(nil, []float64{u}); got != want {
-					t.Errorf("%v %s %v: float predicate %v, engine.Value order %v", u, op, lit, got, want)
+			if preds.det != nil || len(preds.unc) != 1 {
+				t.Fatalf("%s %v: compiled to det %v and %d conjuncts, want one conjunct", op, lit, preds.det != nil, len(preds.unc))
+			}
+			got, err := sess.Exec(context.Background(), mcdb.AggQuery{Table: "grid", Col: "u",
+				Fn: engine.AggCount, UncWhere: preds.unc}, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, u := range vals {
+				if want := boxed(engine.Float(u), engine.Float(lit)); (got[i] == 1) != want {
+					t.Errorf("%v %s %v: kernel counts %v, engine.Value order %v", u, op, lit, got[i], want)
 				}
 			}
 		}
+	}
+	if draws != len(vals) {
+		t.Fatalf("%d draws, want one realization of %d", draws, len(vals))
 	}
 }
 

@@ -110,6 +110,15 @@ var retiredTable = []retired{
 		},
 	},
 	{
+		name: "One Monte Carlo core", pr: 38,
+		why:   "a /v1/query uncertain predicate reaches mcdb as UncCmp data, which the estimate kernel tests by one typed loop per conjunct over a run, and the kernel tests WhereDet once per tuple; a float closure per conjunct and a filtered copy of the bundle per query were the second paths",
+		scope: []string{"internal/mcdb", "internal/server"},
+		lines: []offender{
+			{`bt = bt\.FilterDet\(`, `		bt = bt.FilterDet(q.WhereDet)`},
+			{`func\(a, b float64\) bool`, `			func(a, b float64) bool { return a < b }, nil`},
+		},
+	},
+	{
 		name: "One harness", pr: 17,
 		why:   "bench/ is the only benchmark harness; these were the second one, its committed reports, and the two switches that gave it a slow baseline to take ratios over",
 		scope: []string{"."},
