@@ -1,10 +1,13 @@
 package colstore_test
 
-// Storage-equivalence suite: every Query/SQL pipeline over the on-disk
-// backend must return a byte-identical table to the same pipeline over
-// the in-memory Table — including float payload bits (NaN, -0, ±Inf),
-// integers beyond 2^53, spill-forced joins and group-bys at tiny
-// memory budgets, and concurrent scans (run under -race).
+// Storage equivalence beyond the engine's golden lattice, which runs
+// every generated pipeline over a store of random segment size: every
+// leading filter paired with every shaping stage, spill-forced joins
+// and group-bys, SQL over a registered store, concurrent scans (run
+// under -race), and the streaming of a budgeted group-by — its
+// buffering, spilling and releases — each answering byte for byte as
+// the in-memory table does, float payload bits (NaN, -0, ±Inf) and
+// integers beyond 2^53 included.
 
 import (
 	"context"
@@ -21,80 +24,12 @@ import (
 	"modeldata/internal/rng"
 )
 
-// sameValueBits mirrors the engine golden suite: float equality is
-// bit-pattern equality with all NaNs one class, so -0 != +0 and payload
-// bits must survive the disk round-trip.
-func sameValueBits(a, b engine.Value) bool {
-	if a.Type() != b.Type() {
-		return false
-	}
-	switch a.Type() {
-	case engine.TypeFloat:
-		af, bf := a.AsFloat(), b.AsFloat()
-		if math.IsNaN(af) || math.IsNaN(bf) {
-			return math.IsNaN(af) && math.IsNaN(bf)
-		}
-		return math.Float64bits(af) == math.Float64bits(bf)
-	case engine.TypeInt:
-		return a.AsInt() == b.AsInt()
-	case engine.TypeString:
-		return a.AsString() == b.AsString()
-	case engine.TypeBool:
-		return a.AsBool() == b.AsBool()
-	}
-	return false
-}
-
-func requireSameTable(t *testing.T, label string, want, got *engine.Table) {
+// requireSameTable fails the test unless engine.DiffTables finds got
+// identical to want.
+func requireSameTable(t testing.TB, label string, want, got *engine.Table) {
 	t.Helper()
-	if got.Name != want.Name {
-		t.Fatalf("%s: name %q, want %q", label, got.Name, want.Name)
-	}
-	if !got.Schema.Equal(want.Schema) {
-		t.Fatalf("%s: schema %v, want %v", label, got.Schema, want.Schema)
-	}
-	if len(got.Rows) != len(want.Rows) {
-		t.Fatalf("%s: %d rows, want %d", label, len(got.Rows), len(want.Rows))
-	}
-	for i := range want.Rows {
-		for j := range want.Schema {
-			if !sameValueBits(want.Rows[i][j], got.Rows[i][j]) {
-				t.Fatalf("%s: row %d col %d: %v, want %v", label, i, j, got.Rows[i][j], want.Rows[i][j])
-			}
-		}
-	}
-}
-
-// randomValue mirrors the engine golden suite's corner-heavy generator:
-// int64s beyond 2^53 (where float round-trips lose exactness), NaN,
-// -0, ±Inf, and strings with embedded NULs.
-func randomValue(r *rng.Stream, typ engine.Type) engine.Value {
-	switch typ {
-	case engine.TypeInt:
-		switch r.Intn(8) {
-		case 0:
-			return engine.Int(int64(1)<<53 + 1 + int64(r.Intn(5)))
-		case 1:
-			return engine.Int(-(int64(1)<<53 + 3 + int64(r.Intn(5))))
-		default:
-			return engine.Int(int64(r.Intn(7)) - 3)
-		}
-	case engine.TypeFloat:
-		switch r.Intn(10) {
-		case 0:
-			return engine.Float(math.NaN())
-		case 1:
-			return engine.Float(math.Copysign(0, -1))
-		case 2:
-			return engine.Float(math.Inf(1 - 2*r.Intn(2)))
-		default:
-			return engine.Float(float64(r.Intn(9))/2 - 2)
-		}
-	case engine.TypeString:
-		opts := []string{"", "a", "b", "ab", "a\x00", "\x00a", "a\x00b", "xyz"}
-		return engine.Str(opts[r.Intn(len(opts))])
-	default:
-		return engine.Bool(r.Intn(2) == 0)
+	if err := engine.DiffTables(want, got); err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
 }
 
@@ -105,175 +40,140 @@ var equivSchema = engine.Schema{
 	{Name: "flag", Type: engine.TypeBool},
 }
 
-func randomTable(r *rng.Stream, name string, n int) *engine.Table {
+// cornerTable is n rows whose columns cycle, at co-prime periods,
+// through the values a disk round trip must keep exactly: int64s beyond
+// 2^53, NaN, -0, ±Inf and strings with embedded NULs.
+func cornerTable(name string, n int) *engine.Table {
+	ids := []int64{-3, -2, -1, 0, 1, 2, 3, 1<<53 + 1, -(1<<53 + 3)}
+	xs := []float64{-2, -1.5, -1, -0.5, 0, 0.5, 1, 1.5, 2, math.NaN(), math.Copysign(0, -1), math.Inf(1), math.Inf(-1)}
+	tags := []string{"", "a", "b", "ab", "a\x00", "\x00a", "a\x00b", "xyz"}
 	t := &engine.Table{Name: name, Schema: equivSchema.Clone()}
 	for i := 0; i < n; i++ {
-		row := make(engine.Row, len(equivSchema))
-		for j, c := range equivSchema {
-			row[j] = randomValue(r, c.Type)
-		}
-		t.Rows = append(t.Rows, row)
+		t.Rows = append(t.Rows, engine.Row{engine.Int(ids[i%len(ids)]), engine.Float(xs[i*7%len(xs)]),
+			engine.Str(tags[i*3%len(tags)]), engine.Bool(i%5 < 2)})
 	}
 	return t
 }
 
-// pipeline is one randomly chosen op sequence, applied identically to
-// the in-memory and storage-backed queries.
-type pipeline struct {
-	desc string
-	ops  []func(*engine.Query) *engine.Query
-}
-
-func (p *pipeline) apply(q *engine.Query) *engine.Query {
-	for _, op := range p.ops {
-		q = op(q)
-	}
-	return q
-}
-
-func randomPipeline(r *rng.Stream, join *engine.Table) *pipeline {
-	p := &pipeline{}
-	add := func(desc string, op func(*engine.Query) *engine.Query) {
-		p.desc += desc + ";"
-		p.ops = append(p.ops, op)
-	}
-	// Leading filters (zero or more) — these double as pruning hints.
-	for i := r.Intn(3); i > 0; i-- {
-		switch r.Intn(4) {
-		case 0:
-			probe := randomValue(r, engine.Type(r.Intn(4)))
-			col := equivSchema[probe.Type()].Name // schema is typ-ordered
-			add(fmt.Sprintf("eq(%s)", col), func(q *engine.Query) *engine.Query {
-				return q.WhereEq(col, probe)
-			})
-		case 1:
-			cut := float64(r.Intn(5)) - 2
-			add("floatle", func(q *engine.Query) *engine.Query {
-				return q.WhereFloat("x", func(v float64) bool { return v <= cut })
-			})
-		case 2:
-			lo := int64(r.Intn(7)) - 3
-			hi := lo + int64(r.Intn(4))
-			add("between", func(q *engine.Query) *engine.Query {
-				return q.WhereExpr(plan.Between{Col: "id", Lo: plan.IntLit(lo), Hi: plan.IntLit(hi)})
-			})
-		case 3:
-			op := []string{"<", "<=", ">", ">=", "!="}[r.Intn(5)]
-			cut := float64(r.Intn(5)) - 2
-			add("cmp"+op, func(q *engine.Query) *engine.Query {
-				return q.WhereExpr(plan.Cmp{Op: op, Col: "x", Val: plan.FloatLit(cut)})
-			})
+// dimTable is the join side of the pipelines below: each of the keys
+// -k..k under dups labels, so the build side repeats keys.
+func dimTable(k, dups int) *engine.Table {
+	t := &engine.Table{Name: "dim", Schema: engine.Schema{
+		{Name: "jid", Type: engine.TypeInt},
+		{Name: "label", Type: engine.TypeString},
+	}}
+	for i := -k; i <= k; i++ {
+		for d := 0; d < dups; d++ {
+			t.Rows = append(t.Rows, engine.Row{engine.Int(int64(i)), engine.Str(fmt.Sprintf("L%d.%d", i, d))})
 		}
 	}
-	// One shaping stage.
-	switch r.Intn(4) {
-	case 0:
-		add("groupby", func(q *engine.Query) *engine.Query {
+	return t
+}
+
+// TestStorageEquivalenceRandomPipelines pairs every leading filter —
+// the comparisons zone maps judge, one that prunes every segment, and
+// an opaque one they cannot judge — with every shaping stage, over a
+// table of random length stored at 1–6 rows per segment and at a
+// random longer size, and requires the answer of the same pipeline over
+// the in-memory table.
+func TestStorageEquivalenceRandomPipelines(t *testing.T) {
+	type stage struct {
+		name string
+		op   func(*engine.Query) *engine.Query
+	}
+	leads := []stage{
+		{"scan", func(q *engine.Query) *engine.Query { return q }},
+		{"eq tag", func(q *engine.Query) *engine.Query { return q.WhereEq("tag", engine.Str("a\x00")) }},
+		{"eq big id", func(q *engine.Query) *engine.Query { return q.WhereEq("id", engine.Int(1<<53+1)) }},
+		{"between id", func(q *engine.Query) *engine.Query {
+			return q.WhereExpr(plan.Between{Col: "id", Lo: plan.IntLit(-1), Hi: plan.IntLit(2)})
+		}},
+		{"x >= 0.5 and x != 1", func(q *engine.Query) *engine.Query {
+			return q.WhereExpr(plan.Cmp{Op: ">=", Col: "x", Val: plan.FloatLit(0.5)}).
+				WhereExpr(plan.Cmp{Op: "!=", Col: "x", Val: plan.FloatLit(1)})
+		}},
+		{"all pruned", func(q *engine.Query) *engine.Query {
+			return q.WhereExpr(plan.Cmp{Op: ">", Col: "id", Val: plan.IntLit(1 << 62)})
+		}},
+		{"opaque x <= 0", func(q *engine.Query) *engine.Query {
+			return q.WhereFloat("x", func(v float64) bool { return v <= 0 })
+		}},
+	}
+	dim := dimTable(3, 2)
+	shapes := []stage{
+		{"group-by", func(q *engine.Query) *engine.Query {
 			return q.GroupBy([]string{"tag"},
 				engine.Aggregate{Fn: engine.AggCount, As: "n"},
 				engine.Aggregate{Fn: engine.AggSum, Col: "x", As: "sx"},
 				engine.Aggregate{Fn: engine.AggMin, Col: "id", As: "mid"},
-				engine.Aggregate{Fn: engine.AggMax, Col: "x", As: "mx"},
-			)
-		})
-	case 1:
-		if join != nil {
-			add("join", func(q *engine.Query) *engine.Query {
-				return q.Join(join, "id", "jid")
-			})
-		}
-	case 2:
-		add("distinct", func(q *engine.Query) *engine.Query {
-			return q.Select("tag", "flag").Distinct()
-		})
-	case 3:
-		desc := r.Intn(2) == 0
-		n := 1 + r.Intn(20)
-		add("orderlimit", func(q *engine.Query) *engine.Query {
-			return q.OrderBy("id", desc).Limit(n)
-		})
+				engine.Aggregate{Fn: engine.AggMax, Col: "x", As: "mx"})
+		}},
+		{"join", func(q *engine.Query) *engine.Query { return q.Join(dim, "id", "jid") }},
+		{"distinct", func(q *engine.Query) *engine.Query { return q.Select("tag", "flag").Distinct() }},
+		{"order+limit", func(q *engine.Query) *engine.Query { return q.OrderBy("x", true).Limit(17) }},
 	}
-	return p
-}
-
-func TestStorageEquivalenceRandomPipelines(t *testing.T) {
 	r := rng.New(907)
-	for trial := 0; trial < 40; trial++ {
-		tr := r.Split()
-		tbl := randomTable(tr, "ev", tr.Intn(200))
-		join := &engine.Table{Name: "dim", Schema: engine.Schema{
-			{Name: "jid", Type: engine.TypeInt},
-			{Name: "label", Type: engine.TypeString},
-		}}
-		for i := -3; i <= 3; i++ {
-			join.Rows = append(join.Rows, engine.Row{engine.Int(int64(i)), engine.Str(fmt.Sprintf("L%d", i))})
+	for _, lead := range leads {
+		for _, shape := range shapes {
+			// Segments of 1–6 rows hold few of cornerTable's values, so
+			// their zone maps prune; a longer one holds most of them.
+			tbl := cornerTable("ev", r.Intn(200))
+			for _, segRows := range []int{1, 2, 3, 4, 5, 6, 7 + r.Intn(58)} {
+				label := fmt.Sprintf("%s; %s over %d rows, %d rows/segment", lead.name, shape.name, tbl.Len(), segRows)
+				st := writeAndOpen(t, tbl, colstore.Options{SegmentRows: segRows})
+				want, werr := shape.op(lead.op(engine.From(tbl))).Run()
+				got, gerr := shape.op(lead.op(engine.FromStorage(st))).Run()
+				if werr != nil || gerr != nil {
+					t.Fatalf("%s: in memory err=%v, store err=%v", label, werr, gerr)
+				}
+				requireSameTable(t, label, want, got)
+			}
 		}
-		st := writeAndOpen(t, tbl, colstore.Options{SegmentRows: 1 + tr.Intn(32)})
-		p := randomPipeline(tr, join)
-
-		want, werr := p.apply(engine.From(tbl)).Run()
-		got, gerr := p.apply(engine.FromStorage(st)).Run()
-		if (werr == nil) != (gerr == nil) {
-			t.Fatalf("trial %d [%s]: error mismatch: mem=%v store=%v", trial, p.desc, werr, gerr)
-		}
-		if werr != nil {
-			continue
-		}
-		requireSameTable(t, fmt.Sprintf("trial %d [%s]", trial, p.desc), want, got)
 	}
 }
 
+// TestStorageEquivalenceSpillForced runs a join whose build side
+// repeats keys and a two-key group-by over a store at a one-byte
+// budget, which forces a Grace spill of every hash build, and requires
+// that each spilled and answered as the unbudgeted in-memory query does.
 func TestStorageEquivalenceSpillForced(t *testing.T) {
-	r := rng.New(911)
-	for trial := 0; trial < 15; trial++ {
-		tr := r.Split()
-		tbl := randomTable(tr, "ev", 50+tr.Intn(150))
-		join := &engine.Table{Name: "dim", Schema: engine.Schema{
-			{Name: "jid", Type: engine.TypeInt},
-			{Name: "label", Type: engine.TypeString},
-		}}
-		for i := -5; i <= 5; i++ {
-			join.Rows = append(join.Rows, engine.Row{engine.Int(int64(i)), engine.Str(fmt.Sprintf("L%d", i))})
-		}
+	dim := dimTable(5, 2)
+	aggs := []engine.Aggregate{
+		{Fn: engine.AggCount, As: "n"},
+		{Fn: engine.AggSum, Col: "x", As: "sx"},
+		{Fn: engine.AggMin, Col: "id", As: "mid"},
+	}
+	queries := []struct {
+		name string
+		op   func(*engine.Query) *engine.Query
+	}{
+		{"join", func(q *engine.Query) *engine.Query { return q.Join(dim, "id", "jid") }},
+		{"group-by", func(q *engine.Query) *engine.Query { return q.GroupBy([]string{"tag", "flag"}, aggs...) }},
+	}
+	for _, n := range []int{50, 117, 200} {
+		tbl := cornerTable("ev", n)
 		st := writeAndOpen(t, tbl, colstore.Options{SegmentRows: 16})
-
-		// A one-byte budget forces Grace spill on every hash build; the
-		// result must still be byte-identical to the unlimited path.
-		spillDir := t.TempDir()
-		label := fmt.Sprintf("trial %d", trial)
-
-		want, err := engine.From(tbl).Join(join, "id", "jid").Run()
-		if err != nil {
-			t.Fatalf("%s join mem: %v", label, err)
+		for _, q := range queries {
+			label := fmt.Sprintf("%s over %d rows", q.name, n)
+			want, err := q.op(engine.From(tbl)).Run()
+			if err != nil {
+				t.Fatalf("%s in memory: %v", label, err)
+			}
+			before := obs.Default().Snapshot()
+			got, err := q.op(engine.FromStorage(st)).WithMemoryBudget(1).WithSpillDir(t.TempDir()).Run()
+			if err != nil {
+				t.Fatalf("%s spilled: %v", label, err)
+			}
+			requireSameTable(t, label, want, got)
+			if obs.Default().Snapshot().Sub(before).Counters[engine.MetricSpillPartitions] == 0 {
+				t.Fatalf("%s did not spill", label)
+			}
 		}
-		got, err := engine.FromStorage(st).Join(join, "id", "jid").
-			WithMemoryBudget(1).WithSpillDir(spillDir).Run()
-		if err != nil {
-			t.Fatalf("%s join spill: %v", label, err)
-		}
-		requireSameTable(t, label+" spilled join", want, got)
-
-		aggs := []engine.Aggregate{
-			{Fn: engine.AggCount, As: "n"},
-			{Fn: engine.AggSum, Col: "x", As: "sx"},
-			{Fn: engine.AggMin, Col: "id", As: "mid"},
-		}
-		want, err = engine.From(tbl).GroupBy([]string{"tag", "flag"}, aggs...).Run()
-		if err != nil {
-			t.Fatalf("%s group mem: %v", label, err)
-		}
-		got, err = engine.FromStorage(st).GroupBy([]string{"tag", "flag"}, aggs...).
-			WithMemoryBudget(1).WithSpillDir(spillDir).Run()
-		if err != nil {
-			t.Fatalf("%s group spill: %v", label, err)
-		}
-		requireSameTable(t, label+" spilled group-by", want, got)
 	}
 }
 
 func TestStorageEquivalenceSQL(t *testing.T) {
-	r := rng.New(919)
-	tbl := randomTable(r, "ev", 300)
+	tbl := cornerTable("ev", 300)
 	st := writeAndOpen(t, tbl, colstore.Options{SegmentRows: 32})
 
 	mem := engine.NewDatabase()
@@ -303,8 +203,7 @@ func TestStorageEquivalenceSQL(t *testing.T) {
 }
 
 func TestStorageEquivalenceConcurrent(t *testing.T) {
-	r := rng.New(929)
-	tbl := randomTable(r, "ev", 400)
+	tbl := cornerTable("ev", 400)
 	st := writeAndOpen(t, tbl, colstore.Options{SegmentRows: 32})
 	pred := plan.Between{Col: "id", Lo: plan.IntLit(-1), Hi: plan.IntLit(2)}
 	want, err := engine.From(tbl).WhereExpr(pred).Run()
@@ -407,8 +306,7 @@ func (c *countIter) Release(b *engine.ColumnBlock) {
 // empties the first segments, so partitions holding rows are buffered
 // and then handed to the partitioner.
 func TestStorageEquivalenceSpilledGroupBy(t *testing.T) {
-	r := rng.New(937)
-	tbl := randomTable(r, "ev", 300)
+	tbl := cornerTable("ev", 300)
 	st := &releaseCount{Store: writeAndOpen(t, tbl, colstore.Options{SegmentRows: 16})}
 	// late is tbl with the rows keep drops moved to the front.
 	keep := func(v float64) bool { return v >= -1 }

@@ -5,9 +5,9 @@
 // directory and implements engine.Storage, streaming segments back as
 // engine.ColumnBlocks with zone-map pruning against the scan's
 // predicate — so the whole operator suite (filters, joins, group-by,
-// the planner, SQL) runs unchanged over on-disk data, and the
-// storage-equivalence suite can pin its results byte-identical to the
-// in-memory path.
+// the planner, SQL) runs unchanged over on-disk data, and the engine's
+// golden suite can pin its results byte-identical to the in-memory
+// path.
 //
 // Segment layout, version 2 (all integers big-endian or uvarint as
 // noted):

@@ -158,9 +158,6 @@ func (d *Deferred) Run() (float64, error) {
 	if d.base, d.rid, err = q.joinRegion(ch, d.reg, d.scan); err != nil {
 		return 0, err
 	}
-	if d.base == nil {
-		return 0, sqlErrf("statement has no executable join region")
-	}
 	// The block holds the retained columns of scan 0, then of scan 1, …
 	ret := q.retainedCols(d.reg)
 	first := 0

@@ -1,80 +1,34 @@
 package engine
 
-// Golden-equivalence suite: the engine's one execution route is checked
-// against a small reference interpreter over plain rows (nested-loop
-// join, map-of-slices group-by, sort.SliceStable) — same schema, same
-// row order, same Value payload bits — on randomized inputs that cover
-// the awkward corners of the key encoding (NaN, -0, int64s beyond
-// float64 precision, strings containing the old separator byte, empty
-// results). Every pipeline runs at every point of {planner on, off} ×
-// {budget unlimited, 1 byte}. Equality is checked down to float bit
-// patterns, not tolerances.
+// Golden-equivalence suite, the engine's one randomized oracle: every
+// pipeline is checked against a small reference interpreter over plain
+// rows (nested-loop join, map-of-slices group-by, sort.SliceStable) —
+// same schema, same row order, same Value payload bits, by DiffTables —
+// on randomized inputs that cover the awkward corners of the key
+// encoding (NaN, -0, int64s beyond float64 precision, strings
+// containing the old separator byte, empty results). Every pipeline
+// runs at every point of the configuration lattice production runs:
+// {From(table), which the planner plans; FromStorage over the table in
+// 1–8 partitions; FromStorage over a colstore store} × {budget
+// unlimited, 1 byte}.
 
 import (
 	"fmt"
 	"math"
 	"sort"
+	"strings"
 	"testing"
 
 	"modeldata/internal/engine/plan"
 	"modeldata/internal/rng"
 )
 
-// sameValueBits reports whether two Values are indistinguishable.
-// Floats compare by bit pattern (so -0 vs +0 is a difference), except
-// that all NaNs form one equivalence class: values the operators copy
-// (keys, MIN/MAX) keep their exact payloads, but a NaN produced by
-// arithmetic (SUM/AVG) has no payload guarantee — the compiler may
-// order commutative float additions differently per code shape, and
-// the hardware propagates whichever operand's payload comes first. The
-// engine itself treats every NaN as one key ("nNaN").
-func sameValueBits(a, b Value) bool {
-	if a.Type() != b.Type() {
-		return false
-	}
-	switch a.Type() {
-	case TypeFloat:
-		af, bf := a.AsFloat(), b.AsFloat()
-		if math.IsNaN(af) || math.IsNaN(bf) {
-			return math.IsNaN(af) && math.IsNaN(bf)
-		}
-		return math.Float64bits(af) == math.Float64bits(bf)
-	default:
-		return a.Key() == b.Key() && a.String() == b.String()
-	}
-}
-
-// requireSameTable fails the test unless the two tables are
-// byte-identical: same name, schema, row count, and every Value equal
-// down to payload bits. nil Rows and empty Rows are the same relation.
-func requireSameTable(t *testing.T, label string, want, got *Table) {
+// requireSameTable fails the test unless DiffTables finds got
+// identical to want.
+func requireSameTable(t testing.TB, label string, want, got *Table) {
 	t.Helper()
-	if want.Name != got.Name {
-		t.Fatalf("%s: name %q vs %q", label, want.Name, got.Name)
-	}
-	if len(want.Schema) != len(got.Schema) {
-		t.Fatalf("%s: schema width %d vs %d", label, len(want.Schema), len(got.Schema))
-	}
-	for j := range want.Schema {
-		if want.Schema[j] != got.Schema[j] {
-			t.Fatalf("%s: schema[%d] %+v vs %+v", label, j, want.Schema[j], got.Schema[j])
-		}
-	}
-	if len(want.Rows) != len(got.Rows) {
-		t.Fatalf("%s: %d rows vs %d rows", label, len(want.Rows), len(got.Rows))
-	}
-	for i := range want.Rows {
-		if len(want.Rows[i]) != len(got.Rows[i]) {
-			t.Fatalf("%s: row %d arity %d vs %d", label, i, len(want.Rows[i]), len(got.Rows[i]))
-		}
-		for j := range want.Rows[i] {
-			if !sameValueBits(want.Rows[i][j], got.Rows[i][j]) {
-				t.Fatalf("%s: row %d col %d: %v (key %q) vs %v (key %q)",
-					label, i, j,
-					want.Rows[i][j], want.Rows[i][j].Key(),
-					got.Rows[i][j], got.Rows[i][j].Key())
-			}
-		}
+	if err := DiffTables(want, got); err != nil {
+		t.Fatalf("%s: %v", label, err)
 	}
 }
 
@@ -454,70 +408,147 @@ func stLimit(n int) step {
 		func(t *Table) *Table { return refLimit(t, n) }, nil}
 }
 
+// --- the configuration lattice ---
+
+// source is one of the lattice's ways to scan a pipeline's input: the
+// table itself (st nil), which the planner plans, or a storage over it,
+// which runs as written.
+type source struct {
+	label string
+	st    *chunked
+}
+
+func (s source) from(tbl *Table) *Query {
+	if s.st == nil {
+		return From(tbl)
+	}
+	return FromStorage(s.st)
+}
+
+// lattice is what a source table's pipelines run with: the three
+// sources over it and a spill directory.
+type lattice struct {
+	sources  []source
+	spillDir string
+}
+
+// lattices holds each live source table's lattice, so that the
+// pipelines checked over one table share one colstore store.
+var lattices = map[*Table]*lattice{}
+
+// latticeOf returns tbl's lattice: From(tbl), FromStorage over tbl cut
+// into 1–8 partitions, and FromStorage over a colstore store of 1–64
+// rows per segment and at most 16 segments (a segment is a file).
+func latticeOf(t *testing.T, r *rng.Stream, tbl *Table) *lattice {
+	if l, ok := lattices[tbl]; ok {
+		return l
+	}
+	parts, segRows := 1+r.Intn(8), max(1+r.Intn(64), (tbl.Len()+15)/16)
+	l := &lattice{spillDir: t.TempDir(), sources: []source{
+		{"From", nil},
+		{fmt.Sprintf("%d partitions", parts), &chunked{Storage: tbl, n: max(1, (tbl.Len()+parts-1)/parts)}},
+		{fmt.Sprintf("colstore %d rows/segment", segRows), &chunked{Storage: StoreOf(t, tbl, segRows)}},
+	}}
+	lattices[tbl] = l
+	t.Cleanup(func() { delete(lattices, tbl) })
+	return l
+}
+
+// latticeWork tallies, across checkPipeline calls, the evidence that
+// the storage points did the work they are in the lattice for.
+var latticeWork struct {
+	pruned         int64 // blocks the colstore source's zone maps skipped
+	spilled        int   // 1-byte-budget runs that spilled partitions
+	streamedJoins  int   // partitioned scans a join consumed as they came
+	streamedGroups int   // and a budgeted group-by did
+}
+
 // checkPipeline is the one equivalence table: it runs steps over src
 // through the reference interpreter once and through the engine at
 // every point of the configuration lattice, requiring identical bytes
-// everywhere and callbacks that saw exactly their step's input.
-func checkPipeline(t *testing.T, src *Table, steps ...step) {
+// and counts everywhere, callbacks that saw exactly their step's input,
+// and scans that hand back only the partition they handed out last.
+func checkPipeline(t *testing.T, r *rng.Stream, src *Table, steps ...step) {
 	t.Helper()
-	want, q, label := src, From(src).WithSpillDir(t.TempDir()), "From("+src.Name+")"
+	want, label := src, src.Name
 	inputs := make([]*Table, len(steps))
 	for i, st := range steps {
 		inputs[i] = want
-		want, q, label = st.ref(want), st.q(q), label+"."+st.label
+		want, label = st.ref(want), label+"."+st.label
 	}
-	if n, err := q.Count(); err != nil || n != want.Len() {
-		t.Fatalf("%s: Count = %d, %v; want %d", label, n, err, want.Len())
-	}
-	for _, pt := range lattice(q) {
-		cfg := label + " " + pt.label
-		for _, st := range steps {
-			if st.saw != nil {
-				*st.saw = nil
-			}
-		}
-		got, err := pt.q.Run()
-		if err != nil {
-			t.Fatalf("%s: %v", cfg, err)
-		}
-		requireSameTable(t, cfg, want, got)
-		for i, st := range steps {
-			if st.saw != nil {
-				seen := &Table{Name: inputs[i].Name, Schema: inputs[i].Schema, Rows: *st.saw}
-				requireSameTable(t, cfg+" rows handed to "+st.label, inputs[i], seen)
-			}
-		}
-	}
-}
-
-// latticePoint is q configured for one point of the lattice.
-type latticePoint struct {
-	label string
-	q     *Query
-}
-
-// lattice returns q at every point of {planner on, off} × {budget
-// unlimited, 1 byte}.
-func lattice(q *Query) []latticePoint {
-	var pts []latticePoint
-	for _, plannerOn := range []bool{true, false} {
+	l := latticeOf(t, r, src)
+	for _, s := range l.sources {
 		for _, budget := range []int64{0, 1} {
-			pq := q.WithPlanner(plannerOn).WithMemoryBudget(budget)
-			pts = append(pts, latticePoint{fmt.Sprintf("[planner=%v budget=%d]", plannerOn, budget), pq})
+			cfg := fmt.Sprintf("%s [%s, budget %d]", label, s.label, budget)
+			q := s.from(src)
+			for _, st := range steps {
+				q = st.q(q)
+			}
+			q = q.WithMemoryBudget(budget).WithSpillDir(l.spillDir)
+			if n, err := q.Count(); err != nil || n != want.Len() {
+				t.Fatalf("%s: Count = %d, %v; want %d", cfg, n, err, want.Len())
+			}
+			for _, st := range steps {
+				if st.saw != nil {
+					*st.saw = nil
+				}
+			}
+			spills := spillPartitions.Value()
+			got, err := q.Run()
+			if err != nil {
+				t.Fatalf("%s: %v", cfg, err)
+			}
+			requireSameTable(t, cfg, want, got)
+			for i, st := range steps {
+				if st.saw != nil {
+					seen := &Table{Name: inputs[i].Name, Schema: inputs[i].Schema, Rows: *st.saw}
+					requireSameTable(t, cfg+" rows handed to "+st.label, inputs[i], seen)
+				}
+			}
+			if budget > 0 && spillPartitions.Value() > spills {
+				latticeWork.spilled++
+			}
+			if s.st != nil {
+				tallyScan(t, cfg, q, s.st)
+			}
 		}
 	}
-	return pts
+}
+
+// tallyScan checks the scan q's Run made of st and adds what it did to
+// latticeWork.
+func tallyScan(t *testing.T, cfg string, q *Query, st *chunked) {
+	t.Helper()
+	c := st.scans[len(st.scans)-1]
+	if c.stray != 0 {
+		t.Fatalf("%s: %d releases of a partition other than the last handed out", cfg, c.stray)
+	}
+	if st.n == 0 {
+		latticeWork.pruned += c.Stats().BlocksPruned
+		return
+	}
+	if lead := q.leadingRun(); lead < len(q.ops) && c.released > 0 {
+		switch op := q.ops[lead]; {
+		case op.kind == opJoin && q.budget == 0:
+			latticeWork.streamedJoins++
+		case op.kind == opGroupBy && q.budget > 0 && len(op.cols) > 0:
+			latticeWork.streamedGroups++
+		}
+	}
 }
 
 // TestQueryRowFallback: no point of the lattice has a row route to fall
-// back to — a table breaking the executable-table rule is refused at
-// every one of them (metrics_test.go pins the refusal itself).
+// back to — a table breaking the executable-table rule is refused from
+// either kind of source at either budget (metrics_test.go pins the
+// refusal itself). A colstore store cannot hold such a table.
 func TestQueryRowFallback(t *testing.T) {
-	q := From(mixedTable()).WithSpillDir(t.TempDir()).
-		WhereFloat("x", func(f float64) bool { return f > 0 }).
-		GroupBy([]string{"id"}, Aggregate{Fn: AggCount, As: "n"})
-	for _, pt := range lattice(q) {
-		requireRefused(t, pt.label, func() error { _, err := pt.q.Run(); return err })
+	for _, s := range []source{{"From", nil}, {"partitions", &chunked{Storage: mixedTable(), n: 2}}} {
+		for _, budget := range []int64{0, 1} {
+			q := s.from(mixedTable()).WithMemoryBudget(budget).WithSpillDir(t.TempDir()).
+				WhereFloat("x", func(f float64) bool { return f > 0 }).
+				GroupBy([]string{"id"}, Aggregate{Fn: AggCount, As: "n"})
+			requireRefused(t, fmt.Sprintf("%s budget %d", s.label, budget), func() error { _, err := q.Run(); return err })
+		}
 	}
 }
 
@@ -551,14 +582,23 @@ func TestGoldenWhere(t *testing.T) {
 		tbl := randomTable(tr, "w", tr.Intn(60))
 		probe := randomValue(tr, Type(tr.Intn(4)))
 		for _, col := range goldenCols {
-			checkPipeline(t, tbl, stWhereEq(col, probe))
-			checkPipeline(t, tbl, randomExprStep(tr, tbl, col))
+			checkPipeline(t, tr, tbl, stWhereEq(col, probe))
+			checkPipeline(t, tr, tbl, randomExprStep(tr, tbl, col))
+		}
+		// Every operator over the columns zone maps judge, whose
+		// verdicts differ per operator once a segment holds a NaN.
+		for _, col := range []string{"id", "x"} {
+			for _, op := range cmpOps {
+				lit := randomValue(tr, tbl.Schema[refCol(tbl, col)].Type)
+				checkPipeline(t, tr, tbl, stWhereExpr(plan.Cmp{Op: op, Col: col, Val: litOfValue(lit)}, col,
+					func(v Value) bool { return cmpMeans[op](v, lit) }))
+			}
 		}
 		cut := float64(tr.Intn(5)) - 2
-		checkPipeline(t, tbl, stWhereFloat("id", cut))
-		checkPipeline(t, tbl, stWhereFloat("x", cut))
-		checkPipeline(t, tbl, stWhereString("tag"))
-		checkPipeline(t, tbl, stWhere("id"))
+		checkPipeline(t, tr, tbl, stWhereFloat("id", cut))
+		checkPipeline(t, tr, tbl, stWhereFloat("x", cut))
+		checkPipeline(t, tr, tbl, stWhereString("tag"))
+		checkPipeline(t, tr, tbl, stWhere("id"))
 	}
 }
 
@@ -567,10 +607,10 @@ func TestGoldenProjectRenameLimit(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		tr := r.Split()
 		tbl := randomTable(tr, "p", tr.Intn(40))
-		checkPipeline(t, tbl, stSelect("tag", "id"))
-		checkPipeline(t, tbl, stRename("x", "y"))
-		checkPipeline(t, tbl, stLimit(tr.Intn(50)))
-		checkPipeline(t, tbl, stExtend("x2", "x"))
+		checkPipeline(t, tr, tbl, stSelect("tag", "id"))
+		checkPipeline(t, tr, tbl, stRename("x", "y"))
+		checkPipeline(t, tr, tbl, stLimit(tr.Intn(50)))
+		checkPipeline(t, tr, tbl, stExtend("x2", "x"))
 	}
 }
 
@@ -585,7 +625,7 @@ func TestGoldenEquiJoin(t *testing.T) {
 		l, rt := randomTable(tr, "l", n), randomTable(tr, "r", m)
 		for _, lc := range goldenCols {
 			for _, rc := range goldenCols {
-				checkPipeline(t, l, stJoin(rt, lc, rc))
+				checkPipeline(t, tr, l, stJoin(rt, lc, rc))
 			}
 		}
 	}
@@ -607,7 +647,7 @@ func TestGoldenGroupBy(t *testing.T) {
 		tbl := randomTable(tr, "g", tr.Intn(60))
 		for _, keys := range keySets {
 			for _, aggs := range aggSets {
-				checkPipeline(t, tbl, stGroupBy(keys, aggs...))
+				checkPipeline(t, tr, tbl, stGroupBy(keys, aggs...))
 			}
 		}
 	}
@@ -617,8 +657,8 @@ func TestGoldenGroupBy(t *testing.T) {
 // counts 0, sums 0, and takes the zero of the column's type as its
 // extremes — typed, so the result stays an executable table.
 func TestGoldenGroupByEmptyGlobal(t *testing.T) {
-	tbl := randomTable(rng.New(9), "empty", 0)
-	checkPipeline(t, tbl,
+	r := rng.New(9)
+	checkPipeline(t, r, randomTable(r, "empty", 0),
 		stGroupBy(nil,
 			Aggregate{Fn: AggCount, As: "n"}, Aggregate{Fn: AggSum, Col: "x", As: "s"},
 			Aggregate{Fn: AggMin, Col: "x", As: "mn"}, Aggregate{Fn: AggMax, Col: "tag", As: "mx"}),
@@ -630,34 +670,40 @@ func TestGoldenDistinctOrderBy(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		tr := r.Split()
 		tbl := randomTable(tr, "d", tr.Intn(60))
-		checkPipeline(t, tbl, stDistinct())
+		checkPipeline(t, tr, tbl, stDistinct())
 		// Single-column distinct exercises the code-based fast path.
-		checkPipeline(t, tbl, stSelect("x"), stDistinct())
+		checkPipeline(t, tr, tbl, stSelect("x"), stDistinct())
 		for _, col := range goldenCols {
-			checkPipeline(t, tbl, stOrderBy(col, false))
-			checkPipeline(t, tbl, stOrderBy(col, true))
+			checkPipeline(t, tr, tbl, stOrderBy(col, false))
+			checkPipeline(t, tr, tbl, stOrderBy(col, true))
 		}
 	}
 }
 
 // --- generated pipelines ---
 
+// cmpOps are plan.Cmp's operators, and cmpMeans what each means of a
+// row's value v and the literal: Value.Less's order, under which a NaN
+// row matches <=, >= and <> whatever the literal.
+var (
+	cmpOps   = []string{"=", "<>", "<", "<=", ">", ">="}
+	cmpMeans = map[string]func(v, lit Value) bool{
+		"=":  func(v, lit Value) bool { return v.Equal(lit) },
+		"<>": func(v, lit Value) bool { return !v.Equal(lit) },
+		"<":  func(v, lit Value) bool { return v.Less(lit) },
+		"<=": func(v, lit Value) bool { return !lit.Less(v) },
+		">":  func(v, lit Value) bool { return lit.Less(v) },
+		">=": func(v, lit Value) bool { return !v.Less(lit) },
+	}
+)
+
 // randomExprStep builds a WhereExpr over col: a comparison, a BETWEEN,
 // or an AND/OR/NOT of comparisons.
 func randomExprStep(r *rng.Stream, t *Table, col string) step {
 	typ := t.Schema[refCol(t, col)].Type
 	cmp := func() (plan.Expr, func(Value) bool) {
-		op := []string{"=", "<>", "<", "<=", ">", ">="}[r.Intn(6)]
-		lit := randomValue(r, typ)
-		means := map[string]func(Value) bool{
-			"=":  func(v Value) bool { return v.Equal(lit) },
-			"<>": func(v Value) bool { return !v.Equal(lit) },
-			"<":  func(v Value) bool { return v.Less(lit) },
-			"<=": func(v Value) bool { return !lit.Less(v) },
-			">":  func(v Value) bool { return lit.Less(v) },
-			">=": func(v Value) bool { return !v.Less(lit) },
-		}
-		return plan.Cmp{Op: op, Col: col, Val: litOfValue(lit)}, means[op]
+		op, lit := cmpOps[r.Intn(len(cmpOps))], randomValue(r, typ)
+		return plan.Cmp{Op: op, Col: col, Val: litOfValue(lit)}, func(v Value) bool { return cmpMeans[op](v, lit) }
 	}
 	e1, k1 := cmp()
 	e2, k2 := cmp()
@@ -676,14 +722,21 @@ func randomExprStep(r *rng.Stream, t *Table, col string) step {
 	return stWhereExpr(e1, col, k1)
 }
 
+// maxJoinRows bounds a generated join's output, which keeps the
+// nested-loop reference and a chain of joins over small key domains
+// fast.
+const maxJoinRows = 2000
+
 // randomPipeline draws 2–7 steps valid for the evolving schema, which it
-// tracks by running the reference as it goes.
-func randomPipeline(r *rng.Stream, src *Table, dims []*Table) []step {
+// tracks by running the reference as it goes. It may join each of
+// joinable once, in the order given; a source among them is a
+// self-join.
+func randomPipeline(r *rng.Stream, src *Table, joinable []*Table) []step {
 	cur := src
-	pick := func(ok func(Type) bool) string {
+	pick := func(ok func(Column) bool) string {
 		var names []string
 		for _, c := range cur.Schema {
-			if ok(c.Type) {
+			if ok(c) {
 				names = append(names, c.Name)
 			}
 		}
@@ -692,22 +745,35 @@ func randomPipeline(r *rng.Stream, src *Table, dims []*Table) []step {
 		}
 		return names[r.Intn(len(names))]
 	}
-	anyType := func(Type) bool { return true }
-	numeric := func(t Type) bool { return t == TypeInt || t == TypeFloat }
+	anyCol := func(Column) bool { return true }
+	numeric := func(c Column) bool { return c.Type == TypeInt || c.Type == TypeFloat }
+	// Zone maps judge the stored columns, by their stored names.
+	prunable := func(c Column) bool { return c.Name == "id" || c.Name == "x" }
 	var steps []step
 	joins, extends := 0, 0
-	// Half the pipelines open with a filter/join/filter/join prefix, the
-	// shape the planner lowers into a region.
+	// A third of the pipelines open with joins and filters between them,
+	// the shape the planner lowers into a region, and a third with a run
+	// of filters zone maps can judge and then a group-by, the shape a
+	// storage scan streams. A scripted step that cannot be drawn is
+	// dropped.
 	var script []int
-	if r.Intn(2) == 0 {
-		script = []int{3, 8, 3, 8}
+	switch r.Intn(3) {
+	case 0:
+		for i := 1 + r.Intn(len(joinable)); i > 0; i-- {
+			script = append(script, 3, 8)
+		}
+	case 1:
+		for i := r.Intn(4); i > 0; i-- {
+			script = append(script, 13)
+		}
+		script = append(script, 9)
 	}
-	for n := 2 + r.Intn(6); len(steps) < n; {
-		col := pick(anyType)
+	for n := max(len(script), 2+r.Intn(6)); len(steps) < n; {
+		col := pick(anyCol)
 		var st step
-		op := r.Intn(13)
-		if len(steps) < len(script) {
-			op = script[len(steps)]
+		op := r.Intn(14)
+		if len(script) > 0 {
+			op, script = script[0], script[1:]
 		}
 		switch op {
 		case 0:
@@ -727,37 +793,50 @@ func randomPipeline(r *rng.Stream, src *Table, dims []*Table) []step {
 			}
 			st = stWhere(col)
 		case 6:
-			if col = pick(numeric); col == "" || extends == 2 {
+			// Extend validates the schema it extends, which a self-join
+			// leaves with repeated names.
+			if col = pick(numeric); col == "" || extends == 2 || cur.Schema.Validate() != nil {
 				continue
 			}
 			extends++
 			st = stExtend(fmt.Sprintf("e%d", extends), col)
 		case 7:
-			keep := []string{col}
+			keep, seen := []string{col}, map[string]bool{strings.ToLower(col): true}
 			for _, c := range cur.Schema {
-				if c.Name != col && r.Intn(2) == 0 {
-					keep = append(keep, c.Name)
+				if k := strings.ToLower(c.Name); !seen[k] && r.Intn(2) == 0 {
+					keep, seen[k] = append(keep, c.Name), true
 				}
 			}
 			st = stSelect(keep...)
 		case 8:
-			if joins == len(dims) {
+			if joins == len(joinable) {
 				continue
 			}
-			d := dims[joins]
-			joins++
+			d := joinable[joins]
 			st = stJoin(d, col, d.Schema[r.Intn(len(d.Schema))].Name)
+			if st.ref(cur).Len() > maxJoinRows {
+				continue
+			}
+			joins++
 		case 9:
-			aggCol := pick(anyType)
-			st = stGroupBy([]string{col},
+			keys := []string{col}
+			if k := pick(anyCol); r.Intn(2) == 0 && !strings.EqualFold(k, col) {
+				keys = append(keys, k)
+			}
+			st = stGroupBy(keys,
 				Aggregate{Fn: AggCount, As: fmt.Sprintf("n%d", len(steps))},
-				Aggregate{Fn: AggFunc(1 + r.Intn(4)), Col: aggCol, As: fmt.Sprintf("a%d", len(steps))})
+				Aggregate{Fn: AggFunc(1 + r.Intn(4)), Col: pick(anyCol), As: fmt.Sprintf("a%d", len(steps))})
 		case 10:
 			st = stDistinct()
 		case 11:
 			st = stOrderBy(col, r.Intn(2) == 0)
 		case 12:
 			st = stLimit(r.Intn(40))
+		case 13:
+			if col = pick(prunable); col == "" {
+				continue
+			}
+			st = randomExprStep(r, cur, col)
 		}
 		cur = st.ref(cur)
 		steps = append(steps, st)
@@ -766,14 +845,28 @@ func randomPipeline(r *rng.Stream, src *Table, dims []*Table) []step {
 }
 
 // TestGoldenQueryPipeline drives generated pipelines — filters between
-// joins for the planner to push down, opaque callbacks, group-bys and
-// sorts in any order — through checkPipeline.
+// joins for the planner to push down, up to three joined tables and a
+// self-join, opaque callbacks, leading filters for zone maps to prune
+// by, one- and two-key group-bys and sorts in any order, over sources of
+// up to 200 rows — through checkPipeline, and requires that the storage
+// points did their work: the colstore source pruned, the 1-byte budget
+// spilled, and a partitioned scan streamed into a join and into a
+// group-by.
 func TestGoldenQueryPipeline(t *testing.T) {
+	before := latticeWork
 	r := rng.New(47)
-	for trial := 0; trial < 40; trial++ {
+	for trial := 0; trial < 60; trial++ {
 		tr := r.Split()
-		people := randomTable(tr, "people", 20+tr.Intn(40))
-		dims := []*Table{randomTable(tr, "ref", tr.Intn(20)), randomTable(tr, "dim", tr.Intn(12))}
-		checkPipeline(t, people, randomPipeline(tr, people, dims)...)
+		people := randomTable(tr, "people", 20+tr.Intn(180))
+		joinable := []*Table{randomTable(tr, "ref", tr.Intn(20)), randomTable(tr, "dim", tr.Intn(12)),
+			randomTable(tr, "aux", 1+tr.Intn(6)), people}
+		tr.Shuffle(len(joinable), func(i, j int) { joinable[i], joinable[j] = joinable[j], joinable[i] })
+		checkPipeline(t, tr, people, randomPipeline(tr, people, joinable)...)
+	}
+	w := latticeWork
+	if w.pruned == before.pruned || w.spilled == before.spilled ||
+		w.streamedJoins == before.streamedJoins || w.streamedGroups == before.streamedGroups {
+		t.Fatalf("a storage point did no work: %d blocks pruned, %d spilling runs, %d streamed joins, %d streamed group-bys",
+			w.pruned-before.pruned, w.spilled-before.spilled, w.streamedJoins-before.streamedJoins, w.streamedGroups-before.streamedGroups)
 	}
 }

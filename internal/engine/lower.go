@@ -313,11 +313,11 @@ func neededBefore(tail []*qop, need map[string]bool) map[string]bool {
 // --- EXPLAIN ---
 
 // Explain returns the logical plan Run would execute, without running
-// it. With the planner enabled the join region appears in its
-// optimized form (filters pushed to their scans, joins in cost-chosen
-// order with build sides and cardinality estimates); with it disabled,
-// or for unplannable queries, the written shape is shown. Render with
-// Tree.Text or serialize with Tree.JSON.
+// it. A query over a table shows its join region in optimized form
+// (filters pushed to their scans, joins in cost-chosen order with build
+// sides and cardinality estimates); a storage-backed or unplannable
+// query shows the written shape. Render with Tree.Text or serialize
+// with Tree.JSON.
 func (q *Query) Explain() (*plan.Tree, error) {
 	if q.err != nil {
 		return nil, q.err
@@ -348,7 +348,7 @@ func (q *Query) Explain() (*plan.Tree, error) {
 	if reg := q.lowerRegion(); reg != nil {
 		spec, cat := q.regionSpec(reg)
 		var choice *plan.Choice
-		if !q.plannerOff && len(reg.joins) >= 2 {
+		if len(reg.joins) >= 2 {
 			choice = plan.Choose(cat, spec)
 		}
 		if choice == nil {

@@ -24,7 +24,7 @@ const (
 
 	// MetricPlanPlanned counts queries whose join region executed from
 	// an optimized plan; MetricPlanDirect counts executions that
-	// replayed as written (planner off, storage-backed, or no joins).
+	// replayed as written (storage-backed, or no region to plan).
 	MetricPlanPlanned = "engine.plan.planned"
 	MetricPlanDirect  = "engine.plan.direct"
 	// MetricPlanReordered counts planned executions whose join order

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"errors"
-	"fmt"
 	"strings"
 	"testing"
 
@@ -50,25 +49,24 @@ func requireRefused(t *testing.T, label string, fn func() error) {
 // requireShapesRefused pins the executable-table rule that replaced the
 // row fallback: a mixed table anywhere in a query — the source, the
 // right side of a join (which once fell back to rows with no counter at
-// all), a later scan of a planned region, a table scanned through the
-// Storage seam — refuses Run and Count loudly instead of running them
-// on a slow route, with the planner on and off.
+// all), a later scan of a planned region — refuses Run and Count loudly
+// instead of running them on a slow route, whether the source is a
+// table the planner plans or a storage that runs as written.
 func requireShapesRefused(t *testing.T) {
 	clean := MustNewTable("clean", Schema{{Name: "id", Type: TypeInt}})
 	clean.MustInsert(Int(1))
 	clean.MustInsert(Int(2))
 	positive := func(v float64) bool { return v > 0 }
-	shapes := map[string]*Query{
-		"source":      From(mixedTable()).WhereFloat("x", positive).Select("id").Distinct(),
-		"join right":  From(clean).Join(mixedTable(), "id", "id"),
-		"second join": From(clean).Join(clean, "id", "id").Join(mixedTable(), "clean.id", "id"),
-		"after group": From(clean).GroupBy([]string{"id"}, Aggregate{Fn: AggCount, As: "n"}).Join(mixedTable(), "id", "id"),
-		"storage":     FromStorage(mixedTable()).WhereFloat("x", positive),
-	}
-	for name, q := range shapes {
-		for _, plannerOn := range []bool{true, false} {
-			q := q.WithPlanner(plannerOn)
-			label := fmt.Sprintf("%s planner=%v", name, plannerOn)
+	fromStorage := func(t *Table) *Query { return FromStorage(t) }
+	for src, from := range map[string]func(*Table) *Query{"From": From, "FromStorage": fromStorage} {
+		shapes := map[string]*Query{
+			"source":      from(mixedTable()).WhereFloat("x", positive).Select("id").Distinct(),
+			"join right":  from(clean).Join(mixedTable(), "id", "id"),
+			"second join": from(clean).Join(clean, "id", "id").Join(mixedTable(), "clean.id", "id"),
+			"after group": from(clean).GroupBy([]string{"id"}, Aggregate{Fn: AggCount, As: "n"}).Join(mixedTable(), "id", "id"),
+		}
+		for name, q := range shapes {
+			label := name + " " + src
 			requireRefused(t, label+" Run", func() error { _, err := q.Run(); return err })
 			requireRefused(t, label+" Count", func() error { _, err := q.Count(); return err })
 		}

@@ -3,7 +3,6 @@ package plan
 import (
 	"encoding/json"
 	"fmt"
-	"hash/fnv"
 	"strconv"
 	"strings"
 )
@@ -181,27 +180,6 @@ func formatEst(v float64) string {
 // JSON renders the plan as its canonical JSON form.
 func (t *Tree) JSON() ([]byte, error) { return json.Marshal(t.Root) }
 
-// FromJSON parses a plan previously rendered by JSON.
-func FromJSON(data []byte) (*Tree, error) {
-	var n Node
-	if err := json.Unmarshal(data, &n); err != nil {
-		return nil, err
-	}
-	return &Tree{Root: &n}, nil
-}
-
-// Fingerprint returns a short stable hash of the plan's JSON form,
-// usable as a cache key.
-func (t *Tree) Fingerprint() string {
-	data, err := t.JSON()
-	if err != nil {
-		return "plan-unencodable"
-	}
-	h := fnv.New64a()
-	h.Write(data)
-	return strconv.FormatUint(h.Sum64(), 16)
-}
-
 // --- JSON encoding ---
 //
 // Expr is an interface, so Node and Expr marshal through kind-tagged
@@ -242,31 +220,6 @@ func litToJSON(l Lit) *jsonLit {
 	return &jsonLit{Kind: l.Kind.String(), V: v}
 }
 
-func litFromJSON(j *jsonLit) (Lit, error) {
-	if j == nil {
-		return Lit{}, fmt.Errorf("plan: missing literal")
-	}
-	switch j.Kind {
-	case "int":
-		i, err := strconv.ParseInt(j.V, 10, 64)
-		if err != nil {
-			return Lit{}, fmt.Errorf("plan: bad int literal %q", j.V)
-		}
-		return IntLit(i), nil
-	case "float":
-		f, err := strconv.ParseFloat(j.V, 64)
-		if err != nil {
-			return Lit{}, fmt.Errorf("plan: bad float literal %q", j.V)
-		}
-		return FloatLit(f), nil
-	case "string":
-		return StringLit(j.V), nil
-	case "bool":
-		return BoolLit(j.V == "true"), nil
-	}
-	return Lit{}, fmt.Errorf("plan: unknown literal kind %q", j.Kind)
-}
-
 func exprToJSON(e Expr) *jsonExpr {
 	switch t := e.(type) {
 	case Cmp:
@@ -283,49 +236,6 @@ func exprToJSON(e Expr) *jsonExpr {
 		return &jsonExpr{Kind: "colpred", Col: t.Col, Fn: t.Fn, Ref: t.Ref}
 	}
 	return nil
-}
-
-func exprFromJSON(j *jsonExpr) (Expr, error) {
-	if j == nil {
-		return nil, nil
-	}
-	switch j.Kind {
-	case "cmp":
-		v, err := litFromJSON(j.Val)
-		if err != nil {
-			return nil, err
-		}
-		return Cmp{Op: j.Op, Col: j.Col, Val: v}, nil
-	case "between":
-		lo, err := litFromJSON(j.Lo)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := litFromJSON(j.Hi)
-		if err != nil {
-			return nil, err
-		}
-		return Between{Col: j.Col, Lo: lo, Hi: hi}, nil
-	case "and", "or", "not":
-		l, err := exprFromJSON(j.L)
-		if err != nil {
-			return nil, err
-		}
-		if j.Kind == "not" {
-			return Not{E: l}, nil
-		}
-		r, err := exprFromJSON(j.R)
-		if err != nil {
-			return nil, err
-		}
-		if j.Kind == "and" {
-			return And{L: l, R: r}, nil
-		}
-		return Or{L: l, R: r}, nil
-	case "colpred":
-		return ColPred{Col: j.Col, Fn: j.Fn, Ref: j.Ref}, nil
-	}
-	return nil, fmt.Errorf("plan: unknown expr kind %q", j.Kind)
 }
 
 type jsonNode struct {
@@ -366,49 +276,5 @@ func nodeToJSON(n *Node) *jsonNode {
 	}
 }
 
-func nodeFromJSON(j *jsonNode) (*Node, error) {
-	if j == nil {
-		return nil, nil
-	}
-	pred, err := exprFromJSON(j.Pred)
-	if err != nil {
-		return nil, err
-	}
-	input, err := nodeFromJSON(j.Input)
-	if err != nil {
-		return nil, err
-	}
-	left, err := nodeFromJSON(j.Left)
-	if err != nil {
-		return nil, err
-	}
-	right, err := nodeFromJSON(j.Right)
-	if err != nil {
-		return nil, err
-	}
-	return &Node{
-		Kind: j.Kind, Table: j.Table, Alias: j.Alias, Cols: j.Cols, Rows: j.Rows,
-		Partitions: j.Partitions, BlocksPruned: j.BlocksPruned,
-		Pred: pred, LeftCol: j.LeftCol, RightCol: j.RightCol,
-		BuildLeft: j.BuildLeft, EstRows: j.EstRows, Keys: j.Keys, Aggs: j.Aggs,
-		Col: j.Col, Desc: j.Desc, N: j.N, Op: j.Op,
-		Input: input, Left: left, Right: right,
-	}, nil
-}
-
 // MarshalJSON implements json.Marshaler.
 func (n *Node) MarshalJSON() ([]byte, error) { return json.Marshal(nodeToJSON(n)) }
-
-// UnmarshalJSON implements json.Unmarshaler.
-func (n *Node) UnmarshalJSON(data []byte) error {
-	var j jsonNode
-	if err := json.Unmarshal(data, &j); err != nil {
-		return err
-	}
-	dn, err := nodeFromJSON(&j)
-	if err != nil {
-		return err
-	}
-	*n = *dn
-	return nil
-}

@@ -1,11 +1,11 @@
 package engine
 
 // Planned execution of a lowered join region. The contract is strict:
-// planner-on output is byte-identical to planner-off output — same
-// rows, same order, same Value payloads — for every query, so the
-// planner can never change results, only speed.
+// planned output is byte-identical to the written order — same rows,
+// same order, same Value payloads — for every query, so the planner
+// can never change results, only speed.
 //
-// How that is achieved: the written (planner-off) path's output order
+// How that is achieved: the written path's output order
 // is fully determined by its hash-build choices. Joins emit in probe
 // order with build-insertion order within a key, so if the written
 // path builds left at join p the new scan's rows become the slowest-
@@ -43,19 +43,20 @@ const satCap = int64(1) << 62
 // planRegion plans and executes q's join region over ch's decoded
 // source, leaving the region's output in ch. It returns the number of
 // leading ops consumed; 0 means the query has no plannable region and
-// the caller must replay everything through the direct chain. The only
-// error is a scan that breaks the executable-table rule.
+// the caller must replay everything through the direct chain. An error
+// is a scan that breaks the executable-table rule or a filter or join
+// column that does not resolve, which the written order refuses too.
 func (q *Query) planRegion(ch *chain) (int, error) {
 	reg := q.lowerRegion()
 	if reg == nil {
 		return 0, nil
 	}
 	acc, _, err := q.joinRegion(ch, reg, -1)
-	if acc == nil || err != nil {
+	if err != nil {
 		return 0, err
 	}
 	if acc, err = q.postFilters(reg.post, acc); err != nil {
-		return 0, nil
+		return 0, err
 	}
 	ch.b = acc
 	return reg.end, nil
@@ -63,8 +64,8 @@ func (q *Query) planRegion(ch *chain) (int, error) {
 
 // joinRegion executes reg's scans, pushed filters and joins over ch's
 // decoded source and returns the finished join: the region's columns in
-// written order, its rows in written order, reg.post not yet applied. A
-// nil block means the region cannot be executed from a plan. ridScan,
+// written order, its rows in written order, reg.post not yet applied.
+// ridScan,
 // when not negative, names a scan whose hidden row ids are returned
 // too: rid[p] is the row of that scan behind physical row p of the
 // block, which is what lets a caller replace that scan's columns
@@ -102,7 +103,7 @@ func (q *Query) joinRegion(ch *chain, reg *region, ridScan int) (*ColumnBlock, [
 		b := blocks[f.scan]
 		pred, err := compileExprBlock(f.pred, b, q)
 		if err != nil {
-			return nil, nil, nil
+			return nil, nil, err
 		}
 		n := b.Len()
 		rowsScanned.Add(int64(n))
@@ -126,11 +127,11 @@ func (q *Query) joinRegion(ch *chain, reg *region, ridScan int) (*ColumnBlock, [
 	for p, jn := range reg.joins {
 		a, err := blocks[jn.leftScan].ColIndex(jn.leftCol)
 		if err != nil {
-			return nil, nil, nil
+			return nil, nil, err
 		}
 		bcol, err := blocks[p+1].ColIndex(jn.rightCol)
 		if err != nil {
-			return nil, nil, nil
+			return nil, nil, err
 		}
 		lj[p], rj[p] = a, bcol
 	}

@@ -27,14 +27,14 @@ import (
 //	ids := base.Select("pid")     // does not affect base
 //	n, _ := base.Count()          // still the un-projected prefix
 //
-// Execution: when the planner is enabled (the default), Run lowers the
-// query's scan/filter/join prefix into a logical plan
-// (internal/engine/plan), pushes filters below joins, picks a join
-// order and build sides by estimated cardinality, and executes the
-// optimized plan over the columnar operators; the rest of the query
-// replays as written. The planner never changes results: planner-on
-// output is byte-identical to planner-off output, which golden_test.go
-// in turn checks against a reference interpreter. Explain returns the
+// Execution: over a table, Run lowers the query's scan/filter/join
+// prefix into a logical plan (internal/engine/plan), pushes filters
+// below joins, picks a join order and build sides by estimated
+// cardinality, and executes the optimized plan over the columnar
+// operators; the rest of the query, and all of a FromStorage query,
+// replays as written. The planner never changes results: its output is
+// byte-identical to the written order, and golden_test.go checks both
+// routes against a reference interpreter. Explain returns the
 // optimized plan without executing it. Each Run builds private
 // execution state, so queries and their branches may run concurrently.
 //
@@ -45,9 +45,6 @@ type Query struct {
 	src *Table
 	ops []*qop
 	err error
-	// plannerOff, set by WithPlanner(false), is inverted so the zero
-	// Query plans.
-	plannerOff bool
 
 	// store, when set by FromStorage, replaces src as the scan source:
 	// execution streams the storage's partitions — the columns the
@@ -126,17 +123,6 @@ type qop struct {
 	extFn   func(Row) Value
 }
 
-// --- planner ---
-
-// WithPlanner turns the cost-based planner on (the default) or off for
-// this query. Off executes the operations in written order; the
-// planner affects plan choice only, never results.
-func (q *Query) WithPlanner(on bool) *Query {
-	nq := *q
-	nq.plannerOff = !on
-	return &nq
-}
-
 // --- building ---
 
 // From starts a query over t.
@@ -148,8 +134,8 @@ func From(t *Table) *Query {
 // the storage's partitions — asking only for the columns the query can
 // observe and letting it prune against the query's leading filters —
 // and runs the same operators as From, so results are byte-identical to
-// a query over the equivalent in-memory table (the storage-equivalence
-// suite in internal/colstore enforces this).
+// a query over the equivalent in-memory table (the golden suite runs
+// every pipeline over both).
 // Storage queries execute directly: the join-region planner only
 // reorders multi-table joins, whose right sides are in-memory tables
 // either way.
@@ -458,10 +444,10 @@ func (q *Query) Extend(name string, typ Type, f func(Row) Value) *Query {
 
 // exec runs the recorded operations and returns the final execution
 // state. The source is decoded into the one ColumnBlock the executor
-// works on; the planner, when enabled, executes the leading
+// works on; over a table, the planner executes the leading
 // scan/filter/join region from its optimized plan; everything else
-// (and everything, when the planner is off or the region cannot be
-// planned) replays through the chain as written. wholeRows says the
+// (and everything, over a storage or when there is no region to plan)
+// replays through the chain as written. wholeRows says the
 // caller will read the final state's rows, not merely count them, which
 // decides whether a storage scan has to fetch columns no operation
 // names.
@@ -473,7 +459,7 @@ func (q *Query) exec(wholeRows bool) (*chain, error) {
 	}
 	colQueries.Add(1)
 	planned := false
-	if q.store == nil && !q.plannerOff {
+	if q.store == nil {
 		if start, err = q.planRegion(ch); err != nil {
 			return nil, err
 		}
@@ -814,10 +800,10 @@ func (q *Query) ScalarFloat() (float64, error) {
 	return v.AsFloat(), nil
 }
 
-// --- the chain: direct (planner-off) execution ---
+// --- the chain: direct (written-order) execution ---
 
 // chain is the executor: one operation at a time over one ColumnBlock.
-// The planner-off path runs entirely here, and the planned path hands
+// A storage-backed query runs entirely here, and the planned path hands
 // its region output to a chain for the remaining operations, so every
 // query ends in this executor.
 type chain struct {

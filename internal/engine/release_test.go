@@ -8,25 +8,64 @@ import (
 	"modeldata/internal/engine/plan"
 )
 
-// releaseCounter is a Storage that counts, scan by scan, the
-// partitions it hands out and the ones handed back, and scribbles over
-// every released partition the way a reusing scan would decode the
-// next one into it: an operator that still read a released partition
-// would answer wrongly.
-type releaseCounter struct {
+// chunked is a Storage over another one that cuts every partition of
+// it into dense partitions of n rows (n = 0 hands them on as they
+// are) and records, scan by scan, the partitions it hands out and the
+// ones handed back. It scribbles over every released partition the way
+// a reusing scan decodes the next one into it: an operator that still
+// read a released partition would answer wrongly.
+type chunked struct {
 	Storage
+	n     int
 	scans []*countingIter
 }
 
-func (r *releaseCounter) ScanPartitions(ctx context.Context, cols []string, pred plan.Expr) (PartitionIter, error) {
-	it, err := r.Storage.ScanPartitions(ctx, cols, pred)
+func (c *chunked) ScanPartitions(ctx context.Context, cols []string, pred plan.Expr) (PartitionIter, error) {
+	it, err := c.Storage.ScanPartitions(ctx, cols, pred)
 	if err != nil {
 		return nil, err
 	}
-	c := &countingIter{PartitionIter: it}
-	r.scans = append(r.scans, c)
-	return c, nil
+	if c.n > 0 {
+		ch := &chunkIter{PartitionIter: it}
+		for {
+			b, err := it.Next()
+			if err != nil {
+				return nil, err
+			}
+			if b == nil {
+				break
+			}
+			for lo := 0; lo < b.Len(); lo += c.n {
+				sel := make([]int32, 0, c.n)
+				for i := lo; i < lo+c.n && i < b.Len(); i++ {
+					sel = append(sel, int32(i))
+				}
+				ch.parts = append(ch.parts, b.withSel(sel).Dense())
+			}
+		}
+		it = ch
+	}
+	ci := &countingIter{PartitionIter: it}
+	c.scans = append(c.scans, ci)
+	return ci, nil
 }
+
+// chunkIter hands out the partitions chunked cut, which are its own.
+type chunkIter struct {
+	PartitionIter
+	parts []*ColumnBlock
+}
+
+func (it *chunkIter) Next() (*ColumnBlock, error) {
+	if len(it.parts) == 0 {
+		return nil, nil
+	}
+	b := it.parts[0]
+	it.parts = it.parts[1:]
+	return b, nil
+}
+
+func (it *chunkIter) Release(*ColumnBlock) {}
 
 type countingIter struct {
 	PartitionIter
@@ -115,7 +154,7 @@ func TestScanConsumersReleaseWhatTheyDrop(t *testing.T) {
 		{"in-memory group-by", func(q *Query) *Query { return q.GroupBy([]string{"k"}, aggs...) }, false, 0},
 	}
 	for _, tc := range cases {
-		st := &releaseCounter{Storage: &chunked{Table: tbl, n: 100}}
+		st := &chunked{Storage: tbl, n: 100}
 		want, got := tc.build(From(tbl)), tc.build(FromStorage(st))
 		if tc.count {
 			n, err := got.Count()
@@ -141,7 +180,7 @@ func TestScanConsumersReleaseWhatTheyDrop(t *testing.T) {
 
 	// After a spill fails with rows on disk, the storage is scanned
 	// again, and the in-memory group-by of that rescan keeps all of it.
-	st := &releaseCounter{Storage: &chunked{Table: tbl, n: 100}}
+	st := &chunked{Storage: tbl, n: 100}
 	q := FromStorage(st).WhereExpr(some).GroupBy([]string{"k"}, aggs...)
 	failing := func(string) (spillFile, error) { return &memSpill{failAfter: 0}, nil }
 	ch := &chain{sc: NewScratch(), budget: 1, openSpill: failing}

@@ -204,9 +204,10 @@ func TestSQLJoinOperandOrder(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %s: %v", tc.name, tc.right, err)
 		}
-		if want.Len() == 0 || !tablesEqualForTest(want, got) {
-			t.Errorf("%s: the two spellings differ:\n%v\n%v", tc.name, want, got)
+		if want.Len() == 0 {
+			t.Errorf("%s: %s is empty", tc.name, tc.left)
 		}
+		requireSameTable(t, tc.name+": the two spellings", want, got)
 	}
 }
 
@@ -378,23 +379,4 @@ func TestSQLDistinct(t *testing.T) {
 	if res2.Len() != 5 {
 		t.Fatalf("non-distinct rows = %d", res2.Len())
 	}
-}
-
-// tablesEqualForTest compares two tables for identical schema, rows,
-// and Value payloads.
-func tablesEqualForTest(a, b *Table) bool {
-	if !a.Schema.Equal(b.Schema) || len(a.Rows) != len(b.Rows) {
-		return false
-	}
-	for i := range a.Rows {
-		if len(a.Rows[i]) != len(b.Rows[i]) {
-			return false
-		}
-		for j := range a.Rows[i] {
-			if a.Rows[i][j] != b.Rows[i][j] {
-				return false
-			}
-		}
-	}
-	return true
 }

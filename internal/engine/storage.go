@@ -7,7 +7,7 @@ package engine
 // zone-map pruning). Query.FromStorage and SQL FROM resolution consume
 // the interface, so every operator above the scan — filters, joins,
 // group-by, the spill paths — is shared between backends, which is
-// what makes the byte-identical storage-equivalence suite possible
+// what lets the golden suite pin every backend byte-identical
 // (and is the swappable-backend split the Extensible Database
 // Simulator paper argues for).
 

@@ -3,6 +3,8 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -204,6 +206,39 @@ func (t *Table) Clone() *Table {
 		rows[i] = r.Clone()
 	}
 	return &Table{Name: t.Name, Schema: t.Schema.Clone(), Rows: rows}
+}
+
+// DiffTables is the engine's one definition of "the same answer": it
+// returns nil when got has want's name, schema (names compared
+// exactly), rows and every value down to its bits, and otherwise an
+// error naming the first difference. Floats compare by bit pattern, so
+// -0 and +0 differ, except that every NaN is one class: a NaN the
+// operators copy (a key, a MIN) keeps its payload, but one arithmetic
+// produces (a SUM) has no payload guarantee, and the engine keys every
+// NaN alike. nil and empty Rows are the same relation.
+func DiffTables(want, got *Table) error {
+	if got.Name != want.Name {
+		return fmt.Errorf("name %q, want %q", got.Name, want.Name)
+	}
+	if !slices.Equal(got.Schema, want.Schema) {
+		return fmt.Errorf("schema %v, want %v", got.Schema, want.Schema)
+	}
+	if len(got.Rows) != len(want.Rows) {
+		return fmt.Errorf("%d rows, want %d", len(got.Rows), len(want.Rows))
+	}
+	for i, w := range want.Rows {
+		g := got.Rows[i]
+		if len(g) != len(w) {
+			return fmt.Errorf("row %d: arity %d, want %d", i, len(g), len(w))
+		}
+		for j := range w {
+			a, b := w[j], g[j]
+			if a != b && !(a.typ == TypeFloat && b.typ == TypeFloat && math.IsNaN(a.f()) && math.IsNaN(b.f())) {
+				return fmt.Errorf("row %d col %d: %v (key %q), want %v (key %q)", i, j, b, b.Key(), a, a.Key())
+			}
+		}
+	}
+	return nil
 }
 
 // String renders the table as an aligned text grid (truncated for large

@@ -176,6 +176,45 @@ var retiredTable = []retired{
 		},
 		paths: []string{"internal/lint/lockguard", "internal/lint/spanleak", "internal/lint/floateq", "internal/lint/cfg.go"},
 	},
+	{
+		name: "One oracle for the query engine", pr: 40,
+		why:   "the golden lattice compares the planned route with the storage route production runs as written; a switch that turned the planner off existed only for tests to compare against",
+		scope: []string{"internal/engine"},
+		tests: true,
+		lines: []offender{
+			{`WithPlanner`, `func (q *Query) WithPlanner(on bool) *Query {`},
+			{`plannerOff`, `	nq.plannerOff = !on`},
+		},
+	},
+	{
+		name: "One oracle for the query engine", pr: 40,
+		why:   "a plan is encoded for EXPLAIN JSON and the server, never decoded; the decoder and its hash had no caller but their own round-trip test",
+		scope: []string{"internal/engine/plan"},
+		lines: []offender{
+			{`FromJSON`, `func FromJSON(data []byte) (*Tree, error) {`},
+			{`Fingerprint`, `func (t *Tree) Fingerprint() string {`},
+		},
+	},
+	{
+		name: "One oracle for the query engine", pr: 40,
+		why:   "the engine's golden suite is its one randomized oracle, and it runs every pipeline over a colstore store; a second generator in colstore mirrored it",
+		scope: []string{"internal/colstore"},
+		tests: true,
+		lines: []offender{
+			{`func randomPipeline`, `func randomPipeline(r *rng.Stream, join *engine.Table) *pipeline {`},
+			{`func randomTable`, `func randomTable(r *rng.Stream, name string, n int) *engine.Table {`},
+		},
+	},
+	{
+		name: "One oracle for the query engine", pr: 40,
+		why:   "engine.DiffTables is the one definition of the same answer: bit identity with every NaN one class; private comparisons drifted (typed values, ==) from it",
+		scope: []string{"internal/engine", "internal/colstore"},
+		tests: true,
+		lines: []offender{
+			{`func sameValueBits`, `func sameValueBits(a, b engine.Value) bool {`},
+			{`func tablesEqualForTest`, `func tablesEqualForTest(a, b *Table) bool {`},
+		},
+	},
 }
 
 // violations lists what of r is present under root, one message per
@@ -273,6 +312,7 @@ func TestRetiredFindsWhatIsPutBack(t *testing.T) {
 		"internal/parallel/parallel.go":       "package parallel\n",
 		"internal/server/http.go":             "package server\n",
 		"internal/engine/query.go":            "package engine\n",
+		"internal/engine/plan/node.go":        "package plan\n",
 		"internal/colstore/format.go":         "package colstore\n",
 		"cmd/benchjson/main.go":               "package main\n",
 		"internal/lint/load.go":               "package lint\n",
