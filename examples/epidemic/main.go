@@ -42,7 +42,7 @@ func main() {
 
 	// Intervention: Algorithm 1 expressed in SQL, plus a running
 	// per-day query trace against the relational snapshot.
-	policy, firedDay := indemics.VaccinatePreschoolersSQL(0.01)
+	policy, firedDay := indemics.VaccinatePreschoolersPolicy(0.01)
 	managed := build()
 	err := managed.Run(120, func(day int, db *engine.Database, sim *indemics.Sim) error {
 		if day%20 == 0 {

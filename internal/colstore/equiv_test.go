@@ -95,8 +95,8 @@ func TestStorageEquivalenceRandomPipelines(t *testing.T) {
 		{"all pruned", func(q *engine.Query) *engine.Query {
 			return q.WhereExpr(plan.Cmp{Op: ">", Col: "id", Val: plan.IntLit(1 << 62)})
 		}},
-		{"opaque x <= 0", func(q *engine.Query) *engine.Query {
-			return q.WhereFloat("x", func(v float64) bool { return v <= 0 })
+		{"x <= 0", func(q *engine.Query) *engine.Query {
+			return q.WhereExpr(plan.Cmp{Op: "<=", Col: "x", Val: plan.FloatLit(0)})
 		}},
 	}
 	dim := dimTable(3, 2)
@@ -264,18 +264,30 @@ func TestStorageEquivalenceConcurrent(t *testing.T) {
 
 // releaseCount is a Storage that counts the partitions its scans hand
 // out and the ones handed back; a partition a group-by buffered is
-// never handed back.
+// never handed back. With noHint set it plans and scans without the
+// pruning hint, as a store whose zone maps cannot judge the filter.
 type releaseCount struct {
 	*colstore.Store
+	noHint          bool
 	parts, released int
 }
 
 func (r *releaseCount) ScanPartitions(ctx context.Context, cols []string, pred plan.Expr) (engine.PartitionIter, error) {
+	if r.noHint {
+		pred = nil
+	}
 	it, err := r.Store.ScanPartitions(ctx, cols, pred)
 	if err != nil {
 		return nil, err
 	}
 	return &countIter{PartitionIter: it, r: r}, nil
+}
+
+func (r *releaseCount) PlanScan(cols []string, pred plan.Expr) (partitions, blocksPruned, rows int64) {
+	if r.noHint {
+		pred = nil
+	}
+	return r.Store.PlanScan(cols, pred)
 }
 
 type countIter struct {
@@ -302,14 +314,16 @@ func (c *countIter) Release(b *engine.ColumnBlock) {
 // leading filter and Select, over a scan whose every segment is pruned,
 // and with a budget crossed at the first partition or only at a later
 // one, each result equals the unbudgeted query over the table byte for
-// byte. The later crossing comes after a filter no zone map can judge
-// empties the first segments, so partitions holding rows are buffered
-// and then handed to the partitioner.
+// byte. The later crossing comes after a filter empties the first
+// segments of a store that plans and scans without the pruning hint, so
+// no zone map judges the filter and partitions holding rows are
+// buffered and then handed to the partitioner.
 func TestStorageEquivalenceSpilledGroupBy(t *testing.T) {
 	tbl := cornerTable("ev", 300)
 	st := &releaseCount{Store: writeAndOpen(t, tbl, colstore.Options{SegmentRows: 16})}
-	// late is tbl with the rows keep drops moved to the front.
-	keep := func(v float64) bool { return v >= -1 }
+	// late is tbl with the rows keep drops moved to the front; keep is
+	// x >= -1 read as !(x < -1), which keeps NaN.
+	keep := func(v float64) bool { return !(v < -1) }
 	late := &engine.Table{Name: tbl.Name, Schema: tbl.Schema}
 	for _, kept := range []bool{false, true} {
 		for _, row := range tbl.Rows {
@@ -322,7 +336,7 @@ func TestStorageEquivalenceSpilledGroupBy(t *testing.T) {
 	for dropped < len(late.Rows) && !keep(late.Rows[dropped][1].AsFloat()) {
 		dropped++
 	}
-	lateSt := &releaseCount{Store: writeAndOpen(t, late, colstore.Options{SegmentRows: 16})}
+	lateSt := &releaseCount{Store: writeAndOpen(t, late, colstore.Options{SegmentRows: 16}), noHint: true}
 	aggs := []engine.Aggregate{
 		{Fn: engine.AggCount, As: "n"},
 		{Fn: engine.AggSum, Col: "x", As: "sx"},
@@ -348,7 +362,9 @@ func TestStorageEquivalenceSpilledGroupBy(t *testing.T) {
 		{"all pruned", tbl, st, func(q *engine.Query) *engine.Query {
 			return q.WhereExpr(plan.Cmp{Op: ">", Col: "id", Val: plan.IntLit(1 << 62)})
 		}},
-		{"late rows", late, lateSt, func(q *engine.Query) *engine.Query { return q.WhereFloat("x", keep) }},
+		{"late rows", late, lateSt, func(q *engine.Query) *engine.Query {
+			return q.WhereExpr(plan.Cmp{Op: ">=", Col: "x", Val: plan.FloatLit(-1)})
+		}},
 	}
 	// Every row's hash estimate is at least hashEntryBytes (48): 100 rows'
 	// worth is more than a 16-row segment holds and less than the table.

@@ -76,12 +76,6 @@ func TestScanAsksForReferencedColumnsOnly(t *testing.T) {
 		{"join", func(q *engine.Query) *engine.Query { return q.WhereExpr(mid).Join(dim, "id", "jid") }, false, all},
 		{"join then Count", func(q *engine.Query) *engine.Query { return q.Join(dim, "id", "jid") }, true, all},
 		{"Select then join", func(q *engine.Query) *engine.Query { return q.Select("id", "flag").Join(dim, "id", "jid") }, false, []string{"id", "flag"}},
-		{"opaque Where", func(q *engine.Query) *engine.Query {
-			return q.Where(func(r engine.Row) bool { return r[0].AsInt()%2 == 0 }).Select("id")
-		}, false, all},
-		{"Extend", func(q *engine.Query) *engine.Query {
-			return q.Extend("twice", engine.TypeInt, func(r engine.Row) engine.Value { return engine.Int(2 * r[0].AsInt()) }).Select("twice")
-		}, false, all},
 		{"Distinct", func(q *engine.Query) *engine.Query { return q.Distinct() }, true, all},
 	}
 	for _, tc := range cases {

@@ -112,7 +112,7 @@ func TestScanReusesReleasedVectors(t *testing.T) {
 	it, other := scan(), scan()
 	b := next(it)
 	theirs := next(other)
-	sel, err := b.WhereFloat("x", func(x float64) bool { return x > 10 })
+	sel, err := b.WhereEq("tag", engine.Str("b"))
 	if err != nil {
 		t.Fatal(err)
 	}

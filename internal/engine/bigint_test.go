@@ -3,6 +3,8 @@ package engine
 import (
 	"math"
 	"testing"
+
+	"modeldata/internal/engine/plan"
 )
 
 // Int64 exactness regression tests. float64 has 53 mantissa bits, so
@@ -178,7 +180,7 @@ func TestQueryBranching(t *testing.T) {
 	tbl.MustInsert(Int(3), Int(4))
 	tbl.MustInsert(Int(4), Int(61))
 
-	base := From(tbl).WhereFloat("age", func(a float64) bool { return a >= 18 })
+	base := From(tbl).WhereExpr(plan.Cmp{Op: ">=", Col: "age", Val: plan.IntLit(18)})
 
 	// Branch 1: project to pid.
 	ids, err := base.Select("pid").Run()
@@ -204,7 +206,7 @@ func TestQueryBranching(t *testing.T) {
 		t.Fatalf("prefix schema narrowed to %d cols by a branch", len(full.Schema))
 	}
 	// Branch 3: a second filter stacks on the same prefix independently.
-	old, err := base.WhereFloat("age", func(a float64) bool { return a > 40 }).Count()
+	old, err := base.WhereExpr(plan.Cmp{Op: ">", Col: "age", Val: plan.IntLit(40)}).Count()
 	if err != nil {
 		t.Fatal(err)
 	}

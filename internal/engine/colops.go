@@ -87,55 +87,6 @@ func (b *ColumnBlock) WhereEq(col string, v Value) (*ColumnBlock, error) {
 	return b.withSel(sel), nil
 }
 
-// WhereFloat keeps rows for which pred holds on the numeric column
-// widened to float64; rows of non-numeric columns never qualify.
-func (b *ColumnBlock) WhereFloat(col string, pred func(float64) bool) (*ColumnBlock, error) {
-	j, err := b.ColIndex(col)
-	if err != nil {
-		return nil, err
-	}
-	n := b.Len()
-	rowsScanned.Add(int64(n))
-	var sel []int32
-	switch b.Schema[j].Type {
-	case TypeFloat:
-		fs := b.cols[j].floats
-		for i := 0; i < n; i++ {
-			if p := b.phys(i); pred(fs[p]) {
-				sel = append(sel, int32(p))
-			}
-		}
-	case TypeInt:
-		ints := b.cols[j].ints
-		for i := 0; i < n; i++ {
-			if p := b.phys(i); pred(float64(ints[p])) {
-				sel = append(sel, int32(p))
-			}
-		}
-	}
-	return b.withSel(sel), nil
-}
-
-// WhereString keeps rows for which pred holds on the string column.
-func (b *ColumnBlock) WhereString(col string, pred func(string) bool) (*ColumnBlock, error) {
-	j, err := b.ColIndex(col)
-	if err != nil {
-		return nil, err
-	}
-	n := b.Len()
-	rowsScanned.Add(int64(n))
-	var sel []int32
-	if b.Schema[j].Type == TypeString {
-		strs := b.cols[j].strs
-		for i := 0; i < n; i++ {
-			if p := b.phys(i); pred(strs[p]) {
-				sel = append(sel, int32(p))
-			}
-		}
-	}
-	return b.withSel(sel), nil
-}
-
 // --- shape operators ---
 
 // Project returns a block with only the named columns, in order. The

@@ -84,9 +84,6 @@ func (b *ColumnBlock) valuePhys(p, j int) Value {
 	return Value{}
 }
 
-// value reconstructs the Value at logical row i, column j.
-func (b *ColumnBlock) value(i, j int) Value { return b.valuePhys(b.phys(i), j) }
-
 // decodeColumn extracts column j of rows into typed storage, strictly:
 // every value must carry exactly the schema type.
 func decodeColumn(rows []Row, j int, typ Type, colName string) (colvec, error) {

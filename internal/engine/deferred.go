@@ -215,13 +215,13 @@ func (d *Deferred) finish(b *ColumnBlock) (float64, error) {
 	tail := q.ops
 	if d.reg != nil {
 		var err error
-		if ch.b, err = q.postFilters(d.reg.post, b); err != nil {
+		if ch.b, err = postFilters(d.reg.post, b); err != nil {
 			return 0, err
 		}
 		tail = q.ops[d.reg.end:]
 	}
 	for _, op := range tail {
-		if err := ch.apply(op, q); err != nil {
+		if err := ch.apply(op); err != nil {
 			return 0, err
 		}
 	}

@@ -2,9 +2,10 @@ package engine
 
 import (
 	"errors"
-	"strings"
 	"testing"
 	"testing/quick"
+
+	"modeldata/internal/engine/plan"
 )
 
 func peopleTable(t *testing.T) *Table {
@@ -117,7 +118,7 @@ func TestInsertIntWidensToFloat(t *testing.T) {
 
 func TestSelectProject(t *testing.T) {
 	p := peopleTable(t)
-	kids := From(p).Where(func(r Row) bool { return r[2].AsInt() <= 4 }).MustRun()
+	kids := From(p).WhereExpr(plan.Cmp{Op: "<=", Col: "age", Val: plan.IntLit(4)}).MustRun()
 	if kids.Len() != 2 {
 		t.Fatalf("kids = %d rows", kids.Len())
 	}
@@ -293,50 +294,6 @@ func TestOrderByStable(t *testing.T) {
 	}
 }
 
-func TestExtend(t *testing.T) {
-	p := peopleTable(t)
-	ext := From(p).Extend("adult", TypeBool, func(r Row) Value {
-		return Bool(r[2].AsInt() >= 18)
-	})
-	adults, err := ext.Where(func(r Row) bool { return r[4].AsBool() }).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if adults.Len() != 3 {
-		t.Fatalf("adults = %d", adults.Len())
-	}
-	if _, err := From(p).Extend("age", TypeInt, func(Row) Value { return Int(0) }).Run(); !errors.Is(err, ErrDupeColumn) {
-		t.Fatalf("got %v, want ErrDupeColumn", err)
-	}
-}
-
-// TestExtendTypeCheck: the callback's results follow Insert's rule — an
-// Int widens into a TypeFloat column, anything else mismatched is
-// ErrTypeClash naming the column and row — so Extend can never build a
-// mixed column.
-func TestExtendTypeCheck(t *testing.T) {
-	p := peopleTable(t)
-	wide, err := From(p).
-		Extend("age2", TypeFloat, func(r Row) Value { return Int(r[2].AsInt() * 2) }).
-		OrderBy("age2", false).
-		Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v := wide.Rows[0][4]; v.Type() != TypeFloat || v.AsFloat() != 6 {
-		t.Fatalf("widened value = %v (%s), want FLOAT 6", v, v.Type())
-	}
-	_, err = From(p).Extend("n", TypeInt, func(r Row) Value {
-		if r[0].AsInt() == 3 {
-			return Str("three")
-		}
-		return Int(0)
-	}).Run()
-	if !errors.Is(err, ErrTypeClash) || !strings.Contains(err.Error(), `"n" row 2`) {
-		t.Fatalf("got %v, want ErrTypeClash naming column n, row 2", err)
-	}
-}
-
 func TestRename(t *testing.T) {
 	p := peopleTable(t)
 	r, err := From(p).Rename("pid", "id").Run()
@@ -355,7 +312,7 @@ func TestQueryBuilder(t *testing.T) {
 	p := peopleTable(t)
 	// "Preschoolers" per Algorithm 1: 0 <= age <= 4.
 	res, err := From(p).
-		WhereFloat("age", func(a float64) bool { return a >= 0 && a <= 4 }).
+		WhereExpr(plan.Between{Col: "age", Lo: plan.IntLit(0), Hi: plan.IntLit(4)}).
 		Select("pid").
 		Run()
 	if err != nil {

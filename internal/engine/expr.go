@@ -41,42 +41,35 @@ func valOfLit(l plan.Lit) Value {
 	}
 }
 
-// predFns recovers the opaque closures referenced by plan.ColPred
-// nodes; the Query implements it over its recorded ops.
-type predFns interface {
-	colPredFns(ref int) (ffn func(float64) bool, sfn func(string) bool)
-}
-
 // compileExprBlock compiles e into a logical-row predicate over the
 // block. The six comparison operators and BETWEEN are compositions of
 // compareAt's less and equal — BETWEEN is !v.Less(lo) && !hi.Less(v) —
 // so NaN, ±0 and int-against-float order the same whether compareAt
-// read a typed vector or built Values. Float predicates see only
-// numeric values, string predicates only strings.
-func compileExprBlock(e plan.Expr, b *ColumnBlock, fns predFns) (func(i int) bool, error) {
+// read a typed vector or built Values.
+func compileExprBlock(e plan.Expr, b *ColumnBlock) (func(i int) bool, error) {
 	switch t := e.(type) {
 	case plan.And:
-		l, err := compileExprBlock(t.L, b, fns)
+		l, err := compileExprBlock(t.L, b)
 		if err != nil {
 			return nil, err
 		}
-		r, err := compileExprBlock(t.R, b, fns)
+		r, err := compileExprBlock(t.R, b)
 		if err != nil {
 			return nil, err
 		}
 		return func(i int) bool { return l(i) && r(i) }, nil
 	case plan.Or:
-		l, err := compileExprBlock(t.L, b, fns)
+		l, err := compileExprBlock(t.L, b)
 		if err != nil {
 			return nil, err
 		}
-		r, err := compileExprBlock(t.R, b, fns)
+		r, err := compileExprBlock(t.R, b)
 		if err != nil {
 			return nil, err
 		}
 		return func(i int) bool { return l(i) || r(i) }, nil
 	case plan.Not:
-		inner, err := compileExprBlock(t.E, b, fns)
+		inner, err := compileExprBlock(t.E, b)
 		if err != nil {
 			return nil, err
 		}
@@ -110,31 +103,6 @@ func compileExprBlock(e plan.Expr, b *ColumnBlock, fns predFns) (func(i int) boo
 			return func(i int) bool { return !lt(b.phys(i)) }, nil
 		}
 		return nil, fmt.Errorf("engine: unknown comparison %q", t.Op)
-	case plan.ColPred:
-		idx, err := b.ColIndex(t.Col)
-		if err != nil {
-			return nil, err
-		}
-		ffn, sfn := fns.colPredFns(t.Ref)
-		switch t.Fn {
-		case "float":
-			if ffn == nil {
-				return nil, fmt.Errorf("engine: dangling float predicate ref %d", t.Ref)
-			}
-			return func(i int) bool {
-				v := b.value(i, idx)
-				return v.IsNumeric() && ffn(v.AsFloat())
-			}, nil
-		case "string":
-			if sfn == nil {
-				return nil, fmt.Errorf("engine: dangling string predicate ref %d", t.Ref)
-			}
-			return func(i int) bool {
-				v := b.value(i, idx)
-				return v.Type() == TypeString && sfn(v.AsString())
-			}, nil
-		}
-		return nil, fmt.Errorf("engine: unknown predicate domain %q", t.Fn)
 	}
 	return nil, fmt.Errorf("engine: unsupported expression %T", e)
 }

@@ -261,10 +261,9 @@ func (q *Query) retainedCols(reg *region) [][]retCol {
 // entering tail that tail and its consumer require, or nil meaning all
 // of them; need is what the consumer requires of tail's output, in the
 // same form. It walks the tail backward: projections and aggregations
-// narrow the set; whole-row operations (Where, Extend, Distinct, joins)
-// widen it to everything, since they observe the full schema. The
-// planner prunes region-exit columns with it, a storage scan its
-// stored ones.
+// narrow the set; whole-row operations (Distinct, joins) widen it to
+// everything, since they observe the full schema. The planner prunes
+// region-exit columns with it, a storage scan its stored ones.
 func neededBefore(tail []*qop, need map[string]bool) map[string]bool {
 	for i := len(tail) - 1; i >= 0; i-- {
 		op := tail[i]
@@ -303,7 +302,7 @@ func neededBefore(tail []*qop, need map[string]bool) map[string]bool {
 				}
 			}
 			need = s
-		default: // opWhereRow, opExtend, opDistinct, opJoin
+		default: // opDistinct, opJoin
 			need = nil
 		}
 	}
@@ -408,8 +407,6 @@ func (q *Query) regionSpec(reg *region) (*plan.RegionSpec, plan.Catalog) {
 // opNode renders one recorded operation as a plan node over input.
 func opNode(op *qop, input *plan.Node) *plan.Node {
 	switch op.kind {
-	case opWhereRow:
-		return &plan.Node{Kind: plan.KindOpaque, Op: "where(func)", Input: input}
 	case opFilter:
 		return &plan.Node{Kind: plan.KindFilter, Pred: op.expr, Input: input}
 	case opSelect:
@@ -437,8 +434,6 @@ func opNode(op *qop, input *plan.Node) *plan.Node {
 		return &plan.Node{Kind: plan.KindDistinct, Input: input}
 	case opLimit:
 		return &plan.Node{Kind: plan.KindLimit, N: op.n, Input: input}
-	case opExtend:
-		return &plan.Node{Kind: plan.KindOpaque, Op: "extend " + op.extName, Input: input}
 	}
 	return input
 }

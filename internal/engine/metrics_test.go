@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"modeldata/internal/engine/plan"
 	"modeldata/internal/obs"
 )
 
@@ -56,11 +57,11 @@ func requireShapesRefused(t *testing.T) {
 	clean := MustNewTable("clean", Schema{{Name: "id", Type: TypeInt}})
 	clean.MustInsert(Int(1))
 	clean.MustInsert(Int(2))
-	positive := func(v float64) bool { return v > 0 }
+	positive := plan.Cmp{Op: ">", Col: "x", Val: plan.FloatLit(0)}
 	fromStorage := func(t *Table) *Query { return FromStorage(t) }
 	for src, from := range map[string]func(*Table) *Query{"From": From, "FromStorage": fromStorage} {
 		shapes := map[string]*Query{
-			"source":      from(mixedTable()).WhereFloat("x", positive).Select("id").Distinct(),
+			"source":      from(mixedTable()).WhereExpr(positive).Select("id").Distinct(),
 			"join right":  from(clean).Join(mixedTable(), "id", "id"),
 			"second join": from(clean).Join(clean, "id", "id").Join(mixedTable(), "clean.id", "id"),
 			"after group": from(clean).GroupBy([]string{"id"}, Aggregate{Fn: AggCount, As: "n"}).Join(mixedTable(), "id", "id"),
@@ -108,7 +109,7 @@ func TestColPathCounterFires(t *testing.T) {
 	}
 	colBefore := obs.Default().Counter(MetricColQueries).Value()
 	fbBefore := obs.Default().Counter(MetricColFallback).Value()
-	if _, err := From(clean).WhereFloat("x", func(v float64) bool { return v > 2 }).Run(); err != nil {
+	if _, err := From(clean).WhereExpr(plan.Cmp{Op: ">", Col: "x", Val: plan.FloatLit(2)}).Run(); err != nil {
 		t.Fatal(err)
 	}
 	if got := obs.Default().Counter(MetricColQueries).Value(); got <= colBefore {

@@ -6,9 +6,6 @@ package engine
 
 import "fmt"
 
-// Predicate decides whether a row qualifies.
-type Predicate func(Row) bool
-
 // AggFunc identifies an aggregate function.
 type AggFunc uint8
 

@@ -5,9 +5,8 @@ package plan
 // estimates are clamped to [0,1]; the numbers only steer plan choice,
 // so being wrong costs performance, never correctness.
 
-// defaultSel is the selectivity assumed for predicates the model
-// cannot see through (opaque column predicates, range predicates on
-// columns without numeric stats).
+// defaultSel is the selectivity assumed for range predicates on
+// columns without numeric stats.
 const defaultSel = 0.33
 
 // Selectivity estimates the fraction of rows of scan that satisfy e,
@@ -35,8 +34,6 @@ func Selectivity(cat Catalog, scan int, e Expr) float64 {
 		return clampSel(a + b - a*b)
 	case Not:
 		return clampSel(1 - Selectivity(cat, scan, t.E))
-	case ColPred:
-		return defaultSel
 	}
 	return 1
 }

@@ -20,9 +20,9 @@ import (
 )
 
 // Expr is an inspectable boolean expression over the columns of one
-// relation. Unlike an opaque func(Row) bool predicate, an Expr can be
-// examined by the optimizer (for pushdown and selectivity estimation),
-// rendered in EXPLAIN output, and serialized.
+// relation. It is the engine's one filter form: the optimizer examines
+// it (for pushdown and selectivity estimation), zone maps judge it, and
+// EXPLAIN renders and serializes it.
 type Expr interface {
 	isExpr()
 	// String renders the expression deterministically for EXPLAIN.
@@ -119,24 +119,11 @@ type Or struct{ L, R Expr }
 // Not is negation.
 type Not struct{ E Expr }
 
-// ColPred is a single-column predicate whose decision function lives
-// outside the plan (a Go closure registered by the query builder —
-// WhereFloat/WhereString). The optimizer can still push it down and
-// attribute it to one column; it just cannot estimate it precisely.
-// Fn names the closure's domain ("float" or "string") and Ref is the
-// caller's handle for recovering the closure at execution time.
-type ColPred struct {
-	Col string
-	Fn  string
-	Ref int
-}
-
 func (Cmp) isExpr()     {}
 func (Between) isExpr() {}
 func (And) isExpr()     {}
 func (Or) isExpr()      {}
 func (Not) isExpr()     {}
-func (ColPred) isExpr() {}
 
 func (e Cmp) String() string { return e.Col + " " + e.Op + " " + e.Val.String() }
 func (e Between) String() string {
@@ -145,9 +132,6 @@ func (e Between) String() string {
 func (e And) String() string { return "(" + e.L.String() + " and " + e.R.String() + ")" }
 func (e Or) String() string  { return "(" + e.L.String() + " or " + e.R.String() + ")" }
 func (e Not) String() string { return "not " + e.E.String() }
-func (e ColPred) String() string {
-	return e.Fn + "_pred(" + e.Col + ")"
-}
 
 // Columns returns the column names referenced by e, in first-appearance
 // order without duplicates.
@@ -167,8 +151,6 @@ func Columns(e Expr) []string {
 		case Cmp:
 			add(t.Col)
 		case Between:
-			add(t.Col)
-		case ColPred:
 			add(t.Col)
 		case And:
 			walk(t.L)
@@ -200,9 +182,6 @@ func RenameCols(e Expr, f func(string) string) Expr {
 		t.Col = f(t.Col)
 		return t
 	case Between:
-		t.Col = f(t.Col)
-		return t
-	case ColPred:
 		t.Col = f(t.Col)
 		return t
 	case And:

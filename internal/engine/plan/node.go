@@ -17,9 +17,8 @@ const (
 	KindSort      = "sort"
 	KindDistinct  = "distinct"
 	KindLimit     = "limit"
-	// KindOpaque marks an operation the planner cannot see through
-	// (a func(Row) predicate or a computed column); it is a barrier
-	// for every rewrite rule.
+	// KindOpaque marks an operation the planner does not rewrite
+	// through (a rename); it is a barrier for every rewrite rule.
 	KindOpaque = "opaque"
 )
 
@@ -193,14 +192,12 @@ type jsonLit struct {
 }
 
 type jsonExpr struct {
-	Kind string    `json:"kind"` // cmp, between, and, or, not, colpred
+	Kind string    `json:"kind"` // cmp, between, and, or, not
 	Op   string    `json:"op,omitempty"`
 	Col  string    `json:"col,omitempty"`
 	Val  *jsonLit  `json:"val,omitempty"`
 	Lo   *jsonLit  `json:"lo,omitempty"`
 	Hi   *jsonLit  `json:"hi,omitempty"`
-	Fn   string    `json:"fn,omitempty"`
-	Ref  int       `json:"ref,omitempty"`
 	L    *jsonExpr `json:"l,omitempty"`
 	R    *jsonExpr `json:"r,omitempty"`
 }
@@ -232,8 +229,6 @@ func exprToJSON(e Expr) *jsonExpr {
 		return &jsonExpr{Kind: "or", L: exprToJSON(t.L), R: exprToJSON(t.R)}
 	case Not:
 		return &jsonExpr{Kind: "not", L: exprToJSON(t.E)}
-	case ColPred:
-		return &jsonExpr{Kind: "colpred", Col: t.Col, Fn: t.Fn, Ref: t.Ref}
 	}
 	return nil
 }

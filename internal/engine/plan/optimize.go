@@ -4,8 +4,8 @@ package plan
 // query made of scans, equi-joins, and pushable filters. The physical
 // layer lowers that prefix into a RegionSpec, Choose picks a join
 // order and build sides by estimated cardinality, and the executor
-// runs the chosen order. Everything downstream of the region (opaque
-// predicates, projections, aggregates, sorts) executes as written.
+// runs the chosen order. Everything downstream of the region
+// (projections, renames, aggregates, sorts) executes as written.
 
 // ScanSpec describes one base table input of a join region. Scans are
 // indexed by written order: scan 0 is the query's source table, scan

@@ -46,7 +46,7 @@ func TestColumnsAndConjuncts(t *testing.T) {
 	e := And{
 		L: And{
 			L: Cmp{Op: "=", Col: "a", Val: IntLit(1)},
-			R: ColPred{Col: "B", Fn: "float", Ref: 2},
+			R: Cmp{Op: ">", Col: "B", Val: IntLit(2)},
 		},
 		R: Cmp{Op: "<", Col: "a", Val: IntLit(9)},
 	}
@@ -87,7 +87,7 @@ func sampleTree() *Tree {
 		L: Cmp{Op: ">=", Col: "val", Val: FloatLit(math.Inf(-1))},
 		R: Or{
 			L: Between{Col: "id", Lo: IntLit(10), Hi: IntLit(20)},
-			R: Not{E: ColPred{Col: "val", Fn: "float", Ref: 3}},
+			R: Not{E: Cmp{Op: "<>", Col: "val", Val: FloatLit(3)}},
 		},
 	}}
 	scanB := &Node{Kind: KindScan, Table: "users", Alias: "u", Rows: 64}
@@ -111,7 +111,7 @@ const sampleJSON = `{"kind":"opaque","op":"extend rank","input":{"kind":"limit",
 	`"input":{"kind":"join","left_col":"e.uid","right_col":"u.id","est_rows":156.25,` +
 	`"left":{"kind":"filter","pred":{"kind":"and","l":{"kind":"cmp","op":"\u003e=","col":"val","val":{"kind":"float","v":"-Inf"}},` +
 	`"r":{"kind":"or","l":{"kind":"between","col":"id","lo":{"kind":"int","v":"10"},"hi":{"kind":"int","v":"20"}},` +
-	`"r":{"kind":"not","l":{"kind":"colpred","col":"val","fn":"float","ref":3}}}},` +
+	`"r":{"kind":"not","l":{"kind":"cmp","op":"\u003c\u003e","col":"val","val":{"kind":"float","v":"3"}}}}},` +
 	`"input":{"kind":"scan","table":"events","alias":"e","cols":["id","val"],"rows":10000}},` +
 	`"right":{"kind":"scan","table":"users","alias":"u","rows":64}}}}}}`
 
@@ -185,8 +185,8 @@ func TestSelectivity(t *testing.T) {
 	if got := Selectivity(cat, 0, and); got != 0.02*0.25 {
 		t.Fatalf("and sel = %v", got)
 	}
-	if got := Selectivity(cat, 0, ColPred{Col: "val", Fn: "float"}); got != defaultSel {
-		t.Fatalf("colpred sel = %v, want %v", got, defaultSel)
+	if got := Selectivity(cat, 0, Between{Col: "nostats", Lo: IntLit(0), Hi: IntLit(1)}); got != defaultSel {
+		t.Fatalf("no-stats between sel = %v, want %v", got, defaultSel)
 	}
 }
 

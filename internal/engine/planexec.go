@@ -55,7 +55,7 @@ func (q *Query) planRegion(ch *chain) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if acc, err = q.postFilters(reg.post, acc); err != nil {
+	if acc, err = postFilters(reg.post, acc); err != nil {
 		return 0, err
 	}
 	ch.b = acc
@@ -101,7 +101,7 @@ func (q *Query) joinRegion(ch *chain, reg *region, ridScan int) (*ColumnBlock, [
 	pushedBelow := 0
 	for _, f := range reg.filters {
 		b := blocks[f.scan]
-		pred, err := compileExprBlock(f.pred, b, q)
+		pred, err := compileExprBlock(f.pred, b)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -291,9 +291,9 @@ func (q *Query) joinRegion(ch *chain, reg *region, ridScan int) (*ColumnBlock, [
 
 // postFilters applies a region's residual conjuncts exactly where they
 // were written: after all joins, on the written-order block.
-func (q *Query) postFilters(post []plan.Expr, acc *ColumnBlock) (*ColumnBlock, error) {
+func postFilters(post []plan.Expr, acc *ColumnBlock) (*ColumnBlock, error) {
 	for _, p := range post {
-		pred, err := compileExprBlock(p, acc, q)
+		pred, err := compileExprBlock(p, acc)
 		if err != nil {
 			return nil, err
 		}

@@ -258,7 +258,7 @@ func TestPlannerRandomizedEquivalence(t *testing.T) {
 			case 0, 1:
 				add(randomExprStep(tr, cur, pick(func(Column) bool { return true })))
 			case 2:
-				add(stWhereFloat(pick(func(c Column) bool { return c.Type == TypeFloat }), float64(tr.Intn(5))-2))
+				add(stCmp(pick(func(c Column) bool { return c.Type == TypeFloat }), "<", Float(float64(tr.Intn(5))-2)))
 			}
 		}
 		switch tr.Intn(4) {

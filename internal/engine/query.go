@@ -10,20 +10,22 @@ import (
 
 // Query is a fluent relational query builder over tables. Builder
 // methods record operations; Run (or Count/ScalarFloat) executes them.
+// Every filter is a plan.Expr (WhereEq, WhereExpr), the form SQL
+// produces, so the planner, the zone maps and EXPLAIN all read it.
 // Errors are detected eagerly — each method validates its arguments
 // against the query's schema as it is called, and the first error is
 // latched and returned by Run — so error behavior is identical to the
 // historical eager builder.
 //
 //	q, err := engine.From(people).
-//		WhereFloat("age", func(a float64) bool { return a < 5 }).
+//		WhereExpr(plan.Between{Col: "age", Lo: plan.IntLit(0), Hi: plan.IntLit(4)}).
 //		Select("pid").
 //		Run()
 //
 // Every builder method returns a new Query and leaves its receiver
 // unchanged, which makes saved prefixes branchable:
 //
-//	base := engine.From(people).WhereFloat("age", adult)
+//	base := engine.From(people).WhereEq("state", engine.Str("I"))
 //	ids := base.Select("pid")     // does not affect base
 //	n, _ := base.Count()          // still the un-projected prefix
 //
@@ -75,8 +77,7 @@ type Query struct {
 type opKind uint8
 
 const (
-	opWhereRow opKind = iota // opaque row predicate
-	opFilter                 // inspectable plan.Expr filter
+	opFilter opKind = iota // plan.Expr filter
 	opSelect
 	opRename
 	opJoin
@@ -84,7 +85,6 @@ const (
 	opOrderBy
 	opDistinct
 	opLimit
-	opExtend
 )
 
 // qop is one recorded operation, together with the eagerly computed
@@ -94,11 +94,7 @@ type qop struct {
 	name   string
 	schema Schema
 
-	pred Predicate // opWhereRow
-
-	expr plan.Expr          // opFilter
-	ffn  func(float64) bool // opFilter: WhereFloat closure (ColPred ref target)
-	sfn  func(string) bool  // opFilter: WhereString closure
+	expr plan.Expr // opFilter
 
 	cols []string // opSelect columns, opGroupBy keys
 
@@ -117,10 +113,6 @@ type qop struct {
 	desc bool
 
 	n int // opLimit
-
-	extName string // opExtend
-	extType Type
-	extFn   func(Row) Value
 }
 
 // --- building ---
@@ -189,27 +181,6 @@ func (q *Query) fail(err error) *Query {
 	return &nq
 }
 
-// colPredFns implements predFns: it recovers the opaque closures a
-// plan.ColPred references by op index.
-func (q *Query) colPredFns(ref int) (func(float64) bool, func(string) bool) {
-	if ref < 0 || ref >= len(q.ops) {
-		return nil, nil
-	}
-	return q.ops[ref].ffn, q.ops[ref].sfn
-}
-
-// Where keeps rows satisfying pred. The predicate receives whole rows
-// materialized from the columnar state (fresh rows, which it may
-// retain), so it is opaque to the planner; prefer WhereEq/WhereFloat/
-// WhereString (or WhereExpr) for filters the planner can push down and
-// vectorize.
-func (q *Query) Where(pred Predicate) *Query {
-	if q.err != nil {
-		return q
-	}
-	return q.push(&qop{kind: opWhereRow, pred: pred, name: q.name, schema: q.schema})
-}
-
 // WhereEq keeps rows whose column equals v.
 func (q *Query) WhereEq(col string, v Value) *Query {
 	if q.err != nil {
@@ -225,68 +196,17 @@ func (q *Query) WhereEq(col string, v Value) *Query {
 	})
 }
 
-// WhereFloat keeps rows for which pred holds on the numeric column.
-func (q *Query) WhereFloat(col string, pred func(float64) bool) *Query {
-	if q.err != nil {
-		return q
-	}
-	if _, err := q.schema.ColIndex(col); err != nil {
-		return q.fail(err)
-	}
-	return q.push(&qop{
-		kind: opFilter,
-		expr: plan.ColPred{Col: col, Fn: "float", Ref: len(q.ops)},
-		ffn:  pred,
-		name: q.name, schema: q.schema,
-	})
-}
-
-// WhereString keeps rows for which pred holds on the string column.
-func (q *Query) WhereString(col string, pred func(string) bool) *Query {
-	if q.err != nil {
-		return q
-	}
-	if _, err := q.schema.ColIndex(col); err != nil {
-		return q.fail(err)
-	}
-	return q.push(&qop{
-		kind: opFilter,
-		expr: plan.ColPred{Col: col, Fn: "string", Ref: len(q.ops)},
-		sfn:  pred,
-		name: q.name, schema: q.schema,
-	})
-}
-
 // WhereExpr keeps rows satisfying the inspectable expression e —
 // the fully planner-visible filter form: comparisons, BETWEEN, and
 // AND/OR/NOT compositions are pushed below joins and costed.
-// plan.ColPred nodes are rejected; their closures only exist inside
-// queries built through WhereFloat/WhereString.
 func (q *Query) WhereExpr(e plan.Expr) *Query {
 	if q.err != nil {
 		return q
-	}
-	if hasColPred(e) {
-		return q.fail(fmt.Errorf("engine: WhereExpr cannot carry plan.ColPred nodes; use WhereFloat/WhereString"))
 	}
 	if err := validateExprCols(e, q.schema); err != nil {
 		return q.fail(err)
 	}
 	return q.push(&qop{kind: opFilter, expr: e, name: q.name, schema: q.schema})
-}
-
-func hasColPred(e plan.Expr) bool {
-	switch t := e.(type) {
-	case plan.ColPred:
-		return true
-	case plan.And:
-		return hasColPred(t.L) || hasColPred(t.R)
-	case plan.Or:
-		return hasColPred(t.L) || hasColPred(t.R)
-	case plan.Not:
-		return hasColPred(t.E)
-	}
-	return false
 }
 
 // Select projects to the named columns.
@@ -424,22 +344,6 @@ func (q *Query) Limit(n int) *Query {
 	return q.push(&qop{kind: opLimit, n: n, name: q.name, schema: q.schema})
 }
 
-// Extend appends a computed column. The callback receives whole rows
-// materialized from the columnar state (fresh rows, which it may
-// retain), so this operation is opaque to the planner. Its results
-// follow Insert's rule: an Int is widened into a TypeFloat column, any
-// other type mismatch fails Run with ErrTypeClash.
-func (q *Query) Extend(name string, typ Type, f func(Row) Value) *Query {
-	if q.err != nil {
-		return q
-	}
-	schema := append(q.schema.Clone(), Column{Name: name, Type: typ})
-	if err := schema.Validate(); err != nil {
-		return q.fail(err)
-	}
-	return q.push(&qop{kind: opExtend, extName: name, extType: typ, extFn: f, name: q.name, schema: schema})
-}
-
 // --- execution ---
 
 // exec runs the recorded operations and returns the final execution
@@ -469,7 +373,7 @@ func (q *Query) exec(wholeRows bool) (*chain, error) {
 		planDirect.Add(1)
 	}
 	for _, op := range q.ops[start:] {
-		if err := ch.apply(op, q); err != nil {
+		if err := ch.apply(op); err != nil {
 			return nil, err
 		}
 	}
@@ -606,7 +510,7 @@ func (q *Query) scanEach(ctx context.Context, ch *chain, req scanReq, sink func(
 		stored := b.Len()
 		ch.b = b
 		for _, op := range q.ops[:req.lead] {
-			if err := ch.apply(op, q); err != nil {
+			if err := ch.apply(op); err != nil {
 				return false, err
 			}
 		}
@@ -680,14 +584,11 @@ func decodeTable(t *Table) (*ColumnBlock, error) {
 // its stored (scan) name, which is all zone maps can judge. The
 // leading run extends through Select and Rename — both are pure name
 // reshaping, so a filter written after them still provably restricts
-// scan columns — and stops at the first operation that can change row
-// content or multiplicity (join, group-by, distinct, extend, opaque
-// predicates). Historically the run stopped at the first non-filter
-// op, so a leading Select or Rename silently disabled zone-map pruning
-// for every filter written after it. ColPred filters are included (the
-// zone evaluator treats them as "must decode"), keeping the
-// conjunction's And shape intact for the prunable conjuncts around
-// them.
+// scan columns — and stops at the first operation of any other kind:
+// a join, group-by, distinct, sort or limit.
+// Historically the run stopped at the first non-filter op, so a
+// leading Select or Rename silently disabled zone-map pruning for every
+// filter written after it.
 func (q *Query) leadingFilterExpr() plan.Expr {
 	var e plan.Expr
 	// toStored maps the current (lowercased) column names back to
@@ -783,21 +684,14 @@ func (q *Query) Count() (int, error) {
 }
 
 // ScalarFloat runs the query, which must produce exactly one row and one
-// numeric column, and returns that value. This is the shape of the
-// DEFINE ... AS (SELECT COUNT(...) ...) statements in Algorithm 1.
+// numeric column, and returns that value, as Database.QueryScalar does
+// for SQL.
 func (q *Query) ScalarFloat() (float64, error) {
 	t, err := q.Run()
 	if err != nil {
 		return 0, err
 	}
-	if t.Len() != 1 || len(t.Schema) != 1 {
-		return 0, fmt.Errorf("engine: scalar query returned %d rows × %d cols", t.Len(), len(t.Schema))
-	}
-	v := t.Rows[0][0]
-	if !v.IsNumeric() {
-		return 0, fmt.Errorf("%w: scalar query returned %s", ErrTypeClash, v.Type())
-	}
-	return v.AsFloat(), nil
+	return scalarOf(t)
 }
 
 // --- the chain: direct (written-order) execution ---
@@ -820,24 +714,13 @@ type chain struct {
 }
 
 // apply executes one recorded operation against the current state.
-func (c *chain) apply(op *qop, q *Query) error {
+func (c *chain) apply(op *qop) error {
 	b := c.b
 	var nb *ColumnBlock
 	var err error
 	switch op.kind {
-	case opWhereRow:
-		rows := b.ToTable().Rows
-		rowsScanned.Add(int64(len(rows)))
-		var sel []int32
-		for i, r := range rows {
-			if op.pred(r) {
-				sel = append(sel, int32(b.phys(i)))
-			}
-		}
-		nb = b.withSel(sel)
-
 	case opFilter:
-		nb, err = filterBlock(b, op, q)
+		nb, err = filterBlock(b, op.expr)
 
 	case opSelect:
 		nb, err = b.Project(op.cols...)
@@ -874,9 +757,6 @@ func (c *chain) apply(op *qop, q *Query) error {
 	case opLimit:
 		nb = b.Limit(op.n)
 
-	case opExtend:
-		nb, err = c.extend(op)
-
 	default:
 		return fmt.Errorf("engine: unknown query op %d", op.kind)
 	}
@@ -904,56 +784,13 @@ func (c *chain) groupBy(op *qop) (*ColumnBlock, error) {
 	return c.b.GroupBy(op.cols, op.aggs, c.sc)
 }
 
-// extend appends the callback's column. The callback sees fresh rows,
-// which it may retain. Results follow Insert's rule: int widens into a
-// float column, any other mismatch is ErrTypeClash.
-func (c *chain) extend(op *qop) (*ColumnBlock, error) {
-	b := c.b
-	cv := zeroColvec(op.extType, b.nrows)
-	for i, r := range b.ToTable().Rows {
-		v := op.extFn(r)
-		if v.typ == TypeInt && op.extType == TypeFloat {
-			v = Float(float64(v.i()))
-		}
-		if v.typ != op.extType {
-			return nil, fmt.Errorf("%w: Extend column %q row %d: got %s, want %s",
-				ErrTypeClash, op.extName, i, v.typ, op.extType)
-		}
-		switch p := b.phys(i); op.extType {
-		case TypeInt:
-			cv.ints[p] = v.i()
-		case TypeFloat:
-			cv.floats[p] = v.f()
-		case TypeString:
-			cv.strs[p] = v.s
-		case TypeBool:
-			cv.bools[p] = v.b()
-		}
+// filterBlock applies a filter expression: an equality through the
+// typed WhereEq, anything else through the compiled predicate.
+func filterBlock(b *ColumnBlock, e plan.Expr) (*ColumnBlock, error) {
+	if c, ok := e.(plan.Cmp); ok && c.Op == "=" {
+		return b.WhereEq(c.Col, valOfLit(c.Val))
 	}
-	nb := *b
-	nb.Schema = append(b.Schema.Clone(), Column{Name: op.extName, Type: op.extType})
-	nb.cols = append(b.cols[:len(b.cols):len(b.cols)], cv)
-	return &nb, nil
-}
-
-// filterBlock applies an opFilter, using the typed single-column
-// operators where the expression shape permits and the generic compiled
-// predicate otherwise.
-func filterBlock(b *ColumnBlock, op *qop, q *Query) (*ColumnBlock, error) {
-	switch e := op.expr.(type) {
-	case plan.Cmp:
-		if e.Op == "=" {
-			return b.WhereEq(e.Col, valOfLit(e.Val))
-		}
-	case plan.ColPred:
-		switch {
-		case e.Fn == "float" && op.ffn != nil:
-			return b.WhereFloat(e.Col, op.ffn)
-		case e.Fn == "string" && op.sfn != nil:
-			return b.WhereString(e.Col, op.sfn)
-		}
-	}
-	pred, err := compileExprBlock(op.expr, b, q)
+	pred, err := compileExprBlock(e, b)
 	if err != nil {
 		return nil, err
 	}

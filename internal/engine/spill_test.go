@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 
+	"modeldata/internal/engine/plan"
 	"modeldata/internal/rng"
 )
 
@@ -236,8 +237,8 @@ func fatTable(n int) *Table {
 func TestSpillStreamFallsBack(t *testing.T) {
 	tbl := fatTable(400)
 	aggs := []Aggregate{{Fn: AggCount, As: "n"}, {Fn: AggMax, Col: "s", As: "ms"}, {Fn: AggSum, Col: "x", As: "sx"}}
-	late := func(v float64) bool { return v > 18 }
-	want, err := From(tbl).WhereFloat("x", late).GroupBy([]string{"k"}, aggs...).Run()
+	late := plan.Cmp{Op: ">", Col: "x", Val: plan.FloatLit(18)}
+	want, err := From(tbl).WhereExpr(late).GroupBy([]string{"k"}, aggs...).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +255,7 @@ func TestSpillStreamFallsBack(t *testing.T) {
 	}
 	for _, tc := range cases {
 		st := &chunked{Storage: tbl, n: 64}
-		q := FromStorage(st).WhereFloat("x", late).GroupBy([]string{"k"}, aggs...)
+		q := FromStorage(st).WhereExpr(late).GroupBy([]string{"k"}, aggs...)
 		// The first partition keeps 9 of its 64 rows, whose estimate
 		// projected to the table's 400 fits the budget: the projection
 		// crosses in the second partition, with the first buffered.

@@ -757,7 +757,8 @@ func (db *Database) Query(sql string) (*Table, error) {
 }
 
 // QueryScalar executes a SELECT that must produce exactly one row and
-// one numeric column — Algorithm 1's DEFINE ... AS (SELECT COUNT ...).
+// one numeric column, such as a COUNT. Prepared.Scalar does the same
+// for a statement run many times.
 func (db *Database) QueryScalar(sql string) (float64, error) {
 	t, err := db.Query(sql)
 	if err != nil {

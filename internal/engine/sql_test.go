@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"modeldata/internal/engine/plan"
 	"modeldata/internal/rng"
 )
 
@@ -333,7 +334,7 @@ func TestSQLAgreesWithFluentProperty(t *testing.T) {
 		}
 		// Fluent path.
 		fluRes, err := From(tbl).
-			WhereFloat("v", func(v float64) bool { return v > cut }).
+			WhereExpr(plan.Cmp{Op: ">", Col: "v", Val: plan.FloatLit(cut)}).
 			GroupBy([]string{"k"},
 				Aggregate{Fn: AggCount, As: "n"},
 				Aggregate{Fn: AggSum, Col: "v", As: "s"}).

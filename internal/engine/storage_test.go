@@ -56,12 +56,12 @@ func TestTableStorageProjection(t *testing.T) {
 
 func TestFromStorageOverTableMatchesFrom(t *testing.T) {
 	tbl := randomTable(rng.New(41), "t", 120)
-	want, err := From(tbl).WhereFloat("x", func(v float64) bool { return v > 0 }).
+	want, err := From(tbl).WhereExpr(plan.Cmp{Op: ">", Col: "x", Val: plan.FloatLit(0)}).
 		OrderBy("id", false).Run()
 	if err != nil {
 		t.Fatalf("From: %v", err)
 	}
-	got, err := FromStorage(tbl).WhereFloat("x", func(v float64) bool { return v > 0 }).
+	got, err := FromStorage(tbl).WhereExpr(plan.Cmp{Op: ">", Col: "x", Val: plan.FloatLit(0)}).
 		OrderBy("id", false).Run()
 	if err != nil {
 		t.Fatalf("FromStorage: %v", err)
@@ -102,7 +102,7 @@ func TestLeadingFilterExpr(t *testing.T) {
 
 	q := From(tbl).
 		WhereEq("tag", Str("a")).
-		WhereFloat("x", func(float64) bool { return true }).
+		WhereExpr(plan.Cmp{Op: ">", Col: "x", Val: plan.FloatLit(0)}).
 		OrderBy("id", false).
 		WhereEq("flag", Bool(true)) // behind OrderBy: not a leading filter
 	e := q.leadingFilterExpr()
@@ -113,8 +113,8 @@ func TestLeadingFilterExpr(t *testing.T) {
 	if cmp, ok := and.L.(plan.Cmp); !ok || cmp.Col != "tag" {
 		t.Fatalf("left conjunct = %v", and.L)
 	}
-	if _, ok := and.R.(plan.ColPred); !ok {
-		t.Fatalf("right conjunct = %v, want the ColPred placeholder", and.R)
+	if cmp, ok := and.R.(plan.Cmp); !ok || cmp.Col != "x" {
+		t.Fatalf("right conjunct = %v", and.R)
 	}
 }
 

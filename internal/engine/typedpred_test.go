@@ -99,7 +99,7 @@ func TestTypedPredicateDoesNotAllocatePerRow(t *testing.T) {
 	}
 	op := &qop{kind: opFilter, expr: plan.Cmp{Col: "val", Op: ">", Val: plan.FloatLit(0.985)}}
 	allocs := testing.AllocsPerRun(10, func() {
-		nb, err := filterBlock(b, op, nil)
+		nb, err := filterBlock(b, op.expr)
 		if err != nil || nb.Len() != rows/100 {
 			t.Fatalf("filter kept %d rows (%v), want %d", nb.Len(), err, rows/100)
 		}

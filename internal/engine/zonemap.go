@@ -111,7 +111,6 @@ func zoneEval(e plan.Expr, stats func(col string) (ZoneMap, bool)) tri {
 		}
 		return zoneBetween(zm, valOfLit(t.Lo), valOfLit(t.Hi))
 	}
-	// ColPred closures (and anything future) are opaque: must decode.
 	return triSome
 }
 

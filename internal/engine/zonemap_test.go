@@ -123,7 +123,6 @@ func TestZoneMayMatchBoolean(t *testing.T) {
 		{"or-none-none", plan.Or{L: aOut, R: aOut}, false},
 		{"not-all", plan.Not{E: bAll}, false},
 		{"not-none", plan.Not{E: aOut}, true},
-		{"colpred", plan.ColPred{Col: "a", Fn: "float"}, true},
 		{"unknown-col", unknown, true},
 		{"and-none-unknown", plan.And{L: aOut, R: unknown}, false},
 	}

@@ -111,7 +111,7 @@ func runE15(ctx context.Context, seed uint64) (Result, error) {
 		sim.Seed(6)
 		var obs indemics.Observer
 		if trigger > 0 {
-			obs, _ = indemics.VaccinatePreschoolersSQL(trigger)
+			obs, _ = indemics.VaccinatePreschoolersPolicy(trigger)
 		}
 		if err := sim.Run(150, obs); err != nil {
 			return 0, err

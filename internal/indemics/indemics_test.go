@@ -303,37 +303,67 @@ func TestObserverErrorPropagates(t *testing.T) {
 	}
 }
 
-func TestVaccinatePreschoolersSQLMatchesFluent(t *testing.T) {
-	// The SQL-text Algorithm 1 must behave identically to the fluent-
-	// API version: same trigger day, same final attack rate.
-	run := func(useSQL bool) (float64, int) {
-		net := testPopulation(t, 1200, 51)
-		sim, err := NewSim(net, testParams(), 53)
+func TestAlgorithm1MatchesDirectCount(t *testing.T) {
+	// The policy's prepared counts, and the people it vaccinates, must
+	// agree each day with a tally over the simulation's own people made
+	// without the engine.
+	net := testPopulation(t, 1200, 51)
+	sim, err := NewSim(net, testParams(), 53)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim.Seed(8)
+	a := newAlgorithm1(0.01)
+	days, sawInfected := 0, false
+	err = sim.Run(80, func(day int, db *engine.Database, s *Sim) error {
+		days++
+		nPre, nInf := 0, 0
+		want := map[int]bool{} // the preschoolers a firing vaccinates
+		for i, p := range s.Net.People {
+			if p.Age < 0 || p.Age > 4 {
+				continue
+			}
+			nPre++
+			switch p.State {
+			case Infectious:
+				nInf++
+			case Susceptible, Exposed:
+				want[i] = true
+			}
+		}
+		sawInfected = sawInfected || nInf > 0
+		gotPre, err := a.nPreschool.Scalar(db)
 		if err != nil {
-			t.Fatal(err)
+			return err
 		}
-		sim.Seed(8)
-		var obs Observer
-		var firedPtr *int
-		if useSQL {
-			obs, firedPtr = VaccinatePreschoolersSQL(0.01)
-		} else {
-			obs, firedPtr = VaccinatePreschoolersPolicy(0.01)
+		gotInf, err := a.nInfected.Scalar(db)
+		if err != nil {
+			return err
 		}
-		if err := sim.Run(80, obs); err != nil {
-			t.Fatal(err)
+		if gotPre != float64(nPre) || gotInf != float64(nInf) {
+			t.Fatalf("day %d: prepared counts %g preschool, %g infected; direct %d, %d", day, gotPre, gotInf, nPre, nInf)
 		}
-		return sim.AttackRate(), *firedPtr
+		before := a.fired
+		if err := a.observe(day, db, s); err != nil {
+			return err
+		}
+		if before >= 0 || a.fired != day {
+			return nil
+		}
+		if float64(nInf) <= 0.01*float64(nPre) {
+			t.Fatalf("day %d: fired with %d of %d preschoolers infectious", day, nInf, nPre)
+		}
+		for i, p := range s.Net.People {
+			if (p.State == Vaccinated) != want[i] {
+				t.Fatalf("day %d: person %d (age %d) vaccinated = %v, want %v", day, i, p.Age, p.State == Vaccinated, want[i])
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	arSQL, daySQL := run(true)
-	arFluent, dayFluent := run(false)
-	if daySQL != dayFluent {
-		t.Fatalf("trigger days differ: SQL %d vs fluent %d", daySQL, dayFluent)
-	}
-	if arSQL != arFluent {
-		t.Fatalf("attack rates differ: SQL %g vs fluent %g", arSQL, arFluent)
-	}
-	if daySQL < 0 {
-		t.Fatal("intervention never fired")
+	if days != 80 || !sawInfected || a.fired < 0 {
+		t.Fatalf("observed %d days, infected preschooler seen %v, fired on day %d", days, sawInfected, a.fired)
 	}
 }

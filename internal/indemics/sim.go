@@ -258,60 +258,8 @@ func PIDs(t *engine.Table) ([]int, error) {
 	return out, nil
 }
 
-// VaccinatePreschoolersPolicy is Algorithm 1 of the paper, compiled to
-// code: after each day, count preschoolers (0 ≤ age ≤ 4); if more than
-// triggerFrac of them are infectious, vaccinate all of them. It returns
-// the observer and a pointer to the day the intervention fired (-1 if
-// never).
-func VaccinatePreschoolersPolicy(triggerFrac float64) (Observer, *int) {
-	fired := -1
-	firedPtr := &fired
-	obs := func(day int, db *engine.Database, sim *Sim) error {
-		if *firedPtr >= 0 {
-			return nil // vaccinate once
-		}
-		person, err := db.Get("person")
-		if err != nil {
-			return err
-		}
-		// CREATE TABLE Preschool(pid) AS SELECT pid FROM Person
-		// WHERE 0 <= age <= 4.
-		preschool, err := engine.From(person).
-			WhereFloat("age", func(a float64) bool { return a >= 0 && a <= 4 }).
-			Select("pid").
-			Run()
-		if err != nil {
-			return err
-		}
-		nPreschool := preschool.Len()
-		if nPreschool == 0 {
-			return nil
-		}
-		// WITH InfectedPreschool AS (... join with infected persons).
-		infected, err := engine.From(person).
-			WhereFloat("age", func(a float64) bool { return a >= 0 && a <= 4 }).
-			WhereEq("state", engine.Str("I")).
-			Count()
-		if err != nil {
-			return err
-		}
-		if float64(infected) > triggerFrac*float64(nPreschool) {
-			ids, err := PIDs(preschool)
-			if err != nil {
-				return err
-			}
-			if err := sim.Vaccinate(ids); err != nil {
-				return err
-			}
-			*firedPtr = day
-		}
-		return nil
-	}
-	return obs, firedPtr
-}
-
-// VaccinatePreschoolersSQL is Algorithm 1 expressed in actual SQL text
-// against the relational snapshot, mirroring the paper's listing:
+// VaccinatePreschoolersPolicy is Algorithm 1 of the paper, SQL over the
+// relational snapshot, mirroring the paper's listing:
 //
 //	CREATE TABLE Preschool(pid) AS
 //	  (SELECT pid FROM Person WHERE 0 <= age <= 4);
@@ -323,45 +271,75 @@ func VaccinatePreschoolersPolicy(triggerFrac float64) (Observer, *int) {
 //	  if nInfectedPreschool > 1% × nPreschool:
 //	     Apply vaccines to SELECT(pid FROM Preschool)
 //
-// It behaves identically to VaccinatePreschoolersPolicy but exercises
-// the engine's SQL front end.
-func VaccinatePreschoolersSQL(triggerFrac float64) (Observer, *int) {
-	fired := -1
-	firedPtr := &fired
-	obs := func(day int, db *engine.Database, sim *Sim) error {
-		if *firedPtr >= 0 {
-			return nil
-		}
-		nPreschool, err := db.QueryScalar(
-			`SELECT COUNT(pid) FROM person WHERE age >= 0 AND age <= 4`)
-		if err != nil {
-			return err
-		}
-		if nPreschool == 0 { // COUNT returns an exact small integer in a float column
-			return nil
-		}
-		nInfected, err := db.QueryScalar(
-			`SELECT COUNT(pid) FROM person WHERE age >= 0 AND age <= 4 AND state = 'I'`)
-		if err != nil {
-			return err
-		}
-		if nInfected > triggerFrac*nPreschool {
-			preschool, err := db.Query(`SELECT pid FROM person WHERE age >= 0 AND age <= 4`)
-			if err != nil {
-				return err
-			}
-			ids, err := PIDs(preschool)
-			if err != nil {
-				return err
-			}
-			if err := sim.Vaccinate(ids); err != nil {
-				return err
-			}
-			*firedPtr = day
-		}
+// After each day, once more than triggerFrac of the preschoolers
+// (0 ≤ age ≤ 4) are infectious, it vaccinates all of them, once. It
+// returns the observer and a pointer to the day the intervention fired
+// (-1 if never).
+func VaccinatePreschoolersPolicy(triggerFrac float64) (Observer, *int) {
+	a := newAlgorithm1(triggerFrac)
+	return a.observe, &a.fired
+}
+
+// algorithm1 is the state of one VaccinatePreschoolersPolicy: its three
+// statements, prepared when the policy is made and run against each
+// day's snapshot, and the day it fired.
+type algorithm1 struct {
+	trigger                     float64
+	pids, nPreschool, nInfected *engine.Prepared
+	fired                       int
+}
+
+func newAlgorithm1(triggerFrac float64) *algorithm1 {
+	const preschool = `FROM person WHERE age BETWEEN 0 AND 4`
+	return &algorithm1{
+		trigger:    triggerFrac,
+		pids:       mustPrepare(`SELECT pid ` + preschool),
+		nPreschool: mustPrepare(`SELECT COUNT(pid) ` + preschool),
+		nInfected:  mustPrepare(`SELECT COUNT(pid) ` + preschool + ` AND state = 'I'`),
+		fired:      -1,
+	}
+}
+
+func (a *algorithm1) observe(day int, db *engine.Database, sim *Sim) error {
+	if a.fired >= 0 {
+		return nil // vaccinate once
+	}
+	n, err := a.nPreschool.Scalar(db)
+	if err != nil {
+		return err
+	}
+	if n == 0 { // COUNT returns an exact small integer in a float column
 		return nil
 	}
-	return obs, firedPtr
+	infected, err := a.nInfected.Scalar(db)
+	if err != nil {
+		return err
+	}
+	if infected <= a.trigger*n {
+		return nil
+	}
+	t, err := a.pids.Exec(db)
+	if err != nil {
+		return err
+	}
+	ids, err := PIDs(t)
+	if err != nil {
+		return err
+	}
+	if err := sim.Vaccinate(ids); err != nil {
+		return err
+	}
+	a.fired = day
+	return nil
+}
+
+// mustPrepare prepares one of the package's constant statements.
+func mustPrepare(sql string) *engine.Prepared {
+	p, err := engine.Prepare(sql)
+	if err != nil {
+		panic(err)
+	}
+	return p
 }
 
 // Damage computes the economic performance measure of §2.4 ("number of

@@ -18,15 +18,6 @@ import (
 // ErrEmpty is returned when a statistic is requested of an empty sample.
 var ErrEmpty = errors.New("stats: empty sample")
 
-// ApproxEqual reports whether a and b agree to within the absolute
-// tolerance tol. It is the sanctioned replacement for float == / != on
-// computed values: exact comparison of accumulated floats depends on evaluation order, while a tolerance
-// states the intended precision explicitly. NaN compares equal to
-// nothing, matching IEEE semantics.
-func ApproxEqual(a, b, tol float64) bool {
-	return math.Abs(a-b) <= tol
-}
-
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
 	if len(xs) == 0 {

@@ -215,6 +215,32 @@ var retiredTable = []retired{
 			{`func tablesEqualForTest`, `func tablesEqualForTest(a, b *Table) bool {`},
 		},
 	},
+	{
+		name: "One filter language", pr: 42,
+		why:   "every filter the engine runs is a plan.Expr, which the planner, the zone maps and EXPLAIN read; the Go-closure operators kept a second, opaque filter language alive, and Algorithm 1 is one prepared-SQL policy",
+		scope: []string{"internal/engine", "internal/colstore", "internal/indemics", "internal/experiments", "examples"},
+		tests: true,
+		lines: []offender{
+			{`WhereFloat`, `func (q *Query) WhereFloat(col string, pred func(float64) bool) *Query {`},
+			{`WhereString`, `func (q *Query) WhereString(col string, pred func(string) bool) *Query {`},
+			{`ColPred`, `type ColPred struct {`},
+			{`colPredFns`, `func (q *Query) colPredFns(ref int) (func(float64) bool, func(string) bool) {`},
+			{`opWhereRow`, `opWhereRow opKind = iota // opaque row predicate`},
+			{`opExtend`, `case opExtend:`},
+			{`func \(q \*Query\) Extend`, `func (q *Query) Extend(name string, typ Type, f func(Row) Value) *Query {`},
+			{`func \(q \*Query\) Where\(`, `func (q *Query) Where(pred Predicate) *Query {`},
+			{`VaccinatePreschoolersSQL`, `func VaccinatePreschoolersSQL(triggerFrac float64) (Observer, *int) {`},
+		},
+	},
+	{
+		name: "One filter language", pr: 42,
+		why:   "nothing compared floats with a tolerance helper once the floateq lint rule was deleted; the sanctioned replacement for it stayed behind uncalled",
+		scope: []string{"internal/stats"},
+		tests: true,
+		lines: []offender{
+			{`func ApproxEqual`, `func ApproxEqual(a, b, tol float64) bool {`},
+		},
+	},
 }
 
 // violations lists what of r is present under root, one message per
@@ -316,6 +342,10 @@ func TestRetiredFindsWhatIsPutBack(t *testing.T) {
 		"internal/colstore/format.go":         "package colstore\n",
 		"cmd/benchjson/main.go":               "package main\n",
 		"internal/lint/load.go":               "package lint\n",
+		"internal/indemics/sim.go":            "package indemics\n",
+		"internal/experiments/extensions.go":  "package experiments\n",
+		"examples/epidemic/main.go":           "package main\n",
+		"internal/stats/stats.go":             "package stats\n",
 	} {
 		full := filepath.Join(root, path)
 		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
