@@ -17,9 +17,8 @@
 //   - internal/indemics, internal/pdesmas — querying data during a
 //     simulation: SQL-specified epidemic interventions and synchronized
 //     range queries over unsynchronized agent processes (§2.4);
-//   - internal/calibrate — MLE, method of moments, MSM with GᵀWG
-//     objectives, Nelder-Mead, grid, and kriging-surrogate search
-//     (§3.1);
+//   - internal/calibrate — MSM with GᵀWG objectives, Nelder-Mead,
+//     grid, and kriging-surrogate search (§3.1);
 //   - internal/assimilate, internal/wildfire — sequential Monte Carlo,
 //     particle filtering (Algorithm 2), and wildfire data assimilation
 //     with the sensor-aware KDE proposal (§3.2);

@@ -1,8 +1,8 @@
 // Package assimilate implements the sequential Monte Carlo toolkit of
 // §3.2 of the paper, following the Doucet–Johansen presentation the
-// paper uses: plain importance sampling, sequential importance sampling
-// (SIS), resampling (SIR), and the particle filtering algorithm
-// (Algorithm 2) for hidden Markov models. Data assimilation — fusing a
+// paper uses: sequential importance sampling (SIS), resampling (SIR),
+// and the particle filtering algorithm (Algorithm 2) for hidden Markov
+// models. Data assimilation — fusing a
 // simulation model with streaming sensor data — is the application
 // built on top in internal/wildfire.
 package assimilate
@@ -31,36 +31,9 @@ type Weighted[S any] struct {
 	W float64 // normalized weight
 }
 
-// ImportanceSample draws n samples from the proposal q and corrects
-// them with the weight function, returning the normalized weighted
-// sample and the estimate Ẑ of the normalizing constant (Eqs. 1–2 of
-// §3.2). logW must return log(γ(x)/q(x)).
-func ImportanceSample[S any](n int, sampleQ func(r *rng.Stream) S, logW func(S) float64, r *rng.Stream) ([]Weighted[S], float64, error) {
-	if n <= 0 {
-		return nil, 0, ErrBadN
-	}
-	xs := make([]S, n)
-	lw := make([]float64, n)
-	for i := 0; i < n; i++ {
-		xs[i] = sampleQ(r)
-		lw[i] = logW(xs[i])
-	}
-	w, sum, err := normalizeLogWeights(lw)
-	if err != nil {
-		return nil, 0, err
-	}
-	out := make([]Weighted[S], n)
-	for i := range out {
-		out[i] = Weighted[S]{X: xs[i], W: w[i]}
-	}
-	// Ẑ = (1/N) Σ w(Xⁱ); sum is in linear scale relative to max.
-	return out, sum / float64(n), nil
-}
-
 // normalizeLogWeights converts log weights to normalized linear weights
-// using the log-sum-exp trick; it also returns the linear-scale sum
-// Σ exp(lwᵢ) for normalizing-constant estimation.
-func normalizeLogWeights(lw []float64) ([]float64, float64, error) {
+// using the log-sum-exp trick.
+func normalizeLogWeights(lw []float64) ([]float64, error) {
 	maxLW := math.Inf(-1)
 	for _, v := range lw {
 		if v > maxLW {
@@ -68,7 +41,7 @@ func normalizeLogWeights(lw []float64) ([]float64, float64, error) {
 		}
 	}
 	if math.IsInf(maxLW, -1) || math.IsNaN(maxLW) {
-		return nil, 0, ErrCollapsed
+		return nil, ErrCollapsed
 	}
 	w := make([]float64, len(lw))
 	total := 0.0
@@ -77,23 +50,12 @@ func normalizeLogWeights(lw []float64) ([]float64, float64, error) {
 		total += w[i]
 	}
 	if total == 0 || math.IsNaN(total) { // exact zero means every weight underflowed: the collapse being detected
-		return nil, 0, ErrCollapsed
+		return nil, ErrCollapsed
 	}
-	linearSum := total * math.Exp(maxLW)
 	for i := range w {
 		w[i] /= total
 	}
-	return w, linearSum, nil
-}
-
-// EstimateWeighted computes Σ wᵢ·g(xᵢ) over a normalized weighted
-// sample — the Monte Carlo approximation of ∫ g dπ.
-func EstimateWeighted[S any](ps []Weighted[S], g func(S) float64) float64 {
-	s := 0.0
-	for _, p := range ps {
-		s += p.W * g(p.X)
-	}
-	return s
+	return w, nil
 }
 
 // ESS returns the effective sample size 1/Σwᵢ² of a normalized weighted
@@ -253,7 +215,7 @@ func (f *Filter[S, Y]) StepCtx(ctx context.Context, y Y) ([]Weighted[S], error) 
 	for i := range lw {
 		f.cumLogW[i] += lw[i]
 	}
-	w, _, err := normalizeLogWeights(f.cumLogW)
+	w, err := normalizeLogWeights(f.cumLogW)
 	if err != nil {
 		return nil, fmt.Errorf("step %d: %w", f.step+1, err)
 	}
@@ -280,14 +242,4 @@ func (f *Filter[S, Y]) StepCtx(ctx context.Context, y Y) ([]Weighted[S], error) 
 	}
 	f.step++
 	return weighted, nil
-}
-
-// Particles returns the current (post-resampling) particle set.
-func (f *Filter[S, Y]) Particles() ([]Weighted[S], error) {
-	if f.particles == nil {
-		return nil, ErrNoparticles
-	}
-	out := make([]Weighted[S], len(f.particles))
-	copy(out, f.particles)
-	return out, nil
 }

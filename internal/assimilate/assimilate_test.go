@@ -6,61 +6,7 @@ import (
 	"testing"
 
 	"modeldata/internal/rng"
-	"modeldata/internal/stats"
 )
-
-func TestImportanceSamplingEstimatesMean(t *testing.T) {
-	// Target: N(2, 1); proposal: N(0, 2). Estimate E[X].
-	target := rng.NormalDist{Mu: 2, Sigma: 1}
-	proposal := rng.NormalDist{Mu: 0, Sigma: 2}
-	ps, _, err := ImportanceSample(50000,
-		func(r *rng.Stream) float64 { return proposal.Sample(r) },
-		func(x float64) float64 { return target.LogPDF(x) - proposal.LogPDF(x) },
-		rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mean := EstimateWeighted(ps, func(x float64) float64 { return x })
-	if math.Abs(mean-2) > 0.05 {
-		t.Fatalf("IS mean = %g, want ≈ 2", mean)
-	}
-	// Weights are normalized.
-	sum := 0.0
-	for _, p := range ps {
-		sum += p.W
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("weights sum to %g", sum)
-	}
-}
-
-func TestImportanceSamplingNormalizingConstant(t *testing.T) {
-	// γ(x) = 3·φ(x) (unnormalized), q = φ ⇒ Z = 3.
-	phi := rng.NormalDist{Mu: 0, Sigma: 1}
-	_, z, err := ImportanceSample(20000,
-		func(r *rng.Stream) float64 { return phi.Sample(r) },
-		func(x float64) float64 { return math.Log(3) },
-		rng.New(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(z-3) > 1e-9 {
-		t.Fatalf("Ẑ = %g, want 3", z)
-	}
-}
-
-func TestImportanceSamplingErrors(t *testing.T) {
-	if _, _, err := ImportanceSample[float64](0, nil, nil, rng.New(1)); !errors.Is(err, ErrBadN) {
-		t.Fatalf("got %v", err)
-	}
-	_, _, err := ImportanceSample(10,
-		func(r *rng.Stream) float64 { return 0 },
-		func(x float64) float64 { return math.Inf(-1) },
-		rng.New(1))
-	if !errors.Is(err, ErrCollapsed) {
-		t.Fatalf("got %v", err)
-	}
-}
 
 func TestResamplePreservesDistribution(t *testing.T) {
 	// A weighted sample with atoms 0 and 1, weights 0.3/0.7.
@@ -158,7 +104,7 @@ func TestParticleFilterTracksKalman(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		est := EstimateWeighted(ps, func(s float64) float64 { return s })
+		est := weightedMean(ps)
 		if math.Abs(est-exact[i]) > 0.15 {
 			t.Fatalf("step %d: PF mean %g vs Kalman %g", i, est, exact[i])
 		}
@@ -208,13 +154,7 @@ func TestFilterValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.Particles(); !errors.Is(err, ErrNoparticles) {
-		t.Fatalf("got %v", err)
-	}
-	if _, err := f.Step(0.5); err != nil {
-		t.Fatal(err)
-	}
-	ps, err := f.Particles()
+	ps, err := f.Step(0.5)
 	if err != nil || len(ps) != 10 {
 		t.Fatalf("particles: %d, %v", len(ps), err)
 	}
@@ -232,7 +172,7 @@ func TestFilterDeterministic(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			last = EstimateWeighted(ps, func(s float64) float64 { return s })
+			last = weightedMean(ps)
 		}
 		return last
 	}
@@ -243,28 +183,13 @@ func TestFilterDeterministic(t *testing.T) {
 
 func TestNormalizeLogWeightsStability(t *testing.T) {
 	// Extremely negative log weights must not underflow to collapse.
-	w, _, err := normalizeLogWeights([]float64{-1e6, -1e6 + math.Log(3)})
+	w, err := normalizeLogWeights([]float64{-1e6, -1e6 + math.Log(3)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if math.Abs(w[1]-0.75) > 1e-9 || math.Abs(w[0]-0.25) > 1e-9 {
 		t.Fatalf("weights = %v", w)
 	}
-}
-
-func TestEstimateWeightedVariance(t *testing.T) {
-	r := rng.New(20)
-	xs := rng.SampleN(rng.NormalDist{Mu: 5, Sigma: 2}, r, 20000)
-	ps := make([]Weighted[float64], len(xs))
-	for i, x := range xs {
-		ps[i] = Weighted[float64]{X: x, W: 1 / float64(len(xs))}
-	}
-	m := EstimateWeighted(ps, func(x float64) float64 { return x })
-	v := EstimateWeighted(ps, func(x float64) float64 { return (x - m) * (x - m) })
-	if math.Abs(m-5) > 0.1 || math.Abs(v-4) > 0.2 {
-		t.Fatalf("m=%g v=%g", m, v)
-	}
-	_ = stats.Mean(xs) // keep stats imported for symmetry with other tests
 }
 
 func TestAdaptiveResamplingTracksKalman(t *testing.T) {
@@ -291,7 +216,7 @@ func TestAdaptiveResamplingTracksKalman(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			est := EstimateWeighted(ps, func(s float64) float64 { return s })
+			est := weightedMean(ps)
 			if e := math.Abs(est - exact[i]); e > maxErr {
 				maxErr = e
 			}
@@ -309,4 +234,13 @@ func TestAdaptiveResamplingTracksKalman(t *testing.T) {
 	if nAlways != 40 {
 		t.Fatalf("always-resample count = %d", nAlways)
 	}
+}
+
+// weightedMean is Σ wᵢ·xᵢ over a normalized weighted sample.
+func weightedMean(ps []Weighted[float64]) float64 {
+	m := 0.0
+	for _, p := range ps {
+		m += p.W * p.X
+	}
+	return m
 }

@@ -27,7 +27,10 @@ func ExampleNewFilter() {
 		if err != nil {
 			panic(err)
 		}
-		est := assimilate.EstimateWeighted(ps, func(x float64) float64 { return x })
+		est := 0.0
+		for _, p := range ps {
+			est += p.W * p.X
+		}
 		fmt.Printf("posterior mean ≈ %.1f\n", est)
 	}
 	// Output:

@@ -50,11 +50,51 @@ func TestNelderMeadBudget(t *testing.T) {
 	if res.Converged {
 		t.Fatal("claimed convergence on a 10-eval budget from x=100")
 	}
-	if calls > 11 {
-		t.Fatalf("made %d calls on budget 10", calls)
+	if calls > 10 || res.Evals != calls {
+		t.Fatalf("made %d calls (reported %d) on budget 10", calls, res.Evals)
 	}
 	if _, err := NelderMead(f, nil, NMOptions{}); !errors.Is(err, ErrBadStart) {
 		t.Fatalf("got %v", err)
+	}
+}
+
+// TestNelderMeadStaysWithinBudget holds every run to MaxEvals: an
+// expansion, or a contraction followed by a shrink, must not carry the
+// last iteration past the budget. A budget smaller than the initial
+// simplex is refused.
+func TestNelderMeadStaysWithinBudget(t *testing.T) {
+	for _, n := range []int{1, 3, 6} {
+		for _, budget := range []int{5, 10, 17, 40} {
+			calls := 0
+			f := func(x []float64) float64 {
+				calls++
+				s := 0.0
+				for i, v := range x {
+					s += float64(i+1) * (v - 1) * (v - 1)
+				}
+				return s
+			}
+			x0 := make([]float64, n)
+			for i := range x0 {
+				x0[i] = 50
+			}
+			res, err := NelderMead(f, x0, NMOptions{MaxEvals: budget})
+			if budget < n+1 {
+				if !errors.Is(err, ErrMaxEvals) || calls != 0 {
+					t.Errorf("n=%d budget=%d: err = %v after %d calls, want ErrMaxEvals before any", n, budget, err, calls)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("n=%d budget=%d: %v", n, budget, err)
+			}
+			if calls > budget || res.Evals != calls {
+				t.Errorf("n=%d budget=%d: %d calls, %d reported", n, budget, calls, res.Evals)
+			}
+			if res.F != f(res.X) {
+				t.Errorf("n=%d budget=%d: F = %g is not f(X) = %g", n, budget, res.F, f(res.X))
+			}
+		}
 	}
 }
 
@@ -74,88 +114,6 @@ func TestGridSearch(t *testing.T) {
 	}
 	if _, err := GridSearch(f, [][]float64{{1}, {}}); !errors.Is(err, ErrBadBounds) {
 		t.Fatalf("got %v", err)
-	}
-}
-
-func TestExponentialMLE(t *testing.T) {
-	const theta = 2.5
-	data := rng.SampleN(rng.ExponentialDist{Rate: theta}, rng.New(1), 50000)
-	got, err := ExponentialMLE(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(got-theta)/theta > 0.02 {
-		t.Fatalf("θ̂ = %g, want ≈ %g", got, theta)
-	}
-	if _, err := ExponentialMLE(nil); !errors.Is(err, ErrNoData) {
-		t.Fatalf("got %v", err)
-	}
-	if _, err := ExponentialMLE([]float64{-1, -2}); !errors.Is(err, ErrBadModel) {
-		t.Fatalf("got %v", err)
-	}
-}
-
-func TestNumericalMLEMatchesClosedForm(t *testing.T) {
-	const theta = 1.7
-	data := rng.SampleN(rng.ExponentialDist{Rate: theta}, rng.New(2), 20000)
-	closed, err := ExponentialMLE(data)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := MLE(data, func(th []float64, x float64) float64 {
-		if th[0] <= 0 {
-			return math.Inf(-1)
-		}
-		return rng.ExponentialDist{Rate: th[0]}.LogPDF(x)
-	}, []float64{1}, NMOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.X[0]-closed) > 1e-3 {
-		t.Fatalf("numerical MLE %g vs closed form %g", res.X[0], closed)
-	}
-	if _, err := MLE(nil, nil, nil, NMOptions{}); !errors.Is(err, ErrNoData) {
-		t.Fatalf("got %v", err)
-	}
-	if _, err := MLE(data, nil, nil, NMOptions{}); !errors.Is(err, ErrBadModel) {
-		t.Fatalf("got %v", err)
-	}
-}
-
-func TestNormalMLE(t *testing.T) {
-	d := rng.NormalDist{Mu: 4, Sigma: 2}
-	data := rng.SampleN(d, rng.New(3), 20000)
-	res, err := MLE(data, func(th []float64, x float64) float64 {
-		if th[1] <= 0 {
-			return math.Inf(-1)
-		}
-		return rng.NormalDist{Mu: th[0], Sigma: th[1]}.LogPDF(x)
-	}, []float64{0, 1}, NMOptions{MaxEvals: 4000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.X[0]-4) > 0.05 || math.Abs(res.X[1]-2) > 0.05 {
-		t.Fatalf("MLE = %v", res.X)
-	}
-}
-
-func TestMethodOfMoments(t *testing.T) {
-	// Normal: match (mean, variance) → recover (μ, σ).
-	observed := []float64{4, 9} // μ=4, σ²=9
-	res, err := MethodOfMoments(observed, func(th []float64) []float64 {
-		return []float64{th[0], th[1] * th[1]}
-	}, []float64{1, 1}, NMOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res.X[0]-4) > 1e-4 || math.Abs(math.Abs(res.X[1])-3) > 1e-4 {
-		t.Fatalf("MM = %v", res.X)
-	}
-	if _, err := MethodOfMoments(nil, nil, nil, NMOptions{}); !errors.Is(err, ErrNoData) {
-		t.Fatalf("got %v", err)
-	}
-	if _, err := MethodOfMoments([]float64{1}, func([]float64) []float64 { return nil }, []float64{1, 2}, NMOptions{}); !errors.Is(err, ErrBadModel) {
-		t.Fatalf("under-identified: got %v", err)
 	}
 }
 

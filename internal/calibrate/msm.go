@@ -6,6 +6,7 @@ import (
 
 	"modeldata/internal/linalg"
 	"modeldata/internal/rng"
+	"modeldata/internal/stats"
 )
 
 // This file implements the Method of Simulated Moments (McFadden [41])
@@ -14,6 +15,17 @@ import (
 // statistic vectors, and θ is chosen to minimize the generalized
 // distance J(θ) = GₙᵀWGₙ with Gₙ = Ȳₙ − m̂(θ). W is typically an
 // estimate of the inverse variance-covariance matrix of Gₙ.
+
+// MomentVector computes the empirical statistic vector
+// (mean, variance, lag-1 autocovariance) of a series — a standard Y
+// choice for MSM calibration of dynamic agent models.
+func MomentVector(xs []float64) []float64 {
+	out := []float64{stats.Mean(xs), stats.Variance(xs), 0}
+	if len(xs) > 1 {
+		out[2] = stats.Covariance(xs[:len(xs)-1], xs[1:])
+	}
+	return out
+}
 
 // ErrMSM wraps MSM configuration problems.
 var ErrMSM = errors.New("calibrate: invalid MSM problem")

@@ -1,9 +1,8 @@
 // Package calibrate implements the model-calibration toolkit of §3.1
-// of the paper: maximum likelihood estimation, the method of moments,
-// the method of simulated moments (MSM) with a generalized-distance
-// objective J(θ) = GᵀWG, and the derivative-free optimizers (Nelder-
-// Mead simplex, grid search) that the agent-based-model calibration
-// literature relies on.
+// of the paper: the method of simulated moments (MSM) with a
+// generalized-distance objective J(θ) = GᵀWG, and the derivative-free
+// optimizers (Nelder-Mead simplex, grid search) that the agent-based-
+// model calibration literature relies on.
 package calibrate
 
 import (
@@ -22,7 +21,8 @@ var (
 
 // NMOptions tune the Nelder-Mead simplex search.
 type NMOptions struct {
-	// MaxEvals bounds objective evaluations. Default 2000.
+	// MaxEvals bounds objective evaluations. Default 2000. It must
+	// cover the initial simplex: len(x0)+1 evaluations.
 	MaxEvals int
 	// Tol stops when the simplex function-value spread falls below it.
 	// Default 1e-9.
@@ -57,14 +57,19 @@ type NMResult struct {
 
 // NelderMead minimizes f starting from x0 using the Nelder-Mead simplex
 // method (the heuristic optimizer Fabretti [17] applies to ABM
-// calibration). It never returns an error for budget exhaustion — the
-// best point found is returned with Converged=false.
+// calibration). It evaluates f at most opts.MaxEvals times: a search
+// that exhausts the budget returns the best point found with
+// Converged=false, and a budget too small for the initial simplex is
+// ErrMaxEvals.
 func NelderMead(f func([]float64) float64, x0 []float64, opts NMOptions) (NMResult, error) {
 	if len(x0) == 0 {
 		return NMResult{}, ErrBadStart
 	}
 	opts = opts.withDefaults()
 	n := len(x0)
+	if opts.MaxEvals < n+1 {
+		return NMResult{}, fmt.Errorf("%w: %d evaluations cannot build a %d-vertex simplex", ErrMaxEvals, opts.MaxEvals, n+1)
+	}
 	const (
 		alpha = 1.0 // reflection
 		gamma = 2.0 // expansion
@@ -80,6 +85,7 @@ func NelderMead(f func([]float64) float64, x0 []float64, opts NMOptions) (NMResu
 		evals++
 		return f(x)
 	}
+	left := func() bool { return evals < opts.MaxEvals }
 	// Initial simplex: x0 plus n perturbed vertices.
 	simplex := make([]vertex, n+1)
 	base := append([]float64(nil), x0...)
@@ -94,7 +100,9 @@ func NelderMead(f func([]float64) float64, x0 []float64, opts NMOptions) (NMResu
 		simplex[i+1] = vertex{x: x, f: eval(x)}
 	}
 	centroid := make([]float64, n)
-	for evals < opts.MaxEvals {
+	// A step that finds the budget spent breaks out of the switch, and
+	// the loop condition then ends the search.
+	for left() {
 		sort.Slice(simplex, func(i, j int) bool { return simplex[i].f < simplex[j].f })
 		if math.Abs(simplex[n].f-simplex[0].f) < opts.Tol {
 			return NMResult{X: simplex[0].x, F: simplex[0].f, Evals: evals, Converged: true}, nil
@@ -116,20 +124,24 @@ func NelderMead(f func([]float64) float64, x0 []float64, opts NMOptions) (NMResu
 		fr := eval(reflect)
 		switch {
 		case fr < simplex[0].f:
+			simplex[n] = vertex{x: reflect, f: fr}
+			if !left() {
+				break
+			}
 			// Try expansion.
 			expand := make([]float64, n)
 			for j := range expand {
 				expand[j] = centroid[j] + gamma*(reflect[j]-centroid[j])
 			}
-			fe := eval(expand)
-			if fe < fr {
+			if fe := eval(expand); fe < fr {
 				simplex[n] = vertex{x: expand, f: fe}
-			} else {
-				simplex[n] = vertex{x: reflect, f: fr}
 			}
 		case fr < simplex[n-1].f:
 			simplex[n] = vertex{x: reflect, f: fr}
 		default:
+			if !left() {
+				break
+			}
 			// Contraction.
 			contract := make([]float64, n)
 			for j := range contract {
@@ -140,7 +152,7 @@ func NelderMead(f func([]float64) float64, x0 []float64, opts NMOptions) (NMResu
 				simplex[n] = vertex{x: contract, f: fc}
 			} else {
 				// Shrink toward the best vertex.
-				for i := 1; i <= n; i++ {
+				for i := 1; i <= n && left(); i++ {
 					for j := range simplex[i].x {
 						simplex[i].x[j] = simplex[0].x[j] + sigma*(simplex[i].x[j]-simplex[0].x[j])
 					}

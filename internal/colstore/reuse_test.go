@@ -43,8 +43,8 @@ func sameRows(a, b *engine.ColumnBlock) bool {
 func TestScanReusesReleasedVectors(t *testing.T) {
 	const segRows, segs = 4096, 9
 	st := writeAndOpen(t, seqTable("r", (segs-1)*segRows+1000), colstore.Options{SegmentRows: segRows})
-	if st.NumSegments() != segs {
-		t.Fatalf("%d segments, want %d", st.NumSegments(), segs)
+	if segments(st) != segs {
+		t.Fatalf("%d segments, want %d", segments(st), segs)
 	}
 	scan := func() engine.PartitionIter {
 		it, err := st.ScanPartitions(context.Background(), nil, nil)

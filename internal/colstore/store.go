@@ -155,9 +155,6 @@ func (st *Store) StorageSchema() engine.Schema { return st.schema.Clone() }
 // NumRows implements engine.Storage.
 func (st *Store) NumRows() int64 { return st.rows }
 
-// NumSegments returns the number of on-disk segments.
-func (st *Store) NumSegments() int { return len(st.segs) }
-
 // colProjection resolves cols (nil = all) to column indexes.
 func (st *Store) colProjection(cols []string) ([]int, error) {
 	if cols == nil {

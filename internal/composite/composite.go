@@ -97,11 +97,6 @@ func SeriesData(name string, s *timeseries.Series) Dataset {
 	return Dataset{Name: name, Kind: KindSeries, Series: s}
 }
 
-// TableData wraps a table into a Dataset.
-func TableData(name string, t *engine.Table) Dataset {
-	return Dataset{Name: name, Kind: KindTable, Table: t}
-}
-
 // RunFunc executes a component model: it consumes the datasets bound to
 // its input ports (keyed by port name) and produces one dataset per
 // output port.
@@ -147,16 +142,11 @@ type Composite struct {
 	models map[string]*Model
 	order  []string // registration order, for deterministic iteration
 	edges  []edge
-	// external inputs bound to model input ports: key "model.port".
-	inputs map[string]Dataset
 }
 
 // NewComposite returns an empty composite model.
 func NewComposite() *Composite {
-	return &Composite{
-		models: make(map[string]*Model),
-		inputs: make(map[string]Dataset),
-	}
+	return &Composite{models: make(map[string]*Model)}
 }
 
 // Register adds a model to the composite.
@@ -170,23 +160,6 @@ func (c *Composite) Register(m *Model) error {
 	}
 	c.models[key] = m
 	c.order = append(c.order, key)
-	return nil
-}
-
-// Bind supplies an external dataset to a model input port.
-func (c *Composite) Bind(model, port string, ds Dataset) error {
-	m, err := c.model(model)
-	if err != nil {
-		return err
-	}
-	spec, err := m.port(m.Inputs, port)
-	if err != nil {
-		return err
-	}
-	if ds.Kind != spec.Kind {
-		return fmt.Errorf("%w: binding %s to %s port %s.%s", ErrPayload, ds.Kind, spec.Kind, model, port)
-	}
-	c.inputs[bindKey(model, port)] = ds
 	return nil
 }
 
@@ -381,19 +354,14 @@ func (c *Composite) topoOrder() ([]string, error) {
 	return out, nil
 }
 
-// Run executes the composite once: models run in topological order,
-// edge transformations convert datasets between ports, and the map of
-// every model's outputs (keyed "model.port") is returned.
-func (c *Composite) Run(r *rng.Stream) (map[string]Dataset, error) {
-	return c.RunWith(r, nil)
-}
-
-// RunWith executes the composite once like Run, with overrides taking
-// precedence over Bind-supplied external inputs (keys as produced by
-// bindKey: "model.port", lower-cased). Overrides do not mutate the
-// composite, so concurrent RunWith calls with distinct overrides and
-// streams are safe — this is what lets designed experiments evaluate
-// design points in parallel.
+// RunWith executes the composite once: models run in topological
+// order, edge transformations convert datasets between ports, and the
+// map of every model's outputs (keyed "model.port") is returned.
+// overrides supplies external datasets to input ports (keys as
+// produced by bindKey: "model.port", lower-cased) and takes precedence
+// over edges. Overrides do not mutate the composite, so concurrent
+// RunWith calls with distinct overrides and streams are safe — this is
+// what lets designed experiments evaluate design points in parallel.
 func (c *Composite) RunWith(r *rng.Stream, overrides map[string]Dataset) (map[string]Dataset, error) {
 	order, err := c.topoOrder()
 	if err != nil {
@@ -406,10 +374,6 @@ func (c *Composite) RunWith(r *rng.Stream, overrides map[string]Dataset) (map[st
 		for _, spec := range m.Inputs {
 			key := bindKey(m.Name, spec.Name)
 			if ds, ok := overrides[key]; ok {
-				ins[strings.ToLower(spec.Name)] = ds
-				continue
-			}
-			if ds, ok := c.inputs[key]; ok {
 				ins[strings.ToLower(spec.Name)] = ds
 				continue
 			}

@@ -67,7 +67,7 @@ func TestCompositeSeriesAlignment(t *testing.T) {
 	if !strings.Contains(desc, "time-alignment") {
 		t.Fatalf("transform desc = %q", desc)
 	}
-	results, err := c.Run(rng.New(1))
+	results, err := c.RunWith(rng.New(1), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,7 +94,7 @@ func TestCompositeSchemaMapping(t *testing.T) {
 				{Name: "income", Type: engine.TypeFloat},
 			})
 			tbl.MustInsert(engine.Int(1), engine.Int(30), engine.Float(100))
-			return map[string]Dataset{"people": TableData("people", tbl)}, nil
+			return map[string]Dataset{"people": {Name: "people", Kind: KindTable, Table: tbl}}, nil
 		},
 	}
 	consumer := &Model{
@@ -125,7 +125,7 @@ func TestCompositeSchemaMapping(t *testing.T) {
 	if !strings.Contains(desc, "schema-mapping") {
 		t.Fatalf("desc = %q", desc)
 	}
-	results, err := c.Run(rng.New(2))
+	results, err := c.RunWith(rng.New(2), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestConnectUnmappableColumns(t *testing.T) {
 	}
 }
 
-func TestRegisterAndBindErrors(t *testing.T) {
+func TestRegisterErrors(t *testing.T) {
 	c := NewComposite()
 	m := demandModel()
 	if err := c.Register(m); err != nil {
@@ -199,41 +199,6 @@ func TestRegisterAndBindErrors(t *testing.T) {
 	if err := c.Register(&Model{Name: "norun"}); err == nil {
 		t.Fatal("nil Run accepted")
 	}
-	if err := c.Bind("demand", "nope", ScalarData("x", 1)); !errors.Is(err, ErrNoPort) {
-		t.Fatalf("got %v", err)
-	}
-	if err := c.Bind("missing", "x", ScalarData("x", 1)); !errors.Is(err, ErrNoModel) {
-		t.Fatalf("got %v", err)
-	}
-}
-
-func TestBindKindCheckAndExternalInput(t *testing.T) {
-	doubler := &Model{
-		Name:    "doubler",
-		Inputs:  []PortSpec{{Name: "x", Kind: KindScalar}},
-		Outputs: []PortSpec{{Name: "y", Kind: KindScalar}},
-		Run: func(inputs map[string]Dataset, r *rng.Stream) (map[string]Dataset, error) {
-			return map[string]Dataset{"y": ScalarData("y", 2*inputs["x"].Scalar)}, nil
-		},
-	}
-	c := NewComposite()
-	if err := c.Register(doubler); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.Bind("doubler", "x", SeriesData("x", nil)); !errors.Is(err, ErrPayload) {
-		t.Fatalf("got %v", err)
-	}
-	if err := c.Bind("doubler", "x", ScalarData("x", 21)); err != nil {
-		t.Fatal(err)
-	}
-	results, err := c.Run(rng.New(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	out, _ := Output(results, "doubler", "y")
-	if out.Scalar != 42 {
-		t.Fatalf("y = %g", out.Scalar)
-	}
 }
 
 func TestUnboundInput(t *testing.T) {
@@ -241,7 +206,7 @@ func TestUnboundInput(t *testing.T) {
 	if err := c.Register(queueModel()); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(rng.New(1)); !errors.Is(err, ErrUnbound) {
+	if _, err := c.RunWith(rng.New(1), nil); !errors.Is(err, ErrUnbound) {
 		t.Fatalf("got %v", err)
 	}
 }
@@ -270,7 +235,7 @@ func TestCycleDetection(t *testing.T) {
 	if _, err := c.Connect("m2", "o", "m1", "i"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Run(rng.New(1)); !errors.Is(err, ErrCycle) {
+	if _, err := c.RunWith(rng.New(1), nil); !errors.Is(err, ErrCycle) {
 		t.Fatalf("got %v", err)
 	}
 }

@@ -3,7 +3,6 @@ package doe
 import (
 	"errors"
 	"math"
-	"sort"
 	"testing"
 	"testing/quick"
 
@@ -73,17 +72,6 @@ func TestResolutionIVAndV(t *testing.T) {
 		if sizes[i] != want[i] {
 			t.Fatalf("design sizes = %v, want %v", sizes, want)
 		}
-	}
-}
-
-func TestDesignFor(t *testing.T) {
-	for _, res := range []int{3, 4, 5} {
-		if _, err := DesignFor(7, res); err != nil {
-			t.Fatalf("DesignFor(7, %d): %v", res, err)
-		}
-	}
-	if _, err := DesignFor(5, 3); !errors.Is(err, ErrNoDesign) {
-		t.Fatalf("got %v", err)
 	}
 }
 
@@ -161,25 +149,6 @@ func TestMainEffectsValidation(t *testing.T) {
 	constant := &Design{Factors: 1, Runs: [][]int{{1}, {1}}}
 	if _, err := MainEffects(constant, []float64{1, 2}); !errors.Is(err, ErrBadDesign) {
 		t.Fatalf("got %v", err)
-	}
-}
-
-func TestHalfNormalScores(t *testing.T) {
-	effects := []MainEffect{
-		{HalfNormalAbs: 0.1}, {HalfNormalAbs: 5}, {HalfNormalAbs: 0.2},
-	}
-	abs, q := HalfNormalScores(effects)
-	if len(abs) != 3 || len(q) != 3 {
-		t.Fatal("lengths")
-	}
-	if !sort.Float64sAreSorted(abs) || !sort.Float64sAreSorted(q) {
-		t.Fatal("scores must be ascending")
-	}
-	if abs[2] != 5 {
-		t.Fatalf("largest effect = %g", abs[2])
-	}
-	if q[0] <= 0 {
-		t.Fatalf("half-normal quantiles must be positive: %v", q)
 	}
 }
 
@@ -332,13 +301,5 @@ func TestScreeningValidation(t *testing.T) {
 	}
 	if _, err := OneFactorAtATime(3, nil, SBOptions{}); !errors.Is(err, ErrBadDesign) {
 		t.Fatalf("got %v", err)
-	}
-}
-
-func TestEffectVariance(t *testing.T) {
-	sim := LinearScreeningModel([]float64{1, 1}, 2)
-	v := EffectVariance(2, sim, 2000, 7)
-	if math.Abs(v-4) > 0.5 {
-		t.Fatalf("noise variance = %g, want ≈ 4", v)
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"modeldata/internal/parallel"
 	"modeldata/internal/rng"
-	"modeldata/internal/stats"
 )
 
 // EvalOptions tune EvaluateDesign.
@@ -53,25 +52,4 @@ func EvaluateDesign(ctx context.Context, d *Design, sim Simulator, opts EvalOpti
 		return nil, err
 	}
 	return out, nil
-}
-
-// ReplicationNoise estimates the per-point replication standard
-// deviation of a simulator over a design by evaluating every run twice
-// — a quick diagnostic for choosing EvalOptions.Replications.
-func ReplicationNoise(ctx context.Context, d *Design, sim Simulator, opts EvalOptions) (float64, error) {
-	a, err := EvaluateDesign(ctx, d, sim, opts)
-	if err != nil {
-		return 0, err
-	}
-	opts.Seed++
-	b, err := EvaluateDesign(ctx, d, sim, opts)
-	if err != nil {
-		return 0, err
-	}
-	diffs := make([]float64, len(a))
-	for i := range a {
-		diffs[i] = a[i] - b[i]
-	}
-	// Var(a−b) = 2σ² for independent replicates.
-	return stats.StdDev(diffs) / 1.4142135623730951, nil
 }

@@ -28,22 +28,3 @@ func ExampleResolutionIII7() {
 	// -1 +1 +1 -1 -1 +1 -1
 	// +1 +1 +1 +1 +1 +1 +1
 }
-
-// ExampleResolution computes a design's resolution from its defining
-// relation.
-func ExampleResolution() {
-	// Figure 3's generators: D=AB, E=AC, F=BC, G=ABC.
-	gens := []doe.Generator{
-		{Factor: 3, Words: []int{0, 1}},
-		{Factor: 4, Words: []int{0, 2}},
-		{Factor: 5, Words: []int{1, 2}},
-		{Factor: 6, Words: []int{0, 1, 2}},
-	}
-	res, err := doe.Resolution(7, gens)
-	if err != nil {
-		panic(err)
-	}
-	fmt.Println("resolution:", res)
-	// Output:
-	// resolution: 3
-}

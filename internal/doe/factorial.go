@@ -1,19 +1,14 @@
 // Package doe implements the statistical experimental-design toolkit
 // of §4.2–4.3 of the paper: two-level full and fractional factorial
 // designs (including the resolution III design of Figure 3 and its
-// resolution IV fold-over), main-effects analysis (Figure 4) with
-// half-normal (Daniel) diagnostics, randomized / orthogonal / nearly
-// orthogonal Latin hypercube designs (Figure 5), and sequential
-// bifurcation factor screening.
+// resolution IV fold-over), main-effects analysis (Figure 4),
+// randomized / orthogonal / nearly orthogonal Latin hypercube designs
+// (Figure 5), and sequential bifurcation factor screening.
 package doe
 
 import (
 	"errors"
 	"fmt"
-	"math"
-	"sort"
-
-	"modeldata/internal/rng"
 )
 
 // Common errors.
@@ -224,33 +219,13 @@ func ResolutionV7() *Design {
 	return d
 }
 
-// DesignFor returns a two-level design for n factors at the requested
-// resolution (3, 4, or 5) when a standard construction is available.
-// Resolution 3 uses saturated Plackett-Burman-style powers of two via
-// fractional factorials when n+1 is a power of two; other sizes return
-// ErrNoDesign.
-func DesignFor(n, resolution int) (*Design, error) {
-	if n == 7 {
-		switch resolution {
-		case 3:
-			return ResolutionIII7(), nil
-		case 4:
-			return ResolutionIV7(), nil
-		case 5:
-			return ResolutionV7(), nil
-		}
-	}
-	return nil, fmt.Errorf("%w: n=%d resolution=%d", ErrNoDesign, n, resolution)
-}
-
 // MainEffect is one factor's Figure 4 summary: the average response at
 // the low and high levels and the effect (high − low).
 type MainEffect struct {
-	Factor        int
-	LowMean       float64
-	HighMean      float64
-	Effect        float64
-	HalfNormalAbs float64 // |Effect|, filled by HalfNormalScores
+	Factor   int
+	LowMean  float64
+	HighMean float64
+	Effect   float64
 }
 
 // MainEffects computes the Figure 4 main-effects plot data from a
@@ -281,27 +256,7 @@ func MainEffects(d *Design, y []float64) ([]MainEffect, error) {
 			HighMean: hiSum / float64(hiN),
 		}
 		me.Effect = me.HighMean - me.LowMean
-		me.HalfNormalAbs = math.Abs(me.Effect)
 		out[j] = me
 	}
 	return out, nil
-}
-
-// HalfNormalScores returns the Daniel-plot coordinates for a set of
-// effects: the absolute effects sorted ascending, paired with the
-// half-normal quantiles Φ⁻¹(0.5 + 0.5·(i−0.5)/m). Effects that stand
-// far above the line through the bulk are significant.
-func HalfNormalScores(effects []MainEffect) (absEffects, quantiles []float64) {
-	m := len(effects)
-	absEffects = make([]float64, m)
-	for i, e := range effects {
-		absEffects[i] = e.HalfNormalAbs
-	}
-	sort.Float64s(absEffects)
-	quantiles = make([]float64, m)
-	for i := 0; i < m; i++ {
-		p := 0.5 + 0.5*(float64(i)+0.5)/float64(m)
-		quantiles[i] = rng.NormalQuantile(p)
-	}
-	return absEffects, quantiles
 }

@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"modeldata/internal/rng"
-	"modeldata/internal/stats"
 )
 
 // This file implements sequential bifurcation (§4.3): under a linear
@@ -154,19 +153,4 @@ func LinearScreeningModel(mainEffects []float64, noise float64) Simulator {
 		}
 		return y
 	}
-}
-
-// EffectVariance estimates the replication noise of a simulator at the
-// all-low point — useful for choosing SBOptions.Threshold.
-func EffectVariance(n int, sim Simulator, reps int, seed uint64) float64 {
-	stream := rng.New(seed)
-	levels := make([]int, n)
-	for j := range levels {
-		levels[j] = -1
-	}
-	xs := make([]float64, reps)
-	for i := range xs {
-		xs[i] = sim(levels, stream.Split())
-	}
-	return stats.Variance(xs)
 }

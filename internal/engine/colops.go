@@ -362,19 +362,13 @@ func equiJoinIdx(l, r *ColumnBlock, li, ri int, buildLeft bool, sc *Scratch) (li
 	return newJoinTable(r, ri, sc).probe(l, li, sc, sc.idxBuf(0), sc.idxBuf(1))
 }
 
-// EquiJoin computes the hash equi-join of b and r on leftCol =
+// equiJoinBudget computes the hash equi-join of b and r on leftCol =
 // rightCol. The hash table is built on the smaller input (ties build on
 // the right) from pre-encoded uint64 key codes; no per-row key strings
-// are constructed.
-// Output columns are prefixed with the block names.
-func (b *ColumnBlock) EquiJoin(r *ColumnBlock, leftCol, rightCol string, sc *Scratch) (*ColumnBlock, error) {
-	return b.equiJoinBudget(r, leftCol, rightCol, sc, 0, "")
-}
-
-// equiJoinBudget is EquiJoin with a spill policy: when budget > 0 and
-// the build side's estimated hash footprint exceeds it, the join
-// Grace-partitions to disk under dir (see spill.go). Output is
-// byte-identical either way.
+// are constructed. Output columns are prefixed with the block names.
+// When budget > 0 and the build side's estimated hash footprint
+// exceeds it, the join Grace-partitions to disk under dir (see
+// spill.go). Output is byte-identical either way.
 func (b *ColumnBlock) equiJoinBudget(r *ColumnBlock, leftCol, rightCol string, sc *Scratch, budget int64, dir string) (*ColumnBlock, error) {
 	sc = sc.orNew()
 	l := b

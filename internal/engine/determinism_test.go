@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"testing"
 )
 
@@ -98,26 +97,5 @@ func TestGroupByManyKeysStable(t *testing.T) {
 		if got != first {
 			t.Fatalf("run %d: group order changed between identical runs", run)
 		}
-	}
-}
-
-// TestDatabaseNamesStable requires Names to return the same sorted
-// slice regardless of insertion order into the catalog map.
-func TestDatabaseNamesStable(t *testing.T) {
-	mk := func(names ...string) *Database {
-		db := NewDatabase()
-		for _, n := range names {
-			db.Put(MustNewTable(n, Schema{{Name: "x", Type: TypeInt}}))
-		}
-		return db
-	}
-	a := mk("zeta", "alpha", "mid")
-	b := mk("mid", "zeta", "alpha")
-	want := fmt.Sprintf("%v", []string{"alpha", "mid", "zeta"})
-	if got := fmt.Sprintf("%v", a.Names()); got != want {
-		t.Fatalf("Names() = %s, want %s", got, want)
-	}
-	if got := fmt.Sprintf("%v", b.Names()); got != fmt.Sprintf("%v", a.Names()) {
-		t.Fatalf("Names() depends on insertion order: %s vs %v", got, a.Names())
 	}
 }

@@ -402,8 +402,8 @@ func TestDatabase(t *testing.T) {
 	if _, err := db.Get("person"); !errors.Is(err, ErrNoTable) {
 		t.Fatalf("got %v, want ErrNoTable", err)
 	}
-	if len(db.Names()) != 0 {
-		t.Fatal("Names after drop")
+	if len(db.tables) != 0 {
+		t.Fatal("tables left after drop")
 	}
 }
 

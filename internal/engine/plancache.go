@@ -26,8 +26,7 @@ import (
 // Prepared is a parsed SELECT plus the memoized join-order choice.
 // It is safe for concurrent use.
 type Prepared struct {
-	src string
-	st  *selectStmt
+	st *selectStmt
 
 	mu        sync.Mutex
 	choiceKey string
@@ -49,11 +48,8 @@ func Prepare(sql string) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Prepared{src: sql, st: st}, nil
+	return &Prepared{st: st}, nil
 }
-
-// Source returns the SQL text the statement was prepared from.
-func (p *Prepared) Source() string { return p.src }
 
 // Query binds the statement to db and returns the lazy query, wired
 // to this statement's choice cache.

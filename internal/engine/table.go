@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 	"strings"
 )
 
@@ -170,19 +169,6 @@ func (t *Table) Len() int { return len(t.Rows) }
 // ColIndex returns the index of the named column.
 func (t *Table) ColIndex(name string) (int, error) { return t.Schema.ColIndex(name) }
 
-// Column extracts the named column as a value slice.
-func (t *Table) Column(name string) ([]Value, error) {
-	idx, err := t.ColIndex(name)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Value, len(t.Rows))
-	for i, r := range t.Rows {
-		out[i] = r[idx]
-	}
-	return out, nil
-}
-
 // FloatColumn extracts a numeric column as float64s.
 func (t *Table) FloatColumn(name string) ([]float64, error) {
 	idx, err := t.ColIndex(name)
@@ -318,17 +304,6 @@ func (db *Database) PutStorage(st Storage) {
 func (db *Database) Storage(name string) (Storage, bool) {
 	st, ok := db.stores[strings.ToLower(name)]
 	return st, ok
-}
-
-// Names returns the table names in the database in sorted order, so
-// catalog listings are stable run to run.
-func (db *Database) Names() []string {
-	out := make([]string, 0, len(db.tables))
-	for _, t := range db.tables {
-		out = append(out, t.Name)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Clone returns an independent database over the same rows; this is how

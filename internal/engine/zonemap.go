@@ -20,7 +20,6 @@ package engine
 
 import (
 	"math"
-	"strings"
 
 	"modeldata/internal/engine/plan"
 )
@@ -237,13 +236,4 @@ func zoneBetween(zm ZoneMap, lo, hi Value) tri {
 		return triAll
 	}
 	return triSome
-}
-
-// zoneStatsFunc adapts a case-insensitive name→ZoneMap table to the
-// lookup shape ZoneMayMatch wants.
-func zoneStatsFunc(m map[string]ZoneMap) func(string) (ZoneMap, bool) {
-	return func(col string) (ZoneMap, bool) {
-		zm, ok := m[strings.ToLower(col)]
-		return zm, ok
-	}
 }

@@ -6,10 +6,20 @@ package engine
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"modeldata/internal/engine/plan"
 )
+
+// zoneStatsFunc adapts a case-insensitive name→ZoneMap table to the
+// lookup shape ZoneMayMatch wants.
+func zoneStatsFunc(m map[string]ZoneMap) func(string) (ZoneMap, bool) {
+	return func(col string) (ZoneMap, bool) {
+		zm, ok := m[strings.ToLower(col)]
+		return zm, ok
+	}
+}
 
 func intZone(lo, hi int64, rows int64) ZoneMap {
 	return ZoneMap{Rows: rows, HasRange: true, Min: Int(lo), Max: Int(hi)}

@@ -1,9 +1,8 @@
 // Package gridfield implements the gridfield algebra of Howe and Maier
 // (VLDB Journal 2005), surveyed in §2.2 of the paper as database-style
 // technology for transforming gridded scientific data. A grid is a
-// collection of heterogeneous cells of various dimensions with an
-// incidence relation x ≤ y (x = y, or dim(x) < dim(y) and x touches y).
-// A gridfield binds data to the cells of one dimension. The central
+// collection of heterogeneous cells of various dimensions. A gridfield
+// binds data to the cells of one dimension. The central
 // operator is regrid, which maps a source gridfield's cells onto a
 // target grid's cells via a many-to-one assignment function and
 // aggregates the bound values; restrict is the selection analogue. The
@@ -20,28 +19,17 @@ import (
 
 // Common errors.
 var (
-	ErrNoCell   = errors.New("gridfield: no such cell")
-	ErrNoData   = errors.New("gridfield: no data bound at this dimension")
-	ErrBadDim   = errors.New("gridfield: invalid cell dimension")
-	ErrBadAgg   = errors.New("gridfield: unknown aggregation")
-	ErrIncident = errors.New("gridfield: invalid incidence pair")
+	ErrNoCell = errors.New("gridfield: no such cell")
+	ErrBadDim = errors.New("gridfield: invalid cell dimension")
+	ErrBadAgg = errors.New("gridfield: unknown aggregation")
 )
 
-// Cell is one abstract cell of a grid.
-type Cell struct {
-	ID  int
-	Dim int
-}
-
-// Grid is a collection of cells plus the incidence relation.
+// Grid is a collection of cells of various dimensions.
 type Grid struct {
 	Name string
 	// cells maps dimension → sorted cell IDs.
 	cells map[int][]int
-	// up[id] lists the higher-dimensional cells incident to id;
-	// down[id] the lower-dimensional ones.
-	up, down map[int][]int
-	dimOf    map[int]int
+	dimOf map[int]int
 }
 
 // NewGrid returns an empty grid.
@@ -49,8 +37,6 @@ func NewGrid(name string) *Grid {
 	return &Grid{
 		Name:  name,
 		cells: make(map[int][]int),
-		up:    make(map[int][]int),
-		down:  make(map[int][]int),
 		dimOf: make(map[int]int),
 	}
 }
@@ -76,32 +62,6 @@ func insertSorted(xs []int, v int) []int {
 	return xs
 }
 
-// AddIncidence records x ≤ y: dim(x) must be strictly less than dim(y)
-// and x touches y.
-func (g *Grid) AddIncidence(x, y int) error {
-	dx, ok := g.dimOf[x]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoCell, x)
-	}
-	dy, ok := g.dimOf[y]
-	if !ok {
-		return fmt.Errorf("%w: %d", ErrNoCell, y)
-	}
-	if dx >= dy {
-		return fmt.Errorf("%w: dim(%d)=%d not below dim(%d)=%d", ErrIncident, x, dx, y, dy)
-	}
-	g.up[x] = append(g.up[x], y)
-	g.down[y] = append(g.down[y], x)
-	return nil
-}
-
-// Cells returns the sorted IDs of dimension-k cells.
-func (g *Grid) Cells(k int) []int {
-	out := make([]int, len(g.cells[k]))
-	copy(out, g.cells[k])
-	return out
-}
-
 // Dim returns a cell's dimension.
 func (g *Grid) Dim(id int) (int, error) {
 	d, ok := g.dimOf[id]
@@ -109,31 +69,6 @@ func (g *Grid) Dim(id int) (int, error) {
 		return 0, fmt.Errorf("%w: %d", ErrNoCell, id)
 	}
 	return d, nil
-}
-
-// Incident reports x ≤ y per the paper's definition: x = y, or x
-// appears in y's downward incidence closure (transitively).
-func (g *Grid) Incident(x, y int) bool {
-	if x == y {
-		return true
-	}
-	// BFS down from y.
-	seen := map[int]bool{y: true}
-	queue := []int{y}
-	for len(queue) > 0 {
-		c := queue[0]
-		queue = queue[1:]
-		for _, d := range g.down[c] {
-			if d == x {
-				return true
-			}
-			if !seen[d] {
-				seen[d] = true
-				queue = append(queue, d)
-			}
-		}
-	}
-	return false
 }
 
 // Field is a gridfield: a grid with data bound to the cells of one
@@ -167,15 +102,6 @@ func Bind(g *Grid, k int, f func(cellID int) float64) (*Field, error) {
 		fld.Data[id] = f(id)
 	}
 	return fld, nil
-}
-
-// Value returns the datum bound to a cell.
-func (f *Field) Value(cellID int) (float64, error) {
-	v, ok := f.Data[cellID]
-	if !ok {
-		return 0, fmt.Errorf("%w: cell %d", ErrNoData, cellID)
-	}
-	return v, nil
 }
 
 // CellIDs returns the sorted cell IDs carrying data.
@@ -276,27 +202,9 @@ func (f *Field) Regrid(target *Grid, k int, assign func(srcCellID int) (dstCellI
 	return out, nil
 }
 
-// Merge intersects two fields over the same grid dimension, combining
-// values with the given function (the algebra's binary operator).
-func (f *Field) Merge(other *Field, combine func(a, b float64) float64) (*Field, error) {
-	if f.Grid != other.Grid || f.Dim != other.Dim {
-		return nil, fmt.Errorf("%w: merge across grids or dimensions", ErrBadDim)
-	}
-	out := &Field{
-		Grid: f.Grid, Dim: f.Dim, Data: make(map[int]float64),
-		Touched: f.Touched, RegridTouched: f.RegridTouched,
-	}
-	for id, a := range f.Data {
-		if b, ok := other.Data[id]; ok {
-			out.Data[id] = combine(a, b)
-		}
-	}
-	return out, nil
-}
-
 // UniformGrid1D builds a 1-D grid with n vertices (dim 0, IDs 0..n−1)
-// and n−1 segments (dim 1, IDs n..2n−2), each segment incident to its
-// two endpoint vertices — the simplest CORIE-style grid.
+// and n−1 segments (dim 1, IDs n..2n−2) — the simplest CORIE-style
+// grid.
 func UniformGrid1D(name string, n int) (*Grid, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("%w: need ≥ 2 vertices", ErrBadDim)
@@ -312,12 +220,6 @@ func UniformGrid1D(name string, n int) (*Grid, error) {
 		if err := g.AddCell(seg, 1); err != nil {
 			return nil, err
 		}
-		if err := g.AddIncidence(i, seg); err != nil {
-			return nil, err
-		}
-		if err := g.AddIncidence(i+1, seg); err != nil {
-			return nil, err
-		}
 	}
 	return g, nil
 }
@@ -328,8 +230,7 @@ func UniformGrid1D(name string, n int) (*Grid, error) {
 // algebra targets. pick(i) must be deterministic for reproducibility.
 //
 // Vertex (i, j) has ID j·nx+i (dim 0); quad (i, j) has
-// ID nx·ny + j·(nx−1)+i (dim 2) and is incident to its four corner
-// vertices.
+// ID nx·ny + j·(nx−1)+i (dim 2).
 func IrregularGrid2D(name string, nx, ny int, dropQuad func(quadIndex int) bool) (*Grid, error) {
 	if nx < 2 || ny < 2 {
 		return nil, fmt.Errorf("%w: need ≥ 2×2 vertices", ErrBadDim)
@@ -352,11 +253,6 @@ func IrregularGrid2D(name string, nx, ny int, dropQuad func(quadIndex int) bool)
 			id := base + qi
 			if err := g.AddCell(id, 2); err != nil {
 				return nil, err
-			}
-			for _, v := range []int{j*nx + i, j*nx + i + 1, (j+1)*nx + i, (j+1)*nx + i + 1} {
-				if err := g.AddIncidence(v, id); err != nil {
-					return nil, err
-				}
 			}
 		}
 	}

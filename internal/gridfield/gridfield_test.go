@@ -26,15 +26,6 @@ func TestGridBasics(t *testing.T) {
 	if err := g.AddCell(3, -1); !errors.Is(err, ErrBadDim) {
 		t.Fatalf("got %v", err)
 	}
-	if err := g.AddIncidence(0, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddIncidence(2, 0); !errors.Is(err, ErrIncident) {
-		t.Fatalf("got %v", err)
-	}
-	if err := g.AddIncidence(9, 2); !errors.Is(err, ErrNoCell) {
-		t.Fatalf("got %v", err)
-	}
 	if d, _ := g.Dim(2); d != 1 {
 		t.Fatal("Dim wrong")
 	}
@@ -43,48 +34,13 @@ func TestGridBasics(t *testing.T) {
 	}
 }
 
-func TestIncidenceRelation(t *testing.T) {
-	// Segment example from the paper: line segment x is a side of
-	// square y, so x ≤ y; vertices below segments below squares.
-	g := NewGrid("g")
-	for id, dim := range map[int]int{0: 0, 1: 0, 10: 1, 20: 2} {
-		if err := g.AddCell(id, dim); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := g.AddIncidence(0, 10); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddIncidence(1, 10); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.AddIncidence(10, 20); err != nil {
-		t.Fatal(err)
-	}
-	if !g.Incident(0, 0) {
-		t.Fatal("x ≤ x must hold")
-	}
-	if !g.Incident(0, 10) || !g.Incident(10, 20) {
-		t.Fatal("direct incidence missing")
-	}
-	if !g.Incident(0, 20) {
-		t.Fatal("incidence must be transitive (vertex ≤ square)")
-	}
-	if g.Incident(20, 0) {
-		t.Fatal("incidence must not hold downward")
-	}
-}
-
 func TestUniformGrid1D(t *testing.T) {
 	g, err := UniformGrid1D("line", 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.Cells(0)) != 5 || len(g.Cells(1)) != 4 {
-		t.Fatalf("cells: %d vertices, %d segments", len(g.Cells(0)), len(g.Cells(1)))
-	}
-	if !g.Incident(2, 6) { // vertex 2 is an endpoint of segment 6 (= 5+1)
-		t.Fatal("vertex-segment incidence missing")
+	if len(g.cells[0]) != 5 || len(g.cells[1]) != 4 {
+		t.Fatalf("cells: %d vertices, %d segments", len(g.cells[0]), len(g.cells[1]))
 	}
 	if _, err := UniformGrid1D("x", 1); !errors.Is(err, ErrBadDim) {
 		t.Fatalf("got %v", err)
@@ -96,23 +52,12 @@ func TestIrregularGrid2D(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(g.Cells(0)) != 12 {
-		t.Fatalf("vertices = %d", len(g.Cells(0)))
+	if len(g.cells[0]) != 12 {
+		t.Fatalf("vertices = %d", len(g.cells[0]))
 	}
 	// 3×2 = 6 quads minus the dropped one.
-	if len(g.Cells(2)) != 5 {
-		t.Fatalf("quads = %d", len(g.Cells(2)))
-	}
-	// A surviving quad touches its four corners.
-	quad := g.Cells(2)[0]
-	n := 0
-	for _, v := range g.Cells(0) {
-		if g.Incident(v, quad) {
-			n++
-		}
-	}
-	if n != 4 {
-		t.Fatalf("quad corner count = %d", n)
+	if len(g.cells[2]) != 5 {
+		t.Fatalf("quads = %d", len(g.cells[2]))
 	}
 	if _, err := IrregularGrid2D("x", 1, 5, nil); !errors.Is(err, ErrBadDim) {
 		t.Fatalf("got %v", err)
@@ -128,11 +73,8 @@ func TestBindAndRestrict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if v, _ := fld.Value(7); v != 7 {
+	if v, ok := fld.Data[7]; !ok || v != 7 {
 		t.Fatal("bind wrong")
-	}
-	if _, err := fld.Value(999); !errors.Is(err, ErrNoData) {
-		t.Fatalf("got %v", err)
 	}
 	big := fld.Restrict(func(id int, v float64) bool { return v >= 5 })
 	if len(big.Data) != 5 {
@@ -209,24 +151,6 @@ func TestRegridDimensionCheck(t *testing.T) {
 	}
 	_, err = fld.Regrid(dst, 0, func(srcID int) (int, bool) { return 99, true }, AggMean)
 	if !errors.Is(err, ErrNoCell) {
-		t.Fatalf("got %v", err)
-	}
-}
-
-func TestMerge(t *testing.T) {
-	g, _ := UniformGrid1D("g", 5)
-	a, _ := Bind(g, 0, func(id int) float64 { return float64(id) })
-	b, _ := Bind(g, 0, func(id int) float64 { return 10 })
-	m, err := a.Merge(b, func(x, y float64) float64 { return x + y })
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Data[3] != 13 {
-		t.Fatalf("merge = %g", m.Data[3])
-	}
-	other, _ := UniformGrid1D("h", 5)
-	c, _ := Bind(other, 0, func(id int) float64 { return 0 })
-	if _, err := a.Merge(c, nil); !errors.Is(err, ErrBadDim) {
 		t.Fatalf("got %v", err)
 	}
 }

@@ -72,8 +72,8 @@ type Contact struct {
 	Weight float64
 }
 
-// Network is the contact network: people plus adjacency lists. Edges
-// are stored once per direction so deletions (quarantine) are local.
+// Network is the contact network: people plus adjacency lists. Each
+// undirected edge is stored once per direction.
 type Network struct {
 	People []Person
 	Adj    [][]Contact
@@ -99,34 +99,6 @@ func (n *Network) AddEdge(a, b int, weight float64) error {
 	n.Adj[a] = append(n.Adj[a], Contact{To: b, Weight: weight})
 	n.Adj[b] = append(n.Adj[b], Contact{To: a, Weight: weight})
 	return nil
-}
-
-// RemoveEdges deletes every contact incident on person id — the edge
-// deletion ("quarantine") transition of §2.4.
-func (n *Network) RemoveEdges(id int) {
-	for _, c := range n.Adj[id] {
-		peers := n.Adj[c.To]
-		out := peers[:0]
-		for _, pc := range peers {
-			if pc.To != id {
-				out = append(out, pc)
-			}
-		}
-		n.Adj[c.To] = out
-	}
-	n.Adj[id] = nil
-}
-
-// Degree returns the contact count of person id.
-func (n *Network) Degree(id int) int { return len(n.Adj[id]) }
-
-// NumEdges returns the number of undirected edges.
-func (n *Network) NumEdges() int {
-	total := 0
-	for _, adj := range n.Adj {
-		total += len(adj)
-	}
-	return total / 2
 }
 
 // PopulationConfig drives synthetic population generation, standing in

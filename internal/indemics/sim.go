@@ -154,17 +154,6 @@ func (s *Sim) Vaccinate(ids []int) error {
 	return nil
 }
 
-// Quarantine removes all contacts of the given people (edge deletion).
-func (s *Sim) Quarantine(ids []int) error {
-	for _, id := range ids {
-		if id < 0 || id >= len(s.Net.People) {
-			return fmt.Errorf("%w: %d", ErrNoPerson, id)
-		}
-		s.Net.RemoveEdges(id)
-	}
-	return nil
-}
-
 // PersonTable snapshots the person states into a relational table —
 // the RDBMS side of the Indemics division of labour. Columns: pid, age,
 // state, fear, days_in_state.

@@ -39,44 +39,11 @@ func NewMatrix(rows, cols int) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
-// NewMatrixFromRows builds a matrix from row slices, which must all have
-// equal length.
-func NewMatrixFromRows(rows [][]float64) (*Matrix, error) {
-	if len(rows) == 0 {
-		return NewMatrix(0, 0), nil
-	}
-	cols := len(rows[0])
-	m := NewMatrix(len(rows), cols)
-	for i, r := range rows {
-		if len(r) != cols {
-			return nil, fmt.Errorf("%w: row %d has %d columns, want %d", ErrShape, i, len(r), cols)
-		}
-		copy(m.Data[i*cols:(i+1)*cols], r)
-	}
-	return m, nil
-}
-
-// Identity returns the n×n identity matrix.
-func Identity(n int) *Matrix {
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, 1)
-	}
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
 // Set assigns element (i, j).
 func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
-
-// Row returns a copy of row i.
-func (m *Matrix) Row(i int) []float64 {
-	out := make([]float64, m.Cols)
-	copy(out, m.Data[i*m.Cols:(i+1)*m.Cols])
-	return out
-}
 
 // Clone returns a deep copy of m.
 func (m *Matrix) Clone() *Matrix {
@@ -129,18 +96,6 @@ func (m *Matrix) MulVec(x []float64) ([]float64, error) {
 			s += v * x[j]
 		}
 		out[i] = s
-	}
-	return out, nil
-}
-
-// Add returns m + b.
-func (m *Matrix) Add(b *Matrix) (*Matrix, error) {
-	if m.Rows != b.Rows || m.Cols != b.Cols {
-		return nil, fmt.Errorf("%w: add (%d×%d)+(%d×%d)", ErrShape, m.Rows, m.Cols, b.Rows, b.Cols)
-	}
-	out := NewMatrix(m.Rows, m.Cols)
-	for i := range m.Data {
-		out.Data[i] = m.Data[i] + b.Data[i]
 	}
 	return out, nil
 }
@@ -248,15 +203,6 @@ func (f *LU) Solve(b []float64) ([]float64, error) {
 		x[i] = s / f.lu.At(i, i)
 	}
 	return x, nil
-}
-
-// Det returns the determinant of the factored matrix.
-func (f *LU) Det() float64 {
-	d := float64(f.sign)
-	for i := 0; i < f.lu.Rows; i++ {
-		d *= f.lu.At(i, i)
-	}
-	return d
 }
 
 // Solve solves the linear system a·x = b.
@@ -371,23 +317,6 @@ func (t *Tridiagonal) Validate() error {
 	return nil
 }
 
-// Dense expands the system into a dense matrix (for testing and for the
-// SGD comparison experiments).
-func (t *Tridiagonal) Dense() *Matrix {
-	n := t.N()
-	m := NewMatrix(n, n)
-	for i := 0; i < n; i++ {
-		m.Set(i, i, t.Diag[i])
-		if i > 0 {
-			m.Set(i, i-1, t.Sub[i-1])
-		}
-		if i < n-1 {
-			m.Set(i, i+1, t.Super[i])
-		}
-	}
-	return m
-}
-
 // MulVec computes the tridiagonal matrix-vector product.
 func (t *Tridiagonal) MulVec(x []float64) ([]float64, error) {
 	n := t.N()
@@ -467,16 +396,6 @@ func Norm2(x []float64) float64 {
 		s += v * v
 	}
 	return math.Sqrt(s)
-}
-
-// AXPY computes y ← y + alpha·x in place.
-func AXPY(alpha float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic(fmt.Sprintf("linalg: AXPY length mismatch %d vs %d", len(x), len(y)))
-	}
-	for i := range y {
-		y[i] += alpha * x[i]
-	}
 }
 
 // Sub returns a − b as a new vector.

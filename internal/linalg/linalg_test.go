@@ -23,6 +23,39 @@ func vecApproxEq(a, b []float64, tol float64) bool {
 	return true
 }
 
+// fromRows builds a matrix from equal-length rows.
+func fromRows(rows [][]float64) *Matrix {
+	m := NewMatrix(len(rows), len(rows[0]))
+	for i, r := range rows {
+		copy(m.Data[i*m.Cols:(i+1)*m.Cols], r)
+	}
+	return m
+}
+
+func identity(n int) *Matrix {
+	m := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, 1)
+	}
+	return m
+}
+
+// dense expands a tridiagonal system into a dense matrix.
+func dense(t *Tridiagonal) *Matrix {
+	n := t.N()
+	m := NewMatrix(n, n)
+	for i := 0; i < n; i++ {
+		m.Set(i, i, t.Diag[i])
+		if i > 0 {
+			m.Set(i, i-1, t.Sub[i-1])
+		}
+		if i < n-1 {
+			m.Set(i, i+1, t.Super[i])
+		}
+	}
+	return m
+}
+
 func TestMatrixBasics(t *testing.T) {
 	m := NewMatrix(2, 3)
 	m.Set(0, 0, 1)
@@ -30,29 +63,11 @@ func TestMatrixBasics(t *testing.T) {
 	if m.At(0, 0) != 1 || m.At(1, 2) != 5 || m.At(0, 1) != 0 {
 		t.Fatal("Set/At mismatch")
 	}
-	r := m.Row(1)
-	r[0] = 99
-	if m.At(1, 0) == 99 {
-		t.Fatal("Row must return a copy")
-	}
-}
-
-func TestNewMatrixFromRows(t *testing.T) {
-	m, err := NewMatrixFromRows([][]float64{{1, 2}, {3, 4}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.At(1, 0) != 3 {
-		t.Fatal("wrong element")
-	}
-	if _, err := NewMatrixFromRows([][]float64{{1, 2}, {3}}); !errors.Is(err, ErrShape) {
-		t.Fatalf("ragged rows: got %v, want ErrShape", err)
-	}
 }
 
 func TestMulIdentity(t *testing.T) {
-	a, _ := NewMatrixFromRows([][]float64{{1, 2}, {3, 4}})
-	i2 := Identity(2)
+	a := fromRows([][]float64{{1, 2}, {3, 4}})
+	i2 := identity(2)
 	p, err := a.Mul(i2)
 	if err != nil {
 		t.Fatal(err)
@@ -63,8 +78,8 @@ func TestMulIdentity(t *testing.T) {
 }
 
 func TestMulKnown(t *testing.T) {
-	a, _ := NewMatrixFromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
-	b, _ := NewMatrixFromRows([][]float64{{7, 8}, {9, 10}, {11, 12}})
+	a := fromRows([][]float64{{1, 2, 3}, {4, 5, 6}})
+	b := fromRows([][]float64{{7, 8}, {9, 10}, {11, 12}})
 	p, err := a.Mul(b)
 	if err != nil {
 		t.Fatal(err)
@@ -127,31 +142,20 @@ func TestSolveRoundTrip(t *testing.T) {
 }
 
 func TestSolveSingular(t *testing.T) {
-	a, _ := NewMatrixFromRows([][]float64{{1, 2}, {2, 4}})
+	a := fromRows([][]float64{{1, 2}, {2, 4}})
 	if _, err := Solve(a, []float64{1, 2}); !errors.Is(err, ErrSingular) {
 		t.Fatalf("got %v, want ErrSingular", err)
 	}
 }
 
-func TestLUDet(t *testing.T) {
-	a, _ := NewMatrixFromRows([][]float64{{4, 3}, {6, 3}})
-	f, err := FactorLU(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approxEq(f.Det(), -6, 1e-12) {
-		t.Fatalf("det = %g, want -6", f.Det())
-	}
-}
-
 func TestInverse(t *testing.T) {
-	a, _ := NewMatrixFromRows([][]float64{{4, 7}, {2, 6}})
+	a := fromRows([][]float64{{4, 7}, {2, 6}})
 	inv, err := Inverse(a)
 	if err != nil {
 		t.Fatal(err)
 	}
 	p, _ := a.Mul(inv)
-	if !vecApproxEq(p.Data, Identity(2).Data, 1e-12) {
+	if !vecApproxEq(p.Data, identity(2).Data, 1e-12) {
 		t.Fatalf("A·A⁻¹ = %v", p.Data)
 	}
 }
@@ -193,7 +197,7 @@ func TestCholeskyRoundTrip(t *testing.T) {
 }
 
 func TestCholeskyRejectsIndefinite(t *testing.T) {
-	a, _ := NewMatrixFromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
+	a := fromRows([][]float64{{1, 2}, {2, 1}}) // eigenvalues 3, -1
 	if _, err := Cholesky(a); !errors.Is(err, ErrNotPositiveDefinite) {
 		t.Fatalf("got %v, want ErrNotPositiveDefinite", err)
 	}
@@ -223,7 +227,7 @@ func TestThomasMatchesDenseSolve(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		x2, err := Solve(tri.Dense(), d)
+		x2, err := Solve(dense(tri), d)
 		if err != nil {
 			return false
 		}
@@ -296,14 +300,6 @@ func TestDotAndNorm(t *testing.T) {
 	}
 }
 
-func TestAXPY(t *testing.T) {
-	y := []float64{1, 1}
-	AXPY(2, []float64{3, 4}, y)
-	if !vecApproxEq(y, []float64{7, 9}, 0) {
-		t.Fatalf("AXPY = %v", y)
-	}
-}
-
 func TestOLSRecoversCoefficients(t *testing.T) {
 	r := rng.New(99)
 	n, p := 200, 3
@@ -315,7 +311,7 @@ func TestOLSRecoversCoefficients(t *testing.T) {
 		for j := 1; j <= p; j++ {
 			x.Set(i, j, r.Normal(0, 1))
 		}
-		y[i] = Dot(x.Row(i), beta) + r.Normal(0, 0.01)
+		y[i] = Dot(x.Data[i*x.Cols:(i+1)*x.Cols], beta) + r.Normal(0, 0.01)
 	}
 	got, err := OLS(x, y)
 	if err != nil {

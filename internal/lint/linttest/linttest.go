@@ -115,21 +115,3 @@ func claim(wants []want, matched []bool, f lint.Finding) bool {
 	}
 	return false
 }
-
-// MustBeClean runs the analyzer over the fixture and fails the test on
-// any surviving diagnostic, for all-allowed fixtures.
-func MustBeClean(t *testing.T, a *lint.Analyzer, fixture string) {
-	t.Helper()
-	dir := filepath.Join("testdata", "src", fixture)
-	pkg, err := lint.LoadDir(dir, "modeldatalint.test/"+fixture)
-	if err != nil {
-		t.Fatalf("loading fixture %s: %v", dir, err)
-	}
-	findings, err := lint.RunAnalyzers([]*lint.Package{pkg}, []*lint.Analyzer{a})
-	if err != nil {
-		t.Fatalf("running %s on %s: %v", a.Name, dir, err)
-	}
-	for _, f := range findings {
-		t.Errorf("%s: expected clean fixture, got: %s", fixture, f)
-	}
-}

@@ -46,7 +46,7 @@ func sumCounts(key string, values []any, emit func(Pair)) error {
 // retries recompute identical results.
 func TestChaosOutputBitIdentical(t *testing.T) {
 	splits := chaosDocs()
-	clean, _, err := Run(Config{Mappers: 4, Reducers: 3}, splits, countWords, sumCounts)
+	clean, _, err := RunCtx(context.Background(), Config{Mappers: 4, Reducers: 3}, splits, countWords, sumCounts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +61,7 @@ func TestChaosOutputBitIdentical(t *testing.T) {
 				parallel.PanicInjector{Prob: 0.3, Seed: seed},
 				parallel.LatencyInjector{Prob: 0.2, Delay: 200 * time.Microsecond, Seed: seed + 100},
 			}
-			out, stats, err := Run(cfg, splits, countWords, sumCounts)
+			out, stats, err := RunCtx(context.Background(), cfg, splits, countWords, sumCounts)
 			if err != nil {
 				t.Fatalf("seed=%d cfg=%+v: %v", seed, cfg, err)
 			}
@@ -90,11 +90,11 @@ func TestChaosOutputBitIdentical(t *testing.T) {
 // dies on its first two attempts and the third commits.
 func TestCrashNTimesThenSucceed(t *testing.T) {
 	splits := chaosDocs()
-	clean, _, err := Run(Config{Mappers: 4, Reducers: 2}, splits, countWords, sumCounts)
+	clean, _, err := RunCtx(context.Background(), Config{Mappers: 4, Reducers: 2}, splits, countWords, sumCounts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, stats, err := Run(Config{
+	out, stats, err := RunCtx(context.Background(), Config{
 		Mappers: 4, Reducers: 2,
 		MaxRetries: 3,
 		Backoff:    20 * time.Microsecond,
@@ -124,7 +124,7 @@ func TestCrashNTimesThenSucceed(t *testing.T) {
 // chain: the job reports the injected fault as a worker panic after the
 // budget is spent.
 func TestRetryBudgetExhaustionFails(t *testing.T) {
-	_, _, err := Run(Config{
+	_, _, err := RunCtx(context.Background(), Config{
 		Mappers: 2, Reducers: 2,
 		MaxRetries: 2,
 		Backoff:    10 * time.Microsecond,
@@ -144,7 +144,7 @@ func TestRetryBudgetExhaustionFails(t *testing.T) {
 // TestZeroRetriesKeepsFailFast pins backward compatibility: without a
 // retry budget the first crash aborts the job exactly as before.
 func TestZeroRetriesKeepsFailFast(t *testing.T) {
-	_, stats, err := Run(Config{
+	_, stats, err := RunCtx(context.Background(), Config{
 		Injector: parallel.CrashAttempts{Stage: "map", Index: 0, Times: 1},
 	}, chaosDocs(), countWords, sumCounts)
 	if !errors.Is(err, ErrWorkerPanic) {
@@ -175,12 +175,12 @@ func (s stallOnce) Inject(ti parallel.TaskInfo) {
 // failure-free run bit for bit.
 func TestSpeculativeExecution(t *testing.T) {
 	splits := chaosDocs()
-	clean, _, err := Run(Config{Mappers: 8, Reducers: 2}, splits, countWords, sumCounts)
+	clean, _, err := RunCtx(context.Background(), Config{Mappers: 8, Reducers: 2}, splits, countWords, sumCounts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var hits atomic.Int64
-	out, stats, err := Run(Config{
+	out, stats, err := RunCtx(context.Background(), Config{
 		Mappers: 8, Reducers: 2,
 		SpeculativeFactor: 2,
 		Injector:          stallOnce{index: 0, delay: 100 * time.Millisecond, hits: &hits},
@@ -214,7 +214,7 @@ func TestContextPolicyAndInjectorApply(t *testing.T) {
 		Backoff:    20 * time.Microsecond,
 	})
 	ctx = parallel.WithFaultInjector(ctx, parallel.CrashAttempts{Stage: "reduce", Index: 1, Times: 1})
-	clean, _, err := Run(Config{Mappers: 4, Reducers: 3}, splits, countWords, sumCounts)
+	clean, _, err := RunCtx(context.Background(), Config{Mappers: 4, Reducers: 3}, splits, countWords, sumCounts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -229,31 +229,5 @@ func TestContextPolicyAndInjectorApply(t *testing.T) {
 	}
 	if stats.Retries != 1 {
 		t.Fatalf("retries = %d, want 1 (the crashed reduce attempt)", stats.Retries)
-	}
-}
-
-// TestMapOnlyRetries covers the map-only entry point's fault path.
-func TestMapOnlyRetries(t *testing.T) {
-	splits := []any{1, 2, 3, 4}
-	out, stats, err := MapOnlyCtx(context.Background(), Config{
-		Mappers:    4,
-		MaxRetries: 2,
-		Backoff:    10 * time.Microsecond,
-		Injector:   parallel.CrashAttempts{Stage: "map", Index: 2, Times: 1},
-	}, splits, func(split any, emit func(Pair)) error {
-		emit(Pair{Key: "x", Value: split.(int) * 10})
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{10, 20, 30, 40}
-	for i, p := range out {
-		if p.Value.(int) != want[i] {
-			t.Fatalf("out[%d] = %v, want %d", i, p.Value, want[i])
-		}
-	}
-	if stats.Retries != 1 {
-		t.Fatalf("retries = %d, want 1", stats.Retries)
 	}
 }

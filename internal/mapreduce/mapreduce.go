@@ -152,12 +152,6 @@ func workerCount(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// Run executes a MapReduce job over the input splits with no
-// cancellation. See RunCtx.
-func Run(cfg Config, splits []any, m Mapper, r Reducer) ([]Pair, Stats, error) {
-	return RunCtx(context.Background(), cfg, splits, m, r)
-}
-
 // RunCtx executes a MapReduce job over the input splits and returns the
 // reducer output sorted by key (ties preserve reducer emission order),
 // along with execution statistics. A mapper or reducer failure (error
@@ -289,43 +283,4 @@ func mapreduceErr(stage string, err error) error {
 		return err
 	}
 	return fmt.Errorf("mapreduce: %s: %w", stage, err)
-}
-
-// MapOnly runs just a parallel map over the splits with no
-// cancellation. See MapOnlyCtx.
-func MapOnly(cfg Config, splits []any, m Mapper) ([]Pair, Stats, error) {
-	return MapOnlyCtx(context.Background(), cfg, splits, m)
-}
-
-// MapOnlyCtx runs just a parallel map over the splits with no shuffle
-// or reduce, returning each split's emissions concatenated in split
-// order. Splash uses this shape for per-window transformations whose
-// outputs are already disjoint. Cancellation of ctx is honored between
-// map tasks.
-func MapOnlyCtx(ctx context.Context, cfg Config, splits []any, m Mapper) ([]Pair, Stats, error) {
-	var stats Stats
-	if len(splits) == 0 {
-		return nil, stats, ErrNoInput
-	}
-	stats.InputSplits = len(splits)
-	nMap := workerCount(cfg.Mappers)
-	pol, inj := cfg.faultSetup(ctx)
-	results, mapTS, err := runTasks(ctx, "map", len(splits), nMap, pol, inj, func(i int) ([]Pair, error) {
-		var local []Pair
-		if err := m(splits[i], func(p Pair) { local = append(local, p) }); err != nil {
-			return nil, err
-		}
-		return local, nil
-	})
-	stats.addTaskStats(mapTS)
-	if err != nil {
-		return nil, stats, mapreduceErr("map", err)
-	}
-	var out []Pair
-	for _, rs := range results {
-		out = append(out, rs...)
-	}
-	stats.MapOutput = len(out)
-	stats.Output = len(out)
-	return out, stats, nil
 }

@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -15,7 +16,7 @@ func wordCount(t *testing.T, cfg Config, docs []string) map[string]int {
 	for i, d := range docs {
 		splits[i] = d
 	}
-	out, _, err := Run(cfg, splits,
+	out, _, err := RunCtx(context.Background(), cfg, splits,
 		func(split any, emit func(Pair)) error {
 			for _, w := range strings.Fields(split.(string)) {
 				emit(Pair{Key: w, Value: 1})
@@ -49,7 +50,7 @@ func TestWordCount(t *testing.T) {
 
 func TestOutputSortedByKey(t *testing.T) {
 	splits := []any{"z y x w v u"}
-	out, _, err := Run(Config{Reducers: 4}, splits,
+	out, _, err := RunCtx(context.Background(), Config{Reducers: 4}, splits,
 		func(split any, emit func(Pair)) error {
 			for _, w := range strings.Fields(split.(string)) {
 				emit(Pair{Key: w, Value: 1})
@@ -83,7 +84,7 @@ func TestDeterministicAcrossParallelism(t *testing.T) {
 func TestValueOrderFollowsSplitOrder(t *testing.T) {
 	// All pairs share one key; values must arrive in split order.
 	splits := []any{0, 1, 2, 3, 4, 5, 6, 7}
-	out, _, err := Run(Config{Mappers: 8, Reducers: 2}, splits,
+	out, _, err := RunCtx(context.Background(), Config{Mappers: 8, Reducers: 2}, splits,
 		func(split any, emit func(Pair)) error {
 			emit(Pair{Key: "k", Value: split.(int)})
 			return nil
@@ -107,7 +108,7 @@ func TestValueOrderFollowsSplitOrder(t *testing.T) {
 
 func TestStats(t *testing.T) {
 	splits := []any{"a a", "b"}
-	_, stats, err := Run(Config{}, splits,
+	_, stats, err := RunCtx(context.Background(), Config{}, splits,
 		func(split any, emit func(Pair)) error {
 			for _, w := range strings.Fields(split.(string)) {
 				emit(Pair{Key: w, Value: 3.14})
@@ -135,7 +136,7 @@ func TestStats(t *testing.T) {
 
 func TestMapErrorPropagates(t *testing.T) {
 	wantErr := errors.New("boom")
-	_, _, err := Run(Config{}, []any{1, 2},
+	_, _, err := RunCtx(context.Background(), Config{}, []any{1, 2},
 		func(split any, emit func(Pair)) error {
 			if split.(int) == 2 {
 				return wantErr
@@ -150,7 +151,7 @@ func TestMapErrorPropagates(t *testing.T) {
 
 func TestReduceErrorPropagates(t *testing.T) {
 	wantErr := errors.New("reduce-boom")
-	_, _, err := Run(Config{}, []any{1},
+	_, _, err := RunCtx(context.Background(), Config{}, []any{1},
 		func(split any, emit func(Pair)) error {
 			emit(Pair{Key: "k", Value: 1})
 			return nil
@@ -162,40 +163,9 @@ func TestReduceErrorPropagates(t *testing.T) {
 }
 
 func TestNoInput(t *testing.T) {
-	_, _, err := Run(Config{}, nil, nil, nil)
+	_, _, err := RunCtx(context.Background(), Config{}, nil, nil, nil)
 	if !errors.Is(err, ErrNoInput) {
 		t.Fatalf("got %v, want ErrNoInput", err)
-	}
-	_, _, err = MapOnly(Config{}, nil, nil)
-	if !errors.Is(err, ErrNoInput) {
-		t.Fatalf("got %v, want ErrNoInput", err)
-	}
-}
-
-func TestMapOnlyPreservesSplitOrder(t *testing.T) {
-	splits := []any{3, 1, 2}
-	out, stats, err := MapOnly(Config{Mappers: 3}, splits,
-		func(split any, emit func(Pair)) error {
-			emit(Pair{Key: "x", Value: split.(int)})
-			return nil
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Output != 3 {
-		t.Fatalf("stats = %+v", stats)
-	}
-	got := []int{out[0].Value.(int), out[1].Value.(int), out[2].Value.(int)}
-	if got[0] != 3 || got[1] != 1 || got[2] != 2 {
-		t.Fatalf("order = %v", got)
-	}
-}
-
-func TestMapOnlyError(t *testing.T) {
-	wantErr := errors.New("mo")
-	_, _, err := MapOnly(Config{}, []any{1}, func(any, func(Pair)) error { return wantErr })
-	if !errors.Is(err, wantErr) {
-		t.Fatalf("got %v", err)
 	}
 }
 
@@ -254,7 +224,7 @@ func TestWordCountTotalProperty(t *testing.T) {
 }
 
 func TestMapperPanicBecomesError(t *testing.T) {
-	_, _, err := Run(Config{}, []any{1, 2},
+	_, _, err := RunCtx(context.Background(), Config{}, []any{1, 2},
 		func(split any, emit func(Pair)) error {
 			if split.(int) == 2 {
 				panic("mapper exploded")
@@ -269,7 +239,7 @@ func TestMapperPanicBecomesError(t *testing.T) {
 }
 
 func TestReducerPanicBecomesError(t *testing.T) {
-	_, _, err := Run(Config{}, []any{1},
+	_, _, err := RunCtx(context.Background(), Config{}, []any{1},
 		func(split any, emit func(Pair)) error {
 			emit(Pair{Key: "k", Value: 1})
 			return nil
@@ -277,15 +247,6 @@ func TestReducerPanicBecomesError(t *testing.T) {
 		func(key string, values []any, emit func(Pair)) error {
 			panic("reducer exploded")
 		})
-	if !errors.Is(err, ErrWorkerPanic) {
-		t.Fatalf("got %v, want ErrWorkerPanic", err)
-	}
-}
-
-func TestMapOnlyPanicBecomesError(t *testing.T) {
-	_, _, err := MapOnly(Config{}, []any{1}, func(any, func(Pair)) error {
-		panic("boom")
-	})
 	if !errors.Is(err, ErrWorkerPanic) {
 		t.Fatalf("got %v, want ErrWorkerPanic", err)
 	}

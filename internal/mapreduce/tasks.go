@@ -54,15 +54,6 @@ type taskStats struct {
 	backoff      time.Duration
 }
 
-// add accumulates another stage's counters.
-func (t *taskStats) add(o taskStats) {
-	t.attempts += o.attempts
-	t.retries += o.retries
-	t.specLaunches += o.specLaunches
-	t.specWins += o.specWins
-	t.backoff += o.backoff
-}
-
 // attemptRef identifies one scheduled execution of a task.
 type attemptRef struct {
 	i    int  // task index

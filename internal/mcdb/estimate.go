@@ -2,7 +2,6 @@ package mcdb
 
 import (
 	"fmt"
-	"sort"
 
 	"modeldata/internal/stats"
 )
@@ -72,28 +71,4 @@ func ThresholdProbability(samples []float64, threshold float64) (float64, error)
 		}
 	}
 	return float64(hits) / float64(len(samples)), nil
-}
-
-// ThresholdQuery answers MCDB's threshold queries of the form "Which
-// regions will see more than a 2% decline in sales with at least 50%
-// probability?" (§2.1, [42]). perGroup maps each group key to its
-// per-iteration query results; the returned slice lists groups whose
-// estimated P(result > threshold) is at least minProb.
-func ThresholdQuery(perGroup map[string][]float64, threshold, minProb float64) ([]string, error) {
-	groups := make([]string, 0, len(perGroup))
-	for g := range perGroup {
-		groups = append(groups, g)
-	}
-	sort.Strings(groups)
-	var out []string
-	for _, g := range groups {
-		p, err := ThresholdProbability(perGroup[g], threshold)
-		if err != nil {
-			return nil, fmt.Errorf("group %q: %w", g, err)
-		}
-		if p >= minProb {
-			out = append(out, g)
-		}
-	}
-	return out, nil
 }

@@ -28,8 +28,10 @@ func ExampleDB_InstantiateBundled() {
 			{Name: "sku", Type: engine.TypeInt},
 			{Name: "qty", Type: engine.TypeFloat},
 		},
-		ForEach:       "items",
-		VG:            mcdb.DistVG(rng.UniformDist{Lo: 0, Hi: 10}),
+		ForEach: "items",
+		VG: func(_ engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error) {
+			return append(out, engine.Float(rng.UniformDist{Lo: 0, Hi: 10}.Sample(r))), nil
+		},
 		UncertainCols: []int{1},
 	})
 	if err != nil {

@@ -63,7 +63,7 @@ func TestPerInstanceMatchesMonteCarlo(t *testing.T) {
 				return append(out, engine.Float(r.Normal(params[1].AsFloat(), 3))), nil
 			}}}},
 		{"no ForEach", []*TableSpec{{Name: "t", Schema: engine.Schema{{Name: "val", Type: engine.TypeFloat}},
-			VG: DistVG(rng.NormalDist{Mu: 5, Sigma: 1})}}},
+			VG: distVG(rng.NormalDist{Mu: 5, Sigma: 1})}}},
 		{"two specs", []*TableSpec{
 			{Name: "first", Schema: idWVal, ForEach: "items", Params: wStd, VG: NormalVG()},
 			{Name: "t", Schema: idWVal, ForEach: "items", Params: wStd, VG: NormalVG()}}},

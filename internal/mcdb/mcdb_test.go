@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"math"
-	"sort"
 	"strings"
 	"testing"
 
@@ -307,7 +306,7 @@ func TestNoForEachSpecRunsOnce(t *testing.T) {
 	err := db.AddSpec(&TableSpec{
 		Name:          "single",
 		Schema:        engine.Schema{{Name: "v", Type: engine.TypeFloat}},
-		VG:            DistVG(rng.UniformDist{Lo: 0, Hi: 1}),
+		VG:            distVG(rng.UniformDist{Lo: 0, Hi: 1}),
 		UncertainCols: []int{0},
 	})
 	if err != nil {
@@ -341,7 +340,7 @@ func TestBundleRequiresUncertainCols(t *testing.T) {
 	if err := db.AddSpec(&TableSpec{
 		Name:   "nouc",
 		Schema: engine.Schema{{Name: "v", Type: engine.TypeFloat}},
-		VG:     DistVG(rng.UniformDist{Lo: 0, Hi: 1}),
+		VG:     distVG(rng.UniformDist{Lo: 0, Hi: 1}),
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -352,75 +351,9 @@ func TestBundleRequiresUncertainCols(t *testing.T) {
 
 func TestVGLibrary(t *testing.T) {
 	r := rng.New(5)
-	t.Run("BackwardWalk", func(t *testing.T) {
-		vg := BackwardWalkVG(5)
-		params := engine.Row{engine.Float(100), engine.Float(0.001), engine.Float(0.01)}
-		sum := 0.0
-		for i := 0; i < 2000; i++ {
-			vals, err := vg(params, r, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum += vals[0].AsFloat()
-		}
-		mean := sum / 2000
-		// Five backward steps of ≈0.1% drift: slightly below 100.
-		if mean < 90 || mean > 105 {
-			t.Fatalf("backward walk mean = %g", mean)
-		}
-	})
-	t.Run("OptionPayoff", func(t *testing.T) {
-		vg := OptionPayoffVG(5, 100)
-		params := engine.Row{engine.Float(100), engine.Float(0), engine.Float(0.02)}
-		neg := 0
-		pos := 0
-		for i := 0; i < 500; i++ {
-			vals, err := vg(params, r, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			p := vals[0].AsFloat()
-			if p < 0 {
-				neg++
-			}
-			if p > 0 {
-				pos++
-			}
-		}
-		if neg > 0 {
-			t.Fatalf("%d negative payoffs", neg)
-		}
-		if pos == 0 {
-			t.Fatal("no positive payoffs — vol did nothing")
-		}
-	})
-	t.Run("BayesianDemand", func(t *testing.T) {
-		vg := BayesianDemandVG(0) // no price effect: posterior mean only
-		// Prior Gamma(2, rate 1); data: 18 purchases over 8 periods →
-		// posterior Gamma(20, rate 9), mean λ = 20/9 ≈ 2.22.
-		params := engine.Row{
-			engine.Float(2), engine.Float(1),
-			engine.Float(18), engine.Float(8), engine.Float(0),
-		}
-		sum := 0.0
-		const n = 5000
-		for i := 0; i < n; i++ {
-			vals, err := vg(params, r, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sum += vals[0].AsFloat()
-		}
-		mean := sum / n
-		if math.Abs(mean-20.0/9) > 0.15 {
-			t.Fatalf("posterior predictive mean = %g, want ≈ %g", mean, 20.0/9)
-		}
-	})
 	t.Run("ParamErrors", func(t *testing.T) {
-		for _, vg := range []VG{NormalVG(), PoissonVG(), BackwardWalkVG(1), OptionPayoffVG(1, 0), BayesianDemandVG(0)} {
-			if _, err := vg(nil, r, nil); !errors.Is(err, ErrBadSpec) {
-				t.Fatalf("missing params accepted: %v", err)
-			}
+		if _, err := NormalVG()(nil, r, nil); !errors.Is(err, ErrBadSpec) {
+			t.Fatalf("missing params accepted: %v", err)
 		}
 	})
 }
@@ -451,26 +384,6 @@ func TestSummarizeAndRisk(t *testing.T) {
 	}
 	if _, err := RiskQuantile(nil, 0.5); !errors.Is(err, ErrNoSamples) {
 		t.Fatal("empty RiskQuantile")
-	}
-}
-
-func TestThresholdQuery(t *testing.T) {
-	// "Which regions decline more than 2% with ≥ 50% probability?"
-	perGroup := map[string][]float64{
-		"east":  {0.03, 0.01, 0.04, 0.05}, // 3/4 above 0.02
-		"west":  {0.01, 0.00, 0.03, 0.01}, // 1/4 above
-		"south": {0.025, 0.021, 0.01, 0.03},
-	}
-	groups, err := ThresholdQuery(perGroup, 0.02, 0.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sort.Strings(groups)
-	if len(groups) != 2 || groups[0] != "east" || groups[1] != "south" {
-		t.Fatalf("groups = %v", groups)
-	}
-	if _, err := ThresholdQuery(map[string][]float64{"x": nil}, 0, 0); !errors.Is(err, ErrNoSamples) {
-		t.Fatalf("got %v", err)
 	}
 	p, err := ThresholdProbability([]float64{1, 2, 3, 4}, 2.5)
 	if err != nil || p != 0.5 {
@@ -553,5 +466,12 @@ func TestSessionExplainSQL(t *testing.T) {
 	}
 	if p1 != p2 {
 		t.Fatal("Prepared did not cache the statement")
+	}
+}
+
+// distVG draws one value of d per tuple and ignores the parameter row.
+func distVG(d rng.Dist) VG {
+	return func(_ engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error) {
+		return append(out, engine.Float(d.Sample(r))), nil
 	}
 }

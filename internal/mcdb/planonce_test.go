@@ -351,7 +351,7 @@ func TestSQLExecutorChoice(t *testing.T) {
 			"SELECT SUM(sales.amount) FROM sales JOIN returns ON sales.sid = returns.sid WHERE returns.qty > 3", false},
 		{"integer uncertain column", starLike(t, func(s *TableSpec) {
 			s.Schema = engine.Schema{{Name: "sid", Type: engine.TypeInt}, {Name: "amount", Type: engine.TypeInt}}
-			s.VG = PoissonVG()
+			s.VG = poissonVG()
 			s.Params = func(_ *engine.Database, outer engine.Row) (engine.Row, error) {
 				return engine.Row{engine.Float(4)}, nil
 			}
@@ -477,5 +477,16 @@ func TestPlanOnceFailsBeforeAnyDraw(t *testing.T) {
 	})
 	if _, err := broken.NewSession().ExecSQL(ctx, starSQL, opts); !errors.Is(err, ErrBadSpec) {
 		t.Errorf("broken VG: got %v, want ErrBadSpec", err)
+	}
+}
+
+// poissonVG draws one integer from Poisson(params[0]) per tuple: the
+// fixture for an integer uncertain column.
+func poissonVG() VG {
+	return func(params engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error) {
+		if len(params) < 1 {
+			return nil, fmt.Errorf("%w: Poisson VG needs (lambda)", ErrBadSpec)
+		}
+		return append(out, engine.Int(int64(r.Poisson(params[0].AsFloat())))), nil
 	}
 }

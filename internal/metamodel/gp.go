@@ -126,20 +126,6 @@ func (g *GP) Predict(x0 []float64) (float64, error) {
 	return s, nil
 }
 
-// ThetaImportance classifies the factors by their GP sensitivity
-// coefficients (§4.3): θ_j ≈ 0 means the correlation in dimension j is
-// ≈ 1 everywhere, so the response does not vary with factor j. It
-// returns the indexes with θ_j ≥ threshold.
-func ThetaImportance(theta []float64, threshold float64) []int {
-	var out []int
-	for j, v := range theta {
-		if v >= threshold {
-			out = append(out, j)
-		}
-	}
-	return out
-}
-
 // FitGPMLE selects the GP hyperparameters (θ, τ²) by maximizing the
 // profile log likelihood of the design data with Nelder-Mead over log
 // hyperparameters, then fits the GP. For stochastic data pass noiseVar

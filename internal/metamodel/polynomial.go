@@ -11,7 +11,6 @@ package metamodel
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"modeldata/internal/linalg"
 )
@@ -24,11 +23,10 @@ var (
 )
 
 // Polynomial is the classic polynomial metamodel of Eq. (3):
-// Y(x) = β₀ + Σβᵢxᵢ + Σβᵢⱼxᵢxⱼ + … + ε, fitted up to interaction
-// order Order (1 = the simple linear model).
+// Y(x) = β₀ + Σβᵢxᵢ + Σβᵢⱼxᵢxⱼ + … + ε, fitted up to a given
+// interaction order (1 = the simple linear model).
 type Polynomial struct {
 	N     int     // input dimension
-	Order int     // highest interaction order kept
 	Terms [][]int // variable index sets; Terms[0] = {} is the intercept
 	Beta  []float64
 }
@@ -90,23 +88,7 @@ func FitPolynomial(x [][]float64, y []float64, order int) (*Polynomial, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Polynomial{N: n, Order: order, Terms: terms, Beta: beta}, nil
-}
-
-// Predict evaluates the fitted response surface at x.
-func (p *Polynomial) Predict(x []float64) (float64, error) {
-	if len(x) != p.N {
-		return 0, fmt.Errorf("%w: point has %d factors, want %d", ErrDims, len(x), p.N)
-	}
-	out := 0.0
-	for j, term := range p.Terms {
-		v := p.Beta[j]
-		for _, k := range term {
-			v *= x[k]
-		}
-		out += v
-	}
-	return out, nil
+	return &Polynomial{N: n, Terms: terms, Beta: beta}, nil
 }
 
 // MainEffects returns the first-order coefficients β₁…βₙ — the
@@ -119,54 +101,4 @@ func (p *Polynomial) MainEffects() []float64 {
 		}
 	}
 	return out
-}
-
-// Coefficient returns the coefficient of the interaction term over the
-// given (sorted) variable indexes; an empty set gives β₀.
-func (p *Polynomial) Coefficient(vars []int) (float64, error) {
-	sorted := append([]int(nil), vars...)
-	sort.Ints(sorted)
-	for j, term := range p.Terms {
-		if equalInts(term, sorted) {
-			return p.Beta[j], nil
-		}
-	}
-	return 0, fmt.Errorf("%w: term %v not in the order-%d model", ErrBadOrder, vars, p.Order)
-}
-
-func equalInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// RSquared returns the coefficient of determination of the fit on the
-// training design.
-func (p *Polynomial) RSquared(x [][]float64, y []float64) (float64, error) {
-	if len(x) != len(y) || len(x) == 0 {
-		return 0, ErrBadDesign
-	}
-	mean := 0.0
-	for _, v := range y {
-		mean += v / float64(len(y))
-	}
-	ssTot, ssRes := 0.0, 0.0
-	for i, row := range x {
-		pred, err := p.Predict(row)
-		if err != nil {
-			return 0, err
-		}
-		ssTot += (y[i] - mean) * (y[i] - mean)
-		ssRes += (y[i] - pred) * (y[i] - pred)
-	}
-	if ssTot == 0 { // exactly constant response: R² is 1 by convention, and any nonzero ssTot divides safely
-		return 1, nil
-	}
-	return 1 - ssRes/ssTot, nil
 }

@@ -32,7 +32,7 @@ type Tracer struct {
 func NewTracer() *Tracer { return NewTracerClock(Wall) }
 
 // NewTracerClock returns a Tracer timed by c (tests inject a
-// ManualClock so traces are deterministic).
+// programmed clock so traces are deterministic).
 func NewTracerClock(c Clock) *Tracer {
 	if c == nil {
 		c = Wall

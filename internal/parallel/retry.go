@@ -69,12 +69,6 @@ func (p RetryPolicy) BackoffFor(failures int) time.Duration {
 	return d
 }
 
-// active reports whether the policy enables any fault-tolerance
-// machinery at all.
-func (p RetryPolicy) active() bool {
-	return p.MaxRetries > 0 || p.SpeculativeFactor > 0
-}
-
 // WithRetryPolicy returns a context whose task runtimes (parallel loops
 // and MapReduce stages) apply policy p to every task.
 func WithRetryPolicy(ctx context.Context, p RetryPolicy) context.Context {

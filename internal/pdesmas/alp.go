@@ -98,9 +98,6 @@ func NewWorld(cfg WorldConfig, r *rng.Stream) (*World, error) {
 	return w, nil
 }
 
-// Age returns an agent's (static, externally known) age.
-func (w *World) Age(agent int) int { return w.age[agent] }
-
 // TruePos returns the exact agent position at time t.
 func (w *World) TruePos(agent int, t float64) float64 {
 	return w.pos0[agent] + w.vel[agent]*t

@@ -3,7 +3,6 @@ package rng
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Dist is a univariate probability distribution that can be sampled and
@@ -299,13 +298,5 @@ func SampleN(d Dist, r *Stream, n int) []float64 {
 	for i := range out {
 		out[i] = d.Sample(r)
 	}
-	return out
-}
-
-// SortedSampleN draws n variates and returns them sorted ascending,
-// which is convenient for quantile checks in tests.
-func SortedSampleN(d Dist, r *Stream, n int) []float64 {
-	out := SampleN(d, r, n)
-	sort.Float64s(out)
 	return out
 }

@@ -152,10 +152,4 @@ func TestSampleN(t *testing.T) {
 	if len(xs) != 10 {
 		t.Fatalf("SampleN length = %d", len(xs))
 	}
-	ys := SortedSampleN(d, New(77), 10)
-	for i := 1; i < len(ys); i++ {
-		if ys[i-1] > ys[i] {
-			t.Fatal("SortedSampleN not sorted")
-		}
-	}
 }

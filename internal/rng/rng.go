@@ -311,28 +311,6 @@ func (r *Stream) Gamma(shape, scale float64) float64 {
 	}
 }
 
-// Beta returns a beta(a, b) variate. It panics if a <= 0 or b <= 0.
-func (r *Stream) Beta(a, b float64) float64 {
-	x := r.Gamma(a, 1)
-	y := r.Gamma(b, 1)
-	return x / (x + y)
-}
-
-// Binomial returns the number of successes in n Bernoulli(p) trials.
-func (r *Stream) Binomial(n int, p float64) int {
-	if n < 0 || p < 0 || p > 1 {
-		panic(fmt.Sprintf("rng: Binomial called with n=%d p=%g", n, p))
-	}
-	// Direct summation; n in this repository is small at call sites.
-	k := 0
-	for i := 0; i < n; i++ {
-		if r.Float64() < p {
-			k++
-		}
-	}
-	return k
-}
-
 // Categorical returns an index in [0, len(weights)) drawn with
 // probability proportional to weights[i]. It panics if the weights are
 // empty, negative, or sum to zero.

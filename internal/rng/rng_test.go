@@ -195,19 +195,6 @@ func TestGammaMoments(t *testing.T) {
 	}
 }
 
-func TestBinomialMean(t *testing.T) {
-	r := New(11)
-	const n = 50000
-	sum := 0
-	for i := 0; i < n; i++ {
-		sum += r.Binomial(10, 0.3)
-	}
-	mean := float64(sum) / n
-	if math.Abs(mean-3) > 0.05 {
-		t.Fatalf("Binomial(10, 0.3) mean = %g, want ≈ 3", mean)
-	}
-}
-
 func TestCategoricalFrequencies(t *testing.T) {
 	r := New(12)
 	w := []float64{1, 2, 3, 4}

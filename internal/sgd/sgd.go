@@ -26,10 +26,6 @@ import (
 // ErrDiverged is returned when the iterate becomes non-finite.
 var ErrDiverged = errors.New("sgd: iterate diverged")
 
-// TridiagonalSolver is any routine that approximately solves the
-// tridiagonal least-squares system; timeseries.NewSplineSGD accepts one.
-type TridiagonalSolver func(tri *linalg.Tridiagonal, b []float64) ([]float64, error)
-
 // Options configure the solvers.
 type Options struct {
 	// Epochs is the number of passes over the rows. Default 50.
@@ -319,21 +315,4 @@ func SolveDistributedCtx(ctx context.Context, tri *linalg.Tridiagonal, b []float
 	}
 	stats.Residual = res
 	return x, stats, nil
-}
-
-// Solver adapts Solve to the TridiagonalSolver interface.
-func Solver(opts Options) TridiagonalSolver {
-	return func(tri *linalg.Tridiagonal, b []float64) ([]float64, error) {
-		x, _, err := Solve(tri, b, opts)
-		return x, err
-	}
-}
-
-// DistributedSolver adapts SolveDistributed to the TridiagonalSolver
-// interface.
-func DistributedSolver(opts Options) TridiagonalSolver {
-	return func(tri *linalg.Tridiagonal, b []float64) ([]float64, error) {
-		x, _, err := SolveDistributed(tri, b, opts)
-		return x, err
-	}
 }

@@ -170,22 +170,6 @@ func TestDistributedSmallSystems(t *testing.T) {
 	}
 }
 
-func TestSolverAdapters(t *testing.T) {
-	tri, b, xTrue := splineSystem(60, 30)
-	for _, solver := range []TridiagonalSolver{
-		Solver(Options{Epochs: 300, Kaczmarz: true, Seed: 2}),
-		DistributedSolver(Options{Epochs: 300, Kaczmarz: true, Seed: 2}),
-	} {
-		x, err := solver(tri, b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if d := maxAbsDiff(x, xTrue); d > 1e-5 {
-			t.Fatalf("adapter error %g", d)
-		}
-	}
-}
-
 func TestStatsString(t *testing.T) {
 	if (Stats{}).String() == "" {
 		t.Fatal("empty Stats string")

@@ -108,22 +108,3 @@ func (s ABSStep) Apply(agents *engine.Table, seed uint64) (*engine.Table, error)
 	}
 	return out, nil
 }
-
-// ABSChainDef wraps an ABSStep as a SimSQL chain table definition: the
-// agent table's next version is generated from its previous version by
-// one interaction step, with initial state produced by init. This is
-// how "massive stochastic ABS models inside the database" (§2.1) are
-// expressed in this repository.
-func ABSChainDef(name string, initTable func(r *rng.Stream) (*engine.Table, error), step ABSStep) TableDef {
-	return TableDef{
-		Name: name,
-		Generate: func(state *engine.Database, r *rng.Stream) (*engine.Table, error) {
-			prev, err := state.Get(PrevName(name))
-			if err != nil {
-				// Version 0: no previous state exists yet.
-				return initTable(r)
-			}
-			return step.Apply(prev, r.Uint64())
-		},
-	}
-}

@@ -1,6 +1,7 @@
 package simsql_test
 
 import (
+	"context"
 	"fmt"
 
 	"modeldata/internal/engine"
@@ -8,10 +9,10 @@ import (
 	"modeldata/internal/simsql"
 )
 
-// ExampleChain_Run generates a database-valued Markov chain whose
+// ExampleChain_RunCtx generates a database-valued Markov chain whose
 // single table doubles (deterministically here) from version to
 // version — SimSQL's recursive versioned tables in miniature.
-func ExampleChain_Run() {
+func ExampleChain_RunCtx() {
 	schema := engine.Schema{{Name: "v", Type: engine.TypeFloat}}
 	chain := &simsql.Chain{Defs: []simsql.TableDef{{
 		Name: "stock",
@@ -28,7 +29,7 @@ func ExampleChain_Run() {
 			return t, err
 		},
 	}}}
-	realz, err := chain.Run(4, 1)
+	realz, err := chain.RunCtx(context.Background(), 4, 1)
 	if err != nil {
 		panic(err)
 	}

@@ -24,8 +24,7 @@ import (
 
 // Common errors.
 var (
-	ErrNoDefs    = errors.New("simsql: chain has no table definitions")
-	ErrNoVersion = errors.New("simsql: no such version")
+	ErrNoDefs = errors.New("simsql: chain has no table definitions")
 )
 
 // TableDef defines one stochastic table of the chain. Generate produces
@@ -57,16 +56,11 @@ type Chain struct {
 // visible to Generate functions.
 func PrevName(name string) string { return name + "_prev" }
 
-// Run generates a realization D[0..steps] of the chain (steps+1 states)
-// and returns it. Each returned database contains the chain tables
-// under their plain names plus the static base tables.
-func (c *Chain) Run(steps int, seed uint64) (*Realization, error) {
-	return c.RunCtx(context.Background(), steps, seed)
-}
-
-// RunCtx is Run with cancellation: ctx is checked between chain steps,
-// so a long realization aborts promptly with ctx.Err() once the caller
-// gives up.
+// RunCtx generates a realization D[0..steps] of the chain (steps+1
+// states) and returns it. Each returned database contains the chain
+// tables under their plain names plus the static base tables. ctx is
+// checked between chain steps, so a long realization aborts promptly
+// with ctx.Err() once the caller gives up.
 func (c *Chain) RunCtx(ctx context.Context, steps int, seed uint64) (*Realization, error) {
 	if len(c.Defs) == 0 {
 		return nil, ErrNoDefs
@@ -125,26 +119,6 @@ type Realization struct {
 	Versions []*engine.Database
 }
 
-// Len returns the number of materialized versions.
-func (r *Realization) Len() int { return len(r.Versions) }
-
-// Version returns D[i].
-func (r *Realization) Version(i int) (*engine.Database, error) {
-	if i < 0 || i >= len(r.Versions) {
-		return nil, fmt.Errorf("%w: %d of %d", ErrNoVersion, i, len(r.Versions))
-	}
-	return r.Versions[i], nil
-}
-
-// Table returns table name at version i.
-func (r *Realization) Table(name string, i int) (*engine.Table, error) {
-	db, err := r.Version(i)
-	if err != nil {
-		return nil, err
-	}
-	return db.Get(name)
-}
-
 // Trace evaluates a scalar query against every version and returns the
 // resulting time series of query results — how SimSQL analyses are
 // typically consumed (e.g. expected inventory per epoch).
@@ -158,12 +132,6 @@ func (r *Realization) Trace(q func(db *engine.Database) (float64, error)) ([]flo
 		out[i] = v
 	}
 	return out, nil
-}
-
-// MonteCarlo samples nChains independent realizations on the default
-// worker pool. See MonteCarloCtx.
-func (c *Chain) MonteCarlo(steps, nChains int, seed uint64, q func(db *engine.Database) (float64, error)) ([]float64, error) {
-	return c.MonteCarloCtx(context.Background(), steps, nChains, seed, 0, q)
 }
 
 // MonteCarloCtx samples nChains independent realizations and returns

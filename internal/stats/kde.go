@@ -12,21 +12,6 @@ func GaussianKernel(x float64) float64 {
 	return math.Exp(-0.5*x*x) / math.Sqrt(2*math.Pi)
 }
 
-// LaplaceKernel is K(x) = e^{−|x|}/2, the example kernel given in the
-// paper (normalized to integrate to one).
-func LaplaceKernel(x float64) float64 {
-	return 0.5 * math.Exp(-math.Abs(x))
-}
-
-// EpanechnikovKernel is the minimum-variance kernel
-// K(x) = 3/4·(1−x²) on [−1, 1].
-func EpanechnikovKernel(x float64) float64 {
-	if x < -1 || x > 1 {
-		return 0
-	}
-	return 0.75 * (1 - x*x)
-}
-
 // KDE is a univariate kernel density estimator
 // f̂(x) = (Mh)⁻¹ Σ K((x−xᵢ)/h), exactly the estimator used in §3.2 to
 // approximate the particle-filter proposal and transition densities.

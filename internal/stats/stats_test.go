@@ -35,15 +35,6 @@ func TestCovarianceKnown(t *testing.T) {
 	if got, want := Covariance(xs, ys), 2*Variance(xs); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("Covariance = %g, want %g", got, want)
 	}
-	if got := Correlation(xs, ys); math.Abs(got-1) > 1e-12 {
-		t.Fatalf("Correlation = %g, want 1", got)
-	}
-}
-
-func TestCorrelationConstantSample(t *testing.T) {
-	if got := Correlation([]float64{1, 1, 1}, []float64{1, 2, 3}); got != 0 {
-		t.Fatalf("Correlation with constant sample = %g, want 0", got)
-	}
 }
 
 func TestQuantileEndpointsAndMedian(t *testing.T) {
@@ -155,35 +146,6 @@ func TestMeanCICoverage(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	counts := Histogram([]float64{-5, 0.1, 0.9, 2.5, 99}, 0, 3, 3)
-	// -5 clamps into bin 0; 0.1 and 0.9 fall in bin 0; 2.5 in bin 2;
-	// 99 clamps into bin 2.
-	if counts[0] != 3 || counts[1] != 0 || counts[2] != 2 {
-		t.Fatalf("Histogram = %v", counts)
-	}
-}
-
-func TestHistogramDegenerateArgs(t *testing.T) {
-	// A negative bin count used to panic in make([]int, nbins) before
-	// the guard; it must behave like nbins == 0.
-	for _, nbins := range []int{0, -1, -100} {
-		if counts := Histogram([]float64{1, 2, 3}, 0, 3, nbins); len(counts) != 0 {
-			t.Fatalf("Histogram(nbins=%d) = %v, want empty", nbins, counts)
-		}
-	}
-	// Empty or inverted range: counts stay zero, length preserved.
-	counts := Histogram([]float64{1, 2, 3}, 5, 5, 4)
-	if len(counts) != 4 {
-		t.Fatalf("Histogram(lo=hi) length = %d, want 4", len(counts))
-	}
-	for i, c := range counts {
-		if c != 0 {
-			t.Fatalf("Histogram(lo=hi)[%d] = %d, want 0", i, c)
-		}
-	}
-}
-
 func TestMeanCILevelDomain(t *testing.T) {
 	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8}
 	wantMean := Mean(xs)
@@ -208,70 +170,5 @@ func TestMeanCILevelDomain(t *testing.T) {
 	_, hw99 := MeanCI(xs, 0.99)
 	if !(hw99 > hw90) {
 		t.Fatalf("half-width at 0.99 (%g) not wider than at 0.90 (%g)", hw99, hw90)
-	}
-}
-
-func TestSummarize(t *testing.T) {
-	s, err := Summarize([]float64{1, 2, 3, 4, 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.N != 5 || s.Mean != 3 || s.Min != 1 || s.Max != 5 || s.Med != 3 {
-		t.Fatalf("Summary = %+v", s)
-	}
-	if s.String() == "" {
-		t.Fatal("empty Summary string")
-	}
-	if _, err := Summarize(nil); !errors.Is(err, ErrEmpty) {
-		t.Fatal("Summarize(nil) should be ErrEmpty")
-	}
-}
-
-func TestBatchMeansAR1Coverage(t *testing.T) {
-	// AR(1) with mean 10: naive i.i.d. CIs undercover badly; batch
-	// means should cover near the nominal level.
-	parent := rng.New(600)
-	const trials = 300
-	coveredBatch, coveredNaive := 0, 0
-	for trial := 0; trial < trials; trial++ {
-		r := parent.Split()
-		const n = 4000
-		xs := make([]float64, n)
-		x := 10.0
-		for i := range xs {
-			x = 10 + 0.9*(x-10) + r.Normal(0, 1)
-			xs[i] = x
-		}
-		bm, bhw, err := BatchMeans(xs, 20, 0.95)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if math.Abs(bm-10) <= bhw {
-			coveredBatch++
-		}
-		nm, nhw := MeanCI(xs, 0.95)
-		if math.Abs(nm-10) <= nhw {
-			coveredNaive++
-		}
-	}
-	fracBatch := float64(coveredBatch) / trials
-	fracNaive := float64(coveredNaive) / trials
-	if fracBatch < 0.85 {
-		t.Fatalf("batch-means coverage = %g, want ≈ 0.95", fracBatch)
-	}
-	if fracNaive >= fracBatch {
-		t.Fatalf("naive CI coverage %g not worse than batch means %g on AR(1)", fracNaive, fracBatch)
-	}
-}
-
-func TestBatchMeansValidation(t *testing.T) {
-	if _, _, err := BatchMeans(nil, 5, 0.95); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("got %v", err)
-	}
-	if _, _, err := BatchMeans([]float64{1, 2, 3}, 1, 0.95); err == nil {
-		t.Fatal("1 batch accepted")
-	}
-	if _, _, err := BatchMeans([]float64{1, 2, 3}, 9, 0.95); err == nil {
-		t.Fatal("more batches than observations accepted")
 	}
 }

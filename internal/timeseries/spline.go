@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"modeldata/internal/linalg"
-	"modeldata/internal/sgd"
 )
 
 // Spline is a natural cubic spline through a Series. Sigma holds the
@@ -61,29 +60,9 @@ func NewSpline(s *Series) (*Spline, error) {
 	if err != nil {
 		return nil, err
 	}
-	return splineFromInterior(s, interior), nil
-}
-
-// NewSplineSGD fits the spline by minimizing ‖Aσ − b‖² with the given
-// SGD solver instead of a direct solve — the §2.2 approach that maps
-// onto MapReduce with negligible shuffling. The solver's result is the
-// approximate interior constants.
-func NewSplineSGD(s *Series, solve sgd.TridiagonalSolver) (*Spline, error) {
-	tri, b, err := SplineSystem(s)
-	if err != nil {
-		return nil, err
-	}
-	interior, err := solve(tri, b)
-	if err != nil {
-		return nil, err
-	}
-	return splineFromInterior(s, interior), nil
-}
-
-func splineFromInterior(s *Series, interior []float64) *Spline {
 	sigma := make([]float64, s.Len())
 	copy(sigma[1:], interior) // σ₀ = σ_m = 0 (natural boundary)
-	return &Spline{s: s, Sigma: sigma}
+	return &Spline{s: s, Sigma: sigma}, nil
 }
 
 // At evaluates the spline at tᵢ using the paper's interpolation formula:
@@ -109,18 +88,4 @@ func (sp *Spline) evalSegment(j int, t float64) float64 {
 	s0, s1 := sp.Sigma[j], sp.Sigma[j+1]
 	return s0/(6*h)*a*a*a + s1/(6*h)*b*b*b +
 		(p1.V/h-s1*h/6)*b + (p0.V/h-s0*h/6)*a
-}
-
-// Interpolate evaluates the spline at each target time, which must lie
-// within the series range.
-func (sp *Spline) Interpolate(targets []float64) ([]float64, error) {
-	out := make([]float64, len(targets))
-	for i, t := range targets {
-		v, err := sp.At(t)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = v
-	}
-	return out, nil
 }

@@ -127,15 +127,20 @@ func TestSplineSGDMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	approx, err := NewSplineSGD(s, sgd.DistributedSolver(sgd.Options{
-		Epochs: 300, Kaczmarz: true, Seed: 3, Workers: 4,
-	}))
+	tri, b, err := SplineSystem(s)
 	if err != nil {
 		t.Fatal(err)
 	}
+	interior, _, err := sgd.SolveDistributed(tri, b, sgd.Options{
+		Epochs: 300, Kaczmarz: true, Seed: 3, Workers: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	approx := append(append([]float64{0}, interior...), 0) // natural boundary
 	for i := range exact.Sigma {
-		if math.Abs(exact.Sigma[i]-approx.Sigma[i]) > 1e-5 {
-			t.Fatalf("sigma[%d]: exact %g vs DSGD %g", i, exact.Sigma[i], approx.Sigma[i])
+		if math.Abs(exact.Sigma[i]-approx[i]) > 1e-5 {
+			t.Fatalf("sigma[%d]: exact %g vs DSGD %g", i, exact.Sigma[i], approx[i])
 		}
 	}
 }
@@ -167,7 +172,7 @@ func TestClassify(t *testing.T) {
 	for i := range fineTicks {
 		fineTicks[i] = float64(i) * 0.05
 	}
-	sameTicks := fine.Times()
+	sameTicks := times(fine)
 	if c := Classify(fine, coarseTicks); c != AlignAggregation {
 		t.Fatalf("coarse target: %v", c)
 	}
@@ -197,7 +202,7 @@ func TestAlignDispatch(t *testing.T) {
 	if out.Len() != len(targets) {
 		t.Fatalf("interp output = %d", out.Len())
 	}
-	_, class, err = Align(s, s.Times(), InterpLinear, AggMean)
+	_, class, err = Align(s, times(s), InterpLinear, AggMean)
 	if err != nil || class != AlignIdentity {
 		t.Fatalf("identity: class=%v err=%v", class, err)
 	}
@@ -213,9 +218,11 @@ func TestParallelInterpolateMatchesSequential(t *testing.T) {
 	for q := 0.05; q < 9.9; q += 0.07 {
 		targets = append(targets, q)
 	}
-	seq, err := sp.Interpolate(targets)
-	if err != nil {
-		t.Fatal(err)
+	seq := make([]float64, len(targets))
+	for i, q := range targets {
+		if seq[i], err = sp.At(q); err != nil {
+			t.Fatal(err)
+		}
 	}
 	par, stats, err := ParallelInterpolate(sp, targets, mapreduce.Config{Mappers: 4, Reducers: 3})
 	if err != nil {

@@ -70,24 +70,6 @@ func (s *Series) Validate() error {
 // Len returns the number of observations.
 func (s *Series) Len() int { return len(s.Points) }
 
-// Times returns the observation times.
-func (s *Series) Times() []float64 {
-	out := make([]float64, len(s.Points))
-	for i, p := range s.Points {
-		out[i] = p.T
-	}
-	return out
-}
-
-// Values returns the observed data.
-func (s *Series) Values() []float64 {
-	out := make([]float64, len(s.Points))
-	for i, p := range s.Points {
-		out[i] = p.V
-	}
-	return out
-}
-
 // Slice returns the sub-series with times in [lo, hi).
 func (s *Series) Slice(lo, hi float64) *Series {
 	var pts []Point

@@ -38,10 +38,6 @@ func TestAccessors(t *testing.T) {
 	if s.Len() != 3 {
 		t.Fatal("Len")
 	}
-	ts, vs := s.Times(), s.Values()
-	if ts[2] != 2 || vs[0] != 10 {
-		t.Fatal("Times/Values")
-	}
 	sub := s.Slice(0.5, 2)
 	if sub.Len() != 1 || sub.Points[0].V != 20 {
 		t.Fatalf("Slice = %v", sub.Points)
@@ -179,4 +175,13 @@ func TestLinearInterpExactOnLinesProperty(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+}
+
+// times returns a series' observation times.
+func times(s *Series) []float64 {
+	ts := make([]float64, s.Len())
+	for i, p := range s.Points {
+		ts[i] = p.T
+	}
+	return ts
 }

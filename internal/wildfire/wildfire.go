@@ -201,13 +201,6 @@ type Sensors struct {
 	Noise    float64
 }
 
-// Count returns the number of sensors covering state s.
-func (sm Sensors) Count(s *State) int {
-	bx := (s.W + sm.Block - 1) / sm.Block
-	by := (s.H + sm.Block - 1) / sm.Block
-	return bx * by
-}
-
 // mean returns the noiseless reading of each sensor.
 func (sm Sensors) mean(s *State) []float64 {
 	bx := (s.W + sm.Block - 1) / sm.Block

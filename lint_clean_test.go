@@ -9,6 +9,8 @@ package modeldata_test
 // reviewers can see.
 
 import (
+	"errors"
+	"sync"
 	"testing"
 
 	"modeldata/internal/lint"
@@ -35,18 +37,33 @@ func TestSuiteComplete(t *testing.T) {
 	}
 }
 
+var module struct {
+	once sync.Once
+	pkgs []*lint.Package
+	err  error
+}
+
+// loadModule type-checks the module once for every test in this
+// package that reads it.
+func loadModule(t *testing.T) []*lint.Package {
+	t.Helper()
+	module.once.Do(func() {
+		module.pkgs, module.err = lint.Load(".", "./...")
+		if module.err == nil && len(module.pkgs) == 0 {
+			module.err = errors.New("no packages loaded")
+		}
+	})
+	if module.err != nil {
+		t.Fatalf("loading module packages: %v", module.err)
+	}
+	return module.pkgs
+}
+
 func TestRepositoryLintClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("lint sweep type-checks the whole module; skipped in -short mode")
 	}
-	pkgs, err := lint.Load(".", "./...")
-	if err != nil {
-		t.Fatalf("loading module packages: %v", err)
-	}
-	if len(pkgs) == 0 {
-		t.Fatal("no packages loaded")
-	}
-	findings, err := lint.RunAnalyzers(pkgs, suite.All())
+	findings, err := lint.RunAnalyzers(loadModule(t), suite.All())
 	if err != nil {
 		t.Fatalf("running analyzers: %v", err)
 	}

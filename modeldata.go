@@ -49,8 +49,8 @@ type Stats struct {
 	RealizeCacheHits   int64
 	RealizeCacheMisses int64
 
-	// Metrics is the full per-run metric snapshot (every counter, gauge,
-	// and histogram reported during the run, merged with the engine's
+	// Metrics is the full per-run metric snapshot (every counter and
+	// gauge reported during the run, merged with the engine's
 	// global-registry delta), keyed by the DESIGN.md §8 metric names.
 	Metrics obs.Snapshot
 }
@@ -68,7 +68,7 @@ func (s Stats) Report() string {
 	fmt.Fprintf(&b, "  task attempts    %d (%d retries, backoff %s)\n",
 		s.TaskAttempts, s.Retries, s.BackoffTime.Round(time.Microsecond))
 	fmt.Fprintf(&b, "  speculation      %d launched, %d won\n", s.SpeculativeLaunches, s.SpeculativeWins)
-	if len(s.Metrics.Counters)+len(s.Metrics.Gauges)+len(s.Metrics.Histograms) > 0 {
+	if len(s.Metrics.Counters)+len(s.Metrics.Gauges) > 0 {
 		b.WriteString("  metrics:\n")
 		for _, line := range strings.Split(s.Metrics.String(), "\n") {
 			if line != "" {
