@@ -7,6 +7,7 @@ package modeldata_test
 
 import (
 	"fmt"
+	"go/ast"
 	"go/token"
 	"go/types"
 	"os"
@@ -93,6 +94,60 @@ type decl struct {
 	method   string // shape, for a method on a concrete type
 }
 
+// span is a stretch of one source file, in byte offsets.
+type span struct {
+	file       string
+	start, end int
+}
+
+// selfSpans maps each declaration of pkgs to the source that belongs to
+// it: a func's or method's whole declaration, and for a type also the
+// declarations of its methods, receivers and bodies. A reference from
+// inside one of these is the declaration using itself, not a caller.
+func selfSpans(pkgs []*lint.Package) map[declKey][]span {
+	out := map[declKey][]span{}
+	add := func(p *lint.Package, k declKey, n ast.Node) {
+		from, to := p.Fset.Position(n.Pos()), p.Fset.Position(n.End())
+		out[k] = append(out[k], span{from.Filename, from.Offset, to.Offset})
+	}
+	for _, p := range pkgs {
+		for _, f := range p.Files {
+			for _, d := range f.Decls {
+				switch d := d.(type) {
+				case *ast.FuncDecl:
+					k, ok := keyOf(p.Info.Defs[d.Name])
+					if !ok {
+						continue
+					}
+					add(p, k, d)
+					if k.recv != "" {
+						add(p, declKey{k.pkg, "", k.recv}, d)
+					}
+				case *ast.GenDecl:
+					for _, s := range d.Specs {
+						if ts, ok := s.(*ast.TypeSpec); ok {
+							if k, ok := keyOf(p.Info.Defs[ts.Name]); ok {
+								add(p, k, ts)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return out
+}
+
+// within reports whether pos lies inside one of spans.
+func within(pos token.Position, spans []span) bool {
+	for _, s := range spans {
+		if pos.Filename == s.file && s.start <= pos.Offset && pos.Offset < s.end {
+			return true
+		}
+	}
+	return false
+}
+
 // uncalled applies the rule to pkgs, the module rooted at the absolute
 // path root: a
 // package-level func, type, var or const, or a method on a concrete
@@ -102,7 +157,8 @@ type decl struct {
 // match a method of an interface some unit mentions or imports (or of
 // error, fmt.Stringer, or the Unwrap the errors package looks for), the
 // exported names of the root package, which are the module's public
-// API, and everything under bench/.
+// API, and everything under bench/. A reference from inside the
+// declaration itself (selfSpans) is not a caller.
 func uncalled(pkgs []*lint.Package, root string) []string {
 	sep := string(filepath.Separator)
 	bench := filepath.Join(root, "bench") + sep
@@ -151,6 +207,7 @@ func uncalled(pkgs []*lint.Package, root string) []string {
 			walk(imp)
 		}
 	}
+	self := selfSpans(pkgs)
 	called := map[declKey]bool{}
 	for _, p := range pkgs {
 		walk(p.Types)
@@ -163,7 +220,11 @@ func uncalled(pkgs []*lint.Package, root string) []string {
 			if !declared {
 				continue
 			}
-			file := p.Fset.Position(id.Pos()).Filename
+			pos := p.Fset.Position(id.Pos())
+			if within(pos, self[k]) {
+				continue
+			}
+			file := pos.Filename
 			if !strings.HasSuffix(file, "_test.go") || (d.exported && filepath.Dir(file) != filepath.Dir(d.pos.Filename)) {
 				called[k] = true
 			}
@@ -200,9 +261,10 @@ func TestEveryNameHasACaller(t *testing.T) {
 
 // TestUncalledFindsDeadNames plants, in a module of its own, a dead
 // exported func, an exported func only its own package's tests call, a
-// func another package's test calls (a test seam) and a method that
-// satisfies an interface declared in another package: exactly the first
-// two are reported.
+// func another package's test calls (a test seam), a method that
+// satisfies an interface declared in another package, a type whose only
+// referrer is such a method of its own, and a func only its own body
+// calls: all but the seam and the method are reported.
 func TestUncalledFindsDeadNames(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the scan runs the go command over a fixture module; skipped in -short mode")
@@ -211,7 +273,7 @@ func TestUncalledFindsDeadNames(t *testing.T) {
 	for path, src := range map[string]string{
 		"go.mod":      "module fixture\n\ngo 1.22\n",
 		"main.go":     "package main\n\nimport (\n\t\"fixture/a\"\n\t\"fixture/c\"\n)\n\nfunc main() { c.Print(a.T{}) }\n",
-		"a/a.go":      "package a\n\nfunc Dead() {}\n\nfunc OwnTests() {}\n\nfunc Seam() {}\n\ntype T struct{}\n\nfunc (T) Name() string { return \"t\" }\n",
+		"a/a.go":      "package a\n\nfunc Dead() {}\n\nfunc OwnTests() {}\n\nfunc Seam() {}\n\ntype T struct{}\n\nfunc (T) Name() string { return \"t\" }\n\ntype Self struct{}\n\nfunc (Self) Name() string { return \"self\" }\n\nfunc Rec(n int) int {\n\tif n > 0 {\n\t\treturn Rec(n - 1)\n\t}\n\treturn 0\n}\n",
 		"a/a_test.go": "package a\n\nimport \"testing\"\n\nfunc TestOwn(t *testing.T) { OwnTests() }\n",
 		"b/b.go":      "package b\n",
 		"b/b_test.go": "package b\n\nimport (\n\t\"testing\"\n\n\t\"fixture/a\"\n)\n\nfunc TestSeam(t *testing.T) { a.Seam() }\n",
@@ -231,6 +293,8 @@ func TestUncalledFindsDeadNames(t *testing.T) {
 	}
 	got := uncalled(pkgs, root)
 	want := []string{
+		filepath.Join("a", "a.go") + ":13: fixture/a.Self",
+		filepath.Join("a", "a.go") + ":17: fixture/a.Rec",
 		filepath.Join("a", "a.go") + ":3: fixture/a.Dead",
 		filepath.Join("a", "a.go") + ":5: fixture/a.OwnTests",
 	}

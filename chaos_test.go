@@ -55,11 +55,12 @@ func TestRunDeterministicUnderFaults(t *testing.T) {
 				t.Fatalf("workers=%d row %d: %+v vs %+v", w, i, res.Rows[i], clean.Rows[i])
 			}
 		}
-		if st.TaskAttempts > 0 {
+		c := st.Metrics.Counters
+		if c[parallel.MetricAttempts] > 0 {
 			sawAttempts = true
 		}
-		if st.Retries > 0 && st.BackoffTime <= 0 {
-			t.Fatalf("workers=%d: retries without backoff: %+v", w, st)
+		if c[parallel.MetricRetries] > 0 && c[parallel.MetricBackoffNanos] <= 0 {
+			t.Fatalf("workers=%d: retries without backoff:\n%s", w, st.Report())
 		}
 	}
 	if !sawAttempts {
@@ -92,8 +93,8 @@ func TestRunWithSpeculationUnchanged(t *testing.T) {
 			t.Fatalf("row %d: %+v vs %+v", i, res.Rows[i], clean.Rows[i])
 		}
 	}
-	if st.SpeculativeWins > st.SpeculativeLaunches {
-		t.Fatalf("wins %d exceed launches %d", st.SpeculativeWins, st.SpeculativeLaunches)
+	if wins, launches := st.Metrics.Counters[parallel.MetricSpecWins], st.Metrics.Counters[parallel.MetricSpecLaunches]; wins > launches {
+		t.Fatalf("wins %d exceed launches %d", wins, launches)
 	}
 }
 

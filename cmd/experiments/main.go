@@ -11,9 +11,8 @@
 // With no -run flag every registered experiment runs. -md emits a
 // Markdown table suitable for EXPERIMENTS.md; -workers bounds the
 // parallelism of every Monte Carlo loop (results are identical at any
-// worker count); -stats prints a per-experiment run report (throughput,
-// engine columnar-vs-row activity, shuffle bytes, fault-tolerance
-// counters). -retries grants every runtime task a retry budget and
+// worker count); -stats prints a per-experiment run report (elapsed
+// time, iteration throughput, then every counter of the run once). -retries grants every runtime task a retry budget and
 // -spec enables speculative re-execution of stragglers; -chaos injects
 // deterministic task panics with the given probability (pair it with
 // -retries to exercise the recovery path). None of these change the

@@ -14,9 +14,11 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
+	"strings"
 	"time"
 
 	"modeldata/internal/composite"
@@ -202,19 +204,19 @@ func chaosAlignment() error {
 		targets = append(targets, t)
 	}
 
-	clean, _, err := timeseries.ParallelInterpolate(sp, targets, mapreduce.Config{Mappers: 8, Reducers: 4})
+	cfg := mapreduce.Config{Mappers: 8, Reducers: 4}
+	clean, _, err := timeseries.ParallelInterpolateCtx(context.Background(), sp, targets, cfg)
 	if err != nil {
 		return err
 	}
-	faulty, stats, err := timeseries.ParallelInterpolate(sp, targets, mapreduce.Config{
-		Mappers: 8, Reducers: 4,
-		MaxRetries:        6,
-		SpeculativeFactor: 4,
-		Injector: parallel.Chain{
-			parallel.PanicInjector{Prob: 0.3, Seed: 7},
-			parallel.LatencyInjector{Prob: 0.2, Delay: 2 * time.Millisecond, Seed: 8},
-		},
+	st := parallel.NewStats()
+	ctx := parallel.WithStats(context.Background(), st)
+	ctx = parallel.WithRetryPolicy(ctx, parallel.RetryPolicy{MaxRetries: 6, SpeculativeFactor: 4})
+	ctx = parallel.WithFaultInjector(ctx, parallel.Chain{
+		parallel.PanicInjector{Prob: 0.3, Seed: 7},
+		parallel.LatencyInjector{Prob: 0.2, Delay: 2 * time.Millisecond, Seed: 8},
 	})
+	faulty, job, err := timeseries.ParallelInterpolateCtx(ctx, sp, targets, cfg)
 	if err != nil {
 		return err
 	}
@@ -223,7 +225,10 @@ func chaosAlignment() error {
 			return fmt.Errorf("chaos run diverged at t=%v: %v vs %v", p.T, p.V, clean.Points[i].V)
 		}
 	}
-	fmt.Printf("job survived injected faults: %s\n", stats)
+	fmt.Printf("job survived injected faults: %s\n", job)
+	for _, line := range strings.Split(st.Registry().Snapshot().String(), "\n") {
+		fmt.Printf("  %s\n", line)
+	}
 	fmt.Printf("output identical to failure-free run across %d aligned points ✓\n", len(faulty.Points))
 	return nil
 }

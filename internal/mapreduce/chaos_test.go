@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"modeldata/internal/obs"
 	"modeldata/internal/parallel"
 )
 
@@ -39,6 +40,16 @@ func sumCounts(key string, values []any, emit func(Pair)) error {
 	return nil
 }
 
+// faultCtx returns a context carrying pol, inj and a fresh
+// parallel.Stats, whose registry the tests read the job's
+// fault-tolerance counters from.
+func faultCtx(pol parallel.RetryPolicy, inj parallel.FaultInjector) (context.Context, *obs.Registry) {
+	st := parallel.NewStats()
+	ctx := parallel.WithStats(context.Background(), st)
+	ctx = parallel.WithRetryPolicy(ctx, pol)
+	return parallel.WithFaultInjector(ctx, inj), st.Registry()
+}
+
 // TestChaosOutputBitIdentical is the tentpole acceptance test: a job
 // whose task attempts crash and stall at random must emit output
 // exactly equal to the failure-free run, across seeds and worker
@@ -56,12 +67,11 @@ func TestChaosOutputBitIdentical(t *testing.T) {
 			{Mappers: 1, Reducers: 1},
 			{Mappers: 8, Reducers: 3},
 		} {
-			cfg.MaxRetries = 8
-			cfg.Injector = parallel.Chain{
+			ctx, reg := faultCtx(parallel.RetryPolicy{MaxRetries: 8}, parallel.Chain{
 				parallel.PanicInjector{Prob: 0.3, Seed: seed},
 				parallel.LatencyInjector{Prob: 0.2, Delay: 200 * time.Microsecond, Seed: seed + 100},
-			}
-			out, stats, err := RunCtx(context.Background(), cfg, splits, countWords, sumCounts)
+			})
+			out, _, err := RunCtx(ctx, cfg, splits, countWords, sumCounts)
 			if err != nil {
 				t.Fatalf("seed=%d cfg=%+v: %v", seed, cfg, err)
 			}
@@ -73,11 +83,11 @@ func TestChaosOutputBitIdentical(t *testing.T) {
 					t.Fatalf("seed=%d: pair %d diverged: %+v vs %+v", seed, i, out[i], clean[i])
 				}
 			}
-			if stats.Retries > 0 {
+			if reg.Counter(parallel.MetricRetries).Value() > 0 {
 				sawRetry = true
 			}
-			if stats.TaskAttempts < int64(len(splits)) {
-				t.Fatalf("seed=%d: only %d attempts for %d splits", seed, stats.TaskAttempts, len(splits))
+			if got := reg.Counter(parallel.MetricAttempts).Value(); got < int64(len(splits)) {
+				t.Fatalf("seed=%d: only %d attempts for %d splits", seed, got, len(splits))
 			}
 		}
 	}
@@ -94,12 +104,9 @@ func TestCrashNTimesThenSucceed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, stats, err := RunCtx(context.Background(), Config{
-		Mappers: 4, Reducers: 2,
-		MaxRetries: 3,
-		Backoff:    20 * time.Microsecond,
-		Injector:   parallel.CrashAttempts{Stage: "map", Index: 5, Times: 2},
-	}, splits, countWords, sumCounts)
+	ctx, reg := faultCtx(parallel.RetryPolicy{MaxRetries: 3, Backoff: 20 * time.Microsecond},
+		parallel.CrashAttempts{Stage: "map", Index: 5, Times: 2})
+	out, _, err := RunCtx(ctx, Config{Mappers: 4, Reducers: 2}, splits, countWords, sumCounts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,15 +115,16 @@ func TestCrashNTimesThenSucceed(t *testing.T) {
 			t.Fatalf("pair %d diverged: %+v vs %+v", i, out[i], clean[i])
 		}
 	}
-	if stats.Retries != 2 {
-		t.Fatalf("retries = %d, want 2", stats.Retries)
+	snap := reg.Snapshot()
+	if got := snap.Counters[parallel.MetricRetries]; got != 2 {
+		t.Fatalf("retries = %d, want 2", got)
 	}
 	// len(splits) map attempts + 2 map retries + 2 reduce attempts.
-	if want := int64(len(splits)) + 2 + 2; stats.TaskAttempts != want {
-		t.Fatalf("attempts = %d, want %d", stats.TaskAttempts, want)
+	if want, got := int64(len(splits))+2+2, snap.Counters[parallel.MetricAttempts]; got != want {
+		t.Fatalf("attempts = %d, want %d", got, want)
 	}
-	if stats.BackoffTime <= 0 {
-		t.Fatalf("no backoff recorded: %+v", stats)
+	if snap.Counters[parallel.MetricBackoffNanos] <= 0 {
+		t.Fatalf("no backoff recorded:\n%s", snap)
 	}
 }
 
@@ -124,12 +132,9 @@ func TestCrashNTimesThenSucceed(t *testing.T) {
 // chain: the job reports the injected fault as a worker panic after the
 // budget is spent.
 func TestRetryBudgetExhaustionFails(t *testing.T) {
-	_, _, err := RunCtx(context.Background(), Config{
-		Mappers: 2, Reducers: 2,
-		MaxRetries: 2,
-		Backoff:    10 * time.Microsecond,
-		Injector:   parallel.CrashAttempts{Stage: "map", Index: 0, Times: 100},
-	}, chaosDocs(), countWords, sumCounts)
+	ctx, _ := faultCtx(parallel.RetryPolicy{MaxRetries: 2, Backoff: 10 * time.Microsecond},
+		parallel.CrashAttempts{Stage: "map", Index: 0, Times: 100})
+	_, _, err := RunCtx(ctx, Config{Mappers: 2, Reducers: 2}, chaosDocs(), countWords, sumCounts)
 	if err == nil {
 		t.Fatal("job survived an unkillable task")
 	}
@@ -144,14 +149,15 @@ func TestRetryBudgetExhaustionFails(t *testing.T) {
 // TestZeroRetriesKeepsFailFast pins backward compatibility: without a
 // retry budget the first crash aborts the job exactly as before.
 func TestZeroRetriesKeepsFailFast(t *testing.T) {
-	_, stats, err := RunCtx(context.Background(), Config{
-		Injector: parallel.CrashAttempts{Stage: "map", Index: 0, Times: 1},
-	}, chaosDocs(), countWords, sumCounts)
+	st := parallel.NewStats()
+	ctx := parallel.WithStats(context.Background(), st)
+	ctx = parallel.WithFaultInjector(ctx, parallel.CrashAttempts{Stage: "map", Index: 0, Times: 1})
+	_, _, err := RunCtx(ctx, Config{}, chaosDocs(), countWords, sumCounts)
 	if !errors.Is(err, ErrWorkerPanic) {
 		t.Fatalf("err = %v, want ErrWorkerPanic", err)
 	}
-	if stats.Retries != 0 {
-		t.Fatalf("retries = %d without a budget", stats.Retries)
+	if got := st.Registry().Counter(parallel.MetricRetries).Value(); got != 0 {
+		t.Fatalf("retries = %d without a budget", got)
 	}
 }
 
@@ -180,11 +186,9 @@ func TestSpeculativeExecution(t *testing.T) {
 		t.Fatal(err)
 	}
 	var hits atomic.Int64
-	out, stats, err := RunCtx(context.Background(), Config{
-		Mappers: 8, Reducers: 2,
-		SpeculativeFactor: 2,
-		Injector:          stallOnce{index: 0, delay: 100 * time.Millisecond, hits: &hits},
-	}, splits, countWords, sumCounts)
+	ctx, reg := faultCtx(parallel.RetryPolicy{SpeculativeFactor: 2},
+		stallOnce{index: 0, delay: 100 * time.Millisecond, hits: &hits})
+	out, _, err := RunCtx(ctx, Config{Mappers: 8, Reducers: 2}, splits, countWords, sumCounts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,29 +200,27 @@ func TestSpeculativeExecution(t *testing.T) {
 	if hits.Load() == 0 {
 		t.Fatal("straggler injector never fired")
 	}
-	if stats.SpeculativeLaunches == 0 {
-		t.Fatalf("no speculative backup launched: %+v", stats)
+	launches, wins := reg.Counter(parallel.MetricSpecLaunches).Value(), reg.Counter(parallel.MetricSpecWins).Value()
+	if launches == 0 {
+		t.Fatalf("no speculative backup launched:\n%s", reg.Snapshot())
 	}
-	if stats.SpeculativeWins > stats.SpeculativeLaunches {
-		t.Fatalf("wins %d exceed launches %d", stats.SpeculativeWins, stats.SpeculativeLaunches)
+	if wins > launches {
+		t.Fatalf("wins %d exceed launches %d", wins, launches)
 	}
 }
 
-// TestContextPolicyAndInjectorApply verifies jobs inherit the retry
-// policy and injector from the context when the Config leaves them
-// unset — the path used by the modeldata facade.
+// TestContextPolicyAndInjectorApply verifies a job takes its retry
+// policy and injector from the context, the path the modeldata facade
+// uses, and that a reduce-stage crash is retried once.
 func TestContextPolicyAndInjectorApply(t *testing.T) {
 	splits := chaosDocs()
-	ctx := parallel.WithRetryPolicy(context.Background(), parallel.RetryPolicy{
-		MaxRetries: 3,
-		Backoff:    20 * time.Microsecond,
-	})
-	ctx = parallel.WithFaultInjector(ctx, parallel.CrashAttempts{Stage: "reduce", Index: 1, Times: 1})
+	ctx, reg := faultCtx(parallel.RetryPolicy{MaxRetries: 3, Backoff: 20 * time.Microsecond},
+		parallel.CrashAttempts{Stage: "reduce", Index: 1, Times: 1})
 	clean, _, err := RunCtx(context.Background(), Config{Mappers: 4, Reducers: 3}, splits, countWords, sumCounts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, stats, err := RunCtx(ctx, Config{Mappers: 4, Reducers: 3}, splits, countWords, sumCounts)
+	out, _, err := RunCtx(ctx, Config{Mappers: 4, Reducers: 3}, splits, countWords, sumCounts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +229,7 @@ func TestContextPolicyAndInjectorApply(t *testing.T) {
 			t.Fatalf("pair %d diverged: %+v vs %+v", i, out[i], clean[i])
 		}
 	}
-	if stats.Retries != 1 {
-		t.Fatalf("retries = %d, want 1 (the crashed reduce attempt)", stats.Retries)
+	if got := reg.Counter(parallel.MetricRetries).Value(); got != 1 {
+		t.Fatalf("retries = %d, want 1 (the crashed reduce attempt)", got)
 	}
 }

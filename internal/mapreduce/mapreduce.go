@@ -7,10 +7,12 @@
 // scale-free proxy for cluster communication cost.
 //
 // Like the Hadoop substrate it models, the runtime is fault-tolerant at
-// task granularity: with a retry policy installed (Config or
-// parallel.WithRetryPolicy), a crashed map or reduce task is re-run
+// task granularity: with a retry policy on the context
+// (parallel.WithRetryPolicy), a crashed map or reduce task is re-run
 // with exponential backoff instead of failing the job, and straggling
 // tasks are speculatively re-executed with first-result-wins commits.
+// The attempts, retries, speculative launches and wins, and backoff are
+// counted in the context's parallel.Stats registry.
 // Output is bit-identical to a failure-free run under any fault
 // schedule that lets every task eventually succeed — see tasks.go for
 // the argument.
@@ -23,7 +25,6 @@ import (
 	"hash/fnv"
 	"runtime"
 	"sort"
-	"time"
 
 	"modeldata/internal/obs"
 	"modeldata/internal/parallel"
@@ -34,8 +35,8 @@ var ErrNoInput = errors.New("mapreduce: no input splits")
 
 // ErrWorkerPanic is returned when a mapper or reducer panics; the
 // panic value is attached. Like a real cluster framework, a task crash
-// fails the job only after the retry budget (Config.MaxRetries or the
-// context retry policy; zero by default) is exhausted.
+// fails the job only after the retry budget of the context's retry
+// policy (parallel.WithRetryPolicy; zero by default) is exhausted.
 var ErrWorkerPanic = errors.New("mapreduce: worker panicked")
 
 // Pair is a keyed intermediate or output record.
@@ -50,81 +51,29 @@ type Mapper func(split any, emit func(Pair)) error
 // Reducer processes all values that share a key, emitting output pairs.
 type Reducer func(key string, values []any, emit func(Pair)) error
 
-// Config controls job parallelism, shuffle accounting, and fault
-// tolerance.
+// Config bounds job parallelism. Retries, speculation and fault
+// injection are asked for on the context (parallel.WithRetryPolicy,
+// parallel.WithFaultInjector), as for every other task runtime.
 type Config struct {
 	// Mappers and Reducers bound worker parallelism; zero means
 	// GOMAXPROCS.
 	Mappers, Reducers int
-	// SizeOf estimates the serialized size of a shuffled value, for the
-	// ShuffleBytes statistic. If nil, DefaultSizeOf is used.
-	SizeOf func(v any) int
-	// MaxRetries is the per-task retry budget: a map or reduce task may
-	// fail this many times and still be re-run before the job fails.
-	// Together with Backoff and SpeculativeFactor it overrides any
-	// context retry policy (parallel.WithRetryPolicy) when set.
-	MaxRetries int
-	// Backoff is the pause before a task's first retry, doubling per
-	// subsequent retry; zero means parallel.DefaultBackoff.
-	Backoff time.Duration
-	// SpeculativeFactor enables straggler mitigation: a task running
-	// longer than SpeculativeFactor × the stage's median task time gets
-	// one backup attempt, first result wins. Zero disables.
-	SpeculativeFactor float64
-	// Injector, if non-nil, passes every task attempt through a fault
-	// injector (chaos testing); it overrides any context injector
-	// (parallel.WithFaultInjector).
-	Injector parallel.FaultInjector
 }
 
-// faultSetup resolves the effective retry policy and injector: Config
-// fields when any are set, else whatever the context carries.
-func (cfg Config) faultSetup(ctx context.Context) (parallel.RetryPolicy, parallel.FaultInjector) {
-	pol, _ := parallel.RetryPolicyFrom(ctx)
-	if cfg.MaxRetries > 0 || cfg.Backoff > 0 || cfg.SpeculativeFactor > 0 {
-		pol = parallel.RetryPolicy{
-			MaxRetries:        cfg.MaxRetries,
-			Backoff:           cfg.Backoff,
-			SpeculativeFactor: cfg.SpeculativeFactor,
-		}
-	}
-	inj := cfg.Injector
-	if inj == nil {
-		inj = parallel.InjectorFrom(ctx)
-	}
-	return pol, inj
-}
-
-// Stats reports what a job did.
+// Stats reports what a job did. Its fault-tolerance activity (task
+// attempts, retries, speculation, backoff) is counted in the registry
+// of the parallel.Stats the context carries.
 type Stats struct {
 	InputSplits  int
 	MapOutput    int   // intermediate pairs emitted by mappers
 	ShuffleBytes int64 // estimated bytes moved through the shuffle
 	ReduceGroups int   // distinct keys reduced
 	Output       int   // output pairs emitted by reducers
-
-	// Fault-tolerance counters.
-	TaskAttempts        int64         // attempts launched across map and reduce tasks
-	Retries             int64         // failed attempts that were re-run
-	SpeculativeLaunches int64         // backup attempts launched against stragglers
-	SpeculativeWins     int64         // tasks committed by a backup attempt
-	BackoffTime         time.Duration // cumulative retry backoff
-}
-
-// addTaskStats folds one stage's scheduler counters into the job stats.
-func (s *Stats) addTaskStats(ts taskStats) {
-	s.TaskAttempts += ts.attempts
-	s.Retries += ts.retries
-	s.SpeculativeLaunches += ts.specLaunches
-	s.SpeculativeWins += ts.specWins
-	s.BackoffTime += ts.backoff
 }
 
 func (s Stats) String() string {
-	return fmt.Sprintf("splits=%d mapOut=%d shuffle=%dB groups=%d out=%d attempts=%d retries=%d spec=%d/%d backoff=%s",
-		s.InputSplits, s.MapOutput, s.ShuffleBytes, s.ReduceGroups, s.Output,
-		s.TaskAttempts, s.Retries, s.SpeculativeWins, s.SpeculativeLaunches,
-		s.BackoffTime.Round(time.Microsecond))
+	return fmt.Sprintf("splits=%d mapOut=%d shuffle=%dB groups=%d out=%d",
+		s.InputSplits, s.MapOutput, s.ShuffleBytes, s.ReduceGroups, s.Output)
 }
 
 // DefaultSizeOf estimates value sizes for shuffle accounting: 8 bytes
@@ -163,9 +112,9 @@ func workerCount(n int) int {
 // attempts to commute with failure-free execution. Cancellation of ctx
 // is honored between the map, shuffle, and reduce stages and between
 // tasks within a stage: a canceled job stops scheduling work and
-// returns ctx.Err() instead of running to completion. Shuffle bytes and
-// fault-tolerance counters are also credited to any parallel.Stats
-// collector carried by ctx.
+// returns ctx.Err() instead of running to completion. The retry policy
+// and fault injector come from ctx; shuffle bytes and fault-tolerance
+// counters are credited to any parallel.Stats collector it carries.
 func RunCtx(ctx context.Context, cfg Config, splits []any, m Mapper, r Reducer) ([]Pair, Stats, error) {
 	var stats Stats
 	if len(splits) == 0 {
@@ -175,12 +124,8 @@ func RunCtx(ctx context.Context, cfg Config, splits []any, m Mapper, r Reducer) 
 	jobSpan.SetInt("splits", int64(len(splits)))
 	defer jobSpan.End()
 	stats.InputSplits = len(splits)
-	sizeOf := cfg.SizeOf
-	if sizeOf == nil {
-		sizeOf = DefaultSizeOf
-	}
-
-	pol, inj := cfg.faultSetup(ctx)
+	pol, _ := parallel.RetryPolicyFrom(ctx)
+	inj := parallel.InjectorFrom(ctx)
 
 	// Map phase: each task attempt accumulates per-partition output
 	// locally, so no locks are needed in the emit hot path and a failed
@@ -192,7 +137,7 @@ func RunCtx(ctx context.Context, cfg Config, splits []any, m Mapper, r Reducer) 
 		count int
 		bytes int64
 	}
-	results, mapTS, err := runTasks(ctx, "map", len(splits), nMap, pol, inj, func(i int) (mapResult, error) {
+	results, err := runTasks(ctx, "map", len(splits), nMap, pol, inj, func(i int) (mapResult, error) {
 		res := mapResult{parts: make([][]Pair, nRed)}
 		emit := func(p Pair) {
 			h := fnv.New32a()
@@ -200,14 +145,13 @@ func RunCtx(ctx context.Context, cfg Config, splits []any, m Mapper, r Reducer) 
 			part := int(h.Sum32()) % nRed
 			res.parts[part] = append(res.parts[part], p)
 			res.count++
-			res.bytes += int64(len(p.Key) + sizeOf(p.Value))
+			res.bytes += int64(len(p.Key) + DefaultSizeOf(p.Value))
 		}
 		if err := m(splits[i], emit); err != nil {
 			return mapResult{}, err
 		}
 		return res, nil
 	})
-	stats.addTaskStats(mapTS)
 	if err != nil {
 		return nil, stats, mapreduceErr("map", err)
 	}
@@ -241,7 +185,7 @@ func RunCtx(ctx context.Context, cfg Config, splits []any, m Mapper, r Reducer) 
 	// partition for determinism. A reduce task's output is buffered per
 	// attempt, so a mid-partition crash discards the partial output and
 	// the retry rebuilds it from the (immutable) shuffle groups.
-	outParts, redTS, err := runTasks(ctx, "reduce", nRed, nRed, pol, inj, func(p int) ([]Pair, error) {
+	outParts, err := runTasks(ctx, "reduce", nRed, nRed, pol, inj, func(p int) ([]Pair, error) {
 		keys := make([]string, 0, len(partitions[p]))
 		for k := range partitions[p] {
 			keys = append(keys, k)
@@ -256,7 +200,6 @@ func RunCtx(ctx context.Context, cfg Config, splits []any, m Mapper, r Reducer) 
 		}
 		return out, nil
 	})
-	stats.addTaskStats(redTS)
 	if err != nil {
 		return nil, stats, mapreduceErr("reduce", err)
 	}

@@ -45,15 +45,6 @@ const minSpecCompleted = 3
 // do not trigger storms of pointless backups.
 const minSpecAge = 50 * time.Microsecond
 
-// taskStats are the fault-tolerance counters of one stage.
-type taskStats struct {
-	attempts     int64
-	retries      int64
-	specLaunches int64
-	specWins     int64
-	backoff      time.Duration
-}
-
 // attemptRef identifies one scheduled execution of a task.
 type attemptRef struct {
 	i    int  // task index
@@ -89,7 +80,6 @@ type scheduler[T any] struct {
 	// exactly once per slot, so the slice never outgrows len(tasks)
 	durations []time.Duration // guarded by mu
 	remaining int
-	ts        taskStats
 	fatal     error
 
 	queue  chan attemptRef
@@ -101,9 +91,9 @@ type scheduler[T any] struct {
 // the retry policy and fault injector, returning every task's committed
 // result in index order. The first task to exhaust its retry budget
 // (or a context cancellation) aborts the stage.
-func runTasks[T any](ctx context.Context, stage string, n, workers int, pol parallel.RetryPolicy, inj parallel.FaultInjector, run func(i int) (T, error)) ([]T, taskStats, error) {
+func runTasks[T any](ctx context.Context, stage string, n, workers int, pol parallel.RetryPolicy, inj parallel.FaultInjector, run func(i int) (T, error)) ([]T, error) {
 	if err := ctx.Err(); err != nil {
-		return nil, taskStats{}, err
+		return nil, err
 	}
 	if workers > n {
 		workers = n
@@ -149,12 +139,12 @@ func runTasks[T any](ctx context.Context, stage string, n, workers int, pol para
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.fatal != nil {
-		return nil, s.ts, s.fatal
+		return nil, s.fatal
 	}
 	if err := ctx.Err(); err != nil {
-		return nil, s.ts, err
+		return nil, err
 	}
-	return s.results, s.ts, nil
+	return s.results, nil
 }
 
 // worker pulls attempts until the stage completes, fails, or is
@@ -197,7 +187,6 @@ func (s *scheduler[T]) execute(ctx context.Context, a attemptRef) {
 	if st.running == 1 {
 		st.started = began
 	}
-	s.ts.attempts++
 	s.mu.Unlock()
 	s.pstats.AddTaskAttempts(1)
 
@@ -265,7 +254,6 @@ func (s *scheduler[T]) commitLocked(a attemptRef, res T, dur time.Duration) {
 	s.durations = append(s.durations, dur)
 	s.remaining--
 	if a.spec {
-		s.ts.specWins++
 		s.pstats.AddSpeculativeWins(1)
 	}
 	completed := len(s.tasks) - s.remaining
@@ -308,8 +296,6 @@ func (s *scheduler[T]) failLocked(ctx context.Context, a attemptRef, err error) 
 		return
 	}
 	d := s.pol.BackoffFor(st.failures)
-	s.ts.retries++
-	s.ts.backoff += d
 	s.mu.Unlock()
 	s.pstats.AddRetries(1)
 	s.pstats.AddBackoff(d)
@@ -370,17 +356,12 @@ func (s *scheduler[T]) checkStragglersLocked(now time.Time) {
 		if now.Sub(st.started) <= thr {
 			continue
 		}
-		st.backup = true
-		st.launches++
-		s.ts.specLaunches++
-		s.pstats.AddSpeculativeLaunches(1)
 		select {
-		case s.queue <- attemptRef{i: i, n: st.launches, spec: true}:
-		default:
-			st.backup = false // queue full (should not happen): retract
-			st.launches--
-			s.ts.specLaunches--
-			s.pstats.AddSpeculativeLaunches(-1)
+		case s.queue <- attemptRef{i: i, n: st.launches + 1, spec: true}:
+			st.backup = true
+			st.launches++
+			s.pstats.AddSpeculativeLaunches(1)
+		default: // queue full (the lifetime bound makes this unreachable)
 		}
 	}
 }

@@ -784,7 +784,7 @@ func TestWarmSessionReusedVectorsMatchCold(t *testing.T) {
 	stats := parallel.NewStats()
 	run("under retried failures", parallel.WithStats(parallel.WithRetryPolicy(ctx, parallel.RetryPolicy{MaxRetries: 50, Backoff: time.Microsecond, MaxBackoff: time.Microsecond}), stats))
 	failing.Store(0)
-	if stats.Retries() == 0 {
+	if stats.Registry().Counter(parallel.MetricRetries).Value() == 0 {
 		t.Fatal("no draw failed and was retried")
 	}
 }

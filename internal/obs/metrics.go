@@ -82,9 +82,9 @@ func NewRegistry() *Registry {
 
 // std is the process-wide default registry, the reporting target for
 // layers whose APIs carry no context (the relational engine's query
-// paths). Per-run accounting lives in per-run registries
-// (parallel.Stats); modeldata.Run diffs std around a run to attribute
-// its global counters.
+// paths). Per-run counters live and are read in the per-run registry of
+// a parallel.Stats; modeldata.Run diffs std around a run and merges the
+// delta into the run's Metrics.
 var std = NewRegistry()
 
 // Default returns the process-wide registry.

@@ -160,12 +160,9 @@ func TestStatsCountIterationsAndShuffle(t *testing.T) {
 		t.Fatal(err)
 	}
 	StatsFrom(ctx).AddShuffleBytes(512)
-	snap := s.Snapshot()
-	if snap.Iterations != 25 || snap.ShuffleBytes != 512 {
-		t.Fatalf("snapshot %+v", snap)
-	}
-	if snap.String() == "" {
-		t.Fatal("empty snapshot string")
+	snap := s.Registry().Snapshot()
+	if snap.Counters[MetricIterations] != 25 || snap.Counters[MetricShuffleBytes] != 512 {
+		t.Fatalf("snapshot:\n%s", snap)
 	}
 }
 
@@ -173,7 +170,7 @@ func TestNilStatsIsSafe(t *testing.T) {
 	var s *Stats
 	s.AddIterations(1)
 	s.AddShuffleBytes(1)
-	if s.Iterations() != 0 || s.ShuffleBytes() != 0 || s.SamplesPerSec() != 0 || s.Elapsed() != 0 {
+	if s.Registry().Counter(MetricIterations).Value() != 0 || s.Elapsed() != 0 {
 		t.Fatal("nil stats counted something")
 	}
 	// A context with no stats yields a nil collector usable directly.

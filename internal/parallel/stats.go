@@ -1,7 +1,6 @@
 package parallel
 
 import (
-	"fmt"
 	"time"
 
 	"modeldata/internal/obs"
@@ -23,11 +22,10 @@ const (
 
 // Stats accumulates per-run execution counters across every parallel
 // loop (and MapReduce shuffle) that runs under a context carrying it.
-// The counters are backed by a per-run obs.Registry — the same numbers
-// are readable through the typed metrics API (Registry) and through the
-// legacy accessor methods, which are kept so existing callers see no
-// change. All methods are safe for concurrent use and nil-safe: a nil
-// *Stats counts nothing, so hot loops may call Add* unconditionally.
+// The counters live in a per-run obs.Registry, which is where they are
+// read: Registry().Counter(MetricRetries) or a Registry().Snapshot().
+// All methods are safe for concurrent use and nil-safe: a nil *Stats
+// counts nothing, so hot loops may call Add* unconditionally.
 type Stats struct {
 	clock obs.Clock
 	start time.Time
@@ -132,62 +130,6 @@ func (s *Stats) AddBackoff(d time.Duration) {
 	}
 }
 
-// Iterations returns the iterations completed so far.
-func (s *Stats) Iterations() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.iterations.Value()
-}
-
-// ShuffleBytes returns the shuffle bytes recorded so far.
-func (s *Stats) ShuffleBytes() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.shuffleBytes.Value()
-}
-
-// TaskAttempts returns the task attempts launched so far.
-func (s *Stats) TaskAttempts() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.taskAttempts.Value()
-}
-
-// Retries returns the failed attempts re-run so far.
-func (s *Stats) Retries() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.retries.Value()
-}
-
-// SpeculativeLaunches returns the backup attempts launched so far.
-func (s *Stats) SpeculativeLaunches() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.specLaunches.Value()
-}
-
-// SpeculativeWins returns the tasks won by a backup attempt so far.
-func (s *Stats) SpeculativeWins() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.specWins.Value()
-}
-
-// BackoffTime returns the cumulative retry backoff recorded so far.
-func (s *Stats) BackoffTime() time.Duration {
-	if s == nil {
-		return 0
-	}
-	return time.Duration(s.backoffNanos.Value())
-}
-
 // Elapsed returns the time since NewStats, measured by the collector's
 // clock.
 func (s *Stats) Elapsed() time.Duration {
@@ -195,49 +137,4 @@ func (s *Stats) Elapsed() time.Duration {
 		return 0
 	}
 	return s.clock.Now().Sub(s.start)
-}
-
-// SamplesPerSec returns the iteration throughput since NewStats.
-func (s *Stats) SamplesPerSec() float64 {
-	el := s.Elapsed().Seconds()
-	if el <= 0 {
-		return 0
-	}
-	return float64(s.Iterations()) / el
-}
-
-// Snapshot is a point-in-time copy of the counters, safe to retain.
-type Snapshot struct {
-	Iterations          int64
-	ShuffleBytes        int64
-	TaskAttempts        int64
-	Retries             int64
-	SpeculativeLaunches int64
-	SpeculativeWins     int64
-	BackoffTime         time.Duration
-	Elapsed             time.Duration
-	SamplesPerSec       float64
-}
-
-// Snapshot captures the current counter values.
-func (s *Stats) Snapshot() Snapshot {
-	return Snapshot{
-		Iterations:          s.Iterations(),
-		ShuffleBytes:        s.ShuffleBytes(),
-		TaskAttempts:        s.TaskAttempts(),
-		Retries:             s.Retries(),
-		SpeculativeLaunches: s.SpeculativeLaunches(),
-		SpeculativeWins:     s.SpeculativeWins(),
-		BackoffTime:         s.BackoffTime(),
-		Elapsed:             s.Elapsed(),
-		SamplesPerSec:       s.SamplesPerSec(),
-	}
-}
-
-func (s Snapshot) String() string {
-	return fmt.Sprintf("iters=%d shuffle=%dB attempts=%d retries=%d spec=%d/%d backoff=%s elapsed=%s rate=%.4g/s",
-		s.Iterations, s.ShuffleBytes, s.TaskAttempts, s.Retries,
-		s.SpeculativeWins, s.SpeculativeLaunches,
-		s.BackoffTime.Round(time.Microsecond),
-		s.Elapsed.Round(time.Millisecond), s.SamplesPerSec)
 }

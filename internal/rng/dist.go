@@ -77,35 +77,6 @@ func (d ExponentialDist) LogPDF(x float64) float64 {
 
 func (d ExponentialDist) String() string { return fmt.Sprintf("Exponential(θ=%g)", d.Rate) }
 
-// LognormalDist is the lognormal distribution: exp(N(Mu, Sigma^2)).
-type LognormalDist struct {
-	Mu    float64
-	Sigma float64
-}
-
-// Sample draws a lognormal variate.
-func (d LognormalDist) Sample(r *Stream) float64 { return r.Lognormal(d.Mu, d.Sigma) }
-
-// Mean returns exp(Mu + Sigma²/2).
-func (d LognormalDist) Mean() float64 { return math.Exp(d.Mu + d.Sigma*d.Sigma/2) }
-
-// Var returns (exp(Sigma²)−1)·exp(2Mu+Sigma²).
-func (d LognormalDist) Var() float64 {
-	s2 := d.Sigma * d.Sigma
-	return (math.Exp(s2) - 1) * math.Exp(2*d.Mu+s2)
-}
-
-// LogPDF returns the lognormal log density at x.
-func (d LognormalDist) LogPDF(x float64) float64 {
-	if x <= 0 {
-		return math.Inf(-1)
-	}
-	z := (math.Log(x) - d.Mu) / d.Sigma
-	return -0.5*z*z - math.Log(x*d.Sigma) - 0.5*math.Log(2*math.Pi)
-}
-
-func (d LognormalDist) String() string { return fmt.Sprintf("Lognormal(μ=%g, σ=%g)", d.Mu, d.Sigma) }
-
 // UniformDist is the continuous uniform distribution on [Lo, Hi).
 type UniformDist struct {
 	Lo, Hi float64
@@ -129,123 +100,6 @@ func (d UniformDist) LogPDF(x float64) float64 {
 }
 
 func (d UniformDist) String() string { return fmt.Sprintf("Uniform[%g, %g)", d.Lo, d.Hi) }
-
-// PoissonDist is the Poisson distribution with mean Lambda.
-type PoissonDist struct {
-	Lambda float64
-}
-
-// Sample draws a Poisson variate (as a float64 for Dist compatibility).
-func (d PoissonDist) Sample(r *Stream) float64 { return float64(r.Poisson(d.Lambda)) }
-
-// Mean returns Lambda.
-func (d PoissonDist) Mean() float64 { return d.Lambda }
-
-// Var returns Lambda.
-func (d PoissonDist) Var() float64 { return d.Lambda }
-
-// LogPDF returns the log probability mass at x (x must be a
-// non-negative integer value).
-func (d PoissonDist) LogPDF(x float64) float64 {
-	if x < 0 || x != math.Trunc(x) { // integrality test: Poisson support is exact integers
-		return math.Inf(-1)
-	}
-	lg, _ := math.Lgamma(x + 1)
-	return x*math.Log(d.Lambda) - d.Lambda - lg
-}
-
-func (d PoissonDist) String() string { return fmt.Sprintf("Poisson(λ=%g)", d.Lambda) }
-
-// BernoulliDist takes value 1 with probability P and 0 otherwise.
-type BernoulliDist struct {
-	P float64
-}
-
-// Sample draws 0 or 1.
-func (d BernoulliDist) Sample(r *Stream) float64 {
-	if r.Bool(d.P) {
-		return 1
-	}
-	return 0
-}
-
-// Mean returns P.
-func (d BernoulliDist) Mean() float64 { return d.P }
-
-// Var returns P(1−P).
-func (d BernoulliDist) Var() float64 { return d.P * (1 - d.P) }
-
-// LogPDF returns the log probability mass at x ∈ {0, 1}.
-func (d BernoulliDist) LogPDF(x float64) float64 {
-	switch x { // Bernoulli support is exactly {0, 1}; anything else has zero mass
-	case 1:
-		return math.Log(d.P)
-	case 0:
-		return math.Log(1 - d.P)
-	}
-	return math.Inf(-1)
-}
-
-func (d BernoulliDist) String() string { return fmt.Sprintf("Bernoulli(p=%g)", d.P) }
-
-// GammaDist is the gamma distribution with the given Shape and Scale.
-type GammaDist struct {
-	Shape, Scale float64
-}
-
-// Sample draws a gamma variate.
-func (d GammaDist) Sample(r *Stream) float64 { return r.Gamma(d.Shape, d.Scale) }
-
-// Mean returns Shape·Scale.
-func (d GammaDist) Mean() float64 { return d.Shape * d.Scale }
-
-// Var returns Shape·Scale².
-func (d GammaDist) Var() float64 { return d.Shape * d.Scale * d.Scale }
-
-// LogPDF returns the gamma log density at x.
-func (d GammaDist) LogPDF(x float64) float64 {
-	if x <= 0 {
-		return math.Inf(-1)
-	}
-	lg, _ := math.Lgamma(d.Shape)
-	return (d.Shape-1)*math.Log(x) - x/d.Scale - lg - d.Shape*math.Log(d.Scale)
-}
-
-func (d GammaDist) String() string { return fmt.Sprintf("Gamma(k=%g, θ=%g)", d.Shape, d.Scale) }
-
-// EmpiricalDist resamples uniformly from a fixed set of observations
-// (the bootstrap distribution). LogPDF is not defined for it.
-type EmpiricalDist struct {
-	Values []float64
-}
-
-// Sample draws one of the stored observations uniformly at random.
-func (d EmpiricalDist) Sample(r *Stream) float64 { return d.Values[r.Intn(len(d.Values))] }
-
-// Mean returns the sample mean.
-func (d EmpiricalDist) Mean() float64 {
-	s := 0.0
-	for _, v := range d.Values {
-		s += v
-	}
-	return s / float64(len(d.Values))
-}
-
-// Var returns the population variance of the stored observations.
-func (d EmpiricalDist) Var() float64 {
-	m := d.Mean()
-	s := 0.0
-	for _, v := range d.Values {
-		dv := v - m
-		s += dv * dv
-	}
-	return s / float64(len(d.Values))
-}
-
-// LogPDF is undefined for an empirical distribution; it returns NaN.
-func (d EmpiricalDist) LogPDF(float64) float64 { return math.NaN() }
-
-func (d EmpiricalDist) String() string { return fmt.Sprintf("Empirical(n=%d)", len(d.Values)) }
 
 // NormalQuantile returns the p-quantile of the standard normal
 // distribution using the Beasley-Springer-Moro rational approximation.

@@ -223,12 +223,6 @@ func (r *Stream) Exponential(rate float64) float64 {
 	return -math.Log(r.Float64Open()) / rate
 }
 
-// Lognormal returns a lognormal variate whose logarithm has the given
-// mean and standard deviation.
-func (r *Stream) Lognormal(mu, sigma float64) float64 {
-	return math.Exp(r.Normal(mu, sigma))
-}
-
 // Poisson returns a Poisson variate with mean lambda. It panics if
 // lambda < 0. For large lambda it uses the PTRS rejection method of
 // Hörmann; for small lambda, Knuth's product method.
@@ -277,36 +271,6 @@ func (r *Stream) poissonPTRS(lambda float64) int {
 		lg, _ := math.Lgamma(k + 1)
 		if math.Log(v*invAlpha/(a/(us*us)+b)) <= k*logLambda-lambda-lg {
 			return int(k)
-		}
-	}
-}
-
-// Gamma returns a gamma variate with the given shape and scale using the
-// Marsaglia-Tsang method. It panics if shape <= 0 or scale <= 0.
-func (r *Stream) Gamma(shape, scale float64) float64 {
-	if shape <= 0 || scale <= 0 {
-		panic(fmt.Sprintf("rng: Gamma called with shape=%g scale=%g", shape, scale))
-	}
-	if shape < 1 {
-		// Boost to shape+1 and correct with a power of a uniform.
-		u := r.Float64Open()
-		return r.Gamma(shape+1, scale) * math.Pow(u, 1/shape)
-	}
-	d := shape - 1.0/3.0
-	c := 1 / math.Sqrt(9*d)
-	for {
-		x := r.StdNormal()
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := r.Float64Open()
-		if u < 1-0.0331*x*x*x*x {
-			return d * v * scale
-		}
-		if math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v * scale
 		}
 	}
 }

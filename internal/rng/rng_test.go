@@ -179,22 +179,6 @@ func TestPoissonMoments(t *testing.T) {
 	}
 }
 
-func TestGammaMoments(t *testing.T) {
-	for _, tc := range []struct{ shape, scale float64 }{{0.5, 1}, {2, 3}, {9, 0.5}} {
-		r := New(uint64(tc.shape*100) + uint64(tc.scale))
-		const n = 200000
-		sum := 0.0
-		for i := 0; i < n; i++ {
-			sum += r.Gamma(tc.shape, tc.scale)
-		}
-		mean := sum / n
-		want := tc.shape * tc.scale
-		if math.Abs(mean-want)/want > 0.02 {
-			t.Errorf("Gamma(%g,%g) mean = %g, want ≈ %g", tc.shape, tc.scale, mean, want)
-		}
-	}
-}
-
 func TestCategoricalFrequencies(t *testing.T) {
 	r := New(12)
 	w := []float64{1, 2, 3, 4}

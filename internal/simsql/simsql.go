@@ -84,14 +84,16 @@ func (c *Chain) RunCtx(ctx context.Context, steps int, seed uint64) (*Realizatio
 		}
 		state := base.Clone()
 		if prev != nil {
+			// Rows are immutable once inserted (Database.Clone's
+			// contract), so the previous version enters as renamed
+			// headers over its own rows.
 			for _, def := range c.Defs {
 				pt, err := prev.Get(def.Name)
 				if err != nil {
 					return nil, fmt.Errorf("simsql: version %d: %w", i, err)
 				}
-				pc := pt.Clone()
-				pc.Name = PrevName(def.Name)
-				state.Put(pc)
+				n := len(pt.Rows)
+				state.Put(&engine.Table{Name: PrevName(def.Name), Schema: pt.Schema.Clone(), Rows: pt.Rows[:n:n]})
 			}
 		}
 		for _, def := range c.Defs {
@@ -102,13 +104,12 @@ func (c *Chain) RunCtx(ctx context.Context, steps int, seed uint64) (*Realizatio
 			t.Name = def.Name
 			state.Put(t)
 		}
-		// Snapshot: drop the _prev views from the published state.
-		snap := state.Clone()
+		// Publish the state without its _prev views.
 		for _, def := range c.Defs {
-			snap.Drop(PrevName(def.Name))
+			state.Drop(PrevName(def.Name))
 		}
-		realz.Versions = append(realz.Versions, snap)
-		prev = snap
+		realz.Versions = append(realz.Versions, state)
+		prev = state
 	}
 	return realz, nil
 }

@@ -130,20 +130,14 @@ type window struct {
 	targets []float64
 }
 
-// ParallelInterpolate performs spline interpolation on the MapReduce
-// runtime with no cancellation. See ParallelInterpolateCtx.
-func ParallelInterpolate(sp *Spline, targetTicks []float64, cfg mapreduce.Config) (*Series, mapreduce.Stats, error) {
-	return ParallelInterpolateCtx(context.Background(), sp, targetTicks, cfg)
-}
-
 // ParallelInterpolateCtx performs spline interpolation on the
 // MapReduce runtime following §2.2: spline constants are computed once
 // (by the provided fit, typically exact Thomas or DSGD), source
 // segments become windows processed by parallel mappers, and the
 // target series is assembled by the framework's parallel sort. It
 // returns the aligned series and the job statistics. Cancellation of
-// ctx aborts the job between stages with ctx.Err(); shuffle bytes are
-// credited to any parallel.Stats collector carried by ctx.
+// ctx aborts the job between stages with ctx.Err(); the job's retry
+// policy, fault injector and parallel.Stats collector come from ctx.
 func ParallelInterpolateCtx(ctx context.Context, sp *Spline, targetTicks []float64, cfg mapreduce.Config) (*Series, mapreduce.Stats, error) {
 	s := sp.s
 	// Assign each target tick to its window.

@@ -1,6 +1,7 @@
 package timeseries
 
 import (
+	"context"
 	"errors"
 	"math"
 	"testing"
@@ -224,7 +225,7 @@ func TestParallelInterpolateMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	par, stats, err := ParallelInterpolate(sp, targets, mapreduce.Config{Mappers: 4, Reducers: 3})
+	par, stats, err := ParallelInterpolateCtx(context.Background(), sp, targets, mapreduce.Config{Mappers: 4, Reducers: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +251,7 @@ func TestParallelInterpolateOutOfRange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := ParallelInterpolate(sp, []float64{-5}, mapreduce.Config{}); !errors.Is(err, ErrOutOfRange) {
+	if _, _, err := ParallelInterpolateCtx(context.Background(), sp, []float64{-5}, mapreduce.Config{}); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("got %v", err)
 	}
 }
@@ -261,7 +262,7 @@ func TestParallelInterpolateEmptyTargets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, err := ParallelInterpolate(sp, nil, mapreduce.Config{})
+	out, _, err := ParallelInterpolateCtx(context.Background(), sp, nil, mapreduce.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,9 +6,7 @@ import (
 	"strings"
 	"time"
 
-	"modeldata/internal/engine"
 	"modeldata/internal/experiments"
-	"modeldata/internal/mcdb"
 	"modeldata/internal/obs"
 	"modeldata/internal/parallel"
 )
@@ -17,63 +15,38 @@ import (
 // the paper's publication date, as everywhere else in this repo.
 const DefaultSeed uint64 = 20140622
 
-// Stats reports what one Run did: iterations completed across every
-// parallel loop the experiment executed, estimated bytes moved through
-// MapReduce shuffles, fault-tolerance activity (task attempts, retries,
-// speculative backups, cumulative backoff), wall-clock time, and the
-// resulting throughput. The fault-tolerance counters stay zero unless
-// WithRetries/WithSpeculation enable the machinery or a fault injector
-// is installed on the context.
+// Stats reports what one Run did: its wall-clock time and every metric
+// reported during it, keyed by the DESIGN.md §8 names
+// ("parallel.iterations", "task.retries", "engine.rows_scanned", …).
+// The fault-tolerance counters stay zero unless WithRetries or
+// WithSpeculation enable the machinery or a fault injector is installed
+// on the context.
 type Stats struct {
-	Iterations          int64
-	ShuffleBytes        int64
-	TaskAttempts        int64
-	Retries             int64
-	SpeculativeLaunches int64
-	SpeculativeWins     int64
-	BackoffTime         time.Duration
-	Elapsed             time.Duration
-	SamplesPerSec       float64
+	Elapsed time.Duration
 
-	// Engine activity attributed to this run. The relational engine's
-	// query paths carry no context, so these come from diffing the
+	// Metrics is the per-run registry's snapshot merged with the
+	// engine's global-registry delta. The relational engine's query
+	// paths carry no context, so their counters come from diffing the
 	// process-global registry (obs.Default) around the run; concurrent
 	// Runs in one process see each other's engine activity here.
-	RowsScanned int64
-	// ColumnarQueries counts engine query executions;
-	// ColumnarFallbacks counts queries the engine refused because a
-	// table held a value not of its column's schema type
-	// (engine.ErrMixedColumn) — there is no row route to fall back to.
-	ColumnarQueries    int64
-	ColumnarFallbacks  int64
-	RealizeCacheHits   int64
-	RealizeCacheMisses int64
-
-	// Metrics is the full per-run metric snapshot (every counter and
-	// gauge reported during the run, merged with the engine's
-	// global-registry delta), keyed by the DESIGN.md §8 metric names.
 	Metrics obs.Snapshot
 }
 
-// Report renders the stats as a human-readable multi-line run report.
+// Report renders the stats as a human-readable multi-line run report:
+// the elapsed time, the iteration throughput, then each metric once.
 func (s Stats) Report() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "run report\n")
 	fmt.Fprintf(&b, "  elapsed          %s\n", s.Elapsed.Round(time.Millisecond))
-	fmt.Fprintf(&b, "  iterations       %d (%.4g/s)\n", s.Iterations, s.SamplesPerSec)
-	fmt.Fprintf(&b, "  rows scanned     %d\n", s.RowsScanned)
-	fmt.Fprintf(&b, "  columnar path    %d queries, %d refused (mixed column)\n", s.ColumnarQueries, s.ColumnarFallbacks)
-	fmt.Fprintf(&b, "  realize cache    %d hits, %d misses\n", s.RealizeCacheHits, s.RealizeCacheMisses)
-	fmt.Fprintf(&b, "  shuffle          %d bytes\n", s.ShuffleBytes)
-	fmt.Fprintf(&b, "  task attempts    %d (%d retries, backoff %s)\n",
-		s.TaskAttempts, s.Retries, s.BackoffTime.Round(time.Microsecond))
-	fmt.Fprintf(&b, "  speculation      %d launched, %d won\n", s.SpeculativeLaunches, s.SpeculativeWins)
+	rate := 0.0
+	if el := s.Elapsed.Seconds(); el > 0 {
+		rate = float64(s.Metrics.Counters[parallel.MetricIterations]) / el
+	}
+	fmt.Fprintf(&b, "  iterations/s     %.4g\n", rate)
 	if len(s.Metrics.Counters)+len(s.Metrics.Gauges) > 0 {
 		b.WriteString("  metrics:\n")
 		for _, line := range strings.Split(s.Metrics.String(), "\n") {
-			if line != "" {
-				fmt.Fprintf(&b, "    %s\n", line)
-			}
+			fmt.Fprintf(&b, "    %s\n", line)
 		}
 	}
 	return b.String()
@@ -115,9 +88,9 @@ func WithProgress(fn func(done, total int)) Option {
 	return func(c *config) { c.progress = fn }
 }
 
-// WithStats asks Run to fill *dst with per-run counters (iterations,
-// shuffle bytes, fault-tolerance activity, elapsed time, samples/sec)
-// when it returns.
+// WithStats asks Run to fill *dst with its elapsed time and per-run
+// metrics (iterations, shuffle bytes, fault-tolerance activity, engine
+// and realize-cache counters) when it returns.
 func WithStats(dst *Stats) Option {
 	return func(c *config) { c.stats = dst }
 }
@@ -200,28 +173,13 @@ func Run(ctx context.Context, id string, opts ...Option) (ExperimentResult, erro
 	}
 	res, err := experiments.Run(ctx, id, cfg.seed)
 	if cfg.stats != nil {
-		snap := ps.Snapshot()
 		// Engine metrics report into the process-global registry (the
 		// query paths carry no context); the delta around the run
 		// attributes them to it.
 		delta := obs.Default().Snapshot().Sub(global0)
-		run := ps.Registry().Snapshot()
 		*cfg.stats = Stats{
-			Iterations:          snap.Iterations,
-			ShuffleBytes:        snap.ShuffleBytes,
-			TaskAttempts:        snap.TaskAttempts,
-			Retries:             snap.Retries,
-			SpeculativeLaunches: snap.SpeculativeLaunches,
-			SpeculativeWins:     snap.SpeculativeWins,
-			BackoffTime:         snap.BackoffTime,
-			Elapsed:             snap.Elapsed,
-			SamplesPerSec:       snap.SamplesPerSec,
-			RowsScanned:         delta.Counters[engine.MetricRowsScanned],
-			ColumnarQueries:     delta.Counters[engine.MetricColQueries],
-			ColumnarFallbacks:   delta.Counters[engine.MetricColFallback],
-			RealizeCacheHits:    run.Counters[mcdb.MetricRealizeCacheHits],
-			RealizeCacheMisses:  run.Counters[mcdb.MetricRealizeCacheMisses],
-			Metrics:             run.Merge(delta),
+			Elapsed: ps.Elapsed(),
+			Metrics: ps.Registry().Snapshot().Merge(delta),
 		}
 	}
 	return res, err

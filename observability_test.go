@@ -16,7 +16,9 @@ import (
 	"testing"
 
 	"modeldata"
+	"modeldata/internal/engine"
 	"modeldata/internal/obs"
+	"modeldata/internal/parallel"
 )
 
 // chromeTrace mirrors the JSON shape emitted by WriteChromeTrace.
@@ -118,31 +120,39 @@ func TestTraceDepthAndChromeExport(t *testing.T) {
 
 // TestRunReportNonzeroUnderChaos checks the run-report acceptance: a
 // chaotic E1 shows retry activity and MCDB columnar queries, a chaotic
-// E4 shows shuffle traffic, and the rendered report carries them.
+// E4 shows shuffle traffic, and the rendered report names every counter
+// exactly once.
 func TestRunReportNonzeroUnderChaos(t *testing.T) {
 	_, st1 := runTraced(t, "E1", 4)
-	if st1.Retries == 0 || st1.TaskAttempts == 0 {
-		t.Fatalf("E1 chaos run recorded no retry activity: %+v", st1)
+	c1 := st1.Metrics.Counters
+	if c1[parallel.MetricRetries] == 0 || c1[parallel.MetricAttempts] == 0 {
+		t.Fatalf("E1 chaos run recorded no retry activity:\n%s", st1.Report())
 	}
-	if st1.BackoffTime <= 0 {
-		t.Fatalf("E1 retries without backoff: %+v", st1)
+	if c1[parallel.MetricBackoffNanos] <= 0 {
+		t.Fatalf("E1 retries without backoff:\n%s", st1.Report())
 	}
-	if st1.ColumnarQueries == 0 {
-		t.Fatalf("E1 recorded no columnar engine activity: %+v", st1)
+	if c1[engine.MetricColQueries] == 0 {
+		t.Fatalf("E1 recorded no columnar engine activity:\n%s", st1.Report())
 	}
 	_, st4 := runTraced(t, "E4", 4)
-	if st4.ShuffleBytes == 0 {
-		t.Fatalf("E4 recorded no shuffle bytes: %+v", st4)
+	if st4.Metrics.Counters[parallel.MetricShuffleBytes] == 0 {
+		t.Fatalf("E4 recorded no shuffle bytes:\n%s", st4.Report())
 	}
 	report := st4.Report()
-	for _, want := range []string{"iterations", "shuffle", "task attempts", "mapreduce.shuffle_bytes"} {
-		if !strings.Contains(report, want) {
-			t.Fatalf("run report lacks %q:\n%s", want, report)
+	if !strings.Contains(report, "iterations/s") {
+		t.Fatalf("run report lacks the iteration rate:\n%s", report)
+	}
+	words := map[string]int{}
+	for _, w := range strings.Fields(report) {
+		words[w]++
+	}
+	for name := range st4.Metrics.Counters {
+		if words[name] != 1 {
+			t.Errorf("run report names %q %d times, want once", name, words[name])
 		}
 	}
-	// Registry view and struct fields agree on the shuffle volume.
-	if got := st4.Metrics.Counters["mapreduce.shuffle_bytes"]; got != st4.ShuffleBytes {
-		t.Fatalf("Metrics snapshot shuffle=%d, Stats field=%d", got, st4.ShuffleBytes)
+	if t.Failed() {
+		t.Logf("report:\n%s", report)
 	}
 }
 

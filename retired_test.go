@@ -241,6 +241,21 @@ var retiredTable = []retired{
 			{`func ApproxEqual`, `func ApproxEqual(a, b, tol float64) bool {`},
 		},
 	},
+	{
+		name: "A counter has one home", pr: 44,
+		why:   "a run's counters are read from its registry (parallel.Stats.Registry, modeldata.Stats.Metrics), and retries, speculation and fault injection are asked for on the context; the typed mirrors were second copies of the registry, and mapreduce.Config's fault knobs, with the context-free ParallelInterpolate, the second way to install a retry policy",
+		scope: []string{"modeldata.go", "internal/parallel", "internal/mapreduce", "internal/timeseries", "examples/splash"},
+		tests: true,
+		lines: []offender{
+			{`func \(s \*Stats\) (Iterations|ShuffleBytes|TaskAttempts|Retries|SpeculativeLaunches|SpeculativeWins|BackoffTime|SamplesPerSec|Snapshot)\(`, `func (s *Stats) Retries() int64 {`},
+			{`type Snapshot struct`, `type Snapshot struct {`},
+			{`^\s*(Iterations|TaskAttempts|Retries|SpeculativeLaunches|SpeculativeWins|BackoffTime|SamplesPerSec|RowsScanned|ColumnarQueries|ColumnarFallbacks|RealizeCacheHits|RealizeCacheMisses)\s+(int64|float64|time\.Duration)`, "\tRetries             int64"},
+			{`taskStats|\bs\.ts\.`, `s.ts.retries++`},
+			{`faultSetup`, `pol, inj := cfg.faultSetup(ctx)`},
+			{`cfg\.(MaxRetries|Backoff|SpeculativeFactor|Injector|SizeOf)\b`, `cfg.MaxRetries = 8`},
+			{`\bParallelInterpolate\(`, `clean, _, err := timeseries.ParallelInterpolate(sp, targets, cfg)`},
+		},
+	},
 }
 
 // violations lists what of r is present under root, one message per
@@ -346,6 +361,10 @@ func TestRetiredFindsWhatIsPutBack(t *testing.T) {
 		"internal/experiments/extensions.go":  "package experiments\n",
 		"examples/epidemic/main.go":           "package main\n",
 		"internal/stats/stats.go":             "package stats\n",
+		"modeldata.go":                        "package modeldata\n",
+		"internal/mapreduce/mapreduce.go":     "package mapreduce\n",
+		"internal/timeseries/align.go":        "package timeseries\n",
+		"examples/splash/main.go":             "package main\n",
 	} {
 		full := filepath.Join(root, path)
 		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
