@@ -12,9 +12,9 @@ import (
 
 // TestSamplingAllocatesPerTupleNotPerIteration is the allocation budget
 // of the bundle sampling loop: realizing SBPDatabase(50) costs the same
-// number of allocations at 100 and at 1000 iterations, because every
-// draw of a tuple lands in one reused buffer and, under the default
-// OutputRow, no row is assembled past the first draw. A spec with a
+// number of allocations at 100 and at 1000 iterations, because one VG
+// Draw fills all of a tuple's iterations and, under the default
+// OutputRow, no row is assembled past the first realization. A spec with a
 // custom OutputRow is the documented exception: that hook returns a row
 // per draw, so the route pays one allocation per tuple-iteration.
 func TestSamplingAllocatesPerTupleNotPerIteration(t *testing.T) {

@@ -85,9 +85,13 @@ func bundleSpec(ctx context.Context, spec *TableSpec, outers, params []engine.Ro
 		Det:           make([]engine.Row, len(outers)),
 		Unc:           make([][][]float64, len(outers)),
 	}
-	err := parallel.ForStreams(ctx, r, len(outers), parallel.Options{Workers: workers},
+	cols, err := spec.layout(outers)
+	if err != nil {
+		return nil, err
+	}
+	err = parallel.ForStreams(ctx, r, len(outers), parallel.Options{Workers: workers},
 		func(ti int, tr *rng.Stream) (err error) {
-			bt.Det[ti], bt.Unc[ti], err = sampleTuple(spec, outers[ti], params[ti], tr, iters)
+			bt.Det[ti], bt.Unc[ti], err = sampleTuple(spec, cols, outers[ti], params[ti], tr, iters)
 			return err
 		})
 	if err != nil {
@@ -97,66 +101,106 @@ func bundleSpec(ctx context.Context, spec *TableSpec, outers, params []engine.Ro
 }
 
 // sampleTuple realizes one tuple's bundle from its resolved parameter
-// row: the VG function draws iters times from tr — the tuple's
-// pristine substream — filling one array per uncertain column. Every
-// draw lands in the same buffer (vgBuf[:0]), so the loop allocates per
-// tuple, not per tuple-iteration. Under the default OutputRow a row is
-// outer ++ vgOut, so uncertain column c is read straight from
-// vgOut[c-len(outer)] and the row is assembled for the first draw only;
-// a custom OutputRow is called for every draw. The first draw's row,
-// conformed to the schema by Insert's rule (so both executors hold the
-// same Values for a spec), supplies the deterministic attributes; the
-// row length and the uncertain columns' numeric type are checked on
-// every draw. Full realization calls it for every tuple; delta
+// row: one VG Draw fills all iters realizations from tr — the tuple's
+// pristine substream — so the loop allocates per tuple, not per
+// tuple-iteration. Under the default OutputRow (cols is spec.layout) an
+// uncertain column's values are drawn straight into its array; only the
+// first realization is assembled into a row, conformed to the schema by
+// Insert's rule (so both executors hold the same Values for a spec), to
+// supply the deterministic attributes. A custom OutputRow is called for
+// every draw, over a reused view of the realization, and the row
+// length and the uncertain columns' numeric type are checked on every
+// draw. Full realization calls it for every tuple; delta
 // re-realization for the tuples a change affects, on a copy of spec
 // carrying the changed VG, with the changed parameter query's row.
-func sampleTuple(spec *TableSpec, outer, params engine.Row, tr *rng.Stream, iters int) (engine.Row, [][]float64, error) {
-	unc := make([][]float64, len(spec.UncertainCols))
-	for k := range unc {
-		unc[k] = make([]float64, iters)
+func sampleTuple(spec *TableSpec, cols vgCols, outer, params engine.Row, tr *rng.Stream, iters int) (engine.Row, [][]float64, error) {
+	unc := vgBuffer(len(spec.UncertainCols), iters)
+	out := make([][]float64, spec.VG.Width)
+	if spec.OutputRow == nil {
+		for p, c := range spec.UncertainCols {
+			if k := c - cols.outer; k >= 0 {
+				out[k] = unc[p]
+			}
+		}
 	}
+	for k := range out {
+		if out[k] == nil {
+			out[k] = make([]float64, iters)
+		}
+	}
+	if err := spec.VG.Draw(params, tr, out); err != nil {
+		return nil, nil, badSpec(err)
+	}
+	if spec.OutputRow != nil {
+		return sampleCustom(spec, outer, out, unc)
+	}
+	if err := cols.checkInts(spec, out); err != nil {
+		return nil, nil, err
+	}
+	det := make(engine.Row, len(spec.Schema))
+	copy(det, outer)
+	for k, vals := range out {
+		det[cols.outer+k] = cols.cell(spec, k, vals[0])
+	}
+	if err := spec.Schema.Conform(spec.Name, det); err != nil {
+		return nil, nil, badSpec(err)
+	}
+	for p, c := range spec.UncertainCols {
+		if c >= cols.outer {
+			continue // drawn into unc[p]
+		}
+		// An outer attribute declared uncertain holds one value throughout.
+		if !outer[c].IsNumeric() {
+			return nil, nil, notNumeric(spec, c, outer[c])
+		}
+		for it := range unc[p] {
+			unc[p][it] = outer[c].AsFloat()
+		}
+	}
+	for _, c := range spec.UncertainCols {
+		det[c] = engine.Value{}
+	}
+	return det, unc, nil
+}
+
+// sampleCustom is sampleTuple's custom-OutputRow route: out holds the
+// tuple's realizations, drawn; each is handed to the OutputRow as
+// engine.Float values in one reused view, and the row it returns is
+// checked and read into unc.
+func sampleCustom(spec *TableSpec, outer engine.Row, out, unc [][]float64) (engine.Row, [][]float64, error) {
+	view := make(engine.Row, len(out))
 	var det engine.Row
-	var vgBuf []engine.Value
-	for it := 0; it < iters; it++ {
-		var err error
-		vgBuf, err = spec.VG(params, tr, vgBuf[:0])
-		if err != nil {
-			return nil, nil, badSpec(err)
+	for it := range out[0] {
+		for k, vals := range out {
+			view[k] = engine.Float(vals[it])
 		}
-		// cells[c-off] is column c of this draw's row: the assembled row
-		// itself, or — default OutputRow past the first draw — its VG tail.
-		cells, off := vgBuf, len(outer)
-		if spec.OutputRow != nil || it == 0 {
-			cells, off = spec.outputRow(outer, vgBuf), 0
-		}
-		if off+len(cells) != len(spec.Schema) {
+		cells := spec.OutputRow(outer, view)
+		if len(cells) != len(spec.Schema) {
 			return nil, nil, fmt.Errorf("%w: %w: %q produced %d values, schema has %d",
-				ErrBadSpec, engine.ErrArity, spec.Name, off+len(cells), len(spec.Schema))
+				ErrBadSpec, engine.ErrArity, spec.Name, len(cells), len(spec.Schema))
 		}
 		if it == 0 {
-			det = engine.Row(cells).Clone()
+			det = cells.Clone()
 			if err := spec.Schema.Conform(spec.Name, det); err != nil {
 				return nil, nil, badSpec(err)
 			}
-			for _, c := range spec.UncertainCols {
-				det[c] = engine.Value{}
-			}
 		}
-		for k, c := range spec.UncertainCols {
-			var v *engine.Value
-			if c >= off {
-				v = &cells[c-off]
-			} else {
-				v = &outer[c] // an outer attribute declared uncertain
+		for p, c := range spec.UncertainCols {
+			if !cells[c].IsNumeric() {
+				return nil, nil, notNumeric(spec, c, cells[c])
 			}
-			if !v.IsNumeric() {
-				return nil, nil, fmt.Errorf("%w: %q uncertain column %d is %s, bundles require numeric",
-					ErrBadSpec, spec.Name, c, v.Type())
-			}
-			unc[k][it] = v.AsFloat()
+			unc[p][it] = cells[c].AsFloat()
 		}
 	}
+	for _, c := range spec.UncertainCols {
+		det[c] = engine.Value{}
+	}
 	return det, unc, nil
+}
+
+// notNumeric reports uncertain column c of spec holding v.
+func notNumeric(spec *TableSpec, c int, v engine.Value) error {
+	return fmt.Errorf("%w: %q uncertain column %d is %s, bundles require numeric", ErrBadSpec, spec.Name, c, v.Type())
 }
 
 // Len returns the number of tuples in the bundle table.

@@ -48,7 +48,7 @@ const (
 type Delta struct {
 	// Table names the stochastic table the change applies to.
 	Table string
-	// VG, when non-nil, replaces the spec's VG function.
+	// VG, when its Draw is non-nil, replaces the spec's VG function.
 	VG VG
 	// Params, when non-nil, replaces the spec's parameter query.
 	Params func(db *engine.Database, outer engine.Row) (engine.Row, error)
@@ -91,8 +91,13 @@ func (s *Session) ExecDeltaRange(ctx context.Context, q AggQuery, opts ExecOptio
 	if _, err := s.db.Spec(d.Table); err != nil {
 		return nil, err
 	}
-	if d.MapUnc != nil && (d.VG != nil || d.Params != nil) {
+	if d.MapUnc != nil && (d.VG.Draw != nil || d.Params != nil) {
 		return nil, fmt.Errorf("%w: delta MapUnc cannot combine with a VG or Params change", ErrBadSpec)
+	}
+	if d.VG.Draw != nil {
+		if err := d.VG.check(d.Table); err != nil {
+			return nil, err
+		}
 	}
 
 	ctx, span := obs.Start(ctx, "mcdb.exec_delta")
@@ -219,11 +224,15 @@ func (s *Session) rerealize(ctx context.Context, spec *TableSpec, old *BundleTab
 	outers, params := in.outers[si], in.params[si]
 	subs := specStream(opts.Seed, si).SplitN(len(outers))
 	changed := *spec
-	if d.VG != nil {
+	if d.VG.Draw != nil {
 		changed.VG = d.VG
 	}
 	if d.Params != nil {
 		changed.Params = d.Params
+	}
+	cols, err := changed.layout(outers)
+	if err != nil {
+		return nil, nil, err
 	}
 	err = parallel.For(ctx, len(affected), parallel.Options{Workers: opts.Workers}, func(j int) error {
 		ti := affected[j]
@@ -235,7 +244,7 @@ func (s *Session) rerealize(ctx context.Context, spec *TableSpec, old *BundleTab
 			}
 		}
 		tr := *subs[ti] // pristine copy, as parallel.ForStreams hands bundleSpec
-		det, unc, err := sampleTuple(&changed, outers[ti], p, &tr, nb.Iters)
+		det, unc, err := sampleTuple(&changed, cols, outers[ti], p, &tr, nb.Iters)
 		if err != nil {
 			return err
 		}

@@ -46,33 +46,32 @@ func buildDeltaDB(t *testing.T, nItems, nGrps int, w deltaWorld, changed bool) *
 	base.Put(items)
 	db := New(base)
 
-	baseVG := func(params engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error) {
-		v := params[2].AsFloat() + r.Normal(0, 1+float64(params[1].AsInt()))
-		return append(out, engine.Float(v)), nil
+	baseDraw := func(params engine.Row, r *rng.Stream, vals []float64) error {
+		vals[0] = params[2].AsFloat() + r.Normal(0, 1+float64(params[1].AsInt()))
+		return nil
 	}
-	obsVG := baseVG
+	obsVG := drawEach(1, baseDraw)
 	var obsParams func(db *engine.Database, outer engine.Row) (engine.Row, error)
 	if changed {
 		switch w.kind {
 		case deltaKindVG:
-			obsVG = func(params engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error) {
+			obsVG = drawEach(1, func(params engine.Row, r *rng.Stream, vals []float64) error {
 				if params[1].AsInt() != w.targetGrp {
-					return baseVG(params, r, out)
+					return baseDraw(params, r, vals)
 				}
-				v := params[2].AsFloat()*1.3 + r.Normal(0, 2)
-				return append(out, engine.Float(v)), nil
-			}
+				vals[0] = params[2].AsFloat()*1.3 + r.Normal(0, 2)
+				return nil
+			})
 		case deltaKindParams:
 			obsParams = deltaShiftParams(w.targetGrp)
 		case deltaKindMapUnc:
-			obsVG = func(params engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error) {
-				n := len(out)
-				out, err := baseVG(params, r, out)
+			obsVG = drawEach(1, func(params engine.Row, r *rng.Stream, vals []float64) error {
+				err := baseDraw(params, r, vals)
 				if err == nil && params[1].AsInt() == w.targetGrp {
-					out[n] = engine.Float(math.Min(out[n].AsFloat(), deltaCapFor(params)))
+					vals[0] = math.Min(vals[0], deltaCapFor(params))
 				}
-				return out, err
-			}
+				return err
+			})
 		}
 	}
 	spec := &TableSpec{
@@ -97,13 +96,15 @@ func buildDeltaDB(t *testing.T, nItems, nGrps int, w deltaWorld, changed bool) *
 		t.Fatal(err)
 	}
 
-	obs2VG := func(params engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error) {
-		return append(out, engine.Float(100+r.Normal(0, 3))), nil
-	}
+	obs2VG := drawEach(1, func(params engine.Row, r *rng.Stream, vals []float64) error {
+		vals[0] = 100 + r.Normal(0, 3)
+		return nil
+	})
 	if changed && w.kind == deltaKindOther {
-		obs2VG = func(params engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error) {
-			return append(out, engine.Float(200+r.Normal(0, 9))), nil
-		}
+		obs2VG = drawEach(1, func(params engine.Row, r *rng.Stream, vals []float64) error {
+			vals[0] = 200 + r.Normal(0, 9)
+			return nil
+		})
 	}
 	spec2 := &TableSpec{
 		Name: "obs2",
@@ -146,10 +147,10 @@ func deltaFor(w deltaWorld) Delta {
 	whereGrp := func(det engine.Row) bool { return det[1].AsInt() == w.targetGrp }
 	switch w.kind {
 	case deltaKindVG:
-		return Delta{Table: "obs", Where: whereGrp, VG: func(params engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error) {
-			v := params[2].AsFloat()*1.3 + r.Normal(0, 2)
-			return append(out, engine.Float(v)), nil
-		}}
+		return Delta{Table: "obs", Where: whereGrp, VG: drawEach(1, func(params engine.Row, r *rng.Stream, vals []float64) error {
+			vals[0] = params[2].AsFloat()*1.3 + r.Normal(0, 2)
+			return nil
+		})}
 	case deltaKindParams:
 		return Delta{Table: "obs", Where: whereGrp, Params: deltaShiftParams(w.targetGrp)}
 	case deltaKindMapUnc:
@@ -157,9 +158,10 @@ func deltaFor(w deltaWorld) Delta {
 			unc[0] = math.Min(unc[0], deltaCapFor(det))
 		}}
 	default:
-		return Delta{Table: "obs2", VG: func(params engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error) {
-			return append(out, engine.Float(200+r.Normal(0, 9))), nil
-		}}
+		return Delta{Table: "obs2", VG: drawEach(1, func(params engine.Row, r *rng.Stream, vals []float64) error {
+			vals[0] = 200 + r.Normal(0, 9)
+			return nil
+		})}
 	}
 }
 
@@ -430,7 +432,7 @@ func TestExecDeltaValidation(t *testing.T) {
 		{"unknown table", q, good, Delta{Table: "nope"}},
 		{"mapunc plus vg", q, good, Delta{Table: "obs",
 			MapUnc: func(det engine.Row, unc []float64) {},
-			VG:     func(p engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error) { return nil, nil }}},
+			VG:     VG{Width: 1, Draw: func(engine.Row, *rng.Stream, [][]float64) error { return nil }}}},
 	}
 	for _, tc := range cases {
 		if _, err := s.ExecDelta(ctx, tc.q, tc.opts, tc.d); err == nil {

@@ -29,9 +29,12 @@ func ExampleDB_InstantiateBundled() {
 			{Name: "qty", Type: engine.TypeFloat},
 		},
 		ForEach: "items",
-		VG: func(_ engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error) {
-			return append(out, engine.Float(rng.UniformDist{Lo: 0, Hi: 10}.Sample(r))), nil
-		},
+		VG: mcdb.VG{Width: 1, Draw: func(_ engine.Row, r *rng.Stream, out [][]float64) error {
+			for j := range out[0] {
+				out[0][j] = rng.UniformDist{Lo: 0, Hi: 10}.Sample(r)
+			}
+			return nil
+		}},
 		UncertainCols: []int{1},
 	})
 	if err != nil {

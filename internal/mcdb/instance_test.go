@@ -46,9 +46,10 @@ func wStd(_ *engine.Database, outer engine.Row) (engine.Row, error) {
 // re-derives everything per iteration, at any worker count and window
 // split.
 func TestPerInstanceMatchesMonteCarlo(t *testing.T) {
-	pairVG := func(params engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error) {
-		return append(out, engine.Float(r.Normal(params[0].AsFloat(), 1)), engine.Float(r.Float64())), nil
-	}
+	pairVG := drawEach(2, func(params engine.Row, r *rng.Stream, vals []float64) error {
+		vals[0], vals[1] = r.Normal(params[0].AsFloat(), 1), r.Float64()
+		return nil
+	})
 	cases := []struct {
 		name  string
 		specs []*TableSpec
@@ -59,9 +60,10 @@ func TestPerInstanceMatchesMonteCarlo(t *testing.T) {
 			ForEach: "items", Params: wStd, VG: pairVG,
 			OutputRow: func(_ engine.Row, vgOut []engine.Value) engine.Row { return vgOut }}}},
 		{"nil Params", []*TableSpec{{Name: "t", Schema: idWVal, ForEach: "items",
-			VG: func(params engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error) {
-				return append(out, engine.Float(r.Normal(params[1].AsFloat(), 3))), nil
-			}}}},
+			VG: drawEach(1, func(params engine.Row, r *rng.Stream, vals []float64) error {
+				vals[0] = r.Normal(params[1].AsFloat(), 3)
+				return nil
+			})}}},
 		{"no ForEach", []*TableSpec{{Name: "t", Schema: engine.Schema{{Name: "val", Type: engine.TypeFloat}},
 			VG: distVG(rng.NormalDist{Mu: 5, Sigma: 1})}}},
 		{"two specs", []*TableSpec{
@@ -209,12 +211,13 @@ func TestPerInstanceCancelsMidRealization(t *testing.T) {
 	var cancel context.CancelFunc
 	db := New(itemsBase(tuples))
 	if err := db.AddSpec(&TableSpec{Name: "t", Schema: idWVal, ForEach: "items",
-		VG: func(params engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error) {
+		VG: drawEach(1, func(params engine.Row, r *rng.Stream, vals []float64) error {
 			if calls.Add(1) == 10 {
 				cancel()
 			}
-			return append(out, engine.Float(r.Float64())), nil
-		}}); err != nil {
+			vals[0] = r.Float64()
+			return nil
+		})}); err != nil {
 		t.Fatal(err)
 	}
 	opts := ExecOptions{Iterations: 3, Seed: 1, Workers: 1}
@@ -250,12 +253,13 @@ func TestPlanOnceCancelsMidDraw(t *testing.T) {
 	for _, cancelAt := range []int64{10, tuples + 10} {
 		db := New(itemsBase(tuples))
 		if err := db.AddSpec(&TableSpec{Name: "t", Schema: idWVal, ForEach: "items", UncertainCols: []int{2},
-			VG: func(params engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error) {
+			VG: drawEach(1, func(params engine.Row, r *rng.Stream, vals []float64) error {
 				if calls.Add(1) == cancelAt {
 					cancel()
 				}
-				return append(out, engine.Float(r.Float64())), nil
-			}}); err != nil {
+				vals[0] = r.Float64()
+				return nil
+			})}); err != nil {
 			t.Fatal(err)
 		}
 		var ctx context.Context
@@ -277,17 +281,21 @@ func TestPlanOnceCancelsMidDraw(t *testing.T) {
 	}
 }
 
-// TestRealizedRowErrorParity: a realized row is held to Insert's rule —
-// same arity and type errors, same int→float widening — and both
-// executors report a spec's bad row as the spec's fault.
+// TestRealizedRowErrorParity: a row a custom OutputRow assembles is held
+// to Insert's rule — same arity and type errors, same int→float
+// widening — and both executors report a spec's bad row as the spec's
+// fault.
 func TestRealizedRowErrorParity(t *testing.T) {
 	ctx := context.Background()
 	build := func(vgOut ...engine.Value) *DB {
 		db := New(itemsBase(3))
 		if err := db.AddSpec(&TableSpec{Name: "t", Schema: idWVal, ForEach: "items", UncertainCols: []int{2},
-			VG: func(_ engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error) {
-				r.Float64()
-				return append(out, vgOut...), nil
+			VG: drawEach(1, func(_ engine.Row, r *rng.Stream, vals []float64) error {
+				vals[0] = r.Float64()
+				return nil
+			}),
+			OutputRow: func(outer engine.Row, _ []engine.Value) engine.Row {
+				return append(outer.Clone(), vgOut...)
 			}}); err != nil {
 			t.Fatal(err)
 		}

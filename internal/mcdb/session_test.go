@@ -580,12 +580,12 @@ func TestWarmSessionMatchesColdSessions(t *testing.T) {
 	normal := NormalVG()
 	db := New(itemsBase(tuples))
 	if err := db.AddSpec(&TableSpec{Name: "t", Schema: idWVal, ForEach: "items", Params: wStd, UncertainCols: []int{2},
-		VG: func(params engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error) {
+		VG: VG{Width: 1, Draw: func(params engine.Row, r *rng.Stream, out [][]float64) error {
 			if calls.Add(1) == cancelAt.Load() {
 				cancel()
 			}
-			return normal(params, r, out)
-		}}); err != nil {
+			return normal.Draw(params, r, out)
+		}}}); err != nil {
 		t.Fatal(err)
 	}
 	const planOnce = "SELECT SUM(t.val) FROM t JOIN items ON t.id = items.id WHERE items.w > 11 AND t.val > 10"
@@ -707,16 +707,17 @@ func TestWarmSessionReusedVectorsMatchCold(t *testing.T) {
 	}
 	if err := db.AddSpec(&TableSpec{Name: "t", ForEach: "items", Params: wStd, UncertainCols: []int{2, 3},
 		Schema: append(idWVal.Clone(), engine.Column{Name: "x", Type: engine.TypeFloat}),
-		VG: func(params engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error) {
+		VG: drawEach(2, func(params engine.Row, r *rng.Stream, vals []float64) error {
 			n := calls.Add(1)
 			if n == cancelAt.Load() {
 				cancel()
 			}
 			if failing.Load() != 0 && n%failEvery == 0 {
-				return nil, errFlaky
+				return errFlaky
 			}
-			return append(out, engine.Float(r.Normal(params[0].AsFloat(), params[1].AsFloat())), engine.Float(r.Float64())), nil
-		}}); err != nil {
+			vals[0], vals[1] = r.Normal(params[0].AsFloat(), params[1].AsFloat()), r.Float64()
+			return nil
+		})}); err != nil {
 		t.Fatal(err)
 	}
 	const sql = "SELECT SUM(t.val) FROM t JOIN items ON t.id = items.id WHERE items.w > 9 AND t.x > 0.3"

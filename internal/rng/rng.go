@@ -207,10 +207,10 @@ func (r *Stream) StdNormal() float64 {
 	u1 := r.Float64Open()
 	u2 := r.Float64()
 	rad := math.Sqrt(-2 * math.Log(u1))
-	theta := 2 * math.Pi * u2
-	r.gauss = rad * math.Sin(theta)
+	sin, cos := math.Sincos(2 * math.Pi * u2)
+	r.gauss = rad * sin
 	r.haveGauss = true
-	return rad * math.Cos(theta)
+	return rad * cos
 }
 
 // Exponential returns an exponential variate with the given rate

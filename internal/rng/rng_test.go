@@ -143,6 +143,20 @@ func TestStdNormalMoments(t *testing.T) {
 	}
 }
 
+// TestStdNormalSincos checks that the one math.Sincos per Box-Muller
+// pair returns the bits of separate math.Sin and math.Cos calls.
+func TestStdNormalSincos(t *testing.T) {
+	r, u := New(11), New(11)
+	for i := 0; i < 1_000_000; i++ {
+		rad := math.Sqrt(-2 * math.Log(u.Float64Open()))
+		theta := 2 * math.Pi * u.Float64()
+		cos, sin := r.StdNormal(), r.StdNormal()
+		if cos != rad*math.Cos(theta) || sin != rad*math.Sin(theta) {
+			t.Fatalf("pair %d: got (%v, %v), want (%v, %v)", i, cos, sin, rad*math.Cos(theta), rad*math.Sin(theta))
+		}
+	}
+}
+
 func TestExponentialMean(t *testing.T) {
 	r := New(10)
 	const rate = 2.5

@@ -344,10 +344,10 @@ func TestUncertainPredicateMatchesValueOrder(t *testing.T) {
 	spec := &mcdb.TableSpec{
 		Name:   "grid",
 		Schema: engine.Schema{{Name: "u", Type: engine.TypeFloat}},
-		VG: func(_ engine.Row, _ *rng.Stream, out []engine.Value) ([]engine.Value, error) {
-			draws++
-			return append(out, engine.Float(vals[draws-1])), nil
-		},
+		VG: mcdb.VG{Width: 1, Draw: func(_ engine.Row, _ *rng.Stream, out [][]float64) error {
+			draws += copy(out[0], vals[draws:])
+			return nil
+		}},
 		UncertainCols: []int{0},
 	}
 	db := mcdb.New(engine.NewDatabase())
@@ -700,10 +700,13 @@ func TestTenantCapBoundsMaterialization(t *testing.T) {
 	}
 }
 
-// TestBrokenSpecIs500: a tenant spec that cannot be realized — here a
-// parameter query that fails — is the server's fault on /v1/sql and
-// /v1/query alike, where a statement naming an unknown table stays the
-// client's. The failed run counts one cache miss and caches nothing.
+// TestBrokenSpecIs500: a tenant spec that cannot be realized — a
+// parameter query that fails, or one handing the Normal VG a negative
+// std, which a shard goroutine must not turn into a crash of the
+// process — is the server's fault on /v1/sql and /v1/query alike, where
+// a statement naming an unknown table stays the client's. The failed
+// run counts one cache miss and caches nothing, and the next request is
+// answered.
 func TestBrokenSpecIs500(t *testing.T) {
 	s, ts := newTestServer(t, Config{BaseSeed: 1})
 	db, err := experiments.SBPDatabase(fixturePatients)
@@ -714,12 +717,23 @@ func TestBrokenSpecIs500(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for name, uncertain := range map[string][]int{"broken": spec.UncertainCols, "brokenflat": nil} {
+	unreadable := func(*engine.Database, engine.Row) (engine.Row, error) {
+		return nil, fmt.Errorf("parameter table unreadable")
+	}
+	negativeStd := func(*engine.Database, engine.Row) (engine.Row, error) {
+		return engine.Row{engine.Float(120), engine.Float(-1)}, nil
+	}
+	for name, tenant := range map[string]struct {
+		uncertain []int
+		params    func(*engine.Database, engine.Row) (engine.Row, error)
+	}{
+		"broken":     {spec.UncertainCols, unreadable},
+		"brokenflat": {nil, unreadable},
+		"negstd":     {spec.UncertainCols, negativeStd},
+		"negstdflat": {nil, negativeStd},
+	} {
 		bad := *spec
-		bad.UncertainCols = uncertain
-		bad.Params = func(*engine.Database, engine.Row) (engine.Row, error) {
-			return nil, fmt.Errorf("parameter table unreadable")
-		}
+		bad.UncertainCols, bad.Params = tenant.uncertain, tenant.params
 		broken := mcdb.New(db.Base)
 		if err := broken.AddSpec(&bad); err != nil {
 			t.Fatal(err)
@@ -746,5 +760,9 @@ func TestBrokenSpecIs500(t *testing.T) {
 				t.Fatalf("%s %s: failed run left %d cached entries", name, tc.path, n)
 			}
 		}
+	}
+	if resp, httpResp := post[QueryResponse](t, ts.URL+"/v1/query",
+		QueryRequest{Tenant: "acme", Table: "sbp_data", Col: "sbp", Fn: "avg", Iterations: 5, Seed: 3}); resp == nil {
+		t.Fatalf("after the broken specs: status %d, want 200", httpResp.StatusCode)
 	}
 }

@@ -256,6 +256,15 @@ var retiredTable = []retired{
 			{`\bParallelInterpolate\(`, `clean, _, err := timeseries.ParallelInterpolate(sp, targets, cfg)`},
 		},
 	},
+	{
+		name: "One VG form", pr: 45,
+		why:   "a VG draws a tuple's run of realizations into typed vectors (mcdb.VG.Draw) and the schema types the cells; the boxed form, one call and one engine.Value per draw, was the second way to write a VG and the reason the bundle loop ran above the RNG floor",
+		scope: []string{"internal/mcdb", "internal/server", "examples"},
+		tests: true,
+		lines: []offender{
+			{`out \[\]engine\.Value\) \(\[\]engine\.Value, error\)`, `VG: func(params engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error) {`},
+		},
+	},
 }
 
 // violations lists what of r is present under root, one message per
