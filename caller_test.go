@@ -4,6 +4,8 @@ package modeldata_test
 // an experiment, an example, the server or the benchmark. A declaration
 // that only its own package's tests reach is surface nothing in the
 // reproduction executes, and it goes rather than waiting for a caller.
+// The same holds for a struct field: one that is written but never
+// read is state carried for nobody.
 
 import (
 	"fmt"
@@ -210,7 +212,12 @@ func uncalled(pkgs []*lint.Package, root string) []string {
 	self := selfSpans(pkgs)
 	called := map[declKey]bool{}
 	for _, p := range pkgs {
-		walk(p.Types)
+		for _, obj := range p.Info.Defs { // any definition's package is the unit's
+			if obj != nil {
+				walk(obj.Pkg())
+				break
+			}
+		}
 		for _, tv := range p.Info.Types {
 			addIface(tv.Type)
 		}
@@ -233,14 +240,155 @@ func uncalled(pkgs []*lint.Package, root string) []string {
 
 	var out []string
 	for k, d := range decls {
-		if called[k] || (d.method != "" && ifaces[d.method]) {
-			continue
+		if !called[k] && (d.method == "" || !ifaces[d.method]) {
+			out = append(out, finding(root, d.pos, k))
 		}
-		rel, err := filepath.Rel(root, d.pos.Filename)
-		if err != nil {
-			rel = d.pos.Filename
+	}
+	sort.Strings(out)
+	return out
+}
+
+// finding formats one report line, with the file relative to root.
+func finding(root string, pos token.Position, k declKey) string {
+	rel, err := filepath.Rel(root, pos.Filename)
+	if err != nil {
+		rel = pos.Filename
+	}
+	return fmt.Sprintf("%s:%d: %s", rel, pos.Line, k)
+}
+
+// fieldOf returns the key of the field a selection reads, naming it by
+// the struct type that declares it: a promoted field is resolved along
+// the selection's index path through the embedded fields. It returns
+// false for a method, or for a field of a struct type with no name.
+func fieldOf(sel *types.Selection) (declKey, bool) {
+	if sel == nil || sel.Kind() != types.FieldVal {
+		return declKey{}, false
+	}
+	var k declKey
+	named := false
+	t := sel.Recv()
+	for _, i := range sel.Index() {
+		t = types.Unalias(t)
+		if p, ok := t.(*types.Pointer); ok {
+			t = types.Unalias(p.Elem())
 		}
-		out = append(out, fmt.Sprintf("%s:%d: %s", rel, d.pos.Line, k))
+		var n *types.Named
+		n, named = t.(*types.Named)
+		f := t.Underlying().(*types.Struct).Field(i)
+		if named {
+			k = fieldKey(n, f)
+		}
+		t = f.Type()
+	}
+	return k, named
+}
+
+// fieldKey names field f of the named struct type n.
+func fieldKey(n *types.Named, f *types.Var) declKey {
+	pkg, _, _ := strings.Cut(f.Pkg().Path(), " ")
+	return declKey{pkg, n.Origin().Obj().Name(), f.Name()}
+}
+
+// unread applies the rule to the fields of pkgs, the module rooted at
+// the absolute path root: every named, untagged field of a struct type
+// declared in a non-test file outside bench/ must be read by non-test
+// code somewhere in the module, bench/ included. A selection of the
+// field is a read unless it is the left side of an assignment or the
+// operand of ++ or --; a composite-literal key is not a selection, so
+// it never reads. A struct type compared with == or !=, used as a map
+// key, or passed as the type argument of a comparable type parameter
+// is read whole, and so are the structs it holds by value.
+func unread(pkgs []*lint.Package, root string) []string {
+	sep := string(filepath.Separator)
+	bench := filepath.Join(root, "bench") + sep
+	fields := map[declKey]token.Position{}
+	read := map[declKey]bool{}
+	var whole func(types.Type)
+	whole = func(t types.Type) {
+		if t == nil {
+			return
+		}
+		t = types.Unalias(t)
+		switch u := t.Underlying().(type) {
+		case *types.Struct:
+			n, named := t.(*types.Named)
+			for i := 0; i < u.NumFields(); i++ {
+				f := u.Field(i)
+				if named {
+					read[fieldKey(n, f)] = true
+				}
+				whole(f.Type())
+			}
+		case *types.Array:
+			whole(u.Elem())
+		}
+	}
+	for _, p := range pkgs {
+		pkg, _, _ := strings.Cut(p.ImportPath, " ")
+		for _, f := range p.Files {
+			name := p.Fset.Position(f.Pos()).Filename
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			judged := !strings.HasPrefix(filepath.Dir(name)+sep, bench)
+			writes := map[ast.Expr]bool{}
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.TypeSpec:
+					if st, ok := n.Type.(*ast.StructType); ok && judged {
+						for _, fld := range st.Fields.List {
+							for _, id := range fld.Names {
+								if fld.Tag == nil && id.Name != "_" {
+									fields[declKey{pkg, n.Name.Name, id.Name}] = p.Fset.Position(id.Pos())
+								}
+							}
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						writes[ast.Unparen(lhs)] = true
+					}
+				case *ast.IncDecStmt:
+					writes[ast.Unparen(n.X)] = true
+				case *ast.SelectorExpr:
+					if k, ok := fieldOf(p.Info.Selections[n]); ok && !writes[n] {
+						read[k] = true
+					}
+				case *ast.BinaryExpr:
+					if n.Op == token.EQL || n.Op == token.NEQ {
+						whole(p.Info.TypeOf(n.X))
+					}
+				case *ast.MapType:
+					whole(p.Info.TypeOf(n.Key))
+				case *ast.Ident:
+					inst, ok := p.Info.Instances[n]
+					if !ok {
+						break
+					}
+					var params *types.TypeParamList
+					switch t := inst.Type.(type) {
+					case *types.Named:
+						params = t.Origin().TypeParams()
+					case *types.Signature:
+						params = p.Info.Uses[n].(*types.Func).Origin().Type().(*types.Signature).TypeParams()
+					}
+					for i := 0; i < params.Len(); i++ {
+						if c, ok := params.At(i).Constraint().Underlying().(*types.Interface); ok && c.IsComparable() {
+							whole(inst.TypeArgs.At(i))
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	var out []string
+	for k, pos := range fields {
+		if !read[k] {
+			out = append(out, finding(root, pos, k))
+		}
 	}
 	sort.Strings(out)
 	return out
@@ -259,6 +407,19 @@ func TestEveryNameHasACaller(t *testing.T) {
 	}
 }
 
+func TestEveryFieldIsRead(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the scan type-checks the whole module; skipped in -short mode")
+	}
+	root, err := filepath.Abs(".")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range unread(loadModule(t), root) {
+		t.Errorf("%s: no non-test code reads this field; delete it and what fills it, or give it the reader it is for", f)
+	}
+}
+
 // TestUncalledFindsDeadNames plants, in a module of its own, a dead
 // exported func, an exported func only its own package's tests call, a
 // func another package's test calls (a test seam), a method that
@@ -269,8 +430,7 @@ func TestUncalledFindsDeadNames(t *testing.T) {
 	if testing.Short() {
 		t.Skip("the scan runs the go command over a fixture module; skipped in -short mode")
 	}
-	root := t.TempDir()
-	for path, src := range map[string]string{
+	root := writeModule(t, map[string]string{
 		"go.mod":      "module fixture\n\ngo 1.22\n",
 		"main.go":     "package main\n\nimport (\n\t\"fixture/a\"\n\t\"fixture/c\"\n)\n\nfunc main() { c.Print(a.T{}) }\n",
 		"a/a.go":      "package a\n\nfunc Dead() {}\n\nfunc OwnTests() {}\n\nfunc Seam() {}\n\ntype T struct{}\n\nfunc (T) Name() string { return \"t\" }\n\ntype Self struct{}\n\nfunc (Self) Name() string { return \"self\" }\n\nfunc Rec(n int) int {\n\tif n > 0 {\n\t\treturn Rec(n - 1)\n\t}\n\treturn 0\n}\n",
@@ -278,15 +438,7 @@ func TestUncalledFindsDeadNames(t *testing.T) {
 		"b/b.go":      "package b\n",
 		"b/b_test.go": "package b\n\nimport (\n\t\"testing\"\n\n\t\"fixture/a\"\n)\n\nfunc TestSeam(t *testing.T) { a.Seam() }\n",
 		"c/c.go":      "package c\n\ntype Namer interface{ Name() string }\n\nfunc Print(n Namer) { println(n.Name()) }\n",
-	} {
-		full := filepath.Join(root, path)
-		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(full, []byte(src), 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
+	})
 	pkgs, err := lint.Load(root, "./...")
 	if err != nil {
 		t.Fatal(err)
@@ -301,4 +453,51 @@ func TestUncalledFindsDeadNames(t *testing.T) {
 	if strings.Join(got, "\n") != strings.Join(want, "\n") {
 		t.Errorf("got\n\t%s\nwant\n\t%s", strings.Join(got, "\n\t"), strings.Join(want, "\n\t"))
 	}
+}
+
+// TestUnreadFindsDeadFields plants, in a module of its own, a field
+// nothing reads, a field only written (by = and by ++), a field only its
+// own package's tests read, a tagged field, a field read through an
+// embedded struct, and fields of a map-key struct and of a struct
+// compared with ==: only the first three are reported.
+func TestUnreadFindsDeadFields(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the scan runs the go command over a fixture module; skipped in -short mode")
+	}
+	root := writeModule(t, map[string]string{
+		"go.mod":      "module fixture\n\ngo 1.22\n",
+		"main.go":     "package main\n\nimport \"fixture/a\"\n\nfunc main() { println(a.Use(&a.T{}, a.Pair{}, a.Pair{})) }\n",
+		"a/a.go":      "package a\n\ntype T struct {\n\tNever   int\n\tWritten int\n\tTested  int\n\tTagged  int `json:\"tagged\"`\n\tInner\n}\n\ntype Inner struct{ Deep int }\n\ntype key struct{ a, b int }\n\ntype Pair struct{ X, Y int }\n\nfunc Use(t *T, p, q Pair) int {\n\tt.Written = 1\n\tt.Written++\n\tseen := map[key]bool{{1, 2}: true}\n\tif p == q && seen[key{}] {\n\t\treturn t.Deep\n\t}\n\treturn 0\n}\n",
+		"a/a_test.go": "package a\n\nimport \"testing\"\n\nfunc TestTested(t *testing.T) { _ = (&T{}).Tested }\n",
+	})
+	pkgs, err := lint.Load(root, "./...")
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := unread(pkgs, root)
+	want := []string{
+		filepath.Join("a", "a.go") + ":4: fixture/a.T.Never",
+		filepath.Join("a", "a.go") + ":5: fixture/a.T.Written",
+		filepath.Join("a", "a.go") + ":6: fixture/a.T.Tested",
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("got\n\t%s\nwant\n\t%s", strings.Join(got, "\n\t"), strings.Join(want, "\n\t"))
+	}
+}
+
+// writeModule writes files, keyed by slash-separated path, under a new
+// temporary directory and returns it.
+func writeModule(t *testing.T, files map[string]string) string {
+	t.Helper()
+	root := t.TempDir()
+	for path, src := range files {
+		full := filepath.Join(root, filepath.FromSlash(path))
+		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(full, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return root
 }

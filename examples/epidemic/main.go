@@ -7,7 +7,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"modeldata/internal/engine"
 	"modeldata/internal/indemics"
@@ -16,59 +18,73 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
-	build := func() *indemics.Sim {
+// run simulates the epidemic without and with Algorithm 1 and prints
+// the day-by-day SQL trace and the outcome to w.
+func run(w io.Writer) error {
+	build := func() (*indemics.Sim, error) {
 		net, err := indemics.GeneratePopulation(indemics.PopulationConfig{
 			N: 5000, MeanDegree: 8, Rewire: 0.1,
 		}, rng.New(11))
 		if err != nil {
-			log.Fatal(err)
+			return nil, err
 		}
 		sim, err := indemics.NewSim(net, indemics.Params{
 			Beta: 0.25, LatentDays: 2, InfectiousDays: 4,
 		}, 13)
 		if err != nil {
-			log.Fatal(err)
+			return nil, err
 		}
 		sim.Seed(10)
-		return sim
+		return sim, nil
 	}
 
 	// Baseline: no intervention.
-	baseline := build()
+	baseline, err := build()
+	if err != nil {
+		return err
+	}
 	if err := baseline.Run(120, nil); err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// Intervention: Algorithm 1 expressed in SQL, plus a running
 	// per-day query trace against the relational snapshot.
 	policy, firedDay := indemics.VaccinatePreschoolersPolicy(0.01)
-	managed := build()
-	err := managed.Run(120, func(day int, db *engine.Database, sim *indemics.Sim) error {
+	managed, err := build()
+	if err != nil {
+		return err
+	}
+	err = managed.Run(120, func(day int, db *engine.Database, sim *indemics.Sim) error {
 		if day%20 == 0 {
 			infected, err := db.QueryScalar(`SELECT COUNT(*) FROM person WHERE state = 'I'`)
 			if err != nil {
 				return err
 			}
-			fmt.Printf("day %3d: %4.0f infectious (SQL over relational snapshot)\n", day, infected)
+			fmt.Fprintf(w, "day %3d: %4.0f infectious (SQL over relational snapshot)\n", day, infected)
 		}
 		return policy(day, db, sim)
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
-	fmt.Println()
-	fmt.Printf("attack rate without intervention: %.1f%%\n", 100*baseline.AttackRate())
-	fmt.Printf("attack rate with Algorithm 1:     %.1f%%\n", 100*managed.AttackRate())
+	fmt.Fprintln(w)
+	fmt.Fprintf(w, "attack rate without intervention: %.1f%%\n", 100*baseline.AttackRate())
+	fmt.Fprintf(w, "attack rate with Algorithm 1:     %.1f%%\n", 100*managed.AttackRate())
 	if *firedDay >= 0 {
-		fmt.Printf("preschool vaccination triggered on day %d\n", *firedDay)
+		fmt.Fprintf(w, "preschool vaccination triggered on day %d\n", *firedDay)
 	} else {
-		fmt.Println("the 1% preschool trigger never fired")
+		fmt.Fprintln(w, "the 1% preschool trigger never fired")
 	}
 	counts := managed.Counts()
-	fmt.Printf("final states: S=%d E=%d I=%d R=%d V=%d\n",
+	fmt.Fprintf(w, "final states: S=%d E=%d I=%d R=%d V=%d\n",
 		counts[indemics.Susceptible], counts[indemics.Exposed],
 		counts[indemics.Infectious], counts[indemics.Recovered],
 		counts[indemics.Vaccinated])
+	return nil
 }

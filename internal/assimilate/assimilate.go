@@ -149,9 +149,7 @@ type Filter[S, Y any] struct {
 	// fraction of N (e.g. 0.5). Zero means resample every step
 	// (Algorithm 2 as written). Ignored when DisableResampling is set.
 	ResampleThreshold float64
-	// Resamples counts resampling steps actually performed.
-	Resamples int
-	particles []Weighted[S]
+	particles         []Weighted[S]
 	// cumLogW carries the running log weights w_n = w_{n−1}·α_n; after
 	// a resampling step they reset to uniform (weight 1/N), which is
 	// what keeps SIR from collapsing while pure SIS does.
@@ -235,7 +233,6 @@ func (f *Filter[S, Y]) StepCtx(ctx context.Context, y Y) ([]Weighted[S], error) 
 		f.particles = next
 	default:
 		f.particles = Resample(next, f.r)
-		f.Resamples++
 		for i := range f.cumLogW {
 			f.cumLogW[i] = 0
 		}

@@ -221,7 +221,14 @@ func TestAdaptiveResamplingTracksKalman(t *testing.T) {
 				maxErr = e
 			}
 		}
-		return maxErr, f.Resamples
+		// The filter resamples at every step whose ESS falls below
+		// threshold·N, and at every step when the threshold is zero.
+		for _, ess := range f.ESSTrace {
+			if threshold == 0 || ess < threshold*3000 {
+				resamples++
+			}
+		}
+		return maxErr, resamples
 	}
 	errAlways, nAlways := run(0)
 	errAdaptive, nAdaptive := run(0.5)

@@ -50,17 +50,13 @@ type NMResult struct {
 	X     []float64
 	F     float64
 	Evals int
-	// Converged is false when the run stopped on the evaluation budget
-	// rather than the tolerance.
-	Converged bool
 }
 
 // NelderMead minimizes f starting from x0 using the Nelder-Mead simplex
 // method (the heuristic optimizer Fabretti [17] applies to ABM
 // calibration). It evaluates f at most opts.MaxEvals times: a search
-// that exhausts the budget returns the best point found with
-// Converged=false, and a budget too small for the initial simplex is
-// ErrMaxEvals.
+// that exhausts the budget returns the best point found, and a budget
+// too small for the initial simplex is ErrMaxEvals.
 func NelderMead(f func([]float64) float64, x0 []float64, opts NMOptions) (NMResult, error) {
 	if len(x0) == 0 {
 		return NMResult{}, ErrBadStart
@@ -105,7 +101,7 @@ func NelderMead(f func([]float64) float64, x0 []float64, opts NMOptions) (NMResu
 	for left() {
 		sort.Slice(simplex, func(i, j int) bool { return simplex[i].f < simplex[j].f })
 		if math.Abs(simplex[n].f-simplex[0].f) < opts.Tol {
-			return NMResult{X: simplex[0].x, F: simplex[0].f, Evals: evals, Converged: true}, nil
+			return NMResult{X: simplex[0].x, F: simplex[0].f, Evals: evals}, nil
 		}
 		// Centroid of all but the worst.
 		for j := range centroid {
@@ -162,7 +158,7 @@ func NelderMead(f func([]float64) float64, x0 []float64, opts NMOptions) (NMResu
 		}
 	}
 	sort.Slice(simplex, func(i, j int) bool { return simplex[i].f < simplex[j].f })
-	return NMResult{X: simplex[0].x, F: simplex[0].f, Evals: evals, Converged: false}, nil
+	return NMResult{X: simplex[0].x, F: simplex[0].f, Evals: evals}, nil
 }
 
 // GridSearch minimizes f over the Cartesian product of the per-
@@ -205,6 +201,5 @@ func GridSearch(f func([]float64) float64, grid [][]float64) (NMResult, error) {
 			break
 		}
 	}
-	best.Converged = true
 	return best, nil
 }

@@ -17,6 +17,7 @@ import (
 	"modeldata/internal/colstore"
 	"modeldata/internal/engine"
 	"modeldata/internal/engine/plan"
+	"modeldata/internal/obs"
 )
 
 func seqTable(name string, n int) *engine.Table {
@@ -241,6 +242,7 @@ func TestZoneMapPruning(t *testing.T) {
 	st := writeAndOpen(t, tbl, colstore.Options{SegmentRows: 100})
 	pred := plan.Between{Col: "id", Lo: plan.IntLit(250), Hi: plan.IntLit(349)}
 
+	before := obs.Default().Snapshot()
 	it, err := st.ScanPartitions(context.Background(), nil, pred)
 	if err != nil {
 		t.Fatalf("ScanPartitions: %v", err)
@@ -251,8 +253,8 @@ func TestZoneMapPruning(t *testing.T) {
 		t.Fatalf("stats = %+v, want 10 partitions / 2 scanned", stats)
 	}
 	wantPruned := int64(8 * len(tbl.Schema))
-	if stats.BlocksPruned != wantPruned {
-		t.Fatalf("BlocksPruned = %d, want %d", stats.BlocksPruned, wantPruned)
+	if got := obs.Default().Snapshot().Sub(before).Counters[colstore.MetricBlocksPruned]; got != wantPruned {
+		t.Fatalf("%s moved by %d, want %d", colstore.MetricBlocksPruned, got, wantPruned)
 	}
 	if planned, pruned, rows := st.PlanScan(nil, pred); planned != 10 || pruned != wantPruned || rows != 200 {
 		t.Fatalf("PlanScan = (%d, %d, %d), want (10, %d, 200)", planned, pruned, rows, wantPruned)
@@ -327,9 +329,9 @@ func TestExplainReportsPruning(t *testing.T) {
 	}
 }
 
-// EXPLAIN's blocks_pruned= is what the executed scan's ScanStats
-// report: a pruned segment counts one block per column the scan
-// projects.
+// EXPLAIN's blocks_pruned= is what the executed scan pruned, as the
+// colstore.blocks_pruned counter counts it: a pruned segment counts one
+// block per column the scan projects.
 func TestExplainPruningMatchesScanStats(t *testing.T) {
 	st := writeAndOpen(t, seqTable("z", 1000), colstore.Options{SegmentRows: 100})
 	mid := plan.Between{Col: "id", Lo: plan.IntLit(250), Hi: plan.IntLit(349)}
@@ -349,11 +351,11 @@ func TestExplainPruningMatchesScanStats(t *testing.T) {
 		for scan.Kind != plan.KindScan {
 			scan = scan.Input
 		}
-		rec := &recordingStorage{Storage: st}
-		if _, err := tc.build(engine.FromStorage(rec)).Run(); err != nil {
+		before := obs.Default().Snapshot()
+		if _, err := tc.build(engine.FromStorage(st)).Run(); err != nil {
 			t.Fatalf("%s: Run: %v", tc.name, err)
 		}
-		if got := rec.iters[0].Stats().BlocksPruned; scan.BlocksPruned != got || got != tc.want {
+		if got := obs.Default().Snapshot().Sub(before).Counters[colstore.MetricBlocksPruned]; scan.BlocksPruned != got || got != tc.want {
 			t.Fatalf("%s: EXPLAIN blocks_pruned=%d, scan pruned %d, want %d", tc.name, scan.BlocksPruned, got, tc.want)
 		}
 	}

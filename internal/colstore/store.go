@@ -46,7 +46,6 @@ var (
 
 // Store is an opened segment directory.
 type Store struct {
-	dir    string
 	name   string
 	schema engine.Schema
 	segs   []*segMeta // footer per segment, file-name order
@@ -65,7 +64,7 @@ func Open(dir string, _ Options) (*Store, error) {
 		return nil, fmt.Errorf("colstore: no segments under %q", dir)
 	}
 	sort.Strings(paths)
-	st := &Store{dir: dir}
+	st := &Store{}
 	// bounded by the segment files present on disk
 	st.segs = make([]*segMeta, 0, len(paths))
 	for _, p := range paths {
@@ -258,9 +257,7 @@ func (it *segIter) Next() (*engine.ColumnBlock, error) {
 		it.next++
 		it.stats.Partitions++
 		if it.pred != nil && !engine.ZoneMayMatch(it.pred, sm.zoneStats()) {
-			n := int64(len(it.proj))
-			it.stats.BlocksPruned += n
-			blocksPruned.Add(n)
+			blocksPruned.Add(int64(len(it.proj)))
 			continue
 		}
 		b, vecs, buf, err := decodeSegment(sm, it.proj, it.buf, it.spare)
@@ -274,8 +271,6 @@ func (it *segIter) Next() (*engine.ColumnBlock, error) {
 			size += sm.cols[j].size
 		}
 		it.stats.Scanned++
-		it.stats.BlocksDecoded += int64(len(it.proj))
-		it.stats.BytesRead += size
 		segmentsScanned.Add(1)
 		blocksDecoded.Add(int64(len(it.proj)))
 		bytesRead.Add(size)

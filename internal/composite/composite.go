@@ -81,7 +81,6 @@ type PortSpec struct {
 // Dataset is a payload flowing between models.
 type Dataset struct {
 	Name   string
-	Kind   Kind
 	Scalar float64
 	Series *timeseries.Series
 	Table  *engine.Table
@@ -89,12 +88,12 @@ type Dataset struct {
 
 // ScalarData wraps a scalar into a Dataset.
 func ScalarData(name string, v float64) Dataset {
-	return Dataset{Name: name, Kind: KindScalar, Scalar: v}
+	return Dataset{Name: name, Scalar: v}
 }
 
 // SeriesData wraps a series into a Dataset.
 func SeriesData(name string, s *timeseries.Series) Dataset {
-	return Dataset{Name: name, Kind: KindSeries, Series: s}
+	return Dataset{Name: name, Series: s}
 }
 
 // RunFunc executes a component model: it consumes the datasets bound to
@@ -108,11 +107,6 @@ type Model struct {
 	Inputs  []PortSpec
 	Outputs []PortSpec
 	Run     RunFunc
-	// Meta carries reusable performance statistics (e.g. the §2.3 cost
-	// and variance estimates), keyed by statistic name. Splash stores
-	// such numbers in the model's metadata so pilot-run costs amortize
-	// across experiments.
-	Meta map[string]float64
 }
 
 func (m *Model) port(specs []PortSpec, name string) (*PortSpec, error) {

@@ -94,7 +94,7 @@ func TestCompositeSchemaMapping(t *testing.T) {
 				{Name: "income", Type: engine.TypeFloat},
 			})
 			tbl.MustInsert(engine.Int(1), engine.Int(30), engine.Float(100))
-			return map[string]Dataset{"people": {Name: "people", Kind: KindTable, Table: tbl}}, nil
+			return map[string]Dataset{"people": {Name: "people", Table: tbl}}, nil
 		},
 	}
 	consumer := &Model{

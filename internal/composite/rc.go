@@ -34,11 +34,9 @@ type TwoStage struct {
 
 // RCRun reports one result-caching execution.
 type RCRun struct {
-	Samples []float64 // the n outputs of M2
-	Theta   float64   // θ̂ = mean of Samples
-	M1Runs  int       // m_n
-	M2Runs  int       // n
-	Cost    float64   // m_n·c₁ + n·c₂
+	Theta  float64 // θ̂ = mean of the n outputs of M2
+	M1Runs int     // m_n
+	M2Runs int     // n
 }
 
 // RunRC executes the RC strategy: m_n = ⌈αn⌉ runs of M1 are cached and
@@ -64,11 +62,9 @@ func (ts TwoStage) RunRC(n int, alpha float64, seed uint64) (RCRun, error) {
 		samples[i] = ts.M2(cache[i%mn], r.Split())
 	}
 	return RCRun{
-		Samples: samples,
-		Theta:   stats.Mean(samples),
-		M1Runs:  mn,
-		M2Runs:  n,
-		Cost:    float64(mn)*ts.C1 + float64(n)*ts.C2,
+		Theta:  stats.Mean(samples),
+		M1Runs: mn,
+		M2Runs: n,
 	}, nil
 }
 

@@ -59,8 +59,6 @@ type Simulator struct {
 	seq     uint64
 	queue   eventQueue
 	stopped bool
-	// Executed counts handled events.
-	Executed int
 }
 
 // NewSimulator returns a simulator at time 0.
@@ -102,7 +100,6 @@ func (s *Simulator) Run(horizon float64) error {
 		}
 		s.now = e.time
 		e.fn(s)
-		s.Executed++
 		if s.stopped {
 			return nil
 		}

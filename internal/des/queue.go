@@ -19,10 +19,6 @@ type QueueResult struct {
 	// AvgWait is the average time customers spent waiting for service
 	// (excluding service itself) over the first K completions.
 	AvgWait float64
-	// Served is the number of customers completed (≤ K).
-	Served int
-	// MakeSpan is the simulated time at which measurement ended.
-	MakeSpan float64
 }
 
 // SimulateQueue runs a single-server FIFO queue over the given arrival
@@ -92,11 +88,7 @@ func SimulateQueue(arrivals []float64, service rng.Dist, k int, r *rng.Stream) (
 	if served == 0 {
 		return QueueResult{}, ErrNoArrivals
 	}
-	return QueueResult{
-		AvgWait:  totalWait / float64(served),
-		Served:   served,
-		MakeSpan: sim.Now(),
-	}, nil
+	return QueueResult{AvgWait: totalWait / float64(served)}, nil
 }
 
 // PoissonArrivals draws n exponential inter-arrival gaps at the given

@@ -220,9 +220,9 @@ func ResolutionV7() *Design {
 }
 
 // MainEffect is one factor's Figure 4 summary: the average response at
-// the low and high levels and the effect (high − low).
+// the low and high levels and the effect (high − low). MainEffects
+// returns them in factor order.
 type MainEffect struct {
-	Factor   int
 	LowMean  float64
 	HighMean float64
 	Effect   float64
@@ -251,7 +251,6 @@ func MainEffects(d *Design, y []float64) ([]MainEffect, error) {
 			return nil, fmt.Errorf("%w: factor %d never varies", ErrBadDesign, j)
 		}
 		me := MainEffect{
-			Factor:   j,
 			LowMean:  loSum / float64(loN),
 			HighMean: hiSum / float64(hiN),
 		}

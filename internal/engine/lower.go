@@ -386,7 +386,7 @@ func (q *Query) regionSpec(reg *region) (*plan.RegionSpec, plan.Catalog) {
 		})
 	}
 	for _, f := range reg.filters {
-		spec.Filters = append(spec.Filters, plan.FilterSpec{Scan: f.scan, Pos: f.pos, Pred: f.pred})
+		spec.Filters = append(spec.Filters, plan.FilterSpec{Scan: f.scan, Pred: f.pred})
 	}
 	spec.Post = append(spec.Post, reg.post...)
 	blocks := make([]*ColumnBlock, len(reg.scans))

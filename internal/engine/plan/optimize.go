@@ -29,13 +29,10 @@ type JoinSpec struct {
 	RightCol string
 }
 
-// FilterSpec is a single-scan filter eligible for pushdown. Pos is the
-// number of joins already recorded when the filter was written (so a
-// filter with Pos > Scan has been pushed below at least one join);
-// Pred's column names are bare (scan-local).
+// FilterSpec is a single-scan filter eligible for pushdown. Pred's
+// column names are bare (scan-local).
 type FilterSpec struct {
 	Scan int
-	Pos  int
 	Pred Expr
 }
 
@@ -51,15 +48,13 @@ type RegionSpec struct {
 }
 
 // JoinStep is one executed join of a chosen order: the accumulated
-// intermediate (containing LeftScan) joined to scan RightScan on the
-// written edge Edge.
+// intermediate (containing LeftScan) joined to scan RightScan on one
+// written edge.
 type JoinStep struct {
 	LeftScan  int
 	LeftCol   string
 	RightScan int
 	RightCol  string
-	// Edge is the index of the written JoinSpec this step executes.
-	Edge int
 	// BuildLeft reports the cost model's guess at the smaller side;
 	// the executor may override it with observed cardinalities.
 	BuildLeft bool
@@ -72,10 +67,7 @@ type Choice struct {
 	// Order is the scan visit order; Order[0] is the start scan.
 	Order []int
 	Steps []JoinStep
-	// EstScan is the post-filter cardinality estimate per scan,
-	// indexed by written scan index.
-	EstScan []float64
-	Cost    float64
+	Cost  float64
 	// Reordered reports whether Order differs from written order.
 	Reordered bool
 }
@@ -132,7 +124,6 @@ func Choose(cat Catalog, region *RegionSpec) *Choice {
 		ok := true
 		for len(order) < n {
 			bestCand := -1
-			bestEdge := -1
 			var bestSetScan int
 			var bestSetCol, bestCandCol string
 			bestEst := 0.0
@@ -157,7 +148,7 @@ func Choose(cat Catalog, region *RegionSpec) *Choice {
 				}
 				est := JoinCard(cur, f[c], ndvOf(cat, setScan, setCol), ndvOf(cat, c, candCol))
 				if bestCand < 0 || est < bestEst {
-					bestCand, bestEdge, bestEst = c, edge, est
+					bestCand, bestEst = c, est
 					bestSetScan, bestSetCol, bestCandCol = setScan, setCol, candCol
 				}
 			}
@@ -175,7 +166,6 @@ func Choose(cat Catalog, region *RegionSpec) *Choice {
 				LeftCol:   bestSetCol,
 				RightScan: bestCand,
 				RightCol:  bestCandCol,
-				Edge:      bestEdge,
 				BuildLeft: cur < f[bestCand],
 				Est:       bestEst,
 			})
@@ -197,7 +187,6 @@ func Choose(cat Catalog, region *RegionSpec) *Choice {
 			best = &Choice{
 				Order:     order,
 				Steps:     steps,
-				EstScan:   f,
 				Cost:      cost,
 				Reordered: reordered,
 			}
@@ -237,13 +226,12 @@ func WrittenOrder(cat Catalog, region *RegionSpec) *Choice {
 			LeftCol:   js.LeftCol,
 			RightScan: r,
 			RightCol:  js.RightCol,
-			Edge:      j,
 			BuildLeft: cur < f[r],
 			Est:       est,
 		})
 		cur = est
 	}
-	return &Choice{Order: order, Steps: steps, EstScan: f, Cost: cost}
+	return &Choice{Order: order, Steps: steps, Cost: cost}
 }
 
 // BuildTree renders the region under a chosen order as a logical plan

@@ -237,9 +237,9 @@ func TestChooseReordersStar(t *testing.T) {
 	if !c.Reordered {
 		t.Fatalf("expected reorder, got order %v", c.Order)
 	}
-	// The tiny join (edge 1) must execute before the med join (edge 0).
-	if c.Steps[0].Edge != 1 || c.Steps[1].Edge != 0 {
-		t.Fatalf("step edges = [%d %d], want [1 0]", c.Steps[0].Edge, c.Steps[1].Edge)
+	// The tiny join (scan 2) must execute before the med join (scan 1).
+	if c.Steps[0].RightScan != 2 || c.Steps[1].RightScan != 1 {
+		t.Fatalf("step scans = [%d %d], want [2 1]", c.Steps[0].RightScan, c.Steps[1].RightScan)
 	}
 	w := WrittenOrder(cat, region)
 	if w == nil {
@@ -275,7 +275,7 @@ func TestWrittenOrderIsWritten(t *testing.T) {
 		}
 	}
 	for j, st := range w.Steps {
-		if st.Edge != j || st.RightScan != j+1 {
+		if st.LeftScan != region.Joins[j].Left || st.RightScan != j+1 {
 			t.Fatalf("step %d = %+v", j, st)
 		}
 	}
@@ -284,7 +284,7 @@ func TestWrittenOrderIsWritten(t *testing.T) {
 func TestBuildTreePushedFilters(t *testing.T) {
 	cat, region := starRegion()
 	region.Filters = []FilterSpec{
-		{Scan: 0, Pos: 2, Pred: Cmp{Op: ">", Col: "val", Val: FloatLit(10)}},
+		{Scan: 0, Pred: Cmp{Op: ">", Col: "val", Val: FloatLit(10)}},
 	}
 	region.Post = []Expr{Cmp{Op: "=", Col: "fact.gid", Val: IntLit(3)}}
 	c := Choose(cat, region)

@@ -339,7 +339,7 @@ func regionSpecLite(reg *region) *plan.RegionSpec {
 		})
 	}
 	for _, f := range reg.filters {
-		spec.Filters = append(spec.Filters, plan.FilterSpec{Scan: f.scan, Pos: f.pos, Pred: f.pred})
+		spec.Filters = append(spec.Filters, plan.FilterSpec{Scan: f.scan, Pred: f.pred})
 	}
 	return spec
 }

@@ -65,7 +65,6 @@ const (
 type token struct {
 	kind tokKind
 	text string
-	pos  int
 }
 
 type lexer struct {
@@ -95,7 +94,7 @@ func lexSQL(src string) ([]token, error) {
 			}
 		}
 	}
-	l.toks = append(l.toks, token{kind: tokEOF, pos: l.pos})
+	l.toks = append(l.toks, token{kind: tokEOF})
 	return l.toks, nil
 }
 
@@ -113,7 +112,7 @@ func (l *lexer) lexString() error {
 				continue
 			}
 			l.pos++
-			l.toks = append(l.toks, token{kind: tokString, text: b.String(), pos: start})
+			l.toks = append(l.toks, token{kind: tokString, text: b.String()})
 			return nil
 		}
 		b.WriteByte(c)
@@ -133,7 +132,7 @@ func (l *lexer) lexNumber() {
 		}
 		break
 	}
-	l.toks = append(l.toks, token{kind: tokNumber, text: l.src[start:l.pos], pos: start})
+	l.toks = append(l.toks, token{kind: tokNumber, text: l.src[start:l.pos]})
 }
 
 func (l *lexer) lexIdent() {
@@ -146,7 +145,7 @@ func (l *lexer) lexIdent() {
 		}
 		break
 	}
-	l.toks = append(l.toks, token{kind: tokIdent, text: l.src[start:l.pos], pos: start})
+	l.toks = append(l.toks, token{kind: tokIdent, text: l.src[start:l.pos]})
 }
 
 func (l *lexer) lexSymbol() error {
@@ -156,14 +155,14 @@ func (l *lexer) lexSymbol() error {
 	}
 	switch two {
 	case "<=", ">=", "<>", "!=":
-		l.toks = append(l.toks, token{kind: tokSymbol, text: two, pos: l.pos})
+		l.toks = append(l.toks, token{kind: tokSymbol, text: two})
 		l.pos += 2
 		return nil
 	}
 	c := l.src[l.pos]
 	switch c {
 	case '(', ')', ',', '=', '<', '>', '*', ';', '-', '+':
-		l.toks = append(l.toks, token{kind: tokSymbol, text: string(c), pos: l.pos})
+		l.toks = append(l.toks, token{kind: tokSymbol, text: string(c)})
 		l.pos++
 		return nil
 	}

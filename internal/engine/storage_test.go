@@ -33,7 +33,7 @@ func TestTableImplementsStorage(t *testing.T) {
 		t.Fatalf("second Next should end iteration: %v, %v", nxt, err)
 	}
 	stats := it.Stats()
-	if stats.Partitions != 1 || stats.Scanned != 1 || stats.BlocksPruned != 0 {
+	if stats.Partitions != 1 || stats.Scanned != 1 {
 		t.Fatalf("stats = %+v", stats)
 	}
 	requireSameTable(t, "table-as-storage", tbl, b.ToTable())

@@ -474,11 +474,11 @@ func runE12(ctx context.Context, seed uint64) (Result, error) {
 // cost saving on an irregular grid.
 func runE13(ctx context.Context, seed uint64) (Result, error) {
 	r := rng.New(seed)
-	src, err := gridfield.IrregularGrid2D("estuary", 40, 40, func(q int) bool { return r.Bool(0.15) })
+	src, err := gridfield.IrregularGrid2D(40, 40, func(q int) bool { return r.Bool(0.15) })
 	if err != nil {
 		return Result{}, err
 	}
-	dst, err := gridfield.UniformGrid1D("bands", 40)
+	dst, err := gridfield.UniformGrid1D(40)
 	if err != nil {
 		return Result{}, err
 	}

@@ -26,16 +26,14 @@ var (
 
 // Grid is a collection of cells of various dimensions.
 type Grid struct {
-	Name string
 	// cells maps dimension → sorted cell IDs.
 	cells map[int][]int
 	dimOf map[int]int
 }
 
 // NewGrid returns an empty grid.
-func NewGrid(name string) *Grid {
+func NewGrid() *Grid {
 	return &Grid{
-		Name:  name,
 		cells: make(map[int][]int),
 		dimOf: make(map[int]int),
 	}
@@ -205,11 +203,11 @@ func (f *Field) Regrid(target *Grid, k int, assign func(srcCellID int) (dstCellI
 // UniformGrid1D builds a 1-D grid with n vertices (dim 0, IDs 0..n−1)
 // and n−1 segments (dim 1, IDs n..2n−2) — the simplest CORIE-style
 // grid.
-func UniformGrid1D(name string, n int) (*Grid, error) {
+func UniformGrid1D(n int) (*Grid, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("%w: need ≥ 2 vertices", ErrBadDim)
 	}
-	g := NewGrid(name)
+	g := NewGrid()
 	for i := 0; i < n; i++ {
 		if err := g.AddCell(i, 0); err != nil {
 			return nil, err
@@ -231,11 +229,11 @@ func UniformGrid1D(name string, n int) (*Grid, error) {
 //
 // Vertex (i, j) has ID j·nx+i (dim 0); quad (i, j) has
 // ID nx·ny + j·(nx−1)+i (dim 2).
-func IrregularGrid2D(name string, nx, ny int, dropQuad func(quadIndex int) bool) (*Grid, error) {
+func IrregularGrid2D(nx, ny int, dropQuad func(quadIndex int) bool) (*Grid, error) {
 	if nx < 2 || ny < 2 {
 		return nil, fmt.Errorf("%w: need ≥ 2×2 vertices", ErrBadDim)
 	}
-	g := NewGrid(name)
+	g := NewGrid()
 	for j := 0; j < ny; j++ {
 		for i := 0; i < nx; i++ {
 			if err := g.AddCell(j*nx+i, 0); err != nil {

@@ -10,7 +10,7 @@ import (
 )
 
 func TestGridBasics(t *testing.T) {
-	g := NewGrid("g")
+	g := NewGrid()
 	if err := g.AddCell(0, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -35,20 +35,20 @@ func TestGridBasics(t *testing.T) {
 }
 
 func TestUniformGrid1D(t *testing.T) {
-	g, err := UniformGrid1D("line", 5)
+	g, err := UniformGrid1D(5)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(g.cells[0]) != 5 || len(g.cells[1]) != 4 {
 		t.Fatalf("cells: %d vertices, %d segments", len(g.cells[0]), len(g.cells[1]))
 	}
-	if _, err := UniformGrid1D("x", 1); !errors.Is(err, ErrBadDim) {
+	if _, err := UniformGrid1D(1); !errors.Is(err, ErrBadDim) {
 		t.Fatalf("got %v", err)
 	}
 }
 
 func TestIrregularGrid2D(t *testing.T) {
-	g, err := IrregularGrid2D("estuary", 4, 3, func(q int) bool { return q == 0 })
+	g, err := IrregularGrid2D(4, 3, func(q int) bool { return q == 0 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,13 +59,13 @@ func TestIrregularGrid2D(t *testing.T) {
 	if len(g.cells[2]) != 5 {
 		t.Fatalf("quads = %d", len(g.cells[2]))
 	}
-	if _, err := IrregularGrid2D("x", 1, 5, nil); !errors.Is(err, ErrBadDim) {
+	if _, err := IrregularGrid2D(1, 5, nil); !errors.Is(err, ErrBadDim) {
 		t.Fatalf("got %v", err)
 	}
 }
 
 func TestBindAndRestrict(t *testing.T) {
-	g, err := UniformGrid1D("line", 10)
+	g, err := UniformGrid1D(10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,11 +86,11 @@ func TestBindAndRestrict(t *testing.T) {
 }
 
 func TestRegridAggregations(t *testing.T) {
-	src, err := UniformGrid1D("fine", 9) // vertices 0..8
+	src, err := UniformGrid1D(9) // vertices 0..8
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst, err := UniformGrid1D("coarse", 3) // vertices 0..2
+	dst, err := UniformGrid1D(3) // vertices 0..2
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,8 +120,8 @@ func TestRegridAggregations(t *testing.T) {
 }
 
 func TestRegridDropsUnassigned(t *testing.T) {
-	src, _ := UniformGrid1D("fine", 6)
-	dst, _ := UniformGrid1D("coarse", 2)
+	src, _ := UniformGrid1D(6)
+	dst, _ := UniformGrid1D(2)
 	fld, _ := Bind(src, 0, func(id int) float64 { return 1 })
 	out, err := fld.Regrid(dst, 0, func(srcID int) (int, bool) {
 		if srcID < 3 {
@@ -141,8 +141,8 @@ func TestRegridDropsUnassigned(t *testing.T) {
 }
 
 func TestRegridDimensionCheck(t *testing.T) {
-	src, _ := UniformGrid1D("fine", 4)
-	dst, _ := UniformGrid1D("coarse", 4)
+	src, _ := UniformGrid1D(4)
+	dst, _ := UniformGrid1D(4)
 	fld, _ := Bind(src, 0, func(id int) float64 { return 0 })
 	// Segment IDs in dst are 4..6 (dim 1), not dim 0.
 	_, err := fld.Regrid(dst, 0, func(srcID int) (int, bool) { return 4, true }, AggMean)
@@ -162,11 +162,11 @@ func TestRegridDimensionCheck(t *testing.T) {
 func TestRestrictRegridCommute(t *testing.T) {
 	err := quick.Check(func(seed uint64) bool {
 		r := rng.New(seed)
-		src, err := IrregularGrid2D("fine", 9, 9, func(q int) bool { return r.Bool(0.2) })
+		src, err := IrregularGrid2D(9, 9, func(q int) bool { return r.Bool(0.2) })
 		if err != nil {
 			return false
 		}
-		dst, err := UniformGrid1D("bands", 9)
+		dst, err := UniformGrid1D(9)
 		if err != nil {
 			return false
 		}
@@ -213,11 +213,11 @@ func TestRestrictRegridCommute(t *testing.T) {
 // TestPushdownTouchesFewerCells verifies the efficiency half of the
 // rewrite: restriction-first regrids fewer cells.
 func TestPushdownTouchesFewerCells(t *testing.T) {
-	src, err := UniformGrid1D("fine", 1000)
+	src, err := UniformGrid1D(1000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst, err := UniformGrid1D("coarse", 10)
+	dst, err := UniformGrid1D(10)
 	if err != nil {
 		t.Fatal(err)
 	}

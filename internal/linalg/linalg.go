@@ -126,9 +126,8 @@ func (m *Matrix) String() string {
 
 // LU holds an LU factorization with partial pivoting: PA = LU.
 type LU struct {
-	lu   *Matrix
-	piv  []int
-	sign int
+	lu  *Matrix
+	piv []int
 }
 
 // FactorLU computes the LU factorization of a square matrix a with
@@ -143,7 +142,6 @@ func FactorLU(a *Matrix) (*LU, error) {
 	for i := range piv {
 		piv[i] = i
 	}
-	sign := 1
 	for k := 0; k < n; k++ {
 		// Find pivot.
 		p := k
@@ -162,7 +160,6 @@ func FactorLU(a *Matrix) (*LU, error) {
 				lu.Data[k*n+j], lu.Data[p*n+j] = lu.Data[p*n+j], lu.Data[k*n+j]
 			}
 			piv[k], piv[p] = piv[p], piv[k]
-			sign = -sign
 		}
 		pivVal := lu.At(k, k)
 		for i := k + 1; i < n; i++ {
@@ -173,7 +170,7 @@ func FactorLU(a *Matrix) (*LU, error) {
 			}
 		}
 	}
-	return &LU{lu: lu, piv: piv, sign: sign}, nil
+	return &LU{lu: lu, piv: piv}, nil
 }
 
 // Solve solves A·x = b for x given the factorization.

@@ -56,12 +56,10 @@ type Analyzer struct {
 
 // Pass carries one type-checked package unit through one analyzer.
 type Pass struct {
-	Analyzer   *Analyzer
-	Fset       *token.FileSet
-	Files      []*ast.File
-	Pkg        *types.Package
-	TypesInfo  *types.Info
-	ImportPath string
+	Analyzer  *Analyzer
+	Fset      *token.FileSet
+	Files     []*ast.File
+	TypesInfo *types.Info
 
 	report func(Finding)
 }
@@ -99,13 +97,11 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Finding, error) {
 		for _, a := range analyzers {
 			var found []Finding
 			pass := &Pass{
-				Analyzer:   a,
-				Fset:       pkg.Fset,
-				Files:      pkg.Files,
-				Pkg:        pkg.Types,
-				TypesInfo:  pkg.Info,
-				ImportPath: pkg.ImportPath,
-				report:     func(f Finding) { found = append(found, f) },
+				Analyzer:  a,
+				Fset:      pkg.Fset,
+				Files:     pkg.Files,
+				TypesInfo: pkg.Info,
+				report:    func(f Finding) { found = append(found, f) },
 			}
 			if err := a.Run(pass); err != nil {
 				return nil, fmt.Errorf("%s on %s: %w", a.Name, pkg.ImportPath, err)

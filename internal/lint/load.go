@@ -27,7 +27,6 @@ type Package struct {
 	ImportPath string
 	Fset       *token.FileSet
 	Files      []*ast.File
-	Types      *types.Package
 	Info       *types.Info
 }
 
@@ -225,19 +224,18 @@ func check(fset *token.FileSet, imp types.Importer, importPath string, files []*
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
+		Instances:  make(map[*ast.Ident]types.Instance),
 		Implicits:  make(map[ast.Node]types.Object),
 		Scopes:     make(map[ast.Node]*types.Scope),
 	}
 	conf := types.Config{Importer: imp}
-	tpkg, err := conf.Check(importPath, fset, files, info)
-	if err != nil {
+	if _, err := conf.Check(importPath, fset, files, info); err != nil {
 		return nil, err
 	}
 	return &Package{
 		ImportPath: importPath,
 		Fset:       fset,
 		Files:      files,
-		Types:      tpkg,
 		Info:       info,
 	}, nil
 }

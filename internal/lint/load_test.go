@@ -23,7 +23,7 @@ func TestLoadErrors(t *testing.T) {
 			}
 			pkg, err := LoadDir(dir, "a")
 			if err == nil {
-				t.Fatalf("LoadDir returned %v and no error", pkg.Types)
+				t.Fatalf("LoadDir returned %s and no error", pkg.ImportPath)
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Errorf("error %q does not mention %q", err, tc.want)

@@ -45,8 +45,8 @@ func (db *DB) InstantiateBundled(iters int, seed uint64) (map[string]*BundleTabl
 // hooks must be safe for concurrent calls with distinct streams; every
 // hook in this repository is.
 func (db *DB) InstantiateBundledCtx(ctx context.Context, iters int, seed uint64, workers int) (map[string]*BundleTable, error) {
-	if iters <= 0 {
-		return nil, fmt.Errorf("mcdb: iters=%d", iters)
+	if err := checkWindow(ExecOptions{Iterations: iters}, 0, iters); err != nil {
+		return nil, err
 	}
 	in, err := db.newInstancer(ctx)
 	if err != nil {

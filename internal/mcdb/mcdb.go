@@ -533,17 +533,17 @@ func (db *DB) vgParams(spec *TableSpec, outer engine.Row) (engine.Row, error) {
 // Instantiate produces one complete database instance: a clone of the
 // deterministic tables plus one realization of every stochastic table.
 // Callers inside a parallel loop get cancellation from the loop
-// itself; callers holding a context should prefer InstantiateCtx.
+// itself.
 func (db *DB) Instantiate(r *rng.Stream) (*engine.Database, error) {
-	return db.InstantiateCtx(context.Background(), r)
+	return db.instantiateCtx(context.Background(), r)
 }
 
-// InstantiateCtx is Instantiate with cancellation: ctx is observed
+// instantiateCtx is Instantiate with cancellation: ctx is observed
 // between stochastic tables and every few hundred tuples, so a server
 // handler can abort an instantiation mid-build with ctx.Err(). Each call
 // resolves the parameter queries afresh; a Session resolves them once
 // for its whole life.
-func (db *DB) InstantiateCtx(ctx context.Context, r *rng.Stream) (*engine.Database, error) {
+func (db *DB) instantiateCtx(ctx context.Context, r *rng.Stream) (*engine.Database, error) {
 	in, err := db.newInstancer(ctx)
 	if err != nil {
 		return nil, err
@@ -558,7 +558,7 @@ type Query func(inst *engine.Database) (float64, error)
 // MonteCarlo runs the query over iters independent database instances,
 // re-instantiating and re-executing everything per iteration — the
 // baseline the tuple-bundle executor is measured against in experiment
-// E1. That is why it calls InstantiateCtx per iteration, parameter
+// E1. That is why it calls instantiateCtx per iteration, parameter
 // queries included, where a Session resolves them once: the strawman
 // stays naive by construction. Iterations fan out over the
 // parallel runtime: each iteration draws from a substream split from
@@ -570,7 +570,7 @@ func (db *DB) MonteCarlo(ctx context.Context, iters int, seed uint64, workers in
 	if err := checkWindow(opts, 0, iters); err != nil {
 		return nil, err
 	}
-	return perInstance(ctx, opts, 0, iters, db.InstantiateCtx, q)
+	return perInstance(ctx, opts, 0, iters, db.instantiateCtx, q)
 }
 
 // deferred binds p for plan-once execution: against the base tables and

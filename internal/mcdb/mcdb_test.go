@@ -458,11 +458,11 @@ func TestNoForEachSpecRunsOnce(t *testing.T) {
 
 func TestMonteCarloNaiveBadIters(t *testing.T) {
 	db := sbpFixture(t, 2)
-	if _, err := db.MonteCarlo(context.Background(), 0, 1, 0, nil); err == nil {
-		t.Fatal("iters=0 accepted")
+	if _, err := db.MonteCarlo(context.Background(), 0, 1, 0, nil); !errors.Is(err, ErrBadQuery) {
+		t.Fatalf("iters=0: got %v, want ErrBadQuery", err)
 	}
-	if _, err := db.InstantiateBundled(0, 1); err == nil {
-		t.Fatal("bundled iters=0 accepted")
+	if _, err := db.InstantiateBundled(0, 1); !errors.Is(err, ErrBadQuery) {
+		t.Fatalf("bundled iters=0: got %v, want ErrBadQuery", err)
 	}
 }
 

@@ -24,8 +24,6 @@ type GP struct {
 	Theta []float64
 	// alpha = [Σ_M + Σ_ε]⁻¹ (ȳ − β₀·1), precomputed at fit time.
 	alpha []float64
-	// NoiseVar holds Σ_ε's diagonal (nil for deterministic kriging).
-	NoiseVar []float64
 }
 
 // Cov evaluates the Eq. (5) covariance between two inputs.
@@ -69,7 +67,7 @@ func fitGP(x [][]float64, y, theta []float64, tau2 float64, noiseVar []float64) 
 	if tau2 <= 0 {
 		return nil, fmt.Errorf("%w: τ² = %g", ErrBadDesign, tau2)
 	}
-	g := &GP{X: x, Tau2: tau2, Theta: append([]float64(nil), theta...), NoiseVar: noiseVar}
+	g := &GP{X: x, Tau2: tau2, Theta: append([]float64(nil), theta...)}
 	// Build Σ = Σ_M (+ Σ_ε) with a tiny jitter for conditioning.
 	sigma := linalg.NewMatrix(r, r)
 	for i := 0; i < r; i++ {

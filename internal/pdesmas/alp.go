@@ -152,9 +152,6 @@ type RangeQuery struct {
 // QueryResult reports a range-query answer.
 type QueryResult struct {
 	Agents []int
-	// Stale counts SSV reads whose writer had not yet advanced to the
-	// query time, so the value was provisional.
-	Stale int
 }
 
 // RunSync answers the query with timestamp-synchronized reads: each
@@ -165,12 +162,9 @@ func (w *World) RunSync(q RangeQuery) (QueryResult, error) {
 		if w.age[agent] <= q.MinAge {
 			continue
 		}
-		v, final, err := w.Tree.ReadAt(q.AskerID, SSVID{Agent: agent, Attr: PosAttr}, q.Time)
+		v, err := w.Tree.ReadAt(q.AskerID, SSVID{Agent: agent, Attr: PosAttr}, q.Time)
 		if err != nil {
 			return res, err
-		}
-		if !final {
-			res.Stale++
 		}
 		if v >= q.Center-q.Radius && v <= q.Center+q.Radius {
 			res.Agents = append(res.Agents, agent)

@@ -62,20 +62,14 @@ func (h *history) write(t, v float64) {
 	h.values[i] = versioned{T: t, V: v}
 }
 
-// at returns the value in effect at time t (the latest write with
-// timestamp ≤ t) and whether the history extends to t (i.e. the writer
-// has advanced at least to t, so the value is final rather than an
-// estimate).
-func (h *history) at(t float64) (v float64, ok, final bool) {
-	n := len(h.values)
-	if n == 0 {
-		return 0, false, false
-	}
-	i := sort.Search(n, func(k int) bool { return h.values[k].T > t })
+// at returns the value in effect at time t: the latest write with
+// timestamp ≤ t.
+func (h *history) at(t float64) (v float64, ok bool) {
+	i := sort.Search(len(h.values), func(k int) bool { return h.values[k].T > t })
 	if i == 0 {
-		return 0, false, false
+		return 0, false
 	}
-	return h.values[i-1].V, true, h.values[n-1].T >= t
+	return h.values[i-1].V, true
 }
 
 // latest returns the most recent value regardless of timestamp.
@@ -89,7 +83,6 @@ func (h *history) latest() (float64, bool) {
 // clp is one communication logical process: a node of the CLP tree
 // holding a shard of the SSVs.
 type clp struct {
-	id       int
 	parent   *clp
 	children []*clp
 	ssvs     map[SSVID]*history
@@ -98,8 +91,8 @@ type clp struct {
 	access map[SSVID]map[int]int
 }
 
-func newCLP(id int) *clp {
-	return &clp{id: id, ssvs: make(map[SSVID]*history), access: make(map[SSVID]map[int]int)}
+func newCLP() *clp {
+	return &clp{ssvs: make(map[SSVID]*history), access: make(map[SSVID]map[int]int)}
 }
 
 // recordAccess bumps the per-SSV, per-ALP access counter.
@@ -115,7 +108,6 @@ func (c *clp) recordAccess(id SSVID, alpID int) {
 // Tree is the CLP tree. Leaves host ALPs; SSVs live at exactly one CLP
 // and may migrate.
 type Tree struct {
-	root   *clp
 	leaves []*clp
 	nodes  []*clp
 	// home maps each SSV to the CLP currently holding it.
@@ -134,10 +126,8 @@ func NewTree(leaves int) (*Tree, error) {
 		return nil, fmt.Errorf("%w: %d leaves", ErrBadTree, leaves)
 	}
 	t := &Tree{home: make(map[SSVID]*clp), alpLeaf: make(map[int]*clp)}
-	next := 0
 	mk := func() *clp {
-		c := newCLP(next)
-		next++
+		c := newCLP()
 		t.nodes = append(t.nodes, c)
 		return c
 	}
@@ -161,7 +151,6 @@ func NewTree(leaves int) (*Tree, error) {
 		}
 		level = up
 	}
-	t.root = level[0]
 	return t, nil
 }
 
@@ -236,24 +225,23 @@ func (t *Tree) Write(alpID int, id SSVID, time, value float64) error {
 }
 
 // ReadAt reads the SSV value in effect at the given time on behalf of
-// an ALP, recording access statistics and routing hops. final reports
-// whether the writer has already advanced past the read time.
-func (t *Tree) ReadAt(alpID int, id SSVID, time float64) (v float64, final bool, err error) {
+// an ALP, recording access statistics and routing hops.
+func (t *Tree) ReadAt(alpID int, id SSVID, time float64) (float64, error) {
 	src, ok := t.alpLeaf[alpID]
 	if !ok {
-		return 0, false, fmt.Errorf("%w: %d", ErrNoALP, alpID)
+		return 0, fmt.Errorf("%w: %d", ErrNoALP, alpID)
 	}
 	c, err := t.homeFor(id, false)
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	t.Hops += hopDistance(src, c)
 	c.recordAccess(id, alpID)
-	val, ok, fin := c.ssvs[id].at(time)
+	val, ok := c.ssvs[id].at(time)
 	if !ok {
-		return 0, false, fmt.Errorf("%w: %v has no value at t=%g", ErrNoSSV, id, time)
+		return 0, fmt.Errorf("%w: %v has no value at t=%g", ErrNoSSV, id, time)
 	}
-	return val, fin, nil
+	return val, nil
 }
 
 // ReadLatest reads the most recent SSV value regardless of timestamp —

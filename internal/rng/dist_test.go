@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -113,5 +114,60 @@ func TestSampleN(t *testing.T) {
 	xs := SampleN(d, New(77), 10)
 	if len(xs) != 10 {
 		t.Fatalf("SampleN length = %d", len(xs))
+	}
+}
+
+// TestDrawsMatchTheirCDFs draws n = 10 000 variates of each
+// distribution from a pinned seed and bounds the Kolmogorov–Smirnov
+// distance to the exact CDF by 1.95/√n, the critical value at
+// α = 0.001. Poisson is checked at every integer, once on each side of
+// the λ = 30 switch from Knuth's product method to PTRS.
+func TestDrawsMatchTheirCDFs(t *testing.T) {
+	const n = 10000
+	bound := 1.95 / math.Sqrt(n)
+	for _, c := range []struct {
+		name string
+		draw func(*Stream) float64
+		cdf  func(float64) float64
+	}{
+		{"Normal(2, 3)", func(r *Stream) float64 { return r.Normal(2, 3) }, func(x float64) float64 { return NormalCDF((x - 2) / 3) }},
+		{"Exponential(0.5)", func(r *Stream) float64 { return r.Exponential(0.5) }, func(x float64) float64 { return -math.Expm1(-0.5 * x) }},
+		{"Float64", (*Stream).Float64, func(x float64) float64 { return x }},
+	} {
+		r := New(1)
+		xs := make([]float64, n)
+		for i := range xs {
+			xs[i] = c.draw(r)
+		}
+		slices.Sort(xs)
+		d := 0.0
+		for i, x := range xs {
+			f := c.cdf(x)
+			d = math.Max(d, math.Max(float64(i+1)/n-f, f-float64(i)/n))
+		}
+		if d >= bound {
+			t.Errorf("%s: KS distance %.4f, want < %.4f", c.name, d, bound)
+		}
+	}
+	for _, lambda := range []float64{4, 100} {
+		r := New(1)
+		var counts []int
+		for i := 0; i < n; i++ {
+			k := r.Poisson(lambda)
+			for len(counts) <= k {
+				counts = append(counts, 0)
+			}
+			counts[k]++
+		}
+		d, seen, cdf := 0.0, 0, 0.0
+		for k, c := range counts {
+			lg, _ := math.Lgamma(float64(k + 1))
+			seen += c
+			cdf += math.Exp(float64(k)*math.Log(lambda) - lambda - lg)
+			d = math.Max(d, math.Abs(float64(seen)/n-cdf))
+		}
+		if d >= bound {
+			t.Errorf("Poisson(%g): KS distance %.4f, want < %.4f", lambda, d, bound)
+		}
 	}
 }

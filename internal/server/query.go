@@ -299,7 +299,7 @@ func (s *Server) SQL(ctx context.Context, req SQLRequest) (*SQLResponse, error) 
 		// speaks for all shards.
 		text, data, err := t.shards[0].ExplainSQL(ctx, req.SQL)
 		if err != nil {
-			return nil, badRequestf("%v", err)
+			return nil, sqlError(ctx, err)
 		}
 		s.reg.Counter(MetricExplains).Inc()
 		return &SQLResponse{
@@ -321,17 +321,23 @@ func (s *Server) SQL(ctx context.Context, req SQLRequest) (*SQLResponse, error) 
 		return vec, nil, err
 	})
 	if err != nil {
-		// A parse error or an unknown table or column surfaces here (the
-		// statement is prepared and resolved inside the shard run); report
-		// it as the client's fault. A tenant spec that fails to realize
-		// (mcdb.ErrBadSpec) is the server's: it passes through as a 500.
-		if _, ok := err.(*StatusError); !ok && ctx.Err() == nil && !errors.Is(err, mcdb.ErrBadSpec) {
-			err = badRequestf("%v", err)
-		}
-		return nil, err
+		return nil, sqlError(ctx, err)
 	}
 	s.reg.Counter(MetricSQL).Inc()
 	return &SQLResponse{QueryResponse: *s.respond(req.Tenant, req.Seed, req.Iterations, req.Offset, req.Limit, entry, cached)}, nil
+}
+
+// sqlError maps an error from explaining or running a statement. A
+// parse error or an unknown table or column surfaces there (the
+// statement is prepared and resolved inside the call); it is the
+// client's fault. A tenant spec that fails to realize (mcdb.ErrBadSpec)
+// is the server's, and a cancelled request is no one's: both pass
+// through.
+func sqlError(ctx context.Context, err error) error {
+	if _, ok := err.(*StatusError); !ok && ctx.Err() == nil && !errors.Is(err, mcdb.ErrBadSpec) {
+		return badRequestf("%v", err)
+	}
+	return err
 }
 
 // results answers key from the cache or computes, summarizes, stores,

@@ -161,7 +161,6 @@ type Server struct {
 // under a name already served, and the result cache must not answer the
 // new one with the old one's samples.
 type tenant struct {
-	name     string
 	gen      uint64
 	db       *mcdb.DB
 	shards   []*mcdb.Session
@@ -261,7 +260,7 @@ func (s *Server) AddTenant(name string, db *mcdb.DB) {
 // Caller holds s.mu.
 func (s *Server) newTenantLocked(name string, db *mcdb.DB) *tenant {
 	s.tenantGen++
-	t := &tenant{name: name, gen: s.tenantGen, db: db, shards: make([]*mcdb.Session, s.cfg.Shards)}
+	t := &tenant{gen: s.tenantGen, db: db, shards: make([]*mcdb.Session, s.cfg.Shards)}
 	for i := range t.shards {
 		t.shards[i] = db.NewSession()
 	}

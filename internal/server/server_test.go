@@ -740,21 +740,23 @@ func TestBrokenSpecIs500(t *testing.T) {
 		}
 		s.AddTenant(name, broken)
 		for _, tc := range []struct {
-			path string
-			req  any
-			want int
+			path   string
+			req    any
+			want   int
+			misses int64 // EXPLAIN runs nothing, so it misses no cache
 		}{
-			{"/v1/sql", SQLRequest{Tenant: name, SQL: "SELECT AVG(sbp) FROM sbp_data", Iterations: 5, Seed: 3}, 500},
-			{"/v1/query", QueryRequest{Tenant: name, Table: "sbp_data", Col: "sbp", Fn: "avg", Iterations: 5, Seed: 3}, 500},
-			{"/v1/sql", SQLRequest{Tenant: "acme", SQL: "SELECT AVG(x) FROM nope", Iterations: 5, Seed: 3}, 400},
+			{"/v1/sql", SQLRequest{Tenant: name, SQL: "SELECT AVG(sbp) FROM sbp_data", Iterations: 5, Seed: 3}, 500, 1},
+			{"/v1/sql", SQLRequest{Tenant: name, SQL: "SELECT AVG(sbp) FROM sbp_data", Explain: true}, 500, 0},
+			{"/v1/query", QueryRequest{Tenant: name, Table: "sbp_data", Col: "sbp", Fn: "avg", Iterations: 5, Seed: 3}, 500, 1},
+			{"/v1/sql", SQLRequest{Tenant: "acme", SQL: "SELECT AVG(x) FROM nope", Iterations: 5, Seed: 3}, 400, 1},
 		} {
 			misses := s.reg.Counter(MetricCacheMisses).Value()
 			resp, httpResp := post[QueryResponse](t, ts.URL+tc.path, tc.req)
 			if resp != nil || httpResp.StatusCode != tc.want {
 				t.Fatalf("%s %s %+v: status %d, want %d", name, tc.path, tc.req, httpResp.StatusCode, tc.want)
 			}
-			if got := s.reg.Counter(MetricCacheMisses).Value() - misses; got != 1 {
-				t.Fatalf("%s %s: %d cache misses counted, want 1", name, tc.path, got)
+			if got := s.reg.Counter(MetricCacheMisses).Value() - misses; got != tc.misses {
+				t.Fatalf("%s %s: %d cache misses counted, want %d", name, tc.path, got, tc.misses)
 			}
 			if n := s.cache.Len(); n != 0 {
 				t.Fatalf("%s %s: failed run left %d cached entries", name, tc.path, n)

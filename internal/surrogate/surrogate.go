@@ -56,12 +56,8 @@ func (p *Problem) validate() error {
 // Result reports a surrogate optimization run.
 type Result struct {
 	X []float64
-	// F is the replication-averaged objective at X.
-	F float64
 	// Evals counts objective invocations (replications included).
 	Evals int
-	// Iterations is the number of refit-and-probe rounds performed.
-	Iterations int
 }
 
 // point is one evaluated design point.
@@ -175,7 +171,6 @@ func (p *Problem) Minimize(design [][]float64, gridPer, iters int) (Result, erro
 			return Result{}, err
 		}
 		pts = append(pts, pt)
-		res.Iterations++
 	}
 
 	// Best evaluated point wins.
@@ -186,6 +181,5 @@ func (p *Problem) Minimize(design [][]float64, gridPer, iters int) (Result, erro
 		}
 	}
 	res.X = pts[bi].x
-	res.F = pts[bi].mean
 	return res, nil
 }
