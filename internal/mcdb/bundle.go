@@ -110,9 +110,7 @@ func bundleSpec(ctx context.Context, spec *TableSpec, outers, params []engine.Ro
 // supply the deterministic attributes. A custom OutputRow is called for
 // every draw, over a reused view of the realization, and the row
 // length and the uncertain columns' numeric type are checked on every
-// draw. Full realization calls it for every tuple; delta
-// re-realization for the tuples a change affects, on a copy of spec
-// carrying the changed VG, with the changed parameter query's row.
+// draw.
 func sampleTuple(spec *TableSpec, cols vgCols, outer, params engine.Row, tr *rng.Stream, iters int) (engine.Row, [][]float64, error) {
 	unc := vgBuffer(len(spec.UncertainCols), iters)
 	out := make([][]float64, spec.VG.Width)

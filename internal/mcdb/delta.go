@@ -1,77 +1,65 @@
 package mcdb
 
-// Lineage-driven delta re-realization. A what-if experiment — "re-run
-// this query with a revised VG function for one customer segment" —
-// does not need to pay for a full Monte Carlo run: the baseline bundle
+// Lineage-driven delta execution. A what-if experiment — "re-run
+// this query with one customer segment's demand scaled by 1.1" — does
+// not need to pay for a full Monte Carlo run: the baseline bundle
 // realization already records, per tuple and per iteration, every value
-// the query could read. ExecDelta re-samples only the tuples the change
-// touches (on the exact substreams the full realization would hand
-// them, so the merged bundle is bit-identical to a from-scratch
-// realization of the changed database), then compares old and new
-// bundles to find the iterations whose samples can differ. Clean
-// iterations reuse the baseline sample verbatim; only dirty ones are
-// re-aggregated. The dirtiness test is a value comparison restricted to
-// the query's lineage — the tuples that pass WhereDet — which is the
-// same per-iteration provenance ExecLineage reports.
+// the query could read. ExecDelta maps the realized values of only the
+// tuples the change touches, then compares old and new bundles to find
+// the iterations whose samples can differ. Clean iterations reuse the
+// baseline sample verbatim; only dirty ones are re-aggregated. The
+// dirtiness test is a value comparison restricted to the query's
+// lineage — the tuples that pass WhereDet — which is the same
+// per-iteration provenance ExecLineage reports.
 
 import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"modeldata/internal/engine"
 	"modeldata/internal/obs"
 	"modeldata/internal/parallel"
-	"modeldata/internal/rng"
 )
 
 // Metric names reported by delta execution into the per-run registry.
 const (
 	// MetricDeltaItersSkipped counts Monte Carlo iterations whose
 	// samples ExecDelta reused from the baseline bundles instead of
-	// recomputing — the saving of delta re-realization.
+	// recomputing — the saving of delta execution.
 	MetricDeltaItersSkipped = "mcdb.delta_iters_skipped"
-	// MetricDeltaTuplesRerealized counts tuples re-sampled under the
-	// changed specification, or re-mapped by a MapUnc — which skips the
-	// ones the query's WhereDet rejects.
+	// MetricDeltaTuplesRerealized counts tuples whose realized values a
+	// delta's MapUnc re-mapped — which skips the ones the query's
+	// WhereDet rejects.
 	MetricDeltaTuplesRerealized = "mcdb.delta_tuples_rerealized"
 )
 
 // Delta describes a hypothetical change to one stochastic table: a
-// replacement VG function and/or parameter query for the tuples Where
-// selects, or — when both are nil — a MapUnc transform applied directly
-// to the realized uncertain values (no VG calls at all, the cheapest
-// what-if). Exactly the spec fields named here change; everything else
-// (schema, FOR EACH loop, output assembly) is taken from the registered
-// TableSpec.
+// MapUnc transform applied to the realized uncertain values of the
+// tuples Where selects. No VG is called and no stream is drawn, so the
+// changed world is the baseline realization with those values mapped.
 type Delta struct {
 	// Table names the stochastic table the change applies to.
 	Table string
-	// VG, when its Draw is non-nil, replaces the spec's VG function.
-	VG VG
-	// Params, when non-nil, replaces the spec's parameter query.
-	Params func(db *engine.Database, outer engine.Row) (engine.Row, error)
 	// Where selects the affected tuples by their deterministic
 	// attributes (uncertain positions hold zero Values). A nil Where
 	// affects every tuple.
 	Where func(det engine.Row) bool
-	// MapUnc, when non-nil, transforms a tuple's realized uncertain
-	// values in place (ordered as the spec's UncertainCols), once per
-	// iteration — e.g. scale a demand column by 1.1. It requires VG and
-	// Params to be nil: it edits realizations instead of re-sampling.
+	// MapUnc transforms a tuple's realized uncertain values in place
+	// (ordered as the spec's UncertainCols), once per iteration — e.g.
+	// scale a demand column by 1.1. It is required.
 	MapUnc func(det engine.Row, unc []float64)
 }
 
 // ExecDelta answers q against the database as modified by d, reusing
 // the baseline bundle realization wherever the change cannot have
 // altered the answer. The returned samples are bit-identical to
-// registering the modified spec in a fresh DB and running Exec with the
-// same options — at any worker count — because affected tuples are
-// re-sampled on the exact per-tuple substreams the full realization
-// derives from (seed, spec order, tuple index). Iterations whose
-// samples were reused are counted under MetricDeltaItersSkipped;
-// re-sampled tuples under MetricDeltaTuplesRerealized.
+// registering a spec whose VG applies d.MapUnc to the tuples d.Where
+// selects in a fresh DB and running Exec with the same options — at any
+// worker count — because the changed values are the baseline's, mapped.
+// Iterations whose samples were reused are counted under
+// MetricDeltaItersSkipped; re-mapped tuples under
+// MetricDeltaTuplesRerealized.
 func (s *Session) ExecDelta(ctx context.Context, q AggQuery, opts ExecOptions, d Delta) ([]float64, error) {
 	return s.ExecDeltaRange(ctx, q, opts, d, 0, opts.Iterations)
 }
@@ -84,20 +72,14 @@ func (s *Session) ExecDelta(ctx context.Context, q AggQuery, opts ExecOptions, d
 // consistent counter values; aggregation, baseline and dirty alike, is
 // clipped to the window.
 func (s *Session) ExecDeltaRange(ctx context.Context, q AggQuery, opts ExecOptions, d Delta, lo, hi int) ([]float64, error) {
-	spec, _, err := s.db.checkQuery(q, opts, lo, hi, true)
-	if err != nil {
+	if _, _, err := s.db.checkQuery(q, opts, lo, hi, true); err != nil {
 		return nil, err
 	}
 	if _, err := s.db.Spec(d.Table); err != nil {
 		return nil, err
 	}
-	if d.MapUnc != nil && (d.VG.Draw != nil || d.Params != nil) {
-		return nil, fmt.Errorf("%w: delta MapUnc cannot combine with a VG or Params change", ErrBadSpec)
-	}
-	if d.VG.Draw != nil {
-		if err := d.VG.check(d.Table); err != nil {
-			return nil, err
-		}
+	if d.MapUnc == nil {
+		return nil, fmt.Errorf("%w: delta on %q has no MapUnc", ErrBadQuery, d.Table)
 	}
 
 	ctx, span := obs.Start(ctx, "mcdb.exec_delta")
@@ -123,23 +105,19 @@ func (s *Session) ExecDeltaRange(ctx context.Context, q AggQuery, opts ExecOptio
 
 	// A MapUnc never changes Det, so a tuple q.WhereDet rejects stays
 	// out of the query's sight in the changed world too: it can neither
-	// dirty an iteration (markDirty) nor reach an aggregate (the
-	// kernel's WhereDet test), and is not re-mapped.
-	hidden := func(det engine.Row) bool { return d.MapUnc != nil && q.WhereDet != nil && !q.WhereDet(det) }
+	// dirty an iteration nor reach an aggregate (the kernel's WhereDet
+	// test), and is not re-mapped.
 	affected := make([]int, 0, len(oldBt.Det))
 	for ti, det := range oldBt.Det {
-		if (d.Where == nil || d.Where(det)) && !hidden(det) {
+		if (d.Where == nil || d.Where(det)) && (q.WhereDet == nil || q.WhereDet(det)) {
 			affected = append(affected, ti)
 		}
 	}
-	newBt, detChanged, err := s.rerealize(ctx, spec, oldBt, d, affected, opts)
-	if err != nil {
-		return nil, err
-	}
+	newBt := mapBundle(oldBt, d.MapUnc, affected)
 	reg.Counter(MetricDeltaTuplesRerealized).Add(int64(len(affected)))
 	span.SetInt("tuples_rerealized", int64(len(affected)))
 
-	dirty, dirtyCount := markDirty(q, oldBt, newBt, affected, detChanged, opts.Iterations)
+	dirty, dirtyCount := markDirty(oldBt, newBt, affected)
 	skipped := opts.Iterations - dirtyCount
 	reg.Counter(MetricDeltaItersSkipped).Add(int64(skipped))
 	span.SetInt("iters_skipped", int64(skipped))
@@ -166,129 +144,52 @@ func (s *Session) ExecDeltaRange(ctx context.Context, q AggQuery, opts ExecOptio
 	return window(out, lo, hi), nil
 }
 
-// rerealize builds the changed-world bundle for one spec: unaffected
-// tuples share the baseline's Det rows and Unc arrays, affected tuples
-// are re-sampled (or value-transformed for a MapUnc delta). The second
-// result marks, per affected tuple, whether its deterministic
-// attributes changed — which forces every iteration dirty, because
-// WhereDet membership may differ. Re-sampled tuples read the session's
-// outer rows and, unless d changes the parameter query, its resolved
-// parameter rows: the ones the baseline bundle was realized from.
-func (s *Session) rerealize(ctx context.Context, spec *TableSpec, old *BundleTable, d Delta, affected []int, opts ExecOptions) (*BundleTable, []bool, error) {
+// mapBundle builds the changed-world bundle for one table: unaffected
+// tuples share the baseline's Det rows and Unc arrays; each affected
+// tuple gets copies of its realized arrays with mapUnc applied once per
+// iteration. No VG is called and nothing is drawn.
+func mapBundle(old *BundleTable, mapUnc func(det engine.Row, unc []float64), affected []int) *BundleTable {
 	nb := &BundleTable{
 		Name:          old.Name,
 		Schema:        old.Schema.Clone(),
 		Iters:         old.Iters,
 		UncertainCols: append([]int(nil), old.UncertainCols...),
-		Det:           append([]engine.Row(nil), old.Det...),
+		Det:           old.Det,
 		Unc:           append([][][]float64(nil), old.Unc...),
 	}
-	detChanged := make([]bool, len(affected))
-	if len(affected) == 0 {
-		return nb, detChanged, nil
-	}
-	if d.MapUnc != nil {
-		// Value transform: no VG calls, no randomness — edit copies of
-		// the affected tuples' realized arrays in place.
-		uncBuf := make([]float64, len(nb.UncertainCols))
-		for _, ti := range affected {
-			src := old.Unc[ti]
-			unc := make([][]float64, len(src))
-			for k := range src {
-				unc[k] = append([]float64(nil), src[k]...)
-			}
-			for it := 0; it < nb.Iters; it++ {
-				for k := range uncBuf {
-					uncBuf[k] = unc[k][it]
-				}
-				d.MapUnc(old.Det[ti], uncBuf)
-				for k := range uncBuf {
-					unc[k][it] = uncBuf[k]
-				}
-			}
-			nb.Unc[ti] = unc
+	uncBuf := make([]float64, len(nb.UncertainCols))
+	for _, ti := range affected {
+		src := old.Unc[ti]
+		unc := make([][]float64, len(src))
+		for k := range src {
+			unc[k] = append([]float64(nil), src[k]...)
 		}
-		return nb, detChanged, nil
-	}
-	// VG or Params changed: re-sample the affected tuples on the exact
-	// substreams the full realization derives — seed → one Split per
-	// spec in registration order (instancer.bundled) → one SplitN child
-	// per tuple in tuple order (parallel.ForStreams inside bundleSpec) —
-	// so the merged bundle is bit-identical to realizing the changed
-	// database from scratch.
-	in, err := s.instancer(ctx)
-	if err != nil {
-		return nil, nil, err
-	}
-	si := slices.Index(s.db.specs, spec)
-	outers, params := in.outers[si], in.params[si]
-	subs := specStream(opts.Seed, si).SplitN(len(outers))
-	changed := *spec
-	if d.VG.Draw != nil {
-		changed.VG = d.VG
-	}
-	if d.Params != nil {
-		changed.Params = d.Params
-	}
-	cols, err := changed.layout(outers)
-	if err != nil {
-		return nil, nil, err
-	}
-	err = parallel.For(ctx, len(affected), parallel.Options{Workers: opts.Workers}, func(j int) error {
-		ti := affected[j]
-		p := params[ti]
-		if d.Params != nil {
-			var err error
-			if p, err = s.db.vgParams(&changed, outers[ti]); err != nil {
-				return err
+		for it := 0; it < nb.Iters; it++ {
+			for k := range uncBuf {
+				uncBuf[k] = unc[k][it]
+			}
+			mapUnc(old.Det[ti], uncBuf)
+			for k := range uncBuf {
+				unc[k][it] = uncBuf[k]
 			}
 		}
-		tr := *subs[ti] // pristine copy, as parallel.ForStreams hands bundleSpec
-		det, unc, err := sampleTuple(&changed, cols, outers[ti], p, &tr, nb.Iters)
-		if err != nil {
-			return err
-		}
-		nb.Det[ti], nb.Unc[ti] = det, unc
-		detChanged[j] = !slices.Equal(det, old.Det[ti])
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
+		nb.Unc[ti] = unc
 	}
-	return nb, detChanged, nil
-}
-
-// specStream replays the split trajectory of instancer.bundled up to
-// spec si, returning the exact stream bundleSpec received for it.
-func specStream(seed uint64, si int) *rng.Stream {
-	r := rng.New(seed)
-	st := r.Split()
-	for range si {
-		st = r.Split()
-	}
-	return st
+	return nb
 }
 
 // markDirty finds the iterations whose samples can differ between the
-// baseline and changed bundles — those where some query-relevant
-// affected tuple carries different uncertain values — as ascending runs
-// plus their total count. Bitwise equality decides reuse: if every
-// value an iteration can read is unchanged, the aggregate (accumulated
-// in the same tuple order) is unchanged too. A deterministic-attribute
-// change forces every iteration dirty, since the tuple's WhereDet
-// membership itself may have flipped.
-func markDirty(q AggQuery, old, nb *BundleTable, affected []int, detChanged []bool, iters int) ([]iterRun, int) {
-	dirty := make([]bool, iters)
+// baseline and changed bundles — those where some affected tuple
+// carries different uncertain values — as ascending runs plus their
+// total count. Bitwise equality decides reuse: if every value an
+// iteration can read is unchanged, the aggregate (accumulated in the
+// same tuple order) is unchanged too.
+func markDirty(old, nb *BundleTable, affected []int) ([]iterRun, int) {
+	dirty := make([]bool, old.Iters)
 	count := 0
-	for idx, ti := range affected {
-		if q.WhereDet != nil && !q.WhereDet(old.Det[ti]) && !q.WhereDet(nb.Det[ti]) {
-			continue // the query never sees this tuple, old world or new
-		}
-		if detChanged[idx] {
-			return []iterRun{{0, iters}}, iters
-		}
+	for _, ti := range affected {
 		ou, nu := old.Unc[ti], nb.Unc[ti]
-		for it := 0; it < iters; it++ {
+		for it := range dirty {
 			if dirty[it] {
 				continue
 			}

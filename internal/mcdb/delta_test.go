@@ -16,16 +16,20 @@ import (
 // as a Delta against the baseline session and as a from-scratch spec in
 // a second database. ExecDelta must match the second bit-for-bit.
 type deltaWorld struct {
-	kind      int // 0 VG, 1 Params, 2 MapUnc, 3 other-table
+	kind      int // 0 cap, 1 shift, 2 other-table
 	targetGrp int64
 }
 
 const (
-	deltaKindVG = iota
-	deltaKindParams
-	deltaKindMapUnc
+	deltaKindCap = iota
+	deltaKindShift
 	deltaKindOther
 )
+
+// deltaShift is the shift world's change: every realized value of the
+// target group moves up by it, so every iteration a group member can
+// reach is dirty.
+const deltaShift = 5
 
 // buildDeltaDB constructs the items/obs fixture: a deterministic items
 // table (id, grp, base) and a stochastic obs table (id, grp, val) whose
@@ -51,28 +55,15 @@ func buildDeltaDB(t *testing.T, nItems, nGrps int, w deltaWorld, changed bool) *
 		return nil
 	}
 	obsVG := drawEach(1, baseDraw)
-	var obsParams func(db *engine.Database, outer engine.Row) (engine.Row, error)
-	if changed {
-		switch w.kind {
-		case deltaKindVG:
-			obsVG = drawEach(1, func(params engine.Row, r *rng.Stream, vals []float64) error {
-				if params[1].AsInt() != w.targetGrp {
-					return baseDraw(params, r, vals)
-				}
-				vals[0] = params[2].AsFloat()*1.3 + r.Normal(0, 2)
-				return nil
-			})
-		case deltaKindParams:
-			obsParams = deltaShiftParams(w.targetGrp)
-		case deltaKindMapUnc:
-			obsVG = drawEach(1, func(params engine.Row, r *rng.Stream, vals []float64) error {
-				err := baseDraw(params, r, vals)
-				if err == nil && params[1].AsInt() == w.targetGrp {
-					vals[0] = math.Min(vals[0], deltaCapFor(params))
-				}
-				return err
-			})
-		}
+	if changed && w.kind != deltaKindOther {
+		m := deltaFor(w)
+		obsVG = drawEach(1, func(params engine.Row, r *rng.Stream, vals []float64) error {
+			err := baseDraw(params, r, vals)
+			if err == nil && m.Where(params) {
+				m.MapUnc(params, vals)
+			}
+			return err
+		})
 	}
 	spec := &TableSpec{
 		Name: "obs",
@@ -83,7 +74,6 @@ func buildDeltaDB(t *testing.T, nItems, nGrps int, w deltaWorld, changed bool) *
 			{Name: "val", Type: engine.TypeFloat},
 		},
 		ForEach: "items",
-		Params:  obsParams,
 		VG:      obsVG,
 		OutputRow: func(outer engine.Row, vgOut []engine.Value) engine.Row {
 			// base rides along deterministically so MapUnc deltas can
@@ -98,14 +88,11 @@ func buildDeltaDB(t *testing.T, nItems, nGrps int, w deltaWorld, changed bool) *
 
 	obs2VG := drawEach(1, func(params engine.Row, r *rng.Stream, vals []float64) error {
 		vals[0] = 100 + r.Normal(0, 3)
+		if changed && w.kind == deltaKindOther {
+			deltaFor(w).MapUnc(params, vals)
+		}
 		return nil
 	})
-	if changed && w.kind == deltaKindOther {
-		obs2VG = drawEach(1, func(params engine.Row, r *rng.Stream, vals []float64) error {
-			vals[0] = 200 + r.Normal(0, 9)
-			return nil
-		})
-	}
 	spec2 := &TableSpec{
 		Name: "obs2",
 		Schema: engine.Schema{
@@ -125,43 +112,23 @@ func buildDeltaDB(t *testing.T, nItems, nGrps int, w deltaWorld, changed bool) *
 	return db
 }
 
-// deltaShiftParams is the Params-change hypothesis: the target group's
-// base parameter shifts by +5. Off-target rows pass through unchanged,
-// so the delta's affected set (Where grp == target) covers exactly the
-// rows whose realization can differ.
-func deltaShiftParams(targetGrp int64) func(db *engine.Database, outer engine.Row) (engine.Row, error) {
-	return func(db *engine.Database, outer engine.Row) (engine.Row, error) {
-		if outer[1].AsInt() != targetGrp {
-			return outer, nil
-		}
-		return engine.Row{outer[0], outer[1], engine.Float(outer[2].AsFloat() + 5)}, nil
-	}
-}
-
-// deltaCapFor is the MapUnc-change hypothesis: cap the realized value
-// at base + 1 for the target group.
-func deltaCapFor(det engine.Row) float64 { return det[2].AsFloat() + 1 }
-
-// deltaFor renders the world as the Delta ExecDelta receives.
+// deltaFor renders the world as the Delta ExecDelta receives. Its Where
+// and MapUnc read only the det positions the items row shares with an
+// obs row (grp, base), so the changed spec applies them to the VG's
+// parameter row — the items row — as the realized-world transform.
 func deltaFor(w deltaWorld) Delta {
 	whereGrp := func(det engine.Row) bool { return det[1].AsInt() == w.targetGrp }
 	switch w.kind {
-	case deltaKindVG:
-		return Delta{Table: "obs", Where: whereGrp, VG: drawEach(1, func(params engine.Row, r *rng.Stream, vals []float64) error {
-			vals[0] = params[2].AsFloat()*1.3 + r.Normal(0, 2)
-			return nil
-		})}
-	case deltaKindParams:
-		return Delta{Table: "obs", Where: whereGrp, Params: deltaShiftParams(w.targetGrp)}
-	case deltaKindMapUnc:
+	case deltaKindCap:
+		// Cap the realized value at base + 1: it binds in some
+		// iterations only, so the others are reused.
 		return Delta{Table: "obs", Where: whereGrp, MapUnc: func(det engine.Row, unc []float64) {
-			unc[0] = math.Min(unc[0], deltaCapFor(det))
+			unc[0] = math.Min(unc[0], det[2].AsFloat()+1)
 		}}
+	case deltaKindShift:
+		return Delta{Table: "obs", Where: whereGrp, MapUnc: func(det engine.Row, unc []float64) { unc[0] += deltaShift }}
 	default:
-		return Delta{Table: "obs2", VG: drawEach(1, func(params engine.Row, r *rng.Stream, vals []float64) error {
-			vals[0] = 200 + r.Normal(0, 9)
-			return nil
-		})}
+		return Delta{Table: "obs2", MapUnc: func(det engine.Row, unc []float64) { unc[0] = 2*unc[0] - 100 }}
 	}
 }
 
@@ -178,8 +145,8 @@ func requireSameSamples(t *testing.T, name string, want, got []float64) {
 }
 
 // TestExecDeltaRandomizedEquivalence is the delta-equivalence suite: 40
-// generated pipelines, each mutating one VG function, parameter query,
-// realized-value transform, or unrelated table, executed as ExecDelta
+// generated pipelines, each capping or shifting one group's realized
+// values or transforming an unrelated table's, executed as ExecDelta
 // against the baseline session and as a fresh full Exec of the changed
 // database. The two must agree bit-for-bit at every worker count, and
 // disjoint ExecDeltaRange windows must concatenate to the full run —
@@ -196,7 +163,7 @@ func TestExecDeltaRandomizedEquivalence(t *testing.T) {
 		nGrps := 2 + gen.Intn(3)
 		iters := 8 + gen.Intn(49)
 		seed := gen.Uint64()
-		w := deltaWorld{kind: gen.Intn(4), targetGrp: int64(gen.Intn(nGrps))}
+		w := deltaWorld{kind: gen.Intn(3), targetGrp: int64(gen.Intn(nGrps))}
 
 		q := AggQuery{Table: "obs", Col: "val"}
 		var forms []AggQuery // q in other forms that must give q's bits
@@ -297,7 +264,7 @@ func TestExecDeltaRandomizedEquivalence(t *testing.T) {
 // (TestExecEquivalenceTable pins the same convention per instance.)
 func TestExecDeltaEmptyAVGConvention(t *testing.T) {
 	ctx := context.Background()
-	w := deltaWorld{kind: deltaKindVG, targetGrp: 1}
+	w := deltaWorld{kind: deltaKindShift, targetGrp: 1}
 	db1 := buildDeltaDB(t, 5, 2, w, false)
 	db2 := buildDeltaDB(t, 5, 2, w, true)
 	opts := ExecOptions{Iterations: 80, Seed: 7}
@@ -384,7 +351,7 @@ func TestExecDeltaOtherTableSkipsEverything(t *testing.T) {
 // the changed world, which also must contain dirty iterations for the
 // test to mean anything.
 func TestExecDeltaMapUncSkipsCleanIterations(t *testing.T) {
-	w := deltaWorld{kind: deltaKindMapUnc, targetGrp: 0}
+	w := deltaWorld{kind: deltaKindCap, targetGrp: 0}
 	db1 := buildDeltaDB(t, 6, 3, w, false)
 	db2 := buildDeltaDB(t, 6, 3, w, true)
 	s := db1.NewSession()
@@ -422,21 +389,19 @@ func TestExecDeltaValidation(t *testing.T) {
 	q := AggQuery{Table: "obs", Col: "val", Fn: engine.AggAvg}
 	good := ExecOptions{Iterations: 5, Seed: 1}
 
+	noop := func(det engine.Row, unc []float64) {}
 	cases := []struct {
 		name string
-		q    AggQuery
-		opts ExecOptions
 		d    Delta
+		want error
 	}{
-		{"no table", q, good, Delta{}},
-		{"unknown table", q, good, Delta{Table: "nope"}},
-		{"mapunc plus vg", q, good, Delta{Table: "obs",
-			MapUnc: func(det engine.Row, unc []float64) {},
-			VG:     VG{Width: 1, Draw: func(engine.Row, *rng.Stream, [][]float64) error { return nil }}}},
+		{"no table", Delta{MapUnc: noop}, ErrNoSpec},
+		{"unknown table", Delta{Table: "nope", MapUnc: noop}, ErrNoSpec},
+		{"nil MapUnc", Delta{Table: "obs"}, ErrBadQuery},
 	}
 	for _, tc := range cases {
-		if _, err := s.ExecDelta(ctx, tc.q, tc.opts, tc.d); err == nil {
-			t.Errorf("%s: expected error", tc.name)
+		if _, err := s.ExecDelta(ctx, q, good, tc.d); !errors.Is(err, tc.want) {
+			t.Errorf("%s: got %v, want %v", tc.name, err, tc.want)
 		}
 	}
 
@@ -469,7 +434,7 @@ func TestExecDeltaValidation(t *testing.T) {
 		}
 		_, err := s.ExecRange(ctx, tc.q, tc.opts, tc.lo, tc.hi)
 		check("ExecRange", err)
-		_, err = s.ExecDeltaRange(ctx, tc.q, tc.opts, Delta{Table: "obs"}, tc.lo, tc.hi)
+		_, err = s.ExecDeltaRange(ctx, tc.q, tc.opts, Delta{Table: "obs", MapUnc: noop}, tc.lo, tc.hi)
 		check("ExecDeltaRange", err)
 		if tc.lo == 0 { // ExecLineage takes no window
 			_, err = s.ExecLineage(ctx, tc.q, tc.opts)

@@ -125,8 +125,7 @@ func TestPerInstanceMatchesMonteCarlo(t *testing.T) {
 // TestParamsResolvedOncePerSession: a Session resolves the parameter
 // query once per outer tuple for its whole life, whichever of its routes
 // comes first and however many runs follow; a fresh Session resolves it
-// again; a Delta.Params what-if runs its own query once per affected
-// tuple; and MonteCarlo — E1's baseline, naive by construction —
+// again; and MonteCarlo — E1's baseline, naive by construction —
 // resolves it per iteration.
 func TestParamsResolvedOncePerSession(t *testing.T) {
 	const tuples, iters = 7, 6
@@ -174,20 +173,6 @@ func TestParamsResolvedOncePerSession(t *testing.T) {
 				t.Fatalf("%s: %s ran Params %d times over two seeds of every route, want once per tuple (%d)", tc.name, session, got, tuples)
 			}
 		}
-	}
-
-	s := bundled.NewSession()
-	opts := ExecOptions{Iterations: iters, Seed: 3, Workers: 2}
-	if err := exec(s, opts); err != nil {
-		t.Fatal(err)
-	}
-	calls.Store(0)
-	firstThree := Delta{Table: "t", Params: counted, Where: func(det engine.Row) bool { return det[0].AsInt() < 3 }}
-	if _, err := s.ExecDelta(ctx, agg, opts, firstThree); err != nil {
-		t.Fatal(err)
-	}
-	if got := calls.Swap(0); got != 3 {
-		t.Fatalf("a Params what-if over 3 tuples ran Params %d times, want 3", got)
 	}
 
 	p, err := engine.Prepare(sql)

@@ -226,20 +226,12 @@ func vgBuffer(width, n int) [][]float64 {
 	return out
 }
 
-// check reports a VG that cannot draw.
-func (vg VG) check(name string) error {
-	if vg.Draw == nil || vg.Width < 1 {
-		return fmt.Errorf("%w: %q needs a VG function drawing at least one value, got width %d", ErrBadSpec, name, vg.Width)
-	}
-	return nil
-}
-
 func (s *TableSpec) validate() error {
 	if s.Name == "" {
 		return fmt.Errorf("%w: a stochastic table needs a name", ErrBadSpec)
 	}
-	if err := s.VG.check(s.Name); err != nil {
-		return err
+	if s.VG.Draw == nil || s.VG.Width < 1 {
+		return fmt.Errorf("%w: %q needs a VG function drawing at least one value, got width %d", ErrBadSpec, s.Name, s.VG.Width)
 	}
 	if err := s.Schema.Validate(); err != nil {
 		return err

@@ -343,13 +343,6 @@ func TestVGCellsFollowSchema(t *testing.T) {
 			}
 		}
 	}
-
-	// A delta's VG goes through the same rule when tuples re-sample.
-	_, err = build(idWN, constVG(3), []int{2}).NewSession().ExecDelta(ctx, AggQuery{Table: "t", Col: "n", Fn: engine.AggSum},
-		ExecOptions{Iterations: 4, Seed: 1}, Delta{Table: "t", VG: constVG(2.5)})
-	if !errors.Is(err, engine.ErrTypeClash) || !errors.Is(err, ErrBadSpec) {
-		t.Fatalf("ExecDelta: got %v, want ErrTypeClash in ErrBadSpec", err)
-	}
 }
 
 // TestDrawsPerTuple: the bundle executor calls a VG's Draw once per

@@ -812,7 +812,7 @@ func bytesPerRun(runs int, f func()) float64 {
 // iteration.
 func TestWhatIfSkipsTuplesTheQueryCannotSee(t *testing.T) {
 	const items, grps = 300, 3
-	w := deltaWorld{kind: deltaKindMapUnc, targetGrp: 0}
+	w := deltaWorld{kind: deltaKindCap, targetGrp: 0}
 	q := AggQuery{Table: "obs", Col: "val", Fn: engine.AggSum,
 		WhereDet: func(det engine.Row) bool { return det[1].AsInt() == 1 }}
 	ctx := context.Background()

@@ -59,9 +59,9 @@ type QueryRequest struct {
 	// uncertain columns; cannot be combined with WhatIf.
 	Lineage bool `json:"lineage,omitempty"`
 	// WhatIf, when set, answers the query against a hypothetical
-	// database instead of the base one, via delta re-realization
-	// (mcdb.Session.ExecDelta): only the affected tuples and dirty
-	// iterations are recomputed.
+	// database instead of the base one, by mapping the realized values
+	// of the affected tuples (mcdb.Session.ExecDelta): only dirty
+	// iterations are re-aggregated.
 	WhatIf *WhatIf `json:"whatif,omitempty"`
 }
 

@@ -265,6 +265,17 @@ var retiredTable = []retired{
 			{`out \[\]engine\.Value\) \(\[\]engine\.Value, error\)`, `VG: func(params engine.Row, r *rng.Stream, out []engine.Value) ([]engine.Value, error) {`},
 		},
 	},
+	{
+		name: "A what-if is a value transform", pr: 47,
+		why:   "a delta maps realized values (mcdb.Delta.MapUnc); re-sampling affected tuples under a replaced VG or parameter query was the second way to state a what-if, and it kept a second copy of the bundle stream layout",
+		scope: []string{"internal/mcdb"},
+		tests: true,
+		lines: []offender{
+			{`specStream`, `subs := specStream(opts.Seed, si).SplitN(len(outers))`},
+			{`\bd\.(VG|Params)\b`, `if d.VG.Draw != nil {`},
+			{`detChanged`, `dirty, dirtyCount := markDirty(q, oldBt, newBt, affected, detChanged, opts.Iterations)`},
+		},
+	},
 }
 
 // violations lists what of r is present under root, one message per
