@@ -119,12 +119,12 @@ func TestQueueNoWaitWhenIdle(t *testing.T) {
 	// Arrivals far apart with short services: nobody waits.
 	r := rng.New(2)
 	arrivals := []float64{0, 100, 200, 300}
-	res, err := SimulateQueue(arrivals, rng.UniformDist{Lo: 0.1, Hi: 0.2}, 4, r)
+	wait, err := SimulateQueue(arrivals, rng.UniformDist{Lo: 0.1, Hi: 0.2}, 4, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.AvgWait != 0 {
-		t.Fatalf("res = %+v", res)
+	if wait != 0 {
+		t.Fatalf("avg wait = %g, want 0", wait)
 	}
 }
 
@@ -132,12 +132,12 @@ func TestQueueBackToBackWaits(t *testing.T) {
 	// Two simultaneous arrivals, deterministic 1-unit service: the
 	// second waits exactly 1.
 	r := rng.New(3)
-	res, err := SimulateQueue([]float64{0, 0}, rng.UniformDist{Lo: 1, Hi: 1 + 1e-12}, 2, r)
+	wait, err := SimulateQueue([]float64{0, 0}, rng.UniformDist{Lo: 1, Hi: 1 + 1e-12}, 2, r)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if math.Abs(res.AvgWait-0.5) > 1e-9 {
-		t.Fatalf("avg wait = %g, want 0.5", res.AvgWait)
+	if math.Abs(wait-0.5) > 1e-9 {
+		t.Fatalf("avg wait = %g, want 0.5", wait)
 	}
 }
 
@@ -151,11 +151,11 @@ func TestMM1MeanWaitMatchesTheory(t *testing.T) {
 		arrivals := PoissonArrivals(3000, lambda, r)
 		// Warm-up: measure all 3000 and keep the run mean (steady-state
 		// bias is small over 3000 customers).
-		res, err := SimulateQueue(arrivals, rng.ExponentialDist{Rate: mu}, 3000, r)
+		wait, err := SimulateQueue(arrivals, rng.ExponentialDist{Rate: mu}, 3000, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		waits = append(waits, res.AvgWait)
+		waits = append(waits, wait)
 	}
 	mean := stats.Mean(waits)
 	want := (lambda / mu) / (mu - lambda)
@@ -185,11 +185,11 @@ func TestQueueDeterministic(t *testing.T) {
 	run := func() float64 {
 		r := rng.New(11)
 		arrivals := PoissonArrivals(200, 1, r)
-		res, err := SimulateQueue(arrivals, rng.ExponentialDist{Rate: 1.2}, 100, r)
+		wait, err := SimulateQueue(arrivals, rng.ExponentialDist{Rate: 1.2}, 100, r)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res.AvgWait
+		return wait
 	}
 	if run() != run() {
 		t.Fatal("queue not deterministic")

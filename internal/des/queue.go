@@ -14,27 +14,21 @@ import (
 // ErrNoArrivals is returned when the queue model is run without input.
 var ErrNoArrivals = fmt.Errorf("des: queue needs at least one arrival")
 
-// QueueResult reports one queue simulation.
-type QueueResult struct {
-	// AvgWait is the average time customers spent waiting for service
-	// (excluding service itself) over the first K completions.
-	AvgWait float64
-}
-
 // SimulateQueue runs a single-server FIFO queue over the given arrival
 // times, drawing each service time from service, and returns the
-// average waiting time of the first k customers (or all customers if
-// fewer arrive). Arrival times must be non-decreasing.
-func SimulateQueue(arrivals []float64, service rng.Dist, k int, r *rng.Stream) (QueueResult, error) {
+// average time the first k customers (or all customers if fewer
+// arrive) spent waiting for service, excluding service itself. Arrival
+// times must be non-decreasing.
+func SimulateQueue(arrivals []float64, service rng.Dist, k int, r *rng.Stream) (float64, error) {
 	if len(arrivals) == 0 {
-		return QueueResult{}, ErrNoArrivals
+		return 0, ErrNoArrivals
 	}
 	if k <= 0 || k > len(arrivals) {
 		k = len(arrivals)
 	}
 	for i := 1; i < len(arrivals); i++ {
 		if arrivals[i] < arrivals[i-1] {
-			return QueueResult{}, fmt.Errorf("des: arrivals not sorted at %d", i)
+			return 0, fmt.Errorf("des: arrivals not sorted at %d", i)
 		}
 	}
 	sim := NewSimulator()
@@ -79,16 +73,16 @@ func SimulateQueue(arrivals []float64, service rng.Dist, k int, r *rng.Stream) (
 			}
 			startService(s, at)
 		}); err != nil {
-			return QueueResult{}, err
+			return 0, err
 		}
 	}
 	if err := sim.Run(0); err != nil {
-		return QueueResult{}, err
+		return 0, err
 	}
 	if served == 0 {
-		return QueueResult{}, ErrNoArrivals
+		return 0, ErrNoArrivals
 	}
-	return QueueResult{AvgWait: totalWait / float64(served)}, nil
+	return totalWait / float64(served), nil
 }
 
 // PoissonArrivals draws n exponential inter-arrival gaps at the given

@@ -220,7 +220,7 @@ func runA4(ctx context.Context, seed uint64) (Result, error) {
 		if err := ctx.Err(); err != nil {
 			return Result{}, err
 		}
-		out, err := mkStep(w).Apply(agents, seed)
+		out, err := mkStep(w).Apply(ctx, agents, seed)
 		if err != nil {
 			return Result{}, err
 		}

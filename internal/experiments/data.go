@@ -217,7 +217,7 @@ func runE2(ctx context.Context, seed uint64) (Result, error) {
 		Workers: 8,
 	}
 	t0 := time.Now() //lint:allow rngsource wall-clock timing reported as a measurement, never fed into results
-	next, err := step.Apply(agents, seed)
+	next, err := step.Apply(ctx, agents, seed)
 	if err != nil {
 		return Result{}, err
 	}
@@ -494,16 +494,16 @@ func runE7(ctx context.Context, seed uint64) (Result, error) {
 	}
 	q := pdesmas.RangeQuery{Time: 20, Center: 100, Radius: 40, MinAge: 25, AskerID: 0}
 	truth := w.GroundTruth(q)
-	syncRes, err := w.RunSync(q)
+	syncAgents, err := w.RunSync(q)
 	if err != nil {
 		return Result{}, err
 	}
-	naiveRes, err := w.RunNaive(q)
+	naiveAgents, err := w.RunNaive(q)
 	if err != nil {
 		return Result{}, err
 	}
-	syncErr := pdesmas.SymmetricDiff(syncRes.Agents, truth)
-	naiveErr := pdesmas.SymmetricDiff(naiveRes.Agents, truth)
+	syncErr := pdesmas.SymmetricDiff(syncAgents, truth)
+	naiveErr := pdesmas.SymmetricDiff(naiveAgents, truth)
 
 	// Migration experiment: hops before/after moving hot SSVs.
 	w.Tree.Hops = 0

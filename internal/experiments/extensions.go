@@ -13,6 +13,7 @@ import (
 	"modeldata/internal/indemics"
 	"modeldata/internal/metamodel"
 	"modeldata/internal/rng"
+	"modeldata/internal/stats"
 	"modeldata/internal/surrogate"
 )
 
@@ -254,22 +255,22 @@ func runE17(ctx context.Context, seed uint64) (Result, error) {
 		},
 		M2: func(y1 float64, r *rng.Stream) float64 {
 			arrivals := cache[int(y1)]
-			res, err := des.SimulateQueue(arrivals, rng.ExponentialDist{Rate: mu}, nCustomers, r)
+			wait, err := des.SimulateQueue(arrivals, rng.ExponentialDist{Rate: mu}, nCustomers, r)
 			if err != nil {
 				return math.NaN()
 			}
-			return res.AvgWait
+			return wait
 		},
 		// Generating + transforming + storing 100 arrival times is
 		// assigned 5× the cost of one queue pass (the demand model in
 		// §2.3 is the expensive upstream component).
 		C1: 5, C2: 1,
 	}
-	stats, err := two.PilotEstimate(400, seed)
+	pilot, err := two.PilotEstimate(400, seed)
 	if err != nil {
 		return Result{}, err
 	}
-	astar := composite.OptimalAlpha(stats, 0.02)
+	astar := composite.OptimalAlpha(pilot, 0.02)
 
 	const budget = 1200.0
 	const reps = 300
@@ -287,7 +288,7 @@ func runE17(ctx context.Context, seed uint64) (Result, error) {
 			}
 			thetas[i] = run.Theta
 		}
-		return statsVariance(thetas), nil
+		return stats.Variance(thetas), nil
 	}
 	vStar, err := variance(astar)
 	if err != nil {
@@ -303,8 +304,8 @@ func runE17(ctx context.Context, seed uint64) (Result, error) {
 		Paper: "§2.3: M1 generates customer arrival times; M2 outputs the average waiting time of the first 100 customers; cache and reuse M1 outputs",
 		Shape: "pilot-estimated α* < 1 and the α* estimator has lower budget-constrained variance than α = 1",
 		Rows: []Row{
-			{Name: "pilot V1 (output variance)", Value: stats.V1, Unit: ""},
-			{Name: "pilot V2 (shared-input covariance)", Value: stats.V2, Unit: ""},
+			{Name: "pilot V1 (output variance)", Value: pilot.V1, Unit: ""},
+			{Name: "pilot V2 (shared-input covariance)", Value: pilot.V2, Unit: ""},
 			{Name: "α* from pilot", Value: astar, Unit: ""},
 			{Name: "Var(θ̂) at α*", Value: vStar, Unit: ""},
 			{Name: "Var(θ̂) at α=1 (no caching)", Value: vOne, Unit: ""},
@@ -313,23 +314,4 @@ func runE17(ctx context.Context, seed uint64) (Result, error) {
 	}
 	res.Verdict = astar < 1 && vStar < vOne
 	return res, nil
-}
-
-// statsVariance avoids an import collision with the local variable
-// named stats in runE17.
-func statsVariance(xs []float64) float64 {
-	n := len(xs)
-	if n < 2 {
-		return 0
-	}
-	mean := 0.0
-	for _, x := range xs {
-		mean += x / float64(n)
-	}
-	s := 0.0
-	for _, x := range xs {
-		d := x - mean
-		s += d * d
-	}
-	return s / float64(n-1)
 }

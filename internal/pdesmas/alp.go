@@ -149,50 +149,37 @@ type RangeQuery struct {
 	AskerID int // the ALP issuing the query
 }
 
-// QueryResult reports a range-query answer.
-type QueryResult struct {
-	Agents []int
-}
-
 // RunSync answers the query with timestamp-synchronized reads: each
-// position is the SSV value in effect at the query time.
-func (w *World) RunSync(q RangeQuery) (QueryResult, error) {
-	var res QueryResult
-	for agent := 0; agent < len(w.pos0); agent++ {
-		if w.age[agent] <= q.MinAge {
-			continue
-		}
-		v, err := w.Tree.ReadAt(q.AskerID, SSVID{Agent: agent, Attr: PosAttr}, q.Time)
-		if err != nil {
-			return res, err
-		}
-		if v >= q.Center-q.Radius && v <= q.Center+q.Radius {
-			res.Agents = append(res.Agents, agent)
-		}
-	}
-	sort.Ints(res.Agents)
-	return res, nil
+// position is the SSV value in effect at the query time. It returns
+// the matching agents, ascending.
+func (w *World) RunSync(q RangeQuery) ([]int, error) {
+	return w.runQuery(q, func(id SSVID) (float64, error) { return w.Tree.ReadAt(q.AskerID, id, q.Time) })
 }
 
 // RunNaive answers the query with latest-value reads, ignoring
 // timestamps — correct only if every ALP happens to sit exactly at the
 // query time.
-func (w *World) RunNaive(q RangeQuery) (QueryResult, error) {
-	var res QueryResult
+func (w *World) RunNaive(q RangeQuery) ([]int, error) {
+	return w.runQuery(q, func(id SSVID) (float64, error) { return w.Tree.ReadLatest(q.AskerID, id) })
+}
+
+// runQuery reads the position of every agent older than q.MinAge with
+// read and returns, ascending, those within q's range.
+func (w *World) runQuery(q RangeQuery, read func(SSVID) (float64, error)) ([]int, error) {
+	var agents []int
 	for agent := 0; agent < len(w.pos0); agent++ {
 		if w.age[agent] <= q.MinAge {
 			continue
 		}
-		v, err := w.Tree.ReadLatest(q.AskerID, SSVID{Agent: agent, Attr: PosAttr})
+		v, err := read(SSVID{Agent: agent, Attr: PosAttr})
 		if err != nil {
-			return res, err
+			return nil, err
 		}
 		if v >= q.Center-q.Radius && v <= q.Center+q.Radius {
-			res.Agents = append(res.Agents, agent)
+			agents = append(agents, agent)
 		}
 	}
-	sort.Ints(res.Agents)
-	return res, nil
+	return agents, nil
 }
 
 // GroundTruth answers the query against the exact trajectories.

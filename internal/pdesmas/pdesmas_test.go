@@ -176,16 +176,16 @@ func TestWorldAdvanceAndQueries(t *testing.T) {
 	if len(truth) == 0 {
 		t.Fatal("degenerate query: empty ground truth")
 	}
-	syncRes, err := w.RunSync(q)
+	syncAgents, err := w.RunSync(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	naiveRes, err := w.RunNaive(q)
+	naiveAgents, err := w.RunNaive(q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	syncErr := SymmetricDiff(syncRes.Agents, truth)
-	naiveErr := SymmetricDiff(naiveRes.Agents, truth)
+	syncErr := SymmetricDiff(syncAgents, truth)
+	naiveErr := SymmetricDiff(naiveAgents, truth)
 	if syncErr > naiveErr {
 		t.Fatalf("synchronized query error %d worse than naive %d", syncErr, naiveErr)
 	}

@@ -1,11 +1,12 @@
 package simsql
 
 import (
+	"context"
 	"errors"
 	"sort"
-	"sync"
 
 	"modeldata/internal/engine"
+	"modeldata/internal/parallel"
 	"modeldata/internal/rng"
 )
 
@@ -35,23 +36,21 @@ type ABSStep struct {
 	// Update computes a's next-state row from its accumulator (and the
 	// count of influencing agents) using agent-private randomness.
 	Update func(a engine.Row, acc float64, n int, r *rng.Stream) engine.Row
-	// Workers bounds partition-level parallelism; zero means 4.
+	// Workers bounds partition-level parallelism; zero means the
+	// context default (parallel.WorkersFrom).
 	Workers int
 }
 
 // Apply performs one simulation step over the agent table, returning
 // the next-state table (same schema). The computation is the
-// partitioned stochastic self-join: partitions run in parallel, each
-// agent aggregates over its in-partition neighbors, then updates with a
+// partitioned stochastic self-join: partitions run in parallel (one
+// parallel.For iteration each, retried under ctx's policy), each agent
+// aggregates over its in-partition neighbors, then updates with a
 // deterministic per-agent random stream (so results do not depend on
-// scheduling).
-func (s ABSStep) Apply(agents *engine.Table, seed uint64) (*engine.Table, error) {
+// scheduling or retries).
+func (s ABSStep) Apply(ctx context.Context, agents *engine.Table, seed uint64) (*engine.Table, error) {
 	if s.PartKey == nil || s.Near == nil || s.Accumulate == nil || s.Update == nil {
 		return nil, ErrNilHook
-	}
-	workers := s.Workers
-	if workers <= 0 {
-		workers = 4
 	}
 	// Pre-split one stream per agent, indexed by original row order, so
 	// parallel partitions cannot perturb determinism.
@@ -73,31 +72,28 @@ func (s ABSStep) Apply(agents *engine.Table, seed uint64) (*engine.Table, error)
 	sort.Strings(keys)
 
 	next := make([]engine.Row, agents.Len())
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for _, k := range keys {
-		wg.Add(1)
-		go func(members []member) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			for _, m := range members {
-				acc := 0.0
-				n := 0
-				for _, o := range members {
-					if o.idx == m.idx {
-						continue
-					}
-					if s.Near(m.row, o.row) {
-						acc = s.Accumulate(acc, o.row)
-						n++
-					}
+	err := parallel.For(ctx, len(keys), parallel.Options{Workers: s.Workers}, func(p int) error {
+		members := parts[keys[p]]
+		for _, m := range members {
+			acc := 0.0
+			n := 0
+			for _, o := range members {
+				if o.idx == m.idx {
+					continue
 				}
-				next[m.idx] = s.Update(m.row, acc, n, streams[m.idx])
+				if s.Near(m.row, o.row) {
+					acc = s.Accumulate(acc, o.row)
+					n++
+				}
 			}
-		}(parts[k])
+			sub := *streams[m.idx] // pristine per-attempt copy: a retried partition replays its agents' substreams
+			next[m.idx] = s.Update(m.row, acc, n, &sub)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	wg.Wait()
 
 	out, err := engine.NewTable(agents.Name, agents.Schema)
 	if err != nil {

@@ -6,9 +6,11 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync/atomic"
 	"testing"
 
 	"modeldata/internal/engine"
+	"modeldata/internal/parallel"
 	"modeldata/internal/rng"
 	"modeldata/internal/stats"
 )
@@ -231,7 +233,7 @@ func TestABSStepFlockingContracts(t *testing.T) {
 		return total
 	}
 	before := perCellVar(agents)
-	next, err := flockStep(0).Apply(agents, 1)
+	next, err := flockStep(0).Apply(context.Background(), agents, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,11 +249,11 @@ func TestABSStepFlockingContracts(t *testing.T) {
 func TestABSStepDeterministic(t *testing.T) {
 	agents := flockAgents(t, 50, 4)
 	step := flockStep(0.1)
-	a, err := step.Apply(agents, 99)
+	a, err := step.Apply(context.Background(), agents, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := step.Apply(agents, 99)
+	b, err := step.Apply(context.Background(), agents, 99)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,9 +264,44 @@ func TestABSStepDeterministic(t *testing.T) {
 	}
 }
 
+// TestABSStepRetryReplaysStreams: a partition whose attempt fails after
+// some of its agents have drawn is re-run from their pristine
+// substreams, so the retried step gives the clean step's bits.
+func TestABSStepRetryReplaysStreams(t *testing.T) {
+	agents := flockAgents(t, 60, 6)
+	step := flockStep(0.1)
+	want, err := step.Apply(context.Background(), agents, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	update := step.Update
+	var calls atomic.Int64
+	step.Update = func(a engine.Row, acc float64, n int, r *rng.Stream) engine.Row {
+		row := update(a, acc, n, r)
+		if calls.Add(1) == 5 {
+			panic("crash after drawing")
+		}
+		return row
+	}
+	ctx := parallel.WithRetryPolicy(context.Background(), parallel.RetryPolicy{MaxRetries: 1})
+	for _, workers := range []int{1, 4} {
+		calls.Store(0)
+		step.Workers = workers
+		got, err := step.Apply(ctx, agents, 7)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want.Rows {
+			if got.Rows[i][1] != want.Rows[i][1] {
+				t.Fatalf("workers=%d agent %d: retried step %v, clean step %v", workers, i, got.Rows[i][1], want.Rows[i][1])
+			}
+		}
+	}
+}
+
 func TestABSStepNilHooks(t *testing.T) {
 	agents := flockAgents(t, 5, 5)
-	if _, err := (ABSStep{}).Apply(agents, 1); !errors.Is(err, ErrNilHook) {
+	if _, err := (ABSStep{}).Apply(context.Background(), agents, 1); !errors.Is(err, ErrNilHook) {
 		t.Fatalf("got %v", err)
 	}
 }
