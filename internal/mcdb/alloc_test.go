@@ -3,6 +3,7 @@ package mcdb_test
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 
 	"modeldata/internal/engine"
@@ -121,5 +122,51 @@ func TestPlanOnceAllocsPerIterationNotPerTuple(t *testing.T) {
 	}
 	if small, large := perIteration(100), perIteration(1000); math.Abs(large-small) >= 8 {
 		t.Fatalf("%v allocations per iteration over 100 outer rows, %v over 1000; the executor allocates per tuple", small, large)
+	}
+}
+
+// TestWhatIfAllocatesPerWindowNotPerRun is the byte budget of a sharded
+// what-if: over a cached realization, ExecDeltaRange keeps the mapped
+// values of its window only, so its bytes grow with hi − lo — by about
+// those values, 8 B per affected tuple per window iteration — and
+// barely with Iterations: the full-run dirtiness test costs one flag
+// byte per iteration, where copying the affected tuples' runs would
+// cost 8 B per affected tuple per iteration.
+func TestWhatIfAllocatesPerWindowNotPerRun(t *testing.T) {
+	const patients = 200
+	db, err := experiments.SBPDatabase(patients)
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := mcdb.AggQuery{Table: "sbp_data", Col: "sbp", Fn: engine.AggAvg}
+	d := mcdb.Delta{Table: "sbp_data",
+		Where:  func(det engine.Row) bool { return det[1].AsString() == "M" },
+		MapUnc: func(_ engine.Row, unc []float64) { unc[0] *= 0.9 }}
+	const affected = patients / 2
+	ctx := context.Background()
+	sess := db.NewSession()
+	bytes := func(iters, hi int) float64 {
+		opts := mcdb.ExecOptions{Iterations: iters, Seed: 5, Workers: 1}
+		whatIf := func() {
+			if _, err := sess.ExecDeltaRange(ctx, q, opts, d, 0, hi); err != nil {
+				t.Fatal(err)
+			}
+		}
+		whatIf() // realizes the bundle into the session's cache
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			whatIf()
+		}
+		runtime.ReadMemStats(&after)
+		return float64(after.TotalAlloc-before.TotalAlloc) / runs
+	}
+	base := bytes(1000, 100)
+	if perRunIter := (bytes(8000, 100) - base) / 7000; perRunIter > 2 {
+		t.Errorf("%.1f more bytes per what-if per extra iteration of the run, want at most 2 (a dirty flag)", perRunIter)
+	}
+	if perWinIter := (bytes(1000, 800) - base) / 700; perWinIter < 4*affected {
+		t.Errorf("%.1f more bytes per what-if per extra iteration of the window, want about %d (the affected tuples' mapped values)", perWinIter, 8*affected)
 	}
 }

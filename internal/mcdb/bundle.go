@@ -13,7 +13,10 @@ import (
 // BundleTable is a stochastic table materialized as tuple bundles:
 // MCDB's plan-once execution (§2.1). Each tuple stores its
 // deterministic attributes exactly once; each uncertain attribute
-// stores its instantiations across all Monte Carlo iterations.
+// stores its instantiations across all Monte Carlo iterations. A
+// realization always covers the full run; only a what-if's changed
+// world (see changedWindow) is a window view, holding one shard's
+// iterations and nothing else.
 type BundleTable struct {
 	Name   string
 	Schema engine.Schema
@@ -26,6 +29,10 @@ type BundleTable struct {
 	// Unc[tuple][k][iter] is the value of the k-th uncertain column of
 	// the tuple at the given Monte Carlo iteration.
 	Unc [][][]float64
+	// off is the iteration Unc's arrays start at: zero for a realized
+	// table, the window's first iteration for a window view, whose
+	// Unc[tuple][k][iter-off] holds iteration iter.
+	off int
 }
 
 // InstantiateBundled realizes every stochastic table as a BundleTable
@@ -266,19 +273,23 @@ type iterRun struct{ lo, hi int }
 // documented on Session.Exec — AVG = 0 rather than NaN, keeping the
 // sample vector finite on both executors.
 func (bt *BundleTable) Estimate(col string, fn engine.AggFunc, pred UncPredicate) ([]float64, error) {
-	return bt.estimate(AggQuery{Col: col, Fn: fn, WhereUnc: pred}, []iterRun{{0, bt.Iters}})
+	all := iterRun{0, bt.Iters}
+	return bt.estimate(AggQuery{Col: col, Fn: fn, WhereUnc: pred}, all, []iterRun{all})
 }
 
 // estimate is the aggregation kernel behind Estimate and the bundle
-// executor: q.Fn(q.Col) over the tuples that pass q's predicates,
-// restricted to the iterations in runs; positions outside runs are left
-// zero and must not be read. q.UncWhere must have passed checkQuery.
-// Per tuple it tests WhereDet once, then per run selects the iterations
-// that pass (see selector.pass) and adds their values. Tuples
-// accumulate in tuple order whatever the runs, so the value at an
-// iteration is bitwise the same in any run set holding it — which is
-// what lets delta execution re-aggregate only dirty iterations.
-func (bt *BundleTable) estimate(q AggQuery, runs []iterRun) ([]float64, error) {
+// executor: q.Fn(q.Col) over the tuples that pass q's predicates, for
+// the iterations of the window win that lie in runs, which win must
+// hold. It returns one value per iteration of win, win.lo first; those
+// outside runs are left zero and must not be read. bt holds win's
+// iterations: a realized table holds them all, a window view (see off)
+// at least win's. q.UncWhere must have passed checkQuery. Per tuple it
+// tests WhereDet once, then per run selects the iterations that pass
+// (see selector.pass) and adds their values. Tuples accumulate in tuple
+// order whatever the runs and the window, so the value at an iteration
+// is bitwise the same in any run set holding it — which is what lets
+// delta execution re-aggregate only dirty iterations.
+func (bt *BundleTable) estimate(q AggQuery, win iterRun, runs []iterRun) ([]float64, error) {
 	schemaIdx, err := bt.Schema.ColIndex(q.Col)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrBadQuery, err)
@@ -287,27 +298,28 @@ func (bt *BundleTable) estimate(q AggQuery, runs []iterRun) ([]float64, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: column %q is not uncertain in %q", ErrBadQuery, q.Col, bt.Name)
 	}
-	sums := make([]float64, bt.Iters)
-	counts := make([]float64, bt.Iters)
+	sums := make([]float64, win.hi-win.lo)
+	counts := make([]float64, win.hi-win.lo)
 	sel := newSelector(q, len(bt.UncertainCols), runs)
 	for i, det := range bt.Det {
 		if q.WhereDet != nil && !q.WhereDet(det) {
 			continue
 		}
 		unc := bt.Unc[i]
-		vals := unc[k]
 		for _, r := range runs {
+			at := iterRun{r.lo - bt.off, r.hi - bt.off} // r in unc's indexes
+			vals := unc[k][at.lo:at.hi]
+			s, c := sums[r.lo-win.lo:r.hi-win.lo], counts[r.lo-win.lo:r.hi-win.lo]
 			if sel == nil {
-				for it := r.lo; it < r.hi; it++ {
-					sums[it] += vals[it]
-					counts[it]++
+				for j, v := range vals {
+					s[j] += v
+					c[j]++
 				}
 				continue
 			}
-			for _, j := range sel.pass(det, unc, r) {
-				it := r.lo + int(j)
-				sums[it] += vals[it]
-				counts[it]++
+			for _, j := range sel.pass(det, unc, at) {
+				s[j] += vals[j]
+				c[j]++
 			}
 		}
 	}

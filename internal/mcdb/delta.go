@@ -5,12 +5,12 @@ package mcdb
 // not need to pay for a full Monte Carlo run: the baseline bundle
 // realization already records, per tuple and per iteration, every value
 // the query could read. ExecDelta maps the realized values of only the
-// tuples the change touches, then compares old and new bundles to find
-// the iterations whose samples can differ. Clean iterations reuse the
-// baseline sample verbatim; only dirty ones are re-aggregated. The
-// dirtiness test is a value comparison restricted to the query's
-// lineage — the tuples that pass WhereDet — which is the same
-// per-iteration provenance ExecLineage reports.
+// tuples the change touches, comparing each mapped value with the
+// realized one to find the iterations whose samples can differ. Clean
+// iterations reuse the baseline sample verbatim; only dirty ones are
+// re-aggregated. The dirtiness test is a value comparison restricted to
+// the query's lineage — the tuples that pass WhereDet — which is the
+// same per-iteration provenance ExecLineage reports.
 
 import (
 	"context"
@@ -66,11 +66,11 @@ func (s *Session) ExecDelta(ctx context.Context, q AggQuery, opts ExecOptions, d
 
 // ExecDeltaRange is ExecDelta restricted to the iteration window
 // [lo, hi) — the sharding primitive, with the same concatenation
-// bit-identity guarantee as ExecRange. Re-realization, the dirtiness
-// test and the skipped-iteration accounting cover the full Iterations
-// run (the realization is per-tuple, not per-window), so shards report
-// consistent counter values; aggregation, baseline and dirty alike, is
-// clipped to the window.
+// bit-identity guarantee as ExecRange. The re-mapping and the dirtiness
+// test cover the full Iterations run, so every shard reports the
+// full-run values of both counters; what a shard keeps is window-sized:
+// the changed world holds only the window's mapped values, and
+// aggregation, baseline and dirty alike, runs over the window alone.
 func (s *Session) ExecDeltaRange(ctx context.Context, q AggQuery, opts ExecOptions, d Delta, lo, hi int) ([]float64, error) {
 	if _, _, err := s.db.checkQuery(q, opts, lo, hi, true); err != nil {
 		return nil, err
@@ -93,14 +93,14 @@ func (s *Session) ExecDeltaRange(ctx context.Context, q AggQuery, opts ExecOptio
 		return nil, err
 	}
 	reg := parallel.StatsFrom(ctx).Registry()
-	win := []iterRun{{lo, hi}}
+	win := iterRun{lo, hi}
 
 	if d.Table != q.Table {
 		// The change touches a different stochastic table, so this
 		// query's bundle — and every sample — is untouched.
 		reg.Counter(MetricDeltaItersSkipped).Add(int64(opts.Iterations))
 		span.SetInt("iters_skipped", int64(opts.Iterations))
-		return bundleSamples(oldBt, q, win, lo, hi)
+		return oldBt.estimate(q, win, []iterRun{win})
 	}
 
 	// A MapUnc never changes Det, so a tuple q.WhereDet rejects stays
@@ -113,118 +113,93 @@ func (s *Session) ExecDeltaRange(ctx context.Context, q AggQuery, opts ExecOptio
 			affected = append(affected, ti)
 		}
 	}
-	newBt := mapBundle(oldBt, d.MapUnc, affected)
+	newBt, dirty, dirtyCount := changedWindow(oldBt, d.MapUnc, affected, win)
 	reg.Counter(MetricDeltaTuplesRerealized).Add(int64(len(affected)))
 	span.SetInt("tuples_rerealized", int64(len(affected)))
 
-	dirty, dirtyCount := markDirty(oldBt, newBt, affected)
 	skipped := opts.Iterations - dirtyCount
 	reg.Counter(MetricDeltaItersSkipped).Add(int64(skipped))
 	span.SetInt("iters_skipped", int64(skipped))
 
 	if skipped == 0 {
-		return bundleSamples(newBt, q, win, lo, hi)
+		return newBt.estimate(q, win, []iterRun{win})
 	}
 	// Clean iterations keep the baseline's samples; the dirty ones are
-	// re-aggregated over the changed bundle by the same kernel — both
+	// re-aggregated over the changed world by the same kernel — both
 	// inside the window only.
-	out, err := bundleSamples(oldBt, q, win, 0, opts.Iterations)
+	out, err := oldBt.estimate(q, win, []iterRun{win})
 	if err != nil {
 		return nil, err
 	}
-	if dirty = clipRuns(dirty, lo, hi); len(dirty) > 0 {
-		dvals, err := bundleSamples(newBt, q, dirty, 0, opts.Iterations)
+	if runs := runsOf(dirty, win); len(runs) > 0 {
+		dvals, err := newBt.estimate(q, win, runs)
 		if err != nil {
 			return nil, err
 		}
-		for _, r := range dirty {
-			copy(out[r.lo:r.hi], dvals[r.lo:r.hi])
+		for _, r := range runs {
+			copy(out[r.lo-lo:r.hi-lo], dvals[r.lo-lo:r.hi-lo])
 		}
 	}
-	return window(out, lo, hi), nil
+	return out, nil
 }
 
-// mapBundle builds the changed-world bundle for one table: unaffected
-// tuples share the baseline's Det rows and Unc arrays; each affected
-// tuple gets copies of its realized arrays with mapUnc applied once per
-// iteration. No VG is called and nothing is drawn.
-func mapBundle(old *BundleTable, mapUnc func(det engine.Row, unc []float64), affected []int) *BundleTable {
-	nb := &BundleTable{
-		Name:          old.Name,
-		Schema:        old.Schema.Clone(),
-		Iters:         old.Iters,
-		UncertainCols: append([]int(nil), old.UncertainCols...),
-		Det:           old.Det,
-		Unc:           append([][][]float64(nil), old.Unc...),
-	}
-	uncBuf := make([]float64, len(nb.UncertainCols))
-	for _, ti := range affected {
-		src := old.Unc[ti]
-		unc := make([][]float64, len(src))
-		for k := range src {
-			unc[k] = append([]float64(nil), src[k]...)
+// changedWindow is the changed world of one table as far as the window
+// win needs it, and which iterations of the full run the change
+// dirties, with their count. One pass per affected tuple maps its
+// realized values at every iteration of the run — mapUnc is called
+// once per iteration, nothing is drawn — compares them with the
+// realized ones, and keeps the mapped values inside win only. The
+// world is a window view (off is win.lo) sharing the baseline's Det
+// and, for every unaffected tuple, the baseline's win slices. An
+// iteration is dirty where some affected tuple's values changed:
+// bitwise equality decides reuse, since if every value an iteration can
+// read is unchanged, the aggregate (accumulated in the same tuple
+// order) is unchanged too.
+func changedWindow(old *BundleTable, mapUnc func(det engine.Row, unc []float64), affected []int, win iterRun) (*BundleTable, []bool, int) {
+	ncols, n := len(old.UncertainCols), win.hi-win.lo
+	view := &BundleTable{Name: old.Name, Schema: old.Schema, Iters: old.Iters, UncertainCols: old.UncertainCols,
+		Det: old.Det, Unc: make([][][]float64, len(old.Unc)), off: win.lo}
+	cols := make([][]float64, len(old.Unc)*ncols) // every tuple's window slices, on one array
+	for ti, unc := range old.Unc {
+		view.Unc[ti] = cols[ti*ncols : (ti+1)*ncols : (ti+1)*ncols]
+		for k, vals := range unc {
+			view.Unc[ti][k] = vals[win.lo:win.hi]
 		}
-		for it := 0; it < nb.Iters; it++ {
-			for k := range uncBuf {
-				uncBuf[k] = unc[k][it]
-			}
-			mapUnc(old.Det[ti], uncBuf)
-			for k := range uncBuf {
-				unc[k][it] = uncBuf[k]
-			}
-		}
-		nb.Unc[ti] = unc
 	}
-	return nb
-}
-
-// markDirty finds the iterations whose samples can differ between the
-// baseline and changed bundles — those where some affected tuple
-// carries different uncertain values — as ascending runs plus their
-// total count. Bitwise equality decides reuse: if every value an
-// iteration can read is unchanged, the aggregate (accumulated in the
-// same tuple order) is unchanged too.
-func markDirty(old, nb *BundleTable, affected []int) ([]iterRun, int) {
+	mapped := vgBuffer(len(affected)*ncols, n)
 	dirty := make([]bool, old.Iters)
 	count := 0
-	for _, ti := range affected {
-		ou, nu := old.Unc[ti], nb.Unc[ti]
+	buf := make([]float64, ncols)
+	for a, ti := range affected {
+		src, dst := old.Unc[ti], mapped[a*ncols:(a+1)*ncols]
 		for it := range dirty {
-			if dirty[it] {
-				continue
+			for k := range buf {
+				buf[k] = src[k][it]
 			}
-			for k := range ou {
-				if ou[k][it] != nu[k][it] { // bitwise sameness is exactly what decides sample reuse
+			mapUnc(old.Det[ti], buf)
+			for k, v := range buf {
+				if v != src[k][it] && !dirty[it] { // bitwise sameness is exactly what decides sample reuse
 					dirty[it] = true
 					count++
-					break
+				}
+				if it >= win.lo && it < win.hi {
+					dst[k][it-win.lo] = v
 				}
 			}
 		}
+		copy(view.Unc[ti], dst)
 	}
-	return runsOf(dirty), count
+	return view, dirty, count
 }
 
-// clipRuns restricts runs to the window [lo, hi), dropping what falls
-// outside it.
-func clipRuns(runs []iterRun, lo, hi int) []iterRun {
-	var out []iterRun
-	for _, r := range runs {
-		r.lo, r.hi = max(r.lo, lo), min(r.hi, hi)
-		if r.lo < r.hi {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
-// runsOf renders a per-iteration flag vector as its maximal runs.
-func runsOf(flags []bool) []iterRun {
+// runsOf renders the iterations of win that flags marks as their
+// maximal runs.
+func runsOf(flags []bool, win iterRun) []iterRun {
 	var runs []iterRun
-	for it := 0; it < len(flags); it++ {
+	for it := win.lo; it < win.hi; it++ {
 		if flags[it] {
 			lo := it
-			for it < len(flags) && flags[it] {
+			for it < win.hi && flags[it] {
 				it++
 			}
 			runs = append(runs, iterRun{lo, it})

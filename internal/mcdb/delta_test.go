@@ -3,6 +3,7 @@ package mcdb
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -378,6 +379,71 @@ func TestExecDeltaMapUncSkipsCleanIterations(t *testing.T) {
 	}
 	if rerealized := st.Registry().Counter(MetricDeltaTuplesRerealized).Value(); rerealized != 2 {
 		t.Fatalf("delta_tuples_rerealized = %d, want 2 (grp 0 of 3 over 6 items)", rerealized)
+	}
+}
+
+// TestExecDeltaWindowsConcatenate: however a what-if's run is cut into
+// windows — one to seven of them, at cut points on no grid — the
+// windows concatenate to ExecDelta's samples bit for bit in every world
+// of the suite, and each window reports the full run's counts: a
+// shard keeps only its window's values, but maps and tests every
+// iteration of the run.
+func TestExecDeltaWindowsConcatenate(t *testing.T) {
+	gen := rng.New(0x3D0C)
+	ctx := context.Background()
+	queries := []AggQuery{
+		{Table: "obs", Col: "val", Fn: engine.AggSum},
+		{Table: "obs", Col: "val", Fn: engine.AggAvg, UncWhere: []UncCmp{{Pos: 0, Op: "gt", Lit: 11}},
+			WhereDet: func(det engine.Row) bool { return det[0].AsInt()%5 != 0 }},
+	}
+	for _, kind := range []int{deltaKindCap, deltaKindShift, deltaKindOther} {
+		w := deltaWorld{kind: kind, targetGrp: 1}
+		db := buildDeltaDB(t, 20, 3, w, false)
+		d := deltaFor(w)
+		for _, iters := range []int{37, 1000} {
+			opts := ExecOptions{Iterations: iters, Seed: 41}
+			for qi, q := range queries {
+				full := parallel.NewStats()
+				want, err := db.NewSession().ExecDelta(parallel.WithStats(ctx, full), q, opts, d)
+				if err != nil {
+					t.Fatal(err)
+				}
+				wantSkipped := full.Registry().Counter(MetricDeltaItersSkipped).Value()
+				wantMapped := full.Registry().Counter(MetricDeltaTuplesRerealized).Value()
+				if kind == deltaKindCap && (wantSkipped == 0 || wantSkipped == int64(iters)) {
+					t.Fatalf("cap world, %d iterations: %d skipped; the cap must bind in some iterations only", iters, wantSkipped)
+				}
+				for _, k := range []int{1, 2, 3, 7} {
+					cuts := []int{0, iters}
+					for len(cuts) < k+1 {
+						if c := 1 + gen.Intn(iters-1); !slices.Contains(cuts, c) {
+							cuts = append(cuts, c)
+						}
+					}
+					slices.Sort(cuts)
+					s := db.NewSession()
+					var got []float64
+					for i := 0; i < k; i++ {
+						st := parallel.NewStats()
+						part, err := s.ExecDeltaRange(parallel.WithStats(ctx, st), q, opts, d, cuts[i], cuts[i+1])
+						if err != nil {
+							t.Fatal(err)
+						}
+						if len(part) != cuts[i+1]-cuts[i] {
+							t.Fatalf("window [%d, %d): %d samples", cuts[i], cuts[i+1], len(part))
+						}
+						got = append(got, part...)
+						skipped := st.Registry().Counter(MetricDeltaItersSkipped).Value()
+						mapped := st.Registry().Counter(MetricDeltaTuplesRerealized).Value()
+						if skipped != wantSkipped || mapped != wantMapped {
+							t.Fatalf("world %d, %d iterations, query %d, window [%d, %d): skipped %d and re-mapped %d, want the full run's %d and %d",
+								kind, iters, qi, cuts[i], cuts[i+1], skipped, mapped, wantSkipped, wantMapped)
+						}
+					}
+					requireSameSamples(t, "windows "+fmt.Sprint(cuts), want, got)
+				}
+			}
+		}
 	}
 }
 

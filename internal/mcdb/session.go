@@ -172,8 +172,9 @@ func (s *Session) Exec(ctx context.Context, q AggQuery, opts ExecOptions) ([]flo
 // same seed regardless of which shard runs it. On bundles the
 // realization covers all Iterations (bundles are per-tuple, not
 // per-iteration) and the session cache amortizes it across a shard's
-// queries; the aggregation kernel runs over the window alone, so a
-// shard's estimation work is tuples × (hi − lo).
+// queries; the aggregation kernel runs over the window alone and
+// returns it alone, so a shard's estimation work is tuples × (hi − lo)
+// and its output hi − lo values.
 func (s *Session) ExecRange(ctx context.Context, q AggQuery, opts ExecOptions, lo, hi int) ([]float64, error) {
 	spec, colIdx, err := s.db.checkQuery(q, opts, lo, hi, false)
 	if err != nil {
@@ -196,7 +197,8 @@ func (s *Session) ExecRange(ctx context.Context, q AggQuery, opts ExecOptions, l
 	if err != nil {
 		return nil, err
 	}
-	return bundleSamples(bt, q, []iterRun{{lo, hi}}, lo, hi)
+	win := iterRun{lo, hi}
+	return bt.estimate(q, win, []iterRun{win})
 }
 
 // checkWindow validates the run shape every entry point shares: a
@@ -252,28 +254,6 @@ func (db *DB) checkQuery(q AggQuery, opts ExecOptions, lo, hi int, bundled bool)
 		}
 	}
 	return spec, idx, nil
-}
-
-// bundleSamples is the bundle query pipeline: aggregate the iterations
-// in runs — the kernel applies WhereDet once per tuple — and cut the
-// window [lo, hi) from the result. Only positions inside runs are
-// meaningful, so callers pass runs covering what they read of the
-// window.
-func bundleSamples(bt *BundleTable, q AggQuery, runs []iterRun, lo, hi int) ([]float64, error) {
-	full, err := bt.estimate(q, runs)
-	if err != nil {
-		return nil, err
-	}
-	return window(full, lo, hi), nil
-}
-
-// window slices the full sample vector to [lo, hi), avoiding a copy
-// when the window covers everything.
-func window(full []float64, lo, hi int) []float64 {
-	if lo == 0 && hi == len(full) {
-		return full
-	}
-	return append([]float64(nil), full[lo:hi]...)
 }
 
 // instanceAgg is q as a scalar over one instantiated database — how a

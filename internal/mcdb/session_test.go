@@ -232,12 +232,12 @@ func TestEstimateRunsMatchFull(t *testing.T) {
 				if len(q.UncWhere) == 0 {
 					full, err = bt.Estimate("sbp", fn, q.WhereUnc)
 				} else {
-					full, err = bt.estimate(q, []iterRun{{0, iters}})
+					full, err = bt.estimate(q, iterRun{0, iters}, []iterRun{{0, iters}})
 				}
 				if err != nil {
 					t.Fatal(err)
 				}
-				part, err := bt.estimate(q, runsOf(flags))
+				part, err := bt.estimate(q, iterRun{0, iters}, runsOf(flags, iterRun{0, iters}))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -347,11 +347,11 @@ func FuzzUncWhereMatchesClosure(f *testing.F) {
 			}
 			return typed.WhereUnc == nil || typed.WhereUnc(det, unc)
 		}
-		got, err := bt.estimate(typed, runsOf(flags))
+		got, err := bt.estimate(typed, iterRun{0, iters}, runsOf(flags, iterRun{0, iters}))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := bt.estimate(closure, runsOf(flags))
+		want, err := bt.estimate(closure, iterRun{0, iters}, runsOf(flags, iterRun{0, iters}))
 		if err != nil {
 			t.Fatal(err)
 		}
