@@ -114,27 +114,38 @@ func MustNewTable(name string, schema Schema) *Table {
 	return t
 }
 
-// Conform checks r against the schema — arity, then each value's type —
-// widening int values into float columns in place. It is the one rule
-// for what a row of this schema may hold; table names the relation in
-// the error, which wraps ErrArity or ErrTypeClash.
+// Conform checks r against the schema — arity, then each value's type
+// by Cell — widening int values into float columns in place. It is the
+// one rule for what a row of this schema may hold; table names the
+// relation in the error, which wraps ErrArity or ErrTypeClash.
 func (s Schema) Conform(table string, r Row) error {
 	if len(r) != len(s) {
 		return fmt.Errorf("%w: table %q got %d values, want %d", ErrArity, table, len(r), len(s))
 	}
 	for i, v := range r {
-		want := s[i].Type
-		if v.Type() == want {
-			continue
+		w, err := s.Cell(table, i, v)
+		if err != nil {
+			return err
 		}
-		if want == TypeFloat && v.Type() == TypeInt {
-			r[i] = Float(v.AsFloat())
-			continue
-		}
-		return fmt.Errorf("%w: table %q column %q: got %s, want %s",
-			ErrTypeClash, table, s[i].Name, v.Type(), want)
+		r[i] = w
 	}
 	return nil
+}
+
+// Cell is Conform's rule for one value: v as column i holds it —
+// unchanged when v has the column's type, an int widened in a float
+// column — or an error wrapping ErrTypeClash. It writes nothing, so a
+// row the caller must not change can be checked and read through it.
+func (s Schema) Cell(table string, i int, v Value) (Value, error) {
+	switch want := s[i].Type; {
+	case v.Type() == want:
+		return v, nil
+	case want == TypeFloat && v.Type() == TypeInt:
+		return Float(v.AsFloat()), nil
+	default:
+		return Value{}, fmt.Errorf("%w: table %q column %q: got %s, want %s",
+			ErrTypeClash, table, s[i].Name, v.Type(), want)
+	}
 }
 
 // Insert appends a row after validating it against the schema.

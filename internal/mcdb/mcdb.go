@@ -124,10 +124,10 @@ type TableSpec struct {
 	// holding that realization as engine.Float values, so that route pays
 	// whatever row it allocates per tuple-iteration; a fresh engine.Row
 	// is 32 B per cell, the size of an engine.Value. vgOut is a view the
-	// next draw overwrites; the returned row is read (bundles) or copied
-	// into the realized table (per instance) before that draw, so it may
-	// alias vgOut or outer, but OutputRow must not keep vgOut anywhere
-	// else.
+	// next draw overwrites; the returned row is read (bundles, plan-once
+	// SQL) or copied into the realized table (per instance) before that
+	// draw, and never written, so it may alias vgOut, outer or memory the
+	// spec keeps, but OutputRow must not keep vgOut anywhere else.
 	OutputRow func(outer engine.Row, vgOut []engine.Value) engine.Row
 	// UncertainCols lists the indexes (into Schema) of the columns
 	// produced by the VG function, each once; the bundle executor keeps
@@ -216,7 +216,8 @@ func (c vgCols) cell(spec *TableSpec, k int, v float64) engine.Value {
 	return engine.Float(v)
 }
 
-// vgBuffer returns a width×n VG draw buffer over one slab.
+// vgBuffer returns width vectors of n values over one slab: a VG draw
+// buffer, or a what-if's mapped windows.
 func vgBuffer(width, n int) [][]float64 {
 	slab := make([]float64, width*n)
 	out := make([][]float64, width)
@@ -369,8 +370,12 @@ func newDrawBuf(specs []*TableSpec) drawBuf {
 // the VG values typed by the schema, or a copy of the custom
 // OutputRow's result over buf's view of them, which may therefore alias
 // the view — conforms it to the schema by Insert's rule, and gives it to
-// got before the next draw. ctx is observed every 256 tuples.
-func drawSpec(ctx context.Context, spec *TableSpec, outers, params []engine.Row, r *rng.Stream, buf drawBuf,
+// got before the next draw. With inPlace, got receives a custom
+// OutputRow's result itself, uncopied: its cells are checked by that
+// rule (engine.Schema.Cell) but not widened, so got must not write it
+// and reads a cell it compares through Schema.Cell. ctx is observed
+// every 256 tuples.
+func drawSpec(ctx context.Context, spec *TableSpec, outers, params []engine.Row, r *rng.Stream, buf drawBuf, inPlace bool,
 	slot func(i int) engine.Row, got func(i int, row engine.Row) error) error {
 	cols, err := spec.layout(outers)
 	if err != nil {
@@ -398,10 +403,21 @@ func drawSpec(ctx context.Context, spec *TableSpec, outers, params []engine.Row,
 			for k, vals := range out {
 				view[k] = engine.Float(vals[0])
 			}
-			if tail := spec.OutputRow(outer, view); len(tail) == width {
-				copy(row, tail)
-			} else {
+			switch tail := spec.OutputRow(outer, view); {
+			case len(tail) != width:
 				row = tail.Clone() // Conform words the arity error
+			case inPlace:
+				for c, v := range tail {
+					if _, err := spec.Schema.Cell(spec.Name, c, v); err != nil {
+						return badSpec(err)
+					}
+				}
+				if err := got(i, tail); err != nil {
+					return err
+				}
+				continue
+			default:
+				copy(row, tail)
 			}
 		}
 		if err := spec.Schema.Conform(spec.Name, row); err != nil {
@@ -420,7 +436,7 @@ func realizeSpec(ctx context.Context, spec *TableSpec, outers, params []engine.R
 	width := len(spec.Schema)
 	rows := make([]engine.Row, len(outers))
 	slab := make([]engine.Value, len(outers)*width)
-	err := drawSpec(ctx, spec, outers, params, r, buf,
+	err := drawSpec(ctx, spec, outers, params, r, buf, false,
 		func(i int) engine.Row { return slab[i*width : (i+1)*width : (i+1)*width] },
 		func(i int, row engine.Row) error { rows[i] = row; return nil })
 	if err != nil {
@@ -480,18 +496,18 @@ func (in *instancer) drawVectors(ctx context.Context, read int, first []engine.R
 			}
 			got = func(i int, row engine.Row) error {
 				for k, c := range spec.UncertainCols {
-					into.vecs[k][i] = row[c].AsFloat()
+					into.vecs[k][i] = row[c].AsFloat() // a widened int has the same float
 				}
 				for _, c := range det {
-					if row[c] != first[i][c] {
+					if v, _ := spec.Schema.Cell(spec.Name, c, row[c]); v != first[i][c] { // drawSpec checked the cell
 						return fmt.Errorf("%w: %q column %q is not in UncertainCols but changed between draws (tuple %d: %v, then %v)",
-							ErrBadSpec, spec.Name, spec.Schema[c].Name, i, first[i][c], row[c])
+							ErrBadSpec, spec.Name, spec.Schema[c].Name, i, first[i][c], v)
 					}
 				}
 				return nil
 			}
 		}
-		if err := drawSpec(ctx, spec, in.outers[s], in.params[s], r, into.buf, func(int) engine.Row { return scratch }, got); err != nil {
+		if err := drawSpec(ctx, spec, in.outers[s], in.params[s], r, into.buf, true, func(int) engine.Row { return scratch }, got); err != nil {
 			return err
 		}
 	}

@@ -464,6 +464,66 @@ func TestPlanOnceRefusesALyingSpec(t *testing.T) {
 	}
 }
 
+// TestPlanOnceReadsOutputRowInPlace: plan-once reads a custom
+// OutputRow's row where it was returned, neither copying nor writing it.
+// Here the row is memory the spec keeps, holding an Int in the Float
+// column sid: the kept cells stay Ints, the samples are MonteCarlo's,
+// and a String that turns up in a later draw is the type clash
+// MonteCarlo reports.
+func TestPlanOnceReadsOutputRowInPlace(t *testing.T) {
+	ctx := context.Background()
+	const iters, seed, stores = 5, 13, 60
+	const sql = "SELECT SUM(amount) FROM sales WHERE sid < 30 AND amount > 50"
+	p, err := engine.Prepare(sql)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, clashAt := range []int64{0, 2*stores + 7} { // the draw that returns a String sid; 0 is none
+		kept := make([]engine.Row, stores)
+		for i := range kept {
+			kept[i] = engine.Row{engine.Int(int64(i)), engine.Float(0)}
+		}
+		var draws atomic.Int64
+		db := starLike(t, func(s *TableSpec) {
+			s.Schema = engine.Schema{{Name: "sid", Type: engine.TypeFloat}, {Name: "amount", Type: engine.TypeFloat}}
+			s.OutputRow = func(outer engine.Row, vg []engine.Value) engine.Row {
+				if draws.Add(1) == clashAt {
+					return engine.Row{engine.Str("late"), vg[0]}
+				}
+				row := kept[outer[0].AsInt()]
+				row[1] = vg[0]
+				return row
+			}
+		})
+		want, wantErr := db.MonteCarlo(ctx, iters, seed, 1, p.Scalar)
+		draws.Store(0)
+		stats := parallel.NewStats()
+		got, err := db.NewSession().ExecSQL(parallel.WithStats(ctx, stats), sql, ExecOptions{Iterations: iters, Seed: seed, Workers: 1})
+		if n := stats.Registry().Counter(MetricSQLPlanOnce).Value(); n != 1 {
+			t.Fatalf("clash at draw %d: %d windows ran plan-once, want 1", clashAt, n)
+		}
+		if clashAt > 0 {
+			if err == nil || wantErr == nil || err.Error() != wantErr.Error() || !errors.Is(err, ErrBadSpec) || !errors.Is(err, engine.ErrTypeClash) {
+				t.Fatalf("clash at draw %d: got %v, MonteCarlo %v; want the same ErrBadSpec type clash", clashAt, err, wantErr)
+			}
+			continue
+		}
+		if err != nil || wantErr != nil {
+			t.Fatalf("ExecSQL: %v, MonteCarlo: %v", err, wantErr)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("iteration %d: %v, MonteCarlo %v", i, got[i], want[i])
+			}
+		}
+		for i, row := range kept {
+			if row[0] != engine.Int(int64(i)) {
+				t.Fatalf("kept row %d holds sid %v after the run, want the Int %d it was given", i, row[0], i)
+			}
+		}
+	}
+}
+
 // TestPlanOnceFailsBeforeAnyDraw: a statement that does not bind, or
 // whose result can never be one numeric cell, is refused before a VG is
 // called; a broken spec is still the spec's fault.

@@ -2,7 +2,6 @@ package pdesmas
 
 import (
 	"fmt"
-	"sort"
 
 	"modeldata/internal/rng"
 )
@@ -182,20 +181,12 @@ func (w *World) runQuery(q RangeQuery, read func(SSVID) (float64, error)) ([]int
 	return agents, nil
 }
 
-// GroundTruth answers the query against the exact trajectories.
+// GroundTruth answers the query against the exact trajectories,
+// ascending.
 func (w *World) GroundTruth(q RangeQuery) []int {
-	var out []int
-	for agent := 0; agent < len(w.pos0); agent++ {
-		if w.age[agent] <= q.MinAge {
-			continue
-		}
-		v := w.TruePos(agent, q.Time)
-		if v >= q.Center-q.Radius && v <= q.Center+q.Radius {
-			out = append(out, agent)
-		}
-	}
-	sort.Ints(out)
-	return out
+	// An exact position is never an error, so neither is the answer.
+	agents, _ := w.runQuery(q, func(id SSVID) (float64, error) { return w.TruePos(id.Agent, q.Time), nil })
+	return agents
 }
 
 // SymmetricDiff counts elements in exactly one of two sorted int
