@@ -1,6 +1,7 @@
 package metamodel
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -36,6 +37,37 @@ func (g *GP) Cov(a, b []float64) float64 {
 	return g.Tau2 * math.Exp(-s)
 }
 
+// factorCov returns the Cholesky factor of Σ_M (+ Σ_ε) + εI over the
+// design points x. The jitter ε only conditions the factorization, so
+// it starts at 1e-12·τ², far below any noise a stochastic fit adds and
+// small enough that a deterministic fit still interpolates, and grows
+// tenfold only while Cholesky finds the matrix not positive definite,
+// up to 1e-6·τ².
+func (g *GP) factorCov(x [][]float64, noiseVar []float64) (*linalg.Matrix, error) {
+	r := len(x)
+	sigma := linalg.NewMatrix(r, r)
+	diag := make([]float64, r)
+	for i := 0; i < r; i++ {
+		for j := 0; j < r; j++ {
+			sigma.Set(i, j, g.Cov(x[i], x[j]))
+		}
+		diag[i] = sigma.At(i, i)
+		if noiseVar != nil {
+			diag[i] += noiseVar[i]
+		}
+	}
+	for k := 12; ; k-- {
+		eps := g.Tau2 * math.Pow10(-k)
+		for i, d := range diag {
+			sigma.Set(i, i, d+eps)
+		}
+		chol, err := linalg.Cholesky(sigma)
+		if !errors.Is(err, linalg.ErrNotPositiveDefinite) || k == 6 {
+			return chol, err
+		}
+	}
+}
+
 // FitGP fits a deterministic (interpolating) kriging metamodel with
 // the given hyperparameters: β₀ is estimated by generalized least
 // squares and the predictor weights are precomputed.
@@ -67,22 +99,13 @@ func fitGP(x [][]float64, y, theta []float64, tau2 float64, noiseVar []float64) 
 	if tau2 <= 0 {
 		return nil, fmt.Errorf("%w: τ² = %g", ErrBadDesign, tau2)
 	}
-	g := &GP{X: x, Tau2: tau2, Theta: append([]float64(nil), theta...)}
-	// Build Σ = Σ_M (+ Σ_ε) with a tiny jitter for conditioning.
-	sigma := linalg.NewMatrix(r, r)
-	for i := 0; i < r; i++ {
-		for j := 0; j < r; j++ {
-			sigma.Set(i, j, g.Cov(x[i], x[j]))
-		}
-		sigma.Set(i, i, sigma.At(i, i)+1e-10)
-		if noiseVar != nil {
-			if noiseVar[i] < 0 {
-				return nil, fmt.Errorf("%w: negative noise variance at %d", ErrBadDesign, i)
-			}
-			sigma.Set(i, i, sigma.At(i, i)+noiseVar[i])
+	for i, v := range noiseVar {
+		if v < 0 {
+			return nil, fmt.Errorf("%w: negative noise variance at %d", ErrBadDesign, i)
 		}
 	}
-	chol, err := linalg.Cholesky(sigma)
+	g := &GP{X: x, Tau2: tau2, Theta: append([]float64(nil), theta...)}
+	chol, err := g.factorCov(x, noiseVar)
 	if err != nil {
 		return nil, fmt.Errorf("metamodel: covariance factorization: %w", err)
 	}
@@ -167,17 +190,7 @@ func FitGPMLE(x [][]float64, y []float64, noiseVar []float64, opts calibrate.NMO
 func gpLogLikelihood(x [][]float64, y, theta []float64, tau2 float64, noiseVar []float64) (float64, error) {
 	g := &GP{Tau2: tau2, Theta: theta}
 	r := len(x)
-	sigma := linalg.NewMatrix(r, r)
-	for i := 0; i < r; i++ {
-		for j := 0; j < r; j++ {
-			sigma.Set(i, j, g.Cov(x[i], x[j]))
-		}
-		sigma.Set(i, i, sigma.At(i, i)+1e-10)
-		if noiseVar != nil {
-			sigma.Set(i, i, sigma.At(i, i)+noiseVar[i])
-		}
-	}
-	chol, err := linalg.Cholesky(sigma)
+	chol, err := g.factorCov(x, noiseVar)
 	if err != nil {
 		return 0, err
 	}

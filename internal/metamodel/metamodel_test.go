@@ -250,3 +250,37 @@ func TestThetaImportanceByGap(t *testing.T) {
 		t.Fatalf("floored = %v", floored)
 	}
 }
+
+// TestKrigingInterpolatesAtEverySeed repeats TestStochasticKrigingSmooths'
+// interpolation bound over seeds 1–200: on 20 closely spaced design
+// points the deterministic predictor must reproduce noisy responses to
+// within 0.01 on average. A diagonal jitter large against the
+// near-singular Σ_M would smooth instead of interpolate.
+func TestKrigingInterpolatesAtEverySeed(t *testing.T) {
+	var x [][]float64
+	for i := 0; i < 20; i++ {
+		x = append(x, []float64{float64(i) / 5})
+	}
+	y := make([]float64, len(x))
+	for seed := uint64(1); seed <= 200; seed++ {
+		r := rng.New(seed)
+		for i := range y {
+			y[i] = 5 + r.Normal(0, 0.5)
+		}
+		gp, err := FitGP(x, y, []float64{2}, 1)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		sum := 0.0
+		for i, xi := range x {
+			p, err := gp.Predict(xi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum += math.Abs(p - y[i])
+		}
+		if sum/20 > 0.01 {
+			t.Errorf("seed %d: mean interpolation error %g, want ≤ 0.01", seed, sum/20)
+		}
+	}
+}

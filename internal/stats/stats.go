@@ -121,14 +121,21 @@ func Quantiles(xs []float64, ps []float64) ([]float64, error) {
 }
 
 // ExtremeQuantile estimates a tail quantile (p close to 0 or 1) by
-// fitting a generalized-Pareto-style exponential tail above a high
-// threshold, in the spirit of MCDB-R's risk analysis (§2.1, [5]). For a
-// sample of n points and a target p beyond the largest order statistic's
-// reliable range, empirical quantiles are noisy; the tail fit
-// extrapolates using the mean excess over the threshold.
+// fitting a generalized Pareto distribution (GPD) to the exceedances
+// over a high threshold, in the spirit of MCDB-R's risk analysis (§2.1,
+// [5]). For a target p beyond the largest order statistics' reliable
+// range, empirical quantiles are noisy; the tail fit extrapolates.
 //
-// For p in the bulk (threshold coverage), it falls back to the empirical
-// quantile.
+// The top k = 10% of the sample (at least 10 points) are the
+// exceedances, and the threshold u is the largest point below them. The
+// GPD's scale σ and shape ξ come from the probability-weighted moments
+// of the excesses (Hosking & Wallis 1987), and the estimate solves
+// P(X > q) = (k/n)·(1 + ξ(q − u)/σ)^(−1/ξ) = 1 − p, taking the
+// exponential limit P(X > q) = (k/n)·exp(−(q − u)/σ) when ξ ≈ 0.
+//
+// For p in the bulk (threshold coverage), and when the fit degenerates
+// (no excess over u, or a non-finite estimate), it falls back to the
+// empirical quantile.
 func ExtremeQuantile(xs []float64, p float64) (float64, error) {
 	if len(xs) == 0 {
 		return 0, ErrEmpty
@@ -152,7 +159,6 @@ func ExtremeQuantile(xs []float64, p float64) (float64, error) {
 		return -q, err
 	}
 
-	// Use the top 10% (at least 10 points) as tail exceedances.
 	k := n / 10
 	if k < 10 {
 		k = 10
@@ -160,25 +166,38 @@ func ExtremeQuantile(xs []float64, p float64) (float64, error) {
 	if k >= n {
 		return quantileSorted(sorted, p), nil
 	}
-	threshIdx := n - k
-	u := sorted[threshIdx]
 	tailProb := float64(k) / float64(n)
 	if 1-p >= tailProb {
 		// Bulk quantile: the empirical estimate is reliable.
 		return quantileSorted(sorted, p), nil
 	}
-	// Exponential tail: P(X > u + y | X > u) = exp(-y/beta),
-	// beta = mean excess.
-	excessSum := 0.0
-	for i := threshIdx; i < n; i++ {
-		excessSum += sorted[i] - u
+	u := sorted[n-k-1]
+	// Sample PWMs of the ascending excesses y_(j), j = 1..k:
+	// a0 = mean y, a1 = mean (1 − p_j)·y_(j) with p_j = (j − 0.35)/k.
+	a0, a1 := 0.0, 0.0
+	for j, x := range sorted[n-k:] {
+		y := x - u
+		a0 += y
+		a1 += (1 - (float64(j)+0.65)/float64(k)) * y
 	}
-	beta := excessSum / float64(k)
-	if beta <= 0 {
+	a0 /= float64(k)
+	a1 /= float64(k)
+	d := a0 - 2*a1
+	if !(a0 > 0 && d > 0) {
 		return quantileSorted(sorted, p), nil
 	}
-	// Solve P(X > q) = 1-p: q = u + beta * log(tailProb/(1-p)).
-	return u + beta*math.Log(tailProb/(1-p)), nil
+	sigma := 2 * a0 * a1 / d
+	xi := 2 - a0/d
+	// logR = log(P(X > u | tail) / P(X > q)) > 0.
+	logR := math.Log(tailProb / (1 - p))
+	q := u + sigma*logR
+	if math.Abs(xi) > 1e-9 {
+		q = u + sigma/xi*math.Expm1(xi*logR)
+	}
+	if math.IsNaN(q) || math.IsInf(q, 0) {
+		return quantileSorted(sorted, p), nil
+	}
+	return q, nil
 }
 
 // MeanCI returns the sample mean of xs together with a normal-theory
