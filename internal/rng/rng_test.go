@@ -143,16 +143,28 @@ func TestStdNormalMoments(t *testing.T) {
 	}
 }
 
-// TestStdNormalSincos checks that the one math.Sincos per Box-Muller
-// pair returns the bits of separate math.Sin and math.Cos calls.
-func TestStdNormalSincos(t *testing.T) {
-	r, u := New(11), New(11)
-	for i := 0; i < 1_000_000; i++ {
-		rad := math.Sqrt(-2 * math.Log(u.Float64Open()))
-		theta := 2 * math.Pi * u.Float64()
-		cos, sin := r.StdNormal(), r.StdNormal()
-		if cos != rad*math.Cos(theta) || sin != rad*math.Sin(theta) {
-			t.Fatalf("pair %d: got (%v, %v), want (%v, %v)", i, cos, sin, rad*math.Cos(theta), rad*math.Sin(theta))
+// TestStdNormalTails checks P(|Z| > t) at t = 1, 2, 3, the Ziggurat's
+// tail start zigR, and 4 over 10⁷ draws at a pinned seed, each within
+// 4 standard errors of the exact erfc(t/√2). The rectangles, the
+// wedges and the tail each decide one stretch of these probabilities.
+func TestStdNormalTails(t *testing.T) {
+	const n = 10_000_000
+	ts := []float64{1, 2, 3, zigR, 4}
+	over := make([]int, len(ts))
+	r := New(17)
+	for i := 0; i < n; i++ {
+		z := math.Abs(r.StdNormal())
+		for j, tj := range ts {
+			if z > tj {
+				over[j]++
+			}
+		}
+	}
+	for j, tj := range ts {
+		p := math.Erfc(tj / math.Sqrt2)
+		se := math.Sqrt(p * (1 - p) / n)
+		if got := float64(over[j]) / n; math.Abs(got-p) > 4*se {
+			t.Errorf("P(|Z| > %g) = %g, want %g ± %g", tj, got, p, 4*se)
 		}
 	}
 }
@@ -299,4 +311,16 @@ func TestNamespaceSeed(t *testing.T) {
 	// Labels that are prefixes of each other must still separate.
 	add("base=1 t/0", NamespaceSeed(1, "t", 0))
 	add("base=1 te/0", NamespaceSeed(1, "te", 0))
+}
+
+var sinkNormal float64
+
+// BenchmarkStdNormal measures one standard normal draw.
+func BenchmarkStdNormal(b *testing.B) {
+	r := New(1)
+	s := 0.0
+	for i := 0; i < b.N; i++ {
+		s += r.StdNormal()
+	}
+	sinkNormal = s
 }

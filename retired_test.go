@@ -276,6 +276,16 @@ var retiredTable = []retired{
 			{`detChanged`, `dirty, dirtyCount := markDirty(q, oldBt, newBt, affected, detChanged, opts.Iterations)`},
 		},
 	},
+	{
+		name: "One normal generator", pr: 49,
+		why:   "rng.Stream.StdNormal is a Ziggurat that draws each value from one Uint64 and keeps no state between calls; the Box–Muller pair and the spare it cached in the Stream were the second generator",
+		scope: []string{"internal/rng"},
+		tests: true,
+		lines: []offender{
+			{`haveGauss|\br\.gauss\b`, `if r.haveGauss {`},
+			{`math\.Sincos\(|StdNormalSincos`, `sin, cos := math.Sincos(2 * math.Pi * u2)`},
+		},
+	},
 }
 
 // violations lists what of r is present under root, one message per
@@ -385,6 +395,7 @@ func TestRetiredFindsWhatIsPutBack(t *testing.T) {
 		"internal/mapreduce/mapreduce.go":     "package mapreduce\n",
 		"internal/timeseries/align.go":        "package timeseries\n",
 		"examples/splash/main.go":             "package main\n",
+		"internal/rng/rng.go":                 "package rng\n",
 	} {
 		full := filepath.Join(root, path)
 		if err := os.MkdirAll(filepath.Dir(full), 0o755); err != nil {
