@@ -19,7 +19,7 @@ import (
 // the absolute bits the MCDB executors draw, so any change to how a VG
 // consumes its stream or how a draw lands in a cell shows here, not only
 // a disagreement between two executors or worker counts.
-const pinnedDrawsDigest uint64 = 0x9020505f48ccc4f0
+const pinnedDrawsDigest uint64 = 0x899b0597d22d5118
 
 // TestPinnedDraws computes one digest over every route a VG draw takes —
 // bundles, one full instantiation, plan-once SQL under the default and a
