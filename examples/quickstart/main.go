@@ -12,7 +12,9 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"log"
+	"os"
 
 	"modeldata/internal/engine"
 	"modeldata/internal/mcdb"
@@ -21,7 +23,14 @@ import (
 
 func main() {
 	log.SetFlags(0)
+	if err := run(os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run declares SBP_DATA, realizes it once and as 1000 bundled worlds,
+// and prints one realization and three distributional answers to w.
+func run(w io.Writer) error {
 	// 1. Deterministic base tables.
 	base := engine.NewDatabase()
 	patients := engine.MustNewTable("patients", engine.Schema{
@@ -66,26 +75,26 @@ func main() {
 		UncertainCols: []int{2},
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 
 	// 3. One realization is an ordinary database instance.
 	inst, err := db.Instantiate(rng.New(1))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	tbl, err := inst.Get("sbp_data")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("one realization of SBP_DATA:")
-	fmt.Println(engine.From(tbl).Limit(5).MustRun())
+	fmt.Fprintln(w, "one realization of SBP_DATA:")
+	fmt.Fprintln(w, engine.From(tbl).Limit(5).MustRun())
 
 	// 4. Monte Carlo with tuple bundles: the plan executes once, each
 	//    uncertain cell carries its 1000 instantiations.
 	bundles, err := db.InstantiateBundled(1000, 7)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	bt := bundles["sbp_data"]
 
@@ -93,31 +102,32 @@ func main() {
 	males := bt.FilterDet(func(det engine.Row) bool { return det[1].AsString() == "M" })
 	maleMeans, err := males.Estimate("sbp", engine.AggAvg, nil)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	est, err := mcdb.Summarize(maleMeans)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("male mean SBP across 1000 Monte Carlo worlds: %v\n", est)
+	fmt.Fprintf(w, "male mean SBP across 1000 Monte Carlo worlds: %v\n", est)
 
 	// "How likely is a hypertension count above 8?"
 	counts, err := bt.Estimate("sbp", engine.AggCount, func(_ engine.Row, unc []float64) bool {
 		return unc[0] > 140
 	})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	p, err := mcdb.ThresholdProbability(counts, 8)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("P(more than 8 hypertensive patients) ≈ %.3f\n", p)
+	fmt.Fprintf(w, "P(more than 8 hypertensive patients) ≈ %.3f\n", p)
 
 	// 5. MCDB-R risk analysis: the 99.9th percentile of the count.
 	q, err := mcdb.RiskQuantile(counts, 0.999)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("0.999-quantile of the hypertensive count ≈ %.1f\n", q)
+	fmt.Fprintf(w, "0.999-quantile of the hypertensive count ≈ %.1f\n", q)
+	return nil
 }
