@@ -159,12 +159,12 @@ func TestFilterCountDecodesOneBlockPerSegment(t *testing.T) {
 	}
 }
 
-// The streamed join has to emit in the order the in-memory join does,
-// which builds on the smaller side: when the filtered scan is smaller
-// than the table, that is table order, and the stream — which always
-// builds on the table — must reorder. Duplicate keys on both sides make
-// the two orders differ.
-func TestStreamedJoinKeepsBuildSideOrder(t *testing.T) {
+// The streamed join, which always hashes the table, has to emit in
+// the order the in-memory join does, which hashes the smaller input:
+// left order, whichever that is. Filters make the scan larger, smaller
+// and as large as the table, and duplicate keys on both sides make
+// left order differ from table order.
+func TestStreamedJoinEmitsInLeftOrder(t *testing.T) {
 	tbl := &engine.Table{Name: "f", Schema: engine.Schema{
 		{Name: "k", Type: engine.TypeInt}, {Name: "v", Type: engine.TypeFloat},
 	}}

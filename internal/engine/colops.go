@@ -3,9 +3,9 @@ package engine
 // Vectorized relational operators over ColumnBlocks — the engine's
 // only operator implementations. golden_test.go checks them against a
 // reference interpreter on randomized inputs. Determinism rules:
-// group-by and distinct emit in first-appearance order, joins emit in
-// probe order with build-side insertion order within a key, and sorts
-// are stable.
+// group-by and distinct emit in first-appearance order, joins emit the
+// left rows in order, each followed by its right matches in right
+// order, and sorts are stable.
 
 import (
 	"fmt"
@@ -348,27 +348,53 @@ func (jt *joinTable) probe(probe *ColumnBlock, pi int, sc *Scratch, pidx, bidx [
 }
 
 // equiJoinIdx computes the matching (left, right) physical row-index
-// pairs of the hash equi-join of l and r on columns li and ri.
-// buildLeft selects the hash-build side explicitly; emission order is
-// probe order with build-side insertion order within a key, so the
-// build side fully determines output order. The returned slices come
-// from sc's index buffers — callers must hand them back with putIdx
-// once consumed. sc must be non-nil.
-func equiJoinIdx(l, r *ColumnBlock, li, ri int, buildLeft bool, sc *Scratch) (lidx, ridx []int32) {
-	if buildLeft {
-		ridx, lidx = newJoinTable(l, li, sc).probe(r, ri, sc, sc.idxBuf(1), sc.idxBuf(0))
-		return lidx, ridx
+// pairs of the hash equi-join of l and r on columns li and ri, in left
+// order: l's logical rows in turn, each followed by its matches in r's
+// logical order. Which input it hashes does not show in the output.
+// The returned slices come from sc's index buffers — callers must hand
+// them back with putIdx once consumed. sc must be non-nil.
+func equiJoinIdx(l, r *ColumnBlock, li, ri int, sc *Scratch) (lidx, ridx []int32) {
+	if !hashesLeft(l, r) {
+		return newJoinTable(r, ri, sc).probe(l, li, sc, sc.idxBuf(0), sc.idxBuf(1))
 	}
-	return newJoinTable(r, ri, sc).probe(l, li, sc, sc.idxBuf(0), sc.idxBuf(1))
+	ridx, lidx = newJoinTable(l, li, sc).probe(r, ri, sc, nil, nil)
+	return leftMajor(l, lidx, ridx, sc)
+}
+
+// hashesLeft reports whether a join of l and r hashes l: a join hashes
+// its smaller input, and a tie hashes the right.
+func hashesLeft(l, r *ColumnBlock) bool { return l.Len() < r.Len() }
+
+// leftMajor places the match pairs (lidx[k], ridx[k]) of a join with
+// left input l in left order by one counting placement: the pairs of
+// l's logical row i before those of row i+1, the pairs of one left row
+// in the order given. lidx holds physical rows of l, each of which l's
+// selection names at most once. The result is in sc's index buffers.
+func leftMajor(l *ColumnBlock, lidx, ridx []int32, sc *Scratch) ([]int32, []int32) {
+	at := make([]int32, l.nrows) // per physical left row: its pair count, then its next slot
+	for _, p := range lidx {
+		at[p]++
+	}
+	next := int32(0)
+	for i, n := 0, l.Len(); i < n; i++ {
+		p := l.phys(i)
+		at[p], next = next, next+at[p]
+	}
+	outL, outR := growIdx(sc.idxBuf(0), len(lidx)), growIdx(sc.idxBuf(1), len(lidx))
+	for k, p := range lidx {
+		outL[at[p]], outR[at[p]] = p, ridx[k]
+		at[p]++
+	}
+	return outL, outR
 }
 
 // equiJoinBudget computes the hash equi-join of b and r on leftCol =
-// rightCol. The hash table is built on the smaller input (ties build on
-// the right) from pre-encoded uint64 key codes; no per-row key strings
-// are constructed. Output columns are prefixed with the block names.
-// When budget > 0 and the build side's estimated hash footprint
-// exceeds it, the join Grace-partitions to disk under dir (see
-// spill.go). Output is byte-identical either way.
+// rightCol, in left order (see equiJoinIdx). The hash table is built
+// on the smaller input from pre-encoded uint64 key codes; no per-row
+// key strings are constructed. Output columns are prefixed with the
+// block names. When budget > 0 and the hashed input's estimated
+// footprint exceeds it, the join Grace-partitions to disk under dir
+// (see spill.go). Output is byte-identical either way.
 func (b *ColumnBlock) equiJoinBudget(r *ColumnBlock, leftCol, rightCol string, sc *Scratch, budget int64, dir string) (*ColumnBlock, error) {
 	sc = sc.orNew()
 	l := b
@@ -380,8 +406,7 @@ func (b *ColumnBlock) equiJoinBudget(r *ColumnBlock, leftCol, rightCol string, s
 	if err != nil {
 		return nil, fmt.Errorf("join right: %w", err)
 	}
-	// Build on the smaller side; ties build on the right.
-	lidx, ridx := joinPairs(l, r, li, ri, l.Len() < r.Len(), sc, budget, dir)
+	lidx, ridx := joinPairs(l, r, li, ri, sc, budget, dir)
 
 	out := &ColumnBlock{
 		Name:   l.Name + "_" + r.Name,
@@ -403,18 +428,13 @@ func (b *ColumnBlock) equiJoinBudget(r *ColumnBlock, leftCol, rightCol string, s
 // joinStream is the hash equi-join of a storage scan with a table, run
 // one scan partition at a time: the table is hashed once, each
 // partition probes it, and only a partition's matching rows are kept,
-// so the scan side is never concatenated. The in-memory join builds on
-// the smaller input and emits in the other's order; which side is
-// smaller is not known until the last partition has been filtered, so
-// the stream always builds on the table and, if the scan turns out to
-// be the smaller side, result reorders the pairs into the order a
-// build on it would have emitted.
+// so the scan side is never concatenated. Probing in scan order emits
+// the pairs in left order, the order every join emits in.
 type joinStream struct {
-	op    *qop
-	sc    *Scratch
-	r     *ColumnBlock // the decoded table
-	jt    *joinTable   // r hashed on the join column
-	lrows int          // scan rows probed so far
+	op *qop
+	sc *Scratch
+	r  *ColumnBlock // the decoded table
+	jt *joinTable   // r hashed on the join column
 	// lparts holds each partition's matching rows, gathered dense;
 	// ridx the table row of every one of them, in the same order.
 	lschema Schema
@@ -449,7 +469,6 @@ func (s *joinStream) probe(part *ColumnBlock) error {
 	}
 	var lidx []int32
 	lidx, s.ridx = s.jt.probe(part, li, s.sc, s.sc.idxBuf(0), s.ridx)
-	s.lrows += part.Len()
 	s.lschema = part.Schema
 	if len(lidx) > 0 {
 		s.lparts = append(s.lparts, part.withSel(lidx).Dense())
@@ -468,19 +487,7 @@ func (s *joinStream) result() (*ColumnBlock, error) {
 	for j := range s.r.Schema {
 		out.cols = append(out.cols, gather(s.r.cols[j], s.r.Schema[j].Type, s.ridx))
 	}
-	if s.lrows >= s.r.Len() {
-		return out, nil
-	}
-	// The scan is the smaller side, so the in-memory join would have
-	// built on it and emitted in table order, scan order within one
-	// table row. Pairs are in scan order already; a stable sort on the
-	// table row (the table is dense: position is order) is that order.
-	order := make([]int32, len(s.ridx))
-	for i := range order {
-		order[i] = int32(i)
-	}
-	sort.SliceStable(order, func(x, y int) bool { return s.ridx[order[x]] < s.ridx[order[y]] })
-	return out.withSel(order), nil
+	return out, nil
 }
 
 // groupStream is a budgeted, keyed group-by fed one partition at a

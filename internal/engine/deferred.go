@@ -9,15 +9,13 @@ package engine
 // iterations while its keys and the other tables do not.
 //
 // Why that reproduces the statement's own answer over the completed
-// table, bit for bit. A SQL WHERE is recorded after every JOIN, so each
-// of its single-scan conjuncts is a region filter at position
-// len(joins): none of them enters canonLens, hence the written path's
-// build sides and the row-id signature that fixes emission order depend
-// on the join keys alone. Pushing such a conjunct below the joins is a
-// pure restriction that keeps emission order, so running it after them
-// — which is all deferring it does — selects the same rows in the same
-// order. The operations after the region then see the same block they
-// would have seen.
+// table, bit for bit. Every join emits in left order and a filter keeps
+// order, so a join region's output is its surviving row combinations in
+// scan order whatever runs where (see planexec.go). A single-scan
+// conjunct is a pure restriction, so running it after the joins — which
+// is all deferring it does — selects the same rows in the same order.
+// The operations after the region then see the same block they would
+// have seen.
 
 import (
 	"fmt"
@@ -125,9 +123,6 @@ func (p *Prepared) Defer(db *Database, deferrable map[*Table][]int) (*Deferred, 
 		if f.scan != d.scan || !slices.ContainsFunc(plan.Columns(f.pred), deferred) {
 			pushed = append(pushed, f)
 			continue
-		}
-		if f.pos != len(reg.joins) {
-			return nil, nil
 		}
 		post = append(post, plan.RenameCols(f.pred, exit))
 	}

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"modeldata/internal/engine/plan"
+	"modeldata/internal/obs"
 )
 
 func peopleTable(t *testing.T) *Table {
@@ -166,29 +167,93 @@ func TestEquiJoin(t *testing.T) {
 }
 
 func TestEquiJoinBuildSideSymmetry(t *testing.T) {
-	// The hash join picks the smaller side to build; results must not
-	// depend on which side that is.
-	small := MustNewTable("s", Schema{{Name: "k", Type: TypeInt}})
-	small.MustInsert(Int(1))
-	big := MustNewTable("b", Schema{{Name: "k", Type: TypeInt}})
+	// The hash join hashes the smaller input; either way round it emits
+	// the left rows in order, each followed by its right matches in
+	// order. Both sides repeat keys, so the two orders differ.
+	small := MustNewTable("s", Schema{{Name: "k", Type: TypeInt}, {Name: "i", Type: TypeInt}})
+	small.MustInsert(Int(1), Int(0))
+	small.MustInsert(Int(0), Int(1))
+	small.MustInsert(Int(1), Int(2))
+	big := MustNewTable("b", Schema{{Name: "k", Type: TypeInt}, {Name: "i", Type: TypeInt}})
 	for i := 0; i < 10; i++ {
-		big.MustInsert(Int(int64(i % 2)))
+		big.MustInsert(Int(int64(i%2)), Int(int64(i)))
 	}
-	j1, err := From(small).Join(big, "k", "k").Run()
+	for _, in := range [][2]*Table{{small, big}, {big, small}} {
+		got, err := From(in[0]).Join(in[1], "k", "k").Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireSameTable(t, in[0].Name+" join "+in[1].Name, refJoin(in[0], in[1], "k", "k"), got)
+	}
+}
+
+// TestJoinEmitsInLeftOrder runs a join whose left input is the smaller
+// one, with keys repeated on both sides, through every route that
+// executes a join: the operator in memory and spilled, a storage scan
+// streamed past the table in one partition and in three, and a
+// three-table SQL join the planner reorders. Each must emit the left
+// rows in order, each followed by its right matches in right order.
+func TestJoinEmitsInLeftOrder(t *testing.T) {
+	l := MustNewTable("l", Schema{{Name: "id", Type: TypeInt}, {Name: "k", Type: TypeInt}, {Name: "tag", Type: TypeString}})
+	for i, k := range []int64{2, 1, 2, 0, 1, 3, 1, 2} {
+		l.MustInsert(Int(int64(i)), Int(k), Str([]string{"x", "y"}[i%2]))
+	}
+	r := MustNewTable("r", Schema{{Name: "k", Type: TypeInt}, {Name: "j", Type: TypeInt}})
+	for i := 0; i < 10; i++ {
+		r.MustInsert(Int(int64(i%3)), Int(int64(i)))
+	}
+	below := plan.Cmp{Col: "id", Op: "<", Val: plan.IntLit(5)}
+	filtered := refFilter(l, func(row Row) bool { return row[0].AsInt() < 5 })
+	spilled := func(q *Query) *Query { return q.WithMemoryBudget(1).WithSpillDir(t.TempDir()) }
+	for _, src := range []struct {
+		name   string
+		from   func() *Query
+		spills bool
+	}{
+		{"From", func() *Query { return From(l) }, false},
+		{"From, 1 B budget", func() *Query { return spilled(From(l)) }, true},
+		{"FromStorage, 1 partition", func() *Query { return FromStorage(&chunked{Storage: l}) }, false},
+		{"FromStorage, 3 partitions", func() *Query { return FromStorage(&chunked{Storage: l, n: 3}) }, false},
+	} {
+		for _, tc := range []struct {
+			name string
+			q    *Query
+			left *Table
+		}{
+			{"whole scan", src.from(), l},
+			{"scan filtered to 5 rows", src.from().WhereExpr(below), filtered},
+		} {
+			label := src.name + ", " + tc.name
+			spills := spillPartitions.Value()
+			got, err := tc.q.Join(r, "k", "k").Run()
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			requireSameTable(t, label, refJoin(tc.left, r, "k", "k"), got)
+			if src.spills && spillPartitions.Value() == spills {
+				t.Fatalf("%s: the join did not spill", label)
+			}
+		}
+	}
+
+	tiny := MustNewTable("tiny", Schema{{Name: "tag", Type: TypeString}, {Name: "w", Type: TypeInt}})
+	tiny.MustInsert(Str("y"), Int(7))
+	db := NewDatabase()
+	db.Put(l)
+	db.Put(r)
+	db.Put(tiny)
+	reordered := obs.Default().Counter(MetricPlanReordered)
+	before := reordered.Value()
+	got, err := db.Query("SELECT * FROM l JOIN r ON l.k = r.k JOIN tiny ON l.tag = tiny.tag")
 	if err != nil {
 		t.Fatal(err)
 	}
-	j2, err := From(big).Join(small, "k", "k").Run()
-	if err != nil {
-		t.Fatal(err)
+	if reordered.Value() == before {
+		t.Fatal("the planner kept the written join order")
 	}
-	if j1.Len() != 5 || j2.Len() != 5 {
-		t.Fatalf("asymmetric join: %d vs %d", j1.Len(), j2.Len())
-	}
-	// Left columns of j1 must come from "s".
-	if j1.Schema[0].Name != "s.k" || j2.Schema[0].Name != "b.k" {
-		t.Fatalf("schemas: %v / %v", j1.Schema, j2.Schema)
-	}
+	want := refJoin(refJoin(l, r, "k", "k"), tiny, "l.tag", "tag")
+	want.Name, want.Schema = got.Name, got.Schema
+	requireSameTable(t, "reordered SQL", want, got)
 }
 
 func TestGroupByAggregates(t *testing.T) {

@@ -142,9 +142,8 @@ func refRename(t *Table, oldName, newName string) *Table {
 	return out
 }
 
-// refJoin is a nested-loop equi-join. The engine hashes the smaller
-// side (ties: the right) and emits in probe order, build order within a
-// key — so the outer loop runs over the larger side.
+// refJoin is a nested-loop equi-join: the left rows in order, each
+// followed by its right matches in right order.
 func refJoin(l, r *Table, lc, rc string) *Table {
 	li, ri := refCol(l, lc), refCol(r, rc)
 	out := &Table{Name: l.Name + "_" + r.Name}
@@ -154,21 +153,10 @@ func refJoin(l, r *Table, lc, rc string) *Table {
 	for _, c := range r.Schema {
 		out.Schema = append(out.Schema, Column{Name: r.Name + "." + c.Name, Type: c.Type})
 	}
-	emit := func(lr, rr Row) {
-		if string(lr[li].AppendKey(nil)) == string(rr[ri].AppendKey(nil)) {
-			out.Rows = append(out.Rows, append(lr.Clone(), rr...))
-		}
-	}
-	if len(l.Rows) < len(r.Rows) {
+	for _, lr := range l.Rows {
 		for _, rr := range r.Rows {
-			for _, lr := range l.Rows {
-				emit(lr, rr)
-			}
-		}
-	} else {
-		for _, lr := range l.Rows {
-			for _, rr := range r.Rows {
-				emit(lr, rr)
+			if string(lr[li].AppendKey(nil)) == string(rr[ri].AppendKey(nil)) {
+				out.Rows = append(out.Rows, append(lr.Clone(), rr...))
 			}
 		}
 	}

@@ -3,8 +3,9 @@ package plan
 // The optimizer works on a "join region": the maximal prefix of a
 // query made of scans, equi-joins, and pushable filters. The physical
 // layer lowers that prefix into a RegionSpec, Choose picks a join
-// order and build sides by estimated cardinality, and the executor
-// runs the chosen order. Everything downstream of the region
+// order by estimated cardinality (its build sides are estimates for
+// EXPLAIN: each join hashes its observed smaller input, and emits in
+// left order either way), and the executor runs the chosen order. Everything downstream of the region
 // (projections, renames, aggregates, sorts) executes as written.
 
 // ScanSpec describes one base table input of a join region. Scans are

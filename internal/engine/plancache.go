@@ -4,12 +4,12 @@ package engine
 // and remember the planner's join-order choice between executions.
 //
 // The cache deliberately stores ONLY the join order (a *plan.Choice),
-// keyed by the scans' aliases and row counts. Everything the
-// byte-identity machinery depends on — pushed-filter bitmaps, the
-// written-order build-side reconstruction, the canonical output
-// signature — is recomputed from the actual data on every execution,
-// so a recalled order can change speed but never results. If a table
-// grows between executions the key changes and the order is re-chosen.
+// keyed by the scans' aliases and row counts. Everything data-dependent
+// — pushed-filter selections, the joins' hashed inputs, the sort that
+// restores written order — is recomputed from the actual data on every
+// execution, so a recalled order can change speed but never results.
+// If a table grows between executions the key changes and the order is
+// re-chosen.
 //
 // A Prepared is parsed without a database: table names resolve at
 // Query/Exec time against whichever Database the caller supplies.

@@ -192,7 +192,9 @@ func TestQueryExplain(t *testing.T) {
 
 // TestPlannerOnOffGolden runs a battery of fixed SQL queries planned
 // and, with the fact table a storage, as written, and requires
-// byte-identical tables — same rows, same order, same float bits.
+// byte-identical tables — same rows, same order, same float bits. Then
+// the same over each key kind a join matches on (see
+// plannerKeyKindCases).
 func TestPlannerOnOffGolden(t *testing.T) {
 	db := starDB(t)
 	queries := []string{
@@ -214,6 +216,92 @@ func TestPlannerOnOffGolden(t *testing.T) {
 			t.Fatalf("query %d: as written err=%v planned err=%v", i, errOff, errOn)
 		}
 		requireSameTable(t, fmt.Sprintf("golden query %d", i), off, on)
+	}
+	plannerKeyKindCases(t)
+}
+
+// plannerKeyKindCases compares the planned region with the same query
+// over a as a storage, which runs as written, where join 0 (a.k = b.k)
+// matches on each key kind: ints, ints against floats, an int64 beyond
+// 2^53 (byte keys), strings, bools, floats with ±0 and NaN, and
+// mismatched kinds, which never match. Join 1 hangs c off b and join 2
+// hangs d off a; a filter v >= 1 is written on scan fpos, after the
+// join that introduces it.
+func plannerKeyKindCases(t *testing.T) {
+	t.Helper()
+	const big = int64(1)<<53 + 1 // not a float64: forces byte keys
+	negZero := math.Copysign(0, -1)
+	floats := []float64{0, negZero, math.NaN(), 1.5}
+	cases := []struct {
+		name   string
+		lt, rt Type
+		lk, rk func(i int) Value
+		empty  bool
+	}{
+		{"int-int", TypeInt, TypeInt, func(i int) Value { return Int(int64(i % 4)) }, func(i int) Value { return Int(int64(i % 5)) }, false},
+		{"int-float", TypeInt, TypeFloat, func(i int) Value { return Int(int64(i % 4)) }, func(i int) Value { return Float(float64(i%6) / 2) }, false},
+		{"int beyond 2^53", TypeInt, TypeInt, func(i int) Value { return Int(big - int64(i%3)) }, func(i int) Value { return Int(big - int64(i%2)) }, false},
+		{"string", TypeString, TypeString, func(i int) Value { return Str(fmt.Sprint("s", i%4)) }, func(i int) Value { return Str(fmt.Sprint("s", i%3)) }, false},
+		{"bool", TypeBool, TypeBool, func(i int) Value { return Bool(i%3 == 0) }, func(i int) Value { return Bool(i%2 == 0) }, false},
+		{"float ±0 NaN", TypeFloat, TypeFloat, func(i int) Value { return Float(floats[i%4]) }, func(i int) Value { return Float(floats[(i+1)%3]) }, false},
+		{"kind mismatch", TypeInt, TypeString, func(i int) Value { return Int(int64(i % 4)) }, func(i int) Value { return Str("1") }, true},
+	}
+	intCol := func(name string) Column { return Column{Name: name, Type: TypeInt} }
+	for _, tc := range cases {
+		a := MustNewTable("a", Schema{intCol("id"), {Name: "k", Type: tc.lt}, intCol("v")})
+		b := MustNewTable("b", Schema{{Name: "k", Type: tc.rt}, intCol("k2"), intCol("v")})
+		c := MustNewTable("c", Schema{intCol("k2"), intCol("v")})
+		d := MustNewTable("d", Schema{intCol("id"), intCol("v")})
+		for i := 0; i < 13; i++ {
+			a.MustInsert(Int(int64(i%5)), tc.lk(i), Int(int64(i%4)))
+		}
+		for i := 0; i < 9; i++ {
+			b.MustInsert(tc.rk(i), Int(int64(i%3)), Int(int64((i+1)%4)))
+		}
+		for i := 0; i < 40; i++ {
+			c.MustInsert(Int(int64(i%4)), Int(int64(i%4)))
+		}
+		for i := 0; i < 7; i++ {
+			d.MustInsert(Int(int64(i%5)), Int(int64(i%4)))
+		}
+		scans := []*Table{a, b, c, d}
+		joins := []regionJoin{{0, "k", "k"}, {1, "k2", "k2"}, {0, "id", "id"}}
+		query := func(src *Query, fpos int) *Query {
+			keep := func(col string) plan.Expr { return plan.Cmp{Op: ">=", Col: col, Val: plan.IntLit(1)} }
+			q := src
+			if fpos == 0 {
+				q = q.WhereExpr(keep("v"))
+			}
+			for p := 1; p <= len(joins); p++ {
+				jn := joins[p-1]
+				// As SQL lowers it: the first join prefixes the bare left
+				// names, later joins keep them flat.
+				if p == 1 {
+					q = q.Join(scans[p], jn.leftCol, jn.rightCol)
+				} else {
+					q = q.join(scans[p], scans[jn.leftScan].Name+"."+jn.leftCol, jn.rightCol, true)
+				}
+				if fpos == p {
+					q = q.WhereExpr(keep(scans[p].Name + ".v"))
+				}
+			}
+			return q
+		}
+		for fpos := 0; fpos <= 2; fpos++ {
+			label := fmt.Sprintf("%s, filter at %d", tc.name, fpos)
+			off, err := query(FromStorage(a), fpos).Run()
+			if err != nil {
+				t.Fatalf("%s: as written: %v", label, err)
+			}
+			on, err := query(From(a), fpos).Run()
+			if err != nil {
+				t.Fatalf("%s: planned: %v", label, err)
+			}
+			requireSameTable(t, label, off, on)
+			if (len(off.Rows) == 0) != tc.empty {
+				t.Fatalf("%s: %d result rows, want empty=%v", label, len(off.Rows), tc.empty)
+			}
+		}
 	}
 }
 
@@ -373,124 +461,5 @@ func TestPlannerMetrics(t *testing.T) {
 	}
 	if direct.Value() != d0+1 {
 		t.Fatalf("direct %d→%d, want +1", d0, direct.Value())
-	}
-}
-
-// TestCanonLensKeyKinds pins build-side reconstruction across key kinds.
-// canonLens counts a join edge on uint64 key codes where the join
-// itself would and on byte keys otherwise; either way it must return
-// the written path's intermediate sizes — so the planned path forces
-// the written build sides — and the planned bytes must equal those of
-// the same query over a as a storage, which runs as written. Join 0 (a.k = b.k) carries the key kind under test; join 1
-// hangs c off b, so b's count has a child edge; join 2 hangs d off a.
-func TestCanonLensKeyKinds(t *testing.T) {
-	const big = int64(1)<<53 + 1 // not a float64: forces byte keys
-	negZero := math.Copysign(0, -1)
-	floats := []float64{0, negZero, math.NaN(), 1.5}
-	cases := []struct {
-		name   string
-		lt, rt Type
-		lk, rk func(i int) Value
-		empty  bool
-	}{
-		{"int-int", TypeInt, TypeInt, func(i int) Value { return Int(int64(i % 4)) }, func(i int) Value { return Int(int64(i % 5)) }, false},
-		{"int-float", TypeInt, TypeFloat, func(i int) Value { return Int(int64(i % 4)) }, func(i int) Value { return Float(float64(i%6) / 2) }, false},
-		{"int beyond 2^53", TypeInt, TypeInt, func(i int) Value { return Int(big - int64(i%3)) }, func(i int) Value { return Int(big - int64(i%2)) }, false},
-		{"string", TypeString, TypeString, func(i int) Value { return Str(fmt.Sprint("s", i%4)) }, func(i int) Value { return Str(fmt.Sprint("s", i%3)) }, false},
-		{"bool", TypeBool, TypeBool, func(i int) Value { return Bool(i%3 == 0) }, func(i int) Value { return Bool(i%2 == 0) }, false},
-		{"float ±0 NaN", TypeFloat, TypeFloat, func(i int) Value { return Float(floats[i%4]) }, func(i int) Value { return Float(floats[(i+1)%3]) }, false},
-		{"kind mismatch", TypeInt, TypeString, func(i int) Value { return Int(int64(i % 4)) }, func(i int) Value { return Str("1") }, true},
-	}
-	intCol := func(name string) Column { return Column{Name: name, Type: TypeInt} }
-	for _, tc := range cases {
-		a := MustNewTable("a", Schema{intCol("id"), {Name: "k", Type: tc.lt}, intCol("v")})
-		b := MustNewTable("b", Schema{{Name: "k", Type: tc.rt}, intCol("k2"), intCol("v")})
-		c := MustNewTable("c", Schema{intCol("k2"), intCol("v")})
-		d := MustNewTable("d", Schema{intCol("id"), intCol("v")})
-		for i := 0; i < 13; i++ {
-			a.MustInsert(Int(int64(i%5)), tc.lk(i), Int(int64(i%4)))
-		}
-		for i := 0; i < 9; i++ {
-			b.MustInsert(tc.rk(i), Int(int64(i%3)), Int(int64((i+1)%4)))
-		}
-		for i := 0; i < 40; i++ {
-			c.MustInsert(Int(int64(i%4)), Int(int64(i%4)))
-		}
-		for i := 0; i < 7; i++ {
-			d.MustInsert(Int(int64(i%5)), Int(int64(i%4)))
-		}
-		scans := []*Table{a, b, c, d}
-		joins := []regionJoin{{0, "k", "k"}, {1, "k2", "k2"}, {0, "id", "id"}}
-		// query is the written region up to join `upto` over src (a or a
-		// storage of it), with the filter v >= 1 on scan fpos written at
-		// position fpos.
-		query := func(src *Query, upto, fpos int) *Query {
-			keep := func(col string) plan.Expr { return plan.Cmp{Op: ">=", Col: col, Val: plan.IntLit(1)} }
-			q := src
-			if fpos == 0 {
-				q = q.WhereExpr(keep("v"))
-			}
-			for p := 1; p <= upto; p++ {
-				jn := joins[p-1]
-				// As SQL lowers it: the first join prefixes the bare left
-				// names, later joins keep them flat.
-				if p == 1 {
-					q = q.Join(scans[p], jn.leftCol, jn.rightCol)
-				} else {
-					q = q.join(scans[p], scans[jn.leftScan].Name+"."+jn.leftCol, jn.rightCol, true)
-				}
-				if fpos == p {
-					q = q.WhereExpr(keep(scans[p].Name + ".v"))
-				}
-			}
-			return q
-		}
-		for fpos := 0; fpos <= 2; fpos++ {
-			label := fmt.Sprintf("%s, filter at %d", tc.name, fpos)
-			off, err := query(FromStorage(a), 3, fpos).Run()
-			if err != nil {
-				t.Fatalf("%s: as written: %v", label, err)
-			}
-			on, err := query(From(a), 3, fpos).Run()
-			if err != nil {
-				t.Fatalf("%s: planned: %v", label, err)
-			}
-			requireSameTable(t, label, off, on)
-			if (len(off.Rows) == 0) != tc.empty {
-				t.Fatalf("%s: %d result rows, want empty=%v", label, len(off.Rows), tc.empty)
-			}
-
-			blocks := make([]*ColumnBlock, len(scans))
-			failPos := make([][]int32, len(scans))
-			lj, rj := make([]int, len(joins)), make([]int, len(joins))
-			for s, tbl := range scans {
-				if blocks[s], err = decodeTable(tbl); err != nil {
-					t.Fatal(err)
-				}
-				vcol, _ := tbl.ColIndex("v")
-				failPos[s] = make([]int32, tbl.Len())
-				for i, row := range tbl.Rows {
-					failPos[s][i] = failNever
-					if s == fpos && row[vcol].AsInt() < 1 {
-						failPos[s][i] = int32(fpos)
-					}
-				}
-			}
-			for p, jn := range joins {
-				lj[p], _ = scans[jn.leftScan].ColIndex(jn.leftCol)
-				rj[p], _ = scans[p+1].ColIndex(jn.rightCol)
-			}
-			lens := canonLens(blocks, failPos, joins, lj, rj)
-			for p := range joins {
-				written, err := query(FromStorage(a), p, fpos).Count()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if lens[p] != int64(written) {
-					t.Fatalf("%s: canonLens[%d] = %d, the written intermediate has %d rows (build side of join %d: counted %v, written %v)",
-						label, p, lens[p], written, p, lens[p] < int64(scans[p+1].Len()), written < scans[p+1].Len())
-				}
-			}
-		}
 	}
 }

@@ -31,12 +31,14 @@ import (
 //
 // Execution: over a table, Run lowers the query's scan/filter/join
 // prefix into a logical plan (internal/engine/plan), pushes filters
-// below joins, picks a join order and build sides by estimated
-// cardinality, and executes the optimized plan over the columnar
-// operators; the rest of the query, and all of a FromStorage query,
-// replays as written. The planner never changes results: its output is
-// byte-identical to the written order, and golden_test.go checks both
-// routes against a reference interpreter. Explain returns the
+// below joins, picks a join order by estimated cardinality, and
+// executes the optimized plan over the columnar operators; the rest of
+// the query, and all of a FromStorage query, replays as written. A
+// join emits the left rows in order, each followed by its right
+// matches in right order, whichever input it hashes. The planner never
+// changes results: its output is byte-identical to the written order,
+// and golden_test.go checks both routes against a reference
+// interpreter. Explain returns the
 // optimized plan without executing it. Each Run builds private
 // execution state, so queries and their branches may run concurrently.
 //

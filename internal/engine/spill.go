@@ -7,13 +7,14 @@ package engine
 // the partitions one at a time — so peak hash state is roughly 1/P of
 // the unbounded build. Output is byte-identical to the in-memory path:
 //
-//   - Join: the in-memory path emits probe rows in logical order, and
-//     within one probe row its build matches in build-scan order. Each
-//     key hashes to exactly one partition, so a probe row's matches all
-//     surface in that partition, in build-file order = build-scan
-//     order. A counting-placement merge (per-probe-row offsets from a
-//     prefix sum over match counts) then restores global probe order
-//     exactly.
+//   - Join: every join emits the left rows in logical order, each
+//     followed by its right matches in right order. Each key hashes to
+//     exactly one partition, so a left row's matches all surface in
+//     that partition, and in right order whichever input the partition
+//     hashes: in file order = scan order when the right is hashed, in
+//     probe order when the left is. The counting placement by left row
+//     that the in-memory join uses when it hashes the left (leftMajor)
+//     then restores left order exactly.
 //   - Group-by: a record carries what the grouping reads — the key
 //     values, every aggregate input, and the row's logical index — so a
 //     partition reads back as a dense block of its own rows and is
@@ -239,39 +240,36 @@ func cutJoinRecord(b []byte) (logical int32, key, rest []byte, err error) {
 }
 
 // joinPairs computes hash equi-join match pairs like equiJoinIdx, but
-// spills to disk when budget > 0 and the build side's estimated hash
+// spills to disk when budget > 0 and the hashed input's estimated
 // footprint exceeds it. dir == "" spills to the OS temp dir.
-func joinPairs(l, r *ColumnBlock, li, ri int, buildLeft bool, sc *Scratch, budget int64, dir string) (lidx, ridx []int32) {
+func joinPairs(l, r *ColumnBlock, li, ri int, sc *Scratch, budget int64, dir string) (lidx, ridx []int32) {
 	if budget > 0 {
-		build, bi := r, ri
-		if buildLeft {
-			build, bi = l, li
+		hashed, hi := r, ri
+		if hashesLeft(l, r) {
+			hashed, hi = l, li
 		}
-		if estHashBytes(build, []int{bi}) > budget {
-			lidx, ridx, err := spillJoinIdx(l, r, li, ri, buildLeft, sc, budget, dir)
+		if estHashBytes(hashed, []int{hi}) > budget {
+			lidx, ridx, err := spillJoinIdx(l, r, li, ri, sc, budget, dir)
 			if err == nil {
 				return lidx, ridx
 			}
 			spillFallbacks.Add(1)
 		}
 	}
-	return equiJoinIdx(l, r, li, ri, buildLeft, sc)
+	return equiJoinIdx(l, r, li, ri, sc)
 }
 
 // spillJoinIdx is the Grace-partitioned counterpart of equiJoinIdx.
-func spillJoinIdx(l, r *ColumnBlock, li, ri int, buildLeft bool, sc *Scratch, budget int64, dir string) (lidx, ridx []int32, err error) {
-	build, probe := r, l
-	bi, pi := ri, li
-	swapped := false
-	if buildLeft {
-		build, probe = l, r
-		bi, pi = li, ri
-		swapped = true
-	}
-	lidx, ridx = sc.idxBuf(0), sc.idxBuf(1)
+func spillJoinIdx(l, r *ColumnBlock, li, ri int, sc *Scratch, budget int64, dir string) (lidx, ridx []int32, err error) {
 	if colKeyKind(l.Schema[li].Type) != colKeyKind(r.Schema[ri].Type) {
 		// Mismatched key kinds never join (same gate as equiJoinIdx).
-		return lidx, ridx, nil
+		return sc.idxBuf(0), sc.idxBuf(1), nil
+	}
+	// Input h is hashed, input 1-h probes it; 0 is the left, 1 the right.
+	in, col := [2]*ColumnBlock{l, r}, [2]int{li, ri}
+	h := 1
+	if hashesLeft(l, r) {
+		h = 0
 	}
 
 	f, err := openSpillFile(dir)
@@ -280,9 +278,9 @@ func spillJoinIdx(l, r *ColumnBlock, li, ri int, buildLeft bool, sc *Scratch, bu
 	}
 	defer f.Close()
 
-	// Partitions [0, P) hold the build side's records, [P, 2P) the probe
-	// side's; the probe's logical index drives the order-restoring merge.
-	P := spillPartitionCount(estHashBytes(build, []int{bi}), budget)
+	// Partitions [0, P) hold the hashed input's records, [P, 2P) the
+	// probing input's.
+	P := spillPartitionCount(estHashBytes(in[h], []int{col[h]}), budget)
 	runs := newSpillRuns(f, 2*P)
 	key := sc.keyBuf()
 	side := func(b *ColumnBlock, j, first int) error {
@@ -297,9 +295,9 @@ func spillJoinIdx(l, r *ColumnBlock, li, ri int, buildLeft bool, sc *Scratch, bu
 		}
 		return nil
 	}
-	err = side(build, bi, 0)
+	err = side(in[h], col[h], 0)
 	if err == nil {
-		err = side(probe, pi, P)
+		err = side(in[1-h], col[1-h], P)
 	}
 	sc.putKey(key)
 	if err == nil {
@@ -309,11 +307,9 @@ func spillJoinIdx(l, r *ColumnBlock, li, ri int, buildLeft bool, sc *Scratch, bu
 		return nil, nil, err
 	}
 
-	// Process partitions in index order, collecting match pairs of
-	// logical rows and per-probe-row match counts.
-	type pair struct{ pl, bl int32 }
-	pairs := make([][]pair, P)
-	counts := make([]int32, probe.Len())
+	// Process partitions in index order, collecting the match pairs as
+	// physical rows: pairs[s] holds input s's row of every pair.
+	var pairs [2][]int32
 	var buf []byte
 	for p := 0; p < P; p++ {
 		ht := make(map[string][]int32)
@@ -337,10 +333,10 @@ func spillJoinIdx(l, r *ColumnBlock, li, ri int, buildLeft bool, sc *Scratch, bu
 				if err != nil {
 					return err
 				}
-				matches := ht[string(k)]
-				counts[pl] += int32(len(matches))
-				for _, bl := range matches {
-					pairs[p] = append(pairs[p], pair{pl, bl})
+				pp := int32(in[1-h].phys(int(pl)))
+				for _, bl := range ht[string(k)] {
+					pairs[1-h] = append(pairs[1-h], pp)
+					pairs[h] = append(pairs[h], int32(in[h].phys(int(bl))))
 				}
 				run = next
 			}
@@ -350,30 +346,8 @@ func spillJoinIdx(l, r *ColumnBlock, li, ri int, buildLeft bool, sc *Scratch, bu
 			return nil, nil, err
 		}
 	}
-
-	// Counting placement: offsets[i] is where probe row i's first match
-	// belongs globally; partitions replay in index order, and within a
-	// partition pairs are already in (probe order, build order).
-	total := 0
-	offsets := make([]int32, len(counts))
-	for i, c := range counts {
-		offsets[i] = int32(total)
-		total += int(c)
-	}
-	lidx, ridx = growIdx(lidx, total), growIdx(ridx, total)
-	for p := 0; p < P; p++ {
-		for _, pr := range pairs[p] {
-			k := offsets[pr.pl]
-			offsets[pr.pl]++
-			pp, bp := int32(probe.phys(int(pr.pl))), int32(build.phys(int(pr.bl)))
-			if swapped {
-				lidx[k], ridx[k] = bp, pp
-			} else {
-				lidx[k], ridx[k] = pp, bp
-			}
-		}
-	}
 	spillPartitions.Add(int64(P))
+	lidx, ridx = leftMajor(l, pairs[0], pairs[1], sc)
 	return lidx, ridx, nil
 }
 

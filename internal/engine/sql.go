@@ -27,8 +27,8 @@ package engine
 //
 // Statements compile onto the Query builder (WHERE becomes a
 // plan.Expr), so SQL flows through the same cost-based planner as
-// builder queries: filters are pushed below joins, join order and
-// build sides are chosen by estimated cardinality, and EXPLAIN renders
+// builder queries: filters are pushed below joins, join order is
+// chosen by estimated cardinality, and EXPLAIN renders
 // the chosen plan as text (or, with EXPLAIN JSON, as a serialized plan
 // tree) without executing the query.
 

@@ -286,6 +286,19 @@ var retiredTable = []retired{
 			{`math\.Sincos\(|StdNormalSincos`, `sin, cos := math.Sincos(2 * math.Pi * u2)`},
 		},
 	},
+	{
+		name: "A join emits in left order", pr: 50,
+		why:   "every join emits the left rows in order, each followed by its right matches, whichever input it hashes; the planner's count of the written path's intermediates, its forced build sides and position-ranked filters, and the streamed join's re-sort existed only to reproduce an order that followed the build side",
+		scope: []string{"internal/engine"},
+		tests: true,
+		lines: []offender{
+			{`canonLens`, `lens := canonLens(blocks, failPos, reg.joins, lj, rj)`},
+			{`\bsat(Add|Mul|Cap)\b`, `w = satMul(w, cnt[c+1].codes[lc[c][i]])`},
+			{`\bfailPos\b|\bfailNever\b`, `fp[i] = failNever`},
+			{`\bbuildLeft\b|\bforced\b`, `buildLeft: bl[p], forced: true,`},
+			{`\blrows\b`, `s.lrows += part.Len()`},
+		},
+	},
 }
 
 // violations lists what of r is present under root, one message per
