@@ -250,7 +250,7 @@ func runE9(ctx context.Context, seed uint64) (Result, error) {
 		ID:    "E9",
 		Title: "Wildfire data assimilation via particle filtering",
 		Paper: "§3.2: PF fuses simulation and sensors; accuracy grows with N; the sensor-aware proposal improves the prior proposal; SIS collapses without resampling",
-		Shape: "error(N) decreasing; assimilation ≪ free-running; SIS ESS → 1",
+		Shape: "error(N=320) ≤ error(N=20); error(N=320) < free-running; sensor-aware error ≤ 1.5·prior error(N=20) + 1; SIS ESS < SIR ESS",
 	}
 
 	// Error vs N for the prior proposal.
