@@ -8,11 +8,11 @@
 //	sqlcli [-people 2000] [-days 30] [-seed 1]
 //	> SELECT state, COUNT(*) AS n FROM person GROUP BY state;
 //	> SELECT pid FROM person WHERE age <= 4 AND state = 'I' LIMIT 5;
-//	> EXPLAIN SELECT p.age FROM person JOIN contact ON person.pid = contact.src;
+//	> EXPLAIN SELECT person.age FROM person JOIN contact ON person.pid = contact.src;
 //
 // EXPLAIN [JSON] SELECT renders the cost-based query plan (join
-// order, build sides, pushed filters, cardinality estimates) without
-// running the statement.
+// order, pushed filters, cardinality estimates) without running the
+// statement.
 package main
 
 import (

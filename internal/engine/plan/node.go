@@ -36,7 +36,7 @@ type AggSpec struct {
 //	scan      Table, Alias, Cols, Rows
 //	filter    Input, Pred
 //	project   Input, Cols
-//	join      Left, Right, LeftCol, RightCol, BuildLeft, EstRows
+//	join      Left, Right, LeftCol, RightCol, EstRows
 //	aggregate Input, Keys, Aggs
 //	sort      Input, Col, Desc
 //	distinct  Input
@@ -59,10 +59,9 @@ type Node struct {
 
 	Pred Expr
 
-	LeftCol   string
-	RightCol  string
-	BuildLeft bool
-	EstRows   float64
+	LeftCol  string
+	RightCol string
+	EstRows  float64
 
 	Keys []string
 	Aggs []AggSpec
@@ -134,12 +133,8 @@ func (n *Node) line() string {
 	case KindProject:
 		return "project [" + strings.Join(n.Cols, ",") + "]"
 	case KindJoin:
-		side := "right"
-		if n.BuildLeft {
-			side = "left"
-		}
-		return fmt.Sprintf("join %s = %s build=%s est_rows=%s",
-			n.LeftCol, n.RightCol, side, formatEst(n.EstRows))
+		return fmt.Sprintf("join %s = %s est_rows=%s",
+			n.LeftCol, n.RightCol, formatEst(n.EstRows))
 	case KindAggregate:
 		var parts []string
 		for _, a := range n.Aggs {
@@ -244,7 +239,6 @@ type jsonNode struct {
 	Pred         *jsonExpr `json:"pred,omitempty"`
 	LeftCol      string    `json:"left_col,omitempty"`
 	RightCol     string    `json:"right_col,omitempty"`
-	BuildLeft    bool      `json:"build_left,omitempty"`
 	EstRows      float64   `json:"est_rows,omitempty"`
 	Keys         []string  `json:"keys,omitempty"`
 	Aggs         []AggSpec `json:"aggs,omitempty"`
@@ -265,7 +259,7 @@ func nodeToJSON(n *Node) *jsonNode {
 		Kind: n.Kind, Table: n.Table, Alias: n.Alias, Cols: n.Cols, Rows: n.Rows,
 		Partitions: n.Partitions, BlocksPruned: n.BlocksPruned,
 		Pred: exprToJSON(n.Pred), LeftCol: n.LeftCol, RightCol: n.RightCol,
-		BuildLeft: n.BuildLeft, EstRows: n.EstRows, Keys: n.Keys, Aggs: n.Aggs,
+		EstRows: n.EstRows, Keys: n.Keys, Aggs: n.Aggs,
 		Col: n.Col, Desc: n.Desc, N: n.N, Op: n.Op,
 		Input: nodeToJSON(n.Input), Left: nodeToJSON(n.Left), Right: nodeToJSON(n.Right),
 	}

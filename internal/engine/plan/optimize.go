@@ -3,10 +3,10 @@ package plan
 // The optimizer works on a "join region": the maximal prefix of a
 // query made of scans, equi-joins, and pushable filters. The physical
 // layer lowers that prefix into a RegionSpec, Choose picks a join
-// order by estimated cardinality (its build sides are estimates for
-// EXPLAIN: each join hashes its observed smaller input, and emits in
-// left order either way), and the executor runs the chosen order. Everything downstream of the region
-// (projections, renames, aggregates, sorts) executes as written.
+// order by estimated cardinality, and the executor runs the chosen
+// order (each join hashes its observed smaller input and emits in left
+// order either way). Everything downstream of the region (projections,
+// renames, aggregates, sorts) executes as written.
 
 // ScanSpec describes one base table input of a join region. Scans are
 // indexed by written order: scan 0 is the query's source table, scan
@@ -56,9 +56,6 @@ type JoinStep struct {
 	LeftCol   string
 	RightScan int
 	RightCol  string
-	// BuildLeft reports the cost model's guess at the smaller side;
-	// the executor may override it with observed cardinalities.
-	BuildLeft bool
 	// Est is the estimated output cardinality of this step.
 	Est float64
 }
@@ -167,7 +164,6 @@ func Choose(cat Catalog, region *RegionSpec) *Choice {
 				LeftCol:   bestSetCol,
 				RightScan: bestCand,
 				RightCol:  bestCandCol,
-				BuildLeft: cur < f[bestCand],
 				Est:       bestEst,
 			})
 			in[bestCand] = true
@@ -227,7 +223,6 @@ func WrittenOrder(cat Catalog, region *RegionSpec) *Choice {
 			LeftCol:   js.LeftCol,
 			RightScan: r,
 			RightCol:  js.RightCol,
-			BuildLeft: cur < f[r],
 			Est:       est,
 		})
 		cur = est
@@ -258,13 +253,12 @@ func BuildTree(region *RegionSpec, c *Choice) *Node {
 	root := scanNode(c.Order[0])
 	for _, st := range c.Steps {
 		root = &Node{
-			Kind:      KindJoin,
-			Left:      root,
-			Right:     scanNode(st.RightScan),
-			LeftCol:   region.Scans[st.LeftScan].Alias + "." + st.LeftCol,
-			RightCol:  region.Scans[st.RightScan].Alias + "." + st.RightCol,
-			BuildLeft: st.BuildLeft,
-			EstRows:   st.Est,
+			Kind:     KindJoin,
+			Left:     root,
+			Right:    scanNode(st.RightScan),
+			LeftCol:  region.Scans[st.LeftScan].Alias + "." + st.LeftCol,
+			RightCol: region.Scans[st.RightScan].Alias + "." + st.RightCol,
+			EstRows:  st.Est,
 		}
 	}
 	for _, p := range region.Post {

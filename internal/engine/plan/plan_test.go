@@ -93,7 +93,7 @@ func sampleTree() *Tree {
 	scanB := &Node{Kind: KindScan, Table: "users", Alias: "u", Rows: 64}
 	join := &Node{
 		Kind: KindJoin, Left: filt, Right: scanB,
-		LeftCol: "e.uid", RightCol: "u.id", BuildLeft: false, EstRows: 156.25,
+		LeftCol: "e.uid", RightCol: "u.id", EstRows: 156.25,
 	}
 	agg := &Node{Kind: KindAggregate, Input: join, Keys: []string{"u.name"},
 		Aggs: []AggSpec{{Fn: "count"}, {Fn: "sum", Col: "val", As: "total"}}}
@@ -148,7 +148,7 @@ func TestTreeTextDeterministic(t *testing.T) {
 		"limit 5",
 		"sort total desc",
 		"aggregate keys=[u.name] aggs=[count(*), sum(val) as total]",
-		"join e.uid = u.id build=right est_rows=156.25",
+		"join e.uid = u.id est_rows=156.25",
 		"scan e (events) rows=10000 cols=[id,val]",
 		"scan u (users) rows=64",
 	} {
