@@ -68,36 +68,6 @@ func TestRunDeterministicUnderFaults(t *testing.T) {
 	}
 }
 
-// TestRunWithSpeculationUnchanged verifies speculation is invisible in
-// the numbers: the same experiment with straggler mitigation enabled
-// reports the clean results.
-func TestRunWithSpeculationUnchanged(t *testing.T) {
-	clean, err := modeldata.Run(context.Background(), "E4", modeldata.WithSeed(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := parallel.WithFaultInjector(context.Background(),
-		parallel.LatencyInjector{Prob: 0.1, Delay: time.Millisecond, Seed: 5})
-	var st modeldata.Stats
-	res, err := modeldata.Run(ctx, "E4",
-		modeldata.WithSeed(3),
-		modeldata.WithWorkers(8),
-		modeldata.WithRetries(2),
-		modeldata.WithSpeculation(3),
-		modeldata.WithStats(&st))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range res.Rows {
-		if res.Rows[i] != clean.Rows[i] {
-			t.Fatalf("row %d: %+v vs %+v", i, res.Rows[i], clean.Rows[i])
-		}
-	}
-	if wins, launches := st.Metrics.Counters[parallel.MetricSpecWins], st.Metrics.Counters[parallel.MetricSpecLaunches]; wins > launches {
-		t.Fatalf("wins %d exceed launches %d", wins, launches)
-	}
-}
-
 // TestRunExhaustedRetriesSurfaceError pins the failure mode: an
 // injector nothing can outlast aborts the run with the injected fault
 // visible in the chain.

@@ -5,18 +5,18 @@
 // Usage:
 //
 //	experiments [-run F1,E3] [-seed 20140622] [-workers 8] [-md] [-stats]
-//	            [-retries 2] [-spec 3] [-chaos 0.05] [-trace out.json]
+//	            [-retries 2] [-chaos 0.05] [-trace out.json]
 //	            [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
 // With no -run flag every registered experiment runs. -md emits a
 // Markdown table suitable for EXPERIMENTS.md; -workers bounds the
 // parallelism of every Monte Carlo loop (results are identical at any
 // worker count); -stats prints a per-experiment run report (elapsed
-// time, iteration throughput, then every counter of the run once). -retries grants every runtime task a retry budget and
-// -spec enables speculative re-execution of stragglers; -chaos injects
+// time, iteration throughput, then every counter of the run once).
+// -retries grants every runtime task a retry budget; -chaos injects
 // deterministic task panics with the given probability (pair it with
-// -retries to exercise the recovery path). None of these change the
-// numbers produced. -trace writes the span tree of all executed
+// -retries to exercise the recovery path). Neither changes the numbers
+// produced. -trace writes the span tree of all executed
 // experiments as a Chrome trace-event JSON file (load it in
 // chrome://tracing or https://ui.perfetto.dev); -cpuprofile and
 // -memprofile write standard pprof profiles. Interrupting the process
@@ -52,7 +52,6 @@ func realMain() int {
 	md := flag.Bool("md", false, "emit a Markdown report")
 	stats := flag.Bool("stats", false, "print per-experiment iteration, shuffle, and fault-tolerance counters")
 	retries := flag.Int("retries", 0, "per-task retry budget for runtime fault tolerance")
-	spec := flag.Float64("spec", 0, "speculative-execution factor (backup tasks beyond this multiple of the median task time; 0 = off)")
 	chaos := flag.Float64("chaos", 0, "deterministic task-panic probability for fault injection (0 = off; pair with -retries)")
 	tracePath := flag.String("trace", "", "write a Chrome trace-event JSON span dump to this file")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
@@ -122,7 +121,6 @@ func realMain() int {
 			modeldata.WithSeed(*seed),
 			modeldata.WithWorkers(*workers),
 			modeldata.WithRetries(*retries),
-			modeldata.WithSpeculation(*spec),
 			modeldata.WithStats(&st),
 		}
 		if *chaos > 0 {

@@ -221,27 +221,34 @@ func TestMapReduceCancellation(t *testing.T) {
 }
 
 // TestRunStatsAndProgress checks the per-run counters and progress
-// callback wiring of the options API.
+// callback wiring of the options API, on E1 (MCDB bundles) and E4
+// (MapReduce). Without a retry policy or an injector no task attempt
+// is counted: the fault-tolerance counters stay zero.
 func TestRunStatsAndProgress(t *testing.T) {
-	var st modeldata.Stats
-	calls := 0
-	res, err := modeldata.Run(context.Background(), "E1",
-		modeldata.WithSeed(3),
-		modeldata.WithStats(&st),
-		modeldata.WithProgress(func(done, total int) { calls++ }))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Verdict {
-		t.Fatalf("E1 failed to reproduce")
-	}
-	if st.Metrics.Counters[parallel.MetricIterations] == 0 {
-		t.Fatalf("stats recorded no iterations:\n%s", st.Report())
-	}
-	if st.Elapsed <= 0 {
-		t.Fatalf("implausible elapsed time:\n%s", st.Report())
-	}
-	if calls == 0 {
-		t.Fatal("progress callback never invoked")
+	for _, id := range []string{"E1", "E4"} {
+		var st modeldata.Stats
+		calls := 0
+		res, err := modeldata.Run(context.Background(), id,
+			modeldata.WithSeed(3),
+			modeldata.WithStats(&st),
+			modeldata.WithProgress(func(done, total int) { calls++ }))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Verdict {
+			t.Fatalf("%s failed to reproduce", id)
+		}
+		if st.Metrics.Counters[parallel.MetricIterations] == 0 {
+			t.Fatalf("%s: stats recorded no iterations:\n%s", id, st.Report())
+		}
+		if got := st.Metrics.Counters[parallel.MetricAttempts]; got != 0 {
+			t.Fatalf("%s: %d task attempts counted without retries or an injector:\n%s", id, got, st.Report())
+		}
+		if st.Elapsed <= 0 {
+			t.Fatalf("%s: implausible elapsed time:\n%s", id, st.Report())
+		}
+		if calls == 0 {
+			t.Fatalf("%s: progress callback never invoked", id)
+		}
 	}
 }

@@ -10,14 +10,17 @@
 // fault-tolerant MapReduce runtime under injected task crashes and
 // straggler latency, demonstrating the Hadoop property the paper's
 // Splash deployment relies on: tasks die and lag, the job's output does
-// not change by a single bit.
+// not change by a single bit. Which attempts fail is a function of the
+// injectors' seeds, so the printed counters are fixed too.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log"
+	"os"
 	"strings"
 	"time"
 
@@ -33,7 +36,15 @@ func main() {
 	log.SetFlags(0)
 	chaos := flag.Bool("chaos", false, "re-run the time-alignment job under injected crashes and latency")
 	flag.Parse()
+	if err := run(os.Stdout, *chaos); err != nil {
+		log.Fatal(err)
+	}
+}
 
+// run couples the two models, sweeps the factorial design, synthesizes
+// an input file and sizes the result-caching study, printing each
+// result to w; with chaos it also runs chaosAlignment.
+func run(w io.Writer, chaos bool) error {
 	// --- Model 1: hourly patient-demand model (tick = 1 hour). ---
 	demand := &composite.Model{
 		Name: "demand",
@@ -83,46 +94,46 @@ func main() {
 
 	c := composite.NewComposite()
 	if err := c.Register(demand); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := c.Register(clinic); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	desc, err := c.Connect("demand", "arrivals", "clinic", "load")
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("mismatch detected; synthesized transformation: %s\n\n", desc)
+	fmt.Fprintf(w, "mismatch detected; synthesized transformation: %s\n\n", desc)
 
 	// --- Experiment manager (§4.2): unified parameter view. ---
 	mgr := composite.NewManager(c)
 	if err := mgr.AddParameter("demand", "base_rate", 2, 6); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := mgr.AddParameter("clinic", "staff", 2, 8); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	if err := mgr.SetOutput("clinic", "overload"); err != nil {
-		log.Fatal(err)
+		return err
 	}
 	design, err := doe.FullFactorial(2)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	responses, err := mgr.RunDesign(design.Points(), 42)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Println("2² factorial over (base_rate, staff):")
-	for i, run := range design.Runs {
-		fmt.Printf("  rate=%+d staff=%+d → weekly overload %.0f patients\n",
-			run[0], run[1], responses[i])
+	fmt.Fprintln(w, "2² factorial over (base_rate, staff):")
+	for i, levels := range design.Runs {
+		fmt.Fprintf(w, "  rate=%+d staff=%+d → weekly overload %.0f patients\n",
+			levels[0], levels[1], responses[i])
 	}
 	effects, err := doe.MainEffects(design, responses)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("main effects: base_rate %+.0f, staff %+.0f\n\n",
+	fmt.Fprintf(w, "main effects: base_rate %+.0f, staff %+.0f\n\n",
 		effects[0].Effect, effects[1].Effect)
 
 	// --- Input-file synthesis (§4.2's templating mechanism). ---
@@ -130,9 +141,9 @@ func main() {
 		"rate = ${demand.base_rate}\nstaff = ${clinic.staff}\n",
 		[]float64{4, 5})
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("synthesized model input file:\n%s\n", input)
+	fmt.Fprintf(w, "synthesized model input file:\n%s\n", input)
 
 	// --- Result caching (§2.3) for the Monte Carlo study. ---
 	two := composite.TwoStage{
@@ -157,33 +168,32 @@ func main() {
 	}
 	stats, err := two.PilotEstimate(200, 7)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	alpha := composite.OptimalAlpha(stats, 0.01)
-	fmt.Printf("pilot statistics: %v\n", stats)
-	fmt.Printf("optimal replication fraction α* = %.3f  (efficiency gain vs α=1: %.2f×)\n",
+	fmt.Fprintf(w, "pilot statistics: %v\n", stats)
+	fmt.Fprintf(w, "optimal replication fraction α* = %.3f  (efficiency gain vs α=1: %.2f×)\n",
 		alpha, composite.GAlpha(1, stats)/composite.GAlpha(alpha, stats))
-	run, err := two.RunBudgeted(5000, alpha, 11)
+	budgeted, err := two.RunBudgeted(5000, alpha, 11)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("budget 5000 work units: %d M1 runs reused across %d M2 runs; θ̂ = %.1f\n",
-		run.M1Runs, run.M2Runs, run.Theta)
+	fmt.Fprintf(w, "budget 5000 work units: %d M1 runs reused across %d M2 runs; θ̂ = %.1f\n",
+		budgeted.M1Runs, budgeted.M2Runs, budgeted.Theta)
 
-	if *chaos {
-		if err := chaosAlignment(); err != nil {
-			log.Fatal(err)
-		}
+	if chaos {
+		return chaosAlignment(w)
 	}
+	return nil
 }
 
 // chaosAlignment re-runs a demand-curve interpolation job on the
 // MapReduce runtime under a fault injector that crashes ~30% of task
-// attempts and stalls ~20% of them, with a 6-retry budget and
-// speculative re-execution of stragglers, then verifies the output is
-// bit-identical to the failure-free run.
-func chaosAlignment() error {
-	fmt.Println("\n--- chaos mode: alignment under injected faults ---")
+// attempts and stalls ~20% of them, with a 6-retry budget, then
+// verifies the output is bit-identical to the failure-free run and
+// prints the job's counters to w.
+func chaosAlignment(w io.Writer) error {
+	fmt.Fprintln(w, "\n--- chaos mode: alignment under injected faults ---")
 	r := rng.New(20140622)
 	ts := make([]float64, 24*14)
 	vs := make([]float64, len(ts))
@@ -211,7 +221,7 @@ func chaosAlignment() error {
 	}
 	st := parallel.NewStats()
 	ctx := parallel.WithStats(context.Background(), st)
-	ctx = parallel.WithRetryPolicy(ctx, parallel.RetryPolicy{MaxRetries: 6, SpeculativeFactor: 4})
+	ctx = parallel.WithRetryPolicy(ctx, parallel.RetryPolicy{MaxRetries: 6})
 	ctx = parallel.WithFaultInjector(ctx, parallel.Chain{
 		parallel.PanicInjector{Prob: 0.3, Seed: 7},
 		parallel.LatencyInjector{Prob: 0.2, Delay: 2 * time.Millisecond, Seed: 8},
@@ -225,11 +235,11 @@ func chaosAlignment() error {
 			return fmt.Errorf("chaos run diverged at t=%v: %v vs %v", p.T, p.V, clean.Points[i].V)
 		}
 	}
-	fmt.Printf("job survived injected faults: %s\n", job)
+	fmt.Fprintf(w, "job survived injected faults: %s\n", job)
 	for _, line := range strings.Split(st.Registry().Snapshot().String(), "\n") {
-		fmt.Printf("  %s\n", line)
+		fmt.Fprintf(w, "  %s\n", line)
 	}
-	fmt.Printf("output identical to failure-free run across %d aligned points ✓\n", len(faulty.Points))
+	fmt.Fprintf(w, "output identical to failure-free run across %d aligned points ✓\n", len(faulty.Points))
 	return nil
 }
 

@@ -9,8 +9,8 @@
 // letting wall-time flow into results). The only compiled-in exception
 // besides internal/rng itself is internal/obs/obs.go, where the single
 // time.Now() call in the codebase lives behind the obs.Clock seam —
-// every measurement-only clock read (span timing, stats elapsed,
-// straggler detection) goes through an injectable obs.Clock, so tests
+// every measurement-only clock read (span timing, stats elapsed)
+// goes through an injectable obs.Clock, so tests
 // can freeze time and the lint surface stays one line. Everything else
 // needs an inline //lint:allow rngsource with its reason.
 package rngsource

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -158,54 +157,6 @@ func TestZeroRetriesKeepsFailFast(t *testing.T) {
 	}
 	if got := st.Registry().Counter(parallel.MetricRetries).Value(); got != 0 {
 		t.Fatalf("retries = %d without a budget", got)
-	}
-}
-
-// stallOnce stalls the first attempt of one map task long enough to be
-// flagged as a straggler; its backup attempt runs clean.
-type stallOnce struct {
-	index int
-	delay time.Duration
-	hits  *atomic.Int64
-}
-
-func (s stallOnce) Inject(ti parallel.TaskInfo) {
-	if ti.Stage == "map" && ti.Index == s.index && ti.Attempt == 1 {
-		s.hits.Add(1)
-		time.Sleep(s.delay)
-	}
-}
-
-// TestSpeculativeExecution manufactures one straggler and requires the
-// scheduler to launch a backup attempt whose result matches the
-// failure-free run bit for bit.
-func TestSpeculativeExecution(t *testing.T) {
-	splits := chaosDocs()
-	clean, _, err := RunCtx(context.Background(), Config{Mappers: 8, Reducers: 2}, splits, countWords, sumCounts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var hits atomic.Int64
-	ctx, reg := faultCtx(parallel.RetryPolicy{SpeculativeFactor: 2},
-		stallOnce{index: 0, delay: 100 * time.Millisecond, hits: &hits})
-	out, _, err := RunCtx(ctx, Config{Mappers: 8, Reducers: 2}, splits, countWords, sumCounts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range clean {
-		if out[i] != clean[i] {
-			t.Fatalf("pair %d diverged: %+v vs %+v", i, out[i], clean[i])
-		}
-	}
-	if hits.Load() == 0 {
-		t.Fatal("straggler injector never fired")
-	}
-	launches, wins := reg.Counter(parallel.MetricSpecLaunches).Value(), reg.Counter(parallel.MetricSpecWins).Value()
-	if launches == 0 {
-		t.Fatalf("no speculative backup launched:\n%s", reg.Snapshot())
-	}
-	if wins > launches {
-		t.Fatalf("wins %d exceed launches %d", wins, launches)
 	}
 }
 

@@ -7,15 +7,13 @@
 // scale-free proxy for cluster communication cost.
 //
 // Like the Hadoop substrate it models, the runtime is fault-tolerant at
-// task granularity: with a retry policy on the context
-// (parallel.WithRetryPolicy), a crashed map or reduce task is re-run
-// with exponential backoff instead of failing the job, and straggling
-// tasks are speculatively re-executed with first-result-wins commits.
-// The attempts, retries, speculative launches and wins, and backoff are
-// counted in the context's parallel.Stats registry.
-// Output is bit-identical to a failure-free run under any fault
-// schedule that lets every task eventually succeed — see tasks.go for
-// the argument.
+// task granularity: each stage is one parallel.For loop, so with a
+// retry policy on the context (parallel.WithRetryPolicy) a crashed map
+// or reduce task is re-run with exponential backoff instead of failing
+// the job. The attempts, retries and backoff are counted in the
+// context's parallel.Stats registry. Output is bit-identical to a
+// failure-free run under any fault schedule that lets every task
+// eventually succeed — see tasks.go for the argument.
 package mapreduce
 
 import (
@@ -33,11 +31,13 @@ import (
 // ErrNoInput is returned when a job is run with no input splits.
 var ErrNoInput = errors.New("mapreduce: no input splits")
 
-// ErrWorkerPanic is returned when a mapper or reducer panics; the
-// panic value is attached. Like a real cluster framework, a task crash
-// fails the job only after the retry budget of the context's retry
-// policy (parallel.WithRetryPolicy; zero by default) is exhausted.
-var ErrWorkerPanic = errors.New("mapreduce: worker panicked")
+// ErrWorkerPanic is in the chain of the error a job returns when a
+// mapper, a reducer or an injected fault panics; the panic value is
+// attached. Like a real cluster framework, a task crash fails the job
+// only after the retry budget of the context's retry policy
+// (parallel.WithRetryPolicy; zero by default) is exhausted. It is
+// parallel.ErrPanicked, the sentinel of every recovered task panic.
+var ErrWorkerPanic = parallel.ErrPanicked
 
 // Pair is a keyed intermediate or output record.
 type Pair struct {
@@ -51,8 +51,8 @@ type Mapper func(split any, emit func(Pair)) error
 // Reducer processes all values that share a key, emitting output pairs.
 type Reducer func(key string, values []any, emit func(Pair)) error
 
-// Config bounds job parallelism. Retries, speculation and fault
-// injection are asked for on the context (parallel.WithRetryPolicy,
+// Config bounds job parallelism. Retries and fault injection are
+// asked for on the context (parallel.WithRetryPolicy,
 // parallel.WithFaultInjector), as for every other task runtime.
 type Config struct {
 	// Mappers and Reducers bound worker parallelism; zero means
@@ -61,7 +61,7 @@ type Config struct {
 }
 
 // Stats reports what a job did. Its fault-tolerance activity (task
-// attempts, retries, speculation, backoff) is counted in the registry
+// attempts, retries, backoff) is counted in the registry
 // of the parallel.Stats the context carries.
 type Stats struct {
 	InputSplits  int
@@ -108,8 +108,8 @@ func workerCount(n int) int {
 // is re-run after exponential backoff; the job aborts when a task
 // exhausts its budget (immediately, with the default zero budget).
 // Tasks must be deterministic per split — any randomness must come from
-// per-split state reset at attempt start — for retried and speculative
-// attempts to commute with failure-free execution. Cancellation of ctx
+// per-split state reset at attempt start — for retried attempts to
+// commute with failure-free execution. Cancellation of ctx
 // is honored between the map, shuffle, and reduce stages and between
 // tasks within a stage: a canceled job stops scheduling work and
 // returns ctx.Err() instead of running to completion. The retry policy
@@ -124,8 +124,6 @@ func RunCtx(ctx context.Context, cfg Config, splits []any, m Mapper, r Reducer) 
 	jobSpan.SetInt("splits", int64(len(splits)))
 	defer jobSpan.End()
 	stats.InputSplits = len(splits)
-	pol, _ := parallel.RetryPolicyFrom(ctx)
-	inj := parallel.InjectorFrom(ctx)
 
 	// Map phase: each task attempt accumulates per-partition output
 	// locally, so no locks are needed in the emit hot path and a failed
@@ -137,7 +135,7 @@ func RunCtx(ctx context.Context, cfg Config, splits []any, m Mapper, r Reducer) 
 		count int
 		bytes int64
 	}
-	results, err := runTasks(ctx, "map", len(splits), nMap, pol, inj, func(i int) (mapResult, error) {
+	results, err := runTasks(ctx, "map", len(splits), nMap, func(i int) (mapResult, error) {
 		res := mapResult{parts: make([][]Pair, nRed)}
 		emit := func(p Pair) {
 			h := fnv.New32a()
@@ -185,7 +183,7 @@ func RunCtx(ctx context.Context, cfg Config, splits []any, m Mapper, r Reducer) 
 	// partition for determinism. A reduce task's output is buffered per
 	// attempt, so a mid-partition crash discards the partial output and
 	// the retry rebuilds it from the (immutable) shuffle groups.
-	outParts, err := runTasks(ctx, "reduce", nRed, nRed, pol, inj, func(p int) ([]Pair, error) {
+	outParts, err := runTasks(ctx, "reduce", nRed, nRed, func(p int) ([]Pair, error) {
 		keys := make([]string, 0, len(partitions[p]))
 		for k := range partitions[p] {
 			keys = append(keys, k)

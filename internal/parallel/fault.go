@@ -4,8 +4,8 @@ package parallel
 // simulator-substitution hook of the fault-tolerance layer: instead of
 // waiting for real machine failures, tests and chaos modes install an
 // injector that panics or stalls chosen task attempts, and the runtime
-// must absorb the damage through retries and speculative execution
-// without changing a single output bit.
+// must absorb the damage through retries without changing a single
+// output bit.
 //
 // Injector decisions are derived from (stage, task index, attempt
 // number) and a seed — never from wall-clock time or scheduling order —
@@ -32,7 +32,7 @@ type TaskInfo struct {
 	// iteration number, partition number).
 	Index int
 	// Attempt is the 1-based attempt number for this task, counting
-	// retries and speculative backups.
+	// retries.
 	Attempt int
 }
 
@@ -96,8 +96,9 @@ func (p PanicInjector) Inject(ti TaskInfo) {
 }
 
 // LatencyInjector stalls each attempt independently with probability
-// Prob for Delay, manufacturing stragglers for the speculative-
-// execution path. It never fails an attempt.
+// Prob for Delay, manufacturing stragglers: a chaos run must give the
+// failure-free output however its attempts interleave. It never fails
+// an attempt.
 type LatencyInjector struct {
 	Prob  float64
 	Delay time.Duration

@@ -202,8 +202,6 @@ func TestStatsRegistryParityUnderChaos(t *testing.T) {
 		{MetricShuffleBytes, 0},
 		{MetricAttempts, inj.attempts.Load()},
 		{MetricRetries, inj.panics.Load()},
-		{MetricSpecLaunches, 0},
-		{MetricSpecWins, 0},
 	}
 	for _, c := range checks {
 		if v := reg.Counter(c.metric).Value(); v != c.want {
@@ -331,7 +329,7 @@ func TestRetryPolicyContextRoundTrip(t *testing.T) {
 	if _, ok := RetryPolicyFrom(context.Background()); ok {
 		t.Fatal("bare context reported a policy")
 	}
-	want := RetryPolicy{MaxRetries: 4, SpeculativeFactor: 2.5}
+	want := RetryPolicy{MaxRetries: 4, Backoff: 3 * time.Millisecond}
 	got, ok := RetryPolicyFrom(WithRetryPolicy(context.Background(), want))
 	if !ok || got != want {
 		t.Fatalf("got %+v ok=%v", got, ok)

@@ -76,10 +76,11 @@ type errBox struct{ err error }
 // loop. Retried iterations re-run fn(i) from scratch, so fn
 // must be re-runnable: it must fully overwrite slot i on success and
 // derive randomness from state reset at attempt start (ForStreams
-// arranges this automatically). Speculative execution never applies
-// here — slot writes are owned by one worker at a time — only in the
-// MapReduce runtime, whose framework-controlled commit makes backup
-// attempts race-free.
+// arranges this automatically). Each iteration runs on one worker at a
+// time, so slot i has one writer. The attempt counts, retries and
+// backoff are credited to the context's Stats; without a policy or an
+// injector nothing is counted there but iterations, and a panic
+// propagates.
 func For(ctx context.Context, n int, opts Options, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
@@ -285,18 +286,6 @@ func WithProgress(ctx context.Context, fn func(done, total int)) context.Context
 func progressFrom(ctx context.Context) *progressHook {
 	h, _ := ctx.Value(progressKey).(*progressHook)
 	return h
-}
-
-// ProgressFrom returns a serialized reporting function bound to the
-// progress hook installed on ctx, or nil when none is installed. It
-// lets runtimes that schedule their own workers (the MapReduce task
-// scheduler) service the same hook as parallel loops.
-func ProgressFrom(ctx context.Context) func(done, total int) {
-	h := progressFrom(ctx)
-	if h == nil {
-		return nil
-	}
-	return h.report
 }
 
 // WithStats returns a context whose parallel loops (and the MapReduce

@@ -22,6 +22,10 @@ import (
 // budget.
 var ErrTaskFailed = errors.New("parallel: task failed")
 
+// ErrPanicked is wrapped by the error a task attempt's recovered panic
+// becomes, injected or genuine.
+var ErrPanicked = errors.New("parallel: task panicked")
+
 // RetryPolicy configures per-task fault tolerance.
 type RetryPolicy struct {
 	// MaxRetries is the number of re-runs allowed after a task's first
@@ -33,12 +37,6 @@ type RetryPolicy struct {
 	// MaxBackoff caps the exponential growth. Zero means
 	// DefaultMaxBackoff.
 	MaxBackoff time.Duration
-	// SpeculativeFactor enables speculative execution in runtimes that
-	// support it (MapReduce): when a task's elapsed time exceeds
-	// SpeculativeFactor × the median completion time of finished tasks
-	// in the same stage, a backup attempt is launched and the first
-	// result wins. Zero disables speculation.
-	SpeculativeFactor float64
 }
 
 // Backoff defaults.
@@ -105,10 +103,10 @@ func attemptOnce(stage string, index, attempt int, inj FaultInjector, fn func() 
 	defer func() {
 		if r := recover(); r != nil {
 			if e, ok := r.(error); ok {
-				err = fmt.Errorf("%s[%d] attempt %d panicked: %w", stage, index, attempt, e)
+				err = fmt.Errorf("%w: %s[%d] attempt %d: %w", ErrPanicked, stage, index, attempt, e)
 				return
 			}
-			err = fmt.Errorf("%s[%d] attempt %d panicked: %v", stage, index, attempt, r)
+			err = fmt.Errorf("%w: %s[%d] attempt %d: %v", ErrPanicked, stage, index, attempt, r)
 		}
 	}()
 	if inj != nil {

@@ -15,8 +15,6 @@ const (
 	MetricShuffleBytes = "mapreduce.shuffle_bytes"
 	MetricAttempts     = "task.attempts"
 	MetricRetries      = "task.retries"
-	MetricSpecLaunches = "task.speculative_launches"
-	MetricSpecWins     = "task.speculative_wins"
 	MetricBackoffNanos = "task.backoff_ns"
 )
 
@@ -35,8 +33,6 @@ type Stats struct {
 	shuffleBytes *obs.Counter
 	taskAttempts *obs.Counter
 	retries      *obs.Counter
-	specLaunches *obs.Counter
-	specWins     *obs.Counter
 	backoffNanos *obs.Counter
 }
 
@@ -59,8 +55,6 @@ func NewStatsClock(c obs.Clock) *Stats {
 		shuffleBytes: reg.Counter(MetricShuffleBytes),
 		taskAttempts: reg.Counter(MetricAttempts),
 		retries:      reg.Counter(MetricRetries),
-		specLaunches: reg.Counter(MetricSpecLaunches),
-		specWins:     reg.Counter(MetricSpecWins),
 		backoffNanos: reg.Counter(MetricBackoffNanos),
 	}
 }
@@ -92,8 +86,8 @@ func (s *Stats) AddShuffleBytes(n int64) {
 	}
 }
 
-// AddTaskAttempts records n task attempts launched (first tries,
-// retries, and speculative backups all count).
+// AddTaskAttempts records n task attempts launched (first tries and
+// retries both count).
 func (s *Stats) AddTaskAttempts(n int64) {
 	if s != nil {
 		s.taskAttempts.Add(n)
@@ -104,22 +98,6 @@ func (s *Stats) AddTaskAttempts(n int64) {
 func (s *Stats) AddRetries(n int64) {
 	if s != nil {
 		s.retries.Add(n)
-	}
-}
-
-// AddSpeculativeLaunches records n backup attempts launched against
-// straggling tasks.
-func (s *Stats) AddSpeculativeLaunches(n int64) {
-	if s != nil {
-		s.specLaunches.Add(n)
-	}
-}
-
-// AddSpeculativeWins records n tasks whose committed result came from a
-// speculative backup rather than the original attempt.
-func (s *Stats) AddSpeculativeWins(n int64) {
-	if s != nil {
-		s.specWins.Add(n)
 	}
 }
 

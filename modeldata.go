@@ -18,9 +18,9 @@ const DefaultSeed uint64 = 20140622
 // Stats reports what one Run did: its wall-clock time and every metric
 // reported during it, keyed by the DESIGN.md §8 names
 // ("parallel.iterations", "task.retries", "engine.rows_scanned", …).
-// The fault-tolerance counters stay zero unless WithRetries or
-// WithSpeculation enable the machinery or a fault injector is installed
-// on the context.
+// The fault-tolerance counters (task attempts, retries, backoff) stay
+// zero unless WithRetries enables the machinery or a fault injector is
+// installed on the context.
 type Stats struct {
 	Elapsed time.Duration
 
@@ -59,7 +59,6 @@ type config struct {
 	progress   func(done, total int)
 	stats      *Stats
 	maxRetries int
-	specFactor float64
 	tracer     *obs.Tracer
 	chaosProb  float64
 	chaosSeed  uint64
@@ -124,15 +123,6 @@ func WithRetries(n int) Option {
 	return func(c *config) { c.maxRetries = n }
 }
 
-// WithSpeculation enables straggler mitigation in the MapReduce
-// runtime: a task running longer than factor × the stage's median task
-// time gets one speculative backup attempt, and the first result wins.
-// Speculation affects wall-clock time and the Stats counters only,
-// never the numbers produced.
-func WithSpeculation(factor float64) Option {
-	return func(c *config) { c.specFactor = factor }
-}
-
 // Run executes one experiment by ID. Cancellation of ctx aborts the
 // experiment promptly with ctx.Err(); options configure the seed,
 // worker bound, progress reporting, and stats collection. Results are
@@ -149,11 +139,8 @@ func Run(ctx context.Context, id string, opts ...Option) (ExperimentResult, erro
 	if cfg.progress != nil {
 		ctx = parallel.WithProgress(ctx, cfg.progress)
 	}
-	if cfg.maxRetries > 0 || cfg.specFactor > 0 {
-		ctx = parallel.WithRetryPolicy(ctx, parallel.RetryPolicy{
-			MaxRetries:        cfg.maxRetries,
-			SpeculativeFactor: cfg.specFactor,
-		})
+	if cfg.maxRetries > 0 {
+		ctx = parallel.WithRetryPolicy(ctx, parallel.RetryPolicy{MaxRetries: cfg.maxRetries})
 	}
 	if cfg.chaosProb > 0 {
 		ctx = parallel.WithFaultInjector(ctx, parallel.PanicInjector{

@@ -299,6 +299,20 @@ var retiredTable = []retired{
 			{`\blrows\b`, `s.lrows += part.Len()`},
 		},
 	},
+	{
+		name: "One task runtime", pr: 51,
+		why:   "a MapReduce stage is one parallel.For loop, whose retries run a task's attempts one after another; speculative backup attempts, the private scheduler that raced them and its straggler scan changed only wall time and counters, never an answer",
+		scope: []string{"modeldata.go", "internal/parallel", "internal/mapreduce", "cmd/experiments", "examples/splash"},
+		tests: true,
+		lines: []offender{
+			{`WithSpeculation`, `modeldata.WithSpeculation(*spec),`},
+			{`SpeculativeFactor`, `ctx = parallel.WithRetryPolicy(ctx, parallel.RetryPolicy{MaxRetries: 6, SpeculativeFactor: 4})`},
+			{`AddSpeculative`, `s.pstats.AddSpeculativeWins(1)`},
+			{`MetricSpec`, `{MetricSpecLaunches, 0},`},
+			{`checkStragglers`, `s.checkStragglersLocked(obs.Wall.Now())`},
+			{`flag\.\w+\("spec"`, `spec := flag.Float64("spec", 0, "speculative-execution factor")`},
+		},
+	},
 }
 
 // violations lists what of r is present under root, one message per
@@ -399,6 +413,7 @@ func TestRetiredFindsWhatIsPutBack(t *testing.T) {
 		"internal/engine/plan/node.go":        "package plan\n",
 		"internal/colstore/format.go":         "package colstore\n",
 		"cmd/benchjson/main.go":               "package main\n",
+		"cmd/experiments/main.go":             "package main\n",
 		"internal/lint/load.go":               "package lint\n",
 		"internal/indemics/sim.go":            "package indemics\n",
 		"internal/experiments/extensions.go":  "package experiments\n",
