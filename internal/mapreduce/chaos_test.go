@@ -129,7 +129,7 @@ func TestCrashNTimesThenSucceed(t *testing.T) {
 
 // TestRetryBudgetExhaustionFails pins the abort path and its error
 // chain: the job reports the injected fault as a worker panic after the
-// budget is spent.
+// budget is spent, naming the task by its stage.
 func TestRetryBudgetExhaustionFails(t *testing.T) {
 	ctx, _ := faultCtx(parallel.RetryPolicy{MaxRetries: 2, Backoff: 10 * time.Microsecond},
 		parallel.CrashAttempts{Stage: "map", Index: 0, Times: 100})
@@ -142,6 +142,9 @@ func TestRetryBudgetExhaustionFails(t *testing.T) {
 	}
 	if !errors.Is(err, parallel.ErrInjectedFault) {
 		t.Fatalf("err = %v, want ErrInjectedFault in chain", err)
+	}
+	if msg := err.Error(); !strings.Contains(msg, "map[0] after 3 attempt(s)") || strings.Contains(msg, "parallel[") {
+		t.Fatalf("err = %v, want the failed task named map[0], never parallel[0]", err)
 	}
 }
 

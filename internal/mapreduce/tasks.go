@@ -23,27 +23,14 @@ import (
 	"modeldata/internal/parallel"
 )
 
-// stageInjector passes every attempt to the context's injector under
-// the stage's name, so an injector can target "map" or "reduce" tasks.
-type stageInjector struct {
-	stage string
-	inj   parallel.FaultInjector
-}
-
-func (s stageInjector) Inject(ti parallel.TaskInfo) {
-	ti.Stage = s.stage
-	s.inj.Inject(ti)
-}
-
 // runTasks runs the n tasks of one stage on at most workers goroutines
-// and returns their results in index order. A panicking task fails
+// and returns their results in index order. Task i is stage[i] to a
+// fault injector and in a failed task's error. A panicking task fails
 // with ErrWorkerPanic, retried like any other failure.
 func runTasks[T any](ctx context.Context, stage string, n, workers int, run func(i int) (T, error)) ([]T, error) {
 	ctx, span := obs.Start(ctx, "mapreduce."+stage)
 	defer span.End()
-	if inj := parallel.InjectorFrom(ctx); inj != nil {
-		ctx = parallel.WithFaultInjector(ctx, stageInjector{stage, inj})
-	}
+	ctx = parallel.WithStage(ctx, stage)
 	results := make([]T, n)
 	err := parallel.For(ctx, n, parallel.Options{Workers: workers}, func(i int) (err error) {
 		// For recovers panics only when a policy or an injector is

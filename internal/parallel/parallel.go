@@ -117,8 +117,12 @@ func For(ctx context.Context, n int, opts Options, fn func(i int) error) error {
 	if !opts.NoFaults {
 		pol, havePol := RetryPolicyFrom(ctx)
 		if inj := InjectorFrom(ctx); havePol || inj != nil {
+			stage, ok := ctx.Value(stageKey).(string)
+			if !ok {
+				stage = "parallel"
+			}
 			run = func(ctx context.Context, i int) error {
-				return runTaskAttempts(ctx, "parallel", i, pol, inj, stats, func() error { return fn(i) })
+				return runTaskAttempts(ctx, stage, i, pol, inj, stats, func() error { return fn(i) })
 			}
 		}
 	}
@@ -240,7 +244,16 @@ const (
 	progressKey
 	retryKey
 	injectorKey
+	stageKey
 )
+
+// WithStage returns a context whose parallel loops name their tasks
+// stage[i], not parallel[i], to a fault injector (TaskInfo.Stage) and
+// in the error of a task that exhausts its retries — how a MapReduce
+// job says which of its stages failed.
+func WithStage(ctx context.Context, stage string) context.Context {
+	return context.WithValue(ctx, stageKey, stage)
+}
 
 // WithWorkers returns a context whose parallel loops default to n
 // workers (for loops that do not set Options.Workers explicitly).
