@@ -313,10 +313,10 @@ func neededBefore(tail []*qop, need map[string]bool) map[string]bool {
 
 // Explain returns the logical plan Run would execute, without running
 // it. A query over a table shows its join region in optimized form
-// (filters pushed to their scans, joins in cost-chosen order with build
-// sides and cardinality estimates); a storage-backed or unplannable
-// query shows the written shape. Render with Tree.Text or serialize
-// with Tree.JSON.
+// (filters pushed to their scans, each scan listing the columns it
+// reads, joins in cost-chosen order with cardinality estimates); a
+// storage-backed or unplannable query shows the written shape. Render
+// with Tree.Text or serialize with Tree.JSON.
 func (q *Query) Explain() (*plan.Tree, error) {
 	if q.err != nil {
 		return nil, q.err
@@ -369,12 +369,28 @@ func (q *Query) Explain() (*plan.Tree, error) {
 // — an undecodable scan just has no statistics — because nothing is
 // being executed, so no query is refused.
 func (q *Query) regionSpec(reg *region) (*plan.RegionSpec, plan.Catalog) {
+	// A scan reads what the region carries past it and what its pushed
+	// filters test, listed in schema order.
 	ret := q.retainedCols(reg)
+	read := make([]map[string]bool, len(reg.scans))
+	for s := range reg.scans {
+		read[s] = make(map[string]bool, len(ret[s]))
+		for _, rc := range ret[s] {
+			read[s][strings.ToLower(rc.bare)] = true
+		}
+	}
+	for _, f := range reg.filters {
+		for _, c := range plan.Columns(f.pred) {
+			read[f.scan][strings.ToLower(c)] = true
+		}
+	}
 	spec := &plan.RegionSpec{}
 	for s, t := range reg.scans {
-		cols := make([]string, 0, len(ret[s]))
-		for _, rc := range ret[s] {
-			cols = append(cols, rc.bare)
+		var cols []string
+		for _, c := range t.Schema {
+			if read[s][strings.ToLower(c.Name)] {
+				cols = append(cols, c.Name)
+			}
 		}
 		spec.Scans = append(spec.Scans, plan.ScanSpec{
 			Table: t.Name, Alias: reg.aliases[s], Rows: int64(t.Len()), Cols: cols,

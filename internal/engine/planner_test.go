@@ -124,6 +124,16 @@ func TestExplainReordersStarJoin(t *testing.T) {
 	}
 }
 
+// TestExplainScanListsFilterColumns: a scan's cols= lists every column
+// it reads, in schema order, including one only its pushed filter
+// tests.
+func TestExplainScanListsFilterColumns(t *testing.T) {
+	text := explainText(t, starDB(t), "SELECT fact.val FROM fact JOIN med ON fact.gid = med.gid WHERE fact.tag = 't03'")
+	if want := "    filter tag = 't03'\n      scan fact rows=2000 cols=[gid,tag,val]\n"; !strings.Contains(text, want) {
+		t.Fatalf("EXPLAIN does not draw\n%s\nin:\n%s", want, text)
+	}
+}
+
 // TestExplainJSON checks EXPLAIN JSON emits one row holding a plan
 // document that encoding/json reads as the tree the text rendering
 // draws, node for node in the same order.
