@@ -19,6 +19,7 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -34,31 +35,39 @@ func main() {
 	days := flag.Int("days", 30, "days to simulate before pausing")
 	seed := flag.Uint64("seed", 1, "random seed")
 	flag.Parse()
-
-	net, err := indemics.GeneratePopulation(indemics.PopulationConfig{
-		N: *people, MeanDegree: 8, Rewire: 0.1,
-	}, rng.New(*seed))
-	if err != nil {
+	if err := run(os.Stdout, os.Stdin, *people, *days, *seed); err != nil {
 		log.Fatal(err)
+	}
+}
+
+// run simulates the epidemic for days over people, then answers each
+// statement line of r on w until r ends or a line says \q, quit or exit.
+// A statement's error is printed and the shell goes on.
+func run(w io.Writer, r io.Reader, people, days int, seed uint64) error {
+	net, err := indemics.GeneratePopulation(indemics.PopulationConfig{
+		N: people, MeanDegree: 8, Rewire: 0.1,
+	}, rng.New(seed))
+	if err != nil {
+		return err
 	}
 	sim, err := indemics.NewSim(net, indemics.Params{
 		Beta: 0.25, LatentDays: 2, InfectiousDays: 4,
-	}, *seed+1)
+	}, seed+1)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	sim.Seed(5)
-	if err := sim.Run(*days, nil); err != nil {
-		log.Fatal(err)
+	if err := sim.Run(days, nil); err != nil {
+		return err
 	}
 	db := sim.Database()
-	fmt.Printf("epidemic paused at day %d over %d people; tables: person, contact\n", *days, *people)
-	fmt.Println(`type SQL statements (end with newline), EXPLAIN [JSON] SELECT ... to show plans, or \q to quit`)
+	fmt.Fprintf(w, "epidemic paused at day %d over %d people; tables: person, contact\n", days, people)
+	fmt.Fprintln(w, `type SQL statements (end with newline), EXPLAIN [JSON] SELECT ... to show plans, or \q to quit`)
 
-	sc := bufio.NewScanner(os.Stdin)
+	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for {
-		fmt.Print("> ")
+		fmt.Fprint(w, "> ")
 		if !sc.Scan() {
 			break
 		}
@@ -71,12 +80,10 @@ func main() {
 		}
 		res, err := db.Query(line)
 		if err != nil {
-			fmt.Println("error:", err)
+			fmt.Fprintln(w, "error:", err)
 			continue
 		}
-		fmt.Print(res)
+		fmt.Fprint(w, res)
 	}
-	if err := sc.Err(); err != nil {
-		log.Fatal(err)
-	}
+	return sc.Err()
 }
