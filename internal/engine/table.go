@@ -196,15 +196,6 @@ func (t *Table) FloatColumn(name string) ([]float64, error) {
 	return out, nil
 }
 
-// Clone deep-copies the table.
-func (t *Table) Clone() *Table {
-	rows := make([]Row, len(t.Rows))
-	for i, r := range t.Rows {
-		rows[i] = r.Clone()
-	}
-	return &Table{Name: t.Name, Schema: t.Schema.Clone(), Rows: rows}
-}
-
 // DiffTables is the engine's one definition of "the same answer": it
 // returns nil when got has want's name, schema (names compared
 // exactly), rows and every value down to its bits, and otherwise an
@@ -324,10 +315,9 @@ func (db *Database) Storage(name string) (Storage, bool) {
 // rows, and cloning costs O(tables), not O(rows). A clone may Insert,
 // Put and Drop freely — the clip makes its first Insert reallocate the
 // row list, so neither side sees the other's changes — but, like any
-// holder of a table, must not write a cell of an existing row;
-// Table.Clone is the deep copy for that. Storage backends are read-only
-// and safe for concurrent scans, so the clone shares them too, under
-// its own registration map.
+// holder of a table, must not write a cell of an existing row. Storage
+// backends are read-only and safe for concurrent scans, so the clone
+// shares them too, under its own registration map.
 func (db *Database) Clone() *Database {
 	out := NewDatabase()
 	for k, t := range db.tables {

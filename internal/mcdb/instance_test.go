@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math"
 	"sync/atomic"
 	"testing"
 
@@ -39,89 +38,6 @@ func wStd(_ *engine.Database, outer engine.Row) (engine.Row, error) {
 	return engine.Row{outer[1], engine.Float(2)}, nil
 }
 
-// TestPerInstanceMatchesMonteCarlo is the guard of the per-request
-// instancer: whatever the spec's shape, Session.ExecSQL and per-instance
-// ExecRange — which resolve outer and parameter rows once per session and
-// realize into a slab — return the bits DB.MonteCarlo returns when it
-// re-derives everything per iteration, at any worker count and window
-// split.
-func TestPerInstanceMatchesMonteCarlo(t *testing.T) {
-	pairVG := drawEach(2, func(params engine.Row, r *rng.Stream, vals []float64) error {
-		vals[0], vals[1] = r.Normal(params[0].AsFloat(), 1), r.Float64()
-		return nil
-	})
-	cases := []struct {
-		name  string
-		specs []*TableSpec
-	}{
-		{"default OutputRow", []*TableSpec{{Name: "t", Schema: idWVal, ForEach: "items", Params: wStd, VG: NormalVG()}}},
-		{"OutputRow returns vgOut", []*TableSpec{{Name: "t",
-			Schema:  engine.Schema{{Name: "val", Type: engine.TypeFloat}, {Name: "u", Type: engine.TypeFloat}},
-			ForEach: "items", Params: wStd, VG: pairVG,
-			OutputRow: func(_ engine.Row, vgOut []engine.Value) engine.Row { return vgOut }}}},
-		{"nil Params", []*TableSpec{{Name: "t", Schema: idWVal, ForEach: "items",
-			VG: drawEach(1, func(params engine.Row, r *rng.Stream, vals []float64) error {
-				vals[0] = r.Normal(params[1].AsFloat(), 3)
-				return nil
-			})}}},
-		{"no ForEach", []*TableSpec{{Name: "t", Schema: engine.Schema{{Name: "val", Type: engine.TypeFloat}},
-			VG: distVG(rng.NormalDist{Mu: 5, Sigma: 1})}}},
-		{"two specs", []*TableSpec{
-			{Name: "first", Schema: idWVal, ForEach: "items", Params: wStd, VG: NormalVG()},
-			{Name: "t", Schema: idWVal, ForEach: "items", Params: wStd, VG: NormalVG()}}},
-	}
-	const iters, seed = 9, 41
-	const sql = "SELECT SUM(val) FROM t WHERE val > 5"
-	agg := AggQuery{Table: "t", Col: "val", Fn: engine.AggSum,
-		WhereDet: func(row engine.Row) bool { return row[len(row)-1].AsFloat() > 5 }}
-	ctx := context.Background()
-	for _, tc := range cases {
-		db := New(itemsBase(7))
-		for _, spec := range tc.specs {
-			if err := db.AddSpec(spec); err != nil {
-				t.Fatal(err)
-			}
-		}
-		p, err := engine.Prepare(sql)
-		if err != nil {
-			t.Fatal(err)
-		}
-		colIdx, _ := tc.specs[len(tc.specs)-1].Schema.ColIndex("val")
-		wantSQL, err := db.MonteCarlo(ctx, iters, seed, 1, p.Scalar)
-		if err != nil {
-			t.Fatalf("%s: MonteCarlo: %v", tc.name, err)
-		}
-		wantAgg, err := db.MonteCarlo(ctx, iters, seed, 1, instanceAgg(agg, colIdx))
-		if err != nil {
-			t.Fatalf("%s: MonteCarlo: %v", tc.name, err)
-		}
-		for _, workers := range []int{1, 2, 8} {
-			for _, cuts := range [][]int{{0, iters}, {0, 2, 5, iters}} {
-				opts := ExecOptions{Iterations: iters, Seed: seed, Workers: workers}
-				sess := db.NewSession()
-				var gotSQL, gotAgg []float64
-				for w := 0; w+1 < len(cuts); w++ {
-					part, err := sess.ExecSQLRange(ctx, sql, opts, cuts[w], cuts[w+1])
-					if err != nil {
-						t.Fatalf("%s: ExecSQLRange: %v", tc.name, err)
-					}
-					gotSQL = append(gotSQL, part...)
-					if part, err = sess.ExecRange(ctx, agg, opts, cuts[w], cuts[w+1]); err != nil {
-						t.Fatalf("%s: ExecRange: %v", tc.name, err)
-					}
-					gotAgg = append(gotAgg, part...)
-				}
-				for i := 0; i < iters; i++ {
-					if math.Float64bits(gotSQL[i]) != math.Float64bits(wantSQL[i]) || math.Float64bits(gotAgg[i]) != math.Float64bits(wantAgg[i]) {
-						t.Fatalf("%s, %d workers, windows %v, iteration %d: sql %v (MonteCarlo %v), agg %v (MonteCarlo %v)",
-							tc.name, workers, cuts, i, gotSQL[i], wantSQL[i], gotAgg[i], wantAgg[i])
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestParamsResolvedOncePerSession: a Session resolves the parameter
 // query once per outer tuple for its whole life, whichever of its routes
 // comes first and however many runs follow; a fresh Session resolves it
@@ -134,11 +50,15 @@ func TestParamsResolvedOncePerSession(t *testing.T) {
 		calls.Add(1)
 		return wStd(b, outer)
 	}
-	bundled := New(itemsBase(tuples))
-	if err := bundled.AddSpec(&TableSpec{Name: "t", Schema: idWVal, ForEach: "items", VG: NormalVG(),
-		Params: counted, UncertainCols: []int{2}}); err != nil {
-		t.Fatal(err)
+	build := func(unc []int) *DB {
+		db := New(itemsBase(tuples))
+		if err := db.AddSpec(&TableSpec{Name: "t", Schema: idWVal, ForEach: "items", VG: NormalVG(),
+			Params: counted, UncertainCols: unc}); err != nil {
+			t.Fatal(err)
+		}
+		return db
 	}
+	bundled := build([]int{2})
 	ctx := context.Background()
 	const sql = "SELECT SUM(val) FROM t"
 	agg := AggQuery{Table: "t", Col: "val", Fn: engine.AggAvg}
@@ -150,15 +70,15 @@ func TestParamsResolvedOncePerSession(t *testing.T) {
 		_, err := s.ExecDelta(ctx, agg, o, Delta{Table: "t", MapUnc: func(_ engine.Row, unc []float64) { unc[0] *= 2 }})
 		return err
 	}
-	// The bundled spec's ExecSQLRange runs plan-once, its twin's per
-	// instance; Exec likewise.
+	// The bundled spec's ExecSQLRange runs plan-once, the same spec's
+	// without UncertainCols per instance; Exec likewise.
 	for _, tc := range []struct {
 		name   string
 		db     *DB
 		routes []route
 	}{
 		{"bundled", bundled, []route{execSQL, exec, whatIf, explain}},
-		{"per instance", perInstanceTwin(t, bundled), []route{explain, execSQL, exec}},
+		{"per instance", build(nil), []route{explain, execSQL, exec}},
 	} {
 		for _, session := range []string{"a session", "a fresh session"} {
 			s := tc.db.NewSession()

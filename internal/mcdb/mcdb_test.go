@@ -64,23 +64,6 @@ func sbpFixture(t *testing.T, nPatients int) *DB {
 	return db
 }
 
-// perInstanceTwin returns a database over db's base tables whose specs
-// are db's with UncertainCols cleared, so Session.Exec runs them per
-// instance — the reference executor, on the instantiations db itself
-// produces for a seed.
-func perInstanceTwin(t *testing.T, db *DB) *DB {
-	t.Helper()
-	twin := New(db.Base)
-	for _, sp := range db.specs {
-		c := *sp
-		c.UncertainCols = nil
-		if err := twin.AddSpec(&c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return twin
-}
-
 func TestInstantiateSBP(t *testing.T) {
 	db := sbpFixture(t, 10)
 	inst, err := db.Instantiate(rng.New(1))
@@ -566,9 +549,17 @@ func TestSessionExecSQL(t *testing.T) {
 		}
 	}
 
-	// The declarative path answers the same question; the samples must
-	// match exactly (same seed → same instantiations → same rows).
-	agg, err := perInstanceTwin(t, db).NewSession().Exec(context.Background(), AggQuery{
+	// The declarative path over the spec run per instance answers the
+	// same question; the samples must match exactly (same seed → same
+	// instantiations → same rows).
+	spec, _ := db.Spec("sbp_data")
+	perInstance := *spec
+	perInstance.UncertainCols = nil
+	twin := New(db.Base)
+	if err := twin.AddSpec(&perInstance); err != nil {
+		t.Fatal(err)
+	}
+	agg, err := twin.NewSession().Exec(context.Background(), AggQuery{
 		Table: "sbp_data", Col: "sbp", Fn: engine.AggAvg,
 		WhereDet: func(r engine.Row) bool { return r[1].AsString() == "M" },
 	}, ExecOptions{Iterations: 20, Seed: 5})

@@ -73,123 +73,6 @@ func sameBits(a, b float64) bool {
 	return math.Float64bits(a) == math.Float64bits(b) || (a != a && b != b)
 }
 
-// TestExecEquivalenceTable is the one table over Session.Exec's
-// configuration axes: {a spec with UncertainCols, its twin without} ×
-// {workers 1, 2, 8} × {one window, three windows concatenated} ×
-// {COUNT, SUM, AVG} × {no predicate, one that empties some iterations,
-// one that empties all}, the bundled spec's predicate in both forms: a
-// WhereUnc closure and a typed UncWhere conjunct. Per spec every cell,
-// in either form, holds identical bytes; the two executors draw
-// different realizations but must agree on the empty-selection
-// convention: COUNT = SUM = AVG = 0, never NaN. The table also counts
-// WhereUnc evaluations: a window costs tuples × (hi − lo) of them, the
-// full run being the window [0, iters).
-func TestExecEquivalenceTable(t *testing.T) {
-	const iters, patients = 60, 4
-	windows := [][2]int{{0, 19}, {19, 37}, {37, iters}}
-	ctx := context.Background()
-	bundled := sbpFixture(t, patients)
-	evals := 0 // the bundle kernel runs on the calling goroutine
-	specs := []struct {
-		name string
-		db   *DB
-		// where renders "sbp > cut" in the form the spec's executor reads
-		// it: per iteration on bundles, on the realized row per instance.
-		where func(q *AggQuery, cut float64)
-	}{
-		{"bundled", bundled, func(q *AggQuery, cut float64) {
-			q.WhereUnc = func(det engine.Row, unc []float64) bool { evals++; return unc[0] > cut }
-		}},
-		{"bundled-typed", bundled, func(q *AggQuery, cut float64) {
-			q.UncWhere = []UncCmp{{Pos: 0, Op: "gt", Lit: cut}}
-		}},
-		{"per-instance", perInstanceTwin(t, bundled), func(q *AggQuery, cut float64) {
-			q.WhereDet = func(row engine.Row) bool { return row[2].AsFloat() > cut }
-		}},
-	}
-	// want[db][cut][fn] is the first answer a cell of that database gave.
-	want := map[*DB]map[string]map[engine.AggFunc][]float64{}
-	// SBP draws are N(120, 15): a 140 mmHg floor leaves about two
-	// iterations in three with no qualifying tuple out of 4 patients,
-	// 1e12 leaves all.
-	cuts := []struct {
-		name               string
-		cut                float64
-		minEmpty, maxEmpty int
-	}{{"all", math.Inf(-1), 0, 0}, {"some-empty", 140, 1, iters - 1}, {"all-empty", 1e12, iters, iters}}
-
-	for _, sp := range specs {
-		if want[sp.db] == nil {
-			want[sp.db] = map[string]map[engine.AggFunc][]float64{}
-		}
-		for _, c := range cuts {
-			byFn := want[sp.db][c.name]
-			if byFn == nil {
-				byFn = map[engine.AggFunc][]float64{}
-				want[sp.db][c.name] = byFn
-			}
-			for _, fn := range []engine.AggFunc{engine.AggCount, engine.AggSum, engine.AggAvg} {
-				q := AggQuery{Table: "sbp_data", Col: "sbp", Fn: fn}
-				sp.where(&q, c.cut)
-				for _, workers := range []int{1, 2, 8} {
-					s := sp.db.NewSession() // fresh: no realization cached from another worker count
-					opts := ExecOptions{Iterations: iters, Seed: 11, Workers: workers}
-					evals = 0
-					full, err := s.Exec(ctx, q, opts)
-					if err != nil {
-						t.Fatalf("%s/%s/%v workers=%d: %v", sp.name, c.name, fn, workers, err)
-					}
-					if q.WhereUnc != nil && evals != patients*iters {
-						t.Fatalf("%s/%s/%v: full run evaluated WhereUnc %d times, want %d", sp.name, c.name, fn, evals, patients*iters)
-					}
-					var parts []float64
-					for _, w := range windows {
-						evals = 0
-						p, err := s.ExecRange(ctx, q, opts, w[0], w[1])
-						if err != nil {
-							t.Fatalf("%s/%s/%v window %v: %v", sp.name, c.name, fn, w, err)
-						}
-						if q.WhereUnc != nil && evals != patients*(w[1]-w[0]) {
-							t.Fatalf("%s/%s/%v window %v: evaluated WhereUnc %d times, want %d tuples × %d iterations",
-								sp.name, c.name, fn, w, evals, patients, w[1]-w[0])
-						}
-						parts = append(parts, p...)
-					}
-					if byFn[fn] == nil {
-						byFn[fn] = full
-					}
-					if len(full) != iters || len(parts) != iters {
-						t.Fatalf("%s/%s/%v: %d and %d samples, want %d", sp.name, c.name, fn, len(full), len(parts), iters)
-					}
-					for i, want := range byFn[fn] {
-						if !sameBits(full[i], want) || !sameBits(parts[i], want) {
-							t.Fatalf("%s/%s/%v workers=%d iter %d: full %v, windows %v, want %v",
-								sp.name, c.name, fn, workers, i, full[i], parts[i], want)
-						}
-					}
-				}
-			}
-			empties := 0
-			for i, n := range byFn[engine.AggCount] {
-				sum, avg := byFn[engine.AggSum][i], byFn[engine.AggAvg][i]
-				if sum != sum || avg != avg {
-					t.Fatalf("%s/%s iter %d: NaN leaked into samples", sp.name, c.name, i)
-				}
-				if n == 0 {
-					empties++
-					if math.Float64bits(sum) != 0 || math.Float64bits(avg) != 0 {
-						t.Fatalf("%s/%s iter %d: empty selection gave SUM %v AVG %v, want 0", sp.name, c.name, i, sum, avg)
-					}
-				}
-			}
-			if empties < c.minEmpty || empties > c.maxEmpty {
-				t.Fatalf("%s/%s: %d of %d iterations empty, want %d to %d; the cut exercises nothing",
-					sp.name, c.name, empties, iters, c.minEmpty, c.maxEmpty)
-			}
-		}
-	}
-}
-
 // TestEstimateRunsMatchFull is the property the shared kernel rests
 // on: restricted to any set of iterations, it yields at each of them
 // bitwise what the full estimate holds there.
@@ -362,41 +245,6 @@ func FuzzUncWhereMatchesClosure(f *testing.F) {
 			}
 		}
 	})
-}
-
-// TestExecRangeShardsBitIdentical checks the serving-layer shard
-// invariant at the session level: disjoint iteration windows
-// concatenated in index order equal the full run, on the SQL path
-// (TestExecEquivalenceTable holds the same for aggregates, on both
-// executors).
-func TestExecRangeShardsBitIdentical(t *testing.T) {
-	s := sbpFixture(t, 8).NewSession()
-	ctx := context.Background()
-	const iters = 30
-	const sql = "SELECT AVG(sbp) FROM sbp_data"
-	opts := ExecOptions{Iterations: iters, Seed: 3, Workers: 4}
-	full, err := s.ExecSQL(ctx, sql, opts)
-	if err != nil || len(full) != iters {
-		t.Fatalf("full run: %d samples, err %v", len(full), err)
-	}
-	var got []float64
-	for _, w := range [][2]int{{0, 9}, {9, 17}, {17, 30}} {
-		p, err := s.ExecSQLRange(ctx, sql, opts, w[0], w[1])
-		if err != nil || len(p) != w[1]-w[0] {
-			t.Fatalf("window %v: %d samples, err %v", w, len(p), err)
-		}
-		got = append(got, p...)
-	}
-	for i := range full {
-		if got[i] != full[i] {
-			t.Fatalf("iter %d: sharded %v != full %v", i, got[i], full[i])
-		}
-	}
-
-	if _, err := s.ExecRange(ctx, AggQuery{Table: "sbp_data", Col: "sbp", Fn: engine.AggAvg},
-		ExecOptions{Iterations: iters, Seed: 3}, 5, 40); err == nil {
-		t.Fatal("out-of-range window must error")
-	}
 }
 
 // TestExplainSQLCachedInstantiation checks the server-readiness fix:
@@ -808,29 +656,20 @@ func bytesPerRun(runs int, f func()) float64 {
 // the query's WhereDet rejects returns the changed world's bits with
 // every iteration reused, and re-maps none of them. So from 100 to 1 000
 // iterations what it allocates grows by its per-iteration sample vectors
-// only: a copy of the 100 hidden tuples' arrays would add 800 B per
+// only: a copy of the 150 hidden tuples' arrays would add 1 200 B per
 // iteration.
 func TestWhatIfSkipsTuplesTheQueryCannotSee(t *testing.T) {
-	const items, grps = 300, 3
-	w := deltaWorld{kind: deltaKindCap, targetGrp: 0}
-	q := AggQuery{Table: "obs", Col: "val", Fn: engine.AggSum,
-		WhereDet: func(det engine.Row) bool { return det[1].AsInt() == 1 }}
+	db := sbpFixture(t, 300)
+	q := AggQuery{Table: "sbp_data", Col: "sbp", Fn: engine.AggSum,
+		WhereDet: func(det engine.Row) bool { return det[1].AsString() == "M" }}
+	d := Delta{Table: "sbp_data", Where: func(det engine.Row) bool { return det[1].AsString() == "F" },
+		MapUnc: func(_ engine.Row, unc []float64) { unc[0] = math.Min(unc[0], 140) }}
 	ctx := context.Background()
+	s := db.NewSession()
 	bytes := map[int]float64{}
 	for _, iters := range []int{100, 1000} {
 		opts := ExecOptions{Iterations: iters, Seed: 23, Workers: 1}
-		want, err := buildDeltaDB(t, items, grps, w, true).NewSession().Exec(ctx, q, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		s := buildDeltaDB(t, items, grps, w, false).NewSession()
-		st := parallel.NewStats()
-		got, err := s.ExecDelta(parallel.WithStats(ctx, st), q, opts, deltaFor(w))
-		if err != nil {
-			t.Fatal(err)
-		}
-		requireSameSamples(t, "hidden what-if", want, got)
-		reg := st.Registry()
+		_, reg := whatIf(t, db, q, opts, d)
 		if skipped := reg.Counter(MetricDeltaItersSkipped).Value(); skipped != int64(iters) {
 			t.Fatalf("%d iterations: delta_iters_skipped = %d, want all", iters, skipped)
 		}
@@ -838,7 +677,7 @@ func TestWhatIfSkipsTuplesTheQueryCannotSee(t *testing.T) {
 			t.Fatalf("%d iterations: %d hidden tuples re-mapped", iters, n)
 		}
 		bytes[iters] = bytesPerRun(5, func() {
-			if _, err := s.ExecDelta(ctx, q, opts, deltaFor(w)); err != nil {
+			if _, err := s.ExecDelta(ctx, q, opts, d); err != nil {
 				t.Fatal(err)
 			}
 		})
